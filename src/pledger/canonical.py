@@ -5,11 +5,18 @@ by code point at every level, no insignificant whitespace, numbers without
 leading zeros, trailing fractional zeros, or exponents (so 50.0 and 50 render
 identically), strings minimally escaped, UTF-8 output. NaN and infinity have
 no canonical form and are rejected.
+
+Two renderers produce these bytes. `_render` is the reference and accepts
+every JSON-shaped value. Documents whose types `_is_plain` admits go through
+the C JSON encoder instead, which emits the same bytes for them: sorted
+`str` keys, minimal escaping, integers via `int.__repr__`, and non-integral
+floats in the range where the shortest `repr` is already a plain decimal.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from decimal import Decimal
 from typing import Any
@@ -101,8 +108,44 @@ def _render(value: Any, out: list[str]) -> None:
         raise MalformedDocument(f"value has no JSON form: {value!r}")
 
 
+# Used only for documents that _is_plain admits. That walk has already
+# recursed through every container, so a cyclic document fails there and the
+# encoder's own cycle check would be redundant.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+                            allow_nan=False, check_circular=False)
+
+_PLAIN_SCALARS = frozenset({str, int, bool, type(None)})
+
+
+def _is_plain(value: Any) -> bool:
+    """True when the C encoder renders `value` exactly as `_render` does.
+
+    Exact types only: subclasses, Decimals and non-string keys take the
+    reference path. Floats qualify when non-integral with 1e-4 <= |x| < 1e16,
+    where `repr` gives the canonical decimal with no exponent.
+    """
+    kind = type(value)
+    if kind is dict:
+        for key, item in value.items():
+            if type(key) is not str:
+                return False
+            if type(item) not in _PLAIN_SCALARS and not _is_plain(item):
+                return False
+        return True
+    if kind is list or kind is tuple:
+        for item in value:
+            if type(item) not in _PLAIN_SCALARS and not _is_plain(item):
+                return False
+        return True
+    if kind is float:
+        return 1e-4 <= abs(value) < 1e16 and not value.is_integer()
+    return kind in _PLAIN_SCALARS
+
+
 def canonical_json(doc: Any) -> str:
     """Canonical text for a JSON-shaped value."""
+    if _is_plain(doc):
+        return _ENCODER.encode(doc)
     out: list[str] = []
     _render(doc, out)
     return "".join(out)

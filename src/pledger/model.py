@@ -63,7 +63,7 @@ RUNNER_KINDS = frozenset({"threshold", "rubric", "externalRecordOnly"})
 COMPARATORS = frozenset({">=", "<="})
 
 # Closed vocabularies accept one escape hatch for locally defined values.
-_EXTENSION_RE = re.compile(r"^extension:[a-z0-9][a-z0-9-]*$")
+_EXTENSION_RE = re.compile(r"extension:[a-z0-9][a-z0-9-]*")
 
 # Kind for deployment boundaries, modeled as artifacts with a boundary field.
 DEPLOYMENT_KIND = "extension:deployment"
@@ -84,7 +84,7 @@ VOUCHER_TRANSITIONS: dict[str, frozenset[str]] = {
 
 def in_vocab(value: Any, vocab: frozenset[str]) -> bool:
     """True if `value` is a vocabulary member or an `extension:<tag>` escape."""
-    return isinstance(value, str) and (value in vocab or bool(_EXTENSION_RE.match(value)))
+    return isinstance(value, str) and (value in vocab or bool(_EXTENSION_RE.fullmatch(value)))
 
 
 # ---------------------------------------------------------------------------
@@ -123,39 +123,43 @@ PAYLOAD_KEY: dict[EntryType, str] = {
     EntryType.TOMBSTONE: "tombstone",
 }
 
+# Whole-string patterns: always applied with fullmatch, since `$` would also
+# accept a trailing newline. Digits are ASCII only; `\d` matches any Unicode
+# digit.
 _SEGMENT = r"[a-z0-9][a-z0-9-]*"
-REFERENCE_ID_RE = re.compile(rf"^pl:{_SEGMENT}(?::{_SEGMENT})+$")
-_DIGEST_RE = re.compile(r"^sha256:[0-9a-f]{64}$")
-_HASH_REF_RE = re.compile(rf"^artifact:{_SEGMENT}:sha256:[0-9a-f]{{64}}$")
-_URI_RE = re.compile(r"^[a-z][a-z0-9+.-]*://\S+$")
-_CURRENCY_RE = re.compile(r"^[A-Z]{3}$")
-_RETENTION_RE = re.compile(r"^[1-9][0-9]*[ymd]$")
-_TIMESTAMP_RE = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z$")
-_REVISION_RE = re.compile(r":rev([1-9][0-9]*)$")
+REFERENCE_ID_RE = re.compile(rf"pl:({_SEGMENT})(?::{_SEGMENT})+")
+_DIGEST_RE = re.compile(r"sha256:[0-9a-f]{64}")
+_HASH_REF_RE = re.compile(rf"artifact:{_SEGMENT}:sha256:[0-9a-f]{{64}}")
+_URI_RE = re.compile(r"[a-z][a-z0-9+.-]*://\S+")
+_CURRENCY_RE = re.compile(r"[A-Z]{3}")
+_RETENTION_RE = re.compile(r"[1-9][0-9]*[ymd]")
+_TIMESTAMP_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
+_REVISION_RE = re.compile(r":rev([1-9][0-9]*)\Z")
 
 
 def is_reference_id(value: Any) -> bool:
-    return isinstance(value, str) and bool(REFERENCE_ID_RE.match(value))
+    return isinstance(value, str) and bool(REFERENCE_ID_RE.fullmatch(value))
 
 
 def is_digest(value: Any) -> bool:
-    return isinstance(value, str) and bool(_DIGEST_RE.match(value))
+    return isinstance(value, str) and bool(_DIGEST_RE.fullmatch(value))
 
 
 def is_uri(value: Any) -> bool:
-    return isinstance(value, str) and bool(_URI_RE.match(value))
+    return isinstance(value, str) and bool(_URI_RE.fullmatch(value))
 
 
 def is_artifact_ref(value: Any) -> bool:
     """Content references are hash refs (`artifact:<kind>:sha256:<hex>`) or URIs."""
-    return isinstance(value, str) and (bool(_HASH_REF_RE.match(value)) or is_uri(value))
+    return isinstance(value, str) and (bool(_HASH_REF_RE.fullmatch(value)) or is_uri(value))
 
 
 def check_entry_id(entry_id: Any, entry_type: EntryType) -> None:
     """Raise InvalidId unless the id parses and its kind matches the type."""
-    if not is_reference_id(entry_id):
+    match = REFERENCE_ID_RE.fullmatch(entry_id) if isinstance(entry_id, str) else None
+    if match is None:
         raise InvalidId(f"id {entry_id!r} does not match pl:<kind>:<segment>+")
-    kind = entry_id.split(":", 2)[1]
+    kind = match[1]
     if kind != ID_KIND[entry_type]:
         raise InvalidId(
             f"id kind {kind!r} does not match entry type {entry_type.value}"
@@ -173,13 +177,14 @@ def lineage_base(entry_id: str) -> tuple[str, int]:
 
 def parse_timestamp(value: Any) -> datetime:
     """Strict ISO-8601 UTC at second precision with a trailing Z."""
-    if not isinstance(value, str) or not _TIMESTAMP_RE.match(value):
+    if not isinstance(value, str) or not _TIMESTAMP_RE.fullmatch(value):
         raise InvalidTimestamp(f"not an ISO-8601 UTC second timestamp: {value!r}")
     try:
-        dt = datetime.strptime(value, "%Y-%m-%dT%H:%M:%SZ")
+        return datetime(int(value[0:4]), int(value[5:7]), int(value[8:10]),
+                        int(value[11:13]), int(value[14:16]), int(value[17:19]),
+                        tzinfo=timezone.utc)
     except ValueError as exc:
         raise InvalidTimestamp(f"not a real instant: {value!r}") from exc
-    return dt.replace(tzinfo=timezone.utc)
 
 
 def format_timestamp(dt: datetime) -> str:
@@ -196,13 +201,24 @@ def is_timestamp(value: Any) -> bool:
         return False
 
 
+def _is_str_list(value: Any) -> bool:
+    if not isinstance(value, list):
+        return False
+    for item in value:
+        if not isinstance(item, str):
+            return False
+    return True
+
+
 def _require_doc(value: Any, where: str) -> dict:
     if not isinstance(value, dict):
         raise MalformedDocument(f"{where} must be a JSON object, got {type(value).__name__}")
     return value
 
 
-def _rest(doc: dict, known: tuple[str, ...]) -> dict:
+def _rest(doc: dict, known: frozenset[str]) -> dict:
+    if known.issuperset(doc):
+        return {}
     return {k: v for k, v in doc.items() if k not in known}
 
 
@@ -214,14 +230,14 @@ def _put(doc: dict, key: str, value: Any) -> None:
 # ---------------------------------------------------------------------------
 # shared blocks
 
-@dataclass
+@dataclass(slots=True)
 class ActorRef:
     role: str
     pseudonym: str | None = None
     steward_org: str | None = None
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = ("role", "pseudonym", "stewardOrg")
+    _KEYS = frozenset({"role", "pseudonym", "stewardOrg"})
 
     @classmethod
     def from_doc(cls, doc: Any, where: str = "actor") -> "ActorRef":
@@ -245,7 +261,7 @@ class ActorRef:
         return self.steward_org or self.pseudonym or ""
 
 
-@dataclass
+@dataclass(slots=True)
 class ConsentBlock:
     status: str
     scope: str | None = None
@@ -253,7 +269,7 @@ class ConsentBlock:
     reuse_constraints: list[str] | None = None
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = ("status", "scope", "retention", "reuseConstraints")
+    _KEYS = frozenset({"status", "scope", "retention", "reuseConstraints"})
 
     @classmethod
     def from_doc(cls, doc: Any) -> "ConsentBlock":
@@ -281,14 +297,14 @@ class ConsentBlock:
         return self.scope.split("+")
 
 
-@dataclass
+@dataclass(slots=True)
 class CompensationBlock:
     model: str
     amount: int | float | None = None
     currency: str | None = None
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = ("model", "amount", "currency")
+    _KEYS = frozenset({"model", "amount", "currency"})
 
     @classmethod
     def from_doc(cls, doc: Any) -> "CompensationBlock":
@@ -314,7 +330,7 @@ LINK_KINDS: tuple[str, ...] = (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class LinkSet:
     influenced_by: list[str] = field(default_factory=list)
     influences: list[str] = field(default_factory=list)
@@ -344,14 +360,16 @@ class LinkSet:
     @classmethod
     def from_doc(cls, doc: Any) -> "LinkSet":
         doc = _require_doc(doc, "links")
-        kwargs: dict[str, Any] = {}
-        for kind, attr in cls._ATTR_FOR_KIND.items():
-            value = doc.get(kind, [])
-            if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
+        links = cls()
+        for kind, value in doc.items():
+            attr = cls._ATTR_FOR_KIND.get(kind)
+            if attr is None:
+                links.extensions[kind] = value
+                continue
+            if not _is_str_list(value):
                 raise MalformedDocument(f"links.{kind} must be a list of strings")
-            kwargs[attr] = list(value)
-        kwargs["extensions"] = _rest(doc, tuple(cls._ATTR_FOR_KIND))
-        return cls(**kwargs)
+            setattr(links, attr, list(value))
+        return links
 
     def to_doc(self) -> dict:
         doc: dict = {}
@@ -375,7 +393,7 @@ class LinkSet:
         return not self.to_doc()
 
 
-@dataclass
+@dataclass(slots=True)
 class SignatureRecord:
     scheme: str
     signer_role: ActorRef
@@ -383,7 +401,7 @@ class SignatureRecord:
     signature_bytes: str
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = ("scheme", "signerRole", "keyRef", "signatureBytes")
+    _KEYS = frozenset({"scheme", "signerRole", "keyRef", "signatureBytes"})
 
     @classmethod
     def from_doc(cls, doc: Any) -> "SignatureRecord":
@@ -407,7 +425,7 @@ class SignatureRecord:
         return doc
 
 
-@dataclass
+@dataclass(slots=True)
 class IntegrityBlock:
     hash: str
     prev_hash: str | None = None
@@ -434,7 +452,7 @@ class IntegrityBlock:
 # ---------------------------------------------------------------------------
 # payloads
 
-@dataclass
+@dataclass(slots=True)
 class ContributionPayload:
     kind: str
     summary: str
@@ -444,8 +462,8 @@ class ContributionPayload:
     recruitment_pathway: str | None = None
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = ("kind", "summary", "artifactRef", "intendedUse",
-             "representationalMetadata", "recruitmentPathway")
+    _KEYS = frozenset({"kind", "summary", "artifactRef", "intendedUse",
+                       "representationalMetadata", "recruitmentPathway"})
 
     @classmethod
     def from_doc(cls, doc: Any) -> "ContributionPayload":
@@ -472,14 +490,14 @@ class ContributionPayload:
         return doc
 
 
-@dataclass
+@dataclass(slots=True)
 class ChangedArtifact:
     artifact_id: str
     version_after: str
     version_before: str | None = None
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = ("artifactId", "versionBefore", "versionAfter")
+    _KEYS = frozenset({"artifactId", "versionBefore", "versionAfter"})
 
     @classmethod
     def from_doc(cls, doc: Any) -> "ChangedArtifact":
@@ -499,14 +517,14 @@ class ChangedArtifact:
         return doc
 
 
-@dataclass
+@dataclass(slots=True)
 class ChangePayload:
     change_kind: str
     rationale: str
     changed_artifacts: list[ChangedArtifact] = field(default_factory=list)
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = ("changeKind", "rationale", "changedArtifacts")
+    _KEYS = frozenset({"changeKind", "rationale", "changedArtifacts"})
 
     @classmethod
     def from_doc(cls, doc: Any) -> "ChangePayload":
@@ -531,7 +549,7 @@ class ChangePayload:
         return doc
 
 
-@dataclass
+@dataclass(slots=True)
 class ArtifactPayload:
     artifact_id: str
     artifact_kind: str
@@ -540,7 +558,7 @@ class ArtifactPayload:
     boundary: str | None = None
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = ("artifactId", "artifactKind", "version", "contentRef", "boundary")
+    _KEYS = frozenset({"artifactId", "artifactKind", "version", "contentRef", "boundary"})
 
     @classmethod
     def from_doc(cls, doc: Any) -> "ArtifactPayload":
@@ -569,7 +587,7 @@ class ArtifactPayload:
         return self.artifact_kind == DEPLOYMENT_KIND
 
 
-@dataclass
+@dataclass(slots=True)
 class MeasurementProcedure:
     """One of three runner variants; only the fields of the active variant
     are serialized. Threshold comparisons are inclusive."""
@@ -587,8 +605,8 @@ class MeasurementProcedure:
     min_raters: int | None = None
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = ("runnerKind", "metricName", "comparator", "bound",
-             "criteria", "scaleMax", "aggregation", "passMean", "minRaters")
+    _KEYS = frozenset({"runnerKind", "metricName", "comparator", "bound",
+                       "criteria", "scaleMax", "aggregation", "passMean", "minRaters"})
 
     @classmethod
     def from_doc(cls, doc: Any) -> "MeasurementProcedure":
@@ -630,7 +648,7 @@ class MeasurementProcedure:
         return doc
 
 
-@dataclass
+@dataclass(slots=True)
 class TestPayload:
     topic: str
     expected_behavior: str
@@ -639,13 +657,13 @@ class TestPayload:
     motivated_by: list[str] = field(default_factory=list)
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = ("topic", "expectedBehavior", "measurement", "inputSpec", "motivatedBy")
+    _KEYS = frozenset({"topic", "expectedBehavior", "measurement", "inputSpec", "motivatedBy"})
 
     @classmethod
     def from_doc(cls, doc: Any) -> "TestPayload":
         doc = _require_doc(doc, "test")
         motivated = doc.get("motivatedBy", [])
-        if not isinstance(motivated, list) or not all(isinstance(t, str) for t in motivated):
+        if not _is_str_list(motivated):
             raise MalformedDocument("test.motivatedBy must be a list of strings")
         return cls(
             topic=doc.get("topic"),
@@ -670,7 +688,7 @@ class TestPayload:
         return doc
 
 
-@dataclass
+@dataclass(slots=True)
 class EvaluationRunPayload:
     test_id: str
     artifact_id: str
@@ -683,8 +701,8 @@ class EvaluationRunPayload:
     unattested_by_harness: bool | None = None
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = ("testId", "artifactId", "version", "decision", "checkpoint",
-             "evaluator", "rawResults", "timestamp", "unattestedByHarness")
+    _KEYS = frozenset({"testId", "artifactId", "version", "decision", "checkpoint",
+                       "evaluator", "rawResults", "timestamp", "unattestedByHarness"})
 
     @classmethod
     def from_doc(cls, doc: Any) -> "EvaluationRunPayload":
@@ -719,7 +737,7 @@ class EvaluationRunPayload:
         return doc
 
 
-@dataclass
+@dataclass(slots=True)
 class VoucherCondition:
     required_test_id: str
     must_pass_on_version: str | None = None
@@ -727,7 +745,7 @@ class VoucherCondition:
     human_in_loop: bool = False
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = ("requiredTestId", "mustPassOnVersion", "scopeConstraints", "humanInLoop")
+    _KEYS = frozenset({"requiredTestId", "mustPassOnVersion", "scopeConstraints", "humanInLoop"})
 
     @classmethod
     def from_doc(cls, doc: Any) -> "VoucherCondition":
@@ -750,7 +768,7 @@ class VoucherCondition:
         return doc
 
 
-@dataclass
+@dataclass(slots=True)
 class VoucherPayload:
     capability: str
     boundary: str
@@ -761,7 +779,8 @@ class VoucherPayload:
     expiry: str | None = None
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = ("capability", "boundary", "action", "steward", "status", "conditions", "expiry")
+    _KEYS = frozenset({"capability", "boundary", "action", "steward", "status",
+                       "conditions", "expiry"})
 
     @classmethod
     def from_doc(cls, doc: Any) -> "VoucherPayload":
@@ -795,14 +814,14 @@ class VoucherPayload:
         return doc
 
 
-@dataclass
+@dataclass(slots=True)
 class TriggeringEvent:
     kind: str
     evaluation_run_id: str | None = None
     change_id: str | None = None
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = ("kind", "evaluationRunId", "changeId")
+    _KEYS = frozenset({"kind", "evaluationRunId", "changeId"})
 
     @classmethod
     def from_doc(cls, doc: Any) -> "TriggeringEvent":
@@ -825,7 +844,7 @@ class TriggeringEvent:
         return self.evaluation_run_id or self.change_id
 
 
-@dataclass
+@dataclass(slots=True)
 class CreditPayload:
     beneficiary: str
     triggering_event: TriggeringEvent
@@ -833,7 +852,7 @@ class CreditPayload:
     policy_ref: str
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = ("beneficiary", "triggeringEvent", "units", "policyRef")
+    _KEYS = frozenset({"beneficiary", "triggeringEvent", "units", "policyRef"})
 
     @classmethod
     def from_doc(cls, doc: Any) -> "CreditPayload":
@@ -857,7 +876,7 @@ class CreditPayload:
         return doc
 
 
-@dataclass
+@dataclass(slots=True)
 class TombstonePayload:
     target_id: str
     reason: str
@@ -865,7 +884,7 @@ class TombstonePayload:
     retained_hash: str
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = ("targetId", "reason", "authorization", "retainedHash")
+    _KEYS = frozenset({"targetId", "reason", "authorization", "retainedHash"})
 
     @classmethod
     def from_doc(cls, doc: Any) -> "TombstonePayload":
@@ -904,7 +923,7 @@ PAYLOAD_CLASS: dict[EntryType, type] = {
 # ---------------------------------------------------------------------------
 # envelope
 
-@dataclass
+@dataclass(slots=True)
 class EntryEnvelope:
     id: str
     entry_type: EntryType
@@ -918,8 +937,8 @@ class EntryEnvelope:
     integrity: IntegrityBlock | None = None
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = ("@context", "id", "type", "createdAt", "actor",
-             "consent", "compensation", "links", "integrity")
+    _KEYS = frozenset({"@context", "id", "type", "createdAt", "actor",
+                       "consent", "compensation", "links", "integrity"})
 
     def is_sealed(self) -> bool:
         return self.integrity is not None
@@ -948,6 +967,17 @@ class EntryEnvelope:
         return doc
 
 
+_ENTRY_TYPE: dict[str, EntryType] = {t.value: t for t in EntryType}
+# Per type: the payload keys that must be absent, and every key the envelope
+# decodes itself (the rest become extensions).
+_OTHER_PAYLOAD_KEYS: dict[EntryType, frozenset[str]] = {
+    t: frozenset(PAYLOAD_KEY.values()) - {PAYLOAD_KEY[t]} for t in EntryType
+}
+_ENVELOPE_KEYS: dict[EntryType, frozenset[str]] = {
+    t: EntryEnvelope._KEYS | {PAYLOAD_KEY[t]} for t in EntryType
+}
+
+
 def parse_entry(source: str | bytes | dict) -> EntryEnvelope:
     """Parse one entry document.
 
@@ -968,10 +998,9 @@ def parse_entry(source: str | bytes | dict) -> EntryEnvelope:
     type_name = doc.get("type")
     if not isinstance(type_name, str):
         raise MalformedDocument("entry is missing a string `type` field")
-    try:
-        entry_type = EntryType(type_name)
-    except ValueError:
-        raise UnknownEntryType(f"unknown entry type {type_name!r}") from None
+    entry_type = _ENTRY_TYPE.get(type_name)
+    if entry_type is None:
+        raise UnknownEntryType(f"unknown entry type {type_name!r}")
 
     entry_id = doc.get("id")
     check_entry_id(entry_id, entry_type)
@@ -979,14 +1008,14 @@ def parse_entry(source: str | bytes | dict) -> EntryEnvelope:
     created_at = doc.get("createdAt")
     parse_timestamp(created_at)
 
-    payload_keys_present = [k for k in PAYLOAD_KEY.values() if k in doc]
     expected_key = PAYLOAD_KEY[entry_type]
-    if expected_key not in payload_keys_present:
-        raise PayloadMismatch(
-            f"entry type {entry_type.value} requires a {expected_key!r} payload"
-            + (f", found {payload_keys_present}" if payload_keys_present else "")
-        )
-    if len(payload_keys_present) > 1:
+    if expected_key not in doc or not _OTHER_PAYLOAD_KEYS[entry_type].isdisjoint(doc):
+        payload_keys_present = [k for k in PAYLOAD_KEY.values() if k in doc]
+        if expected_key not in payload_keys_present:
+            raise PayloadMismatch(
+                f"entry type {entry_type.value} requires a {expected_key!r} payload"
+                + (f", found {payload_keys_present}" if payload_keys_present else "")
+            )
         raise PayloadMismatch(f"multiple payload fields present: {payload_keys_present}")
     payload = PAYLOAD_CLASS[entry_type].from_doc(doc[expected_key])
 
@@ -998,7 +1027,6 @@ def parse_entry(source: str | bytes | dict) -> EntryEnvelope:
     if context is not None and not isinstance(context, str):
         raise MalformedDocument("@context must be a string")
 
-    known = EntryEnvelope._KEYS + (expected_key,)
     return EntryEnvelope(
         id=entry_id,
         entry_type=entry_type,
@@ -1010,7 +1038,7 @@ def parse_entry(source: str | bytes | dict) -> EntryEnvelope:
         links=LinkSet.from_doc(links) if links is not None else LinkSet(),
         context=context,
         integrity=IntegrityBlock.from_doc(integrity) if integrity is not None else None,
-        extensions=_rest(doc, known),
+        extensions=_rest(doc, _ENVELOPE_KEYS[entry_type]),
     )
 
 
@@ -1072,14 +1100,11 @@ def _check_consent(consent: ConsentBlock, report: ValidationReport) -> None:
     if not in_vocab(consent.status, CONSENT_STATUSES):
         report.add("consent.status", "consent.status", f"unknown status {consent.status!r}")
     if consent.retention is not None and not (
-        isinstance(consent.retention, str) and _RETENTION_RE.match(consent.retention)
+        isinstance(consent.retention, str) and _RETENTION_RE.fullmatch(consent.retention)
     ):
         report.add("consent.retention", "consent.retention",
                    f"expected <n>y|<n>m|<n>d, got {consent.retention!r}")
-    if consent.reuse_constraints is not None and not (
-        isinstance(consent.reuse_constraints, list)
-        and all(isinstance(t, str) for t in consent.reuse_constraints)
-    ):
+    if consent.reuse_constraints is not None and not _is_str_list(consent.reuse_constraints):
         report.add("consent.reuseConstraints", "consent.reuseConstraints",
                    "must be a list of policy tags")
 
@@ -1091,7 +1116,7 @@ def _check_compensation(comp: CompensationBlock, report: ValidationReport) -> No
         report.add("compensation.amount", "compensation.amount",
                    f"must be a nonnegative number, got {comp.amount!r}")
     if comp.currency is not None and not (
-        isinstance(comp.currency, str) and _CURRENCY_RE.match(comp.currency)
+        isinstance(comp.currency, str) and _CURRENCY_RE.fullmatch(comp.currency)
     ):
         report.add("compensation.currency", "compensation.currency",
                    f"expected a 3-letter code, got {comp.currency!r}")
@@ -1135,8 +1160,7 @@ def _check_measurement(m: MeasurementProcedure, report: ValidationReport) -> Non
         if not _is_number(m.bound):
             report.add(f"{path}.bound", "measurement.bound", "must be a finite number")
     elif m.runner_kind == "rubric":
-        if not (isinstance(m.criteria, list) and m.criteria
-                and all(isinstance(c, str) for c in m.criteria)):
+        if not (m.criteria and _is_str_list(m.criteria)):
             report.add(f"{path}.criteria", "measurement.criteria",
                        "must be a nonempty list of strings")
         if not (isinstance(m.scale_max, int) and not isinstance(m.scale_max, bool)
@@ -1247,8 +1271,7 @@ def _check_payload(entry: EntryEnvelope, report: ValidationReport) -> None:
             if not isinstance(cond.human_in_loop, bool):
                 report.add(f"voucher.conditions[{i}].humanInLoop", "voucher.condition-flag",
                            "must be a boolean")
-            if not (isinstance(cond.scope_constraints, list)
-                    and all(isinstance(s, str) for s in cond.scope_constraints)):
+            if not _is_str_list(cond.scope_constraints):
                 report.add(f"voucher.conditions[{i}].scopeConstraints",
                            "voucher.condition-scope", "must be a list of tags")
         if p.expiry is not None and not is_timestamp(p.expiry):

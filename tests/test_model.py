@@ -2,10 +2,11 @@
 
 import json
 import random
+from datetime import timezone
 
 import pytest
 
-from conftest import digest_of, make_contribution, random_envelope, sha_ref
+from conftest import digest_of, make_contribution, random_envelope, sealed_chain, sha_ref
 from pledger import parse_entry, serialize_entry, validate_structure
 from pledger.errors import (
     InvalidId,
@@ -18,6 +19,7 @@ from pledger.fixtures import sample_contribution_doc
 from pledger.model import (
     ActorRef,
     EntryType,
+    LinkSet,
     check_entry_id,
     format_timestamp,
     in_vocab,
@@ -228,3 +230,153 @@ def test_reference_helpers():
     assert is_artifact_ref(sha_ref("x"))
     assert is_artifact_ref("https://cdn.example/blob/1")
     assert not is_artifact_ref("blob-1")
+
+
+# ---------------------------------------------------------------------------
+# decoder and timestamp strictness
+
+
+@pytest.mark.parametrize("value", [
+    "2024-02-29T00:00:00Z",
+    "2025-12-31T23:59:59Z",
+    "1970-01-01T00:00:00Z",
+])
+def test_parse_timestamp_accepts_real_instants(value):
+    moment = parse_timestamp(value)
+    assert moment.tzinfo is timezone.utc
+    assert format_timestamp(moment) == value
+
+
+@pytest.mark.parametrize("value", [
+    "2025-02-29T00:00:00Z",   # not a leap year
+    "2025-04-31T00:00:00Z",
+    "2025-01-01T24:00:00Z",
+    "2025-01-01T23:60:00Z",
+    "2025-01-01T23:59:60Z",
+    "2025-00-10T00:00:00Z",
+    "2025-13-10T00:00:00Z",
+    "2025-01-00T00:00:00Z",
+    "0000-01-01T00:00:00Z",
+    "2025-01-01T00:00:00Z\n",
+    "\n2025-01-01T00:00:00Z",
+    "2025-01-01T00:00:00z",
+    "2025-01-01T00:00:00.5Z",
+    "\u0662\u0660\u0662\u0666-01-01T00:00:00Z",  # Arabic-Indic digits
+    "2025-01-01T00:00:0\uff10Z",                    # fullwidth zero
+    20250101,
+    None,
+    b"2025-01-01T00:00:00Z",
+])
+def test_parse_timestamp_rejects(value):
+    with pytest.raises(InvalidTimestamp):
+        parse_timestamp(value)
+    assert not is_timestamp(value)
+
+
+def test_anchored_patterns_reject_a_trailing_newline():
+    from pledger.model import is_artifact_ref, is_digest, is_reference_id, is_uri
+
+    with pytest.raises(InvalidId):
+        check_entry_id("pl:contrib:dup\n", EntryType.CONTRIBUTION)
+    assert not is_reference_id("pl:contrib:dup\n")
+    assert not is_digest(digest_of("x") + "\n")
+    assert not is_artifact_ref(sha_ref("x") + "\n")
+    assert not is_uri("https://cdn.example/blob/1\n")
+    assert not in_vocab("extension:local\n", {"model"})
+    assert lineage_base("pl:voucher:a:rev3\n") == ("pl:voucher:a:rev3\n", 0)
+
+    doc = sample_contribution_doc()
+    doc["id"] = doc["id"] + "\n"
+    with pytest.raises(InvalidId):
+        parse_entry(doc)
+    doc = sample_contribution_doc()
+    doc["createdAt"] += "\n"
+    with pytest.raises(InvalidTimestamp):
+        parse_entry(doc)
+
+
+@pytest.mark.parametrize("mutator,rule", [
+    (lambda d: d["consent"].update(retention="3y\n"), "consent.retention"),
+    (lambda d: d["compensation"].update(currency="CAD\n"), "compensation.currency"),
+    (lambda d: d["links"].update(evidence=["https://archive.example/log/7\n"]), "links.target"),
+    (lambda d: d["contribution"].update(artifactRef=sha_ref("x") + "\n"),
+     "contribution.artifactRef"),
+    (lambda d: d["actor"].update(role="extension:local\n"), "actor.role"),
+])
+def test_validation_rejects_a_trailing_newline(mutator, rule):
+    assert rule in validate_structure(fresh(mutator)).rules()
+
+
+def test_newline_id_cannot_sit_next_to_its_twin(tmp_path):
+    import dataclasses
+
+    from pledger.errors import ValidationFailed
+    from pledger.store import LedgerFile
+
+    with LedgerFile(tmp_path / "dup.pledger") as ledger:
+        ledger.append(dataclasses.replace(make_contribution(1), id="pl:contrib:dup"))
+        twin = dataclasses.replace(make_contribution(2), id="pl:contrib:dup\n")
+        assert "id.grammar" in validate_structure(twin).rules()
+        with pytest.raises(ValidationFailed):
+            ledger.append(twin)
+        assert len(ledger) == 1
+
+
+@pytest.mark.parametrize("links,error", [
+    ([], MalformedDocument),
+    ({"influences": "pl:test:x:001"}, MalformedDocument),
+    ({"influences": ("pl:test:x:001",)}, MalformedDocument),
+    ({"evidence": ["pl:contrib:x:1", 7]}, MalformedDocument),
+    ({"extLinks": 5, "usesTest": [None]}, MalformedDocument),
+])
+def test_link_set_decoder_errors(links, error):
+    with pytest.raises(error):
+        LinkSet.from_doc(links)
+    doc = sample_contribution_doc()
+    doc["links"] = links
+    with pytest.raises(error):
+        parse_entry(doc)
+
+
+def test_unknown_link_kinds_survive_in_extensions_and_round_trip():
+    doc = sample_contribution_doc()
+    doc["links"] = {"extCites": ["pl:contrib:other:1"], "usesTest": ["pl:test:x:001"],
+                    "extWeight": {"w": 2}}
+    entry = parse_entry(doc)
+    assert entry.links.extensions == {"extCites": ["pl:contrib:other:1"],
+                                      "extWeight": {"w": 2}}
+    assert entry.links.uses_test == ["pl:test:x:001"]
+    assert entry.links.influences == []
+    assert entry.to_doc() == doc
+    line = serialize_entry(entry)
+    assert serialize_entry(parse_entry(line)) == line
+
+
+def test_decoded_link_lists_are_copies():
+    doc = sample_contribution_doc()
+    entry = parse_entry(doc)
+    entry.links.influences.append("pl:test:added:001")
+    assert "pl:test:added:001" not in doc["links"].get("influences", [])
+
+
+def test_parse_errors_keep_their_classes_for_payload_keys():
+    doc = sample_contribution_doc()
+    doc["change"] = {"changeKind": "dataset"}
+    with pytest.raises(PayloadMismatch, match="multiple payload fields"):
+        parse_entry(doc)
+    doc.pop("contribution")
+    with pytest.raises(PayloadMismatch, match="requires a 'contribution' payload, found"):
+        parse_entry(doc)
+    doc["type"] = "contribution"
+    with pytest.raises(UnknownEntryType):
+        parse_entry(doc)
+
+
+def test_random_envelope_ledger_lines_are_fixpoints():
+    rng = random.Random(31)
+    for _ in range(5):
+        entries = sealed_chain([random_envelope(rng, i) for i in range(120)])
+        for entry in entries:
+            line = serialize_entry(entry)
+            assert serialize_entry(parse_entry(line)) == line
+            assert serialize_entry(parse_entry(line.encode("utf-8"))) == line
