@@ -172,6 +172,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
             raise _UsageError("give exactly one of QUERY, --file, or --saved")
         text = args.query if args.query else Path(args.file).read_text("utf-8")
         table = query_mod.run_query(text, graph)
+    if args.explain:
+        for step, line in enumerate(table.plan, 1):
+            print(f"plan {step}. {line}", file=sys.stderr)
     _emit(args, table.render_text().rstrip("\n"),
           {"columns": list(table.columns), "rows": [list(r) for r in table.rows]},
           table=table)
@@ -380,6 +383,8 @@ def build_parser() -> _Parser:
     p.add_argument("--saved", help="run a named saved query")
     p.add_argument("--param", action="append", metavar="NAME=VALUE",
                    help="saved-query parameter")
+    p.add_argument("--explain", action="store_true",
+                   help="write the bind order and candidate-set sizes to stderr")
     p.set_defaults(func=_cmd_query)
 
     harness_group = subs.add_parser("harness", help="evaluation harness").add_subparsers(

@@ -29,8 +29,12 @@ from .model import DEPLOYMENT_KIND, EntryEnvelope, EntryType, is_reference_id
 # Edge kinds whose stored direction is target -> declarer.
 _REVERSED_DECLARATION_KINDS = frozenset({"motivates"})
 
-# Bound on traced path length, in edges.
+# The derived view: each of these kinds also reads the other's edges reversed.
+_INVERSE_KINDS = {"influences": "influencedBy", "influencedBy": "influences"}
+
+# Bounds on a trace: path length in edges, and the number of paths returned.
 MAX_TRACE_LENGTH = 16
+MAX_TRACE_PATHS = 10_000
 
 
 def entries_of(source: Any) -> list[EntryEnvelope]:
@@ -171,11 +175,20 @@ class LedgerGraph:
         """Directed (source, target) pairs for query matching; the
         influencedBy/influences pair each include the other's reverse."""
         pairs = {(e.source, e.target) for e in self.edges if e.kind == kind}
-        if kind == "influences":
-            pairs |= {(e.target, e.source) for e in self.edges if e.kind == "influencedBy"}
-        elif kind == "influencedBy":
-            pairs |= {(e.target, e.source) for e in self.edges if e.kind == "influences"}
+        inverse = _INVERSE_KINDS.get(kind)
+        if inverse is not None:
+            pairs |= {(e.target, e.source) for e in self.edges if e.kind == inverse}
         return pairs
+
+    def neighbours(self, node_id: str, kind: str, outgoing: bool = True) -> set[str]:
+        """Successors (or, with outgoing=False, predecessors) of a node among
+        `edge_pairs(kind)`, deduplicated, read from the adjacency index."""
+        ahead, behind = (self._out, self._in) if outgoing else (self._in, self._out)
+        found = set(ahead.get((node_id, kind), ()))
+        inverse = _INVERSE_KINDS.get(kind)
+        if inverse is not None:
+            found.update(behind.get((node_id, inverse), ()))
+        return found
 
     # -- exports ----------------------------------------------------------------
 
@@ -212,13 +225,20 @@ def _trace_steps(graph: LedgerGraph, node_id: str) -> list[str]:
     return sorted({s for s in successors if s in graph.nodes})
 
 
+class _PathCap(Exception):
+    """Unwinds the path search once the path budget is spent."""
+
+
 def trace_influence(graph: LedgerGraph, contribution_id: str,
-                    max_length: int = MAX_TRACE_LENGTH) -> TraceResult:
-    """All simple paths from a contribution to any deployment node.
+                    max_length: int = MAX_TRACE_LENGTH,
+                    max_paths: int = MAX_TRACE_PATHS) -> TraceResult:
+    """Simple paths from a contribution to any deployment node.
 
     Follows forward influence steps only; paths are bounded at `max_length`
-    edges and the result says whether anything was cut off. Paths come back
-    sorted lexicographically by their node-id sequence.
+    edges and at most `max_paths` come back, and the result says whether
+    anything was cut off. Paths come back sorted lexicographically by their
+    node-id sequence; under the path cap they are the lexicographically first
+    ones, since the search visits successors in sorted order.
     """
     start = graph.node(contribution_id)
     if start.entry_type is not EntryType.CONTRIBUTION:
@@ -227,6 +247,8 @@ def trace_influence(graph: LedgerGraph, contribution_id: str,
 
     def dfs(node_id: str, path: list[str]) -> None:
         if graph.is_deployment(node_id):
+            if len(result.paths) == max_paths:
+                raise _PathCap
             result.paths.append(list(path))
             return
         nexts = [s for s in _trace_steps(graph, node_id) if s not in path]
@@ -240,7 +262,10 @@ def trace_influence(graph: LedgerGraph, contribution_id: str,
             dfs(s, path)
             path.pop()
 
-    dfs(contribution_id, [contribution_id])
+    try:
+        dfs(contribution_id, [contribution_id])
+    except _PathCap:
+        result.truncated = True
     result.paths.sort()
     return result
 

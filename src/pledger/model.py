@@ -190,7 +190,10 @@ def parse_timestamp(value: Any) -> datetime:
 def format_timestamp(dt: datetime) -> str:
     if dt.tzinfo is not None:
         dt = dt.astimezone(timezone.utc)
-    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+    # Explicit fields: strftime("%Y") does not zero-pad years below 1000 on
+    # every platform, and parse_timestamp needs all four digits.
+    return (f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}T"
+            f"{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}Z")
 
 
 def is_timestamp(value: Any) -> bool:

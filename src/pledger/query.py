@@ -22,6 +22,7 @@ lexicographically, so results are deterministic.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import re
 from dataclasses import dataclass, field
@@ -55,6 +56,7 @@ _RELATIONS = {
 _FIELD_ALIASES = {"artifactversion": "version"}
 
 
+@functools.lru_cache(maxsize=1024)
 def _normalize_name(name: str) -> str:
     return name.replace("_", "").casefold()
 
@@ -329,6 +331,7 @@ def escape_literal(value: str) -> str:
 class ResultTable:
     columns: list[str]
     rows: list[tuple[str, ...]] = field(default_factory=list)
+    plan: list[str] = field(default_factory=list, compare=False)  # see evaluate
 
     def render_text(self) -> str:
         widths = [len(c) for c in self.columns]
@@ -405,79 +408,128 @@ def evaluate_field(graph: LedgerGraph, node_id: str, fieldname: str) -> str | No
     return None if value is None else render_value(value)
 
 
-def _label_ok(graph: LedgerGraph, node_id: str, label: str | None) -> bool:
-    if label is None:
-        return True
-    if label == "Deployment":
-        return graph.is_deployment(node_id)
-    return graph.nodes[node_id].entry_type.value == label
+_Edge = tuple[str, str, str, str]  # (left var, relation, right var, direction)
+
+# The direction an edge pattern reads in when walked from its right end.
+_REVERSED = {"forward": "backward", "backward": "forward",
+             "both": "both", "undirected": "undirected"}
+
+
+def _pattern_variables(ast: QueryAst) -> dict[str, list[str]]:
+    """Each variable with its labels, in order of first appearance."""
+    labels: dict[str, list[str]] = {}
+    for pattern in ast.matches:
+        for node in pattern.nodes:
+            labels.setdefault(node.var, [])
+            if node.label is not None:
+                labels[node.var].append(node.label)
+    return labels
+
+
+def _pattern_edges(ast: QueryAst) -> list[_Edge]:
+    return [(pattern.nodes[i].var, edge.relation, pattern.nodes[i + 1].var, edge.direction)
+            for pattern in ast.matches for i, edge in enumerate(pattern.edges)]
+
+
+def _around(graph: LedgerGraph, node_id: str, relation: str, direction: str) -> set[str]:
+    """Every node x such that `(node_id)-[:relation]-(x)` holds in `direction`."""
+    if direction == "forward":
+        return graph.neighbours(node_id, relation)
+    if direction == "backward":
+        return graph.neighbours(node_id, relation, outgoing=False)
+    succ = graph.neighbours(node_id, relation)
+    pred = graph.neighbours(node_id, relation, outgoing=False)
+    return succ & pred if direction == "both" else succ | pred
+
+
+def _bind_order(candidates: dict[str, set[str]], edges: list[_Edge]) -> list[str]:
+    """Greedy order: the smallest candidate set joined by an edge to a bound
+    variable, else the smallest set overall; ties go to the lower name."""
+    order: list[str] = []
+    unbound = set(candidates)
+    while unbound:
+        joined = {v for left, _, right, _ in edges
+                  for v, other in ((left, right), (right, left))
+                  if v in unbound and other not in unbound}
+        var = min(joined or unbound, key=lambda v: (len(candidates[v]), v))
+        order.append(var)
+        unbound.remove(var)
+    return order
 
 
 def evaluate(ast: QueryAst, graph: LedgerGraph) -> ResultTable:
-    """All satisfying variable assignments, projected, rendered, sorted."""
-    labels: dict[str, list[str]] = {}
-    order: list[str] = []
-    for pattern in ast.matches:
-        for node in pattern.nodes:
-            if node.var not in labels:
-                labels[node.var] = []
-                order.append(node.var)
-            if node.label is not None:
-                labels[node.var].append(node.label)
+    """All satisfying variable assignments, projected, rendered, sorted.
 
-    edges: list[tuple[str, str, str, str]] = []
-    for pattern in ast.matches:
-        for i, edge in enumerate(pattern.edges):
-            edges.append((pattern.nodes[i].var, edge.relation,
-                          pattern.nodes[i + 1].var, edge.direction))
-
+    Each variable draws from a candidate set (label index narrowed by its
+    predicates and self-loops); variables bind in a greedy order, and one
+    with bound neighbours draws only from their adjacency under every edge
+    that joins them. The table's `plan` says so, one line per variable in
+    bind order: candidate-set size and the bound variables it expands from.
+    """
+    labels = _pattern_variables(ast)
+    edges = _pattern_edges(ast)
     fields = _FieldView(graph)
-    predicates_by_var: dict[str, list[Predicate]] = {}
+    predicates: dict[str, list[Predicate]] = {}
     for pred in ast.predicates:
-        predicates_by_var.setdefault(pred.var, []).append(pred)
+        predicates.setdefault(pred.var, []).append(pred)
 
-    pairs = {relation: graph.edge_pairs(relation) for _, relation, _, _ in edges}
+    by_label: dict[str, set[str]] = {}
+    for node_id, node in graph.nodes.items():
+        by_label.setdefault(node.entry_type.value, set()).add(node_id)
 
-    def edge_ok(env: dict[str, str], source: str, relation: str, target: str,
-                direction: str) -> bool:
-        if source not in env or target not in env:
-            return True
-        forward = (env[source], env[target]) in pairs[relation]
-        backward = (env[target], env[source]) in pairs[relation]
-        if direction == "forward":
-            return forward
-        if direction == "backward":
-            return backward
-        if direction == "both":
-            return forward and backward
-        return forward or backward
+    def candidates_of(var: str) -> set[str]:
+        """Nodes that carry every label of `var` and satisfy its predicates."""
+        wanted = [set(graph.deployment_ids()) if label == "Deployment"
+                  else by_label.get(label, set()) for label in labels[var]]
+        found = set.intersection(*wanted) if wanted else set(graph.nodes)
+        for pred in predicates.get(var, ()):
+            found = {node_id for node_id in found
+                     if (value := fields.value(node_id, pred.field)) is not None
+                     and render_value(value) == pred.value}
+        return found
 
-    node_ids = list(graph.nodes)
+    candidates = {var: candidates_of(var) for var in labels}
+    for left, relation, right, direction in edges:
+        if left == right:  # a self-loop constrains one variable: push it down too
+            candidates[left] = {node_id for node_id in candidates[left]
+                                if node_id in _around(graph, node_id, relation, direction)}
+    order = _bind_order(candidates, edges)
+    position = {var: i for i, var in enumerate(order)}
+
+    # Per step: the edges to an already bound variable, seen from that one.
+    joins: list[list[_Edge]] = [[] for _ in order]
+    for left, relation, right, direction in edges:
+        if position[left] < position[right]:
+            joins[position[right]].append((left, relation, right, direction))
+        elif position[right] < position[left]:
+            joins[position[left]].append((right, relation, left, _REVERSED[direction]))
+
     rows: list[tuple[str, ...]] = []
     env: dict[str, str] = {}
 
-    def extend(position: int) -> None:
-        if position == len(order):
+    def extend(step: int) -> None:
+        if step == len(order):
             rows.append(tuple(
                 render_value(fields.value(env[p.var], p.field))
                 for p in ast.projections))
             return
-        var = order[position]
-        wanted = labels[var]
-        for node_id in node_ids:
-            if not all(_label_ok(graph, node_id, lbl) for lbl in wanted):
-                continue
+        var = order[step]
+        pool = candidates[var]
+        for other, relation, _, direction in joins[step]:
+            pool = _around(graph, env[other], relation, direction) & pool
+        for node_id in pool:
             env[var] = node_id
-            if (all(fields.value(node_id, p.field) is not None
-                    and render_value(fields.value(node_id, p.field)) == p.value
-                    for p in predicates_by_var.get(var, ()))
-                    and all(edge_ok(env, *e[:3], e[3]) for e in edges)):
-                extend(position + 1)
-            del env[var]
+            extend(step + 1)
+        env.pop(var, None)
 
     extend(0)
     rows.sort()
-    return ResultTable(columns=[p.column for p in ast.projections], rows=rows)
+    plan = []
+    for step, var in enumerate(order):
+        joined = sorted({other for other, _, _, _ in joins[step]})
+        source = "expand from " + ", ".join(joined) if joined else "scan"
+        plan.append(f"{var}: {len(candidates[var])} candidates, {source}")
+    return ResultTable(columns=[p.column for p in ast.projections], rows=rows, plan=plan)
 
 
 def run_query(text: str, graph: LedgerGraph) -> ResultTable:

@@ -1,7 +1,8 @@
 """Tiny-size smoke run of the benchmark, so it cannot rot.
 
-Runs `perfbench/run.py` traced at 5% scale on the read-heavy and the write
-workloads. Every command's output is checked there against the generator's
+Runs `perfbench/run.py` traced at 5% scale on all three workloads: the
+read-heavy audit, the query- and governance-heavy govern, and the write path
+of release. Every command's output is checked there against the generator's
 independently computed answers; this test only requires that all of them
 matched.
 """
@@ -16,7 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["audit", "release"])
+@pytest.mark.parametrize("workload", ["audit", "govern", "release"])
 def test_bench_smoke(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "7",

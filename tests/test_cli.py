@@ -227,6 +227,25 @@ def test_query_saved(lifecycle, capsys):
     assert code == 5
 
 
+def test_query_explain_writes_the_plan_to_stderr_only(lifecycle, capsys):
+    path, _ids, _entries = lifecycle
+    argv = ["query", "--saved", "regression-attribution",
+            "--param", "topic=accessibility", "--param", f"boundary={BOUNDARY}",
+            "--ledger", str(path)]
+    for fmt in ("text", "doc"):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        explained = run_cli(capsys, *argv, "--format", fmt, "--explain")
+        assert explained[:2] == (code, out) and code == 0
+        assert err == ""
+    assert explained[2].splitlines() == [
+        "plan 1. c: 1 candidates, scan",
+        "plan 2. t: 1 candidates, expand from c",
+        "plan 3. r: 1 candidates, expand from t",
+        "plan 4. a: 4 candidates, expand from r",
+        "plan 5. d: 1 candidates, expand from a",
+    ]
+
+
 def test_query_argument_exclusivity(lifecycle, tmp_path, capsys):
     path, _ids, _entries = lifecycle
     query_file = tmp_path / "q.plq"

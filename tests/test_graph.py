@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    make_artifact,
     make_change,
     make_contribution,
     make_run,
@@ -230,6 +231,43 @@ def test_trace_influence_truncation():
     exact = trace_influence(graph, "pl:contrib:gen:0001", max_length=8)
     assert exact.paths == [[e.id for e in entries]]
     assert not exact.truncated
+
+
+def _diamond_ladder(rungs: int) -> list[EntryEnvelope]:
+    """Contributions joined by `rungs` diamonds, ending in a deployment: every
+    diamond doubles the paths, so there are 2**rungs of 2 * rungs + 2 nodes."""
+    def node(i: int, *targets: str) -> EntryEnvelope:
+        return make_contribution(i, links=LinkSet(influences=list(targets)))
+
+    def cid(i: int) -> str:
+        return f"pl:contrib:gen:{i:04d}"
+
+    entries = []
+    for r in range(rungs):
+        join, left, right, after = 3 * r + 1, 3 * r + 2, 3 * r + 3, 3 * r + 4
+        entries += [node(join, cid(left), cid(right)),
+                    node(left, cid(after)), node(right, cid(after))]
+    deployment = make_artifact(0, artifact_id="pl:artifact:gen:dep",
+                               artifact_kind="extension:deployment", boundary="workshop")
+    entries += [node(3 * rungs + 1, deployment.id), deployment]
+    return entries
+
+
+def test_trace_influence_caps_the_number_of_paths():
+    graph = build_graph(_diamond_ladder(5))
+    full = trace_influence(graph, "pl:contrib:gen:0001")
+    assert len(full.paths) == 2 ** 5 and not full.truncated
+    assert trace_influence(graph, "pl:contrib:gen:0001", max_paths=32) == full
+
+    capped = trace_influence(graph, "pl:contrib:gen:0001", max_paths=10)
+    assert capped.truncated
+    assert capped.paths == full.paths[:10]
+
+    # 2**30 paths, far past the length bound too: the cap ends the search.
+    huge = build_graph(_diamond_ladder(30))
+    result = trace_influence(huge, "pl:contrib:gen:0001", max_length=100, max_paths=50)
+    assert result.truncated and len(result.paths) == 50
+    assert all(len(path) == 2 * 30 + 2 for path in result.paths)
 
 
 def test_trace_influence_survives_cycles():

@@ -2,7 +2,7 @@
 
 import json
 import random
-from datetime import timezone
+from datetime import datetime, timezone
 
 import pytest
 
@@ -245,6 +245,14 @@ def test_parse_timestamp_accepts_real_instants(value):
     moment = parse_timestamp(value)
     assert moment.tzinfo is timezone.utc
     assert format_timestamp(moment) == value
+
+
+@pytest.mark.parametrize("year", [1, 999, 1000])
+def test_early_years_format_with_four_digits_and_round_trip(year):
+    moment = datetime(year, 1, 2, 3, 4, 5, tzinfo=timezone.utc)
+    text = format_timestamp(moment)
+    assert text == f"{year:04d}-01-02T03:04:05Z"
+    assert parse_timestamp(text) == moment
 
 
 @pytest.mark.parametrize("value", [

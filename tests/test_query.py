@@ -7,11 +7,14 @@ import random
 import pytest
 
 from conftest import (
+    _LINK_ATTRS,
     brute_force_rows,
     make_artifact,
+    make_change,
     make_contribution,
     make_run,
     make_test,
+    make_tombstone,
     random_graph_entries,
     random_query,
 )
@@ -257,6 +260,182 @@ def test_evaluation_matches_brute_force_on_random_graphs():
         if got != want:
             mismatches += 1
     assert mismatches == 0
+
+
+def _wide_graph_entries(rng: random.Random) -> list:
+    """Three to seven nodes with self-links, repeated links, dangling targets
+    and, sometimes, a tombstoned deployment that something still deploys to."""
+    entries = []
+    for i in range(rng.randint(3, 7)):
+        pick = rng.randrange(6)
+        if pick == 0:
+            entries.append(make_contribution(i + 1))
+        elif pick == 1:
+            entries.append(make_test(i, topic=rng.choice(("glare", "shade"))))
+        elif pick == 2:
+            entries.append(make_change(i, versions=(f"v{rng.randint(1, 2)}",)))
+        elif pick == 3:
+            entries.append(make_run(i, test_id="pl:test:gen:000", version=f"v{i}",
+                                    decision=rng.choice(("pass", "fail"))))
+        elif pick == 4:
+            entries.append(make_artifact(i, version=f"v{i}"))
+        else:
+            entries.append(make_artifact(
+                i, artifact_id=f"pl:artifact:gen:dep{i}", version=f"v{i}",
+                artifact_kind="extension:deployment",
+                boundary=rng.choice(("consultation_workflow", "workshop"))))
+    ids = [e.id for e in entries]
+    targets = ids + ["pl:contrib:gen:9999", "pl:test:gen:999"]
+    for entry in entries:
+        for _ in range(rng.randrange(5)):
+            links = getattr(entry.links, _LINK_ATTRS[rng.choice(tuple(_LINK_ATTRS))])
+            roll = rng.random()
+            if roll < 0.15:
+                links.append(entry.id)
+            elif roll < 0.3 and links:
+                links.append(links[-1])
+            else:
+                links.append(rng.choice(targets))
+    deployments = [e for e in entries if e.id.startswith("pl:artifact:gen:dep")]
+    if deployments and rng.random() < 0.4:
+        # The oracle reads deployment-ness from the raw payload; the graph
+        # keeps a hidden deployment only while something deploys to it.
+        hidden = rng.choice(deployments)
+        rng.choice(entries).links.deployed_as.append(hidden.id)
+        entries.append(make_tombstone(hidden.id))
+    return entries
+
+
+_WIDE_LABELS = ("Contribution", "Test", "Change", "EvaluationRun", "Artifact",
+                "Deployment", "Tombstone")
+_WIDE_FIELDS = ("id", "type", "topic", "decision", "version", "boundary")
+# Arrow spellings that hold for a link read out of (True) or into (False) a node.
+_WIDE_ARROWS = {True: (("-", "->"),) * 4 + (("-", "-"), ("<-", "->")),
+                False: (("<-", "-"),) * 4 + (("-", "-"), ("<-", "->"))}
+
+
+def _wide_query(rng: random.Random, entries: list) -> str:
+    """Up to four variables and three edges over up to three MATCH clauses.
+
+    Paths mostly follow real edges from a witness node per variable, and
+    labels and predicates mostly describe the witness, so that long patterns
+    still match; repeats may relabel a variable or close a self-loop.
+    """
+    graph = build_graph(entries)
+    nodes = list(graph.nodes)
+    witness: dict[str, str] = {}
+
+    def variable(node_id: str) -> str:
+        same = [var for var, wid in witness.items() if wid == node_id]
+        if (same and rng.random() < 0.5) or len(witness) == 4:
+            return rng.choice(same or list(witness))
+        var = f"n{len(witness)}"
+        witness[var] = node_id
+        return var
+
+    def node(var: str) -> str:
+        roll = rng.random()
+        if roll < 0.4:
+            return f"({var})"
+        if roll < 0.85:
+            label = ("Deployment" if graph.is_deployment(witness[var]) and rng.random() < 0.5
+                     else graph.nodes[witness[var]].entry_type.value)
+        else:
+            label = rng.choice(_WIDE_LABELS)
+        return f"({var}:{label})"
+
+    lines = []
+    remaining = rng.choice((0, 1, 2, 3, 3))
+    for clause in range(rng.randint(1, 3)):
+        steps = remaining if clause == 2 else rng.randint(0, remaining)
+        remaining -= steps
+        var = variable(rng.choice(nodes))
+        parts = [node(var)]
+        for _ in range(steps):
+            touching = [e for e in graph.edges if witness[var] in (e.source, e.target)
+                        and {e.source, e.target} <= graph.nodes.keys()]
+            if touching and rng.random() < 0.8:
+                edge = rng.choice(touching)
+                outgoing = edge.source == witness[var]
+                relation, other = edge.kind, edge.target if outgoing else edge.source
+            else:
+                outgoing, relation = rng.random() < 0.5, rng.choice(tuple(_LINK_ATTRS))
+                other = rng.choice(nodes)
+            left, right = rng.choice(_WIDE_ARROWS[outgoing])
+            if rng.random() < 0.1:
+                other = witness[var]
+            var = variable(other)
+            parts += [f"{left}[:{relation}]{right}", node(var)]
+        lines.append("MATCH " + "".join(parts))
+
+    predicates = []
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        var = rng.choice(list(witness))
+        source = witness[var] if rng.random() < 0.8 else rng.choice(nodes)
+        present = [f for f in _WIDE_FIELDS if evaluate_field(graph, source, f) is not None]
+        fieldname = rng.choice(present if rng.random() < 0.8 else _WIDE_FIELDS)
+        value = evaluate_field(graph, source, fieldname)
+        predicates.append(f'{var}.{fieldname} = "{escape_literal(value or "absent")}"')
+    if predicates:
+        lines.append("WHERE " + " AND ".join(predicates))
+    projections = ", ".join(f"{rng.choice(list(witness))}.{rng.choice(_WIDE_FIELDS)}"
+                            for _ in range(rng.randint(1, 3)))
+    lines.append("RETURN " + projections + ";")
+    return "\n".join(lines)
+
+
+def _shapes(ast, entries) -> set[str]:
+    """The hard shapes a generated case exercises."""
+    edges = [(p.nodes[i].var, p.nodes[i + 1].var)
+             for p in ast.matches for i in range(len(p.edges))]
+    labels: dict[str, set[str]] = {}
+    for pattern in ast.matches:
+        for n in pattern.nodes:
+            labels.setdefault(n.var, set()).update([n.label] if n.label else [])
+    component = {var: var for var in labels}
+    def root(var):
+        while component[var] != var:
+            var = component[var]
+        return var
+    for left, right in edges:
+        component[root(left)] = root(right)
+    ids = {e.id for e in entries}
+    links = [(e.id, kind, target) for e in entries for kind, target in e.links.iter_links()]
+    graph = build_graph(entries)
+    found = set()
+    if len(edges) == 3:
+        found.add("three edges")
+    if any(left == right for left, right in edges):
+        found.add("self-loop")
+    if len(links) != len(set(links)):
+        found.add("repeated link")
+    if any(target not in ids for _, _, target in links):
+        found.add("dangling target")
+    if any(len(wanted) > 1 for wanted in labels.values()):
+        found.add("contradictory labels")
+    if len({root(var) for var in labels}) > 1:
+        found.add("cross product")
+    if any(n.redacted and graph.is_deployment(n.id) for n in graph.nodes.values()):
+        found.add("tombstoned deployment")
+    return found
+
+
+def test_evaluation_matches_brute_force_on_wide_random_shapes():
+    seen: set[str] = set()
+    mismatches, nonempty = [], 0
+    for seed in range(400):
+        rng = random.Random(9100 + seed)
+        entries = _wide_graph_entries(rng)
+        ast = parse_query(_wide_query(rng, entries))
+        got = evaluate(ast, build_graph(entries)).rows
+        if got != brute_force_rows(ast, entries):
+            mismatches.append(seed)
+        nonempty += bool(got)
+        seen |= _shapes(ast, entries)
+    assert mismatches == []
+    assert seen == {"three edges", "self-loop", "repeated link", "dangling target",
+                    "contradictory labels", "cross product", "tombstoned deployment"}
+    assert nonempty >= 150
 
 
 # -- saved queries ------------------------------------------------------------------
