@@ -15,7 +15,6 @@ import io
 import json
 import os
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
 
@@ -26,7 +25,7 @@ from .errors import (
     LedgerError,
     StorageFailure,
 )
-from .graph import build_graph, linkage_completeness
+from .graph import Snapshot, build_graph, linkage_completeness
 from .integrity import HMAC_SCHEME, hmac_signer, hmac_verifier, verify_chain, verify_signatures
 from .model import (
     ARTIFACT_KINDS,
@@ -34,7 +33,8 @@ from .model import (
     EntryType,
     LinkSet,
     VoucherPayload,
-    format_timestamp,
+    _slug,
+    now_stamp,
     parse_entry,
 )
 
@@ -46,10 +46,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: A003 - argparse hook
         raise _UsageError(message)
-
-
-def _now_stamp() -> str:
-    return format_timestamp(datetime.now(timezone.utc))
 
 
 def _read_doc(path: str) -> Any:
@@ -66,7 +62,7 @@ def _require_ledger(args: argparse.Namespace) -> str:
     return args.ledger
 
 
-def _snapshot(args: argparse.Namespace) -> list:
+def _entries(args: argparse.Namespace) -> list:
     path = _require_ledger(args)
     if not Path(path).exists():
         raise _UsageError(f"no ledger at {path}")
@@ -131,7 +127,7 @@ def _cmd_append(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
-        entries = _snapshot(args)
+        entries = _entries(args)
     except CorruptLine as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 4
@@ -156,7 +152,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    graph = build_graph(_snapshot(args))
+    graph = build_graph(_entries(args))
     if args.saved:
         if args.query or args.file:
             raise _UsageError("give exactly one of QUERY, --file, or --saved")
@@ -188,10 +184,8 @@ def _cmd_harness_run(args: argparse.Namespace) -> int:
     evaluator = ActorRef(role=args.evaluator_role, pseudonym=args.evaluator)
     with store.LedgerFile(_require_ledger(args)) as ledger:
         results: dict[str, dict] = {}
-        for entry in ledger.entries:
-            if entry.entry_type is not EntryType.TEST:
-                continue
-            candidate = bundle / f"{harness._slug(entry.id)}.result"
+        for entry in ledger.snapshot.by_type[EntryType.TEST]:
+            candidate = bundle / f"{_slug(entry.id)}.result"
             if candidate.exists():
                 results[entry.id] = _read_doc(str(candidate))
         report = harness.run_suite(
@@ -203,11 +197,10 @@ def _cmd_harness_run(args: argparse.Namespace) -> int:
     return {"allPass": 0, "anyFail": 1, "anyInconclusive": 2}[report.verdict]
 
 
-def _default_artifact(entries: list) -> str:
+def _default_artifact(snapshot: Snapshot) -> str:
     ids: list[str] = []
-    for entry in entries:
-        if entry.entry_type is EntryType.ARTIFACT \
-                and entry.payload.artifact_kind in ARTIFACT_KINDS \
+    for entry in snapshot.by_type[EntryType.ARTIFACT]:
+        if entry.payload.artifact_kind in ARTIFACT_KINDS \
                 and entry.payload.artifact_id not in ids:
             ids.append(entry.payload.artifact_id)
     if len(ids) != 1:
@@ -218,11 +211,11 @@ def _default_artifact(entries: list) -> str:
 
 
 def _cmd_gate_check(args: argparse.Namespace) -> int:
-    entries = _snapshot(args)
-    artifact_id = args.artifact or _default_artifact(entries)
+    snapshot = Snapshot(_entries(args))
+    artifact_id = args.artifact or _default_artifact(snapshot)
     decision = governance.gate_check(
-        entries, args.capability, artifact_id, args.version, args.boundary,
-        args.now or _now_stamp())
+        snapshot, args.capability, artifact_id, args.version, args.boundary,
+        args.now or now_stamp())
     _emit(args, decision.describe(), decision.to_doc())
     return 0 if decision.allowed else 3
 
@@ -268,7 +261,7 @@ def _cmd_credit_accrue(args: argparse.Namespace) -> int:
 
 def _cmd_credit_report(args: argparse.Namespace) -> int:
     statement = governance.credit_report(
-        _snapshot(args), args.beneficiary, (args.window_start, args.window_end))
+        Snapshot(_entries(args)), args.beneficiary, (args.window_start, args.window_end))
     lines = [f"{line['creditId']}: {query_mod.render_value(line['units'])} "
              f"({line['eventKind']} on {line['triggerId']})" for line in statement.lines]
     lines.append(f"total units: {query_mod.render_value(statement.total_units)}")
@@ -280,13 +273,13 @@ def _cmd_audit_evidence(args: argparse.Namespace) -> int:
     if args.cases:
         matrix = evidence_mod.audit_corpus(_read_doc(args.cases), mode="document")
     else:
-        matrix = evidence_mod.audit_corpus(_snapshot(args), mode="ledger")
+        matrix = evidence_mod.audit_corpus(Snapshot(_entries(args)), mode="ledger")
     _emit(args, matrix.render_text().rstrip("\n"), matrix.to_doc(), table=matrix)
     return 0
 
 
 def _cmd_audit_linkage(args: argparse.Namespace) -> int:
-    report = linkage_completeness(build_graph(_snapshot(args)))
+    report = linkage_completeness(build_graph(_entries(args)))
     doc = report.to_doc()
     text = "\n".join([
         f"changes: {report.total_changes}",
@@ -313,7 +306,7 @@ def _cmd_audit_conformance(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit_consent(args: argparse.Namespace) -> int:
-    violations = evidence_mod.flag_consent_violations(_snapshot(args))
+    violations = evidence_mod.flag_consent_violations(Snapshot(_entries(args)))
     if violations:
         text = "\n".join(f"{v['changeId']} <- {v['contributionId']}: {v['violation']}"
                          for v in violations)
@@ -328,7 +321,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     if not sep or not artifact_id or not version:
         raise _UsageError("--release takes <artifactId>@<version>")
     export = evidence_mod.build_export(
-        _snapshot(args), artifact_id, version, now=args.now)
+        Snapshot(_entries(args)), artifact_id, version, now=args.now)
     rendered = json.dumps(export, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(rendered + "\n", "utf-8")

@@ -19,22 +19,9 @@ from enum import Enum
 from typing import Any
 
 from .errors import MalformedExport, WrongEntryType
-from .governance import gate_check
-from .graph import (
-    LedgerGraph,
-    _change_has_test,
-    _resolves_to,
-    build_graph,
-    entries_of,
-    redacted_targets,
-)
-from .model import (
-    EntryEnvelope,
-    EntryType,
-    lineage_base,
-    parse_entry,
-    validate_structure,
-)
+from .governance import gate_check, voucher_lineages
+from .graph import LedgerGraph, Snapshot, _change_has_test, _resolves_to, build_graph
+from .model import EntryEnvelope, EntryType, _is_number, parse_entry, validate_structure
 
 COLUMNS = (
     "recruitmentPathway",
@@ -121,8 +108,8 @@ def _code_compensation(entry: EntryEnvelope) -> CoverageLevel:
         return CoverageLevel.PARTIAL
     if model in ("honorarium", "hourly"):
         amount = compensation.amount
-        operational = (isinstance(amount, (int, float)) and not isinstance(amount, bool)
-                       and amount > 0 and _has_text(compensation.currency))
+        operational = (_is_number(amount) and amount > 0
+                       and _has_text(compensation.currency))
         return CoverageLevel.REPORTED if operational else CoverageLevel.PARTIAL
     return CoverageLevel.REPORTED
 
@@ -253,14 +240,13 @@ def audit_corpus(data: Any, mode: str = "document",
     if mode != "ledger":
         raise ValueError(f"unknown audit mode {mode!r}")
 
-    entries = entries_of(data)
+    snapshot = Snapshot.of(data)
     if graph is None:
-        graph = build_graph(entries)
-    hidden = redacted_targets(entries)
+        graph = build_graph(snapshot.entries)
     groups: dict[str, list[dict[str, CoverageLevel]]] = {}
     order: list[str] = []
-    for entry in entries:
-        if entry.entry_type is not EntryType.CONTRIBUTION or entry.id in hidden:
+    for entry in snapshot.by_type[EntryType.CONTRIBUTION]:
+        if entry.id in snapshot.hidden:
             continue
         key = _group_key(entry.id)
         if key not in groups:
@@ -286,22 +272,16 @@ def flag_consent_violations(source: Any) -> list[dict[str, str]]:
     contribution recorded for evaluation only. Earlier changes stay clean;
     the rule respects entry order.
     """
-    entries = entries_of(source)
-    hidden = redacted_targets(entries)
-    lineages: dict[str, list[tuple[int, EntryEnvelope]]] = {}
-    for index, entry in enumerate(entries):
-        if entry.entry_type is EntryType.CONTRIBUTION:
-            lineages.setdefault(lineage_base(entry.id)[0], []).append((index, entry))
-
+    snapshot = Snapshot.of(source)
     violations: list[dict[str, str]] = []
-    for change_index, change in enumerate(entries):
-        if change.entry_type is not EntryType.CHANGE or change.id in hidden:
+    for change in snapshot.by_type[EntryType.CHANGE]:
+        if change.id in snapshot.hidden:
             continue
+        change_index = snapshot.position[change.id]
         for target in change.links.influenced_by:
-            members = lineages.get(lineage_base(target)[0])
-            if not members:
-                continue
-            prior = [e for i, e in members if i < change_index]
+            prior = [e for e in snapshot.lineage(target)
+                     if e.entry_type is EntryType.CONTRIBUTION
+                     and snapshot.position[e.id] < change_index]
             if not prior:
                 continue
             latest = prior[-1]
@@ -324,9 +304,13 @@ def flag_consent_violations(source: Any) -> list[dict[str, str]]:
 # ---------------------------------------------------------------------------
 # release exports
 
-def _payload_references(entry: EntryEnvelope,
-                        by_version: dict[tuple[str, str], str],
-                        tests: set[str]) -> list[str]:
+def _declared(snapshot: Snapshot, artifact_id: str, version: str) -> str | None:
+    """Id of the first Artifact declaring the version, tombstoned or not."""
+    declared = snapshot.versions.get((artifact_id, version))
+    return declared[0].id if declared else None
+
+
+def _payload_references(entry: EntryEnvelope, snapshot: Snapshot) -> list[str]:
     refs: list[str] = []
     t = entry.entry_type
     p = entry.payload
@@ -334,19 +318,21 @@ def _payload_references(entry: EntryEnvelope,
         for changed in p.changed_artifacts:
             for version in (changed.version_before, changed.version_after):
                 if version is not None:
-                    hit = by_version.get((changed.artifact_id, version))
+                    hit = _declared(snapshot, changed.artifact_id, version)
                     if hit:
                         refs.append(hit)
     elif t is EntryType.EVALUATION_RUN:
-        hit = by_version.get((p.artifact_id, p.version))
+        hit = _declared(snapshot, p.artifact_id, p.version)
         if hit:
             refs.append(hit)
         refs.append(p.test_id)
     elif t is EntryType.TEST:
         refs.extend(p.motivated_by)
     elif t is EntryType.VOUCHER:
-        refs.extend(c.required_test_id for c in p.conditions
-                    if c.required_test_id in tests)
+        for condition in p.conditions:
+            test = snapshot.by_id.get(condition.required_test_id)
+            if test is not None and test.entry_type is EntryType.TEST:
+                refs.append(test.id)
     elif t is EntryType.CREDIT:
         anchor = p.triggering_event.trigger_id()
         if anchor:
@@ -367,30 +353,19 @@ def build_export(source: Any, artifact_id: str, version: str, *,
     outcome against this release evaluated at `now` (default: the last
     included entry's createdAt).
     """
-    entries = entries_of(source)
-    by_id = {e.id: e for e in entries}
-    index_of = {e.id: i for i, e in enumerate(entries)}
-    by_version: dict[tuple[str, str], str] = {}
-    for entry in entries:
-        if entry.entry_type is EntryType.ARTIFACT:
-            by_version.setdefault((entry.payload.artifact_id, entry.payload.version),
-                                  entry.id)
-    tests = {e.id for e in entries if e.entry_type is EntryType.TEST}
-    seed = by_version.get((artifact_id, version))
+    snapshot = Snapshot.of(source)
+    seed = _declared(snapshot, artifact_id, version)
     if seed is None:
         raise MalformedExport(f"no declared version {version!r} of {artifact_id!r}")
 
-    neighbors: dict[str, set[str]] = {e.id: set() for e in entries}
-    for entry in entries:
-        targets = [t for _, t in entry.links.iter_links() if t in by_id]
-        targets += _payload_references(entry, by_version, tests)
+    neighbors: dict[str, set[str]] = {entry_id: set() for entry_id in snapshot.by_id}
+    for entry in snapshot.entries:
+        targets = [t for _, t in entry.links.iter_links()]
+        targets += _payload_references(entry, snapshot)
         for target in targets:
             if target in neighbors:
                 neighbors[entry.id].add(target)
                 neighbors[target].add(entry.id)
-    lineage_members: dict[str, list[str]] = {}
-    for entry in entries:
-        lineage_members.setdefault(lineage_base(entry.id)[0], []).append(entry.id)
 
     included: set[str] = set()
     frontier = [seed]
@@ -400,23 +375,20 @@ def build_export(source: Any, artifact_id: str, version: str, *,
             continue
         included.add(current)
         frontier.extend(neighbors.get(current, ()))
-        frontier.extend(lineage_members.get(lineage_base(current)[0], ()))
+        frontier.extend(e.id for e in snapshot.lineage(current))
 
-    ordered = [e for e in entries if e.id in included]
+    ordered = [e for e in snapshot.entries if e.id in included]
     if now is None:
         now = ordered[-1].created_at if ordered else "1970-01-01T00:00:00Z"
 
+    # Lineages and covering tombstones are included whole, so the voucher
+    # lineages of the export are the ledger's lineages that it reaches.
     active_vouchers: list[dict] = []
-    lineages: dict[str, list[EntryEnvelope]] = {}
-    hidden = redacted_targets(ordered)
-    for entry in ordered:
-        if entry.entry_type is EntryType.VOUCHER and entry.id not in hidden:
-            lineages.setdefault(lineage_base(entry.id)[0], []).append(entry)
-    for base, lineage in lineages.items():
+    for base, lineage in voucher_lineages(snapshot).items():
         latest = lineage[-1]
-        if latest.payload.status not in ("issued", "active"):
+        if latest.id not in included or latest.payload.status not in ("issued", "active"):
             continue
-        gate = gate_check(entries, latest.payload.capability, artifact_id,
+        gate = gate_check(snapshot, latest.payload.capability, artifact_id,
                           version, latest.payload.boundary, now)
         active_vouchers.append({
             "voucherId": base,
@@ -426,12 +398,12 @@ def build_export(source: Any, artifact_id: str, version: str, *,
         })
 
     if head_digest is None:
-        sealed = [e for e in entries if e.integrity is not None]
-        head_digest = sealed[-1].integrity.hash if sealed else ""
+        head_digest = next((e.integrity.hash for e in reversed(snapshot.entries)
+                            if e.integrity is not None), "")
     return {
         "release": {"artifactId": artifact_id, "version": version},
         "headDigest": head_digest,
-        "entries": [e.to_doc() for e in sorted(ordered, key=lambda e: index_of[e.id])],
+        "entries": [e.to_doc() for e in ordered],
         "activeVouchers": active_vouchers,
     }
 
@@ -498,14 +470,13 @@ def check_export_conformance(export: Any) -> ConformanceReport:
     """
     release, entries = _parse_export(export)
     graph = build_graph(entries)
-    hidden = redacted_targets(entries)
+    snapshot = Snapshot(entries)
+    hidden = snapshot.hidden
     report = ConformanceReport()
 
     a = ClauseResult(passed=True)
-    for entry in entries:
-        if entry.entry_type is not EntryType.CONTRIBUTION or entry.id in hidden:
-            continue
-        if entry.payload.intended_use == "documentation":
+    for entry in snapshot.by_type[EntryType.CONTRIBUTION]:
+        if entry.id in hidden or entry.payload.intended_use == "documentation":
             continue
         validation = validate_structure(entry)
         for violation in validation.violations:
@@ -515,8 +486,8 @@ def check_export_conformance(export: Any) -> ConformanceReport:
     report.clause_results["a-evidenceFields"] = a
 
     b = ClauseResult(passed=True)
-    for entry in entries:
-        if entry.entry_type is not EntryType.CHANGE or entry.id in hidden:
+    for entry in snapshot.by_type[EntryType.CHANGE]:
+        if entry.id in hidden:
             continue
         node = graph.nodes[entry.id]
         if not _resolves_to(graph, entry.links.influenced_by, EntryType.CONTRIBUTION):
@@ -528,11 +499,9 @@ def check_export_conformance(export: Any) -> ConformanceReport:
     report.clause_results["b-traceabilityLinks"] = b
 
     c = ClauseResult(passed=True)
-    live_tests = [e for e in entries
-                  if e.entry_type is EntryType.TEST and e.id not in hidden]
-    release_runs = [e for e in entries
-                    if e.entry_type is EntryType.EVALUATION_RUN and e.id not in hidden
-                    and e.payload.artifact_id == release["artifactId"]]
+    live_tests = [e for e in snapshot.by_type[EntryType.TEST] if e.id not in hidden]
+    release_runs = [e for e in snapshot.by_type[EntryType.EVALUATION_RUN]
+                    if e.id not in hidden and e.payload.artifact_id == release["artifactId"]]
     if not live_tests:
         c.passed = False
         c.details.append("export contains no tests")
@@ -546,11 +515,8 @@ def check_export_conformance(export: Any) -> ConformanceReport:
     disclosed = {item.get("voucherId"): item
                  for item in export.get("activeVouchers", [])
                  if isinstance(item, dict)}
-    lineages: dict[str, EntryEnvelope] = {}
-    for entry in entries:
-        if entry.entry_type is EntryType.VOUCHER and entry.id not in hidden:
-            lineages[lineage_base(entry.id)[0]] = entry
-    for base, latest in lineages.items():
+    for base, lineage in voucher_lineages(snapshot).items():
+        latest = lineage[-1]
         if latest.payload.status not in ("issued", "active"):
             continue
         item = disclosed.get(base)

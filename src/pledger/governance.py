@@ -18,13 +18,12 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from decimal import ROUND_HALF_EVEN, Decimal
 from typing import Any
 
 from .canonical import canonical_json, compute_hash
 from .errors import IllegalTransition, InvalidPolicy, UnauthorizedRole, UnknownTest
-from .graph import entries_of, redacted_targets
+from .graph import Snapshot
 from .harness import detect_regressions, fold_suite
 from .model import (
     CREDIT_EVENT_KINDS,
@@ -36,25 +35,13 @@ from .model import (
     LinkSet,
     TriggeringEvent,
     VoucherPayload,
-    format_timestamp,
-    lineage_base,
+    _is_number,
+    _slug,
+    now_stamp,
     parse_timestamp,
 )
 
-_SLUG_KEEP = "abcdefghijklmnopqrstuvwxyz0123456789-"
-
 DEFAULT_ALLOW = "noApplicableVoucher-defaultAllow"
-
-
-def _slug(text: str) -> str:
-    out = "".join(c if c in _SLUG_KEEP else "-" for c in str(text).lower())
-    while "--" in out:
-        out = out.replace("--", "-")
-    return out.strip("-") or "x"
-
-
-def _now() -> str:
-    return format_timestamp(datetime.now(timezone.utc))
 
 
 def _in_window(stamp: str, window: tuple[str, str]) -> bool:
@@ -65,13 +52,19 @@ def _in_window(stamp: str, window: tuple[str, str]) -> bool:
 # ---------------------------------------------------------------------------
 # voucher lifecycle
 
-def _voucher_lineages(entries: list[EntryEnvelope]) -> dict[str, list[EntryEnvelope]]:
-    """Voucher entries grouped by lineage base, ledger order, redactions out."""
-    hidden = redacted_targets(entries)
+def _live_revisions(snapshot: Snapshot, entry_id: str) -> list[EntryEnvelope]:
+    return [e for e in snapshot.lineage(entry_id)
+            if e.entry_type is EntryType.VOUCHER and e.id not in snapshot.hidden]
+
+
+def voucher_lineages(snapshot: Snapshot) -> dict[str, list[EntryEnvelope]]:
+    """Each voucher lineage's revisions that are not tombstoned, keyed by
+    lineage base, in order of each lineage's first such revision."""
     lineages: dict[str, list[EntryEnvelope]] = {}
-    for entry in entries:
-        if entry.entry_type is EntryType.VOUCHER and entry.id not in hidden:
-            lineages.setdefault(lineage_base(entry.id)[0], []).append(entry)
+    for entry in snapshot.by_type[EntryType.VOUCHER]:
+        base = snapshot.base_of(entry.id)
+        if entry.id not in snapshot.hidden and base not in lineages:
+            lineages[base] = _live_revisions(snapshot, entry.id)
     return lineages
 
 
@@ -89,28 +82,20 @@ def issue_voucher(ledger: Any, payload: Any, *, voucher_id: str | None = None,
     if payload.steward.role != "communitySteward":
         raise UnauthorizedRole(
             f"vouchers are issued by communitySteward, not {payload.steward.role!r}")
-    entries = entries_of(ledger)
-    hidden = redacted_targets(entries)
-    tests = {e.id for e in entries
-             if e.entry_type is EntryType.TEST and e.id not in hidden}
+    snapshot = Snapshot.of(ledger)
     for condition in payload.conditions:
-        if condition.required_test_id not in tests:
+        if snapshot.live(condition.required_test_id, EntryType.TEST) is None:
             raise UnknownTest(
                 f"voucher condition requires unknown test {condition.required_test_id!r}")
     if payload.status != "issued":
         raise IllegalTransition(
             f"a new voucher lineage starts as issued, got {payload.status!r}")
     if voucher_id is None:
-        prefix = f"pl:voucher:{_slug(payload.capability)}:"
-        taken = {e.id for e in entries}
-        seq = 1
-        while f"{prefix}{seq:03d}" in taken:
-            seq += 1
-        voucher_id = f"{prefix}{seq:03d}"
+        voucher_id = snapshot.next_id(f"pl:voucher:{_slug(payload.capability)}:")
     entry = EntryEnvelope(
         id=voucher_id,
         entry_type=EntryType.VOUCHER,
-        created_at=created_at or _now(),
+        created_at=created_at or now_stamp(),
         actor=payload.steward,
         payload=payload,
         links=links or LinkSet(),
@@ -124,27 +109,29 @@ def transition_voucher(ledger: Any, voucher_id: str, new_status: str, *,
                        signer: Any = None) -> EntryEnvelope:
     """Append the next revision of a voucher lineage with a new status.
 
-    `voucher_id` may be the issuance id or any revision id; the revision
-    counter continues from the latest one. Illegal lifecycle moves raise
-    IllegalTransition.
+    `voucher_id` may be the issuance id or any revision id. Legality and the
+    revision counter follow every revision, tombstoned ones included, as the
+    store's own check does; the payload is copied from the latest revision
+    that is not tombstoned, so redacted content is never republished.
+    Illegal lifecycle moves raise IllegalTransition.
     """
-    base, _ = lineage_base(voucher_id)
-    lineage = _voucher_lineages(entries_of(ledger)).get(base)
-    if not lineage:
+    snapshot = Snapshot.of(ledger)
+    base = snapshot.base_of(voucher_id)
+    live = _live_revisions(snapshot, voucher_id)
+    if not live:
         raise IllegalTransition(f"no voucher lineage {base!r} in ledger")
-    latest = lineage[-1]
-    current = latest.payload.status
+    current = [e for e in snapshot.lineage(voucher_id)
+               if e.entry_type is EntryType.VOUCHER][-1].payload.status
     if new_status not in VOUCHER_TRANSITIONS.get(current, frozenset()):
         raise IllegalTransition(f"voucher {base}: {current} -> {new_status} is not legal")
-    next_rev = max(lineage_base(e.id)[1] for e in lineage) + 1
-    payload = copy.deepcopy(latest.payload)
+    payload = copy.deepcopy(live[-1].payload)
     payload.status = new_status
     if expiry is not None:
         payload.expiry = expiry
     entry = EntryEnvelope(
-        id=f"{base}:rev{next_rev}",
+        id=snapshot.next_revision_id(voucher_id),
         entry_type=EntryType.VOUCHER,
-        created_at=created_at or _now(),
+        created_at=created_at or now_stamp(),
         actor=payload.steward,
         payload=payload,
         links=links or LinkSet(),
@@ -187,15 +174,14 @@ class GateDecision:
         return f"{verdict}: {why}" if why else verdict
 
 
-def _latest_run_decision(entries: list[EntryEnvelope], hidden: set[str],
-                         test_id: str, artifact_id: str, version: str) -> str | None:
+def _latest_run_decision(snapshot: Snapshot, test_id: str, artifact_id: str,
+                         version: str) -> str | None:
     decision = None
-    for entry in entries:
-        if (entry.entry_type is EntryType.EVALUATION_RUN and entry.id not in hidden
-                and entry.payload.test_id == test_id
-                and entry.payload.artifact_id == artifact_id
-                and entry.payload.version == version):
-            decision = entry.payload.decision
+    for run in snapshot.test_runs.get(test_id, ()):
+        p = run.payload
+        if p.artifact_id == artifact_id and p.version == version \
+                and run.id not in snapshot.hidden:
+            decision = p.decision
     return decision
 
 
@@ -211,12 +197,11 @@ def gate_check(source: Any, capability: str, artifact_id: str, version: str,
     expiry are skipped and reported separately. When nothing applies the gate
     allows by default and says so.
     """
-    entries = entries_of(source)
-    hidden = redacted_targets(entries)
+    snapshot = Snapshot.of(source)
     decision = GateDecision(allowed=True, evaluated_at=now)
     now_dt = parse_timestamp(now)
     applicable = 0
-    for lineage in _voucher_lineages(entries).values():
+    for lineage in voucher_lineages(snapshot).values():
         latest = lineage[-1]
         p = latest.payload
         if p.status != "active" or p.capability != capability or p.boundary != boundary:
@@ -231,7 +216,7 @@ def gate_check(source: Any, capability: str, artifact_id: str, version: str,
         elif p.action == "condition":
             for condition in p.conditions:
                 pinned = condition.must_pass_on_version or version
-                run = _latest_run_decision(entries, hidden, condition.required_test_id,
+                run = _latest_run_decision(snapshot, condition.required_test_id,
                                            artifact_id, pinned)
                 if run == "pass":
                     continue
@@ -290,8 +275,7 @@ class CreditPolicy:
 
     def validate(self) -> None:
         def _units(value: Any) -> bool:
-            return (isinstance(value, (int, float)) and not isinstance(value, bool)
-                    and math.isfinite(value) and value >= 0)
+            return _is_number(value) and math.isfinite(value) and value >= 0
 
         for kind, units in self.units_per_event.items():
             if kind not in CREDIT_EVENT_KINDS:
@@ -375,16 +359,13 @@ class AccrualReport:
         }
 
 
-def _beneficiaries_of(entries: list[EntryEnvelope], hidden: set[str],
-                      contribution_ids: list[str]) -> list[str]:
+def _beneficiaries_of(snapshot: Snapshot, contribution_ids: list[str]) -> list[str]:
     """Distinct steward orgs or pseudonyms behind a contribution list,
     first-seen order."""
-    by_id = {e.id: e for e in entries}
     names: list[str] = []
     for cid in contribution_ids:
-        entry = by_id.get(cid)
-        if (entry is None or entry.entry_type is not EntryType.CONTRIBUTION
-                or entry.id in hidden):
+        entry = snapshot.live(cid, EntryType.CONTRIBUTION)
+        if entry is None:
             continue
         name = entry.actor.display_name()
         if name and name not in names:
@@ -392,92 +373,82 @@ def _beneficiaries_of(entries: list[EntryEnvelope], hidden: set[str],
     return names
 
 
-def _suite_flip(entries: list[EntryEnvelope], hidden: set[str], test_id: str,
-                run_key: tuple[str, str, str]) -> bool:
+def _suite_flip(snapshot: Snapshot, test_id: str, run_key: tuple[str, str, str]) -> bool:
     """True when removing the test's runs from its suite changes the suite
     verdict. The suite is every run sharing (artifactId, version, checkpoint)."""
     with_test: list[str] = []
     without: list[str] = []
-    for entry in entries:
-        if entry.entry_type is not EntryType.EVALUATION_RUN or entry.id in hidden:
+    for run in snapshot.suite_runs.get(run_key, ()):
+        if run.id in snapshot.hidden:
             continue
-        p = entry.payload
-        if (p.artifact_id, p.version, p.checkpoint) != run_key:
-            continue
-        with_test.append(p.decision)
-        if p.test_id != test_id:
-            without.append(p.decision)
+        with_test.append(run.payload.decision)
+        if run.payload.test_id != test_id:
+            without.append(run.payload.decision)
     return fold_suite(with_test) != fold_suite(without)
 
 
-def _releases_exercised(entries: list[EntryEnvelope], hidden: set[str],
-                        test_id: str) -> int:
-    versions = {(e.payload.artifact_id, e.payload.version)
-                for e in entries
-                if e.entry_type is EntryType.EVALUATION_RUN and e.id not in hidden
-                and e.payload.test_id == test_id}
-    return len(versions)
+def _releases_exercised(snapshot: Snapshot, test_id: str) -> int:
+    """Distinct (artifactId, version) pairs the test has a live run on."""
+    return len({(r.payload.artifact_id, r.payload.version)
+                for r in snapshot.test_runs.get(test_id, ()) if r.id not in snapshot.hidden})
 
 
-def _candidate_events(entries: list[EntryEnvelope], hidden: set[str],
-                      window: tuple[str, str]) -> list[_Event]:
-    index_of = {e.id: i for i, e in enumerate(entries)}
-    by_id = {e.id: e for e in entries}
-    tests = {e.id: e for e in entries
-             if e.entry_type is EntryType.TEST and e.id not in hidden}
+def _candidate_events(snapshot: Snapshot, window: tuple[str, str]) -> list[_Event]:
+    hidden = snapshot.hidden
     events: list[_Event] = []
 
-    for regression in detect_regressions(entries):
-        failing = by_id[regression.failing_run_id]
+    for regression in detect_regressions(snapshot):
+        failing = snapshot.by_id[regression.failing_run_id]
         if not _in_window(failing.created_at, window):
             continue
-        test = tests.get(regression.test_id)
+        test = snapshot.live(regression.test_id, EntryType.TEST)
         motivated = test.payload.motivated_by if test else []
         events.append(_Event(
             kind="regressionDetected",
-            anchor_index=index_of[failing.id],
+            anchor_index=snapshot.position[failing.id],
             anchor_id=failing.id,
             anchor_created_at=failing.created_at,
             test_id=regression.test_id,
-            beneficiaries=_beneficiaries_of(entries, hidden, motivated),
+            beneficiaries=_beneficiaries_of(snapshot, motivated),
             run_key=(failing.payload.artifact_id, failing.payload.version,
                      failing.payload.checkpoint),
         ))
 
-    for i, entry in enumerate(entries):
-        if entry.id in hidden or not _in_window(entry.created_at, window):
+    for change in snapshot.by_type[EntryType.CHANGE]:
+        if (change.id in hidden or not change.links.remediates
+                or not _in_window(change.created_at, window)):
             continue
-        if entry.entry_type is EntryType.CHANGE and entry.links.remediates:
-            incidents = [
-                cid for cid in entry.links.influenced_by
-                if cid in by_id and cid not in hidden
-                and by_id[cid].entry_type is EntryType.CONTRIBUTION
-                and by_id[cid].payload.kind == "incidentReport"]
-            if incidents:
-                events.append(_Event(
-                    kind="remediationCompleted",
-                    anchor_index=i,
-                    anchor_id=entry.id,
-                    anchor_created_at=entry.created_at,
-                    test_id=None,
-                    beneficiaries=_beneficiaries_of(entries, hidden, incidents),
-                    run_key=None,
-                ))
-        elif (entry.entry_type is EntryType.EVALUATION_RUN
-              and entry.payload.checkpoint == "scheduledAudit"):
-            test = tests.get(entry.payload.test_id)
-            if test is not None and test.payload.motivated_by:
-                events.append(_Event(
-                    kind="scheduledRunDependency",
-                    anchor_index=i,
-                    anchor_id=entry.id,
-                    anchor_created_at=entry.created_at,
-                    test_id=test.id,
-                    beneficiaries=_beneficiaries_of(
-                        entries, hidden, test.payload.motivated_by),
-                    run_key=(entry.payload.artifact_id, entry.payload.version,
-                             entry.payload.checkpoint),
-                ))
+        cited = [snapshot.live(cid, EntryType.CONTRIBUTION)
+                 for cid in change.links.influenced_by]
+        incidents = [c.id for c in cited
+                     if c is not None and c.payload.kind == "incidentReport"]
+        if incidents:
+            events.append(_Event(
+                kind="remediationCompleted",
+                anchor_index=snapshot.position[change.id],
+                anchor_id=change.id,
+                anchor_created_at=change.created_at,
+                test_id=None,
+                beneficiaries=_beneficiaries_of(snapshot, incidents),
+                run_key=None,
+            ))
+
+    for run in snapshot.by_type[EntryType.EVALUATION_RUN]:
+        if (run.id in hidden or run.payload.checkpoint != "scheduledAudit"
+                or not _in_window(run.created_at, window)):
+            continue
+        test = snapshot.live(run.payload.test_id, EntryType.TEST)
+        if test is not None and test.payload.motivated_by:
+            events.append(_Event(
+                kind="scheduledRunDependency",
+                anchor_index=snapshot.position[run.id],
+                anchor_id=run.id,
+                anchor_created_at=run.created_at,
+                test_id=test.id,
+                beneficiaries=_beneficiaries_of(snapshot, test.payload.motivated_by),
+                run_key=(run.payload.artifact_id, run.payload.version,
+                         run.payload.checkpoint),
+            ))
 
     events.sort(key=lambda e: (e.anchor_index, e.kind))
     return events
@@ -487,7 +458,7 @@ def _credit_id(kind: str, anchor_id: str, beneficiary: str) -> str:
     return f"pl:credit:{kind.lower()}:{_slug(anchor_id)}:{_slug(beneficiary)}"
 
 
-def compute_accrual(entries: list[EntryEnvelope], policy: CreditPolicy,
+def compute_accrual(entries: Any, policy: CreditPolicy,
                     window: tuple[str, str]) -> tuple[list[dict], AccrualReport]:
     """Pure accrual core: decide which credits a window earns.
 
@@ -496,16 +467,16 @@ def compute_accrual(entries: list[EntryEnvelope], policy: CreditPolicy,
     report's credits list is filled by the caller that actually appends.
     """
     policy.validate()
-    hidden = redacted_targets(entries)
+    snapshot = Snapshot.of(entries)
     policy_ref = policy.ref()
     report = AccrualReport(window=window, policy_ref=policy_ref)
-    events = _candidate_events(entries, hidden, window)
+    events = _candidate_events(snapshot, window)
     report.considered = len(events)
 
     already: set[tuple[str, str]] = set()
     credited: dict[str, Decimal] = {}
-    for entry in entries:
-        if entry.entry_type is EntryType.CREDIT and entry.id not in hidden:
+    for entry in snapshot.by_type[EntryType.CREDIT]:
+        if entry.id not in snapshot.hidden:
             for target in entry.links.credits_for:
                 already.add((target, entry.payload.beneficiary))
             if _in_window(entry.created_at, window):
@@ -526,12 +497,12 @@ def compute_accrual(entries: list[EntryEnvelope], policy: CreditPolicy,
                                                      "noBeneficiary"))
             continue
         if policy.quality_gate and event.test_id is not None and event.run_key is not None:
-            if not _suite_flip(entries, hidden, event.test_id, event.run_key):
+            if not _suite_flip(snapshot, event.test_id, event.run_key):
                 report.suppressed.append(SuppressedEvent(event.kind, event.anchor_id,
                                                          "qualityGate"))
                 continue
         if policy.persistence_gate_releases > 0 and event.test_id is not None:
-            exercised = _releases_exercised(entries, hidden, event.test_id)
+            exercised = _releases_exercised(snapshot, event.test_id)
             if exercised < policy.persistence_gate_releases:
                 report.suppressed.append(SuppressedEvent(event.kind, event.anchor_id,
                                                          "persistenceGate"))
@@ -582,8 +553,7 @@ def accrue_credits(ledger: Any, policy: CreditPolicy | dict,
     """
     if not isinstance(policy, CreditPolicy):
         policy = CreditPolicy.from_doc(policy)
-    entries = entries_of(ledger)
-    plans, report = compute_accrual(entries, policy, window)
+    plans, report = compute_accrual(Snapshot.of(ledger), policy, window)
     recorder = actor or ActorRef(role="maintainer", pseudonym="credit-accrual")
     stamp = created_at or window[1]
     minted: list[EntryEnvelope] = []
@@ -635,12 +605,10 @@ def credit_report(source: Any, beneficiary: str,
                   window: tuple[str, str]) -> CreditStatement:
     """Aggregate a beneficiary's Credit entries inside a window. Every line
     cites the triggering run or change id."""
-    entries = entries_of(source)
-    hidden = redacted_targets(entries)
+    snapshot = Snapshot.of(source)
     statement = CreditStatement(beneficiary=beneficiary, window=window)
-    for entry in entries:
-        if (entry.entry_type is not EntryType.CREDIT or entry.id in hidden
-                or entry.payload.beneficiary != beneficiary
+    for entry in snapshot.by_type[EntryType.CREDIT]:
+        if (entry.id in snapshot.hidden or entry.payload.beneficiary != beneficiary
                 or not _in_window(entry.created_at, window)):
             continue
         trigger = entry.payload.triggering_event

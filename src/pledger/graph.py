@@ -14,6 +14,9 @@ derived at query time and never materialized.
 
 Tombstoned entries stay in the graph with their type and edges; only the
 payload view is hidden.
+
+`Snapshot` is the one-pass index of a ledger prefix that every other read
+path takes its entries, lineages, run lookups and new ids from.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .errors import UnknownNode, WrongEntryType
-from .model import DEPLOYMENT_KIND, EntryEnvelope, EntryType, is_reference_id
+from .model import DEPLOYMENT_KIND, EntryEnvelope, EntryType, is_reference_id, lineage_base
 
 # Edge kinds whose stored direction is target -> declarer.
 _REVERSED_DECLARATION_KINDS = frozenset({"motivates"})
@@ -36,21 +39,100 @@ _INVERSE_KINDS = {"influences": "influencedBy", "influencedBy": "influences"}
 MAX_TRACE_LENGTH = 16
 MAX_TRACE_PATHS = 10_000
 
-
-def entries_of(source: Any) -> list[EntryEnvelope]:
-    """Normalize a ledger file, graph, or plain iterable to an entry list."""
-    entries = getattr(source, "entries", None)
-    if callable(entries):
-        return list(entries())
-    if entries is not None:
-        return list(entries)
-    return list(source)
+# Enum member lookups cost more than a global read on the per-entry path.
+_RUN, _ARTIFACT, _TOMBSTONE = EntryType.EVALUATION_RUN, EntryType.ARTIFACT, EntryType.TOMBSTONE
 
 
-def redacted_targets(entries: Iterable[EntryEnvelope]) -> set[str]:
-    """Ids hidden by a tombstone somewhere in the sequence."""
-    return {e.payload.target_id for e in entries
-            if e.entry_type is EntryType.TOMBSTONE}
+class Snapshot:
+    """Indexes over one ledger prefix, built in a single pass of `add`.
+
+    Every index holds every entry; redaction is applied when reading, by
+    callers testing ids against `hidden`, so a later Tombstone needs no
+    rebuild. Where ids repeat, `by_id` and `position` keep the first
+    occurrence. `LedgerFile` keeps one of these live, calling `add` after each
+    durable append.
+    """
+
+    def __init__(self, entries: Iterable[EntryEnvelope] = ()):
+        self.entries: list[EntryEnvelope] = []
+        self.by_id: dict[str, EntryEnvelope] = {}
+        self.position: dict[str, int] = {}
+        # tombstoned target id -> the first Tombstone naming it
+        self.hidden: dict[str, EntryEnvelope] = {}
+        self.by_type: dict[EntryType, list[EntryEnvelope]] = {t: [] for t in EntryType}
+        # lineage base -> every revision, any type, tombstoned included
+        self.lineages: dict[str, list[EntryEnvelope]] = {}
+        # runs by testId and by suite (artifactId, version, checkpoint);
+        # artifacts by (artifactId, version). Runs are keyed by test alone
+        # because a list per (test, version) pair adds one container per run
+        # for the garbage collector to scan on every full collection.
+        self.test_runs: dict[str, list[EntryEnvelope]] = {}
+        self.suite_runs: dict[tuple[str, str, str], list[EntryEnvelope]] = {}
+        self.versions: dict[tuple[str, str], list[EntryEnvelope]] = {}
+        for entry in entries:
+            self.add(entry)
+
+    @classmethod
+    def of(cls, source: Any) -> "Snapshot":
+        """A Snapshot as is, a ledger file's live one, or one built from a
+        graph's or a plain iterable's entries."""
+        if isinstance(source, Snapshot):
+            return source
+        live = getattr(source, "snapshot", None)
+        if live is not None:
+            return live
+        return cls(getattr(source, "entries", source))
+
+    def add(self, entry: EntryEnvelope) -> None:
+        entry_id = entry.id
+        if entry_id not in self.position:
+            self.position[entry_id] = len(self.entries)
+            self.by_id[entry_id] = entry
+        self.entries.append(entry)
+        kind = entry.entry_type
+        self.by_type[kind].append(entry)
+        self.lineages.setdefault(self.base_of(entry_id), []).append(entry)
+        p = entry.payload
+        if kind is _RUN:
+            self.test_runs.setdefault(p.test_id, []).append(entry)
+            self.suite_runs.setdefault(
+                (p.artifact_id, p.version, p.checkpoint), []).append(entry)
+        elif kind is _ARTIFACT:
+            self.versions.setdefault((p.artifact_id, p.version), []).append(entry)
+        elif kind is _TOMBSTONE:
+            self.hidden.setdefault(p.target_id, entry)
+
+    @staticmethod
+    def base_of(entry_id: str) -> str:
+        # The pattern runs only on ids that can hold a revision suffix.
+        return lineage_base(entry_id)[0] if ":rev" in entry_id else entry_id
+
+    def lineage(self, entry_id: str) -> list[EntryEnvelope]:
+        """Every revision sharing `entry_id`'s lineage base, in ledger order."""
+        return self.lineages.get(self.base_of(entry_id), [])
+
+    def live(self, entry_id: str, entry_type: EntryType) -> EntryEnvelope | None:
+        """The entry under `entry_id` if it has `entry_type` and is not
+        tombstoned, else None."""
+        entry = self.by_id.get(entry_id)
+        if entry is None or entry.entry_type is not entry_type or entry_id in self.hidden:
+            return None
+        return entry
+
+    def next_revision_id(self, entry_id: str) -> str:
+        """`<base>:rev<k>` one past the highest revision in the lineage,
+        tombstoned revisions included."""
+        base = self.base_of(entry_id)
+        top = max((lineage_base(e.id)[1] for e in self.lineages.get(base, ())),
+                  default=0)
+        return f"{base}:rev{top + 1}"
+
+    def next_id(self, prefix: str) -> str:
+        """The first of `<prefix>001`, `<prefix>002`, ... not yet in the ledger."""
+        seq = 1
+        while f"{prefix}{seq:03d}" in self.position:
+            seq += 1
+        return f"{prefix}{seq:03d}"
 
 
 @dataclass
@@ -213,16 +295,34 @@ class TraceResult:
     truncated: bool = False
 
 
+# The steps a trace takes, as (edge kind, whether it follows the stored
+# direction): influences (with the derived view), motivates, usesTest
+# reversed, evaluates, deployedAs.
+_TRACE_STEPS = (("influences", True), ("influencedBy", False), ("motivates", True),
+                ("usesTest", False), ("evaluates", True), ("deployedAs", True))
+
+
 def _trace_steps(graph: LedgerGraph, node_id: str) -> list[str]:
-    """Successors along the influence-to-deployment step kinds: influences
-    (derived view), motivates, usesTest reversed, evaluates, deployedAs."""
-    successors: list[str] = []
-    successors += graph.influence_targets(node_id)
-    successors += graph.out(node_id, "motivates")
-    successors += graph.into(node_id, "usesTest")
-    successors += graph.out(node_id, "evaluates")
-    successors += graph.out(node_id, "deployedAs")
-    return sorted({s for s in successors if s in graph.nodes})
+    """Graph nodes one trace step after `node_id`, sorted."""
+    steps: set[str] = set()
+    for kind, along in _TRACE_STEPS:
+        steps.update(graph.out(node_id, kind) if along else graph.into(node_id, kind))
+    return sorted(s for s in steps if s in graph.nodes)
+
+
+def _reaching_deployments(graph: LedgerGraph) -> set[str]:
+    """Nodes from which some sequence of trace steps reaches a deployment:
+    one search from the deployments, taking each step backwards."""
+    reached = set(graph.deployment_ids())
+    frontier = list(reached)
+    while frontier:
+        node_id = frontier.pop()
+        for kind, along in _TRACE_STEPS:
+            for prior in graph.into(node_id, kind) if along else graph.out(node_id, kind):
+                if prior in graph.nodes and prior not in reached:
+                    reached.add(prior)
+                    frontier.append(prior)
+    return reached
 
 
 class _PathCap(Exception):
@@ -234,16 +334,18 @@ def trace_influence(graph: LedgerGraph, contribution_id: str,
                     max_paths: int = MAX_TRACE_PATHS) -> TraceResult:
     """Simple paths from a contribution to any deployment node.
 
-    Follows forward influence steps only; paths are bounded at `max_length`
-    edges and at most `max_paths` come back, and the result says whether
-    anything was cut off. Paths come back sorted lexicographically by their
-    node-id sequence; under the path cap they are the lexicographically first
-    ones, since the search visits successors in sorted order.
+    Follows forward influence steps only, and never into a node from which no
+    deployment can be reached; paths are bounded at `max_length` edges and at
+    most `max_paths` come back, and the result says whether anything was cut
+    off. Paths come back sorted lexicographically by their node-id sequence;
+    under the path cap they are the lexicographically first ones, since the
+    search visits successors in sorted order.
     """
     start = graph.node(contribution_id)
     if start.entry_type is not EntryType.CONTRIBUTION:
         raise WrongEntryType(f"{contribution_id} is not a Contribution")
     result = TraceResult()
+    live = _reaching_deployments(graph)
 
     def dfs(node_id: str, path: list[str]) -> None:
         if graph.is_deployment(node_id):
@@ -251,7 +353,7 @@ def trace_influence(graph: LedgerGraph, contribution_id: str,
                 raise _PathCap
             result.paths.append(list(path))
             return
-        nexts = [s for s in _trace_steps(graph, node_id) if s not in path]
+        nexts = [s for s in _trace_steps(graph, node_id) if s in live and s not in path]
         if not nexts:
             return
         if len(path) - 1 >= max_length:

@@ -10,9 +10,7 @@ so every stored decision can be recomputed bit for bit.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Any, Iterable
 
@@ -23,7 +21,7 @@ from .errors import (
     UnknownTest,
     WrongKind,
 )
-from .graph import entries_of, redacted_targets
+from .graph import Snapshot
 from .model import (
     RUN_DECISIONS,
     ActorRef,
@@ -33,28 +31,13 @@ from .model import (
     LinkSet,
     MeasurementProcedure,
     TestPayload,
-    format_timestamp,
+    _is_number,
+    _slug,
+    now_stamp,
 )
 
 # rawResults marker for a run that never produced data; decides inconclusive.
 MISSING_RESULTS = {"reason": "missingResults"}
-
-_SLUG_RE = re.compile(r"[^a-z0-9-]+")
-
-
-def _slug(text: str) -> str:
-    out = _SLUG_RE.sub("-", str(text).lower()).strip("-")
-    while "--" in out:
-        out = out.replace("--", "-")
-    return out or "x"
-
-
-def _now() -> str:
-    return format_timestamp(datetime.now(timezone.utc))
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -130,36 +113,21 @@ def fold_suite(decisions: Iterable[str]) -> str:
 # ---------------------------------------------------------------------------
 # recording runs
 
-def _find_test(ledger: Any, test_id: str) -> EntryEnvelope:
-    entries = entries_of(ledger)
-    redacted = redacted_targets(entries)
-    for entry in entries:
-        if entry.id == test_id and entry.entry_type is EntryType.TEST:
-            if entry.id in redacted:
-                raise UnknownTest(f"test {test_id} has been redacted")
-            return entry
-    raise UnknownTest(f"no test {test_id!r} in ledger")
+def _find_test(snapshot: Snapshot, test_id: str) -> EntryEnvelope:
+    entry = snapshot.by_id.get(test_id)
+    if entry is None or entry.entry_type is not EntryType.TEST:
+        raise UnknownTest(f"no test {test_id!r} in ledger")
+    if entry.id in snapshot.hidden:
+        raise UnknownTest(f"test {test_id} has been redacted")
+    return entry
 
 
-def _find_artifact_version(ledger: Any, artifact_id: str, version: str) -> EntryEnvelope:
-    entries = entries_of(ledger)
-    redacted = redacted_targets(entries)
-    for entry in entries:
-        if (entry.entry_type is EntryType.ARTIFACT and entry.id not in redacted
-                and entry.payload.artifact_id == artifact_id
-                and entry.payload.version == version):
+def _find_artifact_version(snapshot: Snapshot, artifact_id: str,
+                           version: str) -> EntryEnvelope:
+    for entry in snapshot.versions.get((artifact_id, version), ()):
+        if entry.id not in snapshot.hidden:
             return entry
     raise UnknownArtifactVersion(f"no declared version {version!r} of {artifact_id!r}")
-
-
-def _next_run_id(ledger: Any, test_id: str, version: str) -> str:
-    head = _slug(test_id.split(":")[2])
-    prefix = f"pl:run:{head}:{_slug(version)}:"
-    taken = {e.id for e in entries_of(ledger)}
-    seq = 1
-    while f"{prefix}{seq:03d}" in taken:
-        seq += 1
-    return f"{prefix}{seq:03d}"
 
 
 def _coerce_actor(actor: Any) -> ActorRef:
@@ -186,7 +154,8 @@ def _append_run(ledger: Any, test: EntryEnvelope, artifact_entry: EntryEnvelope,
             else None),
     )
     entry = EntryEnvelope(
-        id=run_id or _next_run_id(ledger, test.id, payload.version),
+        id=run_id or Snapshot.of(ledger).next_id(
+            f"pl:run:{_slug(test.id.split(':')[2])}:{_slug(payload.version)}:"),
         entry_type=EntryType.EVALUATION_RUN,
         created_at=created_at,
         actor=evaluator,
@@ -207,12 +176,13 @@ def run_test(ledger: Any, test_id: str, artifact_id: str, version: str,
     either side is missing, ShapeMismatch when the raw results do not fit the
     test's runner kind.
     """
-    test = _find_test(ledger, test_id)
-    artifact_entry = _find_artifact_version(ledger, artifact_id, version)
+    snapshot = Snapshot.of(ledger)
+    test = _find_test(snapshot, test_id)
+    artifact_entry = _find_artifact_version(snapshot, artifact_id, version)
     decision = decide(test.payload.measurement, raw_results)
     return _append_run(ledger, test, artifact_entry, raw_results,
                        _coerce_actor(evaluator), checkpoint, decision,
-                       created_at or _now(), run_id, signer)
+                       created_at or now_stamp(), run_id, signer)
 
 
 @dataclass
@@ -246,16 +216,15 @@ def run_suite(ledger: Any, checkpoint: str, artifact_id: str, version: str,
     entry in the bundle still gets a run, recorded inconclusive with the
     MISSING_RESULTS marker. The suite verdict is the fold over decisions.
     """
-    entries = entries_of(ledger)
-    redacted = redacted_targets(entries)
-    artifact_entry = _find_artifact_version(ledger, artifact_id, version)
+    snapshot = Snapshot.of(ledger)
+    artifact_entry = _find_artifact_version(snapshot, artifact_id, version)
     actor = _coerce_actor(evaluator)
-    stamp = created_at or _now()
+    stamp = created_at or now_stamp()
     report = SuiteReport(artifact_id=artifact_id, version=version,
                          checkpoint=checkpoint, verdict="allPass")
-    for test in entries:
-        if test.entry_type is not EntryType.TEST or test.id in redacted:
-            continue
+    # Taken before the first append: the loop grows a live snapshot.
+    tests = [t for t in snapshot.by_type[EntryType.TEST] if t.id not in snapshot.hidden]
+    for test in tests:
         raw = results.get(test.id)
         if raw is None:
             raw = dict(MISSING_RESULTS)
@@ -302,22 +271,25 @@ def detect_regressions(source: Any) -> list[RegressionEvent]:
     skipped, as are redacted runs. Events come back in failing-run ledger
     order.
     """
-    entries = entries_of(source)
-    redacted = redacted_targets(entries)
+    snapshot = Snapshot.of(source)
+    hidden = snapshot.hidden
+    # A version ranks by the ledger position of its first live declaration.
     version_order: dict[tuple[str, str], int] = {}
-    for entry in entries:
-        if entry.entry_type is EntryType.ARTIFACT and entry.id not in redacted:
-            key = (entry.payload.artifact_id, entry.payload.version)
-            version_order.setdefault(key, len(version_order))
+    for key, declared in snapshot.versions.items():
+        for entry in declared:
+            if entry.id not in hidden:
+                version_order[key] = snapshot.position[entry.id]
+                break
 
     groups: dict[tuple[str, str], list[tuple[int, int, EntryEnvelope]]] = {}
-    for index, entry in enumerate(entries):
-        if entry.entry_type is not EntryType.EVALUATION_RUN or entry.id in redacted:
+    for entry in snapshot.by_type[EntryType.EVALUATION_RUN]:
+        if entry.id in hidden:
             continue
         p = entry.payload
         rank = version_order.get((p.artifact_id, p.version))
         if rank is None:
             continue
+        index = snapshot.position[entry.id]
         groups.setdefault((p.test_id, p.artifact_id), []).append((rank, index, entry))
 
     events: list[tuple[int, RegressionEvent]] = []
@@ -343,15 +315,12 @@ def verify_replay(source: Any) -> list[tuple[str, str, str]]:
     the stored raw results. Returns (runId, stored, recomputed) mismatches;
     empty means the ledger replays exactly. Runs whose test is missing or
     redacted cannot be replayed and are skipped."""
-    entries = entries_of(source)
-    redacted = redacted_targets(entries)
-    tests = {e.id: e for e in entries
-             if e.entry_type is EntryType.TEST and e.id not in redacted}
+    snapshot = Snapshot.of(source)
     mismatches: list[tuple[str, str, str]] = []
-    for entry in entries:
-        if entry.entry_type is not EntryType.EVALUATION_RUN or entry.id in redacted:
+    for entry in snapshot.by_type[EntryType.EVALUATION_RUN]:
+        if entry.id in snapshot.hidden:
             continue
-        test = tests.get(entry.payload.test_id)
+        test = snapshot.live(entry.payload.test_id, EntryType.TEST)
         if test is None:
             continue
         try:
@@ -377,14 +346,9 @@ def triage_incident(ledger: Any, incident_contribution_id: str, draft: Any, *,
     incident -> test. The draft supplies the test fields (a TestPayload or a
     payload document); its motivatedBy list is extended with the incident id.
     """
-    entries = entries_of(ledger)
-    incident = None
-    for entry in entries:
-        if entry.id == incident_contribution_id:
-            incident = entry
-            break
-    if (incident is None or incident.entry_type is not EntryType.CONTRIBUTION
-            or incident.id in redacted_targets(entries)):
+    snapshot = Snapshot.of(ledger)
+    incident = snapshot.live(incident_contribution_id, EntryType.CONTRIBUTION)
+    if incident is None:
         raise UnknownContribution(
             f"no contribution {incident_contribution_id!r} in ledger")
     if incident.payload.kind != "incidentReport":
@@ -397,18 +361,13 @@ def triage_incident(ledger: Any, incident_contribution_id: str, draft: Any, *,
         payload.motivated_by.append(incident.id)
 
     if test_id is None:
-        prefix = f"pl:test:{_slug(payload.topic)}:"
-        taken = {e.id for e in entries}
-        seq = 1
-        while f"{prefix}{seq:03d}" in taken:
-            seq += 1
-        test_id = f"{prefix}{seq:03d}"
+        test_id = snapshot.next_id(f"pl:test:{_slug(payload.topic)}:")
     if actor is None:
         actor = ActorRef(role="maintainer", pseudonym="triage")
     entry = EntryEnvelope(
         id=test_id,
         entry_type=EntryType.TEST,
-        created_at=created_at or _now(),
+        created_at=created_at or now_stamp(),
         actor=_coerce_actor(actor),
         payload=payload,
         links=LinkSet(motivates=[incident.id]),

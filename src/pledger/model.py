@@ -135,6 +135,7 @@ _CURRENCY_RE = re.compile(r"[A-Z]{3}")
 _RETENTION_RE = re.compile(r"[1-9][0-9]*[ymd]")
 _TIMESTAMP_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 _REVISION_RE = re.compile(r":rev([1-9][0-9]*)\Z")
+_SLUG_RE = re.compile(r"[^a-z0-9-]+")
 
 
 def is_reference_id(value: Any) -> bool:
@@ -194,6 +195,19 @@ def format_timestamp(dt: datetime) -> str:
     # every platform, and parse_timestamp needs all four digits.
     return (f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}T"
             f"{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}Z")
+
+
+def now_stamp() -> str:
+    """The current instant as a ledger timestamp."""
+    return format_timestamp(datetime.now(timezone.utc))
+
+
+def _slug(text: str) -> str:
+    """Lowercase id segment: runs of other characters become one hyphen."""
+    out = _SLUG_RE.sub("-", str(text).lower()).strip("-")
+    while "--" in out:
+        out = out.replace("--", "-")
+    return out or "x"
 
 
 def is_timestamp(value: Any) -> bool:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import copy
 import os
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -36,6 +35,7 @@ from .errors import (
     ValidationFailed,
     WrongEntryType,
 )
+from .graph import Snapshot
 from .integrity import CLOCK_SKEW, ChainVerdict, Signer, seal, verify_chain
 from .model import (
     ROLES_ALLOWED_TO_REDACT,
@@ -44,8 +44,7 @@ from .model import (
     EntryEnvelope,
     EntryType,
     TombstonePayload,
-    format_timestamp,
-    lineage_base,
+    now_stamp,
     parse_entry,
     serialize_entry,
     validate_structure,
@@ -127,8 +126,7 @@ class LedgerFile:
     def __init__(self, path: str | Path, writable: bool = True):
         self.path = Path(path)
         self.writable = writable
-        self._entries: list[EntryEnvelope] = []
-        self._index: dict[str, int] = {}
+        self.snapshot = Snapshot()
         self._head: str | None = None
         self._fh = None
         if writable:
@@ -161,60 +159,53 @@ class LedgerFile:
         self.close()
 
     def _load(self) -> None:
-        self._entries = read_entries(self.path)
-        self._index = {e.id: i for i, e in enumerate(self._entries)}
-        if len(self._index) != len(self._entries):
-            # Keep loading; verify_chain reports the duplicate index precisely.
-            self._index = {}
-            for i, e in enumerate(self._entries):
-                self._index.setdefault(e.id, i)
-        self._head = self._entries[-1].integrity.hash if self._entries and \
-            self._entries[-1].integrity else None
+        # The live index, kept current by each append. A repeated id keeps
+        # its first position; verify_chain reports it.
+        self.snapshot = Snapshot(read_entries(self.path))
+        entries = self.snapshot.entries
+        self._head = entries[-1].integrity.hash if entries and \
+            entries[-1].integrity else None
 
     # -- reads ---------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.snapshot.entries)
 
     def __iter__(self) -> Iterator[EntryEnvelope]:
-        return iter(self._entries)
+        return iter(self.snapshot.entries)
 
     @property
     def entries(self) -> list[EntryEnvelope]:
-        return list(self._entries)
+        return list(self.snapshot.entries)
 
     @property
     def head_hash(self) -> str | None:
         return self._head
 
     def has(self, entry_id: str) -> bool:
-        return entry_id in self._index
+        return entry_id in self.snapshot.by_id
 
     def get(self, entry_id: str) -> EntryEnvelope:
         try:
-            return self._entries[self._index[entry_id]]
+            return self.snapshot.by_id[entry_id]
         except KeyError:
             raise UnknownTarget(f"no entry {entry_id!r} in {self.path.name}") from None
 
     def index_of(self, entry_id: str) -> int:
         self.get(entry_id)
-        return self._index[entry_id]
+        return self.snapshot.position[entry_id]
 
     def verify(self) -> ChainVerdict:
-        return verify_chain(self._entries)
+        return verify_chain(self.snapshot.entries)
 
     def tombstones(self) -> dict[str, EntryEnvelope]:
         """Map from target id to the tombstone entry restricting it."""
-        out: dict[str, EntryEnvelope] = {}
-        for e in self._entries:
-            if e.entry_type is EntryType.TOMBSTONE:
-                out.setdefault(e.payload.target_id, e)
-        return out
+        return dict(self.snapshot.hidden)
 
     def payload_view(self, entry_id: str) -> Any:
         """Access-layer read: the payload, or a RedactionMarker if tombstoned."""
         entry = self.get(entry_id)
-        tomb = self.tombstones().get(entry_id)
+        tomb = self.snapshot.hidden.get(entry_id)
         if tomb is not None:
             return RedactionMarker(
                 target_id=entry_id,
@@ -235,10 +226,10 @@ class LedgerFile:
         # appends that came through the governance helpers.
         if entry.entry_type is not EntryType.VOUCHER:
             return
-        base, _ = lineage_base(entry.id)
+        base = self.snapshot.base_of(entry.id)
         current: str | None = None
-        for prior in self._entries:
-            if prior.entry_type is EntryType.VOUCHER and lineage_base(prior.id)[0] == base:
+        for prior in self.snapshot.lineage(entry.id):
+            if prior.entry_type is EntryType.VOUCHER:
                 current = prior.payload.status
         status = entry.payload.status
         if current is None:
@@ -255,15 +246,15 @@ class LedgerFile:
         call. Returns the sealed entry.
         """
         self._require_writable()
-        if entry.id in self._index:
+        if entry.id in self.snapshot.by_id:
             raise DuplicateId(f"entry id {entry.id!r} already in ledger")
         report = validate_structure(entry)
         if not report.ok():
             raise ValidationFailed(report)
         # an append may backdate at most the verifier's skew allowance,
         # or the file would stop verifying as a chain
-        if self._entries:
-            head_entry = self._entries[-1]
+        if self.snapshot.entries:
+            head_entry = self.snapshot.entries[-1]
             if (entry.created_at_datetime()
                     < head_entry.created_at_datetime() - CLOCK_SKEW):
                 raise InvalidTimestamp(
@@ -285,8 +276,7 @@ class LedgerFile:
             except OSError:
                 pass
             raise StorageFailure(f"append to {self.path} failed: {exc}") from exc
-        self._entries.append(sealed)
-        self._index[sealed.id] = len(self._entries) - 1
+        self.snapshot.add(sealed)
         self._head = sealed.integrity.hash
         self._write_head()
         return sealed
@@ -330,7 +320,7 @@ class LedgerFile:
         entry = EntryEnvelope(
             id=tombstone_id,
             entry_type=EntryType.TOMBSTONE,
-            created_at=created_at or format_timestamp(datetime.now(timezone.utc)),
+            created_at=created_at or now_stamp(),
             actor=authorization,
             payload=payload,
         )
@@ -349,12 +339,9 @@ class LedgerFile:
         original = self.get(contribution_id)
         if original.entry_type is not EntryType.CONTRIBUTION:
             raise WrongEntryType(f"{contribution_id} is not a Contribution")
-        base, rev = lineage_base(contribution_id)
-        existing = [e for e in self._entries if lineage_base(e.id)[0] == base]
-        next_rev = max(lineage_base(e.id)[1] for e in existing) + 1
-        when = created_at or format_timestamp(datetime.now(timezone.utc))
+        when = created_at or now_stamp()
         superseding = copy.deepcopy(original)
-        superseding.id = f"{base}:rev{next_rev}"
+        superseding.id = self.snapshot.next_revision_id(contribution_id)
         superseding.created_at = when
         superseding.integrity = None
         assert superseding.consent is not None

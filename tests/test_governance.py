@@ -211,6 +211,30 @@ def test_transition_voucher_unknown_lineage(tmp_path):
             transition_voucher(ledger, "pl:voucher:gen:404", "active")
 
 
+def test_transition_after_the_latest_revision_is_tombstoned(tmp_path):
+    # Legality and numbering read every revision, as the store does; the
+    # payload comes from the latest revision that is not tombstoned.
+    auditor = ActorRef(role="auditor", pseudonym="AUD1")
+    with LedgerFile(tmp_path / "v.pledger") as ledger:
+        issue_voucher(ledger, voucher_payload(), voucher_id="pl:voucher:gen:001",
+                      created_at=stamp(700))
+        active = transition_voucher(ledger, "pl:voucher:gen:001", "active",
+                                    created_at=stamp(710), expiry=stamp(9000))
+        ledger.redact(active.id, "safetyRedaction", auditor, created_at=stamp(720))
+        before = len(ledger)
+        with pytest.raises(IllegalTransition, match="active -> active"):
+            transition_voucher(ledger, "pl:voucher:gen:001", "active")
+        assert len(ledger) == before
+
+        satisfied = transition_voucher(ledger, "pl:voucher:gen:001", "satisfied",
+                                       created_at=stamp(730))
+        assert satisfied.id == "pl:voucher:gen:001:rev2"
+        assert satisfied.payload.status == "satisfied"
+        assert satisfied.payload.expiry is None  # not copied from the redacted rev1
+    assert gate_check(read_entries(tmp_path / "v.pledger"), "image-generation",
+                      GEN_ARTIFACT, "v1", "workshop", stamp(800)).allowed
+
+
 def test_transition_legality_matches_lifecycle_table(tmp_path):
     assert VOUCHER_TRANSITIONS == {
         "issued": frozenset({"active"}),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
 
@@ -16,12 +17,29 @@ from conftest import (
     make_tombstone,
     oracle_edges,
     oracle_is_deployment,
+    random_envelope,
+    random_graph_entries,
     stamp,
 )
+from pledger import graph as graph_mod
 from pledger.errors import UnknownNode, WrongEntryType
 from pledger.fixtures import ARTIFACT_ID, CONTRIBUTION_ID, DEPLOYMENT_ID, TEST_ID
-from pledger.graph import build_graph, linkage_completeness, trace_influence
-from pledger.model import ActorRef, ArtifactPayload, EntryEnvelope, EntryType, LinkSet
+from pledger.graph import (
+    Snapshot,
+    TraceResult,
+    build_graph,
+    linkage_completeness,
+    trace_influence,
+)
+from pledger.model import (
+    ActorRef,
+    ArtifactPayload,
+    EntryEnvelope,
+    EntryType,
+    LinkSet,
+    lineage_base,
+)
+from pledger.store import LedgerFile, read_entries
 
 LINK_KINDS = ("influences", "influencedBy", "motivates", "usesTest",
               "evaluates", "remediates", "deployedAs", "evidence")
@@ -163,8 +181,8 @@ def test_trace_influence_fixture_paths(lifecycle):
     ]
 
 
-def test_trace_influence_matches_exhaustive_enumeration(lifecycle):
-    _, _, entries = lifecycle
+def _oracle_trace(entries: list[EntryEnvelope], start: str) -> list[list[str]]:
+    """Every simple path from `start` to a deployment, by exhaustive walk."""
     known = {e.id for e in entries}
     per_kind = {kind: oracle_edges(entries, kind) for kind in LINK_KINDS}
 
@@ -189,10 +207,28 @@ def test_trace_influence_matches_exhaustive_enumeration(lifecycle):
                 walk(s, path)
                 path.pop()
 
-    walk(CONTRIBUTION_ID, [CONTRIBUTION_ID])
-    expected.sort()
+    walk(start, [start])
+    return sorted(expected)
+
+
+def test_trace_influence_matches_exhaustive_enumeration(lifecycle):
+    _, _, entries = lifecycle
     result = trace_influence(build_graph(entries), CONTRIBUTION_ID)
-    assert result.paths == expected
+    assert result.paths == _oracle_trace(entries, CONTRIBUTION_ID)
+
+
+def test_trace_influence_matches_exhaustive_enumeration_on_random_graphs():
+    traced = 0
+    for seed in range(400):
+        entries = random_graph_entries(random.Random(seed))
+        graph = build_graph(entries)
+        for entry in entries:
+            if entry.entry_type is EntryType.CONTRIBUTION:
+                result = trace_influence(graph, entry.id)
+                assert result.paths == _oracle_trace(entries, entry.id), seed
+                assert not result.truncated
+                traced += bool(result.paths)
+    assert traced >= 50
 
 
 def test_trace_influence_truncation():
@@ -233,9 +269,10 @@ def test_trace_influence_truncation():
     assert not exact.truncated
 
 
-def _diamond_ladder(rungs: int) -> list[EntryEnvelope]:
-    """Contributions joined by `rungs` diamonds, ending in a deployment: every
-    diamond doubles the paths, so there are 2**rungs of 2 * rungs + 2 nodes."""
+def _ladder(rungs: int, width: int = 2, deployed: bool = True) -> list[EntryEnvelope]:
+    """Contributions joined by `rungs` rungs of `width` parallel nodes, ending
+    in a deployment when `deployed`: width**rungs paths over
+    (width + 1) * rungs + 1 contributions."""
     def node(i: int, *targets: str) -> EntryEnvelope:
         return make_contribution(i, links=LinkSet(influences=list(targets)))
 
@@ -244,17 +281,20 @@ def _diamond_ladder(rungs: int) -> list[EntryEnvelope]:
 
     entries = []
     for r in range(rungs):
-        join, left, right, after = 3 * r + 1, 3 * r + 2, 3 * r + 3, 3 * r + 4
-        entries += [node(join, cid(left), cid(right)),
-                    node(left, cid(after)), node(right, cid(after))]
+        join = (width + 1) * r + 1
+        middles = range(join + 1, join + width + 1)
+        entries.append(node(join, *map(cid, middles)))
+        entries += [node(m, cid(join + width + 1)) for m in middles]
+    last = (width + 1) * rungs + 1
+    if not deployed:
+        return entries + [node(last)]
     deployment = make_artifact(0, artifact_id="pl:artifact:gen:dep",
                                artifact_kind="extension:deployment", boundary="workshop")
-    entries += [node(3 * rungs + 1, deployment.id), deployment]
-    return entries
+    return entries + [node(last, deployment.id), deployment]
 
 
 def test_trace_influence_caps_the_number_of_paths():
-    graph = build_graph(_diamond_ladder(5))
+    graph = build_graph(_ladder(5))
     full = trace_influence(graph, "pl:contrib:gen:0001")
     assert len(full.paths) == 2 ** 5 and not full.truncated
     assert trace_influence(graph, "pl:contrib:gen:0001", max_paths=32) == full
@@ -264,10 +304,35 @@ def test_trace_influence_caps_the_number_of_paths():
     assert capped.paths == full.paths[:10]
 
     # 2**30 paths, far past the length bound too: the cap ends the search.
-    huge = build_graph(_diamond_ladder(30))
+    huge = build_graph(_ladder(30))
     result = trace_influence(huge, "pl:contrib:gen:0001", max_length=100, max_paths=50)
     assert result.truncated and len(result.paths) == 50
     assert all(len(path) == 2 * 30 + 2 for path in result.paths)
+
+
+def test_trace_influence_never_expands_dead_ends(monkeypatch):
+    expanded: list[str] = []
+    steps = graph_mod._trace_steps
+
+    def counting(graph, node_id):
+        expanded.append(node_id)
+        return steps(graph, node_id)
+
+    monkeypatch.setattr(graph_mod, "_trace_steps", counting)
+    # Seven 4-way rungs and no deployment: 4**7 prefixes, none of them live.
+    entries = _ladder(7, width=4, deployed=False)
+    assert len(entries) == 36
+    result = trace_influence(build_graph(entries), "pl:contrib:gen:0001")
+    assert result == TraceResult() and expanded == ["pl:contrib:gen:0001"]
+
+    # The same ladder beside a one-step path to a deployment.
+    expanded.clear()
+    deployment = make_artifact(0, artifact_id="pl:artifact:gen:dep",
+                               artifact_kind="extension:deployment", boundary="workshop")
+    entries[0].links.influences.append(deployment.id)
+    result = trace_influence(build_graph(entries + [deployment]), "pl:contrib:gen:0001")
+    assert result.paths == [["pl:contrib:gen:0001", deployment.id]]
+    assert not result.truncated and expanded == ["pl:contrib:gen:0001"]
 
 
 def test_trace_influence_survives_cycles():
@@ -423,3 +488,114 @@ def test_edge_list_export(tmp_path):
     out = tmp_path / "edges.tsv"
     graph.write_edge_list(out)
     assert out.read_text() == text
+
+
+# -- snapshot indexes ----------------------------------------------------------
+
+def _revised_ledger(rng: random.Random, n: int = 60) -> list[EntryEnvelope]:
+    """Random entries, about a third followed by `:rev<k>` revisions (vouchers
+    walk issued -> active -> satisfied), some revisions tombstoned, and ids
+    that only look like revisions."""
+    entries: list[EntryEnvelope] = []
+    for i in range(n):
+        entry = random_envelope(rng, i)
+        entries.append(entry)
+        if rng.random() < 0.35:
+            for k in range(1, rng.randint(1, 2) + 1):
+                revision = copy.deepcopy(entry)
+                revision.id = f"{entry.id}:rev{k}"
+                if entry.entry_type is EntryType.VOUCHER:
+                    revision.payload.status = ("active", "satisfied")[k - 1]
+                entries.append(revision)
+                if rng.random() < 0.3:
+                    entries.append(make_tombstone(revision.id, minute=i))
+            if entry.entry_type is not EntryType.VOUCHER:
+                # ids that contain ":rev" without ending in a revision of the base
+                for suffix in (":review", ":rev1:rev2"):
+                    lookalike = copy.deepcopy(entry)
+                    lookalike.id = entry.id + suffix
+                    entries.append(lookalike)
+    return entries
+
+
+def _naive_view(entries: list[EntryEnvelope]) -> dict:
+    """Every Snapshot index recomputed by plain scans, entries as positions."""
+    def grouped(key_of) -> dict:
+        out: dict = {}
+        for i, e in enumerate(entries):
+            key = key_of(e)
+            if key is not None:
+                out.setdefault(key, []).append(i)
+        return out
+
+    first: dict[str, int] = {}
+    hidden: dict[str, int] = {}
+    for i, e in enumerate(entries):
+        first.setdefault(e.id, i)
+        if e.entry_type is EntryType.TOMBSTONE:
+            hidden.setdefault(e.payload.target_id, i)
+    return {
+        "entries": [e.id for e in entries],
+        "by_id": first,
+        "position": first,
+        "hidden": hidden,
+        "by_type": {t: [i for i, e in enumerate(entries) if e.entry_type is t]
+                    for t in EntryType},
+        "lineages": grouped(lambda e: lineage_base(e.id)[0]),
+        "test_runs": grouped(lambda e: e.payload.test_id
+                             if e.entry_type is EntryType.EVALUATION_RUN else None),
+        "suite_runs": grouped(lambda e: (e.payload.artifact_id, e.payload.version,
+                                         e.payload.checkpoint)
+                              if e.entry_type is EntryType.EVALUATION_RUN else None),
+        "versions": grouped(lambda e: (e.payload.artifact_id, e.payload.version)
+                            if e.entry_type is EntryType.ARTIFACT else None),
+    }
+
+
+def _view(snapshot: Snapshot) -> dict:
+    at = {id(e): i for i, e in enumerate(snapshot.entries)}
+
+    def positions(index: dict) -> dict:
+        return {k: [at[id(e)] for e in v] for k, v in index.items()}
+
+    return {
+        "entries": [e.id for e in snapshot.entries],
+        "by_id": {k: at[id(e)] for k, e in snapshot.by_id.items()},
+        "position": dict(snapshot.position),
+        "hidden": {k: at[id(e)] for k, e in snapshot.hidden.items()},
+        "by_type": positions(snapshot.by_type),
+        "lineages": positions(snapshot.lineages),
+        "test_runs": positions(snapshot.test_runs),
+        "suite_runs": positions(snapshot.suite_runs),
+        "versions": positions(snapshot.versions),
+    }
+
+
+def test_snapshot_indexes_match_naive_scans():
+    for seed in range(30):
+        rng = random.Random(seed)
+        entries = _revised_ledger(rng)
+        # one id repeated: the first occurrence keeps by_id and position
+        at = rng.randrange(len(entries))
+        entries.insert(rng.randrange(at + 1, len(entries) + 1), copy.deepcopy(entries[at]))
+        snapshot = Snapshot(entries)
+        assert _view(snapshot) == _naive_view(entries)
+        for entry in entries:
+            base = lineage_base(entry.id)[0]
+            top = max(lineage_base(e.id)[1] for e in entries
+                      if lineage_base(e.id)[0] == base)
+            assert snapshot.next_revision_id(entry.id) == f"{base}:rev{top + 1}"
+        assert Snapshot.of(snapshot) is snapshot
+        assert _view(Snapshot.of(build_graph(entries))) == _view(snapshot)
+
+
+def test_snapshot_grown_by_appends_matches_a_fresh_read(tmp_path):
+    for seed in range(10):
+        path = tmp_path / f"{seed}.pledger"
+        with LedgerFile(path) as ledger:
+            for entry in _revised_ledger(random.Random(seed)):
+                ledger.append(entry)
+            grown = ledger.snapshot
+            assert Snapshot.of(ledger) is grown
+        fresh = read_entries(path)
+        assert _view(grown) == _view(Snapshot(fresh)) == _naive_view(fresh)
