@@ -5,12 +5,16 @@ Exit codes are a stable contract: 0 success/allow/valid, 1 harness fail,
 conformance failure, 64 usage error. Read commands work on snapshots; only
 the append family (append, harness run, voucher issue, credit accrue,
 redact) takes the writer lock.
+
+Only the ledger core is imported here; each command imports the governance,
+evidence, harness or query module it calls, so it pays only for those.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import os
@@ -18,8 +22,7 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from . import evidence as evidence_mod
-from . import governance, harness, query as query_mod, store
+from . import store
 from .errors import (
     CorruptLine,
     LedgerError,
@@ -87,12 +90,21 @@ def _signer_from(args: argparse.Namespace):
 
 
 def _flat(doc: Any, prefix: str = "") -> list[tuple[str, str]]:
+    from .query import render_value
+
     if isinstance(doc, dict):
         rows: list[tuple[str, str]] = []
         for key, value in doc.items():
             rows.extend(_flat(value, f"{prefix}{key}." if isinstance(value, dict) else f"{prefix}{key}"))
         return rows
-    return [(prefix.rstrip("."), query_mod.render_value(doc))]
+    return [(prefix.rstrip("."), render_value(doc))]
+
+
+def _write_doc(fh, doc: Any) -> None:
+    # json.dumps with indent joins every chunk in memory before returning;
+    # json.dump writes them as they come, with the same bytes.
+    json.dump(doc, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 def _emit(args: argparse.Namespace, text: str, doc: Any, table: Any = None) -> None:
@@ -100,7 +112,7 @@ def _emit(args: argparse.Namespace, text: str, doc: Any, table: Any = None) -> N
     if fmt == "text":
         print(text)
     elif fmt == "doc":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _write_doc(sys.stdout, doc)
     else:
         if table is not None:
             print(table.render_csv(), end="")
@@ -152,6 +164,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    from . import query as query_mod
+
     graph = build_graph(_entries(args))
     if args.saved:
         if args.query or args.file:
@@ -178,6 +192,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_harness_run(args: argparse.Namespace) -> int:
+    from . import harness
+
     bundle = Path(args.results)
     if not bundle.is_dir():
         raise _UsageError(f"results bundle is not a directory: {bundle}")
@@ -211,6 +227,8 @@ def _default_artifact(snapshot: Snapshot) -> str:
 
 
 def _cmd_gate_check(args: argparse.Namespace) -> int:
+    from . import governance
+
     snapshot = Snapshot(_entries(args))
     artifact_id = args.artifact or _default_artifact(snapshot)
     decision = governance.gate_check(
@@ -221,6 +239,8 @@ def _cmd_gate_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_voucher_issue(args: argparse.Namespace) -> int:
+    from . import governance
+
     payload = VoucherPayload.from_doc(_read_doc(args.payload))
     links = LinkSet(evidence=list(args.evidence)) if args.evidence else None
     with store.LedgerFile(_require_ledger(args)) as ledger:
@@ -233,6 +253,8 @@ def _cmd_voucher_issue(args: argparse.Namespace) -> int:
 
 
 def _cmd_voucher_transition(args: argparse.Namespace) -> int:
+    from . import governance
+
     links = LinkSet(evidence=list(args.evidence)) if args.evidence else None
     with store.LedgerFile(_require_ledger(args)) as ledger:
         entry = governance.transition_voucher(
@@ -244,6 +266,9 @@ def _cmd_voucher_transition(args: argparse.Namespace) -> int:
 
 
 def _cmd_credit_accrue(args: argparse.Namespace) -> int:
+    from . import governance
+    from .query import render_value
+
     policy = governance.CreditPolicy.from_doc(_read_doc(args.policy))
     policy.validate()
     window = (args.window_start, args.window_end)
@@ -251,25 +276,30 @@ def _cmd_credit_accrue(args: argparse.Namespace) -> int:
         minted, report = governance.accrue_credits(
             ledger, policy, window, created_at=args.created_at,
             signer=_signer_from(args))
-    lines = [f"minted {c.id}: {query_mod.render_value(c.payload.units)} "
+    lines = [f"minted {c.id}: {render_value(c.payload.units)} "
              f"-> {c.payload.beneficiary}" for c in minted]
     lines += [f"suppressed {s.kind} {s.trigger_id}: {s.reason}" for s in report.suppressed]
-    lines.append(f"total units: {query_mod.render_value(report.total_units())}")
+    lines.append(f"total units: {render_value(report.total_units())}")
     _emit(args, "\n".join(lines), report.to_doc())
     return 0
 
 
 def _cmd_credit_report(args: argparse.Namespace) -> int:
+    from . import governance
+    from .query import render_value
+
     statement = governance.credit_report(
         Snapshot(_entries(args)), args.beneficiary, (args.window_start, args.window_end))
-    lines = [f"{line['creditId']}: {query_mod.render_value(line['units'])} "
+    lines = [f"{line['creditId']}: {render_value(line['units'])} "
              f"({line['eventKind']} on {line['triggerId']})" for line in statement.lines]
-    lines.append(f"total units: {query_mod.render_value(statement.total_units)}")
+    lines.append(f"total units: {render_value(statement.total_units)}")
     _emit(args, "\n".join(lines), statement.to_doc())
     return 0
 
 
 def _cmd_audit_evidence(args: argparse.Namespace) -> int:
+    from . import evidence as evidence_mod
+
     if args.cases:
         matrix = evidence_mod.audit_corpus(_read_doc(args.cases), mode="document")
     else:
@@ -295,6 +325,8 @@ def _cmd_audit_linkage(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit_conformance(args: argparse.Namespace) -> int:
+    from . import evidence as evidence_mod
+
     report = evidence_mod.check_export_conformance(_read_doc(args.export))
     lines = [f"{clause}: {'pass' if result.passed else 'fail'}"
              for clause, result in report.clause_results.items()]
@@ -306,6 +338,8 @@ def _cmd_audit_conformance(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit_consent(args: argparse.Namespace) -> int:
+    from . import evidence as evidence_mod
+
     violations = evidence_mod.flag_consent_violations(Snapshot(_entries(args)))
     if violations:
         text = "\n".join(f"{v['changeId']} <- {v['contributionId']}: {v['violation']}"
@@ -317,18 +351,20 @@ def _cmd_audit_consent(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    from . import evidence as evidence_mod
+
     artifact_id, sep, version = args.release.rpartition("@")
     if not sep or not artifact_id or not version:
         raise _UsageError("--release takes <artifactId>@<version>")
     export = evidence_mod.build_export(
         Snapshot(_entries(args)), artifact_id, version, now=args.now)
-    rendered = json.dumps(export, indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(rendered + "\n", "utf-8")
+        with open(args.out, "w", encoding="utf-8") as fh:
+            _write_doc(fh, export)
         _emit(args, f"wrote export to {args.out} "
                     f"({len(export['entries'])} entries)", export)
     else:
-        print(rendered)
+        _write_doc(sys.stdout, export)
     return 0
 
 
@@ -489,6 +525,10 @@ def main(argv: list[str] | None = None) -> int:
         return 64
     except SystemExit as exc:
         return int(exc.code or 0)
+    # What a command builds lives until it returns, so cyclic collections
+    # during it would free nothing; pause them and restore the caller's state.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except _UsageError as exc:
@@ -503,6 +543,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -264,10 +264,14 @@ class LedgerFile:
         sealed = seal(entry, prev_hash=self._head, signer=signer)
         line = (serialize_entry(sealed) + "\n").encode("utf-8")
         size_before = self.path.stat().st_size
+        # The entry counts as appended only once both the line and the head
+        # are durable; until then a failure rolls the file back and leaves
+        # the snapshot and head untouched.
         try:
             self._fh.write(line)
             self._fh.flush()
             os.fsync(self._fh.fileno())
+            self._write_head(sealed.integrity.hash)
         except OSError as exc:
             try:
                 self._fh.truncate(size_before)
@@ -278,22 +282,20 @@ class LedgerFile:
             raise StorageFailure(f"append to {self.path} failed: {exc}") from exc
         self.snapshot.add(sealed)
         self._head = sealed.integrity.hash
-        self._write_head()
         return sealed
 
-    def _write_head(self) -> None:
+    def _write_head(self, digest: str) -> None:
         target = head_path(self.path)
         tmp = target.with_name(target.name + ".tmp")
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write((self._head or "") + "\n")
+                fh.write(digest + "\n")
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, target)
-        except OSError as exc:
-            raise StorageFailure(
-                f"head digest update failed for {self.path}: {exc}; "
-                "the ledger itself is intact, rerun verify to rebuild") from exc
+        except OSError:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def redact(self, target_id: str, reason: str, authorization: ActorRef,
                tombstone_id: str | None = None, created_at: str | None = None,

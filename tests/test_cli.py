@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import shutil
@@ -9,7 +10,9 @@ import shutil
 import pytest
 from conftest import make_artifact, make_test
 
+from pledger import store
 from pledger.cli import main
+from pledger.evidence import build_export
 from pledger.fixtures import (
     ARTIFACT_ID,
     BOUNDARY,
@@ -545,6 +548,23 @@ def test_export_and_conformance(lifecycle, writable_mid, tmp_path, capsys):
     assert code == 64
 
 
+def test_export_streams_the_same_bytes_to_file_and_stdout(lifecycle, tmp_path, capsys):
+    path, _ids, entries = lifecycle
+    now = "2025-06-27T00:00:00Z"
+    expected = json.dumps(build_export(entries, ARTIFACT_ID, "v3", now=now),
+                          indent=2, sort_keys=True) + "\n"
+    release = ["export", "--ledger", str(path), "--release", f"{ARTIFACT_ID}@v3",
+               "--now", now]
+    out_path = tmp_path / "release.json"
+    code, _out, _err = run_cli(capsys, *release, "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_bytes() == expected.encode("utf-8")
+
+    code, out, _err = run_cli(capsys, *release)
+    assert code == 0
+    assert out == expected
+
+
 def test_conformance_failure_exits_5(mid_lifecycle, tmp_path, capsys):
     path, _ids, entries = mid_lifecycle
     out_path = tmp_path / "release.json"
@@ -614,3 +634,54 @@ def test_hmac_sign_and_verify(tmp_path, capsys):
     code, _out, err = run_cli(capsys, "verify", "--ledger", str(ledger),
                               "--hmac-key", "no-separator")
     assert code == 64
+
+
+# ---------------------------------------------------------------------------
+# process-wide state
+
+
+def test_main_pauses_cyclic_gc_and_restores_it(lifecycle, mid_lifecycle, writable,
+                                                monkeypatch, capsys):
+    full, mid = str(lifecycle[0]), str(mid_lifecycle[0])
+    writable.write_bytes(writable.read_bytes()[:-10])  # torn tail: CorruptLine
+    gate = ["gate", "check", "--capability", CAPABILITY, "--boundary", BOUNDARY,
+            "--version", "v2", "--now", "2025-06-21T00:00:00Z"]
+    cases = [
+        (0, ["verify", "--ledger", full]),
+        (3, [*gate, "--ledger", mid]),
+        (4, [*gate, "--ledger", str(writable)]),
+        (5, ["query", "MATCH (t:Test RETURN t.id;", "--ledger", full]),
+        (64, ["query", "--ledger", full]),
+    ]
+    seen: list[bool] = []
+    read = store.read_entries
+
+    def recording(path):
+        seen.append(gc.isenabled())
+        return read(path)
+
+    monkeypatch.setattr(store, "read_entries", recording)
+    try:
+        for expected, argv in cases:
+            seen.clear()
+            code, _out, _err = run_cli(capsys, *argv)
+            assert code == expected, argv
+            assert seen == [False], argv
+            assert gc.isenabled(), argv
+
+        def failing(path):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(store, "read_entries", failing)
+        with pytest.raises(RuntimeError):
+            main(["verify", "--ledger", full])
+        assert gc.isenabled()
+
+        monkeypatch.setattr(store, "read_entries", recording)
+        gc.disable()
+        seen.clear()
+        assert main(["verify", "--ledger", full]) == 0
+        assert seen == [False]
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

@@ -109,6 +109,35 @@ def test_failed_appends_leave_file_byte_identical(ledger_path):
         assert len(led) == 2 and led.head_hash is not None
 
 
+def test_failed_head_update_rolls_the_append_back(ledger_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    with LedgerFile(ledger_path) as led:
+        led.append(make_contribution(1))
+        before = ledger_path.read_bytes()
+        head_before = head_path(ledger_path).read_bytes()
+        hash_before = led.head_hash
+
+        monkeypatch.setattr("pledger.store.os.replace", refuse)
+        with pytest.raises(StorageFailure):
+            led.append(make_contribution(2))
+        monkeypatch.undo()
+
+        assert ledger_path.read_bytes() == before
+        assert head_path(ledger_path).read_bytes() == head_before
+        assert not head_path(ledger_path).with_name("gen.pledger.head.tmp").exists()
+        assert len(led) == 1 and led.head_hash == hash_before
+        assert not led.has("pl:contrib:gen:0002")
+
+        sealed = led.append(make_contribution(2))
+        assert sealed.integrity.prev_hash == hash_before
+        assert led.verify().valid
+        assert head_path(ledger_path).read_text("utf-8") == sealed.integrity.hash + "\n"
+    assert [e.id for e in read_entries(ledger_path)] == ["pl:contrib:gen:0001",
+                                                         "pl:contrib:gen:0002"]
+
+
 def test_append_applies_signer(ledger_path):
     signer = hmac_signer("k1", b"secret", ActorRef(role="maintainer", pseudonym="M1"))
     with LedgerFile(ledger_path) as led:
