@@ -73,6 +73,20 @@ def format_number(value: int | float | Decimal) -> str:
     return text
 
 
+def render_value(value: Any) -> str:
+    """Field values as query-result strings; also the comparison form used by
+    predicates, so `r.version = "2"` matches a numeric version 2."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, float)):
+        return format_number(value)
+    return canonical_json(value)
+
+
 def _render(value: Any, out: list[str]) -> None:
     if value is None:
         out.append("null")

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Any
 
 from . import store
+from .canonical import render_value
 from .errors import (
     CorruptLine,
     LedgerError,
@@ -90,8 +91,6 @@ def _signer_from(args: argparse.Namespace):
 
 
 def _flat(doc: Any, prefix: str = "") -> list[tuple[str, str]]:
-    from .query import render_value
-
     if isinstance(doc, dict):
         rows: list[tuple[str, str]] = []
         for key, value in doc.items():
@@ -267,7 +266,6 @@ def _cmd_voucher_transition(args: argparse.Namespace) -> int:
 
 def _cmd_credit_accrue(args: argparse.Namespace) -> int:
     from . import governance
-    from .query import render_value
 
     policy = governance.CreditPolicy.from_doc(_read_doc(args.policy))
     policy.validate()
@@ -286,7 +284,6 @@ def _cmd_credit_accrue(args: argparse.Namespace) -> int:
 
 def _cmd_credit_report(args: argparse.Namespace) -> int:
     from . import governance
-    from .query import render_value
 
     statement = governance.credit_report(
         Snapshot(_entries(args)), args.beneficiary, (args.window_start, args.window_end))

@@ -20,7 +20,7 @@ from typing import Any
 
 from .errors import MalformedExport, WrongEntryType
 from .governance import gate_check, voucher_lineages
-from .graph import LedgerGraph, Snapshot, _change_has_test, _resolves_to, build_graph
+from .graph import LedgerGraph, Snapshot, build_graph, change_linkage
 from .model import EntryEnvelope, EntryType, _is_number, parse_entry, validate_structure
 
 COLUMNS = (
@@ -119,10 +119,10 @@ def _reaches_change_or_test(graph: LedgerGraph, start: str) -> bool:
     frontier = [start]
     while frontier:
         node_id = frontier.pop()
-        nexts = (graph.influence_targets(node_id)
-                 + graph.out(node_id, "motivates")
-                 + graph.into(node_id, "usesTest")
-                 + graph.out(node_id, "evaluates"))
+        nexts = (*graph.neighbours(node_id, "influences"),
+                 *graph.out(node_id, "motivates"),
+                 *graph.into(node_id, "usesTest"),
+                 *graph.out(node_id, "evaluates"))
         for succ in nexts:
             if succ in seen or succ not in graph.nodes:
                 continue
@@ -242,7 +242,7 @@ def audit_corpus(data: Any, mode: str = "document",
 
     snapshot = Snapshot.of(data)
     if graph is None:
-        graph = build_graph(snapshot.entries)
+        graph = build_graph(snapshot)
     groups: dict[str, list[dict[str, CoverageLevel]]] = {}
     order: list[str] = []
     for entry in snapshot.by_type[EntryType.CONTRIBUTION]:
@@ -351,33 +351,39 @@ def build_export(source: Any, artifact_id: str, version: str, *,
     tombstones; the current chain head digest; and one record per voucher
     lineage whose latest status is issued or active, each with its gate_check
     outcome against this release evaluated at `now` (default: the last
-    included entry's createdAt).
+    included entry's createdAt). Targets that name no entry join nothing.
     """
-    snapshot = Snapshot.of(source)
+    graph = build_graph(source)
+    snapshot = graph.snapshot
     seed = _declared(snapshot, artifact_id, version)
     if seed is None:
         raise MalformedExport(f"no declared version {version!r} of {artifact_id!r}")
 
-    neighbors: dict[str, set[str]] = {entry_id: set() for entry_id in snapshot.by_id}
+    # The export is the release's connected component: entries joined by a
+    # graph edge (either direction), a payload reference, or a shared lineage.
+    root = {entry_id: entry_id for entry_id in graph.nodes}
+
+    def find(node_id: str) -> str:
+        while root[node_id] != node_id:
+            root[node_id] = root[root[node_id]]
+            node_id = root[node_id]
+        return node_id
+
+    def join(a: str, b: str) -> None:
+        if a in root and b in root:
+            root[find(a)] = find(b)
+
+    for start, _, end in graph.edges:
+        join(start, end)
     for entry in snapshot.entries:
-        targets = [t for _, t in entry.links.iter_links()]
-        targets += _payload_references(entry, snapshot)
-        for target in targets:
-            if target in neighbors:
-                neighbors[entry.id].add(target)
-                neighbors[target].add(entry.id)
+        for target in _payload_references(entry, snapshot):
+            join(entry.id, target)
+    for lineage in snapshot.lineages.values():
+        for entry in lineage[1:]:
+            join(lineage[0].id, entry.id)
 
-    included: set[str] = set()
-    frontier = [seed]
-    while frontier:
-        current = frontier.pop()
-        if current in included:
-            continue
-        included.add(current)
-        frontier.extend(neighbors.get(current, ()))
-        frontier.extend(e.id for e in snapshot.lineage(current))
-
-    ordered = [e for e in snapshot.entries if e.id in included]
+    release = find(seed)
+    ordered = [e for e in snapshot.entries if find(e.id) == release]
     if now is None:
         now = ordered[-1].created_at if ordered else "1970-01-01T00:00:00Z"
 
@@ -386,7 +392,7 @@ def build_export(source: Any, artifact_id: str, version: str, *,
     active_vouchers: list[dict] = []
     for base, lineage in voucher_lineages(snapshot).items():
         latest = lineage[-1]
-        if latest.id not in included or latest.payload.status not in ("issued", "active"):
+        if find(latest.id) != release or latest.payload.status not in ("issued", "active"):
             continue
         gate = gate_check(snapshot, latest.payload.capability, artifact_id,
                           version, latest.payload.boundary, now)
@@ -470,7 +476,7 @@ def check_export_conformance(export: Any) -> ConformanceReport:
     """
     release, entries = _parse_export(export)
     graph = build_graph(entries)
-    snapshot = Snapshot(entries)
+    snapshot = graph.snapshot
     hidden = snapshot.hidden
     report = ConformanceReport()
 
@@ -486,14 +492,13 @@ def check_export_conformance(export: Any) -> ConformanceReport:
     report.clause_results["a-evidenceFields"] = a
 
     b = ClauseResult(passed=True)
-    for entry in snapshot.by_type[EntryType.CHANGE]:
+    for entry, has_contribution, has_test in change_linkage(graph):
         if entry.id in hidden:
             continue
-        node = graph.nodes[entry.id]
-        if not _resolves_to(graph, entry.links.influenced_by, EntryType.CONTRIBUTION):
+        if not has_contribution:
             b.passed = False
             b.details.append(f"{entry.id}: no resolvable influencedBy contribution")
-        if not _change_has_test(graph, node):
+        if not has_test:
             b.passed = False
             b.details.append(f"{entry.id}: no linked versioned test")
     report.clause_results["b-traceabilityLinks"] = b

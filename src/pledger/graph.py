@@ -16,7 +16,8 @@ Tombstoned entries stay in the graph with their type and edges; only the
 payload view is hidden.
 
 `Snapshot` is the one-pass index of a ledger prefix that every other read
-path takes its entries, lineages, run lookups and new ids from.
+path takes its entries, lineages, run lookups and new ids from; the graph is
+a view over one, adding only the adjacency of the declared links.
 """
 
 from __future__ import annotations
@@ -24,13 +25,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from .errors import UnknownNode, WrongEntryType
-from .model import DEPLOYMENT_KIND, EntryEnvelope, EntryType, is_reference_id, lineage_base
+from .model import DEPLOYMENT_KIND, EntryEnvelope, EntryType, LinkSet, is_reference_id, lineage_base
 
 # Edge kinds whose stored direction is target -> declarer.
 _REVERSED_DECLARATION_KINDS = frozenset({"motivates"})
+
+# (kind, LinkSet attribute, whether the edge runs target -> declarer)
+_LINK_ATTRS = tuple((kind, attr, kind in _REVERSED_DECLARATION_KINDS)
+                    for kind, attr in LinkSet._ATTR_FOR_KIND.items())
 
 # The derived view: each of these kinds also reads the other's edges reversed.
 _INVERSE_KINDS = {"influences": "influencedBy", "influencedBy": "influences"}
@@ -41,6 +46,7 @@ MAX_TRACE_PATHS = 10_000
 
 # Enum member lookups cost more than a global read on the per-entry path.
 _RUN, _ARTIFACT, _TOMBSTONE = EntryType.EVALUATION_RUN, EntryType.ARTIFACT, EntryType.TOMBSTONE
+_CHANGE, _TEST = EntryType.CHANGE, EntryType.TEST
 
 
 class Snapshot:
@@ -74,14 +80,14 @@ class Snapshot:
 
     @classmethod
     def of(cls, source: Any) -> "Snapshot":
-        """A Snapshot as is, a ledger file's live one, or one built from a
-        graph's or a plain iterable's entries."""
+        """A Snapshot as is, the one a ledger file or graph holds, or one
+        built from a plain iterable of entries."""
         if isinstance(source, Snapshot):
             return source
         live = getattr(source, "snapshot", None)
         if live is not None:
             return live
-        return cls(getattr(source, "entries", source))
+        return cls(source)
 
     def add(self, entry: EntryEnvelope) -> None:
         entry_id = entry.id
@@ -135,71 +141,39 @@ class Snapshot:
         return f"{prefix}{seq:03d}"
 
 
-@dataclass
-class GraphNode:
-    id: str
-    entry_type: EntryType
-    entry: EntryEnvelope
-    index: int
-    redacted: bool = False
-
-    @property
-    def payload(self) -> Any:
-        """Payload view honoring redaction; None when hidden."""
-        return None if self.redacted else self.entry.payload
-
-    def is_deployment(self) -> bool:
-        if self.entry_type is not EntryType.ARTIFACT:
-            return False
-        if not self.redacted:
-            return self.entry.payload.artifact_kind == DEPLOYMENT_KIND
-        return False  # the graph adds a fallback check for hidden payloads
-
-
-@dataclass
-class Edge:
-    source: str
-    kind: str
-    target: str
-
-    def as_tuple(self) -> tuple[str, str, str]:
-        return (self.source, self.kind, self.target)
-
-
 class LedgerGraph:
-    """Adjacency-indexed view of a sequence of entries."""
+    """The influence graph as an adjacency view over one Snapshot.
 
-    def __init__(self, entries: Sequence[EntryEnvelope]):
-        self.entries = list(entries)
-        self.nodes: dict[str, GraphNode] = {}
-        self.edges: list[Edge] = []
+    Nodes are the snapshot's `by_id` (the first occurrence of a repeated id
+    wins) and redaction is its `hidden`; each declared link is one
+    `(source, kind, target)` edge in `edges`, in declaration order. Adjacency
+    is built here, not in `Snapshot.add`, so the commands that never read
+    edges never pay for it; entries added to a live snapshot afterwards are
+    nodes but bring no edges.
+    """
+
+    def __init__(self, source: Any):
+        self.snapshot = snapshot = Snapshot.of(source)
+        self.nodes = nodes = snapshot.by_id
+        self.edges: list[tuple[str, str, str]] = []
         self.dangling: list[tuple[str, str]] = []
         self._out: dict[tuple[str, str], list[str]] = {}
         self._in: dict[tuple[str, str], list[str]] = {}
-
-        for index, entry in enumerate(self.entries):
-            if entry.id not in self.nodes:
-                self.nodes[entry.id] = GraphNode(entry.id, entry.entry_type, entry, index)
-        for entry in self.entries:
-            if entry.entry_type is EntryType.TOMBSTONE:
-                target = self.nodes.get(entry.payload.target_id)
-                if target is not None:
-                    target.redacted = True
-        for entry in self.entries:
-            for kind, target in entry.links.iter_links():
-                if kind in _REVERSED_DECLARATION_KINDS:
-                    edge = Edge(target, kind, entry.id)
-                else:
-                    edge = Edge(entry.id, kind, target)
-                self.edges.append(edge)
-                self._out.setdefault((edge.source, kind), []).append(edge.target)
-                self._in.setdefault((edge.target, kind), []).append(edge.source)
-                if target not in self.nodes and is_reference_id(target):
-                    self.dangling.append((entry.id, target))
+        edges, dangling, out, into = self.edges, self.dangling, self._out, self._in
+        for entry in snapshot.entries:
+            declarer, links = entry.id, entry.links
+            for kind, attr, reverse in _LINK_ATTRS:
+                for target in getattr(links, attr):
+                    source, sink = (target, declarer) if reverse else (declarer, target)
+                    edges.append((source, kind, sink))
+                    out.setdefault((source, kind), []).append(sink)
+                    into.setdefault((sink, kind), []).append(source)
+                    if target not in nodes and is_reference_id(target):
+                        dangling.append((declarer, target))
 
     # -- basic access ---------------------------------------------------------
 
-    def node(self, node_id: str) -> GraphNode:
+    def node(self, node_id: str) -> EntryEnvelope:
         try:
             return self.nodes[node_id]
         except KeyError:
@@ -211,79 +185,47 @@ class LedgerGraph:
     def into(self, node_id: str, kind: str) -> list[str]:
         return self._in.get((node_id, kind), [])
 
-    def nodes_of_type(self, entry_type: EntryType) -> list[GraphNode]:
-        return [n for n in self.nodes.values() if n.entry_type is entry_type]
-
     def is_deployment(self, node_id: str) -> bool:
-        node = self.nodes.get(node_id)
-        if node is None:
+        entry = self.nodes.get(node_id)
+        if entry is None or entry.entry_type is not _ARTIFACT:
             return False
-        if node.is_deployment():
-            return True
-        # A redacted artifact that something deploys to still counts.
-        return (node.entry_type is EntryType.ARTIFACT and node.redacted
-                and bool(self.into(node_id, "deployedAs")))
+        if node_id in self.snapshot.hidden:
+            # A redacted artifact that something deploys to still counts.
+            return bool(self.into(node_id, "deployedAs"))
+        return entry.payload.artifact_kind == DEPLOYMENT_KIND
 
     def deployment_ids(self) -> list[str]:
-        return [nid for nid in self.nodes if self.is_deployment(nid)]
-
-    # -- derived influence view ------------------------------------------------
-
-    def influence_targets(self, node_id: str) -> list[str]:
-        """Effective `influences` successors: declared influences plus the
-        reverse reading of declared influencedBy."""
-        direct = self._out.get((node_id, "influences"), [])
-        derived = self._in.get((node_id, "influencedBy"), [])
-        seen: set[str] = set()
-        out: list[str] = []
-        for t in direct + derived:
-            if t not in seen:
-                seen.add(t)
-                out.append(t)
-        return out
-
-    def influence_sources(self, node_id: str) -> list[str]:
-        direct = self._out.get((node_id, "influencedBy"), [])
-        derived = self._in.get((node_id, "influences"), [])
-        seen: set[str] = set()
-        out: list[str] = []
-        for t in direct + derived:
-            if t not in seen:
-                seen.add(t)
-                out.append(t)
-        return out
+        return [e.id for e in self.snapshot.by_type[_ARTIFACT]
+                if self.nodes[e.id] is e and self.is_deployment(e.id)]
 
     def edge_pairs(self, kind: str) -> set[tuple[str, str]]:
-        """Directed (source, target) pairs for query matching; the
-        influencedBy/influences pair each include the other's reverse."""
-        pairs = {(e.source, e.target) for e in self.edges if e.kind == kind}
+        """Directed (source, target) pairs of `kind`, dangling ends included;
+        the influencedBy/influences pair each include the other's reverse."""
         inverse = _INVERSE_KINDS.get(kind)
-        if inverse is not None:
-            pairs |= {(e.target, e.source) for e in self.edges if e.kind == inverse}
-        return pairs
+        return ({(s, t) for s, k, t in self.edges if k == kind}
+                | {(t, s) for s, k, t in self.edges if k == inverse})
 
     def neighbours(self, node_id: str, kind: str, outgoing: bool = True) -> set[str]:
         """Successors (or, with outgoing=False, predecessors) of a node among
         `edge_pairs(kind)`, deduplicated, read from the adjacency index."""
         ahead, behind = (self._out, self._in) if outgoing else (self._in, self._out)
-        found = set(ahead.get((node_id, kind), ()))
-        inverse = _INVERSE_KINDS.get(kind)
-        if inverse is not None:
-            found.update(behind.get((node_id, inverse), ()))
-        return found
+        return {*ahead.get((node_id, kind), ()),
+                *behind.get((node_id, _INVERSE_KINDS.get(kind)), ())}
 
     # -- exports ----------------------------------------------------------------
 
     def edge_list_text(self) -> str:
         """Tab-separated `from kind to`, one edge per line, declaration order."""
-        return "".join(f"{e.source}\t{e.kind}\t{e.target}\n" for e in self.edges)
+        return "".join(f"{s}\t{k}\t{t}\n" for s, k, t in self.edges)
 
     def write_edge_list(self, path: str | Path) -> None:
         Path(path).write_text(self.edge_list_text(), encoding="utf-8")
 
 
-def build_graph(entries: Sequence[EntryEnvelope]) -> LedgerGraph:
-    return LedgerGraph(entries)
+def build_graph(source: Any) -> LedgerGraph:
+    """The graph over anything `Snapshot.of` accepts; a Snapshot, or a ledger
+    file's live one, is reused rather than rebuilt."""
+    return LedgerGraph(source)
 
 
 # ---------------------------------------------------------------------------
@@ -398,56 +340,66 @@ class LinkageReport:
         }
 
 
-def _resolves_to(graph: LedgerGraph, targets: Iterable[str],
+def _resolves_to(nodes: dict[str, EntryEnvelope], targets: Iterable[str],
                  entry_type: EntryType) -> bool:
-    return any(
-        t in graph.nodes and graph.nodes[t].entry_type is entry_type for t in targets)
+    return any((e := nodes.get(t)) is not None and e.entry_type is entry_type
+               for t in targets)
 
 
-def _change_has_test(graph: LedgerGraph, change: GraphNode) -> bool:
-    if _resolves_to(graph, change.entry.links.uses_test, EntryType.TEST):
-        return True
-    # Tests reached through the change's evaluation runs: any run on one of
-    # the changed (artifactId, versionAfter) pairs that uses a resolvable Test.
-    produced = {(ca.artifact_id, ca.version_after)
-                for ca in change.entry.payload.changed_artifacts}
-    for node in graph.nodes_of_type(EntryType.EVALUATION_RUN):
-        if node.redacted:
+def change_linkage(graph: LedgerGraph,
+                   include_evidence: bool = False) -> list[tuple[EntryEnvelope, bool, bool]]:
+    """Each Change node with whether it is linked to a Contribution and to a
+    Test.
+
+    Linked to a Contribution: some influencedBy target (and evidence target,
+    with `include_evidence`) resolves to one, tombstoned or not. Linked to a
+    Test: the Change is not tombstoned and either a usesTest target resolves
+    to a Test, or some live evaluation run on one of its changed
+    (artifactId, versionAfter) pairs has a usesTest target that does.
+    """
+    nodes, hidden, by_type = graph.nodes, graph.snapshot.hidden, graph.snapshot.by_type
+    covered: set[tuple[str, str]] | None = None
+
+    def run_tested(change: EntryEnvelope) -> bool:
+        nonlocal covered
+        if covered is None:  # read the runs once, on first need
+            covered = {(run.payload.artifact_id, run.payload.version)
+                       for run in by_type[_RUN]
+                       if nodes[run.id] is run and run.id not in hidden
+                       and _resolves_to(nodes, run.links.uses_test, _TEST)}
+        return any((ca.artifact_id, ca.version_after) in covered
+                   for ca in change.payload.changed_artifacts)
+
+    linkage = []
+    for change in by_type[_CHANGE]:
+        if nodes[change.id] is not change:
             continue
-        p = node.payload
-        if (p.artifact_id, p.version) in produced:
-            if _resolves_to(graph, node.entry.links.uses_test, EntryType.TEST):
-                return True
-    return False
+        sources = change.links.influenced_by
+        if include_evidence:
+            sources = sources + change.links.evidence
+        has_contribution = _resolves_to(nodes, sources, EntryType.CONTRIBUTION)
+        has_test = change.id not in hidden and (
+            _resolves_to(nodes, change.links.uses_test, _TEST) or run_tested(change))
+        linkage.append((change, has_contribution, has_test))
+    return linkage
 
 
 def linkage_completeness(graph: LedgerGraph,
                          include_evidence: bool = False) -> LinkageReport:
     """How much of the ledger's change surface is traceable.
 
-    A Change counts as linked to participation when at least one influencedBy
-    target resolves to a Contribution, and as tested when it reaches a Test
-    either directly (usesTest) or through an evaluation run on one of its
-    changed artifact versions. The ratio is fully linked changes over total
+    Each Change counts as linked to participation and as tested by the rules
+    of `change_linkage`. The ratio is fully linked changes over total
     changes, exactly 1 when there are no changes. Evidence links do not count
     toward the ratio unless `include_evidence` is set.
     """
-    changes = [n for n in graph.nodes_of_type(EntryType.CHANGE)]
-    with_contribution = 0
-    with_test = 0
-    fully = 0
-    for change in changes:
-        sources = list(change.entry.links.influenced_by)
-        if include_evidence:
-            sources += change.entry.links.evidence
-        has_contribution = _resolves_to(graph, sources, EntryType.CONTRIBUTION)
-        has_test = False if change.redacted else _change_has_test(graph, change)
-        with_contribution += has_contribution
-        with_test += has_test
-        fully += has_contribution and has_test
-    tests_with_run = sum(
-        1 for t in graph.nodes_of_type(EntryType.TEST) if graph.into(t.id, "usesTest"))
-    total = len(changes)
+    linkage = change_linkage(graph, include_evidence)
+    with_contribution = sum(c for _, c, _ in linkage)
+    with_test = sum(t for _, _, t in linkage)
+    fully = sum(c and t for _, c, t in linkage)
+    tests_with_run = sum(1 for t in graph.snapshot.by_type[_TEST]
+                         if graph.nodes[t.id] is t and graph.into(t.id, "usesTest"))
+    total = len(linkage)
     ratio = Fraction(1) if total == 0 else Fraction(fully, total)
     return LinkageReport(
         total_changes=total,

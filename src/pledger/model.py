@@ -341,12 +341,6 @@ class CompensationBlock:
         return doc
 
 
-LINK_KINDS: tuple[str, ...] = (
-    "influencedBy", "influences", "motivates", "usesTest", "evaluates",
-    "deployedAs", "remediates", "evidence", "authorizes", "creditsFor",
-)
-
-
 @dataclass(slots=True)
 class LinkSet:
     influenced_by: list[str] = field(default_factory=list)
@@ -397,17 +391,14 @@ class LinkSet:
         doc.update(self.extensions)
         return doc
 
-    def get(self, kind: str) -> list[str]:
-        return getattr(self, self._ATTR_FOR_KIND[kind])
-
     def iter_links(self):
         """Yield (kind, target) for every declared link, in declaration order."""
         for kind, attr in self._ATTR_FOR_KIND.items():
             for target in getattr(self, attr):
                 yield kind, target
 
-    def is_empty(self) -> bool:
-        return not self.to_doc()
+
+LINK_KINDS: tuple[str, ...] = tuple(LinkSet._ATTR_FOR_KIND)
 
 
 @dataclass(slots=True)

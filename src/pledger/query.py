@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any
 
-from .canonical import canonical_json, format_number
+from .canonical import render_value
 from .errors import (
     QueryParameterError,
     QuerySyntaxError,
@@ -38,7 +38,7 @@ from .errors import (
     UnknownRelation,
 )
 from .graph import LedgerGraph
-from .model import EntryType
+from .model import LINK_KINDS, EntryType
 
 # Node labels: the eight entry types plus the Deployment view over artifacts.
 _LABELS = {t.value.casefold(): t.value for t in EntryType}
@@ -46,12 +46,7 @@ _LABELS["deployment"] = "Deployment"
 
 # Relation names normalize by casefolding and dropping underscores, so the
 # upper-snake spelling USES_TEST and the link kind usesTest are the same name.
-_RELATIONS = {
-    kind.casefold(): kind
-    for kind in ("influencedBy", "influences", "motivates", "usesTest",
-                 "evaluates", "deployedAs", "remediates", "evidence",
-                 "authorizes", "creditsFor")
-}
+_RELATIONS = {kind.casefold(): kind for kind in LINK_KINDS}
 
 _FIELD_ALIASES = {"artifactversion": "version"}
 
@@ -352,20 +347,6 @@ class ResultTable:
         return buffer.getvalue()
 
 
-def render_value(value: Any) -> str:
-    """Field values as query-result strings; also the comparison form used by
-    predicates, so `r.version = "2"` matches a numeric version 2."""
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return format_number(value)
-    return canonical_json(value)
-
-
 class _FieldView:
     """Per-node field resolver with the documented flattening rules."""
 
@@ -376,25 +357,25 @@ class _FieldView:
     def _payload_doc(self, node_id: str) -> dict:
         doc = self._docs.get(node_id)
         if doc is None:
-            node = self.graph.nodes[node_id]
-            raw = {} if node.redacted else node.entry.payload.to_doc()
+            hidden = node_id in self.graph.snapshot.hidden
+            raw = {} if hidden else self.graph.nodes[node_id].payload.to_doc()
             doc = {_normalize_name(k): v for k, v in reversed(list(raw.items()))}
             self._docs[node_id] = doc
         return doc
 
     def value(self, node_id: str, fieldname: str) -> Any:
-        node = self.graph.nodes[node_id]
+        entry = self.graph.nodes[node_id]
         norm = _normalize_name(fieldname)
         norm = _FIELD_ALIASES.get(norm, norm)
         if norm == "id":
             return node_id
         if norm == "type":
-            return node.entry_type.value
+            return entry.entry_type.value
         if norm == "createdat":
-            return node.entry.created_at
+            return entry.created_at
         doc = self._payload_doc(node_id)
         if norm == "timestamp":
-            return doc.get("timestamp", node.entry.created_at)
+            return doc.get("timestamp", entry.created_at)
         return doc.get(norm)
 
 
@@ -473,14 +454,11 @@ def evaluate(ast: QueryAst, graph: LedgerGraph) -> ResultTable:
     for pred in ast.predicates:
         predicates.setdefault(pred.var, []).append(pred)
 
-    by_label: dict[str, set[str]] = {}
-    for node_id, node in graph.nodes.items():
-        by_label.setdefault(node.entry_type.value, set()).add(node_id)
-
     def candidates_of(var: str) -> set[str]:
         """Nodes that carry every label of `var` and satisfy its predicates."""
         wanted = [set(graph.deployment_ids()) if label == "Deployment"
-                  else by_label.get(label, set()) for label in labels[var]]
+                  else {e.id for e in graph.snapshot.by_type[EntryType(label)]
+                        if graph.nodes[e.id] is e} for label in labels[var]]
         found = set.intersection(*wanted) if wanted else set(graph.nodes)
         for pred in predicates.get(var, ()):
             found = {node_id for node_id in found

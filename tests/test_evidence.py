@@ -13,6 +13,7 @@ from conftest import (
     make_run,
     make_test,
     make_tombstone,
+    random_graph_entries,
     stamp,
 )
 
@@ -33,12 +34,14 @@ from pledger.fixtures import (
     CONTRIBUTION_ID,
     VOUCHER_ID,
 )
-from pledger.graph import build_graph
+from pledger import evidence as evidence_mod
+from pledger.graph import Snapshot, build_graph
 from pledger.model import (
     ActorRef,
     CompensationBlock,
     ConsentBlock,
     EntryType,
+    lineage_base,
 )
 
 LIFECYCLE_ROW = {
@@ -445,6 +448,53 @@ def test_export_pulls_lineages_and_tombstones():
     assert {doc["id"] for doc in export["entries"]} == {e.id for e in entries}
 
 
+def _naive_closure(entries, artifact_id: str, version: str) -> list[str]:
+    """The export's entries by plain scans: an undirected walk over every
+    declared link and payload reference between known ids, plus lineages."""
+    snapshot = Snapshot(entries)
+    known = {e.id for e in entries}
+    neighbours: dict[str, set[str]] = {i: set() for i in known}
+    for e in entries:
+        targets = [t for _, t in e.links.iter_links()]
+        for t in targets + evidence_mod._payload_references(e, snapshot):
+            if t in known:
+                neighbours[e.id].add(t)
+                neighbours[t].add(e.id)
+    start = next(e.id for e in entries if e.entry_type is EntryType.ARTIFACT
+                 and (e.payload.artifact_id, e.payload.version) == (artifact_id, version))
+    seen, frontier = set(), [start]
+    while frontier:
+        current = frontier.pop()
+        if current not in seen:
+            seen.add(current)
+            frontier += neighbours[current]
+            frontier += [i for i in known
+                         if lineage_base(i)[0] == lineage_base(current)[0]]
+    return [e.id for e in entries if e.id in seen]
+
+
+def test_export_closure_matches_a_naive_walk_on_random_ledgers():
+    exported = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        entries = random_graph_entries(rng)
+        rng.choice(entries).links.influences.append("pl:contrib:gen:9999")  # dangling
+        if rng.random() < 0.5:
+            entries.append(dataclasses.replace(
+                rng.choice(entries), id=f"{rng.choice(entries).id}:rev1"))
+        if rng.random() < 0.5:
+            entries.append(make_tombstone(rng.choice(entries).id))
+        artifacts = [e for e in entries if e.entry_type is EntryType.ARTIFACT]
+        if not artifacts:
+            continue
+        release = rng.choice(artifacts).payload
+        export = build_export(entries, release.artifact_id, release.version)
+        assert [doc["id"] for doc in export["entries"]] == \
+            _naive_closure(entries, release.artifact_id, release.version), seed
+        exported += len(export["entries"]) > 1
+    assert exported >= 100
+
+
 def test_export_now_and_head_overrides(mid_lifecycle):
     _path, _ids, entries = mid_lifecycle
     export = build_export(entries, ARTIFACT_ID, "v2",
@@ -552,3 +602,33 @@ def test_documentation_use_is_exempt_from_clause_a(mid_lifecycle):
 def test_malformed_exports_are_rejected(export):
     with pytest.raises(MalformedExport):
         check_export_conformance(export)
+
+
+def test_conformance_and_ledger_audit_build_one_index(monkeypatch, mid_lifecycle):
+    _path, _ids, entries = mid_lifecycle
+    export = build_export(entries, ARTIFACT_ID, "v2")
+    added: list[str] = []
+    graphs: list = []
+    add, build = Snapshot.add, evidence_mod.build_graph
+
+    def counting_add(self, entry):
+        added.append(entry.id)
+        add(self, entry)
+
+    def recording_build(source):
+        graphs.append(build(source))
+        return graphs[-1]
+
+    monkeypatch.setattr(Snapshot, "add", counting_add)
+    monkeypatch.setattr(evidence_mod, "build_graph", recording_build)
+
+    check_export_conformance(export)
+    assert added == [doc["id"] for doc in export["entries"]]
+    assert len(graphs) == 1 and len(graphs[0].snapshot.entries) == len(added)
+
+    added.clear()
+    snapshot = Snapshot(entries)
+    assert len(added) == len(entries)
+    audit_corpus(snapshot, mode="ledger")
+    assert len(added) == len(entries)
+    assert graphs[-1].snapshot is snapshot

@@ -24,10 +24,12 @@ from conftest import (
 from pledger import graph as graph_mod
 from pledger.errors import UnknownNode, WrongEntryType
 from pledger.fixtures import ARTIFACT_ID, CONTRIBUTION_ID, DEPLOYMENT_ID, TEST_ID
+from pledger.evidence import check_export_conformance
 from pledger.graph import (
     Snapshot,
     TraceResult,
     build_graph,
+    change_linkage,
     linkage_completeness,
     trace_influence,
 )
@@ -39,6 +41,7 @@ from pledger.model import (
     LinkSet,
     lineage_base,
 )
+from pledger.query import evaluate_field
 from pledger.store import LedgerFile, read_entries
 
 LINK_KINDS = ("influences", "influencedBy", "motivates", "usesTest",
@@ -91,16 +94,25 @@ def test_fixture_edges_match_raw_link_scan(lifecycle):
 
 
 def test_random_edges_match_raw_link_scan():
-    from conftest import random_envelope
-
     for seed in range(20):
         rng = random.Random(seed)
         entries = [random_envelope(rng, i) for i in range(rng.randint(3, 25))]
+        # one id repeated by another random entry: the first occurrence is
+        # the node, and both declare edges
+        first = rng.choice(entries)
+        repeat = random_envelope(rng, len(entries))
+        repeat.id = first.id
+        entries.insert(rng.randrange(entries.index(first) + 1, len(entries) + 1), repeat)
         graph = build_graph(entries)
+        assert graph.nodes[first.id] is first
+        assert graph.node(first.id) is first
+        assert graph.edges == [(t, k, e.id) if k == "motivates" else (e.id, k, t)
+                               for e in entries for k, t in e.links.iter_links()]
         for kind in LINK_KINDS:
             assert graph.edge_pairs(kind) == oracle_edges(entries, kind), (seed, kind)
         for entry in entries:
-            assert graph.is_deployment(entry.id) == oracle_is_deployment(entry)
+            if entry is not repeat:
+                assert graph.is_deployment(entry.id) == oracle_is_deployment(entry)
 
 
 def test_deployment_detection(lifecycle):
@@ -141,8 +153,8 @@ def test_redacted_deployment_still_counts_when_deployed_to():
         links=LinkSet(deployed_as=[deployment.id]),
     )
     graph = build_graph([deployment, source, make_tombstone(deployment.id)])
-    assert graph.node(deployment.id).redacted
-    assert graph.node(deployment.id).payload is None
+    assert deployment.id in graph.snapshot.hidden
+    assert evaluate_field(graph, deployment.id, "boundary") is None
     assert graph.is_deployment(deployment.id)
 
     # Without an incoming deployedAs edge the hidden payload proves nothing.
@@ -155,10 +167,23 @@ def test_influence_views_are_symmetric():
     b = make_contribution(2)
     c = make_contribution(3, links=LinkSet(influenced_by=["pl:contrib:gen:0001"]))
     graph = build_graph([a, b, c])
-    assert graph.influence_targets(a.id) == [b.id, c.id]
-    assert graph.influence_sources(b.id) == [a.id]
-    assert graph.influence_sources(c.id) == [a.id]
-    assert graph.influence_targets(b.id) == []
+    assert graph.neighbours(a.id, "influences") == {b.id, c.id}
+    assert graph.neighbours(b.id, "influencedBy") == {a.id}
+    assert graph.neighbours(c.id, "influencedBy") == {a.id}
+    assert graph.neighbours(b.id, "influences") == set()
+
+
+def test_graph_is_a_view_over_one_snapshot(lifecycle):
+    path, _, entries = lifecycle
+    ledger = LedgerFile(path, writable=False)
+    graph = build_graph(ledger)
+    assert graph.snapshot is ledger.snapshot
+    assert graph.nodes is ledger.snapshot.by_id
+    snapshot = Snapshot(entries)
+    assert build_graph(snapshot).snapshot is snapshot
+    assert build_graph(graph).snapshot is graph.snapshot
+    assert Snapshot.of(graph) is graph.snapshot
+    assert build_graph(entries).edges == graph.edges
 
 
 def test_unknown_node_raises():
@@ -426,53 +451,84 @@ def test_linkage_evidence_links_only_count_when_asked():
         graph, include_evidence=True).changes_with_contribution == 1
 
 
+def _random_linkage_ledger(seed: int, tombstones: bool = False):
+    """Random contributions, tests, changes and runs (some changes and runs
+    tombstoned when asked), with each change's naive (has contribution,
+    has test) recount by plain scans."""
+    rng = random.Random(1000 + seed)
+    contribs = [make_contribution(i) for i in range(1, rng.randint(2, 5))]
+    tests = [make_test(j) for j in range(rng.randint(1, 3))]
+    versions = [f"v{k}" for k in range(1, 6)]
+    changes = []
+    for j in range(rng.randint(1, 6)):
+        influenced = [rng.choice(contribs).id] if rng.random() < 0.6 else []
+        if rng.random() < 0.2:
+            influenced.append("pl:contrib:gen:9999")  # unresolvable
+        used = [rng.choice(tests).id] if rng.random() < 0.4 else []
+        changes.append(make_change(
+            j, influenced_by=influenced, uses_test=used,
+            versions=rng.sample(versions, rng.randint(1, 2))))
+    runs = [
+        make_run(j, test_id=rng.choice(tests).id, version=rng.choice(versions))
+        for j in range(rng.randint(0, 6))]
+    entries = contribs + tests + changes + runs
+    rng.shuffle(entries)
+    hidden = {e.id for e in changes + runs if tombstones and rng.random() < 0.25}
+    entries += [make_tombstone(target) for target in sorted(hidden)]
+
+    contrib_ids = {c.id for c in contribs}
+    test_ids = {t.id for t in tests}
+    runs_by_key: dict[tuple[str, str], list] = {}
+    for r in runs:
+        if r.id not in hidden:
+            runs_by_key.setdefault((r.payload.artifact_id, r.payload.version), []).append(r)
+    expected = {}
+    for change in changes:
+        has_contribution = any(t in contrib_ids for t in change.links.influenced_by)
+        has_test = any(t in test_ids for t in change.links.uses_test)
+        if not has_test:
+            for ca in change.payload.changed_artifacts:
+                for r in runs_by_key.get((ca.artifact_id, ca.version_after), []):
+                    if any(t in test_ids for t in r.links.uses_test):
+                        has_test = True
+        expected[change.id] = (has_contribution, has_test and change.id not in hidden)
+    return entries, expected, hidden
+
+
 def test_linkage_matches_naive_recount_on_random_graphs():
     for seed in range(30):
-        rng = random.Random(1000 + seed)
-        contribs = [make_contribution(i) for i in range(1, rng.randint(2, 5))]
-        tests = [make_test(j) for j in range(rng.randint(1, 3))]
-        versions = [f"v{k}" for k in range(1, 6)]
-        changes = []
-        for j in range(rng.randint(1, 6)):
-            influenced = [rng.choice(contribs).id] if rng.random() < 0.6 else []
-            if rng.random() < 0.2:
-                influenced.append("pl:contrib:gen:9999")  # unresolvable
-            used = [rng.choice(tests).id] if rng.random() < 0.4 else []
-            changes.append(make_change(
-                j, influenced_by=influenced, uses_test=used,
-                versions=rng.sample(versions, rng.randint(1, 2))))
-        runs = [
-            make_run(j, test_id=rng.choice(tests).id, version=rng.choice(versions))
-            for j in range(rng.randint(0, 6))]
-        entries = contribs + tests + changes + runs
-        rng.shuffle(entries)
-
-        contrib_ids = {c.id for c in contribs}
-        test_ids = {t.id for t in tests}
-        runs_by_key: dict[tuple[str, str], list] = {}
-        for r in runs:
-            runs_by_key.setdefault((r.payload.artifact_id, r.payload.version), []).append(r)
-
-        expect_contribution = expect_test = expect_full = 0
-        for change in changes:
-            has_contribution = any(
-                t in contrib_ids for t in change.links.influenced_by)
-            has_test = any(t in test_ids for t in change.links.uses_test)
-            if not has_test:
-                for ca in change.payload.changed_artifacts:
-                    for r in runs_by_key.get((ca.artifact_id, ca.version_after), []):
-                        if any(t in test_ids for t in r.links.uses_test):
-                            has_test = True
-            expect_contribution += has_contribution
-            expect_test += has_test
-            expect_full += has_contribution and has_test
+        entries, expected, _ = _random_linkage_ledger(seed)
+        expect_contribution = sum(c for c, _ in expected.values())
+        expect_test = sum(t for _, t in expected.values())
+        expect_full = sum(c and t for c, t in expected.values())
 
         report = linkage_completeness(build_graph(entries))
-        assert report.total_changes == len(changes)
+        assert report.total_changes == len(expected)
         assert report.changes_with_contribution == expect_contribution
         assert report.changes_with_test == expect_test
         assert report.changes_fully_linked == expect_full
-        assert report.completeness_ratio == Fraction(expect_full, len(changes))
+        assert report.completeness_ratio == Fraction(expect_full, len(expected))
+
+
+def test_conformance_flags_exactly_the_live_changes_linkage_does_not_count():
+    flagged_any = False
+    for seed in range(30):
+        entries, expected, hidden = _random_linkage_ledger(seed, tombstones=True)
+        graph = build_graph(entries)
+        assert {change.id: (c, t) for change, c, t in change_linkage(graph)} == expected
+        report = linkage_completeness(graph)
+        assert report.changes_fully_linked == sum(c and t for c, t in expected.values())
+
+        export = {"release": {"artifactId": "pl:artifact:gen:sys", "version": "v1"},
+                  "entries": [e.to_doc() for e in entries], "activeVouchers": []}
+        clause = check_export_conformance(export).clause_results["b-traceabilityLinks"]
+        flagged = {detail.split(": ")[0] for detail in clause.details}
+        unlinked = {cid for cid, (c, t) in expected.items()
+                    if cid not in hidden and not (c and t)}
+        assert flagged == unlinked, seed
+        assert clause.passed == (not unlinked)
+        flagged_any |= bool(flagged)
+    assert flagged_any
 
 
 def test_edge_list_export(tmp_path):

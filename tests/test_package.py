@@ -13,6 +13,7 @@ import pytest
 
 import pledger
 from pledger.cli import main
+from pledger.fixtures import STEWARD_ORG, WINDOW
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 UNUSED_BY_VERIFY = ("pledger.query", "pledger.harness", "pledger.governance",
@@ -45,6 +46,23 @@ def test_process_entry_matches_in_process_and_loads_only_what_verify_uses(
     modules = imported_modules(proc.stderr)
     assert {"pledger.cli", "pledger.store", "pledger.integrity"} <= modules
     assert not modules & set(UNUSED_BY_VERIFY)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_credit_report_does_not_load_the_query_module(lifecycle, capsys, fmt):
+    argv = ["credit", "report", "--ledger", str(lifecycle[0]), "--format", fmt,
+            "--beneficiary", STEWARD_ORG,
+            "--window-start", WINDOW[0], "--window-end", WINDOW[1]]
+    assert main(argv) == 0
+    in_process = capsys.readouterr().out
+    assert "10" in in_process
+
+    proc = run_python("-X", "importtime", "-m", "pledger", *argv)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == in_process.replace("\r\n", "\n")  # text mode reads csv's \r\n as \n
+    modules = imported_modules(proc.stderr)
+    assert "pledger.governance" in modules
+    assert "pledger.query" not in modules
 
 
 def test_import_pledger_loads_no_submodule():

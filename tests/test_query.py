@@ -196,7 +196,7 @@ def test_field_alias_and_timestamp_fallback(lifecycle):
     assert evaluate_field(graph, ids["run_v2"], "timestamp") == "2025-06-20T10:00:00Z"
     # No payload timestamp: falls back to the entry envelope.
     assert evaluate_field(graph, TEST_ID, "timestamp") == \
-        graph.node(TEST_ID).entry.created_at
+        graph.node(TEST_ID).created_at
     assert evaluate_field(graph, TEST_ID, "createdAt") == "2025-05-12T10:00:00Z"
     assert evaluate_field(graph, TEST_ID, "type") == "Test"
     assert evaluate_field(graph, TEST_ID, "boundary") is None
@@ -352,12 +352,12 @@ def _wide_query(rng: random.Random, entries: list) -> str:
         var = variable(rng.choice(nodes))
         parts = [node(var)]
         for _ in range(steps):
-            touching = [e for e in graph.edges if witness[var] in (e.source, e.target)
-                        and {e.source, e.target} <= graph.nodes.keys()]
+            touching = [(s, k, t) for s, k, t in graph.edges if witness[var] in (s, t)
+                        and {s, t} <= graph.nodes.keys()]
             if touching and rng.random() < 0.8:
-                edge = rng.choice(touching)
-                outgoing = edge.source == witness[var]
-                relation, other = edge.kind, edge.target if outgoing else edge.source
+                source, relation, target = rng.choice(touching)
+                outgoing = source == witness[var]
+                other = target if outgoing else source
             else:
                 outgoing, relation = rng.random() < 0.5, rng.choice(tuple(_LINK_ATTRS))
                 other = rng.choice(nodes)
@@ -415,7 +415,8 @@ def _shapes(ast, entries) -> set[str]:
         found.add("contradictory labels")
     if len({root(var) for var in labels}) > 1:
         found.add("cross product")
-    if any(n.redacted and graph.is_deployment(n.id) for n in graph.nodes.values()):
+    if any(node_id in graph.snapshot.hidden and graph.is_deployment(node_id)
+           for node_id in graph.nodes):
         found.add("tombstoned deployment")
     return found
 
