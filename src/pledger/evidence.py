@@ -353,15 +353,14 @@ def build_export(source: Any, artifact_id: str, version: str, *,
     outcome against this release evaluated at `now` (default: the last
     included entry's createdAt). Targets that name no entry join nothing.
     """
-    graph = build_graph(source)
-    snapshot = graph.snapshot
+    snapshot = Snapshot.of(source)
     seed = _declared(snapshot, artifact_id, version)
     if seed is None:
         raise MalformedExport(f"no declared version {version!r} of {artifact_id!r}")
 
     # The export is the release's connected component: entries joined by a
-    # graph edge (either direction), a payload reference, or a shared lineage.
-    root = {entry_id: entry_id for entry_id in graph.nodes}
+    # link (either direction), a payload reference, or a shared lineage.
+    root = {entry_id: entry_id for entry_id in snapshot.by_id}
 
     def find(node_id: str) -> str:
         while root[node_id] != node_id:
@@ -373,9 +372,9 @@ def build_export(source: Any, artifact_id: str, version: str, *,
         if a in root and b in root:
             root[find(a)] = find(b)
 
-    for start, _, end in graph.edges:
-        join(start, end)
     for entry in snapshot.entries:
+        for _, target in entry.links.iter_links():
+            join(entry.id, target)
         for target in _payload_references(entry, snapshot):
             join(entry.id, target)
     for lineage in snapshot.lineages.values():

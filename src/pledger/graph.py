@@ -148,19 +148,27 @@ class LedgerGraph:
     wins) and redaction is its `hidden`; each declared link is one
     `(source, kind, target)` edge in `edges`, in declaration order. Adjacency
     is built here, not in `Snapshot.add`, so the commands that never read
-    edges never pay for it; entries added to a live snapshot afterwards are
-    nodes but bring no edges.
+    edges never pay for it. Entries added to the snapshot after the graph is
+    built (a `LedgerFile` append) get their edges on the next read of
+    `edges`, `dangling` or the adjacency, so nodes and edges always agree.
     """
 
     def __init__(self, source: Any):
-        self.snapshot = snapshot = Snapshot.of(source)
-        self.nodes = nodes = snapshot.by_id
-        self.edges: list[tuple[str, str, str]] = []
-        self.dangling: list[tuple[str, str]] = []
+        self.snapshot = Snapshot.of(source)
+        self.nodes = self.snapshot.by_id
+        self._edges: list[tuple[str, str, str]] = []
         self._out: dict[tuple[str, str], list[str]] = {}
         self._in: dict[tuple[str, str], list[str]] = {}
-        edges, dangling, out, into = self.edges, self.dangling, self._out, self._in
-        for entry in snapshot.entries:
+        self._linked = 0  # how many snapshot entries the adjacency covers
+        self._sync()
+
+    def _sync(self) -> None:
+        """Add the edges of snapshot entries not yet read."""
+        entries = self.snapshot.entries
+        if self._linked == len(entries):
+            return
+        edges, out, into = self._edges, self._out, self._in
+        for entry in entries[self._linked:]:
             declarer, links = entry.id, entry.links
             for kind, attr, reverse in _LINK_ATTRS:
                 for target in getattr(links, attr):
@@ -168,8 +176,20 @@ class LedgerGraph:
                     edges.append((source, kind, sink))
                     out.setdefault((source, kind), []).append(sink)
                     into.setdefault((sink, kind), []).append(source)
-                    if target not in nodes and is_reference_id(target):
-                        dangling.append((declarer, target))
+        self._linked = len(entries)
+
+    @property
+    def edges(self) -> list[tuple[str, str, str]]:
+        self._sync()
+        return self._edges
+
+    @property
+    def dangling(self) -> list[tuple[str, str]]:
+        """(declarer, target) for each link whose reference-shaped target
+        names no entry, in declaration order."""
+        links = ((t, s) if k in _REVERSED_DECLARATION_KINDS else (s, t)
+                 for s, k, t in self.edges)
+        return [(d, t) for d, t in links if t not in self.nodes and is_reference_id(t)]
 
     # -- basic access ---------------------------------------------------------
 
@@ -180,9 +200,11 @@ class LedgerGraph:
             raise UnknownNode(f"no node {node_id!r} in graph") from None
 
     def out(self, node_id: str, kind: str) -> list[str]:
+        self._sync()
         return self._out.get((node_id, kind), [])
 
     def into(self, node_id: str, kind: str) -> list[str]:
+        self._sync()
         return self._in.get((node_id, kind), [])
 
     def is_deployment(self, node_id: str) -> bool:
@@ -201,16 +223,22 @@ class LedgerGraph:
     def edge_pairs(self, kind: str) -> set[tuple[str, str]]:
         """Directed (source, target) pairs of `kind`, dangling ends included;
         the influencedBy/influences pair each include the other's reverse."""
+        pairs = {(s, t) for s, k, t in self.edges if k == kind}
         inverse = _INVERSE_KINDS.get(kind)
-        return ({(s, t) for s, k, t in self.edges if k == kind}
-                | {(t, s) for s, k, t in self.edges if k == inverse})
+        if inverse is not None:
+            pairs |= {(t, s) for s, k, t in self.edges if k == inverse}
+        return pairs
 
     def neighbours(self, node_id: str, kind: str, outgoing: bool = True) -> set[str]:
         """Successors (or, with outgoing=False, predecessors) of a node among
         `edge_pairs(kind)`, deduplicated, read from the adjacency index."""
+        self._sync()
         ahead, behind = (self._out, self._in) if outgoing else (self._in, self._out)
-        return {*ahead.get((node_id, kind), ()),
-                *behind.get((node_id, _INVERSE_KINDS.get(kind)), ())}
+        found = set(ahead.get((node_id, kind), ()))
+        inverse = _INVERSE_KINDS.get(kind)
+        if inverse is not None:
+            found.update(behind.get((node_id, inverse), ()))
+        return found
 
     # -- exports ----------------------------------------------------------------
 
@@ -346,16 +374,15 @@ def _resolves_to(nodes: dict[str, EntryEnvelope], targets: Iterable[str],
                for t in targets)
 
 
-def change_linkage(graph: LedgerGraph,
-                   include_evidence: bool = False) -> list[tuple[EntryEnvelope, bool, bool]]:
+def change_linkage(graph: LedgerGraph) -> list[tuple[EntryEnvelope, bool, bool]]:
     """Each Change node with whether it is linked to a Contribution and to a
     Test.
 
-    Linked to a Contribution: some influencedBy target (and evidence target,
-    with `include_evidence`) resolves to one, tombstoned or not. Linked to a
-    Test: the Change is not tombstoned and either a usesTest target resolves
-    to a Test, or some live evaluation run on one of its changed
-    (artifactId, versionAfter) pairs has a usesTest target that does.
+    Linked to a Contribution: some influencedBy target resolves to one,
+    tombstoned or not. Linked to a Test: the Change is not tombstoned and
+    either a usesTest target resolves to a Test, or some live evaluation run
+    on one of its changed (artifactId, versionAfter) pairs has a usesTest
+    target that does.
     """
     nodes, hidden, by_type = graph.nodes, graph.snapshot.hidden, graph.snapshot.by_type
     covered: set[tuple[str, str]] | None = None
@@ -374,10 +401,8 @@ def change_linkage(graph: LedgerGraph,
     for change in by_type[_CHANGE]:
         if nodes[change.id] is not change:
             continue
-        sources = change.links.influenced_by
-        if include_evidence:
-            sources = sources + change.links.evidence
-        has_contribution = _resolves_to(nodes, sources, EntryType.CONTRIBUTION)
+        has_contribution = _resolves_to(nodes, change.links.influenced_by,
+                                        EntryType.CONTRIBUTION)
         has_test = change.id not in hidden and (
             _resolves_to(nodes, change.links.uses_test, _TEST) or run_tested(change))
         linkage.append((change, has_contribution, has_test))
@@ -393,10 +418,12 @@ def linkage_completeness(graph: LedgerGraph,
     changes, exactly 1 when there are no changes. Evidence links do not count
     toward the ratio unless `include_evidence` is set.
     """
-    linkage = change_linkage(graph, include_evidence)
-    with_contribution = sum(c for _, c, _ in linkage)
-    with_test = sum(t for _, _, t in linkage)
-    fully = sum(c and t for _, c, t in linkage)
+    linkage = [(c or (include_evidence and _resolves_to(
+                    graph.nodes, change.links.evidence, EntryType.CONTRIBUTION)), t)
+               for change, c, t in change_linkage(graph)]
+    with_contribution = sum(c for c, _ in linkage)
+    with_test = sum(t for _, t in linkage)
+    fully = sum(c and t for c, t in linkage)
     tests_with_run = sum(1 for t in graph.snapshot.by_type[_TEST]
                          if graph.nodes[t.id] is t and graph.into(t.id, "usesTest"))
     total = len(linkage)

@@ -186,6 +186,27 @@ def test_graph_is_a_view_over_one_snapshot(lifecycle):
     assert build_graph(entries).edges == graph.edges
 
 
+def test_graph_over_a_ledger_file_reads_later_appends(tmp_path):
+    contrib = make_contribution(1, links=LinkSet(influences=["pl:test:gen:001"]))
+    test = make_test(1)
+    change = make_change(1, influenced_by=[contrib.id], uses_test=[test.id])
+    with LedgerFile(tmp_path / "gen.pledger") as ledger:
+        ledger.append(contrib)
+        graph = build_graph(ledger)
+        assert graph.dangling == [(contrib.id, test.id)]
+        assert linkage_completeness(graph).total_changes == 0
+        ledger.append(test)
+        ledger.append(change)
+        fresh = build_graph(list(ledger))
+        assert set(graph.nodes) == set(fresh.nodes) == {contrib.id, test.id, change.id}
+        assert graph.edges == fresh.edges
+        assert graph.dangling == fresh.dangling == []
+        assert graph.neighbours(contrib.id, "influences") == {test.id, change.id}
+        assert graph.into(test.id, "usesTest") == [change.id]
+        assert linkage_completeness(graph) == linkage_completeness(fresh)
+        assert linkage_completeness(graph).changes_fully_linked == 1
+
+
 def test_unknown_node_raises():
     graph = build_graph([make_contribution(1)])
     with pytest.raises(UnknownNode):
