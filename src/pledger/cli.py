@@ -100,10 +100,11 @@ def _flat(doc: Any, prefix: str = "") -> list[tuple[str, str]]:
 
 
 def _write_doc(fh, doc: Any) -> None:
-    # json.dumps with indent joins every chunk in memory before returning;
-    # json.dump writes them as they come, with the same bytes.
-    json.dump(doc, fh, indent=2, sort_keys=True)
-    fh.write("\n")
+    # The bytes of json.dump(doc, fh, indent=2, sort_keys=True) plus a
+    # newline, rendered in batches rather than one small write per token.
+    from .indented import write_indented
+
+    write_indented(fh, doc)
 
 
 def _emit(args: argparse.Namespace, text: str, doc: Any, table: Any = None) -> None:

@@ -28,14 +28,14 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from .errors import UnknownNode, WrongEntryType
-from .model import DEPLOYMENT_KIND, EntryEnvelope, EntryType, LinkSet, is_reference_id, lineage_base
+from .model import DEPLOYMENT_KIND, LINK_ATTRS, EntryEnvelope, EntryType, is_reference_id, lineage_base
 
 # Edge kinds whose stored direction is target -> declarer.
 _REVERSED_DECLARATION_KINDS = frozenset({"motivates"})
 
 # (kind, LinkSet attribute, whether the edge runs target -> declarer)
 _LINK_ATTRS = tuple((kind, attr, kind in _REVERSED_DECLARATION_KINDS)
-                    for kind, attr in LinkSet._ATTR_FOR_KIND.items())
+                    for kind, attr in LINK_ATTRS)
 
 # The derived view: each of these kinds also reads the other's edges reversed.
 _INVERSE_KINDS = {"influences": "influencedBy", "influencedBy": "influences"}

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, Field, dataclass, field, fields
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Any
+from operator import attrgetter
+from typing import Any, NoReturn
 
 from .canonical import canonical_json
 from .errors import (
@@ -181,9 +182,10 @@ def parse_timestamp(value: Any) -> datetime:
     if not isinstance(value, str) or not _TIMESTAMP_RE.fullmatch(value):
         raise InvalidTimestamp(f"not an ISO-8601 UTC second timestamp: {value!r}")
     try:
-        return datetime(int(value[0:4]), int(value[5:7]), int(value[8:10]),
-                        int(value[11:13]), int(value[14:16]), int(value[17:19]),
-                        tzinfo=timezone.utc)
+        # The pattern admits only this one shape; fromisoformat rejects
+        # Feb 30, hour 24, minute or second 60 and year 0 as out of range,
+        # and returns the timezone.utc singleton for a zero offset.
+        return datetime.fromisoformat(value[:-1] + "+00:00")
     except ValueError as exc:
         raise InvalidTimestamp(f"not a real instant: {value!r}") from exc
 
@@ -227,85 +229,239 @@ def _is_str_list(value: Any) -> bool:
     return True
 
 
-def _require_doc(value: Any, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise MalformedDocument(f"{where} must be a JSON object, got {type(value).__name__}")
-    return value
-
-
 def _rest(doc: dict, known: frozenset[str]) -> dict:
-    if known.issuperset(doc):
-        return {}
+    """The keys of `doc` that a table does not name: a block's extensions."""
     return {k: v for k, v in doc.items() if k not in known}
 
 
-def _put(doc: dict, key: str, value: Any) -> None:
-    if value is not None:
-        doc[key] = value
+def _not_object(value: Any, where: str) -> NoReturn:
+    raise MalformedDocument(f"{where} must be a JSON object, got {type(value).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# field tables
+#
+# Each block of an entry is a dataclass whose wire fields are declared with
+# `wire()`, so the class body is its one field table: every row names the
+# wire key, the attribute, the nested codec and (through the default) the
+# omit rule. `@codec(where)` compiles the table into one straight-line
+# `from_doc` and one `to_doc`, the way `dataclasses` builds `__init__`. Keys a
+# table does not name are kept in the block's `extensions` map, so they
+# survive a round trip and stay inside the hashed content.
+
+# Omit rules: `to_doc` writes a field always, only when it is not None, or
+# only when it is not empty.
+ALWAYS, OMIT_NONE, OMIT_EMPTY = "always", "omit-none", "omit-empty"
+
+# What `Wire.encode` returns for a field that `to_doc` leaves out.
+OMITTED = object()
+
+# An absent required block decodes as if it were this empty object.
+_NO_BLOCK: dict = {}
+
+
+def wire(name: str, default: Any = MISSING, *, codec: Any = None, omit: str | None = None):
+    """Declare a dataclass field together with its row in the field table.
+
+    `default` is what an absent key decodes to: None, False, or `list`/`dict`
+    for a fresh empty one. A field without a default is required: an absent
+    key decodes to None, or to an empty block for a block codec. Unless given,
+    the omit rule follows the default: a field that defaults to None is
+    omitted when None, one that defaults to an empty list or dict is omitted
+    when empty, and any other field is always written.
+
+    Codecs: None keeps the JSON value as it is; `dict` requires an object;
+    `list[str]` requires a list of strings and copies it both ways; `list`
+    keeps the value on decode and copies it on encode; a block class decodes
+    a nested object; `list[Block]` decodes a list of them.
+    """
+    factory = default is list or default is dict
+    if omit is None:
+        omit = OMIT_NONE if default is None else OMIT_EMPTY if factory else ALWAYS
+    metadata = {"wire": name, "codec": codec, "omit": omit}
+    if factory:
+        return field(default_factory=default, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+class Wire:
+    """One row of a field table: wire key, attribute, codec and omit rule.
+
+    `kind` sorts the codec into raw, object, copy, strings, block or blocks;
+    `absent` is the source text of what an absent key decodes to.
+    """
+
+    __slots__ = ("name", "attr", "omit", "kind", "block", "absent")
+
+    def __init__(self, f: Field):
+        codec = f.metadata["codec"]
+        self.name, self.attr, self.omit = f.metadata["wire"], f.name, f.metadata["omit"]
+        items = getattr(codec, "__args__", None)  # list[str] or list[Block]
+        self.block = items[0] if items else codec
+        self.kind = ("raw" if codec is None else "object" if codec is dict
+                     else "copy" if codec is list else "strings" if self.block is str
+                     else "blocks" if items else "block")
+        if f.default_factory is not MISSING:
+            self.absent = "[]" if f.default_factory is list else "{}"
+        elif f.default is MISSING:
+            self.absent = "_NO_BLOCK" if self.kind == "block" else "None"
+        else:
+            self.absent = repr(f.default)
+
+    def encode(self, block: Any) -> Any:
+        """The value `to_doc` writes for this field of `block`, or OMITTED."""
+        value = getattr(block, self.attr)
+        if value is None and self.omit == OMIT_NONE or not value and self.omit == OMIT_EMPTY:
+            return OMITTED
+        if self.kind in ("copy", "strings"):
+            return list(value)
+        if self.kind == "blocks":
+            return [item.to_doc() for item in value]
+        return value.to_doc() if self.kind == "block" else value
+
+
+def _strings(value: Any, where: str) -> list:
+    """A copy of `value` if it is a list of strings, else MalformedDocument."""
+    if isinstance(value, list):
+        try:
+            "".join(value)  # the cheapest check that every item is a str
+        except TypeError:
+            pass
+        else:
+            return list(value)
+    raise MalformedDocument(f"{where} must be a list of strings")
+
+
+# What `to_doc` writes for each kind of codec, given the field's value.
+_ENCODE = {"raw": "{}", "object": "{}", "copy": "list({})", "strings": "list({})",
+           "block": "{}.to_doc()", "blocks": "[x.to_doc() for x in {}]"}
+
+
+def _compile(cls: type, where: str) -> dict:
+    """Compile one field table into `from_doc` and `to_doc` functions.
+
+    `from_doc` fills the slots of a bare instance directly: these blocks have
+    no `__post_init__`, and skipping `__init__` saves a third of their cost.
+    """
+    names = {"new": object.__new__, "cls": cls, "MISSING": MISSING, "_NO_BLOCK": _NO_BLOCK,
+             "_strings": _strings, "_not_object": _not_object, "_rest": _rest,
+             "MalformedDocument": MalformedDocument,
+             "KNOWN": frozenset(row.name for row in cls.FIELDS)}
+    dec = [f"def from_doc(doc, where={where!r}):",
+           "    if not isinstance(doc, dict):",
+           "        _not_object(doc, where)",
+           "    get = doc.get",
+           "    o = new(cls)"]
+    enc = ["def to_doc(self):", "    d = {"]
+    literal = True
+    for i, row in enumerate(cls.FIELDS):
+        key, here, slot, kind = repr(row.name), f"{where}.{row.name}", f"o.{row.attr}", row.kind
+        if kind in ("block", "blocks"):
+            names[f"dec{i}"] = row.block.from_doc
+        if kind in ("raw", "copy"):
+            default = "" if row.absent == "None" else ", " + row.absent
+            dec.append(f"    {slot} = get({key}{default})")
+        elif row.absent == "_NO_BLOCK":
+            dec.append(f"    {slot} = dec{i}(get({key}, _NO_BLOCK), {here!r})")
+        else:
+            if row.absent == "None":
+                dec += [f"    v = get({key})", "    if v is None:"]
+            else:
+                dec += [f"    v = get({key}, MISSING)", "    if v is MISSING:"]
+            dec += [f"        {slot} = {row.absent}", "    else:"]
+            if kind == "object":
+                dec += ["        if not isinstance(v, dict):",
+                        f"            _not_object(v, {here!r})", f"        {slot} = v"]
+            elif kind == "strings":
+                dec.append(f"        {slot} = _strings(v, {here!r})")
+            elif kind == "blocks":
+                dec += ["        if not isinstance(v, list):",
+                        f"            raise MalformedDocument({here + ' must be a list'!r})",
+                        f"        {slot} = [dec{i}(x, {here + '[]'!r}) for x in v]"]
+            else:
+                dec.append(f"        {slot} = dec{i}(v, {here!r})")
+
+        value = _ENCODE[kind]
+        if row.omit == ALWAYS and literal:  # leading always-written keys
+            enc.append(f"        {key}: {value.format('self.' + row.attr)},")
+            continue
+        if literal:
+            enc.append("    }")
+            literal = False
+        if row.omit == ALWAYS:
+            enc.append(f"    d[{key}] = {value.format('self.' + row.attr)}")
+        else:
+            enc += [f"    v = self.{row.attr}",
+                    f"    if v{' is not None' if row.omit == OMIT_NONE else ''}:",
+                    f"        d[{key}] = {value.format('v')}"]
+    if literal:
+        enc.append("    }")
+    if "extensions" in cls.__dataclass_fields__:
+        dec.append("    o.extensions = {} if KNOWN.issuperset(doc) else _rest(doc, KNOWN)")
+        enc += ["    if self.extensions:", "        d.update(self.extensions)"]
+    dec.append("    return o")
+    enc.append("    return d")
+    exec(compile("\n".join(dec + enc) + "\n", f"<codec {cls.__name__}>", "exec"), names)
+    return names
+
+
+def codec(where: str):
+    """Class decorator: make a slotted dataclass and compile its field table.
+
+    `where` names the block in error messages, e.g. "run" or "test.measurement".
+    Equality and repr behave as the dataclass ones but read the fields through
+    one attribute getter instead of being compiled per class: that saves as
+    much import time as compiling the codecs costs.
+    """
+    def build(cls: type) -> type:
+        cls = dataclass(slots=True, eq=False, repr=False)(cls)
+        names = tuple(f.name for f in fields(cls))
+        values = attrgetter(*names)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return values(self) == values(other)
+            return NotImplemented
+
+        def __repr__(self):
+            pairs = ", ".join(f"{name}={value!r}" for name, value in zip(names, values(self)))
+            return f"{self.__class__.__qualname__}({pairs})"
+
+        cls.__eq__, cls.__repr__, cls.__hash__ = __eq__, __repr__, None
+        cls.FIELDS = tuple(Wire(f) for f in fields(cls) if "wire" in f.metadata)
+        namespace = _compile(cls, where)
+        cls.from_doc = staticmethod(namespace["from_doc"])
+        cls.to_doc = namespace["to_doc"]
+        return cls
+    return build
 
 
 # ---------------------------------------------------------------------------
 # shared blocks
 
-@dataclass(slots=True)
+@codec("actor")
 class ActorRef:
-    role: str
-    pseudonym: str | None = None
-    steward_org: str | None = None
+    """Who acts: a role plus a pseudonym or a steward organisation."""
+
+    role: str = wire("role")
+    pseudonym: str | None = wire("pseudonym", None)
+    steward_org: str | None = wire("stewardOrg", None)
     extensions: dict = field(default_factory=dict)
-
-    _KEYS = frozenset({"role", "pseudonym", "stewardOrg"})
-
-    @classmethod
-    def from_doc(cls, doc: Any, where: str = "actor") -> "ActorRef":
-        doc = _require_doc(doc, where)
-        return cls(
-            role=doc.get("role"),
-            pseudonym=doc.get("pseudonym"),
-            steward_org=doc.get("stewardOrg"),
-            extensions=_rest(doc, cls._KEYS),
-        )
-
-    def to_doc(self) -> dict:
-        doc: dict = {"role": self.role}
-        _put(doc, "pseudonym", self.pseudonym)
-        _put(doc, "stewardOrg", self.steward_org)
-        doc.update(self.extensions)
-        return doc
 
     def display_name(self) -> str:
         """Pseudonymous beneficiary handle: steward org wins over pseudonym."""
         return self.steward_org or self.pseudonym or ""
 
 
-@dataclass(slots=True)
+@codec("consent")
 class ConsentBlock:
-    status: str
-    scope: str | None = None
-    retention: str | None = None
-    reuse_constraints: list[str] | None = None
+    """The contributor's consent: status, scope, retention, reuse limits."""
+
+    status: str = wire("status")
+    scope: str | None = wire("scope", None)
+    retention: str | None = wire("retention", None)
+    reuse_constraints: list[str] | None = wire("reuseConstraints", None)
     extensions: dict = field(default_factory=dict)
-
-    _KEYS = frozenset({"status", "scope", "retention", "reuseConstraints"})
-
-    @classmethod
-    def from_doc(cls, doc: Any) -> "ConsentBlock":
-        doc = _require_doc(doc, "consent")
-        return cls(
-            status=doc.get("status"),
-            scope=doc.get("scope"),
-            retention=doc.get("retention"),
-            reuse_constraints=doc.get("reuseConstraints"),
-            extensions=_rest(doc, cls._KEYS),
-        )
-
-    def to_doc(self) -> dict:
-        doc: dict = {"status": self.status}
-        _put(doc, "scope", self.scope)
-        _put(doc, "retention", self.retention)
-        _put(doc, "reuseConstraints", self.reuse_constraints)
-        doc.update(self.extensions)
-        return doc
 
     def scope_tags(self) -> list[str]:
         """Scope is a plus-separated tag list, e.g. "research+design"."""
@@ -314,606 +470,222 @@ class ConsentBlock:
         return self.scope.split("+")
 
 
-@dataclass(slots=True)
+@codec("compensation")
 class CompensationBlock:
-    model: str
-    amount: int | float | None = None
-    currency: str | None = None
+    """How a contribution is compensated."""
+
+    model: str = wire("model")
+    amount: int | float | None = wire("amount", None)
+    currency: str | None = wire("currency", None)
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = frozenset({"model", "amount", "currency"})
 
-    @classmethod
-    def from_doc(cls, doc: Any) -> "CompensationBlock":
-        doc = _require_doc(doc, "compensation")
-        return cls(
-            model=doc.get("model"),
-            amount=doc.get("amount"),
-            currency=doc.get("currency"),
-            extensions=_rest(doc, cls._KEYS),
-        )
-
-    def to_doc(self) -> dict:
-        doc: dict = {"model": self.model}
-        _put(doc, "amount", self.amount)
-        _put(doc, "currency", self.currency)
-        doc.update(self.extensions)
-        return doc
-
-
-@dataclass(slots=True)
+@codec("links")
 class LinkSet:
-    influenced_by: list[str] = field(default_factory=list)
-    influences: list[str] = field(default_factory=list)
-    motivates: list[str] = field(default_factory=list)
-    uses_test: list[str] = field(default_factory=list)
-    evaluates: list[str] = field(default_factory=list)
-    deployed_as: list[str] = field(default_factory=list)
-    remediates: list[str] = field(default_factory=list)
-    evidence: list[str] = field(default_factory=list)
-    authorizes: list[str] = field(default_factory=list)
-    credits_for: list[str] = field(default_factory=list)
+    """Outgoing links by kind; unknown kinds are kept in `extensions`."""
+
+    influenced_by: list[str] = wire("influencedBy", list, codec=list[str])
+    influences: list[str] = wire("influences", list, codec=list[str])
+    motivates: list[str] = wire("motivates", list, codec=list[str])
+    uses_test: list[str] = wire("usesTest", list, codec=list[str])
+    evaluates: list[str] = wire("evaluates", list, codec=list[str])
+    deployed_as: list[str] = wire("deployedAs", list, codec=list[str])
+    remediates: list[str] = wire("remediates", list, codec=list[str])
+    evidence: list[str] = wire("evidence", list, codec=list[str])
+    authorizes: list[str] = wire("authorizes", list, codec=list[str])
+    credits_for: list[str] = wire("creditsFor", list, codec=list[str])
     extensions: dict = field(default_factory=dict)
-
-    _ATTR_FOR_KIND = {
-        "influencedBy": "influenced_by",
-        "influences": "influences",
-        "motivates": "motivates",
-        "usesTest": "uses_test",
-        "evaluates": "evaluates",
-        "deployedAs": "deployed_as",
-        "remediates": "remediates",
-        "evidence": "evidence",
-        "authorizes": "authorizes",
-        "creditsFor": "credits_for",
-    }
-
-    @classmethod
-    def from_doc(cls, doc: Any) -> "LinkSet":
-        doc = _require_doc(doc, "links")
-        links = cls()
-        for kind, value in doc.items():
-            attr = cls._ATTR_FOR_KIND.get(kind)
-            if attr is None:
-                links.extensions[kind] = value
-                continue
-            if not _is_str_list(value):
-                raise MalformedDocument(f"links.{kind} must be a list of strings")
-            setattr(links, attr, list(value))
-        return links
-
-    def to_doc(self) -> dict:
-        doc: dict = {}
-        for kind, attr in self._ATTR_FOR_KIND.items():
-            targets = getattr(self, attr)
-            if targets:
-                doc[kind] = list(targets)
-        doc.update(self.extensions)
-        return doc
 
     def iter_links(self):
         """Yield (kind, target) for every declared link, in declaration order."""
-        for kind, attr in self._ATTR_FOR_KIND.items():
+        for kind, attr in LINK_ATTRS:
             for target in getattr(self, attr):
                 yield kind, target
 
 
-LINK_KINDS: tuple[str, ...] = tuple(LinkSet._ATTR_FOR_KIND)
+# (link kind, LinkSet attribute), in declaration order.
+LINK_ATTRS: tuple[tuple[str, str], ...] = tuple((row.name, row.attr) for row in LinkSet.FIELDS)
+LINK_KINDS: tuple[str, ...] = tuple(kind for kind, _ in LINK_ATTRS)
 
 
-@dataclass(slots=True)
+@codec("integrity.signature")
 class SignatureRecord:
-    scheme: str
-    signer_role: ActorRef
-    key_ref: str
-    signature_bytes: str
+    """A signature over an entry's hash, and who made it."""
+
+    scheme: str = wire("scheme")
+    signer_role: ActorRef = wire("signerRole", codec=ActorRef)
+    key_ref: str = wire("keyRef")
+    signature_bytes: str = wire("signatureBytes")
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = frozenset({"scheme", "signerRole", "keyRef", "signatureBytes"})
 
-    @classmethod
-    def from_doc(cls, doc: Any) -> "SignatureRecord":
-        doc = _require_doc(doc, "integrity.signature")
-        return cls(
-            scheme=doc.get("scheme"),
-            signer_role=ActorRef.from_doc(doc.get("signerRole", {}), "integrity.signature.signerRole"),
-            key_ref=doc.get("keyRef"),
-            signature_bytes=doc.get("signatureBytes"),
-            extensions=_rest(doc, cls._KEYS),
-        )
-
-    def to_doc(self) -> dict:
-        doc = {
-            "scheme": self.scheme,
-            "signerRole": self.signer_role.to_doc(),
-            "keyRef": self.key_ref,
-            "signatureBytes": self.signature_bytes,
-        }
-        doc.update(self.extensions)
-        return doc
-
-
-@dataclass(slots=True)
+@codec("integrity")
 class IntegrityBlock:
-    hash: str
-    prev_hash: str | None = None
-    signature: SignatureRecord | None = None
+    """An entry's hash, the previous entry's hash, and an optional signature."""
 
-    @classmethod
-    def from_doc(cls, doc: Any) -> "IntegrityBlock":
-        doc = _require_doc(doc, "integrity")
-        sig = doc.get("signature")
-        return cls(
-            hash=doc.get("hash"),
-            prev_hash=doc.get("prevHash"),
-            signature=SignatureRecord.from_doc(sig) if sig is not None else None,
-        )
-
-    def to_doc(self) -> dict:
-        doc: dict = {"hash": self.hash}
-        _put(doc, "prevHash", self.prev_hash)
-        if self.signature is not None:
-            doc["signature"] = self.signature.to_doc()
-        return doc
+    hash: str = wire("hash")
+    prev_hash: str | None = wire("prevHash", None)
+    signature: SignatureRecord | None = wire("signature", None, codec=SignatureRecord)
 
 
 # ---------------------------------------------------------------------------
 # payloads
 
-@dataclass(slots=True)
+@codec("contribution")
 class ContributionPayload:
-    kind: str
-    summary: str
-    artifact_ref: str
-    intended_use: str | None = None
-    representational_metadata: dict | None = None
-    recruitment_pathway: str | None = None
+    """A participant's contribution and where its content lives."""
+
+    kind: str = wire("kind")
+    summary: str = wire("summary")
+    artifact_ref: str = wire("artifactRef")
+    intended_use: str | None = wire("intendedUse", None)
+    representational_metadata: dict | None = wire("representationalMetadata", None, codec=dict)
+    recruitment_pathway: str | None = wire("recruitmentPathway", None)
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = frozenset({"kind", "summary", "artifactRef", "intendedUse",
-                       "representationalMetadata", "recruitmentPathway"})
 
-    @classmethod
-    def from_doc(cls, doc: Any) -> "ContributionPayload":
-        doc = _require_doc(doc, "contribution")
-        meta = doc.get("representationalMetadata")
-        if meta is not None:
-            meta = _require_doc(meta, "contribution.representationalMetadata")
-        return cls(
-            kind=doc.get("kind"),
-            summary=doc.get("summary"),
-            artifact_ref=doc.get("artifactRef"),
-            intended_use=doc.get("intendedUse"),
-            representational_metadata=meta,
-            recruitment_pathway=doc.get("recruitmentPathway"),
-            extensions=_rest(doc, cls._KEYS),
-        )
-
-    def to_doc(self) -> dict:
-        doc: dict = {"kind": self.kind, "summary": self.summary, "artifactRef": self.artifact_ref}
-        _put(doc, "intendedUse", self.intended_use)
-        _put(doc, "representationalMetadata", self.representational_metadata)
-        _put(doc, "recruitmentPathway", self.recruitment_pathway)
-        doc.update(self.extensions)
-        return doc
-
-
-@dataclass(slots=True)
+@codec("change.changedArtifacts[]")
 class ChangedArtifact:
-    artifact_id: str
-    version_after: str
-    version_before: str | None = None
+    """One artifact version that a change produced."""
+
+    artifact_id: str = wire("artifactId")
+    version_after: str = wire("versionAfter")
+    version_before: str | None = wire("versionBefore", None)
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = frozenset({"artifactId", "versionBefore", "versionAfter"})
 
-    @classmethod
-    def from_doc(cls, doc: Any) -> "ChangedArtifact":
-        doc = _require_doc(doc, "change.changedArtifacts[]")
-        return cls(
-            artifact_id=doc.get("artifactId"),
-            version_after=doc.get("versionAfter"),
-            version_before=doc.get("versionBefore"),
-            extensions=_rest(doc, cls._KEYS),
-        )
-
-    def to_doc(self) -> dict:
-        doc: dict = {"artifactId": self.artifact_id}
-        _put(doc, "versionBefore", self.version_before)
-        doc["versionAfter"] = self.version_after
-        doc.update(self.extensions)
-        return doc
-
-
-@dataclass(slots=True)
+@codec("change")
 class ChangePayload:
-    change_kind: str
-    rationale: str
-    changed_artifacts: list[ChangedArtifact] = field(default_factory=list)
+    """A change to artifacts and why it was made."""
+
+    change_kind: str = wire("changeKind")
+    rationale: str = wire("rationale")
+    changed_artifacts: list[ChangedArtifact] = wire(
+        "changedArtifacts", list, codec=list[ChangedArtifact], omit=ALWAYS)
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = frozenset({"changeKind", "rationale", "changedArtifacts"})
 
-    @classmethod
-    def from_doc(cls, doc: Any) -> "ChangePayload":
-        doc = _require_doc(doc, "change")
-        raw = doc.get("changedArtifacts", [])
-        if not isinstance(raw, list):
-            raise MalformedDocument("change.changedArtifacts must be a list")
-        return cls(
-            change_kind=doc.get("changeKind"),
-            rationale=doc.get("rationale"),
-            changed_artifacts=[ChangedArtifact.from_doc(item) for item in raw],
-            extensions=_rest(doc, cls._KEYS),
-        )
-
-    def to_doc(self) -> dict:
-        doc: dict = {
-            "changeKind": self.change_kind,
-            "rationale": self.rationale,
-            "changedArtifacts": [ca.to_doc() for ca in self.changed_artifacts],
-        }
-        doc.update(self.extensions)
-        return doc
-
-
-@dataclass(slots=True)
+@codec("artifact")
 class ArtifactPayload:
-    artifact_id: str
-    artifact_kind: str
-    version: str
-    content_ref: str
-    boundary: str | None = None
+    """One version of an artifact; a deployment when its kind says so."""
+
+    artifact_id: str = wire("artifactId")
+    artifact_kind: str = wire("artifactKind")
+    version: str = wire("version")
+    content_ref: str = wire("contentRef")
+    boundary: str | None = wire("boundary", None)
     extensions: dict = field(default_factory=dict)
-
-    _KEYS = frozenset({"artifactId", "artifactKind", "version", "contentRef", "boundary"})
-
-    @classmethod
-    def from_doc(cls, doc: Any) -> "ArtifactPayload":
-        doc = _require_doc(doc, "artifact")
-        return cls(
-            artifact_id=doc.get("artifactId"),
-            artifact_kind=doc.get("artifactKind"),
-            version=doc.get("version"),
-            content_ref=doc.get("contentRef"),
-            boundary=doc.get("boundary"),
-            extensions=_rest(doc, cls._KEYS),
-        )
-
-    def to_doc(self) -> dict:
-        doc: dict = {
-            "artifactId": self.artifact_id,
-            "artifactKind": self.artifact_kind,
-            "version": self.version,
-            "contentRef": self.content_ref,
-        }
-        _put(doc, "boundary", self.boundary)
-        doc.update(self.extensions)
-        return doc
 
     def is_deployment(self) -> bool:
         return self.artifact_kind == DEPLOYMENT_KIND
 
 
-@dataclass(slots=True)
+@codec("test.measurement")
 class MeasurementProcedure:
-    """One of three runner variants; only the fields of the active variant
-    are serialized. Threshold comparisons are inclusive."""
+    """One of three runner variants. Validation checks the fields of the
+    active variant; every field that is set is serialized, so all of them
+    are inside the hash. Threshold comparisons are inclusive."""
 
-    runner_kind: str
+    runner_kind: str = wire("runnerKind")
     # threshold
-    metric_name: str | None = None
-    comparator: str | None = None
-    bound: int | float | None = None
+    metric_name: str | None = wire("metricName", None)
+    comparator: str | None = wire("comparator", None)
+    bound: int | float | None = wire("bound", None)
     # rubric
-    criteria: list[str] | None = None
-    scale_max: int | None = None
-    aggregation: str | None = None
-    pass_mean: int | float | None = None
-    min_raters: int | None = None
+    criteria: list[str] | None = wire("criteria", None)
+    scale_max: int | None = wire("scaleMax", None)
+    aggregation: str | None = wire("aggregation", None)
+    pass_mean: int | float | None = wire("passMean", None)
+    min_raters: int | None = wire("minRaters", None)
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = frozenset({"runnerKind", "metricName", "comparator", "bound",
-                       "criteria", "scaleMax", "aggregation", "passMean", "minRaters"})
 
-    @classmethod
-    def from_doc(cls, doc: Any) -> "MeasurementProcedure":
-        doc = _require_doc(doc, "test.measurement")
-        return cls(
-            runner_kind=doc.get("runnerKind"),
-            metric_name=doc.get("metricName"),
-            comparator=doc.get("comparator"),
-            bound=doc.get("bound"),
-            criteria=doc.get("criteria"),
-            scale_max=doc.get("scaleMax"),
-            aggregation=doc.get("aggregation"),
-            pass_mean=doc.get("passMean"),
-            min_raters=doc.get("minRaters"),
-            extensions=_rest(doc, cls._KEYS),
-        )
-
-    def to_doc(self) -> dict:
-        doc: dict = {"runnerKind": self.runner_kind}
-        if self.runner_kind == "threshold":
-            _put(doc, "metricName", self.metric_name)
-            _put(doc, "comparator", self.comparator)
-            _put(doc, "bound", self.bound)
-        elif self.runner_kind == "rubric":
-            _put(doc, "criteria", self.criteria)
-            _put(doc, "scaleMax", self.scale_max)
-            _put(doc, "aggregation", self.aggregation)
-            _put(doc, "passMean", self.pass_mean)
-            _put(doc, "minRaters", self.min_raters)
-        else:
-            for key, value in (
-                ("metricName", self.metric_name), ("comparator", self.comparator),
-                ("bound", self.bound), ("criteria", self.criteria),
-                ("scaleMax", self.scale_max), ("aggregation", self.aggregation),
-                ("passMean", self.pass_mean), ("minRaters", self.min_raters),
-            ):
-                _put(doc, key, value)
-        doc.update(self.extensions)
-        return doc
-
-
-@dataclass(slots=True)
+@codec("test")
 class TestPayload:
-    topic: str
-    expected_behavior: str
-    measurement: MeasurementProcedure
-    input_spec: dict = field(default_factory=dict)
-    motivated_by: list[str] = field(default_factory=list)
+    """A test: what it checks, how it is measured, what motivated it."""
+
+    topic: str = wire("topic")
+    expected_behavior: str = wire("expectedBehavior")
+    measurement: MeasurementProcedure = wire("measurement", codec=MeasurementProcedure)
+    input_spec: dict = wire("inputSpec", dict, codec=dict)
+    motivated_by: list[str] = wire("motivatedBy", list, codec=list[str])
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = frozenset({"topic", "expectedBehavior", "measurement", "inputSpec", "motivatedBy"})
 
-    @classmethod
-    def from_doc(cls, doc: Any) -> "TestPayload":
-        doc = _require_doc(doc, "test")
-        motivated = doc.get("motivatedBy", [])
-        if not _is_str_list(motivated):
-            raise MalformedDocument("test.motivatedBy must be a list of strings")
-        return cls(
-            topic=doc.get("topic"),
-            expected_behavior=doc.get("expectedBehavior"),
-            measurement=MeasurementProcedure.from_doc(doc.get("measurement", {})),
-            input_spec=_require_doc(doc.get("inputSpec", {}), "test.inputSpec"),
-            motivated_by=list(motivated),
-            extensions=_rest(doc, cls._KEYS),
-        )
-
-    def to_doc(self) -> dict:
-        doc: dict = {
-            "topic": self.topic,
-            "expectedBehavior": self.expected_behavior,
-            "measurement": self.measurement.to_doc(),
-        }
-        if self.input_spec:
-            doc["inputSpec"] = self.input_spec
-        if self.motivated_by:
-            doc["motivatedBy"] = list(self.motivated_by)
-        doc.update(self.extensions)
-        return doc
-
-
-@dataclass(slots=True)
+@codec("run")
 class EvaluationRunPayload:
-    test_id: str
-    artifact_id: str
-    version: str
-    decision: str
-    checkpoint: str
-    evaluator: ActorRef
-    raw_results: dict = field(default_factory=dict)
-    timestamp: str | None = None
-    unattested_by_harness: bool | None = None
+    """One run of a test on one artifact version, and its decision."""
+
+    test_id: str = wire("testId")
+    artifact_id: str = wire("artifactId")
+    version: str = wire("version")
+    decision: str = wire("decision")
+    checkpoint: str = wire("checkpoint")
+    evaluator: ActorRef = wire("evaluator", codec=ActorRef)
+    raw_results: dict = wire("rawResults", dict, codec=dict)
+    timestamp: str | None = wire("timestamp", None)
+    unattested_by_harness: bool | None = wire("unattestedByHarness", None)
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = frozenset({"testId", "artifactId", "version", "decision", "checkpoint",
-                       "evaluator", "rawResults", "timestamp", "unattestedByHarness"})
 
-    @classmethod
-    def from_doc(cls, doc: Any) -> "EvaluationRunPayload":
-        doc = _require_doc(doc, "run")
-        return cls(
-            test_id=doc.get("testId"),
-            artifact_id=doc.get("artifactId"),
-            version=doc.get("version"),
-            decision=doc.get("decision"),
-            checkpoint=doc.get("checkpoint"),
-            evaluator=ActorRef.from_doc(doc.get("evaluator", {}), "run.evaluator"),
-            raw_results=_require_doc(doc.get("rawResults", {}), "run.rawResults"),
-            timestamp=doc.get("timestamp"),
-            unattested_by_harness=doc.get("unattestedByHarness"),
-            extensions=_rest(doc, cls._KEYS),
-        )
-
-    def to_doc(self) -> dict:
-        doc: dict = {
-            "testId": self.test_id,
-            "artifactId": self.artifact_id,
-            "version": self.version,
-            "decision": self.decision,
-            "checkpoint": self.checkpoint,
-            "evaluator": self.evaluator.to_doc(),
-        }
-        if self.raw_results:
-            doc["rawResults"] = self.raw_results
-        _put(doc, "timestamp", self.timestamp)
-        _put(doc, "unattestedByHarness", self.unattested_by_harness)
-        doc.update(self.extensions)
-        return doc
-
-
-@dataclass(slots=True)
+@codec("voucher.conditions[]")
 class VoucherCondition:
-    required_test_id: str
-    must_pass_on_version: str | None = None
-    scope_constraints: list[str] = field(default_factory=list)
-    human_in_loop: bool = False
+    """A test that must pass before a voucher authorizes."""
+
+    required_test_id: str = wire("requiredTestId")
+    must_pass_on_version: str | None = wire("mustPassOnVersion", None)
+    scope_constraints: list[str] = wire("scopeConstraints", list, codec=list)
+    human_in_loop: bool = wire("humanInLoop", False)
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = frozenset({"requiredTestId", "mustPassOnVersion", "scopeConstraints", "humanInLoop"})
 
-    @classmethod
-    def from_doc(cls, doc: Any) -> "VoucherCondition":
-        doc = _require_doc(doc, "voucher.conditions[]")
-        return cls(
-            required_test_id=doc.get("requiredTestId"),
-            must_pass_on_version=doc.get("mustPassOnVersion"),
-            scope_constraints=doc.get("scopeConstraints", []),
-            human_in_loop=doc.get("humanInLoop", False),
-            extensions=_rest(doc, cls._KEYS),
-        )
-
-    def to_doc(self) -> dict:
-        doc: dict = {"requiredTestId": self.required_test_id}
-        _put(doc, "mustPassOnVersion", self.must_pass_on_version)
-        if self.scope_constraints:
-            doc["scopeConstraints"] = list(self.scope_constraints)
-        doc["humanInLoop"] = self.human_in_loop
-        doc.update(self.extensions)
-        return doc
-
-
-@dataclass(slots=True)
+@codec("voucher")
 class VoucherPayload:
-    capability: str
-    boundary: str
-    action: str
-    steward: ActorRef
-    status: str
-    conditions: list[VoucherCondition] = field(default_factory=list)
-    expiry: str | None = None
+    """A steward's pause, condition or authorization for a capability."""
+
+    capability: str = wire("capability")
+    boundary: str = wire("boundary")
+    action: str = wire("action")
+    steward: ActorRef = wire("steward", codec=ActorRef)
+    status: str = wire("status")
+    conditions: list[VoucherCondition] = wire("conditions", list, codec=list[VoucherCondition])
+    expiry: str | None = wire("expiry", None)
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = frozenset({"capability", "boundary", "action", "steward", "status",
-                       "conditions", "expiry"})
 
-    @classmethod
-    def from_doc(cls, doc: Any) -> "VoucherPayload":
-        doc = _require_doc(doc, "voucher")
-        raw = doc.get("conditions", [])
-        if not isinstance(raw, list):
-            raise MalformedDocument("voucher.conditions must be a list")
-        return cls(
-            capability=doc.get("capability"),
-            boundary=doc.get("boundary"),
-            action=doc.get("action"),
-            steward=ActorRef.from_doc(doc.get("steward", {}), "voucher.steward"),
-            status=doc.get("status"),
-            conditions=[VoucherCondition.from_doc(item) for item in raw],
-            expiry=doc.get("expiry"),
-            extensions=_rest(doc, cls._KEYS),
-        )
-
-    def to_doc(self) -> dict:
-        doc: dict = {
-            "capability": self.capability,
-            "boundary": self.boundary,
-            "action": self.action,
-            "steward": self.steward.to_doc(),
-            "status": self.status,
-        }
-        if self.conditions:
-            doc["conditions"] = [c.to_doc() for c in self.conditions]
-        _put(doc, "expiry", self.expiry)
-        doc.update(self.extensions)
-        return doc
-
-
-@dataclass(slots=True)
+@codec("credit.triggeringEvent")
 class TriggeringEvent:
-    kind: str
-    evaluation_run_id: str | None = None
-    change_id: str | None = None
+    """The run or change a credit is awarded for."""
+
+    kind: str = wire("kind")
+    evaluation_run_id: str | None = wire("evaluationRunId", None)
+    change_id: str | None = wire("changeId", None)
     extensions: dict = field(default_factory=dict)
-
-    _KEYS = frozenset({"kind", "evaluationRunId", "changeId"})
-
-    @classmethod
-    def from_doc(cls, doc: Any) -> "TriggeringEvent":
-        doc = _require_doc(doc, "credit.triggeringEvent")
-        return cls(
-            kind=doc.get("kind"),
-            evaluation_run_id=doc.get("evaluationRunId"),
-            change_id=doc.get("changeId"),
-            extensions=_rest(doc, cls._KEYS),
-        )
-
-    def to_doc(self) -> dict:
-        doc: dict = {"kind": self.kind}
-        _put(doc, "evaluationRunId", self.evaluation_run_id)
-        _put(doc, "changeId", self.change_id)
-        doc.update(self.extensions)
-        return doc
 
     def trigger_id(self) -> str | None:
         return self.evaluation_run_id or self.change_id
 
 
-@dataclass(slots=True)
+@codec("credit")
 class CreditPayload:
-    beneficiary: str
-    triggering_event: TriggeringEvent
-    units: int | float
-    policy_ref: str
+    """Credit units awarded to a beneficiary under a policy."""
+
+    beneficiary: str = wire("beneficiary")
+    triggering_event: TriggeringEvent = wire("triggeringEvent", codec=TriggeringEvent)
+    units: int | float = wire("units")
+    policy_ref: str = wire("policyRef")
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = frozenset({"beneficiary", "triggeringEvent", "units", "policyRef"})
 
-    @classmethod
-    def from_doc(cls, doc: Any) -> "CreditPayload":
-        doc = _require_doc(doc, "credit")
-        return cls(
-            beneficiary=doc.get("beneficiary"),
-            triggering_event=TriggeringEvent.from_doc(doc.get("triggeringEvent", {})),
-            units=doc.get("units"),
-            policy_ref=doc.get("policyRef"),
-            extensions=_rest(doc, cls._KEYS),
-        )
-
-    def to_doc(self) -> dict:
-        doc: dict = {
-            "beneficiary": self.beneficiary,
-            "triggeringEvent": self.triggering_event.to_doc(),
-            "units": self.units,
-            "policyRef": self.policy_ref,
-        }
-        doc.update(self.extensions)
-        return doc
-
-
-@dataclass(slots=True)
+@codec("tombstone")
 class TombstonePayload:
-    target_id: str
-    reason: str
-    authorization: ActorRef
-    retained_hash: str
+    """A redaction of an earlier entry, keeping its hash."""
+
+    target_id: str = wire("targetId")
+    reason: str = wire("reason")
+    authorization: ActorRef = wire("authorization", codec=ActorRef)
+    retained_hash: str = wire("retainedHash")
     extensions: dict = field(default_factory=dict)
-
-    _KEYS = frozenset({"targetId", "reason", "authorization", "retainedHash"})
-
-    @classmethod
-    def from_doc(cls, doc: Any) -> "TombstonePayload":
-        doc = _require_doc(doc, "tombstone")
-        return cls(
-            target_id=doc.get("targetId"),
-            reason=doc.get("reason"),
-            authorization=ActorRef.from_doc(doc.get("authorization", {}), "tombstone.authorization"),
-            retained_hash=doc.get("retainedHash"),
-            extensions=_rest(doc, cls._KEYS),
-        )
-
-    def to_doc(self) -> dict:
-        doc: dict = {
-            "targetId": self.target_id,
-            "reason": self.reason,
-            "authorization": self.authorization.to_doc(),
-            "retainedHash": self.retained_hash,
-        }
-        doc.update(self.extensions)
-        return doc
 
 
 PAYLOAD_CLASS: dict[EntryType, type] = {
@@ -945,9 +717,6 @@ class EntryEnvelope:
     integrity: IntegrityBlock | None = None
     extensions: dict = field(default_factory=dict)
 
-    _KEYS = frozenset({"@context", "id", "type", "createdAt", "actor",
-                       "consent", "compensation", "links", "integrity"})
-
     def is_sealed(self) -> bool:
         return self.integrity is not None
 
@@ -955,8 +724,7 @@ class EntryEnvelope:
         return parse_timestamp(self.created_at)
 
     def to_doc(self, include_integrity: bool = True) -> dict:
-        doc: dict = {}
-        _put(doc, "@context", self.context)
+        doc: dict = {} if self.context is None else {"@context": self.context}
         doc["id"] = self.id
         doc["type"] = self.entry_type.value
         doc["createdAt"] = self.created_at
@@ -975,15 +743,27 @@ class EntryEnvelope:
         return doc
 
 
-_ENTRY_TYPE: dict[str, EntryType] = {t.value: t for t in EntryType}
-# Per type: the payload keys that must be absent, and every key the envelope
-# decodes itself (the rest become extensions).
-_OTHER_PAYLOAD_KEYS: dict[EntryType, frozenset[str]] = {
-    t: frozenset(PAYLOAD_KEY.values()) - {PAYLOAD_KEY[t]} for t in EntryType
+# Per type name: the type, its payload key, the other payload keys (which
+# must be absent), every key the envelope decodes itself (the rest become
+# extensions), and the payload decoder.
+_ENVELOPE_KEYS = frozenset({"@context", "id", "type", "createdAt", "actor",
+                            "consent", "compensation", "links", "integrity"})
+_TYPES: dict[str, tuple] = {
+    t.value: (t, PAYLOAD_KEY[t], frozenset(PAYLOAD_KEY.values()) - {PAYLOAD_KEY[t]},
+              _ENVELOPE_KEYS | {PAYLOAD_KEY[t]}, PAYLOAD_CLASS[t].from_doc)
+    for t in EntryType
 }
-_ENVELOPE_KEYS: dict[EntryType, frozenset[str]] = {
-    t: EntryEnvelope._KEYS | {PAYLOAD_KEY[t]} for t in EntryType
-}
+
+
+def _payload_mismatch(doc: dict, entry_type: EntryType) -> NoReturn:
+    expected_key = PAYLOAD_KEY[entry_type]
+    present = [k for k in PAYLOAD_KEY.values() if k in doc]
+    if expected_key not in present:
+        raise PayloadMismatch(
+            f"entry type {entry_type.value} requires a {expected_key!r} payload"
+            + (f", found {present}" if present else "")
+        )
+    raise PayloadMismatch(f"multiple payload fields present: {present}")
 
 
 def parse_entry(source: str | bytes | dict) -> EntryEnvelope:
@@ -1001,53 +781,50 @@ def parse_entry(source: str | bytes | dict) -> EntryEnvelope:
             raise MalformedDocument(f"not valid JSON: {exc}") from exc
     else:
         doc = source
-    doc = _require_doc(doc, "entry")
+    if not isinstance(doc, dict):
+        _not_object(doc, "entry")
+    get = doc.get
 
-    type_name = doc.get("type")
+    type_name = get("type")
     if not isinstance(type_name, str):
         raise MalformedDocument("entry is missing a string `type` field")
-    entry_type = _ENTRY_TYPE.get(type_name)
-    if entry_type is None:
+    info = _TYPES.get(type_name)
+    if info is None:
         raise UnknownEntryType(f"unknown entry type {type_name!r}")
+    entry_type, payload_key, other_payload_keys, known, decode_payload = info
 
-    entry_id = doc.get("id")
+    entry_id = get("id")
     check_entry_id(entry_id, entry_type)
-
-    created_at = doc.get("createdAt")
+    created_at = get("createdAt")
     parse_timestamp(created_at)
-
-    expected_key = PAYLOAD_KEY[entry_type]
-    if expected_key not in doc or not _OTHER_PAYLOAD_KEYS[entry_type].isdisjoint(doc):
-        payload_keys_present = [k for k in PAYLOAD_KEY.values() if k in doc]
-        if expected_key not in payload_keys_present:
-            raise PayloadMismatch(
-                f"entry type {entry_type.value} requires a {expected_key!r} payload"
-                + (f", found {payload_keys_present}" if payload_keys_present else "")
-            )
-        raise PayloadMismatch(f"multiple payload fields present: {payload_keys_present}")
-    payload = PAYLOAD_CLASS[entry_type].from_doc(doc[expected_key])
-
-    consent = doc.get("consent")
-    compensation = doc.get("compensation")
-    links = doc.get("links")
-    integrity = doc.get("integrity")
-    context = doc.get("@context")
+    if payload_key not in doc or not other_payload_keys.isdisjoint(doc):
+        _payload_mismatch(doc, entry_type)
+    payload = decode_payload(doc[payload_key])
+    context = get("@context")
     if context is not None and not isinstance(context, str):
         raise MalformedDocument("@context must be a string")
-
+    consent = get("consent")
+    compensation = get("compensation")
+    links = get("links")
+    integrity = get("integrity")
     return EntryEnvelope(
-        id=entry_id,
-        entry_type=entry_type,
-        created_at=created_at,
-        actor=ActorRef.from_doc(doc.get("actor", {})),
-        payload=payload,
-        consent=ConsentBlock.from_doc(consent) if consent is not None else None,
-        compensation=CompensationBlock.from_doc(compensation) if compensation is not None else None,
-        links=LinkSet.from_doc(links) if links is not None else LinkSet(),
-        context=context,
-        integrity=IntegrityBlock.from_doc(integrity) if integrity is not None else None,
-        extensions=_rest(doc, _ENVELOPE_KEYS[entry_type]),
+        entry_id, entry_type, created_at,
+        _decode_actor(get("actor", _NO_BLOCK), "actor"),
+        payload,
+        None if consent is None else _decode_consent(consent),
+        None if compensation is None else _decode_compensation(compensation),
+        LinkSet() if links is None else _decode_links(links),
+        context,
+        None if integrity is None else _decode_integrity(integrity),
+        {} if known.issuperset(doc) else _rest(doc, known),
     )
+
+
+_decode_actor = ActorRef.from_doc
+_decode_consent = ConsentBlock.from_doc
+_decode_compensation = CompensationBlock.from_doc
+_decode_links = LinkSet.from_doc
+_decode_integrity = IntegrityBlock.from_doc
 
 
 def serialize_entry(entry: EntryEnvelope) -> str:
@@ -1138,7 +915,7 @@ def _check_compensation(comp: CompensationBlock, report: ValidationReport) -> No
 
 
 def _check_links(links: LinkSet, report: ValidationReport) -> None:
-    for kind, attr in LinkSet._ATTR_FOR_KIND.items():
+    for kind, attr in LINK_ATTRS:
         for i, target in enumerate(getattr(links, attr)):
             if kind == "evidence":
                 if not (is_reference_id(target) or is_uri(target)):

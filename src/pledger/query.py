@@ -38,7 +38,7 @@ from .errors import (
     UnknownRelation,
 )
 from .graph import LedgerGraph
-from .model import LINK_KINDS, EntryType
+from .model import LINK_KINDS, OMITTED, EntryType, Wire
 
 # Node labels: the eight entry types plus the Deployment view over artifacts.
 _LABELS = {t.value.casefold(): t.value for t in EntryType}
@@ -347,36 +347,46 @@ class ResultTable:
         return buffer.getvalue()
 
 
-class _FieldView:
-    """Per-node field resolver with the documented flattening rules."""
+@functools.cache
+def _table_of(cls: type) -> dict[str, Wire]:
+    """A payload class's field table, keyed by normalised wire name."""
+    return {_normalize_name(row.name): row for row in cls.FIELDS}
 
-    def __init__(self, graph: LedgerGraph):
-        self.graph = graph
-        self._docs: dict[str, dict] = {}
 
-    def _payload_doc(self, node_id: str) -> dict:
-        doc = self._docs.get(node_id)
-        if doc is None:
-            hidden = node_id in self.graph.snapshot.hidden
-            raw = {} if hidden else self.graph.nodes[node_id].payload.to_doc()
-            doc = {_normalize_name(k): v for k, v in reversed(list(raw.items()))}
-            self._docs[node_id] = doc
-        return doc
+def _payload_field(graph: LedgerGraph, node_id: str, norm: str) -> Any:
+    """A payload field by normalised name, read through its row of the field
+    table as `to_doc` writes it; a field that `to_doc` omits falls through to
+    the payload's extension keys, the first with that normalised name winning.
+    OMITTED when neither has it, and for every field of a tombstoned node."""
+    if node_id in graph.snapshot.hidden:
+        return OMITTED
+    payload = graph.nodes[node_id].payload
+    row = _table_of(type(payload)).get(norm)
+    if row is not None:
+        value = row.encode(payload)
+        if value is not OMITTED:
+            return value
+    for key, value in payload.extensions.items():
+        if _normalize_name(key) == norm:
+            return value
+    return OMITTED
 
-    def value(self, node_id: str, fieldname: str) -> Any:
-        entry = self.graph.nodes[node_id]
-        norm = _normalize_name(fieldname)
-        norm = _FIELD_ALIASES.get(norm, norm)
-        if norm == "id":
-            return node_id
-        if norm == "type":
-            return entry.entry_type.value
-        if norm == "createdat":
-            return entry.created_at
-        doc = self._payload_doc(node_id)
-        if norm == "timestamp":
-            return doc.get("timestamp", entry.created_at)
-        return doc.get(norm)
+
+def _field_value(graph: LedgerGraph, node_id: str, fieldname: str) -> Any:
+    """One node's field with the documented flattening rules, None when absent."""
+    entry = graph.nodes[node_id]
+    norm = _normalize_name(fieldname)
+    norm = _FIELD_ALIASES.get(norm, norm)
+    if norm == "id":
+        return node_id
+    if norm == "type":
+        return entry.entry_type.value
+    if norm == "createdat":
+        return entry.created_at
+    value = _payload_field(graph, node_id, norm)
+    if value is OMITTED:
+        return entry.created_at if norm == "timestamp" else None
+    return value
 
 
 def evaluate_field(graph: LedgerGraph, node_id: str, fieldname: str) -> str | None:
@@ -385,7 +395,7 @@ def evaluate_field(graph: LedgerGraph, node_id: str, fieldname: str) -> str | No
     This is exactly what predicates compare against and what projections
     print (projections render None as the empty string).
     """
-    value = _FieldView(graph).value(node_id, fieldname)
+    value = _field_value(graph, node_id, fieldname)
     return None if value is None else render_value(value)
 
 
@@ -449,7 +459,6 @@ def evaluate(ast: QueryAst, graph: LedgerGraph) -> ResultTable:
     """
     labels = _pattern_variables(ast)
     edges = _pattern_edges(ast)
-    fields = _FieldView(graph)
     predicates: dict[str, list[Predicate]] = {}
     for pred in ast.predicates:
         predicates.setdefault(pred.var, []).append(pred)
@@ -462,7 +471,7 @@ def evaluate(ast: QueryAst, graph: LedgerGraph) -> ResultTable:
         found = set.intersection(*wanted) if wanted else set(graph.nodes)
         for pred in predicates.get(var, ()):
             found = {node_id for node_id in found
-                     if (value := fields.value(node_id, pred.field)) is not None
+                     if (value := _field_value(graph, node_id, pred.field)) is not None
                      and render_value(value) == pred.value}
         return found
 
@@ -488,7 +497,7 @@ def evaluate(ast: QueryAst, graph: LedgerGraph) -> ResultTable:
     def extend(step: int) -> None:
         if step == len(order):
             rows.append(tuple(
-                render_value(fields.value(env[p.var], p.field))
+                render_value(_field_value(graph, env[p.var], p.field))
                 for p in ast.projections))
             return
         var = order[step]

@@ -6,6 +6,7 @@ against json.loads (the stdlib parser is the reference for escaping) and
 json.dumps on the integer/string subset where the two forms coincide.
 """
 
+import io
 import json
 import math
 import random
@@ -18,6 +19,7 @@ from pledger import canonical_bytes, canonical_json, compute_hash, format_number
 from pledger.canonical import _ENCODER, _is_plain, _render
 from pledger.errors import MalformedDocument, NonCanonicalizableNumber
 from pledger.fixtures import sample_contribution
+from pledger.indented import write_indented
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "sample_golden.json").read_text())
 
@@ -234,3 +236,108 @@ def test_cyclic_documents_fail_in_the_type_walk():
     looped["a"].append(looped)
     with pytest.raises(RecursionError):
         canonical_json(looped)
+
+
+# ---------------------------------------------------------------------------
+# indented rendering: the bytes of json.dumps(indent=2, sort_keys=True)
+
+class _Label(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+class _Ratio(float):
+    pass
+
+
+class _Rows(list):
+    pass
+
+
+class _Record(dict):
+    pass
+
+
+_ODD_STRINGS = ("", "é", "中文", "\U0001f600", 'quote " and \\ slash', "tab\tnew\nline\x00",
+                " ", "plain")
+
+
+def _pretty_scalar(rng: random.Random):
+    return rng.choice((
+        lambda: rng.choice(_ODD_STRINGS),
+        lambda: rng.randint(-10**20, 10**20),
+        lambda: rng.choice((0.1, -0.0, 1e-7, 1e300, 2.5, -17.25, rng.uniform(-1e6, 1e6))),
+        lambda: rng.choice((True, False, None)),
+        lambda: rng.choice((float("nan"), float("inf"), float("-inf"))),
+        lambda: rng.choice((_Label("sub"), _Count(7), _Ratio(0.5), True)),
+    ))()
+
+
+def _pretty_doc(rng: random.Random, depth: int = 0):
+    if depth > 3 or rng.random() < 0.3:
+        return _pretty_scalar(rng)
+    n = rng.randrange(4)  # empty containers included
+    pick = rng.randrange(10)
+    if pick < 4:
+        return {rng.choice(_ODD_STRINGS) + str(i): _pretty_doc(rng, depth + 1) for i in range(n)}
+    if pick < 7:
+        return [_pretty_doc(rng, depth + 1) for _ in range(n)]
+    if pick == 7:
+        if rng.random() < 0.5:
+            return _Record({f"k{i}": _pretty_doc(rng, depth + 1) for i in range(n)})
+        return _Rows(_pretty_doc(rng, depth + 1) for _ in range(n))
+    if pick == 8:
+        return tuple(_pretty_doc(rng, depth + 1) for _ in range(n))
+    keys = rng.choice(((3, 1, 2), (0.5, -1.5), (_Label("b"), "a")))
+    return {key: _pretty_doc(rng, depth + 1) for key in keys[:n]}
+
+
+def _written(doc) -> str:
+    out = io.StringIO()
+    write_indented(out, doc)
+    return out.getvalue()
+
+
+def test_indented_rendering_matches_json_on_random_documents():
+    rng = random.Random(2024)
+    for _ in range(2000):
+        doc = _pretty_doc(rng)
+        assert _written(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_indented_rendering_of_entries_and_odd_values():
+    docs = [
+        {"entries": [sample_contribution().to_doc()], "count": 1},
+        {}, [], "top", 3, None, [{}, [], [[]], {"a": {}}],
+        {"mixed": [1, 2.0, "3", None, True, {"x": [False]}]},
+        {1: "int keys", 2: {"nested": (1, 2)}},
+        {"deep": {True: "bool key"}, "shallow": [float("nan")]},
+    ]
+    for doc in docs:
+        assert _written(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_indented_rendering_raises_like_json_on_unrenderable_values():
+    for doc in ({"a": {1: "x", "b": "y"}}, [{"a": object()}], {"s": {1, 2}}):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            _written(doc)
+
+
+def test_indented_rendering_writes_in_batches():
+    doc = {"entries": [sample_contribution().to_doc() for _ in range(400)]}
+    writes: list[str] = []
+
+    class Recorder:
+        def write(self, text: str) -> None:
+            writes.append(text)
+
+    write_indented(Recorder(), doc)
+    text = "".join(writes)
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert len(writes) >= 3
+    assert max(map(len, writes)) < len(text) / 2

@@ -11,6 +11,7 @@ import pytest
 from conftest import make_artifact, make_test
 
 from pledger import store
+from pledger.canonical import canonical_json
 from pledger.cli import main
 from pledger.evidence import build_export
 from pledger.fixtures import (
@@ -24,6 +25,7 @@ from pledger.fixtures import (
     VOUCHER_ID,
     sample_contribution_doc,
 )
+from pledger.model import MeasurementProcedure
 from pledger.store import LedgerFile, read_entries
 
 CREDIT_ID = ("pl:credit:regressiondetected:"
@@ -86,6 +88,35 @@ def test_verify_detects_tampering(writable, capsys):
     code, out, _err = run_cli(capsys, "verify", "--ledger", str(writable))
     assert code == 4
     assert "chain broken at index 2" in out
+
+
+@pytest.mark.parametrize("runner_kind,field,value", [
+    ("threshold", "criteria", ["glare-free", "legible"]),
+    ("threshold", "minRaters", 3),
+    ("rubric", "metricName", "score"),
+    ("rubric", "bound", 0.5),
+])
+def test_verify_covers_measurement_fields_of_every_runner_kind(
+        tmp_path, capsys, runner_kind, field, value):
+    # A field that belongs to another runner kind is still inside the hash:
+    # adding one to a stored Test line breaks the chain.
+    path = tmp_path / "tests.pledger"
+    rubric = MeasurementProcedure(runner_kind="rubric", criteria=["ramps"], scale_max=5,
+                                  aggregation="mean", pass_mean=4, min_raters=3)
+    with LedgerFile(path) as ledger:
+        ledger.append(make_test(1, measurement=rubric if runner_kind == "rubric" else None))
+        ledger.append(make_test(2))
+    lines = path.read_text("utf-8").splitlines()
+    doc = json.loads(lines[0])
+    assert doc["test"]["measurement"]["runnerKind"] == runner_kind
+    doc["test"]["measurement"][field] = value
+    lines[0] = canonical_json(doc)
+    path.write_text("\n".join(lines) + "\n", "utf-8")
+
+    code, out, _err = run_cli(capsys, "verify", "--ledger", str(path), "--format", "doc")
+    assert code == 4
+    assert json.loads(out)["chain"] == {"valid": False, "entryCount": 2,
+                                        "firstBrokenIndex": 0, "failureKind": "hashMismatch"}
 
 
 def test_verify_reports_torn_tail(writable, capsys):

@@ -1,15 +1,19 @@
 """Entry documents: parsing, serialization fixpoints, ids, validation rules."""
 
+import copy
 import json
 import random
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
 from conftest import digest_of, make_contribution, random_envelope, sealed_chain, sha_ref
 from pledger import parse_entry, serialize_entry, validate_structure
 from pledger.errors import (
+    CorruptLine,
     InvalidId,
+    LedgerError,
     InvalidTimestamp,
     MalformedDocument,
     PayloadMismatch,
@@ -27,6 +31,7 @@ from pledger.model import (
     lineage_base,
     parse_timestamp,
 )
+from pledger.store import read_entries
 
 
 def test_sample_document_round_trips_exactly():
@@ -388,3 +393,62 @@ def test_random_envelope_ledger_lines_are_fixpoints():
             line = serialize_entry(entry)
             assert serialize_entry(parse_entry(line)) == line
             assert serialize_entry(parse_entry(line.encode("utf-8"))) == line
+
+
+# ---------------------------------------------------------------------------
+# decode-error corpus: one malformed document per decode rule, with the
+# exception type and message frozen in tests/data/decode_errors.json
+
+CORPUS = json.loads((Path(__file__).parent / "data" / "decode_errors.json").read_text("utf-8"))
+
+
+def malformed(case: dict):
+    """The case's base document with the value at `path` deleted or replaced."""
+    if not case["path"]:
+        return case["value"]
+    doc = copy.deepcopy(CORPUS["bases"][case["base"]])
+    target = doc
+    for step in case["path"][:-1]:
+        target = target[step]
+    if case.get("delete"):
+        del target[case["path"][-1]]
+    else:
+        target[case["path"][-1]] = case["value"]
+    doc.update(case.get("extra", {}))
+    return doc
+
+
+@pytest.mark.parametrize("base", sorted(CORPUS["bases"]))
+def test_decode_corpus_bases_round_trip(base):
+    doc = CORPUS["bases"][base]
+    assert parse_entry(doc).to_doc() == doc
+
+
+@pytest.mark.parametrize("case", CORPUS["cases"], ids=[c["case"] for c in CORPUS["cases"]])
+def test_decode_error_corpus(case):
+    doc = malformed(case)
+    for source in (doc, json.dumps(doc)):
+        with pytest.raises(LedgerError) as info:
+            parse_entry(source)
+        assert (type(info.value).__name__, str(info.value)) == (case["error"], case["message"])
+
+
+@pytest.mark.parametrize("damage,reason", [
+    (lambda line: line.replace(b'"evaluator":{', b'"evaluator":"E1","x":{'),
+     "run.evaluator must be a JSON object, got str"),
+    (lambda line: b"{" + line,
+     "not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (lambda line: b"\xff" + line, "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (lambda line: b"", "blank line"),
+])
+def test_read_entries_names_a_corrupt_line_in_the_middle(lifecycle, tmp_path, damage, reason):
+    path, _ids, _entries = lifecycle
+    lines = path.read_bytes().split(b"\n")
+    assert b'"type":"EvaluationRun"' in lines[7]
+    lines[7] = damage(lines[7])
+    damaged = tmp_path / "damaged.pledger"
+    damaged.write_bytes(b"\n".join(lines))
+    with pytest.raises(CorruptLine) as info:
+        read_entries(damaged)
+    assert info.value.line_number == 8
+    assert str(info.value) == f"corrupt ledger line 8: {reason}"

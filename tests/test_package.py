@@ -63,6 +63,7 @@ def test_credit_report_does_not_load_the_query_module(lifecycle, capsys, fmt):
     modules = imported_modules(proc.stderr)
     assert "pledger.governance" in modules
     assert "pledger.query" not in modules
+    assert "pledger.indented" not in modules  # only --format doc and export render it
 
 
 def test_import_pledger_loads_no_submodule():

@@ -15,9 +15,11 @@ from conftest import (
     make_run,
     make_test,
     make_tombstone,
+    random_envelope,
     random_graph_entries,
     random_query,
 )
+from pledger.canonical import render_value
 from pledger.errors import (
     QueryParameterError,
     QuerySyntaxError,
@@ -28,9 +30,10 @@ from pledger.errors import (
 )
 from pledger.fixtures import CONTRIBUTION_ID, DEPLOYMENT_ID, TEST_ID
 from pledger.graph import build_graph
-from pledger.model import LinkSet
+from pledger.model import PAYLOAD_CLASS, LinkSet
 from pledger.query import (
     SAVED_QUERIES,
+    _field_value,
     escape_literal,
     evaluate,
     evaluate_field,
@@ -472,3 +475,65 @@ def test_saved_query_escapes_parameters(lifecycle):
     tricky = run_saved_query("regression-attribution", graph, {
         "topic": 'x" RETURN c.id; --', "boundary": "line\nbreak"})
     assert tricky.rows == []
+
+
+# -- field reads through the field table ------------------------------------------
+
+def _whole_payload_view(graph, node_id: str, fieldname: str):
+    """The field view as it read before field tables: normalise every key of
+    the whole payload document and look the name up, first key winning."""
+    entry = graph.nodes[node_id]
+    norm = fieldname.replace("_", "").casefold()
+    norm = {"artifactversion": "version"}.get(norm, norm)
+    if norm == "id":
+        return node_id
+    if norm == "type":
+        return entry.entry_type.value
+    if norm == "createdat":
+        return entry.created_at
+    raw = {} if node_id in graph.snapshot.hidden else entry.payload.to_doc()
+    doc = {k.replace("_", "").casefold(): v for k, v in reversed(list(raw.items()))}
+    if norm == "timestamp":
+        return doc.get("timestamp", entry.created_at)
+    return doc.get(norm)
+
+
+# Extension keys: plain ones, ones that normalise to a declared wire name,
+# and pairs that normalise to each other. None equals a declared wire name:
+# decoding puts such a key in the declared field.
+_EXTENSION_KEYS = ("extScore", "ext_score", "EXTSCORE", "Decision", "time_stamp", "Boundary",
+                   "tOpic", "Expiry", "Evaluator", "note", "raw_results", "motivated_By")
+_ABSENT_NAMES = ("nothing", "links", "integrity", "actor", "payload", "extensions", "")
+
+
+def _random_field_ledger(rng: random.Random) -> list:
+    entries = [random_envelope(rng, i) for i in range(40)]
+    for entry in entries:
+        payload = entry.payload
+        for key in rng.sample(_EXTENSION_KEYS, rng.randrange(4)):
+            payload.extensions[key] = rng.choice(("x", 3, None, [1, "y"], {"k": True}, 0.5))
+        if rng.random() < 0.3:  # declared fields left unset, empty or None
+            for row in type(payload).FIELDS:
+                if row.kind not in ("block", "blocks") and rng.random() < 0.3:
+                    setattr(payload, row.attr, rng.choice((None, "", 0, False)))
+    targets = rng.sample([e.id for e in entries], 6)
+    return entries + [make_tombstone(target, minute=2000 + k) for k, target in enumerate(targets)]
+
+
+def test_field_view_matches_the_whole_payload_view_on_random_ledgers():
+    wire_names = sorted({row.name for cls in PAYLOAD_CLASS.values() for row in cls.FIELDS})
+    names = (wire_names + [n.upper() for n in wire_names]
+             + ["test_id", "artifact_version", "ArtifactVersion", "created_at", "id", "type"]
+             + list(_EXTENSION_KEYS) + list(_ABSENT_NAMES))
+    rng = random.Random(77)
+    hidden_seen = 0
+    for _ in range(30):
+        graph = build_graph(_random_field_ledger(rng))
+        for node_id in graph.nodes:
+            hidden_seen += node_id in graph.snapshot.hidden
+            for name in names:
+                expected = _whole_payload_view(graph, node_id, name)
+                assert _field_value(graph, node_id, name) == expected, (node_id, name)
+                rendered = evaluate_field(graph, node_id, name)
+                assert rendered == (None if expected is None else render_value(expected))
+    assert hidden_seen > 0
