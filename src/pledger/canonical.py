@@ -11,17 +11,23 @@ every JSON-shaped value. Documents whose types `_is_plain` admits go through
 the C JSON encoder instead, which emits the same bytes for them: sorted
 `str` keys, minimal escaping, integers via `int.__repr__`, and non-integral
 floats in the range where the shortest `repr` is already a plain decimal.
+
+`hashlib` and `decimal` are imported by the first value that needs them, so
+a command that hashes nothing, or renders no fractional number, never loads
+them.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-from decimal import Decimal
-from typing import Any
+import sys
+from typing import TYPE_CHECKING, Any
 
 from .errors import MalformedDocument, NonCanonicalizableNumber
+
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 # Minimal escaping: backslash, double quote, and the C0 control range. The
 # two-character shorthands are used where JSON defines them.
@@ -42,6 +48,28 @@ def _render_string(value: str) -> str:
     return '"' + value.translate(_ESCAPES) + '"'
 
 
+def _sha256(data: bytes):
+    """hashlib.sha256(data). The first call imports hashlib and rebinds this
+    name to `hashlib.sha256`, so later calls cost what a direct one does."""
+    global _sha256
+    from hashlib import sha256 as _sha256
+    return _sha256(data)
+
+
+def _decimal(text: str) -> Decimal:
+    """decimal.Decimal(text), rebinding this name on first use as `_sha256` does."""
+    global _decimal
+    from decimal import Decimal as _decimal
+    return _decimal(text)
+
+
+def _is_decimal(value: Any) -> bool:
+    """isinstance(value, decimal.Decimal), without importing `decimal`: no
+    value can be a Decimal before something has loaded that module."""
+    decimal = sys.modules.get("decimal")
+    return decimal is not None and isinstance(value, decimal.Decimal)
+
+
 def format_number(value: int | float | Decimal) -> str:
     """Render a number in canonical form.
 
@@ -58,8 +86,8 @@ def format_number(value: int | float | Decimal) -> str:
             raise NonCanonicalizableNumber(f"cannot canonicalize {value!r}")
         if value.is_integer() and abs(value) < 1e16:
             return str(int(value))
-        dec = Decimal(repr(value))
-    elif isinstance(value, Decimal):
+        dec = _decimal(repr(value))
+    elif _is_decimal(value):
         if not value.is_finite():
             raise NonCanonicalizableNumber(f"cannot canonicalize {value!r}")
         dec = value
@@ -96,7 +124,7 @@ def _render(value: Any, out: list[str]) -> None:
         out.append("false")
     elif isinstance(value, str):
         out.append(_render_string(value))
-    elif isinstance(value, (int, float, Decimal)):
+    elif isinstance(value, (int, float)):
         out.append(format_number(value))
     elif isinstance(value, dict):
         out.append("{")
@@ -118,6 +146,8 @@ def _render(value: Any, out: list[str]) -> None:
                 out.append(",")
             _render(item, out)
         out.append("]")
+    elif _is_decimal(value):
+        out.append(format_number(value))
     else:
         raise MalformedDocument(f"value has no JSON form: {value!r}")
 
@@ -171,4 +201,4 @@ def canonical_bytes(doc: Any) -> bytes:
 
 def compute_hash(data: bytes) -> str:
     """sha256 over raw bytes, rendered as `sha256:<hex>`."""
-    return "sha256:" + hashlib.sha256(data).hexdigest()
+    return "sha256:" + _sha256(data).hexdigest()

@@ -8,14 +8,14 @@ redact) takes the writer lock.
 
 Only the ledger core is imported here; each command imports the governance,
 evidence, harness or query module it calls, so it pays only for those.
+`integrity` is imported only by the commands that seal or verify, and `csv`
+only by `--format csv`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
-import io
 import json
 import os
 import sys
@@ -30,7 +30,6 @@ from .errors import (
     StorageFailure,
 )
 from .graph import Snapshot, build_graph, linkage_completeness
-from .integrity import HMAC_SCHEME, hmac_signer, hmac_verifier, verify_chain, verify_signatures
 from .model import (
     ARTIFACT_KINDS,
     ActorRef,
@@ -86,6 +85,8 @@ def _signer_from(args: argparse.Namespace):
     keyed = _parse_hmac(getattr(args, "hmac_key", None))
     if keyed is None:
         return None
+    from .integrity import hmac_signer
+
     ref, secret = keyed
     return hmac_signer(ref, secret, ActorRef(role="maintainer", pseudonym="cli"))
 
@@ -117,6 +118,9 @@ def _emit(args: argparse.Namespace, text: str, doc: Any, table: Any = None) -> N
         if table is not None:
             print(table.render_csv(), end="")
         else:
+            import csv
+            import io
+
             out = io.StringIO()
             writer = csv.writer(out)
             writer.writerow(["key", "value"])
@@ -138,6 +142,8 @@ def _cmd_append(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .integrity import HMAC_SCHEME, hmac_verifier, verify_chain, verify_signatures
+
     try:
         entries = _entries(args)
     except CorruptLine as exc:

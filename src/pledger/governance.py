@@ -11,6 +11,9 @@ actually flipped a suite verdict, a persistence gate demands the test has
 been exercised across enough releases, per-beneficiary caps suppress whole
 events rather than partially filling them, and creditsFor links make rerun
 accrual idempotent.
+
+Only accrual reads run verdicts through `harness`, so its helpers import it
+and a gate check or credit report never loads that module.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from typing import Any
 from .canonical import canonical_json, compute_hash
 from .errors import IllegalTransition, InvalidPolicy, UnauthorizedRole, UnknownTest
 from .graph import Snapshot
-from .harness import detect_regressions, fold_suite
 from .model import (
     CREDIT_EVENT_KINDS,
     VOUCHER_TRANSITIONS,
@@ -376,6 +378,8 @@ def _beneficiaries_of(snapshot: Snapshot, contribution_ids: list[str]) -> list[s
 def _suite_flip(snapshot: Snapshot, test_id: str, run_key: tuple[str, str, str]) -> bool:
     """True when removing the test's runs from its suite changes the suite
     verdict. The suite is every run sharing (artifactId, version, checkpoint)."""
+    from .harness import fold_suite
+
     with_test: list[str] = []
     without: list[str] = []
     for run in snapshot.suite_runs.get(run_key, ()):
@@ -394,6 +398,8 @@ def _releases_exercised(snapshot: Snapshot, test_id: str) -> int:
 
 
 def _candidate_events(snapshot: Snapshot, window: tuple[str, str]) -> list[_Event]:
+    from .harness import detect_regressions
+
     hidden = snapshot.hidden
     events: list[_Event] = []
 

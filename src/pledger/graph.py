@@ -23,12 +23,14 @@ a view over one, adding only the adjacency of the declared links.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from .errors import UnknownNode, WrongEntryType
 from .model import DEPLOYMENT_KIND, LINK_ATTRS, EntryEnvelope, EntryType, is_reference_id, lineage_base
+
+if TYPE_CHECKING:  # imported by linkage_completeness, the only function that makes one
+    from fractions import Fraction
 
 # Edge kinds whose stored direction is target -> declarer.
 _REVERSED_DECLARATION_KINDS = frozenset({"motivates"})
@@ -418,6 +420,8 @@ def linkage_completeness(graph: LedgerGraph,
     changes, exactly 1 when there are no changes. Evidence links do not count
     toward the ratio unless `include_evidence` is set.
     """
+    from fractions import Fraction
+
     linkage = [(c or (include_evidence and _resolves_to(
                     graph.nodes, change.links.evidence, EntryType.CONTRIBUTION)), t)
                for change, c, t in change_linkage(graph)]

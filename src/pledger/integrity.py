@@ -10,14 +10,12 @@ not just in-place edits.
 Signing is pluggable. A signer is any callable taking the pre-image bytes and
 returning a SignatureRecord; verifiers are looked up by scheme name in a
 registry. One deterministic keyed scheme (HMAC-SHA256) ships for tests and
-small deployments; there is no key management here.
+small deployments; there is no key management here. Its modules (`hmac`,
+`base64`) are imported when a signer or verifier is made.
 """
 
 from __future__ import annotations
 
-import base64
-import hashlib
-import hmac
 from dataclasses import dataclass, field, replace
 from datetime import timedelta
 from typing import Callable, Iterable, Sequence
@@ -177,6 +175,9 @@ HMAC_SCHEME = "hmac-sha256"
 
 def hmac_signer(key_ref: str, key: bytes, signer_role: ActorRef) -> Signer:
     """Deterministic keyed signer for tests and single-operator ledgers."""
+    import base64
+    import hashlib
+    import hmac
 
     def sign(pre_image: bytes) -> SignatureRecord:
         mac = hmac.new(key, pre_image, hashlib.sha256).digest()
@@ -192,6 +193,9 @@ def hmac_signer(key_ref: str, key: bytes, signer_role: ActorRef) -> Signer:
 
 def hmac_verifier(keys: dict[str, bytes]) -> SchemeVerifier:
     """Verifier for the HMAC scheme; `keys` maps keyRef to key bytes."""
+    import base64
+    import hashlib
+    import hmac
 
     def verify(pre_image: bytes, sig: SignatureRecord) -> bool:
         key = keys.get(sig.key_ref)

@@ -272,8 +272,9 @@ def wire(name: str, default: Any = MISSING, *, codec: Any = None, omit: str | No
 
     Codecs: None keeps the JSON value as it is; `dict` requires an object;
     `list[str]` requires a list of strings and copies it both ways; `list`
-    keeps the value on decode and copies it on encode; a block class decodes
-    a nested object; `list[Block]` decodes a list of them.
+    keeps the value on decode and, on encode, copies a list and writes any
+    other value as it is, even an empty one, for validation to report; a
+    block class decodes a nested object; `list[Block]` decodes a list of them.
     """
     factory = default is list or default is dict
     if omit is None:
@@ -311,6 +312,8 @@ class Wire:
     def encode(self, block: Any) -> Any:
         """The value `to_doc` writes for this field of `block`, or OMITTED."""
         value = getattr(block, self.attr)
+        if self.kind == "copy" and not isinstance(value, list):
+            return value
         if value is None and self.omit == OMIT_NONE or not value and self.omit == OMIT_EMPTY:
             return OMITTED
         if self.kind in ("copy", "strings"):
@@ -332,8 +335,13 @@ def _strings(value: Any, where: str) -> list:
     raise MalformedDocument(f"{where} must be a list of strings")
 
 
+def _copied(value: Any) -> Any:
+    """What the `list` codec writes: a copy of a list, any other value as it is."""
+    return list(value) if isinstance(value, list) else value
+
+
 # What `to_doc` writes for each kind of codec, given the field's value.
-_ENCODE = {"raw": "{}", "object": "{}", "copy": "list({})", "strings": "list({})",
+_ENCODE = {"raw": "{}", "object": "{}", "copy": "_copied({})", "strings": "list({})",
            "block": "{}.to_doc()", "blocks": "[x.to_doc() for x in {}]"}
 
 
@@ -345,7 +353,7 @@ def _compile(cls: type, where: str) -> dict:
     """
     names = {"new": object.__new__, "cls": cls, "MISSING": MISSING, "_NO_BLOCK": _NO_BLOCK,
              "_strings": _strings, "_not_object": _not_object, "_rest": _rest,
-             "MalformedDocument": MalformedDocument,
+             "_copied": _copied, "MalformedDocument": MalformedDocument,
              "KNOWN": frozenset(row.name for row in cls.FIELDS)}
     dec = [f"def from_doc(doc, where={where!r}):",
            "    if not isinstance(doc, dict):",
@@ -391,8 +399,10 @@ def _compile(cls: type, where: str) -> dict:
         if row.omit == ALWAYS:
             enc.append(f"    d[{key}] = {value.format('self.' + row.attr)}")
         else:
-            enc += [f"    v = self.{row.attr}",
-                    f"    if v{' is not None' if row.omit == OMIT_NONE else ''}:",
+            test = "v is not None" if row.omit == OMIT_NONE else "v"
+            if kind == "copy":  # as Wire.encode: a non-list is never omitted
+                test += " or not isinstance(v, list)"
+            enc += [f"    v = self.{row.attr}", f"    if {test}:",
                     f"        d[{key}] = {value.format('v')}"]
     if literal:
         enc.append("    }")

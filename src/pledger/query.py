@@ -21,9 +21,7 @@ lexicographically, so results are deterministic.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import re
 from dataclasses import dataclass, field
 from typing import Any
@@ -340,6 +338,9 @@ class ResultTable:
         return "\n".join(out) + "\n"
 
     def render_csv(self) -> str:
+        import csv
+        import io
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(self.columns)

@@ -16,7 +16,7 @@ import copy
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 try:
     import fcntl
@@ -36,7 +36,6 @@ from .errors import (
     WrongEntryType,
 )
 from .graph import Snapshot
-from .integrity import CLOCK_SKEW, ChainVerdict, Signer, seal, verify_chain
 from .model import (
     ROLES_ALLOWED_TO_REDACT,
     VOUCHER_TRANSITIONS,
@@ -49,6 +48,9 @@ from .model import (
     serialize_entry,
     validate_structure,
 )
+
+if TYPE_CHECKING:  # `integrity` is imported by the methods that seal or verify
+    from .integrity import ChainVerdict, Signer
 
 LEDGER_SUFFIX = ".pledger"
 HEAD_SUFFIX = ".head"
@@ -196,6 +198,8 @@ class LedgerFile:
         return self.snapshot.position[entry_id]
 
     def verify(self) -> ChainVerdict:
+        from .integrity import verify_chain
+
         return verify_chain(self.snapshot.entries)
 
     def tombstones(self) -> dict[str, EntryEnvelope]:
@@ -245,6 +249,8 @@ class LedgerFile:
         On any failure the file is byte-identical to its state before the
         call. Returns the sealed entry.
         """
+        from .integrity import CLOCK_SKEW, seal
+
         self._require_writable()
         if entry.id in self.snapshot.by_id:
             raise DuplicateId(f"entry id {entry.id!r} already in ledger")

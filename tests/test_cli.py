@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import io
 import json
 import shutil
@@ -25,7 +26,14 @@ from pledger.fixtures import (
     VOUCHER_ID,
     sample_contribution_doc,
 )
-from pledger.model import MeasurementProcedure
+from pledger.model import (
+    ActorRef,
+    EntryEnvelope,
+    EntryType,
+    MeasurementProcedure,
+    VoucherCondition,
+    VoucherPayload,
+)
 from pledger.store import LedgerFile, read_entries
 
 CREDIT_ID = ("pl:credit:regressiondetected:"
@@ -117,6 +125,43 @@ def test_verify_covers_measurement_fields_of_every_runner_kind(
     assert code == 4
     assert json.loads(out)["chain"] == {"valid": False, "entryCount": 2,
                                         "firstBrokenIndex": 0, "failureKind": "hashMismatch"}
+
+
+@pytest.mark.parametrize("value", ["ab", 5, {"k": 1}])
+def test_verify_hashes_a_malformed_scope_constraint_as_stored(tmp_path, capsys, value):
+    # A voucher condition whose scopeConstraints is not a list, sealed over the
+    # stored object, keeps the chain valid; with the old hash left in place it
+    # is a hash mismatch (exit 4), never a crash.
+    path = tmp_path / "vouchers.pledger"
+    steward = ActorRef(role="communitySteward", steward_org="pl:org:gen-steward")
+    with LedgerFile(path) as ledger:
+        test = ledger.append(make_test(1))
+        ledger.append(EntryEnvelope(
+            id="pl:voucher:gen:pause:001", entry_type=EntryType.VOUCHER,
+            created_at="2025-06-01T00:00:00Z", actor=steward,
+            payload=VoucherPayload(
+                capability="image-generation", boundary="consultation_workflow",
+                action="pause", steward=steward, status="issued",
+                conditions=[VoucherCondition(required_test_id=test.id,
+                                             scope_constraints=["x"])])))
+    code, out, _err = run_cli(capsys, "verify", "--ledger", str(path))
+    assert (code, out) == (0, "chain valid, 2 entries\n")
+
+    lines = path.read_text("utf-8").splitlines()
+    doc = json.loads(lines[1])
+    doc["voucher"]["conditions"][0]["scopeConstraints"] = value
+    stale = canonical_json(doc)
+    integrity = doc.pop("integrity")
+    pre_image = canonical_json({**doc, "prev": integrity["prevHash"]}).encode("utf-8")
+    integrity["hash"] = "sha256:" + hashlib.sha256(pre_image).hexdigest()
+    resealed = canonical_json({**doc, "integrity": integrity})
+    for line, expected in [(resealed, (0, True, None, None)),
+                           (stale, (4, False, 1, "hashMismatch"))]:
+        path.write_text(f"{lines[0]}\n{line}\n", "utf-8")
+        code, out, _err = run_cli(capsys, "verify", "--ledger", str(path), "--format", "doc")
+        chain = json.loads(out)["chain"]
+        assert (code, chain["valid"], chain["firstBrokenIndex"], chain["failureKind"]) \
+            == expected
 
 
 def test_verify_reports_torn_tail(writable, capsys):

@@ -24,6 +24,7 @@ from pledger.model import (
     ActorRef,
     EntryType,
     LinkSet,
+    VoucherCondition,
     check_entry_id,
     format_timestamp,
     in_vocab,
@@ -370,6 +371,20 @@ def test_decoded_link_lists_are_copies():
     entry = parse_entry(doc)
     entry.links.influences.append("pl:test:added:001")
     assert "pl:test:added:001" not in doc["links"].get("influences", [])
+
+
+@pytest.mark.parametrize("value", ["ab", 5, {"k": 1}, 0, "", None])
+def test_malformed_scope_constraints_encode_as_decoded(value):
+    # Validation, not the codec, rejects a value that is not a list of tags:
+    # both encoders write back what was decoded, so a stored line's hash is
+    # recomputed over the value it holds.
+    doc = {"requiredTestId": "pl:test:x:001", "scopeConstraints": value, "humanInLoop": False}
+    condition = VoucherCondition.from_doc(doc)
+    assert condition.to_doc() == doc
+    row = next(row for row in VoucherCondition.FIELDS if row.name == "scopeConstraints")
+    assert row.encode(condition) == value
+    assert VoucherCondition.from_doc({**doc, "scopeConstraints": []}).to_doc() == {
+        "requiredTestId": "pl:test:x:001", "humanInLoop": False}
 
 
 def test_parse_errors_keep_their_classes_for_payload_keys():

@@ -4,6 +4,7 @@ and one `python -m pledger` command load."""
 from __future__ import annotations
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -13,7 +14,14 @@ import pytest
 
 import pledger
 from pledger.cli import main
-from pledger.fixtures import STEWARD_ORG, WINDOW
+from pledger.fixtures import (
+    ARTIFACT_ID,
+    BOUNDARY,
+    CAPABILITY,
+    STEWARD_ORG,
+    WINDOW,
+    sample_contribution_doc,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 UNUSED_BY_VERIFY = ("pledger.query", "pledger.harness", "pledger.governance",
@@ -64,6 +72,88 @@ def test_credit_report_does_not_load_the_query_module(lifecycle, capsys, fmt):
     assert "pledger.governance" in modules
     assert "pledger.query" not in modules
     assert "pledger.indented" not in modules  # only --format doc and export render it
+
+
+GATE_CHECK = ["gate", "check", "--capability", CAPABILITY, "--boundary", BOUNDARY,
+              "--version", "v3", "--now", "2025-06-27T00:00:00Z"]
+
+# (argv before the ledger path, modules it loads, modules it must not load on
+# top of what a bare interpreter loads)
+IMPORT_CASES = {
+    "gate check": (GATE_CHECK, {"pledger.governance"},
+                   {"pledger.integrity", "pledger.harness", "hashlib", "hmac", "csv"}),
+    "credit report": (["credit", "report", "--beneficiary", STEWARD_ORG,
+                       "--window-start", WINDOW[0], "--window-end", WINDOW[1]],
+                      {"pledger.governance"},
+                      {"pledger.integrity", "pledger.harness", "hashlib", "hmac", "csv"}),
+    "query doc": (["query", "MATCH (t:Test) RETURN t.id;", "--format", "doc"],
+                  {"pledger.query"},
+                  {"pledger.governance", "pledger.harness", "pledger.integrity", "hashlib",
+                   "fractions", "decimal", "csv"}),
+    "audit linkage": (["audit", "linkage"], {"fractions"}, {"pledger.integrity", "hashlib"}),
+    "export": (["export", "--release", f"{ARTIFACT_ID}@v3", "--now", "2025-06-27T00:00:00Z"],
+               {"pledger.evidence"}, {"pledger.integrity", "hashlib"}),
+    "verify": (["verify"], {"pledger.integrity", "hashlib"}, {"hmac", "base64"}),
+    "verify keyed": (["verify", "--hmac-key", "k1=secret"],
+                     {"pledger.integrity", "hashlib", "hmac", "base64"}, set()),
+    "append": (["append", "entry.json"], {"pledger.integrity", "hashlib"}, {"csv"}),
+}
+
+
+@pytest.fixture(scope="module")
+def bare_modules() -> set[str]:
+    proc = run_python("-X", "importtime", "-c", "pass")
+    assert proc.returncode == 0, proc.stderr
+    return imported_modules(proc.stderr)
+
+
+@pytest.mark.parametrize("case", sorted(IMPORT_CASES))
+def test_each_command_loads_only_what_it_runs(lifecycle, tmp_path, bare_modules, case):
+    argv, loads, loads_none_of = IMPORT_CASES[case]
+    ledger = str(lifecycle[0])
+    if argv[0] == "append":
+        ledger = str(tmp_path / "new.pledger")
+        argv = ["append", str(tmp_path / argv[1])]
+        (tmp_path / "entry.json").write_text(json.dumps(sample_contribution_doc()), "utf-8")
+    proc = run_python("-X", "importtime", "-m", "pledger", *argv, "--ledger", ledger)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    modules = imported_modules(proc.stderr)
+    assert loads <= modules
+    assert not (modules - bare_modules) & loads_none_of
+
+
+# Run in a child: count the cyclic collections that start while the code of
+# pledger/__main__.py is on the stack. runpy executes that code without adding
+# the module to sys.modules, so the hook looks for its frame instead.
+GC_PROBE = """
+import gc, importlib.util, runpy, sys
+main_file = importlib.util.find_spec("pledger.__main__").origin
+collections = 0
+
+def count(phase, info):
+    global collections
+    if phase != "start":
+        return
+    frame = sys._getframe()
+    while frame is not None and frame.f_code.co_filename != main_file:
+        frame = frame.f_back
+    collections += frame is not None
+
+gc.callbacks.append(count)
+sys.argv = ["pledger", *sys.argv[1:]]
+try:
+    runpy.run_module("pledger", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(f"exit {code}, {collections} collections", file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", [["verify"], GATE_CHECK], ids=["verify", "gate check"])
+def test_process_entry_pauses_the_collector_before_importing(lifecycle, argv):
+    proc = run_python("-c", GC_PROBE, *argv, "--ledger", str(lifecycle[0]))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stderr.splitlines()[-1] == "exit 0, 0 collections"
 
 
 def test_import_pledger_loads_no_submodule():
