@@ -467,3 +467,33 @@ def test_read_entries_names_a_corrupt_line_in_the_middle(lifecycle, tmp_path, da
         read_entries(damaged)
     assert info.value.line_number == 8
     assert str(info.value) == f"corrupt ledger line 8: {reason}"
+
+
+# ---------------------------------------------------------------------------
+# validation corpus: one case per rule id, plus one per block with every
+# checked field broken, with the ordered (path, rule, message) list frozen in
+# tests/data/validation_rules.json
+
+RULES = json.loads((Path(__file__).parent / "data" / "validation_rules.json").read_text("utf-8"))
+
+
+def edited(case: dict):
+    """The case's base entry with its edits applied and envelope attributes replaced."""
+    import dataclasses
+
+    doc = copy.deepcopy(CORPUS["bases"][case["base"]])
+    for edit in case["edits"]:
+        target = doc
+        for step in edit["path"][:-1]:
+            target = target[step]
+        if edit.get("delete"):
+            del target[edit["path"][-1]]
+        else:
+            target[edit["path"][-1]] = copy.deepcopy(edit["value"])
+    return dataclasses.replace(parse_entry(doc), **case.get("replace", {}))
+
+
+@pytest.mark.parametrize("case", RULES["cases"], ids=[c["case"] for c in RULES["cases"]])
+def test_validation_corpus(case):
+    report = validate_structure(edited(case))
+    assert [[v.path, v.rule, v.message] for v in report.violations] == case["violations"]
