@@ -15,6 +15,7 @@ targets) only need the grammar.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import MISSING, Field, dataclass, field, fields
 from datetime import datetime, timezone
@@ -220,15 +221,6 @@ def is_timestamp(value: Any) -> bool:
         return False
 
 
-def _is_str_list(value: Any) -> bool:
-    if not isinstance(value, list):
-        return False
-    for item in value:
-        if not isinstance(item, str):
-            return False
-    return True
-
-
 def _rest(doc: dict, known: frozenset[str]) -> dict:
     """The keys of `doc` that a table does not name: a block's extensions."""
     return {k: v for k, v in doc.items() if k not in known}
@@ -260,7 +252,8 @@ OMITTED = object()
 _NO_BLOCK: dict = {}
 
 
-def wire(name: str, default: Any = MISSING, *, codec: Any = None, omit: str | None = None):
+def wire(name: str, default: Any = MISSING, *, codec: Any = None, omit: str | None = None,
+         check: tuple | None = None, rule: str | None = None):
     """Declare a dataclass field together with its row in the field table.
 
     `default` is what an absent key decodes to: None, False, or `list`/`dict`
@@ -275,28 +268,37 @@ def wire(name: str, default: Any = MISSING, *, codec: Any = None, omit: str | No
     keeps the value on decode and, on encode, copies a list and writes any
     other value as it is, even an empty one, for validation to report; a
     block class decodes a nested object; `list[Block]` decodes a list of them.
+
+    `check` is the row's validation rule: a (predicate, message) pair, where
+    the message may format the failing value with `{!r}`. A `list[str]` field
+    is checked item by item, and a field omitted when None only when set.
+    The rule id is the block's rule prefix (the last part of its `where`)
+    plus the wire name, unless `rule` names it.
     """
     factory = default is list or default is dict
     if omit is None:
         omit = OMIT_NONE if default is None else OMIT_EMPTY if factory else ALWAYS
-    metadata = {"wire": name, "codec": codec, "omit": omit}
+    metadata = {"wire": name, "codec": codec, "omit": omit, "check": check, "rule": rule}
     if factory:
         return field(default_factory=default, metadata=metadata)
     return field(default=default, metadata=metadata)
 
 
 class Wire:
-    """One row of a field table: wire key, attribute, codec and omit rule.
+    """One row of a field table: wire key, attribute, codec, omit rule and check.
 
     `kind` sorts the codec into raw, object, copy, strings, block or blocks;
-    `absent` is the source text of what an absent key decodes to.
+    `absent` is the source text of what an absent key decodes to; `test`,
+    `message` and `rule` are the row's check, if it has one.
     """
 
-    __slots__ = ("name", "attr", "omit", "kind", "block", "absent")
+    __slots__ = ("name", "attr", "omit", "kind", "block", "absent", "test", "message", "rule")
 
-    def __init__(self, f: Field):
+    def __init__(self, f: Field, prefix: str):
         codec = f.metadata["codec"]
         self.name, self.attr, self.omit = f.metadata["wire"], f.name, f.metadata["omit"]
+        self.test, self.message = f.metadata["check"] or (None, None)
+        self.rule = f.metadata["rule"] or f"{prefix}.{self.name}"
         items = getattr(codec, "__args__", None)  # list[str] or list[Block]
         self.block = items[0] if items else codec
         self.kind = ("raw" if codec is None else "object" if codec is dict
@@ -323,15 +325,20 @@ class Wire:
         return value.to_doc() if self.kind == "block" else value
 
 
-def _strings(value: Any, where: str) -> list:
-    """A copy of `value` if it is a list of strings, else MalformedDocument."""
+def _is_strings(value: Any) -> bool:
     if isinstance(value, list):
         try:
             "".join(value)  # the cheapest check that every item is a str
         except TypeError:
-            pass
-        else:
-            return list(value)
+            return False
+        return True
+    return False
+
+
+def _strings(value: Any, where: str) -> list:
+    """A copy of `value` if it is a list of strings, else MalformedDocument."""
+    if _is_strings(value):
+        return list(value)
     raise MalformedDocument(f"{where} must be a list of strings")
 
 
@@ -345,16 +352,41 @@ _ENCODE = {"raw": "{}", "object": "{}", "copy": "_copied({})", "strings": "list(
            "block": "{}.to_doc()", "blocks": "[x.to_doc() for x in {}]"}
 
 
-def _compile(cls: type, where: str) -> dict:
-    """Compile one field table into `from_doc` and `to_doc` functions.
+def _compile(cls: type, where: str, checks: bool = False) -> dict:
+    """Compile one field table into `from_doc` and `to_doc` functions, or,
+    with `checks`, into the `check(self, where, report)` that validation calls.
 
     `from_doc` fills the slots of a bare instance directly: these blocks have
     no `__post_init__`, and skipping `__init__` saves a third of their cost.
+    `check` applies each row's check in table order (a row omitted when None
+    only when set), calls `check` on the nested blocks the table walks, then the
+    block's `cross_check`, if it has one.
     """
     names = {"new": object.__new__, "cls": cls, "MISSING": MISSING, "_NO_BLOCK": _NO_BLOCK,
              "_strings": _strings, "_not_object": _not_object, "_rest": _rest,
              "_copied": _copied, "MalformedDocument": MalformedDocument,
              "KNOWN": frozenset(row.name for row in cls.FIELDS)}
+    if checks:
+        chk = ["def check(self, where, report):", "    add = report.add"]
+        for i, row in enumerate(cls.CHECKS):
+            names[f"t{i}"], names[f"m{i}"] = row.test, row.message
+            here, item = f"where + {'.' + row.name!r}", f"f'{{where}}.{row.name}[{{i}}]'"
+            loop = f"    for i, v in enumerate(self.{row.attr}):"
+            if row.kind == "block":
+                chk.append(f"    self.{row.attr}.check({here}, report)")
+            elif row.kind == "blocks":
+                chk += [loop, f"        v.check({item}, report)"]
+            elif row.kind == "strings":
+                chk += [loop, f"        if not t{i}(v):",
+                        f"            add({item}, {row.rule!r}, m{i}.format(v))"]
+            else:
+                skip = "v is not None and " if row.omit == OMIT_NONE else ""
+                chk += [f"    v = self.{row.attr}", f"    if {skip}not t{i}(v):",
+                        f"        add({here}, {row.rule!r}, m{i}.format(v))"]
+        if "cross_check" in cls.__dict__:
+            chk.append("    self.cross_check(where, report)")
+        exec(compile("\n".join(chk) + "\n", f"<checks {cls.__name__}>", "exec"), names)
+        return names
     dec = [f"def from_doc(doc, where={where!r}):",
            "    if not isinstance(doc, dict):",
            "        _not_object(doc, where)",
@@ -415,6 +447,12 @@ def _compile(cls: type, where: str) -> dict:
     return names
 
 
+def _check_first(self, where: str, report: ValidationReport) -> None:
+    cls = self.__class__
+    cls.check = _compile(cls, "", checks=True)["check"]
+    cls.check(self, where, report)
+
+
 def codec(where: str):
     """Class decorator: make a slotted dataclass and compile its field table.
 
@@ -438,12 +476,53 @@ def codec(where: str):
             return f"{self.__class__.__qualname__}({pairs})"
 
         cls.__eq__, cls.__repr__, cls.__hash__ = __eq__, __repr__, None
-        cls.FIELDS = tuple(Wire(f) for f in fields(cls) if "wire" in f.metadata)
+        cls.FIELDS = tuple(Wire(f, where.rpartition(".")[2].removesuffix("[]"))
+                           for f in fields(cls) if "wire" in f.metadata)
+        # Validation checks the rows with a check and the nested blocks whose
+        # own table checks something; `check` is compiled on its first call.
+        cls.CHECKS = tuple(row for row in cls.FIELDS if row.test or row.kind in ("block", "blocks")
+                           and any(inner.test for inner in row.block.FIELDS))
+        cls.check = _check_first
         namespace = _compile(cls, where)
         cls.from_doc = staticmethod(namespace["from_doc"])
         cls.to_doc = namespace["to_doc"]
         return cls
     return build
+
+
+# ---------------------------------------------------------------------------
+# checks: the (predicate, message) pairs that rows carry
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value: Any) -> bool:
+    """A number other than NaN and ±inf, which have no canonical form."""
+    return _is_number(value) and (isinstance(value, int) or math.isfinite(value))
+
+
+def _vocab(vocab: frozenset[str], what: str, escape: bool = True) -> tuple:
+    """Membership of a vocabulary; with `escape`, `extension:<tag>` values too."""
+    if escape:
+        return lambda value: in_vocab(value, vocab), f"unknown {what} {{!r}}"
+    return lambda value: isinstance(value, str) and value in vocab, f"unknown {what} {{!r}}"
+
+
+def _pattern(pattern: re.Pattern, expected: str) -> tuple:
+    return (lambda value: isinstance(value, str) and pattern.fullmatch(value) is not None,
+            f"expected {expected}, got {{!r}}")
+
+
+_STRING = (lambda value: isinstance(value, str), "must be a string")
+_NONEMPTY = (lambda value: isinstance(value, str) and value != "", "must be a nonempty string")
+_LEDGER_ID = (is_reference_id, "not a ledger id: {!r}")
+_CONTENT_REF = (is_artifact_ref, "not a hash reference or URI: {!r}")
+_DIGEST = (is_digest, "not a sha256 digest: {!r}")
+_TIMESTAMP = (is_timestamp, "not an ISO-8601 UTC timestamp: {!r}")
+_UNITS = (lambda value: _is_finite(value) and value >= 0, "must be a nonnegative number, got {!r}")
+_COUNT = (lambda value: isinstance(value, int) and not isinstance(value, bool) and value >= 1,
+          "must be an integer >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +532,14 @@ def codec(where: str):
 class ActorRef:
     """Who acts: a role plus a pseudonym or a steward organisation."""
 
-    role: str = wire("role")
-    pseudonym: str | None = wire("pseudonym", None)
-    steward_org: str | None = wire("stewardOrg", None)
+    role: str = wire("role", check=_vocab(ROLES, "role"))
+    pseudonym: str | None = wire("pseudonym", None, check=_STRING)
+    steward_org: str | None = wire("stewardOrg", None, check=_LEDGER_ID)
     extensions: dict = field(default_factory=dict)
+
+    def cross_check(self, where: str, report: ValidationReport) -> None:
+        if not self.pseudonym and not self.steward_org:
+            report.add(where, "actor.identity", "needs a pseudonym or stewardOrg")
 
     def display_name(self) -> str:
         """Pseudonymous beneficiary handle: steward org wins over pseudonym."""
@@ -467,10 +550,12 @@ class ActorRef:
 class ConsentBlock:
     """The contributor's consent: status, scope, retention, reuse limits."""
 
-    status: str = wire("status")
+    status: str = wire("status", check=_vocab(CONSENT_STATUSES, "status"))
     scope: str | None = wire("scope", None)
-    retention: str | None = wire("retention", None)
-    reuse_constraints: list[str] | None = wire("reuseConstraints", None)
+    retention: str | None = wire("retention", None,
+                                 check=_pattern(_RETENTION_RE, "<n>y|<n>m|<n>d"))
+    reuse_constraints: list[str] | None = wire(
+        "reuseConstraints", None, check=(_is_strings, "must be a list of policy tags"))
     extensions: dict = field(default_factory=dict)
 
     def scope_tags(self) -> list[str]:
@@ -484,26 +569,42 @@ class ConsentBlock:
 class CompensationBlock:
     """How a contribution is compensated."""
 
-    model: str = wire("model")
-    amount: int | float | None = wire("amount", None)
-    currency: str | None = wire("currency", None)
+    model: str = wire("model", check=_vocab(COMPENSATION_MODELS, "model"))
+    amount: int | float | None = wire("amount", None, check=_UNITS)
+    currency: str | None = wire("currency", None, check=_pattern(_CURRENCY_RE, "a 3-letter code"))
     extensions: dict = field(default_factory=dict)
+
+    def cross_check(self, where: str, report: ValidationReport) -> None:
+        """Paid models need their terms."""
+        if self.model in ("honorarium", "hourly"):
+            if not _is_number(self.amount) or self.amount <= 0:
+                report.add(f"{where}.amount", "compensation.terms",
+                           f"{self.model} requires amount > 0")
+            if not self.currency:
+                report.add(f"{where}.currency", "compensation.terms",
+                           f"{self.model} requires a currency")
+
+
+def _link(name: str, check: tuple = _LEDGER_ID):
+    """A LinkSet row: a list of targets, each checked under rule links.target."""
+    return wire(name, list, codec=list[str], check=check, rule="links.target")
 
 
 @codec("links")
 class LinkSet:
     """Outgoing links by kind; unknown kinds are kept in `extensions`."""
 
-    influenced_by: list[str] = wire("influencedBy", list, codec=list[str])
-    influences: list[str] = wire("influences", list, codec=list[str])
-    motivates: list[str] = wire("motivates", list, codec=list[str])
-    uses_test: list[str] = wire("usesTest", list, codec=list[str])
-    evaluates: list[str] = wire("evaluates", list, codec=list[str])
-    deployed_as: list[str] = wire("deployedAs", list, codec=list[str])
-    remediates: list[str] = wire("remediates", list, codec=list[str])
-    evidence: list[str] = wire("evidence", list, codec=list[str])
-    authorizes: list[str] = wire("authorizes", list, codec=list[str])
-    credits_for: list[str] = wire("creditsFor", list, codec=list[str])
+    influenced_by: list[str] = _link("influencedBy")
+    influences: list[str] = _link("influences")
+    motivates: list[str] = _link("motivates")
+    uses_test: list[str] = _link("usesTest")
+    evaluates: list[str] = _link("evaluates")
+    deployed_as: list[str] = _link("deployedAs")
+    remediates: list[str] = _link("remediates")
+    evidence: list[str] = _link("evidence", (lambda value: is_reference_id(value) or is_uri(value),
+                                             "not a ledger id or URI: {!r}"))
+    authorizes: list[str] = _link("authorizes")
+    credits_for: list[str] = _link("creditsFor")
     extensions: dict = field(default_factory=dict)
 
     def iter_links(self):
@@ -520,7 +621,8 @@ LINK_KINDS: tuple[str, ...] = tuple(kind for kind, _ in LINK_ATTRS)
 
 @codec("integrity.signature")
 class SignatureRecord:
-    """A signature over an entry's hash, and who made it."""
+    """A signature over an entry's hash, and who made it (judged by
+    verify_signatures: its table checks nothing, so validation skips it)."""
 
     scheme: str = wire("scheme")
     signer_role: ActorRef = wire("signerRole", codec=ActorRef)
@@ -533,8 +635,8 @@ class SignatureRecord:
 class IntegrityBlock:
     """An entry's hash, the previous entry's hash, and an optional signature."""
 
-    hash: str = wire("hash")
-    prev_hash: str | None = wire("prevHash", None)
+    hash: str = wire("hash", check=_DIGEST)
+    prev_hash: str | None = wire("prevHash", None, check=_DIGEST)
     signature: SignatureRecord | None = wire("signature", None, codec=SignatureRecord)
 
 
@@ -545,12 +647,13 @@ class IntegrityBlock:
 class ContributionPayload:
     """A participant's contribution and where its content lives."""
 
-    kind: str = wire("kind")
-    summary: str = wire("summary")
-    artifact_ref: str = wire("artifactRef")
-    intended_use: str | None = wire("intendedUse", None)
+    kind: str = wire("kind", check=_vocab(CONTRIBUTION_KINDS, "kind"))
+    summary: str = wire("summary", check=_NONEMPTY)
+    artifact_ref: str = wire("artifactRef", check=_CONTENT_REF)
+    intended_use: str | None = wire("intendedUse", None,
+                                    check=_vocab(INTENDED_USES, "intended use"))
     representational_metadata: dict | None = wire("representationalMetadata", None, codec=dict)
-    recruitment_pathway: str | None = wire("recruitmentPathway", None)
+    recruitment_pathway: str | None = wire("recruitmentPathway", None, check=_STRING)
     extensions: dict = field(default_factory=dict)
 
 
@@ -558,8 +661,8 @@ class ContributionPayload:
 class ChangedArtifact:
     """One artifact version that a change produced."""
 
-    artifact_id: str = wire("artifactId")
-    version_after: str = wire("versionAfter")
+    artifact_id: str = wire("artifactId", check=_LEDGER_ID, rule="change.artifactId")
+    version_after: str = wire("versionAfter", check=_NONEMPTY, rule="change.versionAfter")
     version_before: str | None = wire("versionBefore", None)
     extensions: dict = field(default_factory=dict)
 
@@ -568,22 +671,27 @@ class ChangedArtifact:
 class ChangePayload:
     """A change to artifacts and why it was made."""
 
-    change_kind: str = wire("changeKind")
-    rationale: str = wire("rationale")
+    change_kind: str = wire("changeKind", check=_vocab(CHANGE_KINDS, "change kind"))
+    rationale: str = wire("rationale", check=_NONEMPTY)
     changed_artifacts: list[ChangedArtifact] = wire(
         "changedArtifacts", list, codec=list[ChangedArtifact], omit=ALWAYS)
     extensions: dict = field(default_factory=dict)
+
+    def cross_check(self, where: str, report: ValidationReport) -> None:
+        if not self.changed_artifacts:
+            report.add(f"{where}.changedArtifacts", "change.changedArtifacts",
+                       "must list at least one changed artifact")
 
 
 @codec("artifact")
 class ArtifactPayload:
     """One version of an artifact; a deployment when its kind says so."""
 
-    artifact_id: str = wire("artifactId")
-    artifact_kind: str = wire("artifactKind")
-    version: str = wire("version")
-    content_ref: str = wire("contentRef")
-    boundary: str | None = wire("boundary", None)
+    artifact_id: str = wire("artifactId", check=_LEDGER_ID)
+    artifact_kind: str = wire("artifactKind", check=_vocab(ARTIFACT_KINDS, "artifact kind"))
+    version: str = wire("version", check=_NONEMPTY)
+    content_ref: str = wire("contentRef", check=_CONTENT_REF)
+    boundary: str | None = wire("boundary", None, check=_STRING)
     extensions: dict = field(default_factory=dict)
 
     def is_deployment(self) -> bool:
@@ -596,29 +704,56 @@ class MeasurementProcedure:
     active variant; every field that is set is serialized, so all of them
     are inside the hash. Threshold comparisons are inclusive."""
 
-    runner_kind: str = wire("runnerKind")
+    runner_kind: str = wire("runnerKind", check=_vocab(RUNNER_KINDS, "runner kind"))
     # threshold
-    metric_name: str | None = wire("metricName", None)
-    comparator: str | None = wire("comparator", None)
-    bound: int | float | None = wire("bound", None)
+    metric_name: str | None = wire("metricName", None, check=_NONEMPTY)
+    comparator: str | None = wire(
+        "comparator", None, check=(lambda value: isinstance(value, str) and value in COMPARATORS,
+                                   "expected >= or <=, got {!r}"))
+    bound: int | float | None = wire("bound", None, check=(_is_finite, "must be a finite number"))
     # rubric
-    criteria: list[str] | None = wire("criteria", None)
-    scale_max: int | None = wire("scaleMax", None)
-    aggregation: str | None = wire("aggregation", None)
-    pass_mean: int | float | None = wire("passMean", None)
-    min_raters: int | None = wire("minRaters", None)
+    criteria: list[str] | None = wire(
+        "criteria", None, check=(lambda value: bool(value) and _is_strings(value),
+                                 "must be a nonempty list of strings"))
+    scale_max: int | None = wire("scaleMax", None, check=_COUNT)
+    aggregation: str | None = wire(
+        "aggregation", None, check=(lambda value: value == "mean",
+                                    "only mean aggregation is defined, got {!r}"))
+    pass_mean: int | float | None = wire("passMean", None, check=(_is_finite, "must be a number"))
+    min_raters: int | None = wire("minRaters", None, check=_COUNT)
     extensions: dict = field(default_factory=dict)
+
+    def cross_check(self, where: str, report: ValidationReport) -> None:
+        """The runner variants: each row of the active one is required."""
+        kind = self.runner_kind
+        if kind not in ("threshold", "rubric"):
+            return
+        for row in self.FIELDS[1:4] if kind == "threshold" else self.FIELDS[4:9]:
+            value = getattr(self, row.attr)
+            if not row.test(value):
+                report.add(f"{where}.{row.name}", row.rule, row.message.format(value))
+        pass_mean, scale_max = self.pass_mean, self.scale_max
+        if kind == "rubric" and _is_finite(pass_mean) \
+                and isinstance(scale_max, int) and not isinstance(scale_max, bool) \
+                and not 0 <= pass_mean <= scale_max:
+            report.add(f"{where}.passMean", "measurement.passMean",
+                       f"must lie within [0, scaleMax={scale_max}]")
+
+
+# Only runnerKind is checked for every test: cross_check checks the rows of
+# the active variant, so the other variant's rows are not checked at all.
+MeasurementProcedure.CHECKS = MeasurementProcedure.FIELDS[:1]
 
 
 @codec("test")
 class TestPayload:
     """A test: what it checks, how it is measured, what motivated it."""
 
-    topic: str = wire("topic")
-    expected_behavior: str = wire("expectedBehavior")
+    topic: str = wire("topic", check=_NONEMPTY)
+    expected_behavior: str = wire("expectedBehavior", check=_NONEMPTY)
     measurement: MeasurementProcedure = wire("measurement", codec=MeasurementProcedure)
     input_spec: dict = wire("inputSpec", dict, codec=dict)
-    motivated_by: list[str] = wire("motivatedBy", list, codec=list[str])
+    motivated_by: list[str] = wire("motivatedBy", list, codec=list[str], check=_LEDGER_ID)
     extensions: dict = field(default_factory=dict)
 
 
@@ -626,14 +761,14 @@ class TestPayload:
 class EvaluationRunPayload:
     """One run of a test on one artifact version, and its decision."""
 
-    test_id: str = wire("testId")
-    artifact_id: str = wire("artifactId")
-    version: str = wire("version")
-    decision: str = wire("decision")
-    checkpoint: str = wire("checkpoint")
+    test_id: str = wire("testId", check=_LEDGER_ID)
+    artifact_id: str = wire("artifactId", check=_LEDGER_ID)
+    version: str = wire("version", check=_NONEMPTY)
+    decision: str = wire("decision", check=_vocab(RUN_DECISIONS, "decision"))
+    checkpoint: str = wire("checkpoint", check=_vocab(CHECKPOINTS, "checkpoint"))
     evaluator: ActorRef = wire("evaluator", codec=ActorRef)
     raw_results: dict = wire("rawResults", dict, codec=dict)
-    timestamp: str | None = wire("timestamp", None)
+    timestamp: str | None = wire("timestamp", None, check=_TIMESTAMP)
     unattested_by_harness: bool | None = wire("unattestedByHarness", None)
     extensions: dict = field(default_factory=dict)
 
@@ -642,10 +777,13 @@ class EvaluationRunPayload:
 class VoucherCondition:
     """A test that must pass before a voucher authorizes."""
 
-    required_test_id: str = wire("requiredTestId")
+    required_test_id: str = wire("requiredTestId", check=_LEDGER_ID, rule="voucher.condition-test")
     must_pass_on_version: str | None = wire("mustPassOnVersion", None)
-    scope_constraints: list[str] = wire("scopeConstraints", list, codec=list)
-    human_in_loop: bool = wire("humanInLoop", False)
+    scope_constraints: list[str] = wire("scopeConstraints", list, codec=list,
+                                        check=(_is_strings, "must be a list of tags"),
+                                        rule="voucher.condition-scope")
+    human_in_loop: bool = wire("humanInLoop", False, rule="voucher.condition-flag",
+                               check=(lambda value: isinstance(value, bool), "must be a boolean"))
     extensions: dict = field(default_factory=dict)
 
 
@@ -653,24 +791,34 @@ class VoucherCondition:
 class VoucherPayload:
     """A steward's pause, condition or authorization for a capability."""
 
-    capability: str = wire("capability")
-    boundary: str = wire("boundary")
-    action: str = wire("action")
+    capability: str = wire("capability", check=_NONEMPTY)
+    boundary: str = wire("boundary", check=_NONEMPTY)
+    action: str = wire("action", check=_vocab(VOUCHER_ACTIONS, "action"))
     steward: ActorRef = wire("steward", codec=ActorRef)
-    status: str = wire("status")
+    status: str = wire("status", check=_vocab(VOUCHER_STATUSES, "status", escape=False))
     conditions: list[VoucherCondition] = wire("conditions", list, codec=list[VoucherCondition])
-    expiry: str | None = wire("expiry", None)
+    expiry: str | None = wire("expiry", None, check=_TIMESTAMP)
     extensions: dict = field(default_factory=dict)
+
+    def cross_check(self, where: str, report: ValidationReport) -> None:
+        if self.steward.role != "communitySteward":
+            report.add(f"{where}.steward.role", "voucher.steward-role",
+                       "vouchers are issued by communityStewards")
 
 
 @codec("credit.triggeringEvent")
 class TriggeringEvent:
     """The run or change a credit is awarded for."""
 
-    kind: str = wire("kind")
+    kind: str = wire("kind", check=_vocab(CREDIT_EVENT_KINDS, "event kind"),
+                     rule="credit.event-kind")
     evaluation_run_id: str | None = wire("evaluationRunId", None)
     change_id: str | None = wire("changeId", None)
     extensions: dict = field(default_factory=dict)
+
+    def cross_check(self, where: str, report: ValidationReport) -> None:
+        if not is_reference_id(self.trigger_id()):
+            report.add(where, "credit.trigger", "needs an evaluationRunId or changeId ledger id")
 
     def trigger_id(self) -> str | None:
         return self.evaluation_run_id or self.change_id
@@ -680,10 +828,10 @@ class TriggeringEvent:
 class CreditPayload:
     """Credit units awarded to a beneficiary under a policy."""
 
-    beneficiary: str = wire("beneficiary")
+    beneficiary: str = wire("beneficiary", check=_NONEMPTY)
     triggering_event: TriggeringEvent = wire("triggeringEvent", codec=TriggeringEvent)
-    units: int | float = wire("units")
-    policy_ref: str = wire("policyRef")
+    units: int | float = wire("units", check=_UNITS)
+    policy_ref: str = wire("policyRef", check=_DIGEST)
     extensions: dict = field(default_factory=dict)
 
 
@@ -691,11 +839,17 @@ class CreditPayload:
 class TombstonePayload:
     """A redaction of an earlier entry, keeping its hash."""
 
-    target_id: str = wire("targetId")
-    reason: str = wire("reason")
+    target_id: str = wire("targetId", check=_LEDGER_ID)
+    reason: str = wire("reason", check=_vocab(TOMBSTONE_REASONS, "reason", escape=False))
     authorization: ActorRef = wire("authorization", codec=ActorRef)
-    retained_hash: str = wire("retainedHash")
+    retained_hash: str = wire("retainedHash", check=_DIGEST)
     extensions: dict = field(default_factory=dict)
+
+    def cross_check(self, where: str, report: ValidationReport) -> None:
+        role = self.authorization.role
+        if not (isinstance(role, str) and role in ROLES_ALLOWED_TO_REDACT):
+            report.add(f"{where}.authorization.role", "tombstone.authorization-role",
+                       "redaction requires a communitySteward or auditor")
 
 
 PAYLOAD_CLASS: dict[EntryType, type] = {
@@ -875,233 +1029,6 @@ class ValidationReport:
         return "; ".join(f"{v.path} [{v.rule}] {v.message}" for v in self.violations)
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_actor(actor: ActorRef, path: str, report: ValidationReport) -> None:
-    if not in_vocab(actor.role, ROLES):
-        report.add(f"{path}.role", "actor.role", f"unknown role {actor.role!r}")
-    if not actor.pseudonym and not actor.steward_org:
-        report.add(path, "actor.identity", "needs a pseudonym or stewardOrg")
-    if actor.pseudonym is not None and not isinstance(actor.pseudonym, str):
-        report.add(f"{path}.pseudonym", "actor.pseudonym", "must be a string")
-    if actor.steward_org is not None and not is_reference_id(actor.steward_org):
-        report.add(f"{path}.stewardOrg", "actor.stewardOrg",
-                   f"not a ledger id: {actor.steward_org!r}")
-
-
-def _check_consent(consent: ConsentBlock, report: ValidationReport) -> None:
-    if not in_vocab(consent.status, CONSENT_STATUSES):
-        report.add("consent.status", "consent.status", f"unknown status {consent.status!r}")
-    if consent.retention is not None and not (
-        isinstance(consent.retention, str) and _RETENTION_RE.fullmatch(consent.retention)
-    ):
-        report.add("consent.retention", "consent.retention",
-                   f"expected <n>y|<n>m|<n>d, got {consent.retention!r}")
-    if consent.reuse_constraints is not None and not _is_str_list(consent.reuse_constraints):
-        report.add("consent.reuseConstraints", "consent.reuseConstraints",
-                   "must be a list of policy tags")
-
-
-def _check_compensation(comp: CompensationBlock, report: ValidationReport) -> None:
-    if not in_vocab(comp.model, COMPENSATION_MODELS):
-        report.add("compensation.model", "compensation.model", f"unknown model {comp.model!r}")
-    if comp.amount is not None and (not _is_number(comp.amount) or comp.amount < 0):
-        report.add("compensation.amount", "compensation.amount",
-                   f"must be a nonnegative number, got {comp.amount!r}")
-    if comp.currency is not None and not (
-        isinstance(comp.currency, str) and _CURRENCY_RE.fullmatch(comp.currency)
-    ):
-        report.add("compensation.currency", "compensation.currency",
-                   f"expected a 3-letter code, got {comp.currency!r}")
-    if comp.model in ("honorarium", "hourly"):
-        if not _is_number(comp.amount) or comp.amount <= 0:
-            report.add("compensation.amount", "compensation.terms",
-                       f"{comp.model} requires amount > 0")
-        if not comp.currency:
-            report.add("compensation.currency", "compensation.terms",
-                       f"{comp.model} requires a currency")
-
-
-def _check_links(links: LinkSet, report: ValidationReport) -> None:
-    for kind, attr in LINK_ATTRS:
-        for i, target in enumerate(getattr(links, attr)):
-            if kind == "evidence":
-                if not (is_reference_id(target) or is_uri(target)):
-                    report.add(f"links.evidence[{i}]", "links.target",
-                               f"not a ledger id or URI: {target!r}")
-            elif not is_reference_id(target):
-                report.add(f"links.{kind}[{i}]", "links.target",
-                           f"not a ledger id: {target!r}")
-
-
-def _check_nonempty_str(value: Any, path: str, rule: str, report: ValidationReport) -> None:
-    if not isinstance(value, str) or not value:
-        report.add(path, rule, "must be a nonempty string")
-
-
-def _check_measurement(m: MeasurementProcedure, report: ValidationReport) -> None:
-    path = "test.measurement"
-    if not in_vocab(m.runner_kind, RUNNER_KINDS):
-        report.add(f"{path}.runnerKind", "measurement.runnerKind",
-                   f"unknown runner kind {m.runner_kind!r}")
-        return
-    if m.runner_kind == "threshold":
-        _check_nonempty_str(m.metric_name, f"{path}.metricName", "measurement.metricName", report)
-        if m.comparator not in COMPARATORS:
-            report.add(f"{path}.comparator", "measurement.comparator",
-                       f"expected >= or <=, got {m.comparator!r}")
-        if not _is_number(m.bound):
-            report.add(f"{path}.bound", "measurement.bound", "must be a finite number")
-    elif m.runner_kind == "rubric":
-        if not (m.criteria and _is_str_list(m.criteria)):
-            report.add(f"{path}.criteria", "measurement.criteria",
-                       "must be a nonempty list of strings")
-        if not (isinstance(m.scale_max, int) and not isinstance(m.scale_max, bool)
-                and m.scale_max >= 1):
-            report.add(f"{path}.scaleMax", "measurement.scaleMax", "must be an integer >= 1")
-        if m.aggregation != "mean":
-            report.add(f"{path}.aggregation", "measurement.aggregation",
-                       f"only mean aggregation is defined, got {m.aggregation!r}")
-        if not _is_number(m.pass_mean):
-            report.add(f"{path}.passMean", "measurement.passMean", "must be a number")
-        elif isinstance(m.scale_max, int) and not isinstance(m.scale_max, bool) \
-                and not (0 <= m.pass_mean <= m.scale_max):
-            report.add(f"{path}.passMean", "measurement.passMean",
-                       f"must lie within [0, scaleMax={m.scale_max}]")
-        if not (isinstance(m.min_raters, int) and not isinstance(m.min_raters, bool)
-                and m.min_raters >= 1):
-            report.add(f"{path}.minRaters", "measurement.minRaters", "must be an integer >= 1")
-
-
-def _check_payload(entry: EntryEnvelope, report: ValidationReport) -> None:
-    p = entry.payload
-    t = entry.entry_type
-    if t is EntryType.CONTRIBUTION:
-        if not in_vocab(p.kind, CONTRIBUTION_KINDS):
-            report.add("contribution.kind", "contribution.kind", f"unknown kind {p.kind!r}")
-        _check_nonempty_str(p.summary, "contribution.summary", "contribution.summary", report)
-        if not is_artifact_ref(p.artifact_ref):
-            report.add("contribution.artifactRef", "contribution.artifactRef",
-                       f"not a hash reference or URI: {p.artifact_ref!r}")
-        if p.intended_use is not None and not in_vocab(p.intended_use, INTENDED_USES):
-            report.add("contribution.intendedUse", "contribution.intendedUse",
-                       f"unknown intended use {p.intended_use!r}")
-        if p.representational_metadata is not None:
-            tags = entry.consent.scope_tags() if entry.consent else []
-            if "identity-markers" not in tags:
-                report.add("contribution.representationalMetadata",
-                           "contribution.representational-scope",
-                           "requires consent scope tag identity-markers")
-        if p.recruitment_pathway is not None and not isinstance(p.recruitment_pathway, str):
-            report.add("contribution.recruitmentPathway", "contribution.recruitmentPathway",
-                       "must be a string")
-    elif t is EntryType.CHANGE:
-        if not in_vocab(p.change_kind, CHANGE_KINDS):
-            report.add("change.changeKind", "change.changeKind",
-                       f"unknown change kind {p.change_kind!r}")
-        _check_nonempty_str(p.rationale, "change.rationale", "change.rationale", report)
-        if not p.changed_artifacts:
-            report.add("change.changedArtifacts", "change.changedArtifacts",
-                       "must list at least one changed artifact")
-        for i, ca in enumerate(p.changed_artifacts):
-            if not is_reference_id(ca.artifact_id):
-                report.add(f"change.changedArtifacts[{i}].artifactId",
-                           "change.artifactId", f"not a ledger id: {ca.artifact_id!r}")
-            _check_nonempty_str(ca.version_after, f"change.changedArtifacts[{i}].versionAfter",
-                                "change.versionAfter", report)
-    elif t is EntryType.ARTIFACT:
-        if not is_reference_id(p.artifact_id):
-            report.add("artifact.artifactId", "artifact.artifactId",
-                       f"not a ledger id: {p.artifact_id!r}")
-        if not in_vocab(p.artifact_kind, ARTIFACT_KINDS):
-            report.add("artifact.artifactKind", "artifact.artifactKind",
-                       f"unknown artifact kind {p.artifact_kind!r}")
-        _check_nonempty_str(p.version, "artifact.version", "artifact.version", report)
-        if not is_artifact_ref(p.content_ref):
-            report.add("artifact.contentRef", "artifact.contentRef",
-                       f"not a hash reference or URI: {p.content_ref!r}")
-        if p.boundary is not None and not isinstance(p.boundary, str):
-            report.add("artifact.boundary", "artifact.boundary", "must be a string")
-    elif t is EntryType.TEST:
-        _check_nonempty_str(p.topic, "test.topic", "test.topic", report)
-        _check_nonempty_str(p.expected_behavior, "test.expectedBehavior",
-                            "test.expectedBehavior", report)
-        _check_measurement(p.measurement, report)
-        for i, ref in enumerate(p.motivated_by):
-            if not is_reference_id(ref):
-                report.add(f"test.motivatedBy[{i}]", "test.motivatedBy",
-                           f"not a ledger id: {ref!r}")
-    elif t is EntryType.EVALUATION_RUN:
-        if not is_reference_id(p.test_id):
-            report.add("run.testId", "run.testId", f"not a ledger id: {p.test_id!r}")
-        if not is_reference_id(p.artifact_id):
-            report.add("run.artifactId", "run.artifactId", f"not a ledger id: {p.artifact_id!r}")
-        _check_nonempty_str(p.version, "run.version", "run.version", report)
-        if not in_vocab(p.decision, RUN_DECISIONS):
-            report.add("run.decision", "run.decision", f"unknown decision {p.decision!r}")
-        if not in_vocab(p.checkpoint, CHECKPOINTS):
-            report.add("run.checkpoint", "run.checkpoint",
-                       f"unknown checkpoint {p.checkpoint!r}")
-        _check_actor(p.evaluator, "run.evaluator", report)
-        if p.timestamp is not None and not is_timestamp(p.timestamp):
-            report.add("run.timestamp", "run.timestamp",
-                       f"not an ISO-8601 UTC timestamp: {p.timestamp!r}")
-    elif t is EntryType.VOUCHER:
-        _check_nonempty_str(p.capability, "voucher.capability", "voucher.capability", report)
-        _check_nonempty_str(p.boundary, "voucher.boundary", "voucher.boundary", report)
-        if not in_vocab(p.action, VOUCHER_ACTIONS):
-            report.add("voucher.action", "voucher.action", f"unknown action {p.action!r}")
-        if p.status not in VOUCHER_STATUSES:
-            report.add("voucher.status", "voucher.status", f"unknown status {p.status!r}")
-        _check_actor(p.steward, "voucher.steward", report)
-        if p.steward.role != "communitySteward":
-            report.add("voucher.steward.role", "voucher.steward-role",
-                       "vouchers are issued by communityStewards")
-        for i, cond in enumerate(p.conditions):
-            if not is_reference_id(cond.required_test_id):
-                report.add(f"voucher.conditions[{i}].requiredTestId", "voucher.condition-test",
-                           f"not a ledger id: {cond.required_test_id!r}")
-            if not isinstance(cond.human_in_loop, bool):
-                report.add(f"voucher.conditions[{i}].humanInLoop", "voucher.condition-flag",
-                           "must be a boolean")
-            if not _is_str_list(cond.scope_constraints):
-                report.add(f"voucher.conditions[{i}].scopeConstraints",
-                           "voucher.condition-scope", "must be a list of tags")
-        if p.expiry is not None and not is_timestamp(p.expiry):
-            report.add("voucher.expiry", "voucher.expiry",
-                       f"not an ISO-8601 UTC timestamp: {p.expiry!r}")
-    elif t is EntryType.CREDIT:
-        _check_nonempty_str(p.beneficiary, "credit.beneficiary", "credit.beneficiary", report)
-        if not _is_number(p.units) or p.units < 0:
-            report.add("credit.units", "credit.units",
-                       f"must be a nonnegative number, got {p.units!r}")
-        ev = p.triggering_event
-        if not in_vocab(ev.kind, CREDIT_EVENT_KINDS):
-            report.add("credit.triggeringEvent.kind", "credit.event-kind",
-                       f"unknown event kind {ev.kind!r}")
-        if ev.trigger_id() is None or not is_reference_id(ev.trigger_id()):
-            report.add("credit.triggeringEvent", "credit.trigger",
-                       "needs an evaluationRunId or changeId ledger id")
-        if not is_digest(p.policy_ref):
-            report.add("credit.policyRef", "credit.policyRef",
-                       f"not a sha256 digest: {p.policy_ref!r}")
-    elif t is EntryType.TOMBSTONE:
-        if not is_reference_id(p.target_id):
-            report.add("tombstone.targetId", "tombstone.targetId",
-                       f"not a ledger id: {p.target_id!r}")
-        if p.reason not in TOMBSTONE_REASONS:
-            report.add("tombstone.reason", "tombstone.reason", f"unknown reason {p.reason!r}")
-        _check_actor(p.authorization, "tombstone.authorization", report)
-        if p.authorization.role not in ROLES_ALLOWED_TO_REDACT:
-            report.add("tombstone.authorization.role", "tombstone.authorization-role",
-                       "redaction requires a communitySteward or auditor")
-        if not is_digest(p.retained_hash):
-            report.add("tombstone.retainedHash", "tombstone.retainedHash",
-                       f"not a sha256 digest: {p.retained_hash!r}")
-
-
 def validate_structure(entry: EntryEnvelope) -> ValidationReport:
     """Single-entry structural validation.
 
@@ -1118,13 +1045,12 @@ def validate_structure(entry: EntryEnvelope) -> ValidationReport:
     if not is_timestamp(entry.created_at):
         report.add("createdAt", "createdAt.format",
                    f"not an ISO-8601 UTC timestamp: {entry.created_at!r}")
-    _check_actor(entry.actor, "actor", report)
-    if entry.consent is not None:
-        _check_consent(entry.consent, report)
-    if entry.compensation is not None:
-        _check_compensation(entry.compensation, report)
-    _check_links(entry.links, report)
-    if entry.entry_type is EntryType.CONTRIBUTION:
+    for block, where in ((entry.actor, "actor"), (entry.consent, "consent"),
+                         (entry.compensation, "compensation"), (entry.links, "links")):
+        if block is not None:
+            block.check(where, report)
+    contribution = entry.entry_type is EntryType.CONTRIBUTION
+    if contribution:
         if entry.consent is None:
             report.add("consent", "contribution.consent-required",
                        "contributions must carry a consent block")
@@ -1132,11 +1058,10 @@ def validate_structure(entry: EntryEnvelope) -> ValidationReport:
             report.add("compensation", "contribution.compensation-required",
                        "contributions must declare compensation (none-declared is explicit)")
     if entry.integrity is not None:
-        if not is_digest(entry.integrity.hash):
-            report.add("integrity.hash", "integrity.hash",
-                       f"not a sha256 digest: {entry.integrity.hash!r}")
-        if entry.integrity.prev_hash is not None and not is_digest(entry.integrity.prev_hash):
-            report.add("integrity.prevHash", "integrity.prevHash",
-                       f"not a sha256 digest: {entry.integrity.prev_hash!r}")
-    _check_payload(entry, report)
+        entry.integrity.check("integrity", report)
+    entry.payload.check(PAYLOAD_KEY[entry.entry_type], report)
+    if contribution and entry.payload.representational_metadata is not None and (
+            entry.consent is None or "identity-markers" not in entry.consent.scope_tags()):
+        report.add("contribution.representationalMetadata", "contribution.representational-scope",
+                   "requires consent scope tag identity-markers")
     return report

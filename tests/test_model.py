@@ -497,3 +497,60 @@ def edited(case: dict):
 def test_validation_corpus(case):
     report = validate_structure(edited(case))
     assert [[v.path, v.rule, v.message] for v in report.violations] == case["violations"]
+
+
+def test_validation_corpus_exercises_every_rule_on_a_row():
+    from pledger.model import PAYLOAD_CLASS, CompensationBlock, ConsentBlock, IntegrityBlock
+
+    tables = [ActorRef, ConsentBlock, CompensationBlock, LinkSet, IntegrityBlock,
+              *PAYLOAD_CLASS.values()]
+    declared = set()
+    while tables:
+        table = tables.pop()
+        for row in table.FIELDS:
+            if row.test is not None:
+                declared.add(row.rule)
+            if row.kind in ("block", "blocks"):
+                tables.append(row.block)
+    exercised = {rule for case in RULES["cases"] for _path, rule, _message in case["violations"]}
+    assert len(declared) > 50
+    assert declared - exercised == set()
+
+
+NAN, INF = float("nan"), float("inf")
+THRESHOLD = {"runnerKind": "threshold", "metricName": "accuracy", "comparator": ">="}
+
+
+@pytest.mark.parametrize("value", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("base,path,measurement,rule,message", [
+    ("Contribution", ["compensation", "amount"], None,
+     "compensation.amount", "must be a nonnegative number, got {!r}"),
+    ("Credit", ["credit", "units"], None, "credit.units", "must be a nonnegative number, got {!r}"),
+    ("Test", ["test", "measurement", "bound"], THRESHOLD,
+     "measurement.bound", "must be a finite number"),
+    ("Test", ["test", "measurement", "passMean"], None,
+     "measurement.passMean", "must be a number"),
+])
+def test_numbers_with_no_canonical_form_are_violations(base, path, measurement, rule,
+                                                        message, value):
+    # NaN and ±inf cannot be sealed (the canonical form has no rendering for
+    # them), so validation reports them instead of letting append fail later.
+    edits = [{"path": ["test", "measurement"], "value": measurement}] if measurement else []
+    entry = edited({"base": base, "edits": edits + [{"path": path, "value": value}]})
+    found = [[v.path, v.message] for v in validate_structure(entry).violations if v.rule == rule]
+    assert found == [[".".join(path), message.format(value)]]
+
+
+@pytest.mark.parametrize("base,path,rules", [
+    ("Voucher", ["voucher", "status"], ["voucher.status"]),
+    ("Tombstone", ["tombstone", "reason"], ["tombstone.reason"]),
+    ("Tombstone", ["tombstone", "authorization", "role"],
+     ["actor.role", "tombstone.authorization-role"]),
+    ("Test", ["test", "measurement", "comparator"], ["measurement.comparator"]),
+])
+@pytest.mark.parametrize("value", [[], {}], ids=["list", "object"])
+def test_unhashable_values_in_closed_vocabularies_are_violations(base, path, rules, value):
+    edits = [{"path": ["test", "measurement"], "value": dict(THRESHOLD, bound=1)}] \
+        if base == "Test" else []
+    entry = edited({"base": base, "edits": edits + [{"path": path, "value": value}]})
+    assert [v.rule for v in validate_structure(entry).violations] == rules
