@@ -21,7 +21,7 @@ from datetime import timedelta
 from typing import Callable, Iterable, Sequence
 
 from .canonical import canonical_bytes, compute_hash
-from .errors import AlreadySealed, SigningFailure
+from .errors import AlreadySealed, NonCanonicalizableNumber, SigningFailure
 from .model import ActorRef, EntryEnvelope, IntegrityBlock, SignatureRecord
 
 # Tolerated backwards clock drift between adjacent entries.
@@ -89,18 +89,21 @@ def verify_chain(entries: Sequence[EntryEnvelope]) -> ChainVerdict:
     """Recompute every hash and check linkage, id uniqueness, and time order.
 
     Scans from the head and reports the first broken index with its failure
-    kind. Entries must be sealed; an unsealed entry shows up as a hash
-    mismatch at its index. Timestamps may step backwards by at most the
-    clock-skew allowance.
+    kind. Entries must be sealed; an unsealed entry, or one holding a number
+    with no canonical form (NaN, ±inf), shows up as a hash mismatch at its
+    index. Timestamps may step backwards by at most the clock-skew allowance.
     """
     seen_ids: set[str] = set()
     prev_hash: str | None = None
     prev_created = None
     for index, entry in enumerate(entries):
         integrity = entry.integrity
-        if integrity is None or integrity.hash != compute_hash(
-            canonicalize(entry, integrity.prev_hash if integrity else None)
-        ):
+        try:
+            intact = integrity is not None and integrity.hash == compute_hash(
+                canonicalize(entry, integrity.prev_hash))
+        except NonCanonicalizableNumber:
+            intact = False
+        if not intact:
             return ChainVerdict(False, index, "hashMismatch", len(entries))
         if integrity.prev_hash != prev_hash:
             return ChainVerdict(False, index, "prevHashMismatch", len(entries))
@@ -147,7 +150,8 @@ def verify_signatures(entries: Iterable[EntryEnvelope],
     """Check each entry's signature against the scheme registry.
 
     Assumes the chain already verified; hashes are not recomputed here beyond
-    rebuilding each pre-image. Unknown schemes are unverifiable, not invalid.
+    rebuilding each pre-image. Unknown schemes are unverifiable, not invalid;
+    an entry with no pre-image (a number with no canonical form) is invalid.
     """
     report = SignatureReport()
     for entry in entries:
@@ -160,7 +164,11 @@ def verify_signatures(entries: Iterable[EntryEnvelope],
         if verifier is None:
             report.verdicts.append(SignatureVerdict(entry.id, "unverifiable", sig.scheme))
             continue
-        pre_image = canonicalize(entry, integrity.prev_hash)
+        try:
+            pre_image = canonicalize(entry, integrity.prev_hash)
+        except NonCanonicalizableNumber:
+            report.verdicts.append(SignatureVerdict(entry.id, "invalid", sig.scheme))
+            continue
         try:
             ok = verifier(pre_image, sig)
         except Exception:

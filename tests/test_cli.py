@@ -712,6 +712,31 @@ def test_hmac_sign_and_verify(tmp_path, capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("number", ["NaN", "1e400", "-Infinity"])
+def test_verify_reports_a_number_with_no_canonical_form_as_a_mismatch(tmp_path, capsys, number):
+    # A stored number with no canonical form leaves the line without a hash
+    # pre-image: the chain breaks there and its signature is invalid (exit 4).
+    ledger = tmp_path / "signed.pledger"
+    doc_path = tmp_path / "entry.json"
+    doc_path.write_text(json.dumps(sample_contribution_doc()), "utf-8")
+    assert run_cli(capsys, "append", str(doc_path), "--ledger", str(ledger),
+                   "--hmac-key", "k1=sekrit")[0] == 0
+    stored = ledger.read_text("utf-8")
+    assert stored.count('"amount":50') == 1
+    ledger.write_text(stored.replace('"amount":50', f'"amount":{number}'), "utf-8")
+
+    for keys in ([], ["--hmac-key", "k1=sekrit"]):
+        code, out, _err = run_cli(capsys, "verify", "--ledger", str(ledger), "--format", "doc",
+                                  *keys)
+        assert code == 4
+        report = json.loads(out)
+        assert report["chain"] == {"valid": False, "entryCount": 1,
+                                   "firstBrokenIndex": 0, "failureKind": "hashMismatch"}
+        if keys:
+            assert report["signatures"] == {"valid": 0, "invalid": 1,
+                                            "unverifiable": 0, "absent": 0}
+
+
 # ---------------------------------------------------------------------------
 # process-wide state
 
