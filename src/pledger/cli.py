@@ -275,7 +275,6 @@ def _cmd_credit_accrue(args: argparse.Namespace) -> int:
     from . import governance
 
     policy = governance.CreditPolicy.from_doc(_read_doc(args.policy))
-    policy.validate()
     window = (args.window_start, args.window_end)
     with store.LedgerFile(_require_ledger(args)) as ledger:
         minted, report = governance.accrue_credits(
