@@ -448,6 +448,7 @@ def _compile(cls: type, where: str, checks: bool = False) -> dict:
 
 
 def _check_first(self, where: str, report: ValidationReport) -> None:
+    """A block's `check` until its first call compiles the real one."""
     cls = self.__class__
     cls.check = _compile(cls, "", checks=True)["check"]
     cls.check(self, where, report)
@@ -1033,7 +1034,8 @@ def validate_structure(entry: EntryEnvelope) -> ValidationReport:
     """Single-entry structural validation.
 
     Collects every violation with a field path and a stable rule id; never
-    raises. Cross-entry properties (dangling links, chain integrity, voucher
+    raises. Each block applies the checks on its table's rows, then its
+    `cross_check`; the envelope's rules are here. Cross-entry properties (dangling links, chain integrity, voucher
     lineage legality) are checked by the graph, the chain verifier, and the
     store, not here.
     """
