@@ -4,6 +4,8 @@ import copy
 import json
 import random
 from datetime import datetime, timezone
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,11 +22,42 @@ from pledger.errors import (
     UnknownEntryType,
 )
 from pledger.fixtures import sample_contribution_doc
+from pledger import model
+from pledger.evidence import ClauseResult, ConformanceReport, EvidenceMatrix
+from pledger.governance import (
+    AccrualReport,
+    CreditPolicy,
+    CreditStatement,
+    GateDecision,
+    GateReason,
+    SuppressedEvent,
+    _Event,
+)
+from pledger.graph import LinkageReport, TraceResult
+from pledger.harness import RegressionEvent, SuiteReport
+from pledger.integrity import ChainVerdict, SignatureReport, SignatureVerdict
 from pledger.model import (
     ActorRef,
+    ArtifactPayload,
+    ChangedArtifact,
+    ChangePayload,
+    CompensationBlock,
+    ConsentBlock,
+    ContributionPayload,
+    CreditPayload,
+    EntryEnvelope,
     EntryType,
+    EvaluationRunPayload,
+    IntegrityBlock,
     LinkSet,
+    MeasurementProcedure,
+    SignatureRecord,
+    TombstonePayload,
+    TriggeringEvent,
+    ValidationReport,
+    Violation,
     VoucherCondition,
+    VoucherPayload,
     check_entry_id,
     format_timestamp,
     in_vocab,
@@ -32,7 +65,18 @@ from pledger.model import (
     lineage_base,
     parse_timestamp,
 )
-from pledger.store import read_entries
+from pledger.query import (
+    EdgePattern,
+    NodePattern,
+    PathPattern,
+    Predicate,
+    Projection,
+    QueryAst,
+    ResultTable,
+    SavedQuery,
+    _Token,
+)
+from pledger.store import RedactionMarker, read_entries
 
 
 def test_sample_document_round_trips_exactly():
@@ -554,3 +598,210 @@ def test_unhashable_values_in_closed_vocabularies_are_violations(base, path, rul
         if base == "Test" else []
     entry = edited({"base": base, "edits": edits + [{"path": path, "value": value}]})
     assert [v.rule for v in validate_structure(entry).violations] == rules
+
+
+# ---------------------------------------------------------------------------
+# record classes: construction, defaults, equality, hash, repr, slots, copies
+
+try:
+    from pledger.model import replace
+except ImportError:  # records were dataclasses before pledger.model.replace existed
+    from dataclasses import replace
+
+# Every record class: (class, the values of its required fields, the repr of
+# the instance built from them with every default).
+RECORDS = [
+    (ActorRef, ("resident",),
+     "ActorRef(role='resident', pseudonym=None, steward_org=None, extensions={})"),
+    (ConsentBlock, ("granted",),
+     "ConsentBlock(status='granted', scope=None, retention=None, reuse_constraints=None,"
+     " extensions={})"),
+    (CompensationBlock, ("none-declared",),
+     "CompensationBlock(model='none-declared', amount=None, currency=None, extensions={})"),
+    (LinkSet, (),
+     "LinkSet(influenced_by=[], influences=[], motivates=[], uses_test=[], evaluates=[],"
+     " deployed_as=[], remediates=[], evidence=[], authorizes=[], credits_for=[],"
+     " extensions={})"),
+    (SignatureRecord, ("hmac-sha256", ActorRef("auditor"), "k1", "c2ln"),
+     "SignatureRecord(scheme='hmac-sha256', signer_role=ActorRef(role='auditor',"
+     " pseudonym=None, steward_org=None, extensions={}), key_ref='k1', signature_bytes='c2ln',"
+     " extensions={})"),
+    (IntegrityBlock, ("sha256:00",),
+     "IntegrityBlock(hash='sha256:00', prev_hash=None, signature=None)"),
+    (ContributionPayload, ("prompt", "a prompt", "https://example.org/p"),
+     "ContributionPayload(kind='prompt', summary='a prompt', artifact_ref='https://example.org/p',"
+     " intended_use=None, representational_metadata=None, recruitment_pathway=None,"
+     " extensions={})"),
+    (ChangedArtifact, ("pl:artifact:m", "v2"),
+     "ChangedArtifact(artifact_id='pl:artifact:m', version_after='v2', version_before=None,"
+     " extensions={})"),
+    (ChangePayload, ("dataset", "why"),
+     "ChangePayload(change_kind='dataset', rationale='why', changed_artifacts=[], extensions={})"),
+    (ArtifactPayload, ("pl:artifact:m", "model", "v1", "https://example.org/m"),
+     "ArtifactPayload(artifact_id='pl:artifact:m', artifact_kind='model', version='v1',"
+     " content_ref='https://example.org/m', boundary=None, extensions={})"),
+    (MeasurementProcedure, ("externalRecordOnly",),
+     "MeasurementProcedure(runner_kind='externalRecordOnly', metric_name=None, comparator=None,"
+     " bound=None, criteria=None, scale_max=None, aggregation=None, pass_mean=None,"
+     " min_raters=None, extensions={})"),
+    (model.TestPayload, ("topic", "behaviour", MeasurementProcedure("externalRecordOnly")),
+     "TestPayload(topic='topic', expected_behavior='behaviour',"
+     " measurement=MeasurementProcedure(runner_kind='externalRecordOnly', metric_name=None,"
+     " comparator=None, bound=None, criteria=None, scale_max=None, aggregation=None,"
+     " pass_mean=None, min_raters=None, extensions={}), input_spec={}, motivated_by=[],"
+     " extensions={})"),
+    (EvaluationRunPayload,
+     ("pl:test:t", "pl:artifact:m", "v1", "pass", "scheduledAudit", ActorRef("evaluator")),
+     "EvaluationRunPayload(test_id='pl:test:t', artifact_id='pl:artifact:m', version='v1',"
+     " decision='pass', checkpoint='scheduledAudit', evaluator=ActorRef(role='evaluator',"
+     " pseudonym=None, steward_org=None, extensions={}), raw_results={}, timestamp=None,"
+     " unattested_by_harness=None, extensions={})"),
+    (VoucherCondition, ("pl:test:t",),
+     "VoucherCondition(required_test_id='pl:test:t', must_pass_on_version=None,"
+     " scope_constraints=[], human_in_loop=False, extensions={})"),
+    (VoucherPayload, ("cap", "bound", "pause", ActorRef("communitySteward"), "issued"),
+     "VoucherPayload(capability='cap', boundary='bound', action='pause',"
+     " steward=ActorRef(role='communitySteward', pseudonym=None, steward_org=None,"
+     " extensions={}), status='issued', conditions=[], expiry=None, extensions={})"),
+    (TriggeringEvent, ("regressionDetected",),
+     "TriggeringEvent(kind='regressionDetected', evaluation_run_id=None, change_id=None,"
+     " extensions={})"),
+    (CreditPayload, ("org", TriggeringEvent("regressionDetected"), 5, "sha256:00"),
+     "CreditPayload(beneficiary='org', triggering_event=TriggeringEvent("
+     "kind='regressionDetected', evaluation_run_id=None, change_id=None, extensions={}),"
+     " units=5, policy_ref='sha256:00', extensions={})"),
+    (TombstonePayload, ("pl:contrib:c", "legalHold", ActorRef("auditor"), "sha256:00"),
+     "TombstonePayload(target_id='pl:contrib:c', reason='legalHold',"
+     " authorization=ActorRef(role='auditor', pseudonym=None, steward_org=None, extensions={}),"
+     " retained_hash='sha256:00', extensions={})"),
+    (EntryEnvelope, ("pl:test:t", EntryType.TEST, "2025-01-01T00:00:00Z", "actor", "payload"),
+     "EntryEnvelope(id='pl:test:t', entry_type=<EntryType.TEST: 'Test'>,"
+     " created_at='2025-01-01T00:00:00Z', actor='actor', payload='payload', consent=None,"
+     " compensation=None, links=LinkSet(influenced_by=[], influences=[], motivates=[],"
+     " uses_test=[], evaluates=[], deployed_as=[], remediates=[], evidence=[], authorizes=[],"
+     " credits_for=[], extensions={}), context=None, integrity=None, extensions={})"),
+    (Violation, ("id", "id.grammar", "bad id"),
+     "Violation(path='id', rule='id.grammar', message='bad id')"),
+    (ValidationReport, (), "ValidationReport(violations=[])"),
+    (TraceResult, (), "TraceResult(paths=[], truncated=False)"),
+    (LinkageReport, (4, 3, 2, 1, 0, Fraction(1, 4)),
+     "LinkageReport(total_changes=4, changes_with_contribution=3, changes_with_test=2,"
+     " changes_fully_linked=1, tests_with_run=0, completeness_ratio=Fraction(1, 4),"
+     " dangling=[])"),
+    (RedactionMarker, ("pl:contrib:c", "legalHold", "sha256:00", "pl:tomb:t"),
+     "RedactionMarker(target_id='pl:contrib:c', reason='legalHold', retained_hash='sha256:00',"
+     " tombstone_id='pl:tomb:t')"),
+    (ChainVerdict, (True,),
+     "ChainVerdict(valid=True, first_broken_index=None, failure_kind=None, entry_count=0)"),
+    (SignatureVerdict, ("pl:contrib:c", "absent"),
+     "SignatureVerdict(entry_id='pl:contrib:c', status='absent', scheme=None)"),
+    (SignatureReport, (), "SignatureReport(verdicts=[])"),
+    (GateReason, (None, "defaultAllow"), "GateReason(voucher_id=None, reason_kind='defaultAllow')"),
+    (GateDecision, (True,),
+     "GateDecision(allowed=True, reasons=[], evaluated_at='', expired_vouchers=[])"),
+    (CreditPolicy, (),
+     "CreditPolicy(units_per_event={}, cap_per_beneficiary_per_period=0, period_days=365,"
+     " quality_gate=True, persistence_gate_releases=0, extensions={})"),
+    (_Event, ("regressionDetected", 3, "pl:run:r", "2025-01-01T00:00:00Z", "pl:test:t", ["org"],
+              None),
+     "_Event(kind='regressionDetected', anchor_index=3, anchor_id='pl:run:r',"
+     " anchor_created_at='2025-01-01T00:00:00Z', test_id='pl:test:t', beneficiaries=['org'],"
+     " run_key=None)"),
+    (SuppressedEvent, ("regressionDetected", "pl:run:r", "capReached"),
+     "SuppressedEvent(kind='regressionDetected', trigger_id='pl:run:r', reason='capReached',"
+     " beneficiary=None)"),
+    (AccrualReport, (("2025-01-01", "2026-01-01"), "sha256:00"),
+     "AccrualReport(window=('2025-01-01', '2026-01-01'), policy_ref='sha256:00', considered=0,"
+     " credits=[], suppressed=[])"),
+    (CreditStatement, ("org", ("2025-01-01", "2026-01-01")),
+     "CreditStatement(beneficiary='org', window=('2025-01-01', '2026-01-01'), lines=[],"
+     " total_units=Decimal('0'), policy_refs=[])"),
+    (_Token, ("IDENT", "t", 6), "_Token(kind='IDENT', text='t', position=6)"),
+    (NodePattern, ("t",), "NodePattern(var='t', label_text=None, label=None)"),
+    (EdgePattern, ("USES_TEST", "usesTest", "-", "->"),
+     "EdgePattern(relation_text='USES_TEST', relation='usesTest', left='-', right='->')"),
+    (PathPattern, ([NodePattern("t")], []),
+     "PathPattern(nodes=[NodePattern(var='t', label_text=None, label=None)], edges=[])"),
+    (Predicate, ("r", "decision", "fail"), "Predicate(var='r', field='decision', value='fail')"),
+    (Projection, ("t", "id"), "Projection(var='t', field='id')"),
+    (QueryAst, (), "QueryAst(matches=[], predicates=[], projections=[])"),
+    (ResultTable, (["t.id"],), "ResultTable(columns=['t.id'], rows=[], plan=[])"),
+    (SavedQuery, ("q", ("x",), "{x}"), "SavedQuery(name='q', params=('x',), template='{x}')"),
+    (EvidenceMatrix, (), "EvidenceMatrix(rows=[])"),
+    (ClauseResult, (True,), "ClauseResult(passed=True, details=[])"),
+    (ConformanceReport, (), "ConformanceReport(clause_results={})"),
+    (SuiteReport, ("pl:artifact:m", "v1", "scheduledAudit", "allPass"),
+     "SuiteReport(artifact_id='pl:artifact:m', version='v1', checkpoint='scheduledAudit',"
+     " verdict='allPass', runs=[], decisions={}, missing=[])"),
+    (RegressionEvent, ("pl:test:t", "pl:artifact:m", "v1", "v2", "pl:run:a", "pl:run:b"),
+     "RegressionEvent(test_id='pl:test:t', artifact_id='pl:artifact:m', from_version='v1',"
+     " to_version='v2', prior_passing_run_id='pl:run:a', failing_run_id='pl:run:b')"),
+]
+# The entry's blocks and the envelope have slots; every other record has a __dict__.
+SLOTTED = {cls for cls, _args, _text in RECORDS[:19]}
+record_cases = pytest.mark.parametrize("cls,args,text", RECORDS,
+                                       ids=[cls.__name__ for cls, _args, _text in RECORDS])
+
+
+def test_the_record_list_is_every_record_class():
+    assert len({cls for cls, _args, _text in RECORDS}) == len(RECORDS) == 48
+    assert len(SLOTTED) == 19 and EntryEnvelope in SLOTTED and Violation not in SLOTTED
+
+
+@record_cases
+def test_record_construction_and_defaults(cls, args, text):
+    names = cls.__match_args__
+    by_position = cls(*args)
+    by_keyword = cls(**dict(zip(names, args)))
+    assert repr(by_position) == repr(by_keyword) == text
+    assert by_position == by_keyword
+    assert cls(*(getattr(by_position, name) for name in names)) == by_position
+    if args:
+        with pytest.raises(TypeError):
+            cls(*args[:-1])
+        with pytest.raises(TypeError):
+            cls(*args, **{names[0]: args[0]})
+    # a list, dict or LinkSet default is a fresh one for each instance
+    fresh = [name for name in names[len(args):]
+             if isinstance(getattr(by_position, name), (list, dict, LinkSet))]
+    assert all(getattr(by_position, name) is not getattr(by_keyword, name) for name in fresh)
+
+
+@record_cases
+def test_record_equality_hash_and_copies(cls, args, text):
+    record = cls(*args)
+    subclass = type(cls.__name__, (cls,), {})
+    assert record != subclass(*args) and subclass(*args) != record
+    assert record.__eq__(subclass(*args)) is NotImplemented
+    assert record != args
+    with pytest.raises(TypeError):
+        hash(record)
+    twin = copy.deepcopy(record)
+    assert twin == record and twin is not record and repr(twin) == text
+
+
+@record_cases
+def test_replace_builds_a_changed_copy(cls, args, text):
+    record, mark = cls(*args), object()
+    names = cls.__match_args__
+    copied = replace(record)
+    assert copied == record and copied is not record
+    for name in names:
+        changed = replace(record, **{name: mark})
+        assert getattr(changed, name) is mark
+        assert all(getattr(changed, n) is getattr(record, n) for n in names if n != name)
+        # only ResultTable.plan (how a query was evaluated) is outside equality
+        assert (changed == record) is (cls is ResultTable and name == "plan")
+    with pytest.raises(TypeError):
+        replace(record, no_such_field=1)
+
+
+@record_cases
+def test_undeclared_attributes_only_on_records_without_slots(cls, args, text):
+    record = cls(*args)
+    if cls in SLOTTED:
+        with pytest.raises(AttributeError):
+            record.undeclared = 1
+    else:
+        record.undeclared = 1
+        assert record.undeclared == 1 and repr(record) == text
