@@ -14,14 +14,13 @@ the four procurement clauses over such an export.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
 from .errors import MalformedExport, WrongEntryType
 from .governance import gate_check, voucher_lineages
 from .graph import LedgerGraph, Snapshot, build_graph, change_linkage
-from .model import EntryEnvelope, EntryType, _is_number, parse_entry, validate_structure
+from .model import EntryEnvelope, EntryType, _is_number, parse_entry, record, validate_structure
 
 COLUMNS = (
     "recruitmentPathway",
@@ -173,9 +172,9 @@ def audit_contribution(entry: EntryEnvelope,
 # ---------------------------------------------------------------------------
 # corpus matrices
 
-@dataclass
+@record
 class EvidenceMatrix:
-    rows: list[tuple[str, dict[str, CoverageLevel]]] = field(default_factory=list)
+    rows: list[tuple[str, dict[str, CoverageLevel]]] = list
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -416,18 +415,18 @@ def build_export(source: Any, artifact_id: str, version: str, *,
 # ---------------------------------------------------------------------------
 # conformance
 
-@dataclass
+@record
 class ClauseResult:
     passed: bool
-    details: list[str] = field(default_factory=list)
+    details: list[str] = list
 
     def to_doc(self) -> dict:
         return {"pass": self.passed, "details": list(self.details)}
 
 
-@dataclass
+@record
 class ConformanceReport:
-    clause_results: dict[str, ClauseResult] = field(default_factory=dict)
+    clause_results: dict[str, ClauseResult] = dict
 
     @property
     def overall(self) -> str:

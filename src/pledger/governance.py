@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
 from typing import Any
 
@@ -41,6 +40,7 @@ from .model import (
     _slug,
     now_stamp,
     parse_timestamp,
+    record,
 )
 
 DEFAULT_ALLOW = "noApplicableVoucher-defaultAllow"
@@ -144,7 +144,7 @@ def transition_voucher(ledger: Any, voucher_id: str, new_status: str, *,
 # ---------------------------------------------------------------------------
 # gate checks
 
-@dataclass
+@record
 class GateReason:
     voucher_id: str | None
     reason_kind: str
@@ -153,12 +153,12 @@ class GateReason:
         return {"voucherId": self.voucher_id, "reasonKind": self.reason_kind}
 
 
-@dataclass
+@record
 class GateDecision:
     allowed: bool
-    reasons: list[GateReason] = field(default_factory=list)
+    reasons: list[GateReason] = list
     evaluated_at: str = ""
-    expired_vouchers: list[str] = field(default_factory=list)
+    expired_vouchers: list[str] = list
 
     def to_doc(self) -> dict:
         return {
@@ -234,14 +234,14 @@ def gate_check(source: Any, capability: str, artifact_id: str, version: str,
 # ---------------------------------------------------------------------------
 # credit policy
 
-@dataclass
+@record
 class CreditPolicy:
-    units_per_event: dict[str, int | float] = field(default_factory=dict)
+    units_per_event: dict[str, int | float] = dict
     cap_per_beneficiary_per_period: int | float = 0
     period_days: int = 365
     quality_gate: bool = True
     persistence_gate_releases: int = 0
-    extensions: dict = field(default_factory=dict)
+    extensions: dict = dict
 
     _KEYS = ("unitsPerEvent", "capPerBeneficiaryPerPeriod", "periodDays",
              "qualityGate", "persistenceGateReleases")
@@ -313,7 +313,7 @@ class CreditPolicy:
 # ---------------------------------------------------------------------------
 # credit accrual
 
-@dataclass
+@record
 class _Event:
     kind: str
     anchor_index: int
@@ -324,7 +324,7 @@ class _Event:
     run_key: tuple[str, str, str] | None  # (artifactId, version, checkpoint)
 
 
-@dataclass
+@record
 class SuppressedEvent:
     kind: str
     trigger_id: str
@@ -339,13 +339,13 @@ class SuppressedEvent:
         return doc
 
 
-@dataclass
+@record
 class AccrualReport:
     window: tuple[str, str]
     policy_ref: str
     considered: int = 0
-    credits: list[EntryEnvelope] = field(default_factory=list)
-    suppressed: list[SuppressedEvent] = field(default_factory=list)
+    credits: list[EntryEnvelope] = list
+    suppressed: list[SuppressedEvent] = list
 
     def total_units(self) -> Decimal:
         return sum((Decimal(str(c.payload.units)) for c in self.credits), Decimal(0))
@@ -589,13 +589,13 @@ def accrue_credits(ledger: Any, policy: CreditPolicy | dict,
 # ---------------------------------------------------------------------------
 # credit statements
 
-@dataclass
+@record
 class CreditStatement:
     beneficiary: str
     window: tuple[str, str]
-    lines: list[dict] = field(default_factory=list)
+    lines: list[dict] = list
     total_units: Decimal = Decimal(0)
-    policy_refs: list[str] = field(default_factory=list)
+    policy_refs: list[str] = list
 
     def to_doc(self) -> dict:
         return {

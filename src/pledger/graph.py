@@ -22,12 +22,19 @@ a view over one, adding only the adjacency of the declared links.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable
 
 from .errors import UnknownNode, WrongEntryType
-from .model import DEPLOYMENT_KIND, LINK_ATTRS, EntryEnvelope, EntryType, is_reference_id, lineage_base
+from .model import (
+    DEPLOYMENT_KIND,
+    LINK_ATTRS,
+    EntryEnvelope,
+    EntryType,
+    is_reference_id,
+    lineage_base,
+    record,
+)
 
 if TYPE_CHECKING:  # imported by linkage_completeness, the only function that makes one
     from fractions import Fraction
@@ -261,9 +268,9 @@ def build_graph(source: Any) -> LedgerGraph:
 # ---------------------------------------------------------------------------
 # influence tracing
 
-@dataclass
+@record
 class TraceResult:
-    paths: list[list[str]] = field(default_factory=list)
+    paths: list[list[str]] = list
     truncated: bool = False
 
 
@@ -347,7 +354,7 @@ def trace_influence(graph: LedgerGraph, contribution_id: str,
 # ---------------------------------------------------------------------------
 # linkage completeness
 
-@dataclass
+@record
 class LinkageReport:
     total_changes: int
     changes_with_contribution: int
@@ -355,7 +362,7 @@ class LinkageReport:
     changes_fully_linked: int
     tests_with_run: int
     completeness_ratio: Fraction
-    dangling: list[tuple[str, str]] = field(default_factory=list)
+    dangling: list[tuple[str, str]] = list
 
     def to_doc(self) -> dict:
         return {

@@ -10,7 +10,6 @@ so every stored decision can be recomputed bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable
 
@@ -34,6 +33,7 @@ from .model import (
     _is_number,
     _slug,
     now_stamp,
+    record,
 )
 
 # rawResults marker for a run that never produced data; decides inconclusive.
@@ -185,15 +185,15 @@ def run_test(ledger: Any, test_id: str, artifact_id: str, version: str,
                        created_at or now_stamp(), run_id, signer)
 
 
-@dataclass
+@record
 class SuiteReport:
     artifact_id: str
     version: str
     checkpoint: str
     verdict: str
-    runs: list[EntryEnvelope] = field(default_factory=list)
-    decisions: dict[str, str] = field(default_factory=dict)
-    missing: list[str] = field(default_factory=list)
+    runs: list[EntryEnvelope] = list
+    decisions: dict[str, str] = dict
+    missing: list[str] = list
 
     def to_doc(self) -> dict:
         return {
@@ -241,7 +241,7 @@ def run_suite(ledger: Any, checkpoint: str, artifact_id: str, version: str,
 # ---------------------------------------------------------------------------
 # regressions
 
-@dataclass
+@record
 class RegressionEvent:
     test_id: str
     artifact_id: str

@@ -16,13 +16,12 @@ small deployments; there is no key management here. Its modules (`hmac`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from datetime import timedelta
 from typing import Callable, Iterable, Sequence
 
 from .canonical import canonical_bytes, compute_hash
 from .errors import AlreadySealed, NonCanonicalizableNumber, SigningFailure
-from .model import ActorRef, EntryEnvelope, IntegrityBlock, SignatureRecord
+from .model import ActorRef, EntryEnvelope, IntegrityBlock, SignatureRecord, record, replace
 
 # Tolerated backwards clock drift between adjacent entries.
 CLOCK_SKEW = timedelta(hours=24)
@@ -71,7 +70,7 @@ def seal(entry: EntryEnvelope, prev_hash: str | None = None,
 FAILURE_KINDS = ("hashMismatch", "prevHashMismatch", "duplicateId", "orderViolation")
 
 
-@dataclass
+@record
 class ChainVerdict:
     valid: bool
     first_broken_index: int | None = None
@@ -124,16 +123,16 @@ def verify_chain(entries: Sequence[EntryEnvelope]) -> ChainVerdict:
 # ---------------------------------------------------------------------------
 # signatures
 
-@dataclass
+@record
 class SignatureVerdict:
     entry_id: str
     status: str  # valid | invalid | unverifiable | absent
     scheme: str | None = None
 
 
-@dataclass
+@record
 class SignatureReport:
-    verdicts: list[SignatureVerdict] = field(default_factory=list)
+    verdicts: list[SignatureVerdict] = list
 
     def counts(self) -> dict[str, int]:
         out = {"valid": 0, "invalid": 0, "unverifiable": 0, "absent": 0}

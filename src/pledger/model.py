@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import MISSING, Field, dataclass, field, fields
 from datetime import datetime, timezone
 from enum import Enum
 from operator import attrgetter
@@ -231,15 +230,84 @@ def _not_object(value: Any, where: str) -> NoReturn:
 
 
 # ---------------------------------------------------------------------------
-# field tables
+# records and field tables
 #
-# Each block of an entry is a dataclass whose wire fields are declared with
+# Every record class is built by `record` from its annotated rows, in
+# declaration order: a row's value is its default, and a class (`list`,
+# `dict`, `LinkSet`) as the default means a fresh instance of it per record.
+# `record` compiles `__init__` from the rows and gives the class equality and
+# a repr that read the fields through one attribute getter, and no hash.
+# `replace` copies a record through its `__init__`.
+#
+# Each block of an entry is a record whose wire fields are declared with
 # `wire()`, so the class body is its one field table: every row names the
 # wire key, the attribute, the nested codec and (through the default) the
 # omit rule. `@codec(where)` compiles the table into one straight-line
-# `from_doc` and one `to_doc`, the way `dataclasses` builds `__init__`. Keys a
-# table does not name are kept in the block's `extensions` map, so they
-# survive a round trip and stay inside the hashed content.
+# `from_doc` and one `to_doc`, in the same source as `__init__`. Keys a table
+# does not name are kept in the block's `extensions` map, so they survive a
+# round trip and stay inside the hashed content.
+
+# A row without a default; in `from_doc`, a key that is absent.
+MISSING = object()
+
+
+def _build(cls: type, slots: bool, uncompared: tuple = ()) -> tuple[type, list, dict]:
+    """Make `cls` a record class: the class itself, or with `slots` a new
+    slotted one, plus the source lines of its `__init__` and the names that
+    source reads. Fields named in `uncompared` are left out of equality."""
+    attrs = tuple(cls.__annotations__)
+    names, params, body = {"MISSING": MISSING}, [], []
+    for i, attr in enumerate(attrs):
+        default = vars(cls).get(attr, MISSING)
+        names[f"d{i}"] = default = default.default if isinstance(default, Wire) else default
+        if isinstance(default, type):  # a fresh instance per record
+            new = "[]" if default is list else "{}" if default is dict else f"d{i}()"
+            params.append(f"{attr}=MISSING")
+            body.append(f"    self.{attr} = {new} if {attr} is MISSING else {attr}")
+        else:
+            params.append(attr if default is MISSING else f"{attr}=d{i}")
+            body.append(f"    self.{attr} = {attr}")
+    namespace = {k: v for k, v in vars(cls).items()
+                 if k not in attrs and k not in ("__dict__", "__weakref__")}
+    if slots:
+        namespace["__slots__"] = attrs
+    qualname, cls = cls.__qualname__, type(cls.__name__, cls.__bases__, namespace)
+    cls.__qualname__ = qualname
+    # The getters end with `__class__`, so even a one-field record gets a tuple.
+    values = attrgetter(*attrs, "__class__")
+    compared = attrgetter(*(a for a in attrs if a not in uncompared), "__class__")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return compared(self) == compared(other)
+        return NotImplemented
+
+    def __repr__(self):
+        pairs = ", ".join(f"{attr}={value!r}" for attr, value in zip(attrs, values(self)))
+        return f"{self.__class__.__qualname__}({pairs})"
+
+    cls.__eq__, cls.__repr__, cls.__hash__, cls.__match_args__ = __eq__, __repr__, None, attrs
+    return cls, [f"def __init__(self, {', '.join(params)}):", *body], names
+
+
+def record(cls: type | None = None, /, *, slots: bool = False, uncompared: tuple = ()):
+    """Class decorator: build a record class from its annotated rows (see
+    above). With `slots`, instances have no `__dict__`; fields named in
+    `uncompared` are left out of equality."""
+    def build(cls: type) -> type:
+        cls, init, names = _build(cls, slots, uncompared)
+        exec(compile("\n".join(init) + "\n", f"<record {cls.__name__}>", "exec"), names)
+        cls.__init__ = names["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        return cls
+    return build if cls is None else build(cls)
+
+
+def replace(obj: Any, /, **changes: Any) -> Any:
+    """A new record of `obj`'s class, built through `__init__` from `obj`'s
+    fields with `changes` applied; an unknown field name is a TypeError."""
+    return obj.__class__(**{attr: getattr(obj, attr) for attr in obj.__match_args__} | changes)
+
 
 # Omit rules: `to_doc` writes a field always, only when it is not None, or
 # only when it is not empty.
@@ -253,8 +321,8 @@ _NO_BLOCK: dict = {}
 
 
 def wire(name: str, default: Any = MISSING, *, codec: Any = None, omit: str | None = None,
-         check: tuple | None = None, rule: str | None = None):
-    """Declare a dataclass field together with its row in the field table.
+         check: tuple | None = None, rule: str | None = None) -> Wire:
+    """Declare a field of a block: its row in the field table.
 
     `default` is what an absent key decodes to: None, False, or `list`/`dict`
     for a fresh empty one. A field without a default is required: an absent
@@ -275,13 +343,7 @@ def wire(name: str, default: Any = MISSING, *, codec: Any = None, omit: str | No
     The rule id is the block's rule prefix (the last part of its `where`)
     plus the wire name, unless `rule` names it.
     """
-    factory = default is list or default is dict
-    if omit is None:
-        omit = OMIT_NONE if default is None else OMIT_EMPTY if factory else ALWAYS
-    metadata = {"wire": name, "codec": codec, "omit": omit, "check": check, "rule": rule}
-    if factory:
-        return field(default_factory=default, metadata=metadata)
-    return field(default=default, metadata=metadata)
+    return Wire(name, default, codec, omit, check, rule)
 
 
 class Wire:
@@ -289,27 +351,30 @@ class Wire:
 
     `kind` sorts the codec into raw, object, copy, strings, block or blocks;
     `absent` is the source text of what an absent key decodes to; `test`,
-    `message` and `rule` are the row's check, if it has one.
+    `message` and `rule` are the row's check, if it has one. `@codec` sets
+    `attr` and, unless the row names it, `rule`.
     """
 
-    __slots__ = ("name", "attr", "omit", "kind", "block", "absent", "test", "message", "rule")
+    __slots__ = ("name", "attr", "default", "omit", "kind", "block", "absent", "test",
+                 "message", "rule")
 
-    def __init__(self, f: Field, prefix: str):
-        codec = f.metadata["codec"]
-        self.name, self.attr, self.omit = f.metadata["wire"], f.name, f.metadata["omit"]
-        self.test, self.message = f.metadata["check"] or (None, None)
-        self.rule = f.metadata["rule"] or f"{prefix}.{self.name}"
+    def __init__(self, name: str, default: Any, codec: Any, omit: str | None,
+                 check: tuple | None, rule: str | None):
+        factory = default is list or default is dict
+        self.name, self.default, self.rule = name, default, rule
+        self.omit = omit or (OMIT_NONE if default is None else OMIT_EMPTY if factory else ALWAYS)
+        self.test, self.message = check or (None, None)
         items = getattr(codec, "__args__", None)  # list[str] or list[Block]
         self.block = items[0] if items else codec
         self.kind = ("raw" if codec is None else "object" if codec is dict
                      else "copy" if codec is list else "strings" if self.block is str
                      else "blocks" if items else "block")
-        if f.default_factory is not MISSING:
-            self.absent = "[]" if f.default_factory is list else "{}"
-        elif f.default is MISSING:
+        if factory:
+            self.absent = "[]" if default is list else "{}"
+        elif default is MISSING:
             self.absent = "_NO_BLOCK" if self.kind == "block" else "None"
         else:
-            self.absent = repr(f.default)
+            self.absent = repr(default)
 
     def encode(self, block: Any) -> Any:
         """The value `to_doc` writes for this field of `block`, or OMITTED."""
@@ -352,9 +417,10 @@ _ENCODE = {"raw": "{}", "object": "{}", "copy": "_copied({})", "strings": "list(
            "block": "{}.to_doc()", "blocks": "[x.to_doc() for x in {}]"}
 
 
-def _compile(cls: type, where: str, checks: bool = False) -> dict:
-    """Compile one field table into `from_doc` and `to_doc` functions, or,
-    with `checks`, into the `check(self, where, report)` that validation calls.
+def _compile(cls: type, where: str, checks: bool = False, init: tuple = ((), {})) -> dict:
+    """Compile one field table into `from_doc` and `to_doc` functions, in one
+    source with the `__init__` lines and names of `init`; or, with `checks`,
+    into the `check(self, where, report)` that validation calls.
 
     `from_doc` fills the slots of a bare instance directly: these blocks have
     no `__post_init__`, and skipping `__init__` saves a third of their cost.
@@ -438,12 +504,14 @@ def _compile(cls: type, where: str, checks: bool = False) -> dict:
                     f"        d[{key}] = {value.format('v')}"]
     if literal:
         enc.append("    }")
-    if "extensions" in cls.__dataclass_fields__:
+    if "extensions" in cls.__match_args__:
         dec.append("    o.extensions = {} if KNOWN.issuperset(doc) else _rest(doc, KNOWN)")
         enc += ["    if self.extensions:", "        d.update(self.extensions)"]
     dec.append("    return o")
     enc.append("    return d")
-    exec(compile("\n".join(dec + enc) + "\n", f"<codec {cls.__name__}>", "exec"), names)
+    lines, defaults = init
+    names.update(defaults)
+    exec(compile("\n".join([*lines, *dec, *enc]) + "\n", f"<codec {cls.__name__}>", "exec"), names)
     return names
 
 
@@ -455,38 +523,26 @@ def _check_first(self, where: str, report: ValidationReport) -> None:
 
 
 def codec(where: str):
-    """Class decorator: make a slotted dataclass and compile its field table.
+    """Class decorator: make a slotted record class and compile its field table.
 
     `where` names the block in error messages, e.g. "run" or "test.measurement".
-    Equality and repr behave as the dataclass ones but read the fields through
-    one attribute getter instead of being compiled per class: that saves as
-    much import time as compiling the codecs costs.
     """
     def build(cls: type) -> type:
-        cls = dataclass(slots=True, eq=False, repr=False)(cls)
-        names = tuple(f.name for f in fields(cls))
-        values = attrgetter(*names)
-
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                return values(self) == values(other)
-            return NotImplemented
-
-        def __repr__(self):
-            pairs = ", ".join(f"{name}={value!r}" for name, value in zip(names, values(self)))
-            return f"{self.__class__.__qualname__}({pairs})"
-
-        cls.__eq__, cls.__repr__, cls.__hash__ = __eq__, __repr__, None
-        cls.FIELDS = tuple(Wire(f, where.rpartition(".")[2].removesuffix("[]"))
-                           for f in fields(cls) if "wire" in f.metadata)
+        rows = [(attr, row) for attr, row in vars(cls).items() if isinstance(row, Wire)]
+        cls, init, names = _build(cls, slots=True)
+        prefix = where.rpartition(".")[2].removesuffix("[]")
+        for attr, row in rows:
+            row.attr, row.rule = attr, row.rule or f"{prefix}.{row.name}"
+        cls.FIELDS = tuple(row for _attr, row in rows)
         # Validation checks the rows with a check and the nested blocks whose
         # own table checks something; `check` is compiled on its first call.
         cls.CHECKS = tuple(row for row in cls.FIELDS if row.test or row.kind in ("block", "blocks")
                            and any(inner.test for inner in row.block.FIELDS))
         cls.check = _check_first
-        namespace = _compile(cls, where)
+        namespace = _compile(cls, where, init=(init, names))
+        cls.__init__, cls.to_doc = namespace["__init__"], namespace["to_doc"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
         cls.from_doc = staticmethod(namespace["from_doc"])
-        cls.to_doc = namespace["to_doc"]
         return cls
     return build
 
@@ -536,7 +592,7 @@ class ActorRef:
     role: str = wire("role", check=_vocab(ROLES, "role"))
     pseudonym: str | None = wire("pseudonym", None, check=_STRING)
     steward_org: str | None = wire("stewardOrg", None, check=_LEDGER_ID)
-    extensions: dict = field(default_factory=dict)
+    extensions: dict = dict
 
     def cross_check(self, where: str, report: ValidationReport) -> None:
         if not self.pseudonym and not self.steward_org:
@@ -557,7 +613,7 @@ class ConsentBlock:
                                  check=_pattern(_RETENTION_RE, "<n>y|<n>m|<n>d"))
     reuse_constraints: list[str] | None = wire(
         "reuseConstraints", None, check=(_is_strings, "must be a list of policy tags"))
-    extensions: dict = field(default_factory=dict)
+    extensions: dict = dict
 
     def scope_tags(self) -> list[str]:
         """Scope is a plus-separated tag list, e.g. "research+design"."""
@@ -573,7 +629,7 @@ class CompensationBlock:
     model: str = wire("model", check=_vocab(COMPENSATION_MODELS, "model"))
     amount: int | float | None = wire("amount", None, check=_UNITS)
     currency: str | None = wire("currency", None, check=_pattern(_CURRENCY_RE, "a 3-letter code"))
-    extensions: dict = field(default_factory=dict)
+    extensions: dict = dict
 
     def cross_check(self, where: str, report: ValidationReport) -> None:
         """Paid models need their terms."""
@@ -606,7 +662,7 @@ class LinkSet:
                                              "not a ledger id or URI: {!r}"))
     authorizes: list[str] = _link("authorizes")
     credits_for: list[str] = _link("creditsFor")
-    extensions: dict = field(default_factory=dict)
+    extensions: dict = dict
 
     def iter_links(self):
         """Yield (kind, target) for every declared link, in declaration order."""
@@ -629,7 +685,7 @@ class SignatureRecord:
     signer_role: ActorRef = wire("signerRole", codec=ActorRef)
     key_ref: str = wire("keyRef")
     signature_bytes: str = wire("signatureBytes")
-    extensions: dict = field(default_factory=dict)
+    extensions: dict = dict
 
 
 @codec("integrity")
@@ -655,7 +711,7 @@ class ContributionPayload:
                                     check=_vocab(INTENDED_USES, "intended use"))
     representational_metadata: dict | None = wire("representationalMetadata", None, codec=dict)
     recruitment_pathway: str | None = wire("recruitmentPathway", None, check=_STRING)
-    extensions: dict = field(default_factory=dict)
+    extensions: dict = dict
 
 
 @codec("change.changedArtifacts[]")
@@ -665,7 +721,7 @@ class ChangedArtifact:
     artifact_id: str = wire("artifactId", check=_LEDGER_ID, rule="change.artifactId")
     version_after: str = wire("versionAfter", check=_NONEMPTY, rule="change.versionAfter")
     version_before: str | None = wire("versionBefore", None)
-    extensions: dict = field(default_factory=dict)
+    extensions: dict = dict
 
 
 @codec("change")
@@ -676,7 +732,7 @@ class ChangePayload:
     rationale: str = wire("rationale", check=_NONEMPTY)
     changed_artifacts: list[ChangedArtifact] = wire(
         "changedArtifacts", list, codec=list[ChangedArtifact], omit=ALWAYS)
-    extensions: dict = field(default_factory=dict)
+    extensions: dict = dict
 
     def cross_check(self, where: str, report: ValidationReport) -> None:
         if not self.changed_artifacts:
@@ -693,7 +749,7 @@ class ArtifactPayload:
     version: str = wire("version", check=_NONEMPTY)
     content_ref: str = wire("contentRef", check=_CONTENT_REF)
     boundary: str | None = wire("boundary", None, check=_STRING)
-    extensions: dict = field(default_factory=dict)
+    extensions: dict = dict
 
     def is_deployment(self) -> bool:
         return self.artifact_kind == DEPLOYMENT_KIND
@@ -722,7 +778,7 @@ class MeasurementProcedure:
                                     "only mean aggregation is defined, got {!r}"))
     pass_mean: int | float | None = wire("passMean", None, check=(_is_finite, "must be a number"))
     min_raters: int | None = wire("minRaters", None, check=_COUNT)
-    extensions: dict = field(default_factory=dict)
+    extensions: dict = dict
 
     def cross_check(self, where: str, report: ValidationReport) -> None:
         """The runner variants: each row of the active one is required."""
@@ -755,7 +811,7 @@ class TestPayload:
     measurement: MeasurementProcedure = wire("measurement", codec=MeasurementProcedure)
     input_spec: dict = wire("inputSpec", dict, codec=dict)
     motivated_by: list[str] = wire("motivatedBy", list, codec=list[str], check=_LEDGER_ID)
-    extensions: dict = field(default_factory=dict)
+    extensions: dict = dict
 
 
 @codec("run")
@@ -771,7 +827,7 @@ class EvaluationRunPayload:
     raw_results: dict = wire("rawResults", dict, codec=dict)
     timestamp: str | None = wire("timestamp", None, check=_TIMESTAMP)
     unattested_by_harness: bool | None = wire("unattestedByHarness", None)
-    extensions: dict = field(default_factory=dict)
+    extensions: dict = dict
 
 
 @codec("voucher.conditions[]")
@@ -785,7 +841,7 @@ class VoucherCondition:
                                         rule="voucher.condition-scope")
     human_in_loop: bool = wire("humanInLoop", False, rule="voucher.condition-flag",
                                check=(lambda value: isinstance(value, bool), "must be a boolean"))
-    extensions: dict = field(default_factory=dict)
+    extensions: dict = dict
 
 
 @codec("voucher")
@@ -799,7 +855,7 @@ class VoucherPayload:
     status: str = wire("status", check=_vocab(VOUCHER_STATUSES, "status", escape=False))
     conditions: list[VoucherCondition] = wire("conditions", list, codec=list[VoucherCondition])
     expiry: str | None = wire("expiry", None, check=_TIMESTAMP)
-    extensions: dict = field(default_factory=dict)
+    extensions: dict = dict
 
     def cross_check(self, where: str, report: ValidationReport) -> None:
         if self.steward.role != "communitySteward":
@@ -815,7 +871,7 @@ class TriggeringEvent:
                      rule="credit.event-kind")
     evaluation_run_id: str | None = wire("evaluationRunId", None)
     change_id: str | None = wire("changeId", None)
-    extensions: dict = field(default_factory=dict)
+    extensions: dict = dict
 
     def cross_check(self, where: str, report: ValidationReport) -> None:
         if not is_reference_id(self.trigger_id()):
@@ -833,7 +889,7 @@ class CreditPayload:
     triggering_event: TriggeringEvent = wire("triggeringEvent", codec=TriggeringEvent)
     units: int | float = wire("units", check=_UNITS)
     policy_ref: str = wire("policyRef", check=_DIGEST)
-    extensions: dict = field(default_factory=dict)
+    extensions: dict = dict
 
 
 @codec("tombstone")
@@ -844,7 +900,7 @@ class TombstonePayload:
     reason: str = wire("reason", check=_vocab(TOMBSTONE_REASONS, "reason", escape=False))
     authorization: ActorRef = wire("authorization", codec=ActorRef)
     retained_hash: str = wire("retainedHash", check=_DIGEST)
-    extensions: dict = field(default_factory=dict)
+    extensions: dict = dict
 
     def cross_check(self, where: str, report: ValidationReport) -> None:
         role = self.authorization.role
@@ -868,7 +924,7 @@ PAYLOAD_CLASS: dict[EntryType, type] = {
 # ---------------------------------------------------------------------------
 # envelope
 
-@dataclass(slots=True)
+@record(slots=True)
 class EntryEnvelope:
     id: str
     entry_type: EntryType
@@ -877,10 +933,10 @@ class EntryEnvelope:
     payload: Any
     consent: ConsentBlock | None = None
     compensation: CompensationBlock | None = None
-    links: LinkSet = field(default_factory=LinkSet)
+    links: LinkSet = LinkSet
     context: str | None = None
     integrity: IntegrityBlock | None = None
-    extensions: dict = field(default_factory=dict)
+    extensions: dict = dict
 
     def is_sealed(self) -> bool:
         return self.integrity is not None
@@ -1004,16 +1060,16 @@ def serialize_entry(entry: EntryEnvelope) -> str:
 # ---------------------------------------------------------------------------
 # structural validation
 
-@dataclass
+@record
 class Violation:
     path: str
     rule: str
     message: str
 
 
-@dataclass
+@record
 class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
+    violations: list[Violation] = list
 
     def ok(self) -> bool:
         return not self.violations

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
 from typing import Any
 
 from .canonical import render_value
@@ -36,7 +35,7 @@ from .errors import (
     UnknownRelation,
 )
 from .graph import LedgerGraph
-from .model import LINK_KINDS, OMITTED, EntryType, Wire
+from .model import LINK_KINDS, OMITTED, EntryType, Wire, record
 
 # Node labels: the eight entry types plus the Deployment view over artifacts.
 _LABELS = {t.value.casefold(): t.value for t in EntryType}
@@ -72,7 +71,7 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = frozenset({"MATCH", "WHERE", "AND", "RETURN"})
 
 
-@dataclass
+@record
 class _Token:
     kind: str  # keyword text, punct text, 'IDENT', 'STRING', or 'EOF'
     text: str
@@ -123,14 +122,14 @@ def _tokenize(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 # AST
 
-@dataclass
+@record
 class NodePattern:
     var: str
     label_text: str | None = None  # as written, for printing
     label: str | None = None       # resolved canonical label
 
 
-@dataclass
+@record
 class EdgePattern:
     relation_text: str
     relation: str
@@ -148,20 +147,20 @@ class EdgePattern:
         return "undirected"
 
 
-@dataclass
+@record
 class PathPattern:
     nodes: list[NodePattern]
     edges: list[EdgePattern]
 
 
-@dataclass
+@record
 class Predicate:
     var: str
     field: str
     value: str
 
 
-@dataclass
+@record
 class Projection:
     var: str
     field: str
@@ -171,11 +170,11 @@ class Projection:
         return f"{self.var}.{self.field}"
 
 
-@dataclass
+@record
 class QueryAst:
-    matches: list[PathPattern] = field(default_factory=list)
-    predicates: list[Predicate] = field(default_factory=list)
-    projections: list[Projection] = field(default_factory=list)
+    matches: list[PathPattern] = list
+    predicates: list[Predicate] = list
+    projections: list[Projection] = list
 
     def bound_variables(self) -> set[str]:
         return {n.var for p in self.matches for n in p.nodes}
@@ -320,11 +319,11 @@ def escape_literal(value: str) -> str:
 # ---------------------------------------------------------------------------
 # evaluation
 
-@dataclass
+@record(uncompared=("plan",))
 class ResultTable:
     columns: list[str]
-    rows: list[tuple[str, ...]] = field(default_factory=list)
-    plan: list[str] = field(default_factory=list, compare=False)  # see evaluate
+    rows: list[tuple[str, ...]] = list
+    plan: list[str] = list  # see evaluate
 
     def render_text(self) -> str:
         widths = [len(c) for c in self.columns]
@@ -527,7 +526,7 @@ def run_query(text: str, graph: LedgerGraph) -> ResultTable:
 # ---------------------------------------------------------------------------
 # saved queries
 
-@dataclass
+@record
 class SavedQuery:
     name: str
     params: tuple[str, ...]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import copy
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
 
@@ -45,6 +44,7 @@ from .model import (
     TombstonePayload,
     now_stamp,
     parse_entry,
+    record,
     serialize_entry,
     validate_structure,
 )
@@ -113,7 +113,7 @@ def truncate_torn_tail(path: str | Path) -> int | None:
     return data[:cut].count(b"\n") + 1
 
 
-@dataclass
+@record
 class RedactionMarker:
     """What a reader sees in place of a tombstoned payload."""
     target_id: str

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -42,6 +41,7 @@ from pledger.model import (
     ConsentBlock,
     EntryType,
     lineage_base,
+    replace,
 )
 
 LIFECYCLE_ROW = {
@@ -262,8 +262,8 @@ def test_ledger_mode_takes_the_best_level_per_column():
 
 
 def test_ledger_mode_keeps_first_seen_group_order():
-    second = dataclasses.replace(make_contribution(2), id="pl:contrib:aaa:0002")
-    first = dataclasses.replace(make_contribution(1), id="pl:contrib:zzz:0001")
+    second = replace(make_contribution(2), id="pl:contrib:aaa:0002")
+    first = replace(make_contribution(1), id="pl:contrib:zzz:0001")
     matrix = audit_corpus([first, second], mode="ledger")
     assert [name for name, _ in matrix.rows] == ["zzz", "aaa"]
 
@@ -331,7 +331,7 @@ def test_matrix_renders():
 
 def test_withdrawn_consent_flags_only_later_changes():
     original = make_contribution(1)
-    withdrawn = dataclasses.replace(
+    withdrawn = replace(
         original,
         id=f"{original.id}:rev1",
         created_at=stamp(30),
@@ -437,8 +437,7 @@ def test_export_excludes_unreachable_entries():
 
 def test_export_pulls_lineages_and_tombstones():
     contrib = make_contribution(1)
-    revision = dataclasses.replace(contrib, id=f"{contrib.id}:rev1",
-                                   created_at=stamp(30))
+    revision = replace(contrib, id=f"{contrib.id}:rev1", created_at=stamp(30))
     test = make_test(0, motivated_by=[contrib.id])
     run = make_run(0, test_id=test.id, version="v1")
     artifact = make_artifact(0, version="v1")
@@ -480,7 +479,7 @@ def test_export_closure_matches_a_naive_walk_on_random_ledgers():
         entries = random_graph_entries(rng)
         rng.choice(entries).links.influences.append("pl:contrib:gen:9999")  # dangling
         if rng.random() < 0.5:
-            entries.append(dataclasses.replace(
+            entries.append(replace(
                 rng.choice(entries), id=f"{rng.choice(entries).id}:rev1"))
         if rng.random() < 0.5:
             entries.append(make_tombstone(rng.choice(entries).id))

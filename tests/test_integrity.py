@@ -1,6 +1,5 @@
 """Sealing, hash-chain verification, and signatures."""
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -11,7 +10,7 @@ from conftest import make_contribution, sealed_chain
 from pledger import seal, verify_chain, verify_signatures
 from pledger.errors import AlreadySealed, SigningFailure
 from pledger.integrity import HMAC_SCHEME, canonicalize, hmac_signer, hmac_verifier
-from pledger.model import ActorRef
+from pledger.model import ActorRef, replace
 
 
 def chain(n: int) -> list:
@@ -65,9 +64,9 @@ def test_valid_chain_verifies():
 
 def mutate_summary(entries: list, index: int) -> list:
     target = entries[index]
-    payload = dataclasses.replace(target.payload, summary=target.payload.summary + "!")
+    payload = replace(target.payload, summary=target.payload.summary + "!")
     out = list(entries)
-    out[index] = dataclasses.replace(target, payload=payload)
+    out[index] = replace(target, payload=payload)
     return out
 
 
@@ -99,7 +98,7 @@ def test_swap_is_prev_hash_mismatch():
 
 def test_duplicate_id_detected():
     base = [make_contribution(i) for i in range(6)]
-    base[4] = dataclasses.replace(base[4], id=base[1].id)
+    base[4] = replace(base[4], id=base[1].id)
     verdict = verify_chain(sealed_chain(base))
     assert not verdict.valid
     assert verdict.first_broken_index == 4
@@ -108,13 +107,13 @@ def test_duplicate_id_detected():
 
 def test_clock_skew_tolerated_within_a_day():
     base = [make_contribution(i) for i in range(4)]
-    base[2] = dataclasses.replace(base[2], created_at="2025-05-01T02:00:00Z")
+    base[2] = replace(base[2], created_at="2025-05-01T02:00:00Z")
     assert verify_chain(sealed_chain(base)).valid  # 10h backwards
 
 
 def test_order_violation_beyond_skew():
     base = [make_contribution(i) for i in range(4)]
-    base[2] = dataclasses.replace(base[2], created_at="2025-04-29T12:00:00Z")
+    base[2] = replace(base[2], created_at="2025-04-29T12:00:00Z")
     verdict = verify_chain(sealed_chain(base))
     assert not verdict.valid
     assert verdict.first_broken_index == 2

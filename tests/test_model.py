@@ -222,12 +222,10 @@ def test_validation_is_empty_on_good_entries():
 
 
 def test_validation_catches_bad_id_and_timestamp_on_built_entries():
-    import dataclasses
-
     entry = make_contribution(1)
-    bad_id = dataclasses.replace(entry, id="pl:change:gen:0001")
+    bad_id = replace(entry, id="pl:change:gen:0001")
     assert "id.grammar" in validate_structure(bad_id).rules()
-    bad_time = dataclasses.replace(entry, created_at="yesterday")
+    bad_time = replace(entry, created_at="yesterday")
     assert "createdAt.format" in validate_structure(bad_time).rules()
 
 
@@ -366,14 +364,12 @@ def test_validation_rejects_a_trailing_newline(mutator, rule):
 
 
 def test_newline_id_cannot_sit_next_to_its_twin(tmp_path):
-    import dataclasses
-
     from pledger.errors import ValidationFailed
     from pledger.store import LedgerFile
 
     with LedgerFile(tmp_path / "dup.pledger") as ledger:
-        ledger.append(dataclasses.replace(make_contribution(1), id="pl:contrib:dup"))
-        twin = dataclasses.replace(make_contribution(2), id="pl:contrib:dup\n")
+        ledger.append(replace(make_contribution(1), id="pl:contrib:dup"))
+        twin = replace(make_contribution(2), id="pl:contrib:dup\n")
         assert "id.grammar" in validate_structure(twin).rules()
         with pytest.raises(ValidationFailed):
             ledger.append(twin)
@@ -523,8 +519,6 @@ RULES = json.loads((Path(__file__).parent / "data" / "validation_rules.json").re
 
 def edited(case: dict):
     """The case's base entry with its edits applied and envelope attributes replaced."""
-    import dataclasses
-
     doc = copy.deepcopy(CORPUS["bases"][case["base"]])
     for edit in case["edits"]:
         target = doc
@@ -534,7 +528,7 @@ def edited(case: dict):
             del target[edit["path"][-1]]
         else:
             target[edit["path"][-1]] = copy.deepcopy(edit["value"])
-    return dataclasses.replace(parse_entry(doc), **case.get("replace", {}))
+    return replace(parse_entry(doc), **case.get("replace", {}))
 
 
 @pytest.mark.parametrize("case", RULES["cases"], ids=[c["case"] for c in RULES["cases"]])

@@ -77,6 +77,9 @@ def test_credit_report_does_not_load_the_query_module(lifecycle, capsys, fmt):
 GATE_CHECK = ["gate", "check", "--capability", CAPABILITY, "--boundary", BOUNDARY,
               "--version", "v3", "--now", "2025-06-27T00:00:00Z"]
 
+# Records are built by pledger.model itself, so no command loads these.
+RECORD_MACHINERY = {"dataclasses", "inspect"}
+
 # (argv before the ledger path, modules it loads, modules it must not load on
 # top of what a bare interpreter loads)
 IMPORT_CASES = {
@@ -119,7 +122,17 @@ def test_each_command_loads_only_what_it_runs(lifecycle, tmp_path, bare_modules,
     assert proc.returncode == 0, proc.stderr[-2000:]
     modules = imported_modules(proc.stderr)
     assert loads <= modules
-    assert not (modules - bare_modules) & loads_none_of
+    assert not (modules - bare_modules) & (loads_none_of | RECORD_MACHINERY)
+
+
+def test_no_module_of_the_package_loads_the_record_machinery(bare_modules):
+    package = ["pledger.cli", "pledger.governance", "pledger.query", "pledger.evidence",
+               "pledger.harness", "pledger.integrity", "pledger.fixtures"]
+    proc = run_python("-X", "importtime", "-c", f"import {', '.join(package)}")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    modules = imported_modules(proc.stderr)
+    assert set(package) <= modules
+    assert not (modules - bare_modules) & RECORD_MACHINERY
 
 
 # Run in a child: count the cyclic collections that start while the code of

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from conftest import make_contribution, stamp
@@ -19,7 +17,7 @@ from pledger.errors import (
     WrongEntryType,
 )
 from pledger.integrity import hmac_signer, verify_chain
-from pledger.model import ActorRef, EntryEnvelope, EntryType, VoucherPayload
+from pledger.model import ActorRef, EntryEnvelope, EntryType, VoucherPayload, replace
 from pledger.store import (
     LedgerFile,
     RedactionMarker,
@@ -308,7 +306,7 @@ def test_read_only_mode(ledger_path, tmp_path):
 
 def test_append_does_not_mutate_caller_entry(ledger_path):
     entry = make_contribution(1)
-    snapshot = dataclasses.replace(entry)
+    snapshot = replace(entry)
     with LedgerFile(ledger_path) as led:
         sealed = led.append(entry)
     assert entry.integrity is None
@@ -317,12 +315,9 @@ def test_append_does_not_mutate_caller_entry(ledger_path):
 
 
 def test_append_rejects_backdating_beyond_skew(ledger_path):
-    head = dataclasses.replace(make_contribution(1),
-                               created_at="2025-05-03T12:00:00Z")
-    within = dataclasses.replace(make_contribution(2),
-                                 created_at="2025-05-02T12:00:00Z")
-    beyond = dataclasses.replace(make_contribution(3),
-                                 created_at="2025-05-01T11:59:59Z")
+    head = replace(make_contribution(1), created_at="2025-05-03T12:00:00Z")
+    within = replace(make_contribution(2), created_at="2025-05-02T12:00:00Z")
+    beyond = replace(make_contribution(3), created_at="2025-05-01T11:59:59Z")
     with LedgerFile(ledger_path) as led:
         led.append(head)
         led.append(within)
