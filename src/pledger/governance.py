@@ -19,7 +19,6 @@ and a gate check or credit report never loads that module.
 from __future__ import annotations
 
 import copy
-import math
 from decimal import ROUND_HALF_EVEN, Decimal
 from typing import Any
 
@@ -29,6 +28,7 @@ from .graph import Snapshot
 from .model import (
     CREDIT_EVENT_KINDS,
     VOUCHER_TRANSITIONS,
+    _UNITS,
     ActorRef,
     CreditPayload,
     EntryEnvelope,
@@ -36,7 +36,6 @@ from .model import (
     LinkSet,
     TriggeringEvent,
     VoucherPayload,
-    _is_number,
     _slug,
     now_stamp,
     parse_timestamp,
@@ -276,8 +275,7 @@ class CreditPolicy:
         return doc
 
     def validate(self) -> None:
-        def _units(value: Any) -> bool:
-            return _is_number(value) and math.isfinite(value) and value >= 0
+        _units = _UNITS[0]  # the credit.units row's test: a finite number >= 0
 
         for kind, units in self.units_per_event.items():
             if kind not in CREDIT_EVENT_KINDS:

@@ -545,6 +545,28 @@ def test_credit_accrue_rejects_bad_policy(writable_mid, tmp_path, capsys):
     assert "bogusKind" in err
 
 
+CREDIT_WINDOW = ["--window-start", "2025-05-01T00:00:00Z", "--window-end", "2025-06-30T00:00:00Z"]
+
+
+@pytest.mark.parametrize("cap,code", [
+    (str(10**400), 0),  # an integer too large for a float is still a nonnegative number
+    ("-1", 5), ("true", 5), ("NaN", 5), ("1e400", 5),
+], ids=["huge-int", "negative", "bool", "nan", "inf"])
+def test_credit_accrue_judges_the_cap_as_a_nonnegative_number(writable, tmp_path, capsys,
+                                                              cap, code):
+    policy_path = tmp_path / "policy.json"
+    units = json.dumps(POLICY_DOC["unitsPerEvent"])
+    policy_path.write_text(
+        f'{{"unitsPerEvent": {units}, "capPerBeneficiaryPerPeriod": {cap}}}', "utf-8")
+    got, _out, err = run_cli(capsys, "credit", "accrue", "--ledger", str(writable),
+                             "--policy", str(policy_path), *CREDIT_WINDOW)
+    assert got == code
+    assert "Traceback" not in err
+    if code == 5:
+        assert "capPerBeneficiaryPerPeriod must be a nonnegative number" in err
+    assert run_cli(capsys, "verify", "--ledger", str(writable))[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # audits
 
