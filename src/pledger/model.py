@@ -252,9 +252,9 @@ MISSING = object()
 
 
 def _build(cls: type, slots: bool, uncompared: tuple = ()) -> tuple[type, list, dict]:
-    """Make `cls` a record class: the class itself, or with `slots` a new
-    slotted one, plus the source lines of its `__init__` and the names that
-    source reads. Fields named in `uncompared` are left out of equality."""
+    """Remake `cls` as a record class (slotted with `slots`), and return it
+    with the source lines of its `__init__` and the names that source reads.
+    Fields named in `uncompared` are left out of equality."""
     attrs = tuple(cls.__annotations__)
     names, params, body = {"MISSING": MISSING}, [], []
     for i, attr in enumerate(attrs):
