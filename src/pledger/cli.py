@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 success/allow/valid, 1 harness fail,
 2 inconclusive, 3 gate deny, 4 verification failure, 5 validation or
-conformance failure, 64 usage error. Read commands work on snapshots; only
+conformance failure, 64 usage error; the process entry (`__main__.run`) adds
+120 when standard output is closed early. Read commands work on snapshots; only
 the append family (append, harness run, voucher issue, credit accrue,
 redact) takes the writer lock.
 

@@ -172,6 +172,37 @@ def test_verify_reports_torn_tail(writable, capsys):
     assert "verification failure" in err
 
 
+def _drop_last_three(lines: list[str]) -> list[str]:
+    return lines[:-3]
+
+
+def _respace_line_5(lines: list[str]) -> list[str]:
+    return [*lines[:4], json.dumps(json.loads(lines[4])), *lines[5:]]
+
+
+def _prefix_line_5_with_an_id(lines: list[str]) -> list[str]:
+    return [*lines[:4], '{"id":"pl:contribution:forged:001",' + lines[4][1:], *lines[5:]]
+
+
+def _note_in_line_4_integrity(lines: list[str]) -> list[str]:
+    doc = json.loads(lines[3])
+    doc["integrity"]["note"] = "rewritten"
+    return [*lines[:3], canonical_json(doc), *lines[4:]]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1a/1b")
+@pytest.mark.parametrize("tamper", [_drop_last_three, _respace_line_5,
+                                    _prefix_line_5_with_an_id, _note_in_line_4_integrity])
+def test_verify_detects_tampering_that_keeps_the_decoded_chain(
+        lifecycle, writable, capsys, tamper):
+    # Each copy keeps the lifecycle ledger's own `.head`.
+    shutil.copy(store.head_path(lifecycle[0]), store.head_path(writable))
+    lines = writable.read_text("utf-8").splitlines()
+    writable.write_text("\n".join(tamper(lines)) + "\n", "utf-8")
+    code, _out, _err = run_cli(capsys, "verify", "--ledger", str(writable))
+    assert code == 4
+
+
 def test_ledger_path_usage_errors(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("PLEDGER_LEDGER", raising=False)
     code, _out, err = run_cli(capsys, "verify")
@@ -778,6 +809,7 @@ def test_main_pauses_cyclic_gc_and_restores_it(lifecycle, mid_lifecycle, writabl
     ]
     seen: list[bool] = []
     read = store.read_entries
+    frozen = gc.get_freeze_count()  # only the process entry freezes the heap
 
     def recording(path):
         seen.append(gc.isenabled())
@@ -806,5 +838,6 @@ def test_main_pauses_cyclic_gc_and_restores_it(lifecycle, mid_lifecycle, writabl
         assert main(["verify", "--ledger", full]) == 0
         assert seen == [False]
         assert not gc.isenabled()
+        assert gc.get_freeze_count() == frozen
     finally:
         gc.enable()

@@ -463,6 +463,8 @@ def test_policy_roundtrip_and_ref():
     rendered = json.dumps(POLICY_DOC, sort_keys=True, separators=(",", ":"),
                           ensure_ascii=False)
     assert policy.ref() == "sha256:" + hashlib.sha256(rendered.encode()).hexdigest()
+    assert policy.ref() == \
+        "sha256:3ba3f80e39d433938f721c5d0fbc7b36229cee8021633c9049f2b76a96f949da"
 
 
 def test_policy_defaults_and_extensions():
@@ -477,6 +479,11 @@ def test_policy_defaults_and_extensions():
     assert noted.extensions == {"note": "pilot"}
     assert noted.to_doc()["note"] == "pilot"
     assert noted.ref() != policy.ref()
+    # Frozen digests: a change to the policy codec must keep these bytes.
+    assert policy.ref() == \
+        "sha256:8e34a5e37cdde4819f460a1495aac898d991476054ad397898716b471f9b723e"
+    assert noted.ref() == \
+        "sha256:9237b185743506f0ce8909f1ff2810c6066b4fa0fe081ac272ab7e39186e1eda"
 
 
 @pytest.mark.parametrize("doc", [

@@ -28,10 +28,14 @@ UNUSED_BY_VERIFY = ("pledger.query", "pledger.harness", "pledger.governance",
                     "pledger.evidence", "pledger.fixtures")
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
+def child_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+    return env
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], env=child_env(), capture_output=True,
                           text=True, timeout=120)
 
 
@@ -135,11 +139,14 @@ def test_no_module_of_the_package_loads_the_record_machinery(bare_modules):
     assert not (modules - bare_modules) & RECORD_MACHINERY
 
 
-# Run in a child: count the cyclic collections that start while the code of
-# pledger/__main__.py is on the stack. runpy executes that code without adding
-# the module to sys.modules, so the hook looks for its frame instead.
+# Run in a child through one of the two launchers: `module` runs
+# `python -m pledger`'s code, `script` calls the console script's target as
+# the wrapper pip writes does. Count the cyclic collections that start while
+# the code of pledger/__main__.py is on the stack (runpy executes that code
+# without adding the module to sys.modules, so the hook looks for its frame),
+# and check that an `atexit` handler registered before the command still runs.
 GC_PROBE = """
-import gc, importlib.util, runpy, sys
+import atexit, gc, importlib.util, runpy, sys
 main_file = importlib.util.find_spec("pledger.__main__").origin
 collections = 0
 
@@ -153,20 +160,57 @@ def count(phase, info):
     collections += frame is not None
 
 gc.callbacks.append(count)
-sys.argv = ["pledger", *sys.argv[1:]]
+atexit.register(print, "atexit handler ran", file=sys.stderr)
+launcher = sys.argv[1]
+sys.argv = ["pledger", *sys.argv[2:]]
 try:
-    runpy.run_module("pledger", run_name="__main__")
+    if launcher == "module":
+        runpy.run_module("pledger", run_name="__main__")
+    else:
+        from pledger.__main__ import run
+        sys.exit(run())
 except SystemExit as exc:
     code = exc.code
-print(f"exit {code}, {collections} collections", file=sys.stderr)
+print(f"exit {code}, {collections} collections, frozen {gc.get_freeze_count() > 0}",
+      file=sys.stderr)
 """
 
 
+@pytest.mark.parametrize("launcher", ["module", "script"])
 @pytest.mark.parametrize("argv", [["verify"], GATE_CHECK], ids=["verify", "gate check"])
-def test_process_entry_pauses_the_collector_before_importing(lifecycle, argv):
-    proc = run_python("-c", GC_PROBE, *argv, "--ledger", str(lifecycle[0]))
+def test_process_entry_pauses_the_collector_and_freezes_at_exit(
+        lifecycle, capsys, argv, launcher):
+    argv = [*argv, "--ledger", str(lifecycle[0])]
+    assert main(argv) == 0
+    in_process = capsys.readouterr().out
+
+    proc = run_python("-c", GC_PROBE, launcher, *argv)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stderr.splitlines()[-1] == "exit 0, 0 collections"
+    assert proc.stdout == in_process
+    assert proc.stderr.splitlines()[-2:] == ["exit 0, 0 collections, frozen True",
+                                             "atexit handler ran"]
+
+
+def test_console_script_names_the_process_entry():
+    # A text check: tomllib is 3.11+ and the package supports 3.10.
+    pyproject = (SRC.parent / "pyproject.toml").read_text("utf-8")
+    scripts = pyproject.split("[project.scripts]", 1)[1].split("[", 1)[0]
+    assert scripts.split() == ["pledger", "=", '"pledger.__main__:run"']
+
+
+def test_broken_pipe_exits_120_without_a_traceback(lifecycle):
+    # The reader of stdout is gone before the command writes; the export is
+    # larger than stdout's buffer, so the write itself fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pledger", "export", "--release", f"{ARTIFACT_ID}@v3",
+             "--now", "2025-06-27T00:00:00Z", "--ledger", str(lifecycle[0])],
+            env=child_env(), stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (120, "")
 
 
 def test_import_pledger_loads_no_submodule():
