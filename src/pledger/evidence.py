@@ -17,7 +17,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Any
 
-from .errors import MalformedExport, WrongEntryType
+from .errors import MalformedDocument, MalformedExport, WrongEntryType
 from .governance import gate_check, voucher_lineages
 from .graph import LedgerGraph, Snapshot, build_graph, change_linkage
 from .model import EntryEnvelope, EntryType, _is_number, parse_entry, record, validate_structure
@@ -231,6 +231,11 @@ def audit_corpus(data: Any, mode: str = "document",
     """
     matrix = EvidenceMatrix()
     if mode == "document":
+        if not isinstance(data, list) or not all(
+                isinstance(case, dict) and isinstance(case.get("case", ""), str)
+                and isinstance(case.get("codings", {}), dict) for case in data):
+            raise MalformedDocument("cases must be a list of objects, each with a string"
+                                    " case and a codings object")
         for case in data:
             codings = case.get("codings", {})
             levels = {c: CoverageLevel.parse(codings.get(c)) for c in COLUMNS}

@@ -630,6 +630,21 @@ def test_audit_evidence_document_mode(tmp_path, capsys):
     assert "WeDesign+" in out
 
 
+@pytest.mark.parametrize("cases", [
+    [1, 2],
+    [{"case": "a", "codings": [1]}],
+    {"case": "a"},
+    [{"case": 5}],
+], ids=["items-not-objects", "codings-not-an-object", "not-a-list", "case-not-a-string"])
+def test_audit_evidence_rejects_a_malformed_cases_document(tmp_path, capsys, cases):
+    cases_path = tmp_path / "cases.json"
+    cases_path.write_text(json.dumps(cases), "utf-8")
+    code, out, err = run_cli(capsys, "audit", "evidence", "--cases", str(cases_path))
+    assert (code, out) == (5, "")
+    assert err == ("error: cases must be a list of objects, each with a string case"
+                   " and a codings object\n")
+
+
 def test_audit_linkage(lifecycle, capsys):
     path, _ids, _entries = lifecycle
     code, out, _err = run_cli(capsys, "audit", "linkage", "--ledger", str(path))
