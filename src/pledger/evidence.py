@@ -20,7 +20,8 @@ from typing import Any
 from .errors import MalformedDocument, MalformedExport, WrongEntryType
 from .governance import gate_check, voucher_lineages
 from .graph import LedgerGraph, Snapshot, build_graph, change_linkage
-from .model import EntryEnvelope, EntryType, _is_number, parse_entry, record, validate_structure
+from .model import (_STRING, EntryEnvelope, EntryType, _is_number, codec, decode_checked, record,
+                    validate_structure, wire)
 
 COLUMNS = (
     "recruitmentPathway",
@@ -453,19 +454,31 @@ _EVIDENCE_RULE_PREFIXES = ("consent.", "compensation.", "actor.",
                            "contribution.representational")
 
 
-def _parse_export(export: Any) -> tuple[dict, list[EntryEnvelope]]:
-    if not isinstance(export, dict):
-        raise MalformedExport("export must be a document")
-    release = export.get("release")
-    if not isinstance(release, dict) or not isinstance(release.get("artifactId"), str) \
-            or not isinstance(release.get("version"), str):
-        raise MalformedExport("export.release must carry artifactId and version")
-    raw_entries = export.get("entries")
-    if not isinstance(raw_entries, list):
-        raise MalformedExport("export.entries must be a list")
-    if not isinstance(export.get("activeVouchers", []), list):
-        raise MalformedExport("export.activeVouchers must be a list")
-    return release, [parse_entry(doc) for doc in raw_entries]
+@codec("export.activeVouchers[]")
+class VoucherDisclosure:
+    """An open voucher lineage as an export discloses it, with its gate outcome."""
+
+    voucher_id: str = wire("voucherId", check=_STRING)
+    gate: Any = wire("gate", None)
+    extensions: dict = dict
+
+
+@codec("export")
+class ReleaseExport:
+    """The header of a release export, and its entries, each decoded once."""
+
+    release: dict | None = wire("release", codec=dict)
+    entries: list[EntryEnvelope] | None = wire("entries", codec=list[EntryEnvelope])
+    active_vouchers: list[VoucherDisclosure] = wire(
+        "activeVouchers", list, codec=list[VoucherDisclosure])
+    extensions: dict = dict
+
+    def cross_check(self, where: str, report: Any) -> None:
+        release = self.release or {}
+        if not all(isinstance(release.get(key), str) for key in ("artifactId", "version")):
+            report.add(f"{where}.release", "export.release", "must carry artifactId and version")
+        if self.entries is None:
+            report.add(f"{where}.entries", "export.entries", "must be a list")
 
 
 def check_export_conformance(export: Any) -> ConformanceReport:
@@ -477,62 +490,44 @@ def check_export_conformance(export: Any) -> ConformanceReport:
     (d) every issued or active voucher lineage is disclosed with a gate
     outcome. Overall is conformant exactly when all four pass.
     """
-    release, entries = _parse_export(export)
-    graph = build_graph(entries)
+    export = decode_checked(ReleaseExport.from_doc, export, MalformedExport, "export")
+    artifact_id = export.release["artifactId"]
+    graph = build_graph(export.entries)
     snapshot = graph.snapshot
     hidden = snapshot.hidden
-    report = ConformanceReport()
-
-    a = ClauseResult(passed=True)
+    # Each clause's details; a clause passes when it has none.
+    a: list[str] = []
     for entry in snapshot.by_type[EntryType.CONTRIBUTION]:
-        if entry.id in hidden or entry.payload.intended_use == "documentation":
-            continue
-        validation = validate_structure(entry)
-        for violation in validation.violations:
-            if violation.rule.startswith(_EVIDENCE_RULE_PREFIXES):
-                a.passed = False
-                a.details.append(f"{entry.id}: {violation.path}: {violation.message}")
-    report.clause_results["a-evidenceFields"] = a
+        if entry.id not in hidden and entry.payload.intended_use != "documentation":
+            a += [f"{entry.id}: {v.path}: {v.message}" for v in validate_structure(entry).violations
+                  if v.rule.startswith(_EVIDENCE_RULE_PREFIXES)]
 
-    b = ClauseResult(passed=True)
+    b: list[str] = []
     for entry, has_contribution, has_test in change_linkage(graph):
         if entry.id in hidden:
             continue
         if not has_contribution:
-            b.passed = False
-            b.details.append(f"{entry.id}: no resolvable influencedBy contribution")
+            b.append(f"{entry.id}: no resolvable influencedBy contribution")
         if not has_test:
-            b.passed = False
-            b.details.append(f"{entry.id}: no linked versioned test")
-    report.clause_results["b-traceabilityLinks"] = b
+            b.append(f"{entry.id}: no linked versioned test")
 
-    c = ClauseResult(passed=True)
-    live_tests = [e for e in snapshot.by_type[EntryType.TEST] if e.id not in hidden]
-    release_runs = [e for e in snapshot.by_type[EntryType.EVALUATION_RUN]
-                    if e.id not in hidden and e.payload.artifact_id == release["artifactId"]]
-    if not live_tests:
-        c.passed = False
-        c.details.append("export contains no tests")
-    if not release_runs:
-        c.passed = False
-        c.details.append(
-            f"export contains no evaluation runs for {release['artifactId']}")
-    report.clause_results["c-testsAndRuns"] = c
+    c: list[str] = []
+    if all(e.id in hidden for e in snapshot.by_type[EntryType.TEST]):
+        c.append("export contains no tests")
+    if not any(e.id not in hidden and e.payload.artifact_id == artifact_id
+               for e in snapshot.by_type[EntryType.EVALUATION_RUN]):
+        c.append(f"export contains no evaluation runs for {artifact_id}")
 
-    d = ClauseResult(passed=True)
-    disclosed = {item.get("voucherId"): item
-                 for item in export.get("activeVouchers", [])
-                 if isinstance(item, dict)}
+    d: list[str] = []
+    disclosed = {item.voucher_id: item for item in export.active_vouchers}
     for base, lineage in voucher_lineages(snapshot).items():
-        latest = lineage[-1]
-        if latest.payload.status not in ("issued", "active"):
+        status = lineage[-1].payload.status
+        if status not in ("issued", "active"):
             continue
         item = disclosed.get(base)
         if item is None:
-            d.passed = False
-            d.details.append(f"{base}: {latest.payload.status} voucher not disclosed")
-        elif "gate" not in item:
-            d.passed = False
-            d.details.append(f"{base}: disclosed without a gate outcome")
-    report.clause_results["d-activeVouchers"] = d
-    return report
+            d.append(f"{base}: {status} voucher not disclosed")
+        elif item.gate is None:
+            d.append(f"{base}: disclosed without a gate outcome")
+    return ConformanceReport({clause: ClauseResult(not details, details)
+                              for clause, details in zip(CONFORMANCE_CLAUSES, (a, b, c, d))})

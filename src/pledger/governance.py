@@ -26,8 +26,11 @@ from .canonical import canonical_json, compute_hash
 from .errors import IllegalTransition, InvalidPolicy, UnauthorizedRole, UnknownTest
 from .graph import Snapshot
 from .model import (
+    ALWAYS,
     CREDIT_EVENT_KINDS,
     VOUCHER_TRANSITIONS,
+    _BOOLEAN,
+    _COUNT,
     _UNITS,
     ActorRef,
     CreditPayload,
@@ -37,9 +40,12 @@ from .model import (
     TriggeringEvent,
     VoucherPayload,
     _slug,
+    codec,
+    decode_checked,
     now_stamp,
     parse_timestamp,
     record,
+    wire,
 )
 
 DEFAULT_ALLOW = "noApplicableVoucher-defaultAllow"
@@ -233,69 +239,36 @@ def gate_check(source: Any, capability: str, artifact_id: str, version: str,
 # ---------------------------------------------------------------------------
 # credit policy
 
-@record
+@codec("policy")
 class CreditPolicy:
-    units_per_event: dict[str, int | float] = dict
-    cap_per_beneficiary_per_period: int | float = 0
-    period_days: int = 365
-    quality_gate: bool = True
-    persistence_gate_releases: int = 0
+    """A credit policy; its canonical hash is each minted Credit's policyRef.
+    `from_doc` checks what it decodes: InvalidPolicy names the first fault."""
+
+    units_per_event: dict[str, int | float] = wire("unitsPerEvent", dict, codec=dict, omit=ALWAYS)
+    cap_per_beneficiary_per_period: int | float = wire(
+        "capPerBeneficiaryPerPeriod", 0, check=(_UNITS[0], "must be a nonnegative number"))
+    period_days: int = wire("periodDays", 365, check=(_COUNT[0], "must be a positive integer"))
+    quality_gate: bool = wire("qualityGate", True, check=_BOOLEAN)
+    persistence_gate_releases: int = wire("persistenceGateReleases", 0, check=(
+        lambda value: isinstance(value, int) and not isinstance(value, bool) and value >= 0,
+        "must be a nonnegative integer"))
     extensions: dict = dict
 
-    _KEYS = ("unitsPerEvent", "capPerBeneficiaryPerPeriod", "periodDays",
-             "qualityGate", "persistenceGateReleases")
-
-    @classmethod
-    def from_doc(cls, doc: Any) -> "CreditPolicy":
-        if not isinstance(doc, dict):
-            raise InvalidPolicy("policy must be a document")
-        units = doc.get("unitsPerEvent", {})
-        if not isinstance(units, dict):
-            raise InvalidPolicy("unitsPerEvent must be a map")
-        policy = cls(
-            units_per_event=dict(units),
-            cap_per_beneficiary_per_period=doc.get("capPerBeneficiaryPerPeriod", 0),
-            period_days=doc.get("periodDays", 365),
-            quality_gate=doc.get("qualityGate", True),
-            persistence_gate_releases=doc.get("persistenceGateReleases", 0),
-            extensions={k: v for k, v in doc.items() if k not in cls._KEYS},
-        )
-        policy.validate()
-        return policy
-
-    def to_doc(self) -> dict:
-        doc = {
-            "unitsPerEvent": dict(self.units_per_event),
-            "capPerBeneficiaryPerPeriod": self.cap_per_beneficiary_per_period,
-            "periodDays": self.period_days,
-            "qualityGate": self.quality_gate,
-            "persistenceGateReleases": self.persistence_gate_releases,
-        }
-        doc.update(self.extensions)
-        return doc
+    def cross_check(self, where: str, report: Any) -> None:
+        """Units are keyed by event kind, and the cap covers the largest."""
+        units, cap, valid = self.units_per_event, self.cap_per_beneficiary_per_period, _UNITS[0]
+        for kind, value in units.items():
+            if kind not in CREDIT_EVENT_KINDS:
+                report.add(where, "policy.event-kind",
+                           f"unknown event kind {kind!r} in unitsPerEvent")
+            elif not valid(value):
+                report.add(where, "policy.units", f"units for {kind} must be a nonnegative number")
+        if units and all(map(valid, (cap, *units.values()))) and cap < max(units.values()):
+            report.add(where, "policy.cap", "cap must cover the largest single event unit")
 
     def validate(self) -> None:
-        _units = _UNITS[0]  # the credit.units row's test: a finite number >= 0
-
-        for kind, units in self.units_per_event.items():
-            if kind not in CREDIT_EVENT_KINDS:
-                raise InvalidPolicy(f"unknown event kind {kind!r} in unitsPerEvent")
-            if not _units(units):
-                raise InvalidPolicy(f"units for {kind} must be a nonnegative number")
-        if not _units(self.cap_per_beneficiary_per_period):
-            raise InvalidPolicy("capPerBeneficiaryPerPeriod must be a nonnegative number")
-        if self.units_per_event and self.cap_per_beneficiary_per_period < max(
-                self.units_per_event.values()):
-            raise InvalidPolicy("cap must cover the largest single event unit")
-        if not isinstance(self.period_days, int) or isinstance(self.period_days, bool) \
-                or self.period_days < 1:
-            raise InvalidPolicy("periodDays must be a positive integer")
-        if not isinstance(self.quality_gate, bool):
-            raise InvalidPolicy("qualityGate must be a boolean")
-        if not isinstance(self.persistence_gate_releases, int) \
-                or isinstance(self.persistence_gate_releases, bool) \
-                or self.persistence_gate_releases < 0:
-            raise InvalidPolicy("persistenceGateReleases must be a nonnegative integer")
+        """Raise InvalidPolicy for the first rule this policy breaks."""
+        decode_checked(None, self, InvalidPolicy)
 
     def ref(self) -> str:
         return compute_hash(canonical_json(self.to_doc()).encode("utf-8"))
@@ -306,6 +279,10 @@ class CreditPolicy:
     @property
     def cap(self) -> Decimal:
         return Decimal(str(self.cap_per_beneficiary_per_period))
+
+
+_decode_policy = CreditPolicy.from_doc
+CreditPolicy.from_doc = staticmethod(lambda doc: decode_checked(_decode_policy, doc, InvalidPolicy))
 
 
 # ---------------------------------------------------------------------------

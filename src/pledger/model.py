@@ -547,6 +547,23 @@ def codec(where: str):
     return build
 
 
+def decode_checked(decode: Any, doc: Any, error: type, where: str = "") -> Any:
+    """`decode(doc)` (a table's `from_doc`; with None, `doc` is the block), then
+    the block's checks. Raises `error` with the shape error's message, or the
+    first violation's after its path under `where`, if it has one."""
+    try:
+        block = doc if decode is None else decode(doc)
+    except MalformedDocument as exc:
+        raise error(str(exc)) from exc
+    report = ValidationReport()
+    block.check(where, report)
+    if report.violations:
+        first = report.violations[0]
+        path = first.path.lstrip(".")
+        raise error(f"{path} {first.message}" if path else first.message)
+    return block
+
+
 # ---------------------------------------------------------------------------
 # checks: the (predicate, message) pairs that rows carry
 
@@ -580,6 +597,7 @@ _TIMESTAMP = (is_timestamp, "not an ISO-8601 UTC timestamp: {!r}")
 _UNITS = (lambda value: _is_finite(value) and value >= 0, "must be a nonnegative number, got {!r}")
 _COUNT = (lambda value: isinstance(value, int) and not isinstance(value, bool) and value >= 1,
           "must be an integer >= 1")
+_BOOLEAN = (lambda value: isinstance(value, bool), "must be a boolean")
 
 
 # ---------------------------------------------------------------------------
@@ -839,8 +857,7 @@ class VoucherCondition:
     scope_constraints: list[str] = wire("scopeConstraints", list, codec=list,
                                         check=(_is_strings, "must be a list of tags"),
                                         rule="voucher.condition-scope")
-    human_in_loop: bool = wire("humanInLoop", False, rule="voucher.condition-flag",
-                               check=(lambda value: isinstance(value, bool), "must be a boolean"))
+    human_in_loop: bool = wire("humanInLoop", False, check=_BOOLEAN, rule="voucher.condition-flag")
     extensions: dict = dict
 
 
@@ -943,6 +960,11 @@ class EntryEnvelope:
 
     def created_at_datetime(self) -> datetime:
         return parse_timestamp(self.created_at)
+
+    # A block's protocol, so a table row can hold entries: `list[EntryEnvelope]`
+    # decodes each through parse_entry and checks none (validate_structure does).
+    FIELDS = ()
+    from_doc = staticmethod(lambda doc, where="entry": parse_entry(doc))
 
     def to_doc(self, include_integrity: bool = True) -> dict:
         doc: dict = {} if self.context is None else {"@context": self.context}

@@ -725,6 +725,25 @@ def test_conformance_failure_exits_5(mid_lifecycle, tmp_path, capsys):
     assert "overall: materialNonConformance" in out
 
 
+@pytest.mark.parametrize("item,message", [
+    (5, "export.activeVouchers[] must be a JSON object, got int"),
+    ({"voucherId": ["x"], "gate": {}}, "export.activeVouchers[{}].voucherId must be a string"),
+], ids=["not-an-object", "id-not-a-string"])
+def test_conformance_rejects_a_malformed_voucher_disclosure(mid_lifecycle, tmp_path, capsys,
+                                                            item, message):
+    path, _ids, _entries = mid_lifecycle
+    out_path = tmp_path / "release.json"
+    run_cli(capsys, "export", "--ledger", str(path),
+            "--release", f"{ARTIFACT_ID}@v2", "--out", str(out_path))
+    export = json.loads(out_path.read_text("utf-8"))
+    index = len(export["activeVouchers"])
+    export["activeVouchers"].append(item)
+    out_path.write_text(json.dumps(export), "utf-8")
+
+    code, out, err = run_cli(capsys, "audit", "conformance", "--export", str(out_path))
+    assert (code, out, err) == (5, "", f"error: {message.format(index)}\n")
+
+
 # ---------------------------------------------------------------------------
 # redact
 

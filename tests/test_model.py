@@ -668,6 +668,9 @@ RECORDS = [
      "TombstonePayload(target_id='pl:contrib:c', reason='legalHold',"
      " authorization=ActorRef(role='auditor', pseudonym=None, steward_org=None, extensions={}),"
      " retained_hash='sha256:00', extensions={})"),
+    (CreditPolicy, (),
+     "CreditPolicy(units_per_event={}, cap_per_beneficiary_per_period=0, period_days=365,"
+     " quality_gate=True, persistence_gate_releases=0, extensions={})"),
     (EntryEnvelope, ("pl:test:t", EntryType.TEST, "2025-01-01T00:00:00Z", "actor", "payload"),
      "EntryEnvelope(id='pl:test:t', entry_type=<EntryType.TEST: 'Test'>,"
      " created_at='2025-01-01T00:00:00Z', actor='actor', payload='payload', consent=None,"
@@ -693,9 +696,6 @@ RECORDS = [
     (GateReason, (None, "defaultAllow"), "GateReason(voucher_id=None, reason_kind='defaultAllow')"),
     (GateDecision, (True,),
      "GateDecision(allowed=True, reasons=[], evaluated_at='', expired_vouchers=[])"),
-    (CreditPolicy, (),
-     "CreditPolicy(units_per_event={}, cap_per_beneficiary_per_period=0, period_days=365,"
-     " quality_gate=True, persistence_gate_releases=0, extensions={})"),
     (_Event, ("regressionDetected", 3, "pl:run:r", "2025-01-01T00:00:00Z", "pl:test:t", ["org"],
               None),
      "_Event(kind='regressionDetected', anchor_index=3, anchor_id='pl:run:r',"
@@ -731,15 +731,16 @@ RECORDS = [
      "RegressionEvent(test_id='pl:test:t', artifact_id='pl:artifact:m', from_version='v1',"
      " to_version='v2', prior_passing_run_id='pl:run:a', failing_run_id='pl:run:b')"),
 ]
-# The entry's blocks and the envelope have slots; every other record has a __dict__.
-SLOTTED = {cls for cls, _args, _text in RECORDS[:19]}
+# The entry's blocks, the credit policy and the envelope have slots; every other
+# record has a __dict__.
+SLOTTED = {cls for cls, _args, _text in RECORDS[:20]}
 record_cases = pytest.mark.parametrize("cls,args,text", RECORDS,
                                        ids=[cls.__name__ for cls, _args, _text in RECORDS])
 
 
 def test_the_record_list_is_every_record_class():
     assert len({cls for cls, _args, _text in RECORDS}) == len(RECORDS) == 48
-    assert len(SLOTTED) == 19 and EntryEnvelope in SLOTTED and Violation not in SLOTTED
+    assert len(SLOTTED) == 20 and EntryEnvelope in SLOTTED and Violation not in SLOTTED
 
 
 @record_cases
