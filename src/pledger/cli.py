@@ -109,10 +109,11 @@ def _write_doc(fh, doc: Any) -> None:
     write_indented(fh, doc)
 
 
-def _emit(args: argparse.Namespace, text: str, doc: Any, table: Any = None) -> None:
+def _emit(args: argparse.Namespace, text: str | None, doc: Any, table: Any = None) -> None:
+    # A `table` renders the text and CSV forms itself, only when one is printed.
     fmt = getattr(args, "format", "text") or "text"
     if fmt == "text":
-        print(text)
+        print(text if table is None else table.render_text().rstrip("\n"))
     elif fmt == "doc":
         _write_doc(sys.stdout, doc)
     else:
@@ -145,19 +146,10 @@ def _cmd_append(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .integrity import HMAC_SCHEME, hmac_verifier, verify_chain, verify_signatures
 
-    try:
-        entries = _entries(args)
-    except CorruptLine as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 4
+    entries = _entries(args)
     verdict = verify_chain(entries)
     lines = [verdict.describe()]
-    doc = {"chain": {
-        "valid": verdict.valid,
-        "entryCount": verdict.entry_count,
-        "firstBrokenIndex": verdict.first_broken_index,
-        "failureKind": verdict.failure_kind,
-    }}
+    doc = {"chain": verdict.to_doc()}
     ok = verdict.valid
     keyed = _parse_hmac(args.hmac_key)
     if keyed is not None:
@@ -192,8 +184,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.explain:
         for step, line in enumerate(table.plan, 1):
             print(f"plan {step}. {line}", file=sys.stderr)
-    _emit(args, table.render_text().rstrip("\n"),
-          {"columns": list(table.columns), "rows": [list(r) for r in table.rows]},
+    _emit(args, None, {"columns": list(table.columns), "rows": [list(r) for r in table.rows]},
           table=table)
     return 0
 
@@ -308,7 +299,7 @@ def _cmd_audit_evidence(args: argparse.Namespace) -> int:
         matrix = evidence_mod.audit_corpus(_read_doc(args.cases), mode="document")
     else:
         matrix = evidence_mod.audit_corpus(Snapshot(_entries(args)), mode="ledger")
-    _emit(args, matrix.render_text().rstrip("\n"), matrix.to_doc(), table=matrix)
+    _emit(args, None, matrix.to_doc(), table=matrix)
     return 0
 
 

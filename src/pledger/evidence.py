@@ -15,13 +15,16 @@ the four procurement clauses over such an export.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .errors import MalformedDocument, MalformedExport, WrongEntryType
 from .governance import gate_check, voucher_lineages
 from .graph import LedgerGraph, Snapshot, build_graph, change_linkage
-from .model import (_STRING, EntryEnvelope, EntryType, _is_number, codec, decode_checked, record,
-                    validate_structure, wire)
+from .model import (_STRING, OPEN_VOUCHER_STATUSES, EntryEnvelope, EntryType, _is_number, codec,
+                    decode_checked, record, validate_structure, wire)
+
+if TYPE_CHECKING:  # imported by EvidenceMatrix.table, so `--format doc` never loads it
+    from .query import ResultTable
 
 COLUMNS = (
     "recruitmentPathway",
@@ -196,24 +199,18 @@ class EvidenceMatrix:
             ],
         }
 
+    def table(self) -> ResultTable:
+        """The matrix as a query result table, which renders its text and CSV."""
+        from .query import ResultTable
+
+        return ResultTable(["case", *COLUMNS], [
+            (name, *(levels[c].value for c in COLUMNS)) for name, levels in self.rows])
+
     def render_text(self) -> str:
-        header = ["case", *COLUMNS]
-        table = [header] + [
-            [name, *(levels[c].value for c in COLUMNS)] for name, levels in self.rows]
-        widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-        lines = []
-        for index, row in enumerate(table):
-            lines.append("  ".join(
-                cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-            if index == 0:
-                lines.append("  ".join("-" * w for w in widths))
-        return "\n".join(lines) + "\n"
+        return self.table().render_text()
 
     def render_csv(self) -> str:
-        lines = [",".join(["case", *COLUMNS])]
-        for name, levels in self.rows:
-            lines.append(",".join([name, *(levels[c].value for c in COLUMNS)]))
-        return "\n".join(lines) + "\n"
+        return self.table().render_csv()
 
 
 def _group_key(entry_id: str) -> str:
@@ -396,7 +393,7 @@ def build_export(source: Any, artifact_id: str, version: str, *,
     active_vouchers: list[dict] = []
     for base, lineage in voucher_lineages(snapshot).items():
         latest = lineage[-1]
-        if find(latest.id) != release or latest.payload.status not in ("issued", "active"):
+        if find(latest.id) != release or latest.payload.status not in OPEN_VOUCHER_STATUSES:
             continue
         gate = gate_check(snapshot, latest.payload.capability, artifact_id,
                           version, latest.payload.boundary, now)
@@ -522,7 +519,7 @@ def check_export_conformance(export: Any) -> ConformanceReport:
     disclosed = {item.voucher_id: item for item in export.active_vouchers}
     for base, lineage in voucher_lineages(snapshot).items():
         status = lineage[-1].payload.status
-        if status not in ("issued", "active"):
+        if status not in OPEN_VOUCHER_STATUSES:
             continue
         item = disclosed.get(base)
         if item is None:

@@ -28,7 +28,6 @@ from .graph import Snapshot
 from .model import (
     ALWAYS,
     CREDIT_EVENT_KINDS,
-    VOUCHER_TRANSITIONS,
     _BOOLEAN,
     _COUNT,
     _UNITS,
@@ -116,9 +115,10 @@ def transition_voucher(ledger: Any, voucher_id: str, new_status: str, *,
                        signer: Any = None) -> EntryEnvelope:
     """Append the next revision of a voucher lineage with a new status.
 
-    `voucher_id` may be the issuance id or any revision id. Legality and the
-    revision counter follow every revision, tombstoned ones included, as the
-    store's own check does; the payload is copied from the latest revision
+    `voucher_id` may be the issuance id or any revision id. Legality is
+    `Snapshot.check_voucher_status`, the check the store makes on every
+    voucher append; it and the revision counter follow every revision,
+    tombstoned ones included. The payload is copied from the latest revision
     that is not tombstoned, so redacted content is never republished.
     Illegal lifecycle moves raise IllegalTransition.
     """
@@ -127,10 +127,7 @@ def transition_voucher(ledger: Any, voucher_id: str, new_status: str, *,
     live = _live_revisions(snapshot, voucher_id)
     if not live:
         raise IllegalTransition(f"no voucher lineage {base!r} in ledger")
-    current = [e for e in snapshot.lineage(voucher_id)
-               if e.entry_type is EntryType.VOUCHER][-1].payload.status
-    if new_status not in VOUCHER_TRANSITIONS.get(current, frozenset()):
-        raise IllegalTransition(f"voucher {base}: {current} -> {new_status} is not legal")
+    snapshot.check_voucher_status(voucher_id, new_status)
     payload = copy.deepcopy(live[-1].payload)
     payload.status = new_status
     if expiry is not None:

@@ -25,10 +25,11 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable
 
-from .errors import UnknownNode, WrongEntryType
+from .errors import IllegalTransition, UnknownNode, WrongEntryType
 from .model import (
     DEPLOYMENT_KIND,
     LINK_ATTRS,
+    VOUCHER_TRANSITIONS,
     EntryEnvelope,
     EntryType,
     is_reference_id,
@@ -125,6 +126,24 @@ class Snapshot:
     def lineage(self, entry_id: str) -> list[EntryEnvelope]:
         """Every revision sharing `entry_id`'s lineage base, in ledger order."""
         return self.lineages.get(self.base_of(entry_id), [])
+
+    def check_voucher_status(self, voucher_id: str, status: str) -> None:
+        """The voucher lifecycle rule: raise IllegalTransition unless a
+        revision of `voucher_id`'s lineage may take `status`. A lineage
+        starts as issued; after that each status must be one that
+        VOUCHER_TRANSITIONS allows after the latest voucher revision's,
+        tombstoned revisions included."""
+        base = self.base_of(voucher_id)
+        current: str | None = None
+        for prior in self.lineages.get(base, ()):
+            if prior.entry_type is EntryType.VOUCHER:
+                current = prior.payload.status
+        if current is None:
+            if status != "issued":
+                raise IllegalTransition(
+                    f"voucher lineage {base} must start as issued, got {status!r}")
+        elif status not in VOUCHER_TRANSITIONS.get(current, frozenset()):
+            raise IllegalTransition(f"voucher {base}: {current} -> {status} is not legal")
 
     def live(self, entry_id: str, entry_type: EntryType) -> EntryEnvelope | None:
         """The entry under `entry_id` if it has `entry_type` and is not

@@ -83,6 +83,11 @@ class ChainVerdict:
         return (f"chain broken at index {self.first_broken_index}: "
                 f"{self.failure_kind} ({self.entry_count} entries checked)")
 
+    def to_doc(self) -> dict:
+        return {"valid": self.valid, "entryCount": self.entry_count,
+                "firstBrokenIndex": self.first_broken_index,
+                "failureKind": self.failure_kind}
+
 
 def verify_chain(entries: Sequence[EntryEnvelope]) -> ChainVerdict:
     """Recompute every hash and check linkage, id uniqueness, and time order.

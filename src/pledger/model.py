@@ -82,6 +82,10 @@ VOUCHER_TRANSITIONS: dict[str, frozenset[str]] = {
     "expired": frozenset(),
 }
 
+# The statuses of a voucher lineage that is still open: a release export
+# discloses each such lineage with its gate outcome.
+OPEN_VOUCHER_STATUSES = frozenset({"issued", "active"})
+
 
 def in_vocab(value: Any, vocab: frozenset[str]) -> bool:
     """True if `value` is a vocabulary member or an `extension:<tag>` escape."""

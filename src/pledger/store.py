@@ -25,7 +25,6 @@ except ImportError:  # non-POSIX; single-writer discipline is then on the caller
 from .errors import (
     CorruptLine,
     DuplicateId,
-    IllegalTransition,
     InvalidTimestamp,
     LedgerError,
     StorageFailure,
@@ -37,7 +36,6 @@ from .errors import (
 from .graph import Snapshot
 from .model import (
     ROLES_ALLOWED_TO_REDACT,
-    VOUCHER_TRANSITIONS,
     ActorRef,
     EntryEnvelope,
     EntryType,
@@ -129,7 +127,6 @@ class LedgerFile:
         self.path = Path(path)
         self.writable = writable
         self.snapshot = Snapshot()
-        self._head: str | None = None
         self._fh = None
         if writable:
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -164,9 +161,6 @@ class LedgerFile:
         # The live index, kept current by each append. A repeated id keeps
         # its first position; verify_chain reports it.
         self.snapshot = Snapshot(read_entries(self.path))
-        entries = self.snapshot.entries
-        self._head = entries[-1].integrity.hash if entries and \
-            entries[-1].integrity else None
 
     # -- reads ---------------------------------------------------------------
 
@@ -182,7 +176,9 @@ class LedgerFile:
 
     @property
     def head_hash(self) -> str | None:
-        return self._head
+        """The last entry's hash, which each append seals against."""
+        entries = self.snapshot.entries
+        return entries[-1].integrity.hash if entries and entries[-1].integrity else None
 
     def has(self, entry_id: str) -> bool:
         return entry_id in self.snapshot.by_id
@@ -225,24 +221,6 @@ class LedgerFile:
         if not self.writable or self._fh is None:
             raise StorageFailure(f"{self.path} opened read-only")
 
-    def _check_voucher_transition(self, entry: EntryEnvelope) -> None:
-        # Lifecycle legality holds for every entry sequence, not only for
-        # appends that came through the governance helpers.
-        if entry.entry_type is not EntryType.VOUCHER:
-            return
-        base = self.snapshot.base_of(entry.id)
-        current: str | None = None
-        for prior in self.snapshot.lineage(entry.id):
-            if prior.entry_type is EntryType.VOUCHER:
-                current = prior.payload.status
-        status = entry.payload.status
-        if current is None:
-            if status != "issued":
-                raise IllegalTransition(
-                    f"voucher lineage {base} must start as issued, got {status!r}")
-        elif status not in VOUCHER_TRANSITIONS.get(current, frozenset()):
-            raise IllegalTransition(f"voucher {base}: {current} -> {status} is not legal")
-
     def append(self, entry: EntryEnvelope, signer: Signer | None = None) -> EntryEnvelope:
         """Validate, seal against the current head, and durably append.
 
@@ -266,8 +244,11 @@ class LedgerFile:
                 raise InvalidTimestamp(
                     f"createdAt {entry.created_at} falls more than the skew "
                     f"allowance behind the chain head ({head_entry.created_at})")
-        self._check_voucher_transition(entry)
-        sealed = seal(entry, prev_hash=self._head, signer=signer)
+        # Lifecycle legality holds for every entry sequence, not only for
+        # appends that came through the governance helpers.
+        if entry.entry_type is EntryType.VOUCHER:
+            self.snapshot.check_voucher_status(entry.id, entry.payload.status)
+        sealed = seal(entry, prev_hash=self.head_hash, signer=signer)
         line = (serialize_entry(sealed) + "\n").encode("utf-8")
         size_before = self.path.stat().st_size
         # The entry counts as appended only once both the line and the head
@@ -287,7 +268,6 @@ class LedgerFile:
                 pass
             raise StorageFailure(f"append to {self.path} failed: {exc}") from exc
         self.snapshot.add(sealed)
-        self._head = sealed.integrity.hash
         return sealed
 
     def _write_head(self, digest: str) -> None:

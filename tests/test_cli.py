@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import gc
 import hashlib
 import io
@@ -213,6 +214,36 @@ def test_ledger_path_usage_errors(tmp_path, monkeypatch, capsys):
                               str(tmp_path / "absent.pledger"))
     assert code == 64
     assert "no ledger at" in err
+
+
+# Every command that reads a ledger, with the arguments it needs besides --ledger.
+LEDGER_READERS = {
+    "verify": ["verify"],
+    "query": ["query", "MATCH (t:Test) RETURN t.id;"],
+    "gate-check": ["gate", "check", "--capability", CAPABILITY, "--boundary", BOUNDARY,
+                   "--version", "v3", "--now", "2025-06-27T00:00:00Z"],
+    "credit-report": ["credit", "report", "--beneficiary", STEWARD_ORG,
+                      "--window-start", "2025-05-01T00:00:00Z",
+                      "--window-end", "2025-12-31T00:00:00Z"],
+    "audit-evidence": ["audit", "evidence"],
+    "audit-linkage": ["audit", "linkage"],
+    "audit-consent": ["audit", "consent"],
+    "export": ["export", "--release", f"{ARTIFACT_ID}@v3"],
+}
+
+
+@pytest.mark.parametrize("argv", LEDGER_READERS.values(), ids=LEDGER_READERS.keys())
+def test_every_ledger_reader_answers_read_errors_alike(writable, tmp_path, capsys, argv):
+    code, _out, _err = run_cli(capsys, *argv, "--ledger", str(writable))
+    assert code == 0
+    writable.write_bytes(writable.read_bytes()[:-10])  # torn final line
+    code, out, err = run_cli(capsys, *argv, "--ledger", str(writable))
+    assert (code, out) == (4, "")
+    assert err.startswith("verification failure: corrupt ledger line 15: ")
+
+    code, out, err = run_cli(capsys, *argv, "--ledger", str(tmp_path / "absent.pledger"))
+    assert (code, out) == (64, "")
+    assert err == f"usage error: no ledger at {tmp_path / 'absent.pledger'}\n"
 
 
 def test_ledger_env_default_and_override(lifecycle, monkeypatch, capsys):
@@ -628,6 +659,19 @@ def test_audit_evidence_document_mode(tmp_path, capsys):
                               "--cases", str(cases_path))
     assert code == 0
     assert "WeDesign+" in out
+
+
+def test_audit_evidence_csv_quotes_case_names(tmp_path, capsys):
+    names = ["Toronto, ON", 'the "pilot" site', "two\nlines"]
+    cases_path = tmp_path / "cases.json"
+    cases_path.write_text(json.dumps([{"case": name, "codings": {}} for name in names]),
+                          "utf-8")
+    code, out, _err = run_cli(capsys, "audit", "evidence", "--cases", str(cases_path),
+                              "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [len(row) for row in rows] == [6] * 4
+    assert [row[0] for row in rows] == ["case", *names]
 
 
 @pytest.mark.parametrize("cases", [

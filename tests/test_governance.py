@@ -54,6 +54,7 @@ from pledger.model import (
     TriggeringEvent,
     VoucherCondition,
     VoucherPayload,
+    replace,
 )
 from pledger.store import LedgerFile, read_entries
 
@@ -269,6 +270,37 @@ def test_transition_legality_matches_lifecycle_table(tmp_path):
                     with pytest.raises(IllegalTransition):
                         transition_voucher(ledger, "pl:voucher:gen:001", attempted)
                     assert len(ledger) == before
+
+
+@pytest.mark.parametrize("walk,attempted,message", [
+    ((), "satisfied", "issued -> satisfied"),
+    ((), "issued", "issued -> issued"),
+    (("active", "revoked"), "expired", "revoked -> expired"),
+], ids=["issued-to-satisfied", "second-issued", "out-of-terminal"])
+def test_transition_voucher_and_a_raw_append_refuse_alike(tmp_path, walk, attempted,
+                                                          message):
+    # One lifecycle rule: the helper and the store refuse the same revision
+    # with the same text.
+    with LedgerFile(tmp_path / "v.pledger") as ledger:
+        issue_voucher(ledger, voucher_payload(), voucher_id="pl:voucher:gen:001")
+        for step in walk:
+            transition_voucher(ledger, "pl:voucher:gen:001", step)
+        latest = ledger.entries[-1]
+        revision = EntryEnvelope(
+            id=ledger.snapshot.next_revision_id("pl:voucher:gen:001"),
+            entry_type=EntryType.VOUCHER,
+            created_at=latest.created_at,
+            actor=STEWARD,
+            payload=replace(latest.payload, status=attempted),
+        )
+        with pytest.raises(IllegalTransition) as helper:
+            transition_voucher(ledger, "pl:voucher:gen:001", attempted,
+                               created_at=latest.created_at)
+        with pytest.raises(IllegalTransition) as raw:
+            ledger.append(revision)
+        assert str(helper.value) == str(raw.value) == \
+            f"voucher pl:voucher:gen:001: {message} is not legal"
+        assert len(ledger) == 1 + len(walk)
 
 
 # ---------------------------------------------------------------------------

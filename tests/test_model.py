@@ -1,7 +1,9 @@
 """Entry documents: parsing, serialization fixpoints, ids, validation rules."""
 
 import copy
+import importlib
 import json
+import pkgutil
 import random
 from datetime import datetime, timezone
 from decimal import Decimal
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import digest_of, make_contribution, random_envelope, sealed_chain, sha_ref
+import pledger
 from pledger import parse_entry, serialize_entry, validate_structure
 from pledger.errors import (
     CorruptLine,
@@ -23,7 +26,13 @@ from pledger.errors import (
 )
 from pledger.fixtures import sample_contribution_doc
 from pledger import model
-from pledger.evidence import ClauseResult, ConformanceReport, EvidenceMatrix
+from pledger.evidence import (
+    ClauseResult,
+    ConformanceReport,
+    EvidenceMatrix,
+    ReleaseExport,
+    VoucherDisclosure,
+)
 from pledger.governance import (
     AccrualReport,
     CreditPolicy,
@@ -671,6 +680,11 @@ RECORDS = [
     (CreditPolicy, (),
      "CreditPolicy(units_per_event={}, cap_per_beneficiary_per_period=0, period_days=365,"
      " quality_gate=True, persistence_gate_releases=0, extensions={})"),
+    (VoucherDisclosure, ("pl:voucher:v",),
+     "VoucherDisclosure(voucher_id='pl:voucher:v', gate=None, extensions={})"),
+    (ReleaseExport, ({"artifactId": "pl:artifact:m", "version": "v1"}, []),
+     "ReleaseExport(release={'artifactId': 'pl:artifact:m', 'version': 'v1'}, entries=[],"
+     " active_vouchers=[], extensions={})"),
     (EntryEnvelope, ("pl:test:t", EntryType.TEST, "2025-01-01T00:00:00Z", "actor", "payload"),
      "EntryEnvelope(id='pl:test:t', entry_type=<EntryType.TEST: 'Test'>,"
      " created_at='2025-01-01T00:00:00Z', actor='actor', payload='payload', consent=None,"
@@ -731,16 +745,31 @@ RECORDS = [
      "RegressionEvent(test_id='pl:test:t', artifact_id='pl:artifact:m', from_version='v1',"
      " to_version='v2', prior_passing_run_id='pl:run:a', failing_run_id='pl:run:b')"),
 ]
-# The entry's blocks, the credit policy and the envelope have slots; every other
-# record has a __dict__.
-SLOTTED = {cls for cls, _args, _text in RECORDS[:20]}
+# The entry's blocks, the credit policy, the export header with its voucher
+# disclosures, and the envelope have slots; every other record has a __dict__.
+SLOTTED = {cls for cls, _args, _text in RECORDS[:22]}
 record_cases = pytest.mark.parametrize("cls,args,text", RECORDS,
                                        ids=[cls.__name__ for cls, _args, _text in RECORDS])
 
 
+def _built_record_classes() -> set[type]:
+    """Every class in a `pledger.*` module whose `__init__` `record` or `codec` compiled."""
+    built = set()
+    for info in pkgutil.iter_modules(pledger.__path__):
+        module = importlib.import_module(f"pledger.{info.name}")
+        for value in vars(module).values():
+            code = getattr(getattr(value, "__init__", None), "__code__", None)
+            if isinstance(value, type) and value.__module__ == module.__name__ \
+                    and code is not None and code.co_filename.startswith(("<record ", "<codec ")):
+                built.add(value)
+    return built
+
+
 def test_the_record_list_is_every_record_class():
-    assert len({cls for cls, _args, _text in RECORDS}) == len(RECORDS) == 48
-    assert len(SLOTTED) == 20 and EntryEnvelope in SLOTTED and Violation not in SLOTTED
+    listed = {cls for cls, _args, _text in RECORDS}
+    assert len(listed) == len(RECORDS) == 50
+    assert listed == _built_record_classes()
+    assert len(SLOTTED) == 22 and EntryEnvelope in SLOTTED and Violation not in SLOTTED
 
 
 @record_cases
