@@ -32,7 +32,7 @@ _MODULE_NAMES = {
     "governance": """
         CreditPolicy GateDecision accrue_credits credit_report gate_check
         issue_voucher transition_voucher""",
-    "graph": "LedgerGraph build_graph linkage_completeness trace_influence",
+    "graph": "Snapshot build_graph linkage_completeness trace_influence",
     "harness": """
         decide detect_regressions fold_suite run_suite run_test
         triage_incident verify_replay""",

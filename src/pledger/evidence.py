@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Any
 
 from .errors import MalformedDocument, MalformedExport, WrongEntryType
 from .governance import gate_check, voucher_lineages
-from .graph import LedgerGraph, Snapshot, build_graph, change_linkage
+from .graph import Snapshot, build_graph, change_linkage
 from .model import (_STRING, OPEN_VOUCHER_STATUSES, EntryEnvelope, EntryType, _is_number, codec,
                     decode_checked, record, validate_structure, wire)
 
@@ -117,7 +117,7 @@ def _code_compensation(entry: EntryEnvelope) -> CoverageLevel:
     return CoverageLevel.REPORTED
 
 
-def _reaches_change_or_test(graph: LedgerGraph, start: str) -> bool:
+def _reaches_change_or_test(graph: Snapshot, start: str) -> bool:
     seen = {start}
     frontier = [start]
     while frontier:
@@ -127,17 +127,17 @@ def _reaches_change_or_test(graph: LedgerGraph, start: str) -> bool:
                  *graph.into(node_id, "usesTest"),
                  *graph.out(node_id, "evaluates"))
         for succ in nexts:
-            if succ in seen or succ not in graph.nodes:
+            if succ in seen or succ not in graph.by_id:
                 continue
-            if graph.nodes[succ].entry_type in (EntryType.CHANGE, EntryType.TEST):
+            if graph.by_id[succ].entry_type in (EntryType.CHANGE, EntryType.TEST):
                 return True
             seen.add(succ)
             frontier.append(succ)
     return False
 
 
-def _code_influence(entry: EntryEnvelope, graph: LedgerGraph | None) -> CoverageLevel:
-    if graph is not None and entry.id in graph.nodes:
+def _code_influence(entry: EntryEnvelope, graph: Snapshot | None) -> CoverageLevel:
+    if graph is not None and entry.id in graph.by_id:
         if _reaches_change_or_test(graph, entry.id):
             return CoverageLevel.REPORTED
         if entry.links.influences:
@@ -150,7 +150,7 @@ def _code_influence(entry: EntryEnvelope, graph: LedgerGraph | None) -> Coverage
 
 
 def audit_contribution(entry: EntryEnvelope,
-                       graph: LedgerGraph | None = None) -> dict[str, CoverageLevel]:
+                       graph: Snapshot | None = None) -> dict[str, CoverageLevel]:
     """Code one contribution's evidence coverage, column by column.
 
     The rule table: recruitmentPathway is Reported when the pathway text is
@@ -218,8 +218,7 @@ def _group_key(entry_id: str) -> str:
     return segments[2] if len(segments) > 2 else entry_id
 
 
-def audit_corpus(data: Any, mode: str = "document",
-                 graph: LedgerGraph | None = None) -> EvidenceMatrix:
+def audit_corpus(data: Any, mode: str = "document") -> EvidenceMatrix:
     """Assemble an evidence coverage matrix.
 
     Document mode takes a list of {case, codings} documents and formats the
@@ -242,9 +241,7 @@ def audit_corpus(data: Any, mode: str = "document",
     if mode != "ledger":
         raise ValueError(f"unknown audit mode {mode!r}")
 
-    snapshot = Snapshot.of(data)
-    if graph is None:
-        graph = build_graph(snapshot)
+    snapshot = build_graph(data)
     groups: dict[str, list[dict[str, CoverageLevel]]] = {}
     order: list[str] = []
     for entry in snapshot.by_type[EntryType.CONTRIBUTION]:
@@ -254,7 +251,7 @@ def audit_corpus(data: Any, mode: str = "document",
         if key not in groups:
             groups[key] = []
             order.append(key)
-        groups[key].append(audit_contribution(entry, graph))
+        groups[key].append(audit_contribution(entry, snapshot))
     for key in order:
         vectors = groups[key]
         levels = {c: _best([v[c] for v in vectors]) for c in COLUMNS}
@@ -489,8 +486,7 @@ def check_export_conformance(export: Any) -> ConformanceReport:
     """
     export = decode_checked(ReleaseExport.from_doc, export, MalformedExport, "export")
     artifact_id = export.release["artifactId"]
-    graph = build_graph(export.entries)
-    snapshot = graph.snapshot
+    snapshot = build_graph(export.entries)
     hidden = snapshot.hidden
     # Each clause's details; a clause passes when it has none.
     a: list[str] = []
@@ -500,7 +496,7 @@ def check_export_conformance(export: Any) -> ConformanceReport:
                   if v.rule.startswith(_EVIDENCE_RULE_PREFIXES)]
 
     b: list[str] = []
-    for entry, has_contribution, has_test in change_linkage(graph):
+    for entry, has_contribution, has_test in change_linkage(snapshot):
         if entry.id in hidden:
             continue
         if not has_contribution:

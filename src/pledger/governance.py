@@ -79,9 +79,10 @@ def issue_voucher(ledger: Any, payload: Any, *, voucher_id: str | None = None,
                   signer: Any = None) -> EntryEnvelope:
     """Append a new voucher lineage in status issued.
 
-    The steward must hold the communitySteward role, every condition's
-    required test must already be in the ledger, and the initial status must
-    be issued; later statuses arrive through transition_voucher.
+    The steward must hold the communitySteward role and every condition's
+    required test must already be in the ledger. The status must be issued:
+    the append runs `Snapshot.check_voucher_status`, the one lifecycle rule.
+    Later statuses arrive through transition_voucher.
     """
     if not isinstance(payload, VoucherPayload):
         payload = VoucherPayload.from_doc(payload)
@@ -93,9 +94,6 @@ def issue_voucher(ledger: Any, payload: Any, *, voucher_id: str | None = None,
         if snapshot.live(condition.required_test_id, EntryType.TEST) is None:
             raise UnknownTest(
                 f"voucher condition requires unknown test {condition.required_test_id!r}")
-    if payload.status != "issued":
-        raise IllegalTransition(
-            f"a new voucher lineage starts as issued, got {payload.status!r}")
     if voucher_id is None:
         voucher_id = snapshot.next_id(f"pl:voucher:{_slug(payload.capability)}:")
     entry = EntryEnvelope(

@@ -15,9 +15,11 @@ derived at query time and never materialized.
 Tombstoned entries stay in the graph with their type and edges; only the
 payload view is hidden.
 
-`Snapshot` is the one-pass index of a ledger prefix that every other read
-path takes its entries, lineages, run lookups and new ids from; the graph is
-a view over one, adding only the adjacency of the declared links.
+`Snapshot` is the one-pass index of a ledger prefix that every read path
+takes its entries, lineages, run lookups and new ids from. It is also the
+graph: its nodes are `by_id`, and the adjacency of the declared links is
+built lazily, on the first read of an edge, so the commands that never read
+edges never pay for it.
 """
 
 from __future__ import annotations
@@ -67,6 +69,13 @@ class Snapshot:
     rebuild. Where ids repeat, `by_id` and `position` keep the first
     occurrence. `LedgerFile` keeps one of these live, calling `add` after each
     durable append.
+
+    The snapshot is also the influence graph. Nodes are `by_id` and
+    redaction is `hidden`; each declared link is one `(source, kind,
+    target)` edge in `edges`, in declaration order. The adjacency is built
+    by `_sync`, not by `add`, on the first read of `edges`, `dangling` or
+    the adjacency, and extended on later reads by the entries added since,
+    so nodes and edges always agree.
     """
 
     def __init__(self, entries: Iterable[EntryEnvelope] = ()):
@@ -85,13 +94,17 @@ class Snapshot:
         self.test_runs: dict[str, list[EntryEnvelope]] = {}
         self.suite_runs: dict[tuple[str, str, str], list[EntryEnvelope]] = {}
         self.versions: dict[tuple[str, str], list[EntryEnvelope]] = {}
+        self._edges: list[tuple[str, str, str]] = []
+        self._out: dict[tuple[str, str], list[str]] = {}
+        self._in: dict[tuple[str, str], list[str]] = {}
+        self._linked = 0  # how many entries the adjacency covers
         for entry in entries:
             self.add(entry)
 
     @classmethod
     def of(cls, source: Any) -> "Snapshot":
-        """A Snapshot as is, the one a ledger file or graph holds, or one
-        built from a plain iterable of entries."""
+        """A Snapshot as is, the one a ledger file holds, or one built from a
+        plain iterable of entries."""
         if isinstance(source, Snapshot):
             return source
         live = getattr(source, "snapshot", None)
@@ -168,31 +181,11 @@ class Snapshot:
             seq += 1
         return f"{prefix}{seq:03d}"
 
-
-class LedgerGraph:
-    """The influence graph as an adjacency view over one Snapshot.
-
-    Nodes are the snapshot's `by_id` (the first occurrence of a repeated id
-    wins) and redaction is its `hidden`; each declared link is one
-    `(source, kind, target)` edge in `edges`, in declaration order. Adjacency
-    is built here, not in `Snapshot.add`, so the commands that never read
-    edges never pay for it. Entries added to the snapshot after the graph is
-    built (a `LedgerFile` append) get their edges on the next read of
-    `edges`, `dangling` or the adjacency, so nodes and edges always agree.
-    """
-
-    def __init__(self, source: Any):
-        self.snapshot = Snapshot.of(source)
-        self.nodes = self.snapshot.by_id
-        self._edges: list[tuple[str, str, str]] = []
-        self._out: dict[tuple[str, str], list[str]] = {}
-        self._in: dict[tuple[str, str], list[str]] = {}
-        self._linked = 0  # how many snapshot entries the adjacency covers
-        self._sync()
+    # -- influence graph: the adjacency of the declared links ------------------
 
     def _sync(self) -> None:
-        """Add the edges of snapshot entries not yet read."""
-        entries = self.snapshot.entries
+        """Add the edges of the entries not yet read."""
+        entries = self.entries
         if self._linked == len(entries):
             return
         edges, out, into = self._edges, self._out, self._in
@@ -217,13 +210,11 @@ class LedgerGraph:
         names no entry, in declaration order."""
         links = ((t, s) if k in _REVERSED_DECLARATION_KINDS else (s, t)
                  for s, k, t in self.edges)
-        return [(d, t) for d, t in links if t not in self.nodes and is_reference_id(t)]
-
-    # -- basic access ---------------------------------------------------------
+        return [(d, t) for d, t in links if t not in self.by_id and is_reference_id(t)]
 
     def node(self, node_id: str) -> EntryEnvelope:
         try:
-            return self.nodes[node_id]
+            return self.by_id[node_id]
         except KeyError:
             raise UnknownNode(f"no node {node_id!r} in graph") from None
 
@@ -236,17 +227,17 @@ class LedgerGraph:
         return self._in.get((node_id, kind), [])
 
     def is_deployment(self, node_id: str) -> bool:
-        entry = self.nodes.get(node_id)
+        entry = self.by_id.get(node_id)
         if entry is None or entry.entry_type is not _ARTIFACT:
             return False
-        if node_id in self.snapshot.hidden:
+        if node_id in self.hidden:
             # A redacted artifact that something deploys to still counts.
             return bool(self.into(node_id, "deployedAs"))
         return entry.payload.artifact_kind == DEPLOYMENT_KIND
 
     def deployment_ids(self) -> list[str]:
-        return [e.id for e in self.snapshot.by_type[_ARTIFACT]
-                if self.nodes[e.id] is e and self.is_deployment(e.id)]
+        return [e.id for e in self.by_type[_ARTIFACT]
+                if self.by_id[e.id] is e and self.is_deployment(e.id)]
 
     def edge_pairs(self, kind: str) -> set[tuple[str, str]]:
         """Directed (source, target) pairs of `kind`, dangling ends included;
@@ -268,8 +259,6 @@ class LedgerGraph:
             found.update(behind.get((node_id, inverse), ()))
         return found
 
-    # -- exports ----------------------------------------------------------------
-
     def edge_list_text(self) -> str:
         """Tab-separated `from kind to`, one edge per line, declaration order."""
         return "".join(f"{s}\t{k}\t{t}\n" for s, k, t in self.edges)
@@ -278,10 +267,12 @@ class LedgerGraph:
         Path(path).write_text(self.edge_list_text(), encoding="utf-8")
 
 
-def build_graph(source: Any) -> LedgerGraph:
-    """The graph over anything `Snapshot.of` accepts; a Snapshot, or a ledger
-    file's live one, is reused rather than rebuilt."""
-    return LedgerGraph(source)
+def build_graph(source: Any) -> Snapshot:
+    """`Snapshot.of(source)` with its adjacency built now; a Snapshot, or a
+    ledger file's live one, is reused rather than rebuilt."""
+    snapshot = Snapshot.of(source)
+    snapshot._sync()
+    return snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -300,15 +291,15 @@ _TRACE_STEPS = (("influences", True), ("influencedBy", False), ("motivates", Tru
                 ("usesTest", False), ("evaluates", True), ("deployedAs", True))
 
 
-def _trace_steps(graph: LedgerGraph, node_id: str) -> list[str]:
+def _trace_steps(graph: Snapshot, node_id: str) -> list[str]:
     """Graph nodes one trace step after `node_id`, sorted."""
     steps: set[str] = set()
     for kind, along in _TRACE_STEPS:
         steps.update(graph.out(node_id, kind) if along else graph.into(node_id, kind))
-    return sorted(s for s in steps if s in graph.nodes)
+    return sorted(s for s in steps if s in graph.by_id)
 
 
-def _reaching_deployments(graph: LedgerGraph) -> set[str]:
+def _reaching_deployments(graph: Snapshot) -> set[str]:
     """Nodes from which some sequence of trace steps reaches a deployment:
     one search from the deployments, taking each step backwards."""
     reached = set(graph.deployment_ids())
@@ -317,7 +308,7 @@ def _reaching_deployments(graph: LedgerGraph) -> set[str]:
         node_id = frontier.pop()
         for kind, along in _TRACE_STEPS:
             for prior in graph.into(node_id, kind) if along else graph.out(node_id, kind):
-                if prior in graph.nodes and prior not in reached:
+                if prior in graph.by_id and prior not in reached:
                     reached.add(prior)
                     frontier.append(prior)
     return reached
@@ -327,7 +318,7 @@ class _PathCap(Exception):
     """Unwinds the path search once the path budget is spent."""
 
 
-def trace_influence(graph: LedgerGraph, contribution_id: str,
+def trace_influence(graph: Snapshot, contribution_id: str,
                     max_length: int = MAX_TRACE_LENGTH,
                     max_paths: int = MAX_TRACE_PATHS) -> TraceResult:
     """Simple paths from a contribution to any deployment node.
@@ -402,7 +393,7 @@ def _resolves_to(nodes: dict[str, EntryEnvelope], targets: Iterable[str],
                for t in targets)
 
 
-def change_linkage(graph: LedgerGraph) -> list[tuple[EntryEnvelope, bool, bool]]:
+def change_linkage(graph: Snapshot) -> list[tuple[EntryEnvelope, bool, bool]]:
     """Each Change node with whether it is linked to a Contribution and to a
     Test.
 
@@ -412,7 +403,7 @@ def change_linkage(graph: LedgerGraph) -> list[tuple[EntryEnvelope, bool, bool]]
     on one of its changed (artifactId, versionAfter) pairs has a usesTest
     target that does.
     """
-    nodes, hidden, by_type = graph.nodes, graph.snapshot.hidden, graph.snapshot.by_type
+    nodes, hidden, by_type = graph.by_id, graph.hidden, graph.by_type
     covered: set[tuple[str, str]] | None = None
 
     def run_tested(change: EntryEnvelope) -> bool:
@@ -437,7 +428,7 @@ def change_linkage(graph: LedgerGraph) -> list[tuple[EntryEnvelope, bool, bool]]
     return linkage
 
 
-def linkage_completeness(graph: LedgerGraph,
+def linkage_completeness(graph: Snapshot,
                          include_evidence: bool = False) -> LinkageReport:
     """How much of the ledger's change surface is traceable.
 
@@ -449,13 +440,13 @@ def linkage_completeness(graph: LedgerGraph,
     from fractions import Fraction
 
     linkage = [(c or (include_evidence and _resolves_to(
-                    graph.nodes, change.links.evidence, EntryType.CONTRIBUTION)), t)
+                    graph.by_id, change.links.evidence, EntryType.CONTRIBUTION)), t)
                for change, c, t in change_linkage(graph)]
     with_contribution = sum(c for c, _ in linkage)
     with_test = sum(t for _, t in linkage)
     fully = sum(c and t for c, t in linkage)
-    tests_with_run = sum(1 for t in graph.snapshot.by_type[_TEST]
-                         if graph.nodes[t.id] is t and graph.into(t.id, "usesTest"))
+    tests_with_run = sum(1 for t in graph.by_type[_TEST]
+                         if graph.by_id[t.id] is t and graph.into(t.id, "usesTest"))
     total = len(linkage)
     ratio = Fraction(1) if total == 0 else Fraction(fully, total)
     return LinkageReport(

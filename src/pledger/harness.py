@@ -138,8 +138,7 @@ def _coerce_actor(actor: Any) -> ActorRef:
 
 def _append_run(ledger: Any, test: EntryEnvelope, artifact_entry: EntryEnvelope,
                 raw_results: dict, evaluator: ActorRef, checkpoint: str,
-                decision: str, created_at: str, run_id: str | None,
-                signer: Any) -> EntryEnvelope:
+                decision: str, created_at: str, signer: Any) -> EntryEnvelope:
     payload = EvaluationRunPayload(
         test_id=test.id,
         artifact_id=artifact_entry.payload.artifact_id,
@@ -154,7 +153,7 @@ def _append_run(ledger: Any, test: EntryEnvelope, artifact_entry: EntryEnvelope,
             else None),
     )
     entry = EntryEnvelope(
-        id=run_id or Snapshot.of(ledger).next_id(
+        id=Snapshot.of(ledger).next_id(
             f"pl:run:{_slug(test.id.split(':')[2])}:{_slug(payload.version)}:"),
         entry_type=EntryType.EVALUATION_RUN,
         created_at=created_at,
@@ -167,8 +166,7 @@ def _append_run(ledger: Any, test: EntryEnvelope, artifact_entry: EntryEnvelope,
 
 def run_test(ledger: Any, test_id: str, artifact_id: str, version: str,
              raw_results: dict, evaluator: Any, checkpoint: str, *,
-             created_at: str | None = None, run_id: str | None = None,
-             signer: Any = None) -> EntryEnvelope:
+             created_at: str | None = None, signer: Any = None) -> EntryEnvelope:
     """Record one evaluation of a test against a declared artifact version.
 
     The appended run carries usesTest and evaluates links and a decision
@@ -182,7 +180,7 @@ def run_test(ledger: Any, test_id: str, artifact_id: str, version: str,
     decision = decide(test.payload.measurement, raw_results)
     return _append_run(ledger, test, artifact_entry, raw_results,
                        _coerce_actor(evaluator), checkpoint, decision,
-                       created_at or now_stamp(), run_id, signer)
+                       created_at or now_stamp(), signer)
 
 
 @record
@@ -231,7 +229,7 @@ def run_suite(ledger: Any, checkpoint: str, artifact_id: str, version: str,
             report.missing.append(test.id)
         decision = decide(test.payload.measurement, raw)
         run = _append_run(ledger, test, artifact_entry, raw, actor, checkpoint,
-                          decision, stamp, None, signer)
+                          decision, stamp, signer)
         report.runs.append(run)
         report.decisions[test.id] = decision
     report.verdict = fold_suite(report.decisions.values())

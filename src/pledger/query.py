@@ -34,7 +34,7 @@ from .errors import (
     UnknownQueryName,
     UnknownRelation,
 )
-from .graph import LedgerGraph
+from .graph import Snapshot
 from .model import LINK_KINDS, OMITTED, EntryType, Wire, record
 
 # Node labels: the eight entry types plus the Deployment view over artifacts.
@@ -353,14 +353,14 @@ def _table_of(cls: type) -> dict[str, Wire]:
     return {_normalize_name(row.name): row for row in cls.FIELDS}
 
 
-def _payload_field(graph: LedgerGraph, node_id: str, norm: str) -> Any:
+def _payload_field(graph: Snapshot, node_id: str, norm: str) -> Any:
     """A payload field by normalised name, read through its row of the field
     table as `to_doc` writes it; a field that `to_doc` omits falls through to
     the payload's extension keys, the first with that normalised name winning.
     OMITTED when neither has it, and for every field of a tombstoned node."""
-    if node_id in graph.snapshot.hidden:
+    if node_id in graph.hidden:
         return OMITTED
-    payload = graph.nodes[node_id].payload
+    payload = graph.by_id[node_id].payload
     row = _table_of(type(payload)).get(norm)
     if row is not None:
         value = row.encode(payload)
@@ -372,9 +372,9 @@ def _payload_field(graph: LedgerGraph, node_id: str, norm: str) -> Any:
     return OMITTED
 
 
-def _field_value(graph: LedgerGraph, node_id: str, fieldname: str) -> Any:
+def _field_value(graph: Snapshot, node_id: str, fieldname: str) -> Any:
     """One node's field with the documented flattening rules, None when absent."""
-    entry = graph.nodes[node_id]
+    entry = graph.by_id[node_id]
     norm = _normalize_name(fieldname)
     norm = _FIELD_ALIASES.get(norm, norm)
     if norm == "id":
@@ -389,7 +389,7 @@ def _field_value(graph: LedgerGraph, node_id: str, fieldname: str) -> Any:
     return value
 
 
-def evaluate_field(graph: LedgerGraph, node_id: str, fieldname: str) -> str | None:
+def evaluate_field(graph: Snapshot, node_id: str, fieldname: str) -> str | None:
     """One node's field in its query-result string form, None when absent.
 
     This is exactly what predicates compare against and what projections
@@ -422,7 +422,7 @@ def _pattern_edges(ast: QueryAst) -> list[_Edge]:
             for pattern in ast.matches for i, edge in enumerate(pattern.edges)]
 
 
-def _around(graph: LedgerGraph, node_id: str, relation: str, direction: str) -> set[str]:
+def _around(graph: Snapshot, node_id: str, relation: str, direction: str) -> set[str]:
     """Every node x such that `(node_id)-[:relation]-(x)` holds in `direction`."""
     if direction == "forward":
         return graph.neighbours(node_id, relation)
@@ -448,7 +448,7 @@ def _bind_order(candidates: dict[str, set[str]], edges: list[_Edge]) -> list[str
     return order
 
 
-def evaluate(ast: QueryAst, graph: LedgerGraph) -> ResultTable:
+def evaluate(ast: QueryAst, graph: Snapshot) -> ResultTable:
     """All satisfying variable assignments, projected, rendered, sorted.
 
     Each variable draws from a candidate set (label index narrowed by its
@@ -466,9 +466,9 @@ def evaluate(ast: QueryAst, graph: LedgerGraph) -> ResultTable:
     def candidates_of(var: str) -> set[str]:
         """Nodes that carry every label of `var` and satisfy its predicates."""
         wanted = [set(graph.deployment_ids()) if label == "Deployment"
-                  else {e.id for e in graph.snapshot.by_type[EntryType(label)]
-                        if graph.nodes[e.id] is e} for label in labels[var]]
-        found = set.intersection(*wanted) if wanted else set(graph.nodes)
+                  else {e.id for e in graph.by_type[EntryType(label)]
+                        if graph.by_id[e.id] is e} for label in labels[var]]
+        found = set.intersection(*wanted) if wanted else set(graph.by_id)
         for pred in predicates.get(var, ()):
             found = {node_id for node_id in found
                      if (value := _field_value(graph, node_id, pred.field)) is not None
@@ -519,7 +519,7 @@ def evaluate(ast: QueryAst, graph: LedgerGraph) -> ResultTable:
     return ResultTable(columns=[p.column for p in ast.projections], rows=rows, plan=plan)
 
 
-def run_query(text: str, graph: LedgerGraph) -> ResultTable:
+def run_query(text: str, graph: Snapshot) -> ResultTable:
     return evaluate(parse_query(text), graph)
 
 
@@ -564,7 +564,7 @@ SAVED_QUERIES: dict[str, SavedQuery] = {
 }
 
 
-def run_saved_query(name: str, graph: LedgerGraph,
+def run_saved_query(name: str, graph: Snapshot,
                     params: dict[str, str]) -> ResultTable:
     """Evaluate a library query with parameters spliced in as escaped string
     literals. Raises UnknownQueryName / QueryParameterError."""

@@ -126,7 +126,6 @@ class LedgerFile:
     def __init__(self, path: str | Path, writable: bool = True):
         self.path = Path(path)
         self.writable = writable
-        self.snapshot = Snapshot()
         self._fh = None
         if writable:
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -142,7 +141,13 @@ class LedgerFile:
                         f"another writer holds the lock on {self.path}") from exc
         elif not self.path.exists():
             raise StorageFailure(f"no ledger at {self.path}")
-        self._load()
+        try:
+            # The live index, kept current by each append. A repeated id
+            # keeps its first position; verify_chain reports it.
+            self.snapshot = Snapshot(read_entries(self.path))
+        except BaseException:
+            self.close()  # an open that fails must not keep the writer lock
+            raise
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -156,11 +161,6 @@ class LedgerFile:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def _load(self) -> None:
-        # The live index, kept current by each append. A repeated id keeps
-        # its first position; verify_chain reports it.
-        self.snapshot = Snapshot(read_entries(self.path))
 
     # -- reads ---------------------------------------------------------------
 

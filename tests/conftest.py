@@ -365,7 +365,7 @@ def random_query(rng: random.Random, entries: list[EntryEnvelope]) -> str:
         var = rng.choice(variables)
         fieldname = rng.choice(fields)
         if rng.random() < 0.7:
-            value = evaluate_field(graph, rng.choice(list(graph.nodes)), fieldname)
+            value = evaluate_field(graph, rng.choice(list(graph.by_id)), fieldname)
             if value is None:
                 value = "absent"
         else:

@@ -295,7 +295,7 @@ def test_ledger_mode_matches_columnwise_maximum_oracle():
                     rng.choice(("pl:test:gen:000", "pl:missing:x:1")))
             entries.append(entry)
         graph = build_graph(entries)
-        matrix = audit_corpus(entries, mode="ledger", graph=graph)
+        matrix = audit_corpus(graph, mode="ledger")
         expected: dict[str, dict[str, CoverageLevel]] = {}
         for entry in entries[1:]:
             row = expected.setdefault(
@@ -623,11 +623,11 @@ def test_conformance_and_ledger_audit_build_one_index(monkeypatch, mid_lifecycle
 
     check_export_conformance(export)
     assert added == [doc["id"] for doc in export["entries"]]
-    assert len(graphs) == 1 and len(graphs[0].snapshot.entries) == len(added)
+    assert len(graphs) == 1 and len(graphs[0].entries) == len(added)
 
     added.clear()
     snapshot = Snapshot(entries)
     assert len(added) == len(entries)
     audit_corpus(snapshot, mode="ledger")
     assert len(added) == len(entries)
-    assert graphs[-1].snapshot is snapshot
+    assert graphs[-1] is snapshot

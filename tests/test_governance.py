@@ -303,6 +303,24 @@ def test_transition_voucher_and_a_raw_append_refuse_alike(tmp_path, walk, attemp
         assert len(ledger) == 1 + len(walk)
 
 
+def test_issue_voucher_and_a_raw_append_refuse_a_first_status_alike(tmp_path):
+    # One first-status rule: a new lineage that does not start as issued is
+    # refused by the store's check, whichever way the voucher arrives.
+    with LedgerFile(tmp_path / "v.pledger") as ledger:
+        payload = voucher_payload(status="active")
+        with pytest.raises(IllegalTransition) as helper:
+            issue_voucher(ledger, payload, voucher_id="pl:voucher:gen:001",
+                          created_at=stamp(1))
+        with pytest.raises(IllegalTransition) as raw:
+            ledger.append(EntryEnvelope(id="pl:voucher:gen:001",
+                                        entry_type=EntryType.VOUCHER,
+                                        created_at=stamp(1), actor=STEWARD,
+                                        payload=payload))
+        assert str(helper.value) == str(raw.value) == \
+            "voucher lineage pl:voucher:gen:001 must start as issued, got 'active'"
+        assert len(ledger) == 0
+
+
 # ---------------------------------------------------------------------------
 # gate checks
 

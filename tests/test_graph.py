@@ -23,8 +23,20 @@ from conftest import (
 )
 from pledger import graph as graph_mod
 from pledger.errors import UnknownNode, WrongEntryType
-from pledger.fixtures import ARTIFACT_ID, CONTRIBUTION_ID, DEPLOYMENT_ID, TEST_ID
-from pledger.evidence import check_export_conformance
+from pledger.fixtures import (
+    ARTIFACT_ID,
+    BOUNDARY,
+    CAPABILITY,
+    CONTRIBUTION_ID,
+    DEPLOYMENT_ID,
+    POLICY_DOC,
+    STEWARD_ORG,
+    TEST_ID,
+    WINDOW,
+)
+from pledger.evidence import build_export, check_export_conformance, flag_consent_violations
+from pledger.governance import CreditPolicy, compute_accrual, credit_report, gate_check
+from pledger.harness import detect_regressions, run_suite
 from pledger.graph import (
     Snapshot,
     TraceResult,
@@ -104,7 +116,7 @@ def test_random_edges_match_raw_link_scan():
         repeat.id = first.id
         entries.insert(rng.randrange(entries.index(first) + 1, len(entries) + 1), repeat)
         graph = build_graph(entries)
-        assert graph.nodes[first.id] is first
+        assert graph.by_id[first.id] is first
         assert graph.node(first.id) is first
         assert graph.edges == [(t, k, e.id) if k == "motivates" else (e.id, k, t)
                                for e in entries for k, t in e.links.iter_links()]
@@ -113,6 +125,19 @@ def test_random_edges_match_raw_link_scan():
         for entry in entries:
             if entry is not repeat:
                 assert graph.is_deployment(entry.id) == oracle_is_deployment(entry)
+        # A plain Snapshot, never passed to build_graph, builds the same
+        # adjacency on its first read of an edge, whichever read comes first.
+        reads = [
+            lambda s: s.edges,
+            lambda s: s.dangling,
+            lambda s: {k: s.edge_pairs(k) for k in LINK_KINDS},
+            lambda s: {(e.id, k, out): s.neighbours(e.id, k, out) for e in entries
+                       for k in LINK_KINDS for out in (True, False)},
+            lambda s: [s.is_deployment(e.id) for e in entries],
+        ]
+        lazy = Snapshot(entries)
+        for read in rng.sample(reads, len(reads)):
+            assert read(lazy) == read(graph), seed
 
 
 def test_deployment_detection(lifecycle):
@@ -153,7 +178,7 @@ def test_redacted_deployment_still_counts_when_deployed_to():
         links=LinkSet(deployed_as=[deployment.id]),
     )
     graph = build_graph([deployment, source, make_tombstone(deployment.id)])
-    assert deployment.id in graph.snapshot.hidden
+    assert deployment.id in graph.hidden
     assert evaluate_field(graph, deployment.id, "boundary") is None
     assert graph.is_deployment(deployment.id)
 
@@ -173,17 +198,47 @@ def test_influence_views_are_symmetric():
     assert graph.neighbours(b.id, "influences") == set()
 
 
-def test_graph_is_a_view_over_one_snapshot(lifecycle):
+def test_graph_is_the_snapshot(lifecycle):
     path, _, entries = lifecycle
     ledger = LedgerFile(path, writable=False)
     graph = build_graph(ledger)
-    assert graph.snapshot is ledger.snapshot
-    assert graph.nodes is ledger.snapshot.by_id
+    assert graph is ledger.snapshot
     snapshot = Snapshot(entries)
-    assert build_graph(snapshot).snapshot is snapshot
-    assert build_graph(graph).snapshot is graph.snapshot
-    assert Snapshot.of(graph) is graph.snapshot
-    assert build_graph(entries).edges == graph.edges
+    assert build_graph(snapshot) is snapshot
+    fresh = build_graph(entries)
+    assert isinstance(fresh, Snapshot) and Snapshot.of(fresh) is fresh
+    assert build_graph(fresh) is fresh
+    assert fresh.edges == graph.edges
+
+
+def test_paths_that_read_no_edges_build_no_adjacency(monkeypatch, lifecycle, tmp_path):
+    path, _, entries = lifecycle
+    syncs: list[int] = []
+    sync = Snapshot._sync
+
+    def counting_sync(self):
+        syncs.append(len(self.entries))
+        sync(self)
+
+    monkeypatch.setattr(Snapshot, "_sync", counting_sync)
+    snapshot = Snapshot(entries)
+    gate_check(snapshot, CAPABILITY, ARTIFACT_ID, "v3", BOUNDARY, "2025-07-01T00:00:00Z")
+    credit_report(snapshot, STEWARD_ORG, WINDOW)
+    compute_accrual(snapshot, CreditPolicy.from_doc(POLICY_DOC), WINDOW)
+    build_export(snapshot, ARTIFACT_ID, "v3")
+    flag_consent_violations(snapshot)
+    detect_regressions(snapshot)
+    copy_path = tmp_path / "copy.pledger"
+    copy_path.write_bytes(path.read_bytes())
+    with LedgerFile(copy_path) as ledger:
+        report = run_suite(ledger, "scheduledAudit", ARTIFACT_ID, "v3", {},
+                           ActorRef(role="evaluator", pseudonym="E1"),
+                           created_at="2025-07-01T00:00:00Z")
+        assert len(report.runs) == 1
+    assert syncs == []
+    # The counter sees the builds that do happen.
+    build_graph(snapshot)
+    assert syncs == [len(entries)]
 
 
 def test_graph_over_a_ledger_file_reads_later_appends(tmp_path):
@@ -198,7 +253,7 @@ def test_graph_over_a_ledger_file_reads_later_appends(tmp_path):
         ledger.append(test)
         ledger.append(change)
         fresh = build_graph(list(ledger))
-        assert set(graph.nodes) == set(fresh.nodes) == {contrib.id, test.id, change.id}
+        assert set(graph.by_id) == set(fresh.by_id) == {contrib.id, test.id, change.id}
         assert graph.edges == fresh.edges
         assert graph.dangling == fresh.dangling == []
         assert graph.neighbours(contrib.id, "influences") == {test.id, change.id}

@@ -325,7 +325,7 @@ def _wide_query(rng: random.Random, entries: list) -> str:
     still match; repeats may relabel a variable or close a self-loop.
     """
     graph = build_graph(entries)
-    nodes = list(graph.nodes)
+    nodes = list(graph.by_id)
     witness: dict[str, str] = {}
 
     def variable(node_id: str) -> str:
@@ -342,7 +342,7 @@ def _wide_query(rng: random.Random, entries: list) -> str:
             return f"({var})"
         if roll < 0.85:
             label = ("Deployment" if graph.is_deployment(witness[var]) and rng.random() < 0.5
-                     else graph.nodes[witness[var]].entry_type.value)
+                     else graph.by_id[witness[var]].entry_type.value)
         else:
             label = rng.choice(_WIDE_LABELS)
         return f"({var}:{label})"
@@ -356,7 +356,7 @@ def _wide_query(rng: random.Random, entries: list) -> str:
         parts = [node(var)]
         for _ in range(steps):
             touching = [(s, k, t) for s, k, t in graph.edges if witness[var] in (s, t)
-                        and {s, t} <= graph.nodes.keys()]
+                        and {s, t} <= graph.by_id.keys()]
             if touching and rng.random() < 0.8:
                 source, relation, target = rng.choice(touching)
                 outgoing = source == witness[var]
@@ -418,8 +418,8 @@ def _shapes(ast, entries) -> set[str]:
         found.add("contradictory labels")
     if len({root(var) for var in labels}) > 1:
         found.add("cross product")
-    if any(node_id in graph.snapshot.hidden and graph.is_deployment(node_id)
-           for node_id in graph.nodes):
+    if any(node_id in graph.hidden and graph.is_deployment(node_id)
+           for node_id in graph.by_id):
         found.add("tombstoned deployment")
     return found
 
@@ -482,7 +482,7 @@ def test_saved_query_escapes_parameters(lifecycle):
 def _whole_payload_view(graph, node_id: str, fieldname: str):
     """The field view as it read before field tables: normalise every key of
     the whole payload document and look the name up, first key winning."""
-    entry = graph.nodes[node_id]
+    entry = graph.by_id[node_id]
     norm = fieldname.replace("_", "").casefold()
     norm = {"artifactversion": "version"}.get(norm, norm)
     if norm == "id":
@@ -491,7 +491,7 @@ def _whole_payload_view(graph, node_id: str, fieldname: str):
         return entry.entry_type.value
     if norm == "createdat":
         return entry.created_at
-    raw = {} if node_id in graph.snapshot.hidden else entry.payload.to_doc()
+    raw = {} if node_id in graph.hidden else entry.payload.to_doc()
     doc = {k.replace("_", "").casefold(): v for k, v in reversed(list(raw.items()))}
     if norm == "timestamp":
         return doc.get("timestamp", entry.created_at)
@@ -529,8 +529,8 @@ def test_field_view_matches_the_whole_payload_view_on_random_ledgers():
     hidden_seen = 0
     for _ in range(30):
         graph = build_graph(_random_field_ledger(rng))
-        for node_id in graph.nodes:
-            hidden_seen += node_id in graph.snapshot.hidden
+        for node_id in graph.by_id:
+            hidden_seen += node_id in graph.hidden
             for name in names:
                 expected = _whole_payload_view(graph, node_id, name)
                 assert _field_value(graph, node_id, name) == expected, (node_id, name)

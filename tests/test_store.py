@@ -166,6 +166,18 @@ def test_torn_tail_is_detected_and_repaired(ledger_path):
         assert led.verify().valid
 
 
+def test_a_failed_open_releases_the_writer_lock(lifecycle, ledger_path):
+    source, _, entries = lifecycle
+    ledger_path.write_bytes(source.read_bytes()[:-10])
+    # The exception stays referenced, as a handler that inspects it keeps it.
+    with pytest.raises(CorruptLine) as info:
+        LedgerFile(ledger_path)
+    assert truncate_torn_tail(ledger_path) == len(entries)
+    with LedgerFile(ledger_path) as led:
+        assert len(led) == len(entries) - 1
+    assert info.value.line_number == len(entries)
+
+
 def test_mid_file_corruption_is_not_a_torn_tail(ledger_path):
     with LedgerFile(ledger_path) as led:
         for i in range(1, 4):
