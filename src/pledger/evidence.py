@@ -244,9 +244,7 @@ def audit_corpus(data: Any, mode: str = "document") -> EvidenceMatrix:
     snapshot = build_graph(data)
     groups: dict[str, list[dict[str, CoverageLevel]]] = {}
     order: list[str] = []
-    for entry in snapshot.by_type[EntryType.CONTRIBUTION]:
-        if entry.id in snapshot.hidden:
-            continue
+    for entry in snapshot.live_of(EntryType.CONTRIBUTION):
         key = _group_key(entry.id)
         if key not in groups:
             groups[key] = []
@@ -269,13 +267,12 @@ def flag_consent_violations(source: Any) -> list[dict[str, str]]:
     (the lineage's latest revision before the change reads withdrawn), and a
     Change of a training-type kind (dataset, adapter) influencedBy a
     contribution recorded for evaluation only. Earlier changes stay clean;
-    the rule respects entry order.
+    the rule respects entry order. The lineage read includes tombstoned
+    revisions, since a withdrawal tombstones the original.
     """
     snapshot = Snapshot.of(source)
     violations: list[dict[str, str]] = []
-    for change in snapshot.by_type[EntryType.CHANGE]:
-        if change.id in snapshot.hidden:
-            continue
+    for change in snapshot.live_of(EntryType.CHANGE):
         change_index = snapshot.position[change.id]
         for target in change.links.influenced_by:
             prior = [e for e in snapshot.lineage(target)
@@ -342,15 +339,15 @@ def _payload_references(entry: EntryEnvelope, snapshot: Snapshot) -> list[str]:
 
 
 def build_export(source: Any, artifact_id: str, version: str, *,
-                 now: str | None = None, head_digest: str | None = None) -> dict:
+                 now: str | None = None) -> dict:
     """Self-contained release export for one artifact version.
 
     Includes every entry reachable from the release artifact through link
     edges (either direction), payload references, id lineages, and covering
-    tombstones; the current chain head digest; and one record per voucher
-    lineage whose latest status is issued or active, each with its gate_check
-    outcome against this release evaluated at `now` (default: the last
-    included entry's createdAt). Targets that name no entry join nothing.
+    tombstones; the chain head, `Snapshot.head_hash`; and one record per
+    voucher lineage whose latest status is issued or active, each with its
+    gate_check outcome against this release evaluated at `now` (default: the
+    last included entry's createdAt). Targets that name no entry join nothing.
     """
     snapshot = Snapshot.of(source)
     seed = _declared(snapshot, artifact_id, version)
@@ -401,12 +398,9 @@ def build_export(source: Any, artifact_id: str, version: str, *,
             "gate": gate.to_doc(),
         })
 
-    if head_digest is None:
-        head_digest = next((e.integrity.hash for e in reversed(snapshot.entries)
-                            if e.integrity is not None), "")
     return {
         "release": {"artifactId": artifact_id, "version": version},
-        "headDigest": head_digest,
+        "headDigest": snapshot.head_hash or "",
         "entries": [e.to_doc() for e in ordered],
         "activeVouchers": active_vouchers,
     }
@@ -487,17 +481,16 @@ def check_export_conformance(export: Any) -> ConformanceReport:
     export = decode_checked(ReleaseExport.from_doc, export, MalformedExport, "export")
     artifact_id = export.release["artifactId"]
     snapshot = build_graph(export.entries)
-    hidden = snapshot.hidden
     # Each clause's details; a clause passes when it has none.
     a: list[str] = []
-    for entry in snapshot.by_type[EntryType.CONTRIBUTION]:
-        if entry.id not in hidden and entry.payload.intended_use != "documentation":
+    for entry in snapshot.live_of(EntryType.CONTRIBUTION):
+        if entry.payload.intended_use != "documentation":
             a += [f"{entry.id}: {v.path}: {v.message}" for v in validate_structure(entry).violations
                   if v.rule.startswith(_EVIDENCE_RULE_PREFIXES)]
 
     b: list[str] = []
     for entry, has_contribution, has_test in change_linkage(snapshot):
-        if entry.id in hidden:
+        if snapshot.live(entry.id, EntryType.CHANGE) is None:
             continue
         if not has_contribution:
             b.append(f"{entry.id}: no resolvable influencedBy contribution")
@@ -505,10 +498,10 @@ def check_export_conformance(export: Any) -> ConformanceReport:
             b.append(f"{entry.id}: no linked versioned test")
 
     c: list[str] = []
-    if all(e.id in hidden for e in snapshot.by_type[EntryType.TEST]):
+    if not snapshot.live_of(EntryType.TEST):
         c.append("export contains no tests")
-    if not any(e.id not in hidden and e.payload.artifact_id == artifact_id
-               for e in snapshot.by_type[EntryType.EVALUATION_RUN]):
+    if not any(e.payload.artifact_id == artifact_id
+               for e in snapshot.live_of(EntryType.EVALUATION_RUN)):
         c.append(f"export contains no evaluation runs for {artifact_id}")
 
     d: list[str] = []

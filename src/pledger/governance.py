@@ -59,17 +59,17 @@ def _in_window(stamp: str, window: tuple[str, str]) -> bool:
 # voucher lifecycle
 
 def _live_revisions(snapshot: Snapshot, entry_id: str) -> list[EntryEnvelope]:
-    return [e for e in snapshot.lineage(entry_id)
-            if e.entry_type is EntryType.VOUCHER and e.id not in snapshot.hidden]
+    return [e for e in snapshot.unhidden(snapshot.lineage(entry_id))
+            if e.entry_type is EntryType.VOUCHER]
 
 
 def voucher_lineages(snapshot: Snapshot) -> dict[str, list[EntryEnvelope]]:
     """Each voucher lineage's revisions that are not tombstoned, keyed by
     lineage base, in order of each lineage's first such revision."""
     lineages: dict[str, list[EntryEnvelope]] = {}
-    for entry in snapshot.by_type[EntryType.VOUCHER]:
+    for entry in snapshot.live_of(EntryType.VOUCHER):
         base = snapshot.base_of(entry.id)
-        if entry.id not in snapshot.hidden and base not in lineages:
+        if base not in lineages:
             lineages[base] = _live_revisions(snapshot, entry.id)
     return lineages
 
@@ -81,7 +81,7 @@ def issue_voucher(ledger: Any, payload: Any, *, voucher_id: str | None = None,
 
     The steward must hold the communitySteward role and every condition's
     required test must already be in the ledger. The status must be issued:
-    the append runs `Snapshot.check_voucher_status`, the one lifecycle rule.
+    the append runs `Snapshot.check_voucher`, the one lifecycle rule.
     Later statuses arrive through transition_voucher.
     """
     if not isinstance(payload, VoucherPayload):
@@ -114,20 +114,20 @@ def transition_voucher(ledger: Any, voucher_id: str, new_status: str, *,
     """Append the next revision of a voucher lineage with a new status.
 
     `voucher_id` may be the issuance id or any revision id. Legality is
-    `Snapshot.check_voucher_status`, the check the store makes on every
-    voucher append; it and the revision counter follow every revision,
-    tombstoned ones included. The payload is copied from the latest revision
-    that is not tombstoned, so redacted content is never republished.
-    Illegal lifecycle moves raise IllegalTransition.
+    `Snapshot.check_voucher`, the check the store makes on every voucher
+    append; it and the revision counter follow every revision, tombstoned
+    ones included. The payload is copied from the latest revision that is
+    not tombstoned, so redacted content is never republished. Illegal
+    lifecycle moves raise IllegalTransition.
     """
     snapshot = Snapshot.of(ledger)
     base = snapshot.base_of(voucher_id)
     live = _live_revisions(snapshot, voucher_id)
     if not live:
         raise IllegalTransition(f"no voucher lineage {base!r} in ledger")
-    snapshot.check_voucher_status(voucher_id, new_status)
     payload = copy.deepcopy(live[-1].payload)
     payload.status = new_status
+    snapshot.check_voucher(voucher_id, payload)
     if expiry is not None:
         payload.expiry = expiry
     entry = EntryEnvelope(
@@ -179,10 +179,9 @@ class GateDecision:
 def _latest_run_decision(snapshot: Snapshot, test_id: str, artifact_id: str,
                          version: str) -> str | None:
     decision = None
-    for run in snapshot.test_runs.get(test_id, ()):
+    for run in snapshot.unhidden(snapshot.test_runs.get(test_id, ())):
         p = run.payload
-        if p.artifact_id == artifact_id and p.version == version \
-                and run.id not in snapshot.hidden:
+        if p.artifact_id == artifact_id and p.version == version:
             decision = p.decision
     return decision
 
@@ -286,12 +285,9 @@ CreditPolicy.from_doc = staticmethod(lambda doc: decode_checked(_decode_policy, 
 @record
 class _Event:
     kind: str
-    anchor_index: int
-    anchor_id: str
-    anchor_created_at: str
+    anchor: EntryEnvelope  # the run or change that earns the credit
     test_id: str | None
     beneficiaries: list[str]
-    run_key: tuple[str, str, str] | None  # (artifactId, version, checkpoint)
 
 
 @record
@@ -345,16 +341,17 @@ def _beneficiaries_of(snapshot: Snapshot, contribution_ids: list[str]) -> list[s
     return names
 
 
-def _suite_flip(snapshot: Snapshot, test_id: str, run_key: tuple[str, str, str]) -> bool:
-    """True when removing the test's runs from its suite changes the suite
-    verdict. The suite is every run sharing (artifactId, version, checkpoint)."""
+def _suite_flip(snapshot: Snapshot, test_id: str, anchor: EntryEnvelope) -> bool:
+    """True when removing the test's runs from the anchor run's suite changes
+    the suite verdict. The suite is every run sharing the anchor's
+    (artifactId, version, checkpoint)."""
     from .harness import fold_suite
 
+    p = anchor.payload
     with_test: list[str] = []
     without: list[str] = []
-    for run in snapshot.suite_runs.get(run_key, ()):
-        if run.id in snapshot.hidden:
-            continue
+    for run in snapshot.unhidden(snapshot.suite_runs.get(
+            (p.artifact_id, p.version, p.checkpoint), ())):
         with_test.append(run.payload.decision)
         if run.payload.test_id != test_id:
             without.append(run.payload.decision)
@@ -364,13 +361,12 @@ def _suite_flip(snapshot: Snapshot, test_id: str, run_key: tuple[str, str, str])
 def _releases_exercised(snapshot: Snapshot, test_id: str) -> int:
     """Distinct (artifactId, version) pairs the test has a live run on."""
     return len({(r.payload.artifact_id, r.payload.version)
-                for r in snapshot.test_runs.get(test_id, ()) if r.id not in snapshot.hidden})
+                for r in snapshot.unhidden(snapshot.test_runs.get(test_id, ()))})
 
 
 def _candidate_events(snapshot: Snapshot, window: tuple[str, str]) -> list[_Event]:
     from .harness import detect_regressions
 
-    hidden = snapshot.hidden
     events: list[_Event] = []
 
     for regression in detect_regressions(snapshot):
@@ -379,54 +375,31 @@ def _candidate_events(snapshot: Snapshot, window: tuple[str, str]) -> list[_Even
             continue
         test = snapshot.live(regression.test_id, EntryType.TEST)
         motivated = test.payload.motivated_by if test else []
-        events.append(_Event(
-            kind="regressionDetected",
-            anchor_index=snapshot.position[failing.id],
-            anchor_id=failing.id,
-            anchor_created_at=failing.created_at,
-            test_id=regression.test_id,
-            beneficiaries=_beneficiaries_of(snapshot, motivated),
-            run_key=(failing.payload.artifact_id, failing.payload.version,
-                     failing.payload.checkpoint),
-        ))
+        events.append(_Event(kind="regressionDetected", anchor=failing,
+                             test_id=regression.test_id,
+                             beneficiaries=_beneficiaries_of(snapshot, motivated)))
 
-    for change in snapshot.by_type[EntryType.CHANGE]:
-        if (change.id in hidden or not change.links.remediates
-                or not _in_window(change.created_at, window)):
+    for change in snapshot.live_of(EntryType.CHANGE):
+        if not change.links.remediates or not _in_window(change.created_at, window):
             continue
         cited = [snapshot.live(cid, EntryType.CONTRIBUTION)
                  for cid in change.links.influenced_by]
         incidents = [c.id for c in cited
                      if c is not None and c.payload.kind == "incidentReport"]
         if incidents:
-            events.append(_Event(
-                kind="remediationCompleted",
-                anchor_index=snapshot.position[change.id],
-                anchor_id=change.id,
-                anchor_created_at=change.created_at,
-                test_id=None,
-                beneficiaries=_beneficiaries_of(snapshot, incidents),
-                run_key=None,
-            ))
+            events.append(_Event(kind="remediationCompleted", anchor=change, test_id=None,
+                                 beneficiaries=_beneficiaries_of(snapshot, incidents)))
 
-    for run in snapshot.by_type[EntryType.EVALUATION_RUN]:
-        if (run.id in hidden or run.payload.checkpoint != "scheduledAudit"
-                or not _in_window(run.created_at, window)):
+    for run in snapshot.live_of(EntryType.EVALUATION_RUN):
+        if run.payload.checkpoint != "scheduledAudit" or not _in_window(run.created_at, window):
             continue
         test = snapshot.live(run.payload.test_id, EntryType.TEST)
         if test is not None and test.payload.motivated_by:
             events.append(_Event(
-                kind="scheduledRunDependency",
-                anchor_index=snapshot.position[run.id],
-                anchor_id=run.id,
-                anchor_created_at=run.created_at,
-                test_id=test.id,
-                beneficiaries=_beneficiaries_of(snapshot, test.payload.motivated_by),
-                run_key=(run.payload.artifact_id, run.payload.version,
-                         run.payload.checkpoint),
-            ))
+                kind="scheduledRunDependency", anchor=run, test_id=test.id,
+                beneficiaries=_beneficiaries_of(snapshot, test.payload.motivated_by)))
 
-    events.sort(key=lambda e: (e.anchor_index, e.kind))
+    events.sort(key=lambda e: (snapshot.position[e.anchor.id], e.kind))
     return events
 
 
@@ -438,8 +411,9 @@ def compute_accrual(entries: Any, policy: CreditPolicy,
                     window: tuple[str, str]) -> tuple[list[dict], AccrualReport]:
     """Pure accrual core: decide which credits a window earns.
 
-    Returns (credit payload plans, report). Plans carry everything needed to
-    mint entries: id, beneficiary, kind, anchor id, units, createdAt. The
+    Returns (credit payload plans, report). Each plan is a dict with `id`,
+    `kind`, `anchorId`, `beneficiary`, `units` (a Decimal) and `policyRef`;
+    `accrue_credits` stamps the `createdAt` when it mints the entries. The
     report's credits list is filled by the caller that actually appends.
     """
     policy.validate()
@@ -451,65 +425,61 @@ def compute_accrual(entries: Any, policy: CreditPolicy,
 
     already: set[tuple[str, str]] = set()
     credited: dict[str, Decimal] = {}
-    for entry in snapshot.by_type[EntryType.CREDIT]:
-        if entry.id not in snapshot.hidden:
-            for target in entry.links.credits_for:
-                already.add((target, entry.payload.beneficiary))
-            if _in_window(entry.created_at, window):
-                beneficiary = entry.payload.beneficiary
-                credited[beneficiary] = credited.get(beneficiary, Decimal(0)) \
-                    + Decimal(str(entry.payload.units))
+    for entry in snapshot.live_of(EntryType.CREDIT):
+        for target in entry.links.credits_for:
+            already.add((target, entry.payload.beneficiary))
+        if _in_window(entry.created_at, window):
+            beneficiary = entry.payload.beneficiary
+            credited[beneficiary] = credited.get(beneficiary, Decimal(0)) \
+                + Decimal(str(entry.payload.units))
 
     plans: list[dict] = []
     planned_ids: set[str] = set()
     for event in events:
-        units = policy.units_for(event.kind)
+        kind, anchor_id = event.kind, event.anchor.id
+        units = policy.units_for(kind)
         if units == 0:
-            report.suppressed.append(SuppressedEvent(event.kind, event.anchor_id,
-                                                     "zeroUnits"))
+            report.suppressed.append(SuppressedEvent(kind, anchor_id, "zeroUnits"))
             continue
         if not event.beneficiaries:
-            report.suppressed.append(SuppressedEvent(event.kind, event.anchor_id,
-                                                     "noBeneficiary"))
+            report.suppressed.append(SuppressedEvent(kind, anchor_id, "noBeneficiary"))
             continue
-        if policy.quality_gate and event.test_id is not None and event.run_key is not None:
-            if not _suite_flip(snapshot, event.test_id, event.run_key):
-                report.suppressed.append(SuppressedEvent(event.kind, event.anchor_id,
-                                                         "qualityGate"))
+        # Only run-anchored events name a test; a change anchors none.
+        if policy.quality_gate and event.test_id is not None:
+            if not _suite_flip(snapshot, event.test_id, event.anchor):
+                report.suppressed.append(SuppressedEvent(kind, anchor_id, "qualityGate"))
                 continue
         if policy.persistence_gate_releases > 0 and event.test_id is not None:
             exercised = _releases_exercised(snapshot, event.test_id)
             if exercised < policy.persistence_gate_releases:
-                report.suppressed.append(SuppressedEvent(event.kind, event.anchor_id,
-                                                         "persistenceGate"))
+                report.suppressed.append(SuppressedEvent(kind, anchor_id, "persistenceGate"))
                 continue
         share = (units / len(event.beneficiaries)).quantize(
             Decimal("0.01"), rounding=ROUND_HALF_EVEN)
         if share == 0:
-            report.suppressed.append(SuppressedEvent(event.kind, event.anchor_id,
-                                                     "zeroUnits"))
+            report.suppressed.append(SuppressedEvent(kind, anchor_id, "zeroUnits"))
             continue
         for beneficiary in event.beneficiaries:
-            if (event.anchor_id, beneficiary) in already:
+            if (anchor_id, beneficiary) in already:
                 report.suppressed.append(SuppressedEvent(
-                    event.kind, event.anchor_id, "alreadyCredited", beneficiary))
+                    kind, anchor_id, "alreadyCredited", beneficiary))
                 continue
             total = credited.get(beneficiary, Decimal(0))
             if total + share > policy.cap:
                 report.suppressed.append(SuppressedEvent(
-                    event.kind, event.anchor_id, "capReached", beneficiary))
+                    kind, anchor_id, "capReached", beneficiary))
                 continue
-            credit_id = _credit_id(event.kind, event.anchor_id, beneficiary)
+            credit_id = _credit_id(kind, anchor_id, beneficiary)
             if credit_id in planned_ids:
                 report.suppressed.append(SuppressedEvent(
-                    event.kind, event.anchor_id, "alreadyCredited", beneficiary))
+                    kind, anchor_id, "alreadyCredited", beneficiary))
                 continue
             credited[beneficiary] = total + share
             planned_ids.add(credit_id)
             plans.append({
                 "id": credit_id,
-                "kind": event.kind,
-                "anchorId": event.anchor_id,
+                "kind": kind,
+                "anchorId": anchor_id,
                 "beneficiary": beneficiary,
                 "units": share,
                 "policyRef": policy_ref,
@@ -583,9 +553,8 @@ def credit_report(source: Any, beneficiary: str,
     cites the triggering run or change id."""
     snapshot = Snapshot.of(source)
     statement = CreditStatement(beneficiary=beneficiary, window=window)
-    for entry in snapshot.by_type[EntryType.CREDIT]:
-        if (entry.id in snapshot.hidden or entry.payload.beneficiary != beneficiary
-                or not _in_window(entry.created_at, window)):
+    for entry in snapshot.live_of(EntryType.CREDIT):
+        if entry.payload.beneficiary != beneficiary or not _in_window(entry.created_at, window):
             continue
         trigger = entry.payload.triggering_event
         statement.lines.append({

@@ -64,9 +64,12 @@ _CHANGE, _TEST = EntryType.CHANGE, EntryType.TEST
 class Snapshot:
     """Indexes over one ledger prefix, built in a single pass of `add`.
 
-    Every index holds every entry; redaction is applied when reading, by
-    callers testing ids against `hidden`, so a later Tombstone needs no
-    rebuild. Where ids repeat, `by_id` and `position` keep the first
+    Every index holds every entry; redaction is applied when reading, so a
+    later Tombstone needs no rebuild. A reader sees an index through one of
+    three views: `live_of` (a type's entries that are not tombstoned),
+    `first_of` (a type's entries that hold their id first) and `unhidden`
+    (any index, such as a run or lineage list, without its tombstoned
+    entries). Where ids repeat, `by_id` and `position` keep the first
     occurrence. `LedgerFile` keeps one of these live, calling `add` after each
     durable append.
 
@@ -140,23 +143,57 @@ class Snapshot:
         """Every revision sharing `entry_id`'s lineage base, in ledger order."""
         return self.lineages.get(self.base_of(entry_id), [])
 
-    def check_voucher_status(self, voucher_id: str, status: str) -> None:
+    def check_voucher(self, voucher_id: str, payload: Any) -> None:
         """The voucher lifecycle rule: raise IllegalTransition unless a
-        revision of `voucher_id`'s lineage may take `status`. A lineage
-        starts as issued; after that each status must be one that
+        revision of `voucher_id`'s lineage may carry `payload`. A lineage
+        starts as issued; after that each revision takes a status that
         VOUCHER_TRANSITIONS allows after the latest voucher revision's,
-        tombstoned revisions included."""
+        tombstoned revisions included, and keeps that revision's capability,
+        boundary and action."""
         base = self.base_of(voucher_id)
-        current: str | None = None
+        current = None
         for prior in self.lineages.get(base, ()):
             if prior.entry_type is EntryType.VOUCHER:
-                current = prior.payload.status
+                current = prior.payload
+        status = payload.status
         if current is None:
             if status != "issued":
                 raise IllegalTransition(
                     f"voucher lineage {base} must start as issued, got {status!r}")
-        elif status not in VOUCHER_TRANSITIONS.get(current, frozenset()):
-            raise IllegalTransition(f"voucher {base}: {current} -> {status} is not legal")
+        elif status not in VOUCHER_TRANSITIONS.get(current.status, frozenset()):
+            raise IllegalTransition(f"voucher {base}: {current.status} -> {status} is not legal")
+        else:
+            for field in ("capability", "boundary", "action"):
+                kept, got = getattr(current, field), getattr(payload, field)
+                if got != kept:
+                    raise IllegalTransition(
+                        f"voucher {base}: a revision keeps {field} {kept!r}, got {got!r}")
+
+    def unhidden(self, entries: Iterable[EntryEnvelope]) -> list[EntryEnvelope]:
+        """Those of `entries` that are not tombstoned, in order."""
+        return [e for e in entries if e.id not in self.hidden]
+
+    def live_of(self, entry_type: EntryType) -> list[EntryEnvelope]:
+        """Every entry of `entry_type` that is not tombstoned, repeated ids
+        included, in ledger order."""
+        return self.unhidden(self.by_type[entry_type])
+
+    def first_of(self, entry_type: EntryType) -> list[EntryEnvelope]:
+        """Every entry of `entry_type` that is the first to hold its id,
+        tombstoned or not, in ledger order."""
+        return [e for e in self.by_type[entry_type] if self.by_id[e.id] is e]
+
+    def declaration(self, artifact_id: str, version: str) -> EntryEnvelope | None:
+        """The first Artifact declaring the version that is not tombstoned."""
+        declared = self.unhidden(self.versions.get((artifact_id, version), ()))
+        return declared[0] if declared else None
+
+    @property
+    def head_hash(self) -> str | None:
+        """The chain head: the hash of the last sealed entry, which the next
+        append seals against; None while no entry is sealed."""
+        return next((e.integrity.hash for e in reversed(self.entries)
+                     if e.integrity is not None), None)
 
     def live(self, entry_id: str, entry_type: EntryType) -> EntryEnvelope | None:
         """The entry under `entry_id` if it has `entry_type` and is not
@@ -236,8 +273,7 @@ class Snapshot:
         return entry.payload.artifact_kind == DEPLOYMENT_KIND
 
     def deployment_ids(self) -> list[str]:
-        return [e.id for e in self.by_type[_ARTIFACT]
-                if self.by_id[e.id] is e and self.is_deployment(e.id)]
+        return [e.id for e in self.first_of(_ARTIFACT) if self.is_deployment(e.id)]
 
     def edge_pairs(self, kind: str) -> set[tuple[str, str]]:
         """Directed (source, target) pairs of `kind`, dangling ends included;
@@ -403,26 +439,23 @@ def change_linkage(graph: Snapshot) -> list[tuple[EntryEnvelope, bool, bool]]:
     on one of its changed (artifactId, versionAfter) pairs has a usesTest
     target that does.
     """
-    nodes, hidden, by_type = graph.by_id, graph.hidden, graph.by_type
+    nodes = graph.by_id
     covered: set[tuple[str, str]] | None = None
 
     def run_tested(change: EntryEnvelope) -> bool:
         nonlocal covered
         if covered is None:  # read the runs once, on first need
             covered = {(run.payload.artifact_id, run.payload.version)
-                       for run in by_type[_RUN]
-                       if nodes[run.id] is run and run.id not in hidden
-                       and _resolves_to(nodes, run.links.uses_test, _TEST)}
+                       for run in graph.unhidden(graph.first_of(_RUN))
+                       if _resolves_to(nodes, run.links.uses_test, _TEST)}
         return any((ca.artifact_id, ca.version_after) in covered
                    for ca in change.payload.changed_artifacts)
 
     linkage = []
-    for change in by_type[_CHANGE]:
-        if nodes[change.id] is not change:
-            continue
+    for change in graph.first_of(_CHANGE):
         has_contribution = _resolves_to(nodes, change.links.influenced_by,
                                         EntryType.CONTRIBUTION)
-        has_test = change.id not in hidden and (
+        has_test = change.id not in graph.hidden and (
             _resolves_to(nodes, change.links.uses_test, _TEST) or run_tested(change))
         linkage.append((change, has_contribution, has_test))
     return linkage
@@ -445,8 +478,7 @@ def linkage_completeness(graph: Snapshot,
     with_contribution = sum(c for c, _ in linkage)
     with_test = sum(t for _, t in linkage)
     fully = sum(c and t for c, t in linkage)
-    tests_with_run = sum(1 for t in graph.by_type[_TEST]
-                         if graph.by_id[t.id] is t and graph.into(t.id, "usesTest"))
+    tests_with_run = sum(1 for t in graph.first_of(_TEST) if graph.into(t.id, "usesTest"))
     total = len(linkage)
     ratio = Fraction(1) if total == 0 else Fraction(fully, total)
     return LinkageReport(

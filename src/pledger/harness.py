@@ -117,17 +117,17 @@ def _find_test(snapshot: Snapshot, test_id: str) -> EntryEnvelope:
     entry = snapshot.by_id.get(test_id)
     if entry is None or entry.entry_type is not EntryType.TEST:
         raise UnknownTest(f"no test {test_id!r} in ledger")
-    if entry.id in snapshot.hidden:
+    if snapshot.live(test_id, EntryType.TEST) is None:
         raise UnknownTest(f"test {test_id} has been redacted")
     return entry
 
 
 def _find_artifact_version(snapshot: Snapshot, artifact_id: str,
                            version: str) -> EntryEnvelope:
-    for entry in snapshot.versions.get((artifact_id, version), ()):
-        if entry.id not in snapshot.hidden:
-            return entry
-    raise UnknownArtifactVersion(f"no declared version {version!r} of {artifact_id!r}")
+    entry = snapshot.declaration(artifact_id, version)
+    if entry is None:
+        raise UnknownArtifactVersion(f"no declared version {version!r} of {artifact_id!r}")
+    return entry
 
 
 def _coerce_actor(actor: Any) -> ActorRef:
@@ -221,7 +221,7 @@ def run_suite(ledger: Any, checkpoint: str, artifact_id: str, version: str,
     report = SuiteReport(artifact_id=artifact_id, version=version,
                          checkpoint=checkpoint, verdict="allPass")
     # Taken before the first append: the loop grows a live snapshot.
-    tests = [t for t in snapshot.by_type[EntryType.TEST] if t.id not in snapshot.hidden]
+    tests = snapshot.live_of(EntryType.TEST)
     for test in tests:
         raw = results.get(test.id)
         if raw is None:
@@ -270,19 +270,12 @@ def detect_regressions(source: Any) -> list[RegressionEvent]:
     order.
     """
     snapshot = Snapshot.of(source)
-    hidden = snapshot.hidden
     # A version ranks by the ledger position of its first live declaration.
-    version_order: dict[tuple[str, str], int] = {}
-    for key, declared in snapshot.versions.items():
-        for entry in declared:
-            if entry.id not in hidden:
-                version_order[key] = snapshot.position[entry.id]
-                break
+    version_order = {key: snapshot.position[declared.id] for key in snapshot.versions
+                     if (declared := snapshot.declaration(*key)) is not None}
 
     groups: dict[tuple[str, str], list[tuple[int, int, EntryEnvelope]]] = {}
-    for entry in snapshot.by_type[EntryType.EVALUATION_RUN]:
-        if entry.id in hidden:
-            continue
+    for entry in snapshot.live_of(EntryType.EVALUATION_RUN):
         p = entry.payload
         rank = version_order.get((p.artifact_id, p.version))
         if rank is None:
@@ -315,9 +308,7 @@ def verify_replay(source: Any) -> list[tuple[str, str, str]]:
     redacted cannot be replayed and are skipped."""
     snapshot = Snapshot.of(source)
     mismatches: list[tuple[str, str, str]] = []
-    for entry in snapshot.by_type[EntryType.EVALUATION_RUN]:
-        if entry.id in snapshot.hidden:
-            continue
+    for entry in snapshot.live_of(EntryType.EVALUATION_RUN):
         test = snapshot.live(entry.payload.test_id, EntryType.TEST)
         if test is None:
             continue

@@ -106,28 +106,6 @@ class EntryType(str, Enum):
     TOMBSTONE = "Tombstone"
 
 
-ID_KIND: dict[EntryType, str] = {
-    EntryType.CONTRIBUTION: "contrib",
-    EntryType.CHANGE: "change",
-    EntryType.ARTIFACT: "artifact",
-    EntryType.TEST: "test",
-    EntryType.EVALUATION_RUN: "run",
-    EntryType.VOUCHER: "voucher",
-    EntryType.CREDIT: "credit",
-    EntryType.TOMBSTONE: "tomb",
-}
-
-PAYLOAD_KEY: dict[EntryType, str] = {
-    EntryType.CONTRIBUTION: "contribution",
-    EntryType.CHANGE: "change",
-    EntryType.ARTIFACT: "artifact",
-    EntryType.TEST: "test",
-    EntryType.EVALUATION_RUN: "run",
-    EntryType.VOUCHER: "voucher",
-    EntryType.CREDIT: "credit",
-    EntryType.TOMBSTONE: "tombstone",
-}
-
 # Whole-string patterns: always applied with fullmatch, since `$` would also
 # accept a trailing newline. Digits are ASCII only; `\d` matches any Unicode
 # digit.
@@ -930,16 +908,21 @@ class TombstonePayload:
                        "redaction requires a communitySteward or auditor")
 
 
-PAYLOAD_CLASS: dict[EntryType, type] = {
-    EntryType.CONTRIBUTION: ContributionPayload,
-    EntryType.CHANGE: ChangePayload,
-    EntryType.ARTIFACT: ArtifactPayload,
-    EntryType.TEST: TestPayload,
-    EntryType.EVALUATION_RUN: EvaluationRunPayload,
-    EntryType.VOUCHER: VoucherPayload,
-    EntryType.CREDIT: CreditPayload,
-    EntryType.TOMBSTONE: TombstonePayload,
+# Each entry type's facts: the kind its ids carry, the key its payload sits
+# under, and the payload class.
+ENTRY_TYPES: dict[EntryType, tuple[str, str, type]] = {
+    EntryType.CONTRIBUTION: ("contrib", "contribution", ContributionPayload),
+    EntryType.CHANGE: ("change", "change", ChangePayload),
+    EntryType.ARTIFACT: ("artifact", "artifact", ArtifactPayload),
+    EntryType.TEST: ("test", "test", TestPayload),
+    EntryType.EVALUATION_RUN: ("run", "run", EvaluationRunPayload),
+    EntryType.VOUCHER: ("voucher", "voucher", VoucherPayload),
+    EntryType.CREDIT: ("credit", "credit", CreditPayload),
+    EntryType.TOMBSTONE: ("tomb", "tombstone", TombstonePayload),
 }
+ID_KIND = {t: kind for t, (kind, _, _) in ENTRY_TYPES.items()}
+PAYLOAD_KEY = {t: key for t, (_, key, _) in ENTRY_TYPES.items()}
+PAYLOAD_CLASS = {t: cls for t, (_, _, cls) in ENTRY_TYPES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -996,9 +979,9 @@ class EntryEnvelope:
 _ENVELOPE_KEYS = frozenset({"@context", "id", "type", "createdAt", "actor",
                             "consent", "compensation", "links", "integrity"})
 _TYPES: dict[str, tuple] = {
-    t.value: (t, PAYLOAD_KEY[t], frozenset(PAYLOAD_KEY.values()) - {PAYLOAD_KEY[t]},
-              _ENVELOPE_KEYS | {PAYLOAD_KEY[t]}, PAYLOAD_CLASS[t].from_doc)
-    for t in EntryType
+    t.value: (t, key, frozenset(PAYLOAD_KEY.values()) - {key}, _ENVELOPE_KEYS | {key},
+              cls.from_doc)
+    for t, (_, key, cls) in ENTRY_TYPES.items()
 }
 
 

@@ -466,8 +466,8 @@ def evaluate(ast: QueryAst, graph: Snapshot) -> ResultTable:
     def candidates_of(var: str) -> set[str]:
         """Nodes that carry every label of `var` and satisfy its predicates."""
         wanted = [set(graph.deployment_ids()) if label == "Deployment"
-                  else {e.id for e in graph.by_type[EntryType(label)]
-                        if graph.by_id[e.id] is e} for label in labels[var]]
+                  else {e.id for e in graph.first_of(EntryType(label))}
+                  for label in labels[var]]
         found = set.intersection(*wanted) if wanted else set(graph.by_id)
         for pred in predicates.get(var, ()):
             found = {node_id for node_id in found

@@ -174,12 +174,6 @@ class LedgerFile:
     def entries(self) -> list[EntryEnvelope]:
         return list(self.snapshot.entries)
 
-    @property
-    def head_hash(self) -> str | None:
-        """The last entry's hash, which each append seals against."""
-        entries = self.snapshot.entries
-        return entries[-1].integrity.hash if entries and entries[-1].integrity else None
-
     def has(self, entry_id: str) -> bool:
         return entry_id in self.snapshot.by_id
 
@@ -247,8 +241,8 @@ class LedgerFile:
         # Lifecycle legality holds for every entry sequence, not only for
         # appends that came through the governance helpers.
         if entry.entry_type is EntryType.VOUCHER:
-            self.snapshot.check_voucher_status(entry.id, entry.payload.status)
-        sealed = seal(entry, prev_hash=self.head_hash, signer=signer)
+            self.snapshot.check_voucher(entry.id, entry.payload)
+        sealed = seal(entry, prev_hash=self.snapshot.head_hash, signer=signer)
         line = (serialize_entry(sealed) + "\n").encode("utf-8")
         size_before = self.path.stat().st_size
         # The entry counts as appended only once both the line and the head

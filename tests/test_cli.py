@@ -551,6 +551,29 @@ def test_voucher_issue_and_transition(tmp_path, capsys):
     assert out.strip() == "voucher pl:voucher:gen:001:rev1 active"
 
 
+def test_voucher_issue_refuses_a_revision_that_changes_the_capability(writable, tmp_path,
+                                                                      capsys):
+    doc = {"capability": "image-generation", "boundary": "consultation_workflow",
+           "action": "pause", "status": "issued",
+           "steward": {"role": "communitySteward", "stewardOrg": "pl:org:x"}}
+    payload_path = tmp_path / "voucher.json"
+    payload_path.write_text(json.dumps(doc), "utf-8")
+    code, out, _err = run_cli(
+        capsys, "voucher", "issue", "--ledger", str(writable), "--payload", str(payload_path),
+        "--created-at", "2025-07-02T00:00:00Z")
+    assert (code, out.strip()) == (0, "voucher pl:voucher:image-generation:001 issued")
+
+    doc.update(capability="other", action="authorize", status="active")
+    payload_path.write_text(json.dumps(doc), "utf-8")
+    before = writable.read_bytes()
+    code, _out, err = run_cli(
+        capsys, "voucher", "issue", "--ledger", str(writable), "--payload", str(payload_path),
+        "--id", "pl:voucher:image-generation:001:rev1", "--created-at", "2025-07-03T00:00:00Z")
+    assert code == 5
+    assert "a revision keeps capability 'image-generation', got 'other'" in err
+    assert writable.read_bytes() == before
+
+
 def test_voucher_issue_rejects_wrong_role(tmp_path, capsys):
     payload_path = tmp_path / "voucher.json"
     payload_path.write_text(json.dumps({

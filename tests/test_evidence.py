@@ -494,11 +494,10 @@ def test_export_closure_matches_a_naive_walk_on_random_ledgers():
     assert exported >= 100
 
 
-def test_export_now_and_head_overrides(mid_lifecycle):
+def test_export_now_override_and_chain_head(mid_lifecycle):
     _path, _ids, entries = mid_lifecycle
-    export = build_export(entries, ARTIFACT_ID, "v2",
-                          now="2025-07-04T00:00:00Z", head_digest="sha256:beef")
-    assert export["headDigest"] == "sha256:beef"
+    export = build_export(entries, ARTIFACT_ID, "v2", now="2025-07-04T00:00:00Z")
+    assert export["headDigest"] == entries[-1].integrity.hash == Snapshot(entries).head_hash
     assert export["activeVouchers"][0]["gate"]["evaluatedAt"] == \
         "2025-07-04T00:00:00Z"
 

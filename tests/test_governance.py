@@ -321,6 +321,32 @@ def test_issue_voucher_and_a_raw_append_refuse_a_first_status_alike(tmp_path):
         assert len(ledger) == 0
 
 
+@pytest.mark.parametrize("field,value", [
+    ("capability", "other"), ("boundary", "elsewhere"), ("action", "authorize")])
+def test_a_voucher_revision_keeps_its_lineage_capability_boundary_and_action(
+        tmp_path, field, value):
+    # One revision rule: a revision moves the status, never what the voucher
+    # governs, whichever way the revision arrives.
+    with LedgerFile(tmp_path / "v.pledger") as ledger:
+        issued = issue_voucher(ledger, voucher_payload(), voucher_id="pl:voucher:gen:001",
+                               created_at=stamp(1))
+        revision = "pl:voucher:gen:001:rev1"
+        changed = replace(voucher_payload(status="active"), **{field: value})
+        with pytest.raises(IllegalTransition) as helper:
+            issue_voucher(ledger, changed, voucher_id=revision, created_at=stamp(2))
+        with pytest.raises(IllegalTransition) as raw:
+            ledger.append(EntryEnvelope(id=revision, entry_type=EntryType.VOUCHER,
+                                        created_at=stamp(2), actor=STEWARD, payload=changed))
+        kept = getattr(issued.payload, field)
+        assert str(helper.value) == str(raw.value) == \
+            f"voucher pl:voucher:gen:001: a revision keeps {field} {kept!r}, got {value!r}"
+        assert len(ledger) == 1
+        # the same revision with the lineage's own fields appends
+        issue_voucher(ledger, voucher_payload(status="active"), voucher_id=revision,
+                      created_at=stamp(2))
+        assert len(ledger) == 2
+
+
 # ---------------------------------------------------------------------------
 # gate checks
 

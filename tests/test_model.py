@@ -710,11 +710,9 @@ RECORDS = [
     (GateReason, (None, "defaultAllow"), "GateReason(voucher_id=None, reason_kind='defaultAllow')"),
     (GateDecision, (True,),
      "GateDecision(allowed=True, reasons=[], evaluated_at='', expired_vouchers=[])"),
-    (_Event, ("regressionDetected", 3, "pl:run:r", "2025-01-01T00:00:00Z", "pl:test:t", ["org"],
-              None),
-     "_Event(kind='regressionDetected', anchor_index=3, anchor_id='pl:run:r',"
-     " anchor_created_at='2025-01-01T00:00:00Z', test_id='pl:test:t', beneficiaries=['org'],"
-     " run_key=None)"),
+    (_Event, ("regressionDetected", "pl:run:r", "pl:test:t", ["org"]),
+     "_Event(kind='regressionDetected', anchor='pl:run:r', test_id='pl:test:t',"
+     " beneficiaries=['org'])"),
     (SuppressedEvent, ("regressionDetected", "pl:run:r", "capReached"),
      "SuppressedEvent(kind='regressionDetected', trigger_id='pl:run:r', reason='capReached',"
      " beneficiary=None)"),

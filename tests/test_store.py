@@ -60,7 +60,7 @@ def test_genesis_append_writes_entry_and_head(ledger_path):
         assert len(led) == 1
         assert sealed.integrity is not None
         assert sealed.integrity.prev_hash is None
-        assert led.head_hash == sealed.integrity.hash
+        assert led.snapshot.head_hash == sealed.integrity.hash
     assert head_path(ledger_path).read_text() == sealed.integrity.hash + "\n"
     assert ledger_path.read_bytes().endswith(b"\n")
 
@@ -69,11 +69,11 @@ def test_reopen_preserves_entries_and_head(ledger_path):
     with LedgerFile(ledger_path) as led:
         for i in range(1, 4):
             led.append(make_contribution(i))
-        head = led.head_hash
+        head = led.snapshot.head_hash
         ids = [e.id for e in led]
     with LedgerFile(ledger_path) as led:
         assert [e.id for e in led] == ids
-        assert led.head_hash == head
+        assert led.snapshot.head_hash == head
         assert led.verify().valid
         led.append(make_contribution(4))
         assert led.verify().valid
@@ -104,7 +104,7 @@ def test_failed_appends_leave_file_byte_identical(ledger_path):
             led.append(make_voucher("active"))
         assert ledger_path.read_bytes() == before
         assert head_path(ledger_path).read_bytes() == head_before
-        assert len(led) == 2 and led.head_hash is not None
+        assert len(led) == 2 and led.snapshot.head_hash is not None
 
 
 def test_failed_head_update_rolls_the_append_back(ledger_path, monkeypatch):
@@ -115,7 +115,7 @@ def test_failed_head_update_rolls_the_append_back(ledger_path, monkeypatch):
         led.append(make_contribution(1))
         before = ledger_path.read_bytes()
         head_before = head_path(ledger_path).read_bytes()
-        hash_before = led.head_hash
+        hash_before = led.snapshot.head_hash
 
         monkeypatch.setattr("pledger.store.os.replace", refuse)
         with pytest.raises(StorageFailure):
@@ -125,7 +125,7 @@ def test_failed_head_update_rolls_the_append_back(ledger_path, monkeypatch):
         assert ledger_path.read_bytes() == before
         assert head_path(ledger_path).read_bytes() == head_before
         assert not head_path(ledger_path).with_name("gen.pledger.head.tmp").exists()
-        assert len(led) == 1 and led.head_hash == hash_before
+        assert len(led) == 1 and led.snapshot.head_hash == hash_before
         assert not led.has("pl:contrib:gen:0002")
 
         sealed = led.append(make_contribution(2))
