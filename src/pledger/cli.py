@@ -146,7 +146,12 @@ def _cmd_append(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .integrity import HMAC_SCHEME, hmac_verifier, verify_chain, verify_signatures
 
-    entries = _entries(args)
+    try:
+        entries = _entries(args)
+    except CorruptLine as exc:
+        if exc.entries is None:
+            raise
+        entries = exc.entries  # a broken link: the verdict reports it
     verdict = verify_chain(entries)
     lines = [verdict.describe()]
     doc = {"chain": verdict.to_doc()}

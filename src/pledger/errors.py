@@ -68,11 +68,12 @@ class StorageFailure(LedgerError):
 
 
 class CorruptLine(LedgerError):
-    """A ledger line failed to parse; `line_number` is 1-based."""
+    """A ledger line failed to parse or to link; `line_number` is 1-based."""
 
-    def __init__(self, line_number: int, reason: str = ""):
+    def __init__(self, line_number: int, reason: str = "", entries: list | None = None):
         self.line_number = line_number
         self.reason = reason
+        self.entries = entries
         super().__init__(f"corrupt ledger line {line_number}" + (f": {reason}" if reason else ""))
 
 

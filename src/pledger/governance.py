@@ -113,21 +113,20 @@ def transition_voucher(ledger: Any, voucher_id: str, new_status: str, *,
                        signer: Any = None) -> EntryEnvelope:
     """Append the next revision of a voucher lineage with a new status.
 
-    `voucher_id` may be the issuance id or any revision id. Legality is
-    `Snapshot.check_voucher`, the check the store makes on every voucher
-    append; it and the revision counter follow every revision, tombstoned
-    ones included. The payload is copied from the latest revision that is
-    not tombstoned, so redacted content is never republished. Illegal
-    lifecycle moves raise IllegalTransition.
+    `voucher_id` may be the issuance id or any revision id. The payload is
+    copied from the latest revision that is not tombstoned, so redacted
+    content is never republished. Legality is the append's own check,
+    `Snapshot.check_voucher`, run after its id, structure and timestamp
+    checks; it and the revision counter follow every revision, tombstoned
+    ones included. Illegal lifecycle moves raise IllegalTransition.
     """
     snapshot = Snapshot.of(ledger)
-    base = snapshot.base_of(voucher_id)
     live = _live_revisions(snapshot, voucher_id)
     if not live:
-        raise IllegalTransition(f"no voucher lineage {base!r} in ledger")
+        raise IllegalTransition(
+            f"no voucher lineage {snapshot.base_of(voucher_id)!r} in ledger")
     payload = copy.deepcopy(live[-1].payload)
     payload.status = new_status
-    snapshot.check_voucher(voucher_id, payload)
     if expiry is not None:
         payload.expiry = expiry
     entry = EntryEnvelope(

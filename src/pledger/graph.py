@@ -27,7 +27,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable
 
-from .errors import IllegalTransition, UnknownNode, WrongEntryType
+from .errors import DuplicateId, IllegalTransition, UnknownNode, WrongEntryType
 from .model import (
     DEPLOYMENT_KIND,
     LINK_ATTRS,
@@ -66,11 +66,10 @@ class Snapshot:
 
     Every index holds every entry; redaction is applied when reading, so a
     later Tombstone needs no rebuild. A reader sees an index through one of
-    three views: `live_of` (a type's entries that are not tombstoned),
-    `first_of` (a type's entries that hold their id first) and `unhidden`
-    (any index, such as a run or lineage list, without its tombstoned
-    entries). Where ids repeat, `by_id` and `position` keep the first
-    occurrence. `LedgerFile` keeps one of these live, calling `add` after each
+    two views: `live_of` (a type's entries that are not tombstoned) and
+    `unhidden` (any index, such as a run or lineage list, without its
+    tombstoned entries). Ids are unique: `add` raises DuplicateId on a
+    repeat. `LedgerFile` keeps one of these live, calling `add` after each
     durable append.
 
     The snapshot is also the influence graph. Nodes are `by_id` and
@@ -117,9 +116,10 @@ class Snapshot:
 
     def add(self, entry: EntryEnvelope) -> None:
         entry_id = entry.id
-        if entry_id not in self.position:
-            self.position[entry_id] = len(self.entries)
-            self.by_id[entry_id] = entry
+        if entry_id in self.position:
+            raise DuplicateId(f"entry id {entry_id!r} repeated")
+        self.position[entry_id] = len(self.entries)
+        self.by_id[entry_id] = entry
         self.entries.append(entry)
         kind = entry.entry_type
         self.by_type[kind].append(entry)
@@ -174,14 +174,8 @@ class Snapshot:
         return [e for e in entries if e.id not in self.hidden]
 
     def live_of(self, entry_type: EntryType) -> list[EntryEnvelope]:
-        """Every entry of `entry_type` that is not tombstoned, repeated ids
-        included, in ledger order."""
+        """Every entry of `entry_type` that is not tombstoned, in ledger order."""
         return self.unhidden(self.by_type[entry_type])
-
-    def first_of(self, entry_type: EntryType) -> list[EntryEnvelope]:
-        """Every entry of `entry_type` that is the first to hold its id,
-        tombstoned or not, in ledger order."""
-        return [e for e in self.by_type[entry_type] if self.by_id[e.id] is e]
 
     def declaration(self, artifact_id: str, version: str) -> EntryEnvelope | None:
         """The first Artifact declaring the version that is not tombstoned."""
@@ -190,10 +184,9 @@ class Snapshot:
 
     @property
     def head_hash(self) -> str | None:
-        """The chain head: the hash of the last sealed entry, which the next
-        append seals against; None while no entry is sealed."""
-        return next((e.integrity.hash for e in reversed(self.entries)
-                     if e.integrity is not None), None)
+        """The chain head, the last entry's hash, which the next append seals
+        against; None when there is no entry or the last one is unsealed."""
+        return getattr(self.entries[-1].integrity, "hash", None) if self.entries else None
 
     def live(self, entry_id: str, entry_type: EntryType) -> EntryEnvelope | None:
         """The entry under `entry_id` if it has `entry_type` and is not
@@ -273,7 +266,7 @@ class Snapshot:
         return entry.payload.artifact_kind == DEPLOYMENT_KIND
 
     def deployment_ids(self) -> list[str]:
-        return [e.id for e in self.first_of(_ARTIFACT) if self.is_deployment(e.id)]
+        return [e.id for e in self.by_type[_ARTIFACT] if self.is_deployment(e.id)]
 
     def edge_pairs(self, kind: str) -> set[tuple[str, str]]:
         """Directed (source, target) pairs of `kind`, dangling ends included;
@@ -446,13 +439,13 @@ def change_linkage(graph: Snapshot) -> list[tuple[EntryEnvelope, bool, bool]]:
         nonlocal covered
         if covered is None:  # read the runs once, on first need
             covered = {(run.payload.artifact_id, run.payload.version)
-                       for run in graph.unhidden(graph.first_of(_RUN))
+                       for run in graph.live_of(_RUN)
                        if _resolves_to(nodes, run.links.uses_test, _TEST)}
         return any((ca.artifact_id, ca.version_after) in covered
                    for ca in change.payload.changed_artifacts)
 
     linkage = []
-    for change in graph.first_of(_CHANGE):
+    for change in graph.by_type[_CHANGE]:
         has_contribution = _resolves_to(nodes, change.links.influenced_by,
                                         EntryType.CONTRIBUTION)
         has_test = change.id not in graph.hidden and (
@@ -478,7 +471,7 @@ def linkage_completeness(graph: Snapshot,
     with_contribution = sum(c for c, _ in linkage)
     with_test = sum(t for _, t in linkage)
     fully = sum(c and t for c, t in linkage)
-    tests_with_run = sum(1 for t in graph.first_of(_TEST) if graph.into(t.id, "usesTest"))
+    tests_with_run = sum(1 for t in graph.by_type[_TEST] if graph.into(t.id, "usesTest"))
     total = len(linkage)
     ratio = Fraction(1) if total == 0 else Fraction(fully, total)
     return LinkageReport(

@@ -274,31 +274,29 @@ def detect_regressions(source: Any) -> list[RegressionEvent]:
     version_order = {key: snapshot.position[declared.id] for key in snapshot.versions
                      if (declared := snapshot.declaration(*key)) is not None}
 
-    groups: dict[tuple[str, str], list[tuple[int, int, EntryEnvelope]]] = {}
+    groups: dict[tuple[str, str], list[tuple[int, EntryEnvelope]]] = {}
     for entry in snapshot.live_of(EntryType.EVALUATION_RUN):
         p = entry.payload
         rank = version_order.get((p.artifact_id, p.version))
-        if rank is None:
-            continue
-        index = snapshot.position[entry.id]
-        groups.setdefault((p.test_id, p.artifact_id), []).append((rank, index, entry))
+        if rank is not None:
+            groups.setdefault((p.test_id, p.artifact_id), []).append((rank, entry))
 
-    events: list[tuple[int, RegressionEvent]] = []
+    events: list[RegressionEvent] = []
     for (test_id, artifact_id), runs in groups.items():
-        runs.sort(key=lambda item: (item[0], item[1]))
-        for (prior_rank, _, prior), (rank, index, later) in zip(runs, runs[1:]):
+        runs.sort(key=lambda item: item[0])  # stable: ledger order within a version
+        for (prior_rank, prior), (rank, later) in zip(runs, runs[1:]):
             if (prior.payload.decision == "pass" and later.payload.decision == "fail"
                     and rank > prior_rank):
-                events.append((index, RegressionEvent(
+                events.append(RegressionEvent(
                     test_id=test_id,
                     artifact_id=artifact_id,
                     from_version=prior.payload.version,
                     to_version=later.payload.version,
                     prior_passing_run_id=prior.id,
                     failing_run_id=later.id,
-                )))
-    events.sort(key=lambda item: item[0])
-    return [event for _, event in events]
+                ))
+    events.sort(key=lambda event: snapshot.position[event.failing_run_id])
+    return events
 
 
 def verify_replay(source: Any) -> list[tuple[str, str, str]]:

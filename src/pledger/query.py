@@ -466,7 +466,7 @@ def evaluate(ast: QueryAst, graph: Snapshot) -> ResultTable:
     def candidates_of(var: str) -> set[str]:
         """Nodes that carry every label of `var` and satisfy its predicates."""
         wanted = [set(graph.deployment_ids()) if label == "Deployment"
-                  else {e.id for e in graph.first_of(EntryType(label))}
+                  else {e.id for e in graph.by_type[EntryType(label)]}
                   for label in labels[var]]
         found = set.intersection(*wanted) if wanted else set(graph.by_id)
         for pred in predicates.get(var, ()):

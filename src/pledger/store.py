@@ -59,28 +59,35 @@ def head_path(ledger_path: str | Path) -> Path:
 
 
 def read_entries(path: str | Path) -> list[EntryEnvelope]:
-    """Parse every line of a ledger file.
+    """Parse every line of a ledger file, then check that the lines link.
 
     Raises CorruptLine with a 1-based line number for the first line that is
     not a complete entry document; a torn final line (partial write, crash)
-    surfaces here and can be dropped with `truncate_torn_tail`.
+    surfaces here and can be dropped with `truncate_torn_tail`. Then raises
+    CorruptLine, carrying the parsed entries, for the first line whose
+    `prevHash` is missing or not the previous line's hash (`prevHashMismatch`)
+    or whose id an earlier line holds (`duplicateId`).
     """
-    data = Path(path).read_bytes()
+    lines = Path(path).read_bytes().split(b"\n")
+    if not lines[-1]:
+        lines.pop()  # the empty piece after the final newline, or an empty file
     entries: list[EntryEnvelope] = []
-    if not data:
-        return entries
-    lines = data.split(b"\n")
-    terminated = data.endswith(b"\n")
-    if terminated:
-        lines = lines[:-1]
-    for i, raw in enumerate(lines):
-        line_number = i + 1
+    for line_number, raw in enumerate(lines, 1):
         if not raw.strip():
             raise CorruptLine(line_number, "blank line")
         try:
             entries.append(parse_entry(raw.decode("utf-8")))
         except (LedgerError, UnicodeDecodeError) as exc:
             raise CorruptLine(line_number, str(exc)) from exc
+    prev_hash, seen = None, set()
+    for line_number, entry in enumerate(entries, 1):
+        link = entry.integrity
+        if link is None or link.prev_hash != prev_hash:
+            raise CorruptLine(line_number, "prevHashMismatch", entries)
+        if entry.id in seen:
+            raise CorruptLine(line_number, "duplicateId", entries)
+        seen.add(entry.id)
+        prev_hash = link.hash
     return entries
 
 
@@ -142,9 +149,7 @@ class LedgerFile:
         elif not self.path.exists():
             raise StorageFailure(f"no ledger at {self.path}")
         try:
-            # The live index, kept current by each append. A repeated id
-            # keeps its first position; verify_chain reports it.
-            self.snapshot = Snapshot(read_entries(self.path))
+            self.snapshot = Snapshot(read_entries(self.path))  # kept current by append
         except BaseException:
             self.close()  # an open that fails must not keep the writer lock
             raise
@@ -289,8 +294,6 @@ class LedgerFile:
                 "needs communitySteward or auditor")
         if target.entry_type is EntryType.TOMBSTONE:
             raise WrongEntryType("tombstones cannot be tombstoned")
-        if target.integrity is None:
-            raise UnknownTarget(f"target {target_id!r} is not sealed")
         if tombstone_id is None:
             tombstone_id = "pl:tomb:" + ":".join(target_id.split(":")[1:])
         payload = TombstonePayload(

@@ -27,6 +27,7 @@ from pledger.fixtures import (
     VOUCHER_ID,
     sample_contribution_doc,
 )
+from pledger.integrity import seal
 from pledger.model import (
     ActorRef,
     EntryEnvelope,
@@ -34,6 +35,9 @@ from pledger.model import (
     MeasurementProcedure,
     VoucherCondition,
     VoucherPayload,
+    parse_entry,
+    replace,
+    serialize_entry,
 )
 from pledger.store import LedgerFile, read_entries
 
@@ -173,6 +177,45 @@ def test_verify_reports_torn_tail(writable, capsys):
     assert "verification failure" in err
 
 
+def _repeat_line_3_at_the_head(lines: list[str]) -> list[str]:
+    # entry 3 re-sealed onto the head: every link holds, one id repeats
+    entry = replace(parse_entry(lines[2]), integrity=None)
+    head = json.loads(lines[-1])["integrity"]["hash"]
+    return [*lines, serialize_entry(seal(entry, prev_hash=head))]
+
+
+def _swap_lines_6_and_7(lines: list[str]) -> list[str]:
+    return [*lines[:5], lines[6], lines[5], *lines[7:]]
+
+
+# Each broken chain: how to make it from the lifecycle ledger, verify's report,
+# and the line every other command names.
+BROKEN_CHAINS = {
+    "repeated-id": (_repeat_line_3_at_the_head, 15, "duplicateId", 16, 16),
+    "swapped-lines": (_swap_lines_6_and_7, 5, "prevHashMismatch", 15, 6),
+}
+
+
+def _break_chain(path, tamper) -> None:
+    lines = path.read_text("utf-8").splitlines()
+    path.write_text("\n".join(tamper(lines)) + "\n", "utf-8")
+
+
+@pytest.mark.parametrize("tamper,index,kind,count,_line", BROKEN_CHAINS.values(),
+                         ids=BROKEN_CHAINS.keys())
+def test_verify_reports_a_repeated_id_and_swapped_lines(writable, capsys, tamper, index,
+                                                        kind, count, _line):
+    _break_chain(writable, tamper)
+    code, out, err = run_cli(capsys, "verify", "--ledger", str(writable))
+    assert (code, out, err) == (
+        4, f"chain broken at index {index}: {kind} ({count} entries checked)\n", "")
+    code, out, err = run_cli(capsys, "verify", "--ledger", str(writable), "--format", "doc")
+    chain = {"valid": False, "entryCount": count, "firstBrokenIndex": index,
+             "failureKind": kind}
+    assert (code, out, err) == (
+        4, json.dumps({"chain": chain}, indent=2, sort_keys=True) + "\n", "")
+
+
 def _drop_last_three(lines: list[str]) -> list[str]:
     return lines[:-3]
 
@@ -233,7 +276,8 @@ LEDGER_READERS = {
 
 
 @pytest.mark.parametrize("argv", LEDGER_READERS.values(), ids=LEDGER_READERS.keys())
-def test_every_ledger_reader_answers_read_errors_alike(writable, tmp_path, capsys, argv):
+def test_every_ledger_reader_answers_read_errors_alike(lifecycle, writable, tmp_path, capsys,
+                                                      argv):
     code, _out, _err = run_cli(capsys, *argv, "--ledger", str(writable))
     assert code == 0
     writable.write_bytes(writable.read_bytes()[:-10])  # torn final line
@@ -244,6 +288,45 @@ def test_every_ledger_reader_answers_read_errors_alike(writable, tmp_path, capsy
     code, out, err = run_cli(capsys, *argv, "--ledger", str(tmp_path / "absent.pledger"))
     assert (code, out) == (64, "")
     assert err == f"usage error: no ledger at {tmp_path / 'absent.pledger'}\n"
+
+    # A repeated id or a broken prevHash link: verify reports the chain, every
+    # other reader refuses the file at the line.
+    for name, (tamper, index, kind, count, line) in BROKEN_CHAINS.items():
+        broken = tmp_path / f"{name}.pledger"
+        shutil.copy(lifecycle[0], broken)
+        _break_chain(broken, tamper)
+        code, out, err = run_cli(capsys, *argv, "--ledger", str(broken))
+        if argv == ["verify"]:
+            assert (code, out, err) == (
+                4, f"chain broken at index {index}: {kind} ({count} entries checked)\n", "")
+        else:
+            assert (code, out, err) == (
+                4, "", f"verification failure: corrupt ledger line {line}: {kind}\n")
+
+
+# Every command that appends, with the arguments it needs besides --ledger.
+LEDGER_WRITERS = {
+    "append": ["append", "{entry}"],
+    "redact": ["redact", "--target", CONTRIBUTION_ID, "--reason", "safetyRedaction",
+               "--role", "auditor", "--pseudonym", "AUD1"],
+}
+
+
+@pytest.mark.parametrize("argv", LEDGER_WRITERS.values(), ids=LEDGER_WRITERS.keys())
+@pytest.mark.parametrize("broken", BROKEN_CHAINS.keys())
+def test_every_ledger_writer_refuses_a_broken_chain(writable, tmp_path, capsys, argv,
+                                                    broken):
+    tamper, _index, kind, _count, line = BROKEN_CHAINS[broken]
+    _break_chain(writable, tamper)
+    before = writable.read_bytes()
+    entry = tmp_path / "entry.json"
+    entry.write_text(json.dumps({**sample_contribution_doc(),
+                                 "id": "pl:contrib:new:001"}), "utf-8")
+    argv = [arg.format(entry=entry) for arg in argv]
+    code, out, err = run_cli(capsys, *argv, "--ledger", str(writable))
+    assert (code, out, err) == (
+        4, "", f"verification failure: corrupt ledger line {line}: {kind}\n")
+    assert writable.read_bytes() == before
 
 
 def test_ledger_env_default_and_override(lifecycle, monkeypatch, capsys):

@@ -56,6 +56,7 @@ from pledger.model import (
     VoucherPayload,
     replace,
 )
+from pledger.graph import Snapshot
 from pledger.store import LedgerFile, read_entries
 
 STEWARD = ActorRef(role="communitySteward", steward_org="pl:org:gen-steward")
@@ -301,6 +302,22 @@ def test_transition_voucher_and_a_raw_append_refuse_alike(tmp_path, walk, attemp
         assert str(helper.value) == str(raw.value) == \
             f"voucher pl:voucher:gen:001: {message} is not legal"
         assert len(ledger) == 1 + len(walk)
+
+
+def test_a_transition_checks_the_voucher_lifecycle_once(tmp_path, monkeypatch):
+    # The append runs the lifecycle rule; the helper does not run it again.
+    checked: list[str] = []
+    check = Snapshot.check_voucher
+
+    def counting(snapshot, voucher_id, payload):
+        checked.append(voucher_id)
+        return check(snapshot, voucher_id, payload)
+
+    with LedgerFile(tmp_path / "v.pledger") as ledger:
+        issue_voucher(ledger, voucher_payload(), voucher_id="pl:voucher:gen:001")
+        monkeypatch.setattr(Snapshot, "check_voucher", counting)
+        transition_voucher(ledger, "pl:voucher:gen:001", "active")
+    assert checked == ["pl:voucher:gen:001:rev1"]
 
 
 def test_issue_voucher_and_a_raw_append_refuse_a_first_status_alike(tmp_path):

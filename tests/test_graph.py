@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from conftest import (
     stamp,
 )
 from pledger import graph as graph_mod
-from pledger.errors import UnknownNode, WrongEntryType
+from pledger.errors import DuplicateId, UnknownNode, WrongEntryType
 from pledger.fixtures import (
     ARTIFACT_ID,
     BOUNDARY,
@@ -109,22 +110,21 @@ def test_random_edges_match_raw_link_scan():
     for seed in range(20):
         rng = random.Random(seed)
         entries = [random_envelope(rng, i) for i in range(rng.randint(3, 25))]
-        # one id repeated by another random entry: the first occurrence is
-        # the node, and both declare edges
+        # one id repeated by another random entry: the graph refuses it
         first = rng.choice(entries)
         repeat = random_envelope(rng, len(entries))
         repeat.id = first.id
-        entries.insert(rng.randrange(entries.index(first) + 1, len(entries) + 1), repeat)
+        repeated = list(entries)
+        repeated.insert(rng.randrange(entries.index(first) + 1, len(entries) + 1), repeat)
+        with pytest.raises(DuplicateId, match=re.escape(repr(first.id))):
+            build_graph(repeated)
         graph = build_graph(entries)
-        assert graph.by_id[first.id] is first
-        assert graph.node(first.id) is first
         assert graph.edges == [(t, k, e.id) if k == "motivates" else (e.id, k, t)
                                for e in entries for k, t in e.links.iter_links()]
         for kind in LINK_KINDS:
             assert graph.edge_pairs(kind) == oracle_edges(entries, kind), (seed, kind)
         for entry in entries:
-            if entry is not repeat:
-                assert graph.is_deployment(entry.id) == oracle_is_deployment(entry)
+            assert graph.is_deployment(entry.id) == oracle_is_deployment(entry)
         # A plain Snapshot, never passed to build_graph, builds the same
         # adjacency on its first read of an edge, whichever read comes first.
         reads = [
@@ -707,9 +707,12 @@ def test_snapshot_indexes_match_naive_scans():
     for seed in range(30):
         rng = random.Random(seed)
         entries = _revised_ledger(rng)
-        # one id repeated: the first occurrence keeps by_id and position
+        # one id repeated: the snapshot refuses it
         at = rng.randrange(len(entries))
-        entries.insert(rng.randrange(at + 1, len(entries) + 1), copy.deepcopy(entries[at]))
+        repeated = list(entries)
+        repeated.insert(rng.randrange(at + 1, len(entries) + 1), copy.deepcopy(entries[at]))
+        with pytest.raises(DuplicateId, match=re.escape(repr(entries[at].id))):
+            Snapshot(repeated)
         snapshot = Snapshot(entries)
         assert _view(snapshot) == _naive_view(entries)
         for entry in entries:

@@ -1,10 +1,10 @@
 """Every reader on one awkward entry list.
 
-The list repeats a Change id and a Run id, declares one version twice with the
-first declaration tombstoned, and tombstones a contribution, a run, a credit,
-a test and a voucher revision. Each reader's answer is pinned, so a change to
-which entries a reader sees (live ones, first occurrences, or every entry)
-shows up here.
+The list declares one version twice with the first declaration tombstoned,
+and tombstones a contribution, a run, a credit, a test and a voucher
+revision. Its ids are unique, as in every ledger that opens. Each reader's
+answer is pinned, so a change to which entries a reader sees (live ones or
+every entry) shows up here.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from conftest import (
     make_run,
     make_test,
     make_tombstone,
+    sealed_chain,
     stamp,
 )
 
@@ -106,14 +107,12 @@ def awkward_entries() -> list[EntryEnvelope]:
         _run(7, t2.id, "v3", "pass", 0.5),  # stored pass, recomputes fail
         _run(8, t2.id, "v3", "fail", 0.5, checkpoint="preDeploymentGate"),
     ]
-    repeated_run = _run(2, t2.id, "v3", "fail", 0.5, minute=450)
 
     ch1 = make_change(1, influenced_by=[c1.id, c3.id], uses_test=[t0.id], versions=("v2",))
     ch1.links.remediates = [runs[1].id]
     ch2 = make_change(2, influenced_by=[c2.id], versions=("v3",))
     ch2.payload.change_kind = "dataset"
     ch3 = make_change(3, influenced_by=[c4.id, "pl:contrib:gen:0404"], versions=("v9",))
-    repeated_change = make_change(1, influenced_by=[c4.id], versions=("v3",), minute=460)
 
     vouchers = [
         _voucher("pl:voucher:gen:001", 600, "issued"),
@@ -128,7 +127,7 @@ def awkward_entries() -> list[EntryEnvelope]:
                _credit("pl:credit:gen:002", 701, "pl:org:d", runs[4].id)]
 
     entries = [c1, c2, c3, c4, c2_withdrawn, t0, t1, t2, v1, v2, v2_again, v3, deployment,
-               *runs, repeated_run, ch1, ch2, ch3, repeated_change, *vouchers, *credits]
+               *runs, ch1, ch2, ch3, *vouchers, *credits]
     hide = [c3.id, runs[4].id, credits[1].id, t1.id, vouchers[2].id, v2.id]
     return entries + [make_tombstone(target, minute=900 + k) for k, target in enumerate(hide)]
 
@@ -149,7 +148,8 @@ def test_the_harness_readers(tmp_path):
     assert [event.to_doc() for event in detect_regressions(entries)] == EXPECTED_REGRESSIONS
     assert verify_replay(entries) == EXPECTED_REPLAY
     path = tmp_path / "awkward.pledger"
-    path.write_text("".join(serialize_entry(e) + "\n" for e in entries), "utf-8")
+    path.write_text("".join(serialize_entry(e) + "\n" for e in sealed_chain(entries)),
+                    "utf-8")
     with LedgerFile(path) as ledger:
         suite = run_suite(ledger, "preDeploymentGate", SYS, "v2",
                           {"pl:test:gen:000": {"value": 0.1}},
@@ -205,19 +205,7 @@ EXPECTED_CREDIT_D = (
      "policyRefs": []}
 )
 EXPECTED_PLANS = (
-    [{"id": "pl:credit:scheduledrundependency:pl-run-gen-002:pl-org-d",
-      "kind": "scheduledRunDependency",
-      "anchorId": "pl:run:gen:002",
-      "beneficiary": "pl:org:d",
-      "units": "1.00",
-      "policyRef": "sha256:0d6c737abd91c8d18cc6c45d1aaea608d7e1ba8e970ce3d73f56f8d80eebd315"},
-     {"id": "pl:credit:scheduledrundependency:pl-run-gen-007:pl-org-d",
-      "kind": "scheduledRunDependency",
-      "anchorId": "pl:run:gen:007",
-      "beneficiary": "pl:org:d",
-      "units": "1.00",
-      "policyRef": "sha256:0d6c737abd91c8d18cc6c45d1aaea608d7e1ba8e970ce3d73f56f8d80eebd315"},
-     {"id": "pl:credit:remediationcompleted:pl-change-gen-001:pl-org-a",
+    [{"id": "pl:credit:remediationcompleted:pl-change-gen-001:pl-org-a",
       "kind": "remediationCompleted",
       "anchorId": "pl:change:gen:001",
       "beneficiary": "pl:org:a",
@@ -227,7 +215,7 @@ EXPECTED_PLANS = (
 EXPECTED_ACCRUAL = (
     {"window": {"start": "2025-05-01T12:00:00Z", "end": "2025-05-02T21:20:00Z"},
      "policyRef": "sha256:0d6c737abd91c8d18cc6c45d1aaea608d7e1ba8e970ce3d73f56f8d80eebd315",
-     "consideredEvents": 9,
+     "consideredEvents": 7,
      "creditIds": [],
      "totalUnits": 0.0,
      "suppressed": [{"eventKind": "scheduledRunDependency",
@@ -237,9 +225,6 @@ EXPECTED_ACCRUAL = (
                      "triggerId": "pl:run:gen:002",
                      "reason": "alreadyCredited",
                      "beneficiary": "pl:org:a"},
-                    {"eventKind": "regressionDetected",
-                     "triggerId": "pl:run:gen:002",
-                     "reason": "qualityGate"},
                     {"eventKind": "scheduledRunDependency",
                      "triggerId": "pl:run:gen:002",
                      "reason": "alreadyCredited",
@@ -249,6 +234,9 @@ EXPECTED_ACCRUAL = (
                      "reason": "qualityGate"},
                     {"eventKind": "scheduledRunDependency",
                      "triggerId": "pl:run:gen:004",
+                     "reason": "qualityGate"},
+                    {"eventKind": "scheduledRunDependency",
+                     "triggerId": "pl:run:gen:007",
                      "reason": "qualityGate"}]}
 )
 EXPECTED_REGRESSIONS = (
@@ -257,12 +245,6 @@ EXPECTED_REGRESSIONS = (
       "fromVersion": "v1",
       "toVersion": "v2",
       "priorPassingRunId": "pl:run:gen:001",
-      "failingRunId": "pl:run:gen:002"},
-     {"testId": "pl:test:gen:002",
-      "artifactId": "pl:artifact:gen:sys",
-      "fromVersion": "v1",
-      "toVersion": "v3",
-      "priorPassingRunId": "pl:run:gen:004",
       "failingRunId": "pl:run:gen:002"}]
 )
 EXPECTED_REPLAY = (
@@ -329,11 +311,9 @@ EXPECTED_EXPORT_IDS = (
      "pl:run:gen:006",
      "pl:run:gen:007",
      "pl:run:gen:008",
-     "pl:run:gen:002",
      "pl:change:gen:001",
      "pl:change:gen:002",
      "pl:change:gen:003",
-     "pl:change:gen:001",
      "pl:voucher:gen:002",
      "pl:voucher:gen:002:rev1",
      "pl:credit:gen:001",
@@ -366,7 +346,6 @@ EXPECTED_CONFORMANCE = (
 EXPECTED_QUERY_ROWS = (
     [("pl:run:gen:001", "pass", "pl:test:gen:000", "glare"),
      ("pl:run:gen:002", "fail", "pl:test:gen:000", "glare"),
-     ("pl:run:gen:002", "fail", "pl:test:gen:002", "shade"),
      ("pl:run:gen:003", "pass", "pl:test:gen:000", "glare"),
      ("pl:run:gen:004", "pass", "pl:test:gen:002", "shade"),
      ("pl:run:gen:005", "", "pl:test:gen:002", "shade"),

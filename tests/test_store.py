@@ -16,8 +16,15 @@ from pledger.errors import (
     ValidationFailed,
     WrongEntryType,
 )
-from pledger.integrity import hmac_signer, verify_chain
-from pledger.model import ActorRef, EntryEnvelope, EntryType, VoucherPayload, replace
+from pledger.integrity import hmac_signer, seal, verify_chain
+from pledger.model import (
+    ActorRef,
+    EntryEnvelope,
+    EntryType,
+    VoucherPayload,
+    replace,
+    serialize_entry,
+)
 from pledger.store import (
     LedgerFile,
     RedactionMarker,
@@ -202,6 +209,34 @@ def test_blank_line_counts_as_corrupt(ledger_path):
     with pytest.raises(CorruptLine) as info:
         read_entries(ledger_path)
     assert info.value.line_number == 2
+
+
+def test_a_line_that_does_not_link_is_corrupt(ledger_path):
+    # An unsealed line, a line sealed against the wrong predecessor and a
+    # repeated id each refuse the open, naming the line and carrying every
+    # parsed entry for verify_chain.
+    with LedgerFile(ledger_path) as led:
+        for i in range(1, 4):
+            led.append(make_contribution(i))
+    lines = ledger_path.read_text("utf-8").splitlines()
+    unsealed = serialize_entry(make_contribution(4))
+    resealed = serialize_entry(seal(make_contribution(2), led.snapshot.head_hash))
+    cases = [
+        ([*lines, unsealed], 4, "prevHashMismatch"),
+        ([lines[0], lines[2], lines[1]], 2, "prevHashMismatch"),
+        ([*lines, resealed], 4, "duplicateId"),
+    ]
+    for damaged, line_number, kind in cases:
+        ledger_path.write_text("\n".join(damaged) + "\n", "utf-8")
+        with pytest.raises(CorruptLine) as info:
+            LedgerFile(ledger_path)
+        assert (info.value.line_number, info.value.reason) == (line_number, kind)
+        assert str(info.value) == f"corrupt ledger line {line_number}: {kind}"
+        assert [serialize_entry(e) for e in info.value.entries] == damaged
+    ledger_path.write_text("X" + "\n".join(lines)[1:] + "\n", "utf-8")
+    with pytest.raises(CorruptLine) as info:
+        read_entries(ledger_path)
+    assert info.value.entries is None  # a line that does not parse carries none
 
 
 def test_voucher_lineage_legality_enforced_at_append(ledger_path):
