@@ -66,11 +66,15 @@ def _require_ledger(args: argparse.Namespace) -> str:
     return args.ledger
 
 
-def _entries(args: argparse.Namespace) -> list:
+def _existing_ledger(args: argparse.Namespace) -> str:
     path = _require_ledger(args)
     if not Path(path).exists():
         raise _UsageError(f"no ledger at {path}")
-    return store.read_entries(path)
+    return path
+
+
+def _entries(args: argparse.Namespace) -> list:
+    return store.read_entries(_existing_ledger(args))
 
 
 def _parse_hmac(value: str | None) -> tuple[str, bytes] | None:
@@ -144,15 +148,9 @@ def _cmd_append(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .integrity import HMAC_SCHEME, hmac_verifier, verify_chain, verify_signatures
+    from .integrity import HMAC_SCHEME, hmac_verifier, verify_signatures
 
-    try:
-        entries = _entries(args)
-    except CorruptLine as exc:
-        if exc.entries is None:
-            raise
-        entries = exc.entries  # a broken link: the verdict reports it
-    verdict = verify_chain(entries)
+    verdict, entries = store.verify_file(_existing_ledger(args))
     lines = [verdict.describe()]
     doc = {"chain": verdict.to_doc()}
     ok = verdict.valid

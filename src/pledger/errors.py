@@ -70,10 +70,9 @@ class StorageFailure(LedgerError):
 class CorruptLine(LedgerError):
     """A ledger line failed to parse or to link; `line_number` is 1-based."""
 
-    def __init__(self, line_number: int, reason: str = "", entries: list | None = None):
+    def __init__(self, line_number: int, reason: str = ""):
         self.line_number = line_number
         self.reason = reason
-        self.entries = entries
         super().__init__(f"corrupt ledger line {line_number}" + (f": {reason}" if reason else ""))
 
 

@@ -67,7 +67,9 @@ def seal(entry: EntryEnvelope, prev_hash: str | None = None,
 # ---------------------------------------------------------------------------
 # chain verification
 
-FAILURE_KINDS = ("hashMismatch", "prevHashMismatch", "duplicateId", "orderViolation")
+# The last two are the stored file's (`store.verify_file`), not the chain's.
+FAILURE_KINDS = ("hashMismatch", "prevHashMismatch", "duplicateId", "orderViolation",
+                 "nonCanonicalLine", "headMismatch")
 
 
 @record

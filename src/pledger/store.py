@@ -2,8 +2,9 @@
 
 One `.pledger` file holds newline-delimited canonical entry documents; a
 companion `<name>.head` file carries the current head digest and is rewritten
-atomically on every append. A writable handle takes an advisory lock so there
-is exactly one writer per file; readers never lock.
+atomically on every append. `verify_file` checks both as stored. A writable
+handle takes an advisory lock so there is exactly one writer per file;
+readers never lock.
 
 Redaction never rewrites history: a Tombstone entry restricts access to its
 target's payload while the original line, and therefore the chain, stays
@@ -58,15 +59,11 @@ def head_path(ledger_path: str | Path) -> Path:
     return Path(str(ledger_path) + HEAD_SUFFIX)
 
 
-def read_entries(path: str | Path) -> list[EntryEnvelope]:
-    """Parse every line of a ledger file, then check that the lines link.
+def _parse_lines(path: str | Path) -> tuple[list[bytes], list[EntryEnvelope]]:
+    """Split a ledger file into its lines and parse each one.
 
     Raises CorruptLine with a 1-based line number for the first line that is
-    not a complete entry document; a torn final line (partial write, crash)
-    surfaces here and can be dropped with `truncate_torn_tail`. Then raises
-    CorruptLine, carrying the parsed entries, for the first line whose
-    `prevHash` is missing or not the previous line's hash (`prevHashMismatch`)
-    or whose id an earlier line holds (`duplicateId`).
+    blank, not UTF-8, or not a complete entry document.
     """
     lines = Path(path).read_bytes().split(b"\n")
     if not lines[-1]:
@@ -79,16 +76,64 @@ def read_entries(path: str | Path) -> list[EntryEnvelope]:
             entries.append(parse_entry(raw.decode("utf-8")))
         except (LedgerError, UnicodeDecodeError) as exc:
             raise CorruptLine(line_number, str(exc)) from exc
+    return lines, entries
+
+
+def read_entries(path: str | Path) -> list[EntryEnvelope]:
+    """Parse every line of a ledger file, then check that the lines link.
+
+    Raises CorruptLine with a 1-based line number for the first line that is
+    not a complete entry document; a torn final line (partial write, crash)
+    surfaces here and can be dropped with `truncate_torn_tail`. Then raises
+    CorruptLine for the first line whose `prevHash` is missing or not the
+    previous line's hash (`prevHashMismatch`) or whose id an earlier line
+    holds (`duplicateId`).
+    """
+    entries = _parse_lines(path)[1]
     prev_hash, seen = None, set()
     for line_number, entry in enumerate(entries, 1):
         link = entry.integrity
         if link is None or link.prev_hash != prev_hash:
-            raise CorruptLine(line_number, "prevHashMismatch", entries)
+            raise CorruptLine(line_number, "prevHashMismatch")
         if entry.id in seen:
-            raise CorruptLine(line_number, "duplicateId", entries)
+            raise CorruptLine(line_number, "duplicateId")
         seen.add(entry.id)
         prev_hash = link.hash
     return entries
+
+
+def verify_file(path: str | Path) -> tuple[ChainVerdict, list[EntryEnvelope]]:
+    """Check a ledger file as stored; return the verdict and the parsed entries.
+
+    The entries must form a chain (`verify_chain`), each line must be its
+    entry's canonical rendering, byte for byte (`nonCanonicalLine`), and the
+    `.head` file, when there is one, must hold the last line's hash and a
+    newline (`headMismatch`, at index = entry count). The earliest failing
+    index is reported; on a tie the chain's own failure kind wins. Raises
+    CorruptLine, as `read_entries` does, for a line that does not parse.
+    """
+    from .integrity import ChainVerdict, verify_chain
+
+    # Read before the lines, as an append writes it after its line: a racing
+    # append can make the head lag the lines read, never name a line not read.
+    try:
+        head = head_path(path).read_bytes()
+    except FileNotFoundError:
+        head = None
+    lines, entries = _parse_lines(path)
+    count = len(entries)
+    verdict = verify_chain(entries)
+    # Below the chain's first failure every entry has a canonical form, so
+    # rendering it cannot raise.
+    checked = count if verdict.valid else verdict.first_broken_index
+    for index in range(checked):
+        if serialize_entry(entries[index]).encode("utf-8") != lines[index]:
+            return ChainVerdict(False, index, "nonCanonicalLine", count), entries
+    if verdict.valid and head is not None:
+        expected = f"{entries[-1].integrity.hash}\n".encode("utf-8") if entries else b""
+        if head != expected:
+            verdict = ChainVerdict(False, count, "headMismatch", count)
+    return verdict, entries
 
 
 def truncate_torn_tail(path: str | Path) -> int | None:
@@ -193,9 +238,8 @@ class LedgerFile:
         return self.snapshot.position[entry_id]
 
     def verify(self) -> ChainVerdict:
-        from .integrity import verify_chain
-
-        return verify_chain(self.snapshot.entries)
+        """The file's verdict, as `verify_file` gives it."""
+        return verify_file(self.path)[0]
 
     def tombstones(self) -> dict[str, EntryEnvelope]:
         """Map from target id to the tombstone entry restricting it."""

@@ -152,6 +152,8 @@ def test_verify_hashes_a_malformed_scope_constraint_as_stored(tmp_path, capsys, 
     code, out, _err = run_cli(capsys, "verify", "--ledger", str(path))
     assert (code, out) == (0, "chain valid, 2 entries\n")
 
+    # The lines below are written by hand, with no head file to match.
+    store.head_path(path).unlink()
     lines = path.read_text("utf-8").splitlines()
     doc = json.loads(lines[1])
     doc["voucher"]["conditions"][0]["scopeConstraints"] = value
@@ -188,11 +190,18 @@ def _swap_lines_6_and_7(lines: list[str]) -> list[str]:
     return [*lines[:5], lines[6], lines[5], *lines[7:]]
 
 
+def _drop_line_4_integrity(lines: list[str]) -> list[str]:
+    doc = json.loads(lines[3])
+    del doc["integrity"]
+    return [*lines[:3], canonical_json(doc), *lines[4:]]
+
+
 # Each broken chain: how to make it from the lifecycle ledger, verify's report,
-# and the line every other command names.
+# and the line every other command refuses, with its reason.
 BROKEN_CHAINS = {
-    "repeated-id": (_repeat_line_3_at_the_head, 15, "duplicateId", 16, 16),
-    "swapped-lines": (_swap_lines_6_and_7, 5, "prevHashMismatch", 15, 6),
+    "repeated-id": (_repeat_line_3_at_the_head, 15, "duplicateId", 16, "16: duplicateId"),
+    "swapped-lines": (_swap_lines_6_and_7, 5, "prevHashMismatch", 15, "6: prevHashMismatch"),
+    "no-integrity": (_drop_line_4_integrity, 3, "hashMismatch", 15, "4: prevHashMismatch"),
 }
 
 
@@ -201,19 +210,27 @@ def _break_chain(path, tamper) -> None:
     path.write_text("\n".join(tamper(lines)) + "\n", "utf-8")
 
 
-@pytest.mark.parametrize("tamper,index,kind,count,_line", BROKEN_CHAINS.values(),
-                         ids=BROKEN_CHAINS.keys())
-def test_verify_reports_a_repeated_id_and_swapped_lines(writable, capsys, tamper, index,
-                                                        kind, count, _line):
-    _break_chain(writable, tamper)
-    code, out, err = run_cli(capsys, "verify", "--ledger", str(writable))
+def _assert_verify_reports(capsys, path, index, kind, count) -> None:
+    code, out, err = run_cli(capsys, "verify", "--ledger", str(path))
     assert (code, out, err) == (
         4, f"chain broken at index {index}: {kind} ({count} entries checked)\n", "")
-    code, out, err = run_cli(capsys, "verify", "--ledger", str(writable), "--format", "doc")
+    code, out, err = run_cli(capsys, "verify", "--ledger", str(path), "--format", "doc")
     chain = {"valid": False, "entryCount": count, "firstBrokenIndex": index,
              "failureKind": kind}
     assert (code, out, err) == (
         4, json.dumps({"chain": chain}, indent=2, sort_keys=True) + "\n", "")
+
+
+@pytest.mark.parametrize("tamper,index,kind,count,_refusal", BROKEN_CHAINS.values(),
+                         ids=BROKEN_CHAINS.keys())
+def test_verify_reports_a_repeated_id_and_swapped_lines(lifecycle, writable, capsys, tamper,
+                                                        index, kind, count, _refusal):
+    # The same report without a `.head` and with the lifecycle ledger's own:
+    # a chain failure comes before the head's index (the entry count).
+    _break_chain(writable, tamper)
+    _assert_verify_reports(capsys, writable, index, kind, count)
+    shutil.copy(store.head_path(lifecycle[0]), store.head_path(writable))
+    _assert_verify_reports(capsys, writable, index, kind, count)
 
 
 def _drop_last_three(lines: list[str]) -> list[str]:
@@ -234,17 +251,32 @@ def _note_in_line_4_integrity(lines: list[str]) -> list[str]:
     return [*lines[:3], canonical_json(doc), *lines[4:]]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1a/1b")
-@pytest.mark.parametrize("tamper", [_drop_last_three, _respace_line_5,
-                                    _prefix_line_5_with_an_id, _note_in_line_4_integrity])
+def _empty_the_file(lines: list[str]) -> list[str]:
+    return []
+
+
+# Tampering that leaves the decoded chain intact, and verify's report on it.
+KEPT_CHAINS = {
+    "drop-last-three": (_drop_last_three, 12, "headMismatch", 12),
+    "respace-line-5": (_respace_line_5, 4, "nonCanonicalLine", 15),
+    "id-prefix-line-5": (_prefix_line_5_with_an_id, 4, "nonCanonicalLine", 15),
+    "note-in-line-4-integrity": (_note_in_line_4_integrity, 3, "nonCanonicalLine", 15),
+    "emptied": (_empty_the_file, 0, "headMismatch", 0),
+}
+
+
+@pytest.mark.parametrize("tamper,index,kind,count", KEPT_CHAINS.values(),
+                         ids=KEPT_CHAINS.keys())
 def test_verify_detects_tampering_that_keeps_the_decoded_chain(
-        lifecycle, writable, capsys, tamper):
+        lifecycle, writable, capsys, tamper, index, kind, count):
     # Each copy keeps the lifecycle ledger's own `.head`.
     shutil.copy(store.head_path(lifecycle[0]), store.head_path(writable))
-    lines = writable.read_text("utf-8").splitlines()
-    writable.write_text("\n".join(tamper(lines)) + "\n", "utf-8")
-    code, _out, _err = run_cli(capsys, "verify", "--ledger", str(writable))
-    assert code == 4
+    lines = tamper(writable.read_text("utf-8").splitlines())
+    writable.write_text("".join(line + "\n" for line in lines), "utf-8")
+    _assert_verify_reports(capsys, writable, index, kind, count)
+    verdict = LedgerFile(writable, writable=False).verify()
+    assert (verdict.valid, verdict.first_broken_index, verdict.failure_kind,
+            verdict.entry_count) == (False, index, kind, count)
 
 
 def test_ledger_path_usage_errors(tmp_path, monkeypatch, capsys):
@@ -289,9 +321,9 @@ def test_every_ledger_reader_answers_read_errors_alike(lifecycle, writable, tmp_
     assert (code, out) == (64, "")
     assert err == f"usage error: no ledger at {tmp_path / 'absent.pledger'}\n"
 
-    # A repeated id or a broken prevHash link: verify reports the chain, every
-    # other reader refuses the file at the line.
-    for name, (tamper, index, kind, count, line) in BROKEN_CHAINS.items():
+    # A repeated id, a broken prevHash link or a missing integrity block:
+    # verify reports the chain, every other reader refuses the file at the line.
+    for name, (tamper, index, kind, count, refusal) in BROKEN_CHAINS.items():
         broken = tmp_path / f"{name}.pledger"
         shutil.copy(lifecycle[0], broken)
         _break_chain(broken, tamper)
@@ -301,7 +333,7 @@ def test_every_ledger_reader_answers_read_errors_alike(lifecycle, writable, tmp_
                 4, f"chain broken at index {index}: {kind} ({count} entries checked)\n", "")
         else:
             assert (code, out, err) == (
-                4, "", f"verification failure: corrupt ledger line {line}: {kind}\n")
+                4, "", f"verification failure: corrupt ledger line {refusal}\n")
 
 
 # Every command that appends, with the arguments it needs besides --ledger.
@@ -316,7 +348,7 @@ LEDGER_WRITERS = {
 @pytest.mark.parametrize("broken", BROKEN_CHAINS.keys())
 def test_every_ledger_writer_refuses_a_broken_chain(writable, tmp_path, capsys, argv,
                                                     broken):
-    tamper, _index, kind, _count, line = BROKEN_CHAINS[broken]
+    tamper, _index, _kind, _count, refusal = BROKEN_CHAINS[broken]
     _break_chain(writable, tamper)
     before = writable.read_bytes()
     entry = tmp_path / "entry.json"
@@ -325,7 +357,7 @@ def test_every_ledger_writer_refuses_a_broken_chain(writable, tmp_path, capsys, 
     argv = [arg.format(entry=entry) for arg in argv]
     code, out, err = run_cli(capsys, *argv, "--ledger", str(writable))
     assert (code, out, err) == (
-        4, "", f"verification failure: corrupt ledger line {line}: {kind}\n")
+        4, "", f"verification failure: corrupt ledger line {refusal}\n")
     assert writable.read_bytes() == before
 
 
@@ -992,14 +1024,14 @@ def test_main_pauses_cyclic_gc_and_restores_it(lifecycle, mid_lifecycle, writabl
         (64, ["query", "--ledger", full]),
     ]
     seen: list[bool] = []
-    read = store.read_entries
+    read = store._parse_lines  # the parse step of every read, verify's included
     frozen = gc.get_freeze_count()  # only the process entry freezes the heap
 
     def recording(path):
         seen.append(gc.isenabled())
         return read(path)
 
-    monkeypatch.setattr(store, "read_entries", recording)
+    monkeypatch.setattr(store, "_parse_lines", recording)
     try:
         for expected, argv in cases:
             seen.clear()
@@ -1011,12 +1043,12 @@ def test_main_pauses_cyclic_gc_and_restores_it(lifecycle, mid_lifecycle, writabl
         def failing(path):
             raise RuntimeError("unexpected")
 
-        monkeypatch.setattr(store, "read_entries", failing)
+        monkeypatch.setattr(store, "_parse_lines", failing)
         with pytest.raises(RuntimeError):
             main(["verify", "--ledger", full])
         assert gc.isenabled()
 
-        monkeypatch.setattr(store, "read_entries", recording)
+        monkeypatch.setattr(store, "_parse_lines", recording)
         gc.disable()
         seen.clear()
         assert main(["verify", "--ledger", full]) == 0

@@ -25,7 +25,7 @@ from pledger.errors import (
     UnknownEntryType,
 )
 from pledger.fixtures import sample_contribution_doc
-from pledger import model
+from pledger import model, store
 from pledger.evidence import (
     ClauseResult,
     ConformanceReport,
@@ -449,14 +449,24 @@ def test_parse_errors_keep_their_classes_for_payload_keys():
         parse_entry(doc)
 
 
-def test_random_envelope_ledger_lines_are_fixpoints():
+def test_random_envelope_ledger_lines_are_fixpoints(tmp_path):
+    # Every line a ledger stores is its own canonical rendering, so a file of
+    # them, appended through a LedgerFile, verifies as stored.
     rng = random.Random(31)
-    for _ in range(5):
-        entries = sealed_chain([random_envelope(rng, i) for i in range(120)])
+    for chain in range(5):
+        envelopes = [random_envelope(rng, i) for i in range(120)]
+        entries = sealed_chain(envelopes)
         for entry in entries:
             line = serialize_entry(entry)
             assert serialize_entry(parse_entry(line)) == line
             assert serialize_entry(parse_entry(line.encode("utf-8"))) == line
+        path = tmp_path / f"random-{chain}.pledger"
+        with store.LedgerFile(path) as ledger:
+            for envelope in envelopes:
+                ledger.append(envelope)
+        verdict, stored = store.verify_file(path)
+        assert (verdict.valid, verdict.entry_count) == (True, 120)
+        assert [e.to_doc() for e in stored] == [e.to_doc() for e in entries]
 
 
 # ---------------------------------------------------------------------------

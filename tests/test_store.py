@@ -31,6 +31,7 @@ from pledger.store import (
     head_path,
     read_entries,
     truncate_torn_tail,
+    verify_file,
 )
 
 STEWARD = ActorRef(role="communitySteward", steward_org="pl:org:gen-steward")
@@ -153,8 +154,10 @@ def test_append_applies_signer(ledger_path):
 
 def test_torn_tail_is_detected_and_repaired(ledger_path):
     with LedgerFile(ledger_path) as led:
-        for i in range(1, 4):
-            led.append(make_contribution(i))
+        led.append(make_contribution(1))
+        led.append(make_contribution(2))
+        head_before = head_path(ledger_path).read_bytes()
+        led.append(make_contribution(3))
     intact = ledger_path.read_bytes()
     ledger_path.write_bytes(intact[:-9])  # crash mid-write of line 3
 
@@ -168,6 +171,10 @@ def test_torn_tail_is_detected_and_repaired(ledger_path):
     assert truncate_torn_tail(ledger_path) is None
 
     with LedgerFile(ledger_path) as led:
+        # The tear came after line 3's head update: the head names a lost line.
+        assert led.verify().describe() == (
+            "chain broken at index 2: headMismatch (2 entries checked)")
+        head_path(ledger_path).write_bytes(head_before)  # a tear before the head update
         assert led.verify().valid
         led.append(make_contribution(3))
         assert led.verify().valid
@@ -213,8 +220,8 @@ def test_blank_line_counts_as_corrupt(ledger_path):
 
 def test_a_line_that_does_not_link_is_corrupt(ledger_path):
     # An unsealed line, a line sealed against the wrong predecessor and a
-    # repeated id each refuse the open, naming the line and carrying every
-    # parsed entry for verify_chain.
+    # repeated id each refuse the open, naming the line; verify_file reads
+    # the same file and reports the chain, with every parsed entry.
     with LedgerFile(ledger_path) as led:
         for i in range(1, 4):
             led.append(make_contribution(i))
@@ -222,21 +229,24 @@ def test_a_line_that_does_not_link_is_corrupt(ledger_path):
     unsealed = serialize_entry(make_contribution(4))
     resealed = serialize_entry(seal(make_contribution(2), led.snapshot.head_hash))
     cases = [
-        ([*lines, unsealed], 4, "prevHashMismatch"),
-        ([lines[0], lines[2], lines[1]], 2, "prevHashMismatch"),
-        ([*lines, resealed], 4, "duplicateId"),
+        ([*lines, unsealed], 4, "prevHashMismatch", (3, "hashMismatch")),
+        ([lines[0], lines[2], lines[1]], 2, "prevHashMismatch", (1, "prevHashMismatch")),
+        ([*lines, resealed], 4, "duplicateId", (3, "duplicateId")),
     ]
-    for damaged, line_number, kind in cases:
+    for damaged, line_number, kind, chain in cases:
         ledger_path.write_text("\n".join(damaged) + "\n", "utf-8")
         with pytest.raises(CorruptLine) as info:
             LedgerFile(ledger_path)
         assert (info.value.line_number, info.value.reason) == (line_number, kind)
         assert str(info.value) == f"corrupt ledger line {line_number}: {kind}"
-        assert [serialize_entry(e) for e in info.value.entries] == damaged
+        verdict, entries = verify_file(ledger_path)
+        assert (verdict.first_broken_index, verdict.failure_kind) == chain
+        assert [serialize_entry(e) for e in entries] == damaged
     ledger_path.write_text("X" + "\n".join(lines)[1:] + "\n", "utf-8")
-    with pytest.raises(CorruptLine) as info:
-        read_entries(ledger_path)
-    assert info.value.entries is None  # a line that does not parse carries none
+    for read in (read_entries, verify_file):
+        with pytest.raises(CorruptLine) as info:
+            read(ledger_path)
+        assert info.value.line_number == 1
 
 
 def test_voucher_lineage_legality_enforced_at_append(ledger_path):
