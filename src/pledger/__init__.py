@@ -43,7 +43,7 @@ _MODULE_NAMES = {
         ActorRef EntryEnvelope EntryType LinkSet ValidationReport parse_entry
         serialize_entry validate_structure""",
     "query": "parse_query run_query run_saved_query",
-    "store": "LedgerFile read_entries truncate_torn_tail verify_file",
+    "store": "LedgerFile read_entries verify_file",
 }
 
 # public name -> the submodule that defines it

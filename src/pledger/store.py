@@ -2,9 +2,9 @@
 
 One `.pledger` file holds newline-delimited canonical entry documents; a
 companion `<name>.head` file carries the current head digest and is rewritten
-atomically on every append. `verify_file` checks both as stored. A writable
-handle takes an advisory lock so there is exactly one writer per file;
-readers never lock.
+atomically on every append. Every open reads both through `_read`, and
+`verify_file` checks them as stored. A writable handle takes an advisory lock
+so there is exactly one writer per file; readers never lock.
 
 Redaction never rewrites history: a Tombstone entry restricts access to its
 target's payload while the original line, and therefore the chain, stays
@@ -59,15 +59,26 @@ def head_path(ledger_path: str | Path) -> Path:
     return Path(str(ledger_path) + HEAD_SUFFIX)
 
 
-def _parse_lines(path: str | Path) -> tuple[list[bytes], list[EntryEnvelope]]:
-    """Split a ledger file into its lines and parse each one.
+def _read(path: str | Path) -> tuple[list[bytes], list[EntryEnvelope], bytes | None, int | None]:
+    """The one read step: `.head`, then the lines, then each line parsed.
 
+    Returns the lines, their entries, the `.head` bytes (None when absent)
+    and, when an unfinished append follows the last newline, the offset to
+    cut it at (else None). Bytes there are an unfinished append when `.head`
+    names a line before them, or when there is neither `.head` nor a line.
     Raises CorruptLine with a 1-based line number for the first line that is
-    blank, not UTF-8, or not a complete entry document.
+    blank, not UTF-8, or not a complete entry document, and for other bytes
+    after the last newline (`no newline`).
     """
-    lines = Path(path).read_bytes().split(b"\n")
-    if not lines[-1]:
-        lines.pop()  # the empty piece after the final newline, or an empty file
+    # Read before the lines, as an append writes it after its line: a racing
+    # append can make the head lag the lines read, never name a line not read.
+    try:
+        head = head_path(path).read_bytes()
+    except FileNotFoundError:
+        head = None
+    data = Path(path).read_bytes()
+    lines = data.split(b"\n")
+    tail = lines.pop()  # the bytes after the last newline are never a line
     entries: list[EntryEnvelope] = []
     for line_number, raw in enumerate(lines, 1):
         if not raw.strip():
@@ -76,20 +87,25 @@ def _parse_lines(path: str | Path) -> tuple[list[bytes], list[EntryEnvelope]]:
             entries.append(parse_entry(raw.decode("utf-8")))
         except (LedgerError, UnicodeDecodeError) as exc:
             raise CorruptLine(line_number, str(exc)) from exc
-    return lines, entries
+    if tail and not (_names_a_line(head, entries) if head is not None else not lines):
+        raise CorruptLine(len(lines) + 1, "no newline")
+    return lines, entries, head, len(data) - len(tail) if tail else None
 
 
-def read_entries(path: str | Path) -> list[EntryEnvelope]:
-    """Parse every line of a ledger file, then check that the lines link.
+def _names_a_line(head: bytes, entries: list[EntryEnvelope]) -> bool:
+    """Whether `.head` holds a line's hash and a newline, or is empty (no line)."""
+    return not head or any(head == f"{entry.integrity.hash}\n".encode("utf-8")
+                           for entry in reversed(entries) if entry.integrity)
 
-    Raises CorruptLine with a 1-based line number for the first line that is
-    not a complete entry document; a torn final line (partial write, crash)
-    surfaces here and can be dropped with `truncate_torn_tail`. Then raises
-    CorruptLine for the first line whose `prevHash` is missing or not the
-    previous line's hash (`prevHashMismatch`) or whose id an earlier line
-    holds (`duplicateId`).
+
+def _linked(entries: list[EntryEnvelope], head: bytes | None) -> list[EntryEnvelope]:
+    """Check that parsed lines link and that `.head` names one of them.
+
+    Raises CorruptLine for the first line whose `prevHash` is missing or not
+    the previous line's hash (`prevHashMismatch`) or whose id an earlier line
+    holds (`duplicateId`); then, when `.head` names none of the lines, so
+    committed lines are lost, at the line after the last (`headMismatch`).
     """
-    entries = _parse_lines(path)[1]
     prev_hash, seen = None, set()
     for line_number, entry in enumerate(entries, 1):
         link = entry.integrity
@@ -99,7 +115,15 @@ def read_entries(path: str | Path) -> list[EntryEnvelope]:
             raise CorruptLine(line_number, "duplicateId")
         seen.add(entry.id)
         prev_hash = link.hash
+    if head is not None and not _names_a_line(head, entries):
+        raise CorruptLine(len(entries) + 1, "headMismatch")
     return entries
+
+
+def read_entries(path: str | Path) -> list[EntryEnvelope]:
+    """The committed entries of a ledger file, as `_read` and `_linked` give them."""
+    _, entries, head, _ = _read(path)
+    return _linked(entries, head)
 
 
 def verify_file(path: str | Path) -> tuple[ChainVerdict, list[EntryEnvelope]]:
@@ -110,18 +134,15 @@ def verify_file(path: str | Path) -> tuple[ChainVerdict, list[EntryEnvelope]]:
     `.head` file, when there is one, must hold the last line's hash and a
     newline (`headMismatch`, at index = entry count). The earliest failing
     index is reported; on a tie the chain's own failure kind wins. Raises
-    CorruptLine, as `read_entries` does, for a line that does not parse.
+    CorruptLine, as `_read` does, for a line that does not parse, and for
+    any bytes after the last newline, an unfinished append included.
     """
     from .integrity import ChainVerdict, verify_chain
 
-    # Read before the lines, as an append writes it after its line: a racing
-    # append can make the head lag the lines read, never name a line not read.
-    try:
-        head = head_path(path).read_bytes()
-    except FileNotFoundError:
-        head = None
-    lines, entries = _parse_lines(path)
+    lines, entries, head, cut = _read(path)
     count = len(entries)
+    if cut is not None:
+        raise CorruptLine(count + 1, "no newline")
     verdict = verify_chain(entries)
     # Below the chain's first failure every entry has a canonical form, so
     # rendering it cannot raise.
@@ -134,33 +155,6 @@ def verify_file(path: str | Path) -> tuple[ChainVerdict, list[EntryEnvelope]]:
         if head != expected:
             verdict = ChainVerdict(False, count, "headMismatch", count)
     return verdict, entries
-
-
-def truncate_torn_tail(path: str | Path) -> int | None:
-    """Drop a torn final line in place.
-
-    Returns the 1-based line number removed, or None when the file needed no
-    repair. Only the final line is ever touched; corruption elsewhere is a
-    tamper signal, not a crash artifact, and is left for verify_chain.
-    """
-    p = Path(path)
-    data = p.read_bytes()
-    if not data:
-        return None
-    cut = data.rfind(b"\n") + 1  # 0 when no newline at all
-    tail = data[cut:]
-    if not tail:
-        return None
-    try:
-        parse_entry(tail.decode("utf-8"))
-        return None
-    except (LedgerError, UnicodeDecodeError):
-        pass
-    with open(p, "r+b") as fh:
-        fh.truncate(cut)
-        fh.flush()
-        os.fsync(fh.fileno())
-    return data[:cut].count(b"\n") + 1
 
 
 @record
@@ -194,7 +188,11 @@ class LedgerFile:
         elif not self.path.exists():
             raise StorageFailure(f"no ledger at {self.path}")
         try:
-            self.snapshot = Snapshot(read_entries(self.path))  # kept current by append
+            _, entries, head, cut = _read(self.path)
+            self.snapshot = Snapshot(_linked(entries, head))  # kept current by append
+            if cut is not None and self._fh is not None:
+                self._fh.truncate(cut)  # the unfinished append `_read` left out
+                os.fsync(self._fh.fileno())
         except BaseException:
             self.close()  # an open that fails must not keep the writer lock
             raise

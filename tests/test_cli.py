@@ -15,6 +15,7 @@ from conftest import make_artifact, make_test
 from pledger import store
 from pledger.canonical import canonical_json
 from pledger.cli import main
+from pledger.errors import CorruptLine
 from pledger.evidence import build_export
 from pledger.fixtures import (
     ARTIFACT_ID,
@@ -274,6 +275,11 @@ def test_verify_detects_tampering_that_keeps_the_decoded_chain(
     lines = tamper(writable.read_text("utf-8").splitlines())
     writable.write_text("".join(line + "\n" for line in lines), "utf-8")
     _assert_verify_reports(capsys, writable, index, kind, count)
+    if kind == "headMismatch":  # committed lines are lost: the open refuses the file
+        with pytest.raises(CorruptLine) as info:
+            LedgerFile(writable, writable=False)
+        assert str(info.value) == f"corrupt ledger line {index + 1}: headMismatch"
+        return
     verdict = LedgerFile(writable, writable=False).verify()
     assert (verdict.valid, verdict.first_broken_index, verdict.failure_kind,
             verdict.entry_count) == (False, index, kind, count)
@@ -359,6 +365,58 @@ def test_every_ledger_writer_refuses_a_broken_chain(writable, tmp_path, capsys, 
     assert (code, out, err) == (
         4, "", f"verification failure: corrupt ledger line {refusal}\n")
     assert writable.read_bytes() == before
+
+
+def _drop_the_last_line(data: bytes) -> bytes:
+    return data[:data.rstrip(b"\n").rfind(b"\n") + 1]
+
+
+def _strip_the_last_newline(data: bytes) -> bytes:
+    return data[:-1]
+
+
+# A committed last line lost, with the `.head` that names it kept, and what
+# verify reports on it.
+LOST_LINES = {
+    "last-line-dropped": (_drop_the_last_line, "15: headMismatch",
+                          "chain broken at index 14: headMismatch (14 entries checked)\n", ""),
+    "newline-stripped": (_strip_the_last_newline, "15: no newline",
+                         "", "verification failure: corrupt ledger line 15: no newline\n"),
+}
+
+
+@pytest.mark.parametrize("lose,refusal,verify_out,verify_err", LOST_LINES.values(),
+                         ids=LOST_LINES.keys())
+def test_a_lost_committed_line_is_refused_not_appended_over(lifecycle, writable, capsys, lose,
+                                                           refusal, verify_out, verify_err):
+    head = store.head_path(writable)
+    shutil.copy(store.head_path(lifecycle[0]), head)
+    writable.write_bytes(lose(writable.read_bytes()))
+    before = writable.read_bytes(), head.read_bytes()
+    assert run_cli(capsys, "verify", "--ledger", str(writable)) == (4, verify_out, verify_err)
+    code, out, err = run_cli(capsys, *LEDGER_WRITERS["redact"], "--ledger", str(writable))
+    assert (code, out, err) == (4, "", f"verification failure: corrupt ledger line {refusal}\n")
+    assert (writable.read_bytes(), head.read_bytes()) == before
+
+
+def test_an_unfinished_append_is_left_out_then_cut(lifecycle, writable, capsys):
+    # The last line torn, with the `.head` naming the line before it: the
+    # append crashed before its head update.
+    lines = writable.read_bytes().splitlines(keepends=True)
+    writable.write_bytes(b"".join(lines[:-1]) + lines[-1][:-10])
+    head = json.loads(lines[-2])["integrity"]["hash"] + "\n"
+    store.head_path(writable).write_text(head, "utf-8")
+    code, out, err = run_cli(capsys, "verify", "--ledger", str(writable))
+    assert (code, out, err) == (4, "", "verification failure: corrupt ledger line 15: no newline\n")
+    gate = ["gate", "check", "--capability", CAPABILITY, "--boundary", BOUNDARY,
+            "--version", "v3", "--now", "2025-06-27T00:00:00Z"]
+    full = run_cli(capsys, *gate, "--ledger", str(lifecycle[0]))
+    assert full[0] == 0 and run_cli(capsys, *gate, "--ledger", str(writable)) == full
+    code, _out, _err = run_cli(capsys, *LEDGER_WRITERS["redact"], "--ledger", str(writable))
+    assert code == 0
+    assert writable.read_bytes().startswith(b"".join(lines[:-1]))
+    assert run_cli(capsys, "verify", "--ledger", str(writable)) \
+        == (0, "chain valid, 15 entries\n", "")
 
 
 def test_ledger_env_default_and_override(lifecycle, monkeypatch, capsys):
@@ -1024,14 +1082,14 @@ def test_main_pauses_cyclic_gc_and_restores_it(lifecycle, mid_lifecycle, writabl
         (64, ["query", "--ledger", full]),
     ]
     seen: list[bool] = []
-    read = store._parse_lines  # the parse step of every read, verify's included
+    read = store._read  # the read step of every open, verify's included
     frozen = gc.get_freeze_count()  # only the process entry freezes the heap
 
     def recording(path):
         seen.append(gc.isenabled())
         return read(path)
 
-    monkeypatch.setattr(store, "_parse_lines", recording)
+    monkeypatch.setattr(store, "_read", recording)
     try:
         for expected, argv in cases:
             seen.clear()
@@ -1043,12 +1101,12 @@ def test_main_pauses_cyclic_gc_and_restores_it(lifecycle, mid_lifecycle, writabl
         def failing(path):
             raise RuntimeError("unexpected")
 
-        monkeypatch.setattr(store, "_parse_lines", failing)
+        monkeypatch.setattr(store, "_read", failing)
         with pytest.raises(RuntimeError):
             main(["verify", "--ledger", full])
         assert gc.isenabled()
 
-        monkeypatch.setattr(store, "_parse_lines", recording)
+        monkeypatch.setattr(store, "_read", recording)
         gc.disable()
         seen.clear()
         assert main(["verify", "--ledger", full]) == 0

@@ -30,7 +30,6 @@ from pledger.store import (
     RedactionMarker,
     head_path,
     read_entries,
-    truncate_torn_tail,
     verify_file,
 )
 
@@ -159,37 +158,46 @@ def test_torn_tail_is_detected_and_repaired(ledger_path):
         head_before = head_path(ledger_path).read_bytes()
         led.append(make_contribution(3))
     intact = ledger_path.read_bytes()
-    ledger_path.write_bytes(intact[:-9])  # crash mid-write of line 3
+    torn = intact[:-9]
+    ledger_path.write_bytes(torn)  # line 3 torn after its head update
 
-    with pytest.raises(CorruptLine) as info:
-        read_entries(ledger_path)
-    assert info.value.line_number == 3
+    # The head names the torn line, so it was committed: every open refuses
+    # the file and nothing is cut.
+    for open_ledger in (read_entries, LedgerFile):
+        with pytest.raises(CorruptLine) as info:
+            open_ledger(ledger_path)
+        assert (info.value.line_number, info.value.reason) == (3, "no newline")
+    assert ledger_path.read_bytes() == torn
 
-    assert truncate_torn_tail(ledger_path) == 3
+    head_path(ledger_path).write_bytes(head_before)  # a crash before the head update
     assert [e.id for e in read_entries(ledger_path)] == [
         "pl:contrib:gen:0001", "pl:contrib:gen:0002"]
-    assert truncate_torn_tail(ledger_path) is None
+    with pytest.raises(CorruptLine) as info:
+        verify_file(ledger_path)
+    assert (info.value.line_number, info.value.reason) == (3, "no newline")
+    assert ledger_path.read_bytes() == torn  # readers leave the bytes out
 
-    with LedgerFile(ledger_path) as led:
-        # The tear came after line 3's head update: the head names a lost line.
-        assert led.verify().describe() == (
-            "chain broken at index 2: headMismatch (2 entries checked)")
-        head_path(ledger_path).write_bytes(head_before)  # a tear before the head update
+    with LedgerFile(ledger_path) as led:  # the writer's open cuts them
+        assert len(led) == 2
+        assert ledger_path.read_bytes() == intact[:torn.rfind(b"\n") + 1]
         assert led.verify().valid
         led.append(make_contribution(3))
         assert led.verify().valid
+    assert ledger_path.read_bytes() == intact
 
 
 def test_a_failed_open_releases_the_writer_lock(lifecycle, ledger_path):
     source, _, entries = lifecycle
-    ledger_path.write_bytes(source.read_bytes()[:-10])
+    data = source.read_bytes()
+    ledger_path.write_bytes(data[:data.rstrip(b"\n").rfind(b"\n") + 1])
+    head_path(ledger_path).write_bytes(head_path(source).read_bytes())  # names the lost line
     # The exception stays referenced, as a handler that inspects it keeps it.
     with pytest.raises(CorruptLine) as info:
         LedgerFile(ledger_path)
-    assert truncate_torn_tail(ledger_path) == len(entries)
+    head_path(ledger_path).unlink()
     with LedgerFile(ledger_path) as led:
         assert len(led) == len(entries) - 1
-    assert info.value.line_number == len(entries)
+    assert (info.value.line_number, info.value.reason) == (len(entries), "headMismatch")
 
 
 def test_mid_file_corruption_is_not_a_torn_tail(ledger_path):
@@ -198,13 +206,13 @@ def test_mid_file_corruption_is_not_a_torn_tail(ledger_path):
             led.append(make_contribution(i))
     lines = ledger_path.read_bytes().split(b"\n")
     lines[1] = b"X" + lines[1][1:]
-    damaged = b"\n".join(lines)
-    ledger_path.write_bytes(damaged)
+    damaged = b"\n".join(lines) + b'{"id":'  # and an unfinished append
 
-    with pytest.raises(CorruptLine) as info:
-        read_entries(ledger_path)
-    assert info.value.line_number == 2
-    assert truncate_torn_tail(ledger_path) is None
+    ledger_path.write_bytes(damaged)
+    for open_ledger in (read_entries, verify_file, LedgerFile):
+        with pytest.raises(CorruptLine) as info:
+            open_ledger(ledger_path)
+        assert info.value.line_number == 2
     assert ledger_path.read_bytes() == damaged
 
 
