@@ -61,6 +61,15 @@ _RUN, _ARTIFACT, _TOMBSTONE = EntryType.EVALUATION_RUN, EntryType.ARTIFACT, Entr
 _CHANGE, _TEST = EntryType.CHANGE, EntryType.TEST
 
 
+@record
+class RedactionMarker:
+    """What a reader sees in place of a tombstoned payload."""
+    target_id: str
+    reason: str
+    retained_hash: str
+    tombstone_id: str
+
+
 class Snapshot:
     """Indexes over one ledger prefix, built in a single pass of `add`.
 
@@ -68,9 +77,9 @@ class Snapshot:
     later Tombstone needs no rebuild. A reader sees an index through one of
     two views: `live_of` (a type's entries that are not tombstoned) and
     `unhidden` (any index, such as a run or lineage list, without its
-    tombstoned entries). Ids are unique: `add` raises DuplicateId on a
-    repeat. `LedgerFile` keeps one of these live, calling `add` after each
-    durable append.
+    tombstoned entries); and a payload through `payload_view`. Ids are
+    unique: `add` raises DuplicateId on a repeat. `LedgerFile` keeps one of
+    these live, calling `add` after each durable append.
 
     The snapshot is also the influence graph. Nodes are `by_id` and
     redaction is `hidden`; each declared link is one `(source, kind,
@@ -181,6 +190,16 @@ class Snapshot:
         """The first Artifact declaring the version that is not tombstoned."""
         declared = self.unhidden(self.versions.get((artifact_id, version), ()))
         return declared[0] if declared else None
+
+    def payload_view(self, entry_id: str) -> Any:
+        """The entry's payload, or in its place the RedactionMarker of the
+        first Tombstone naming it. Raises UnknownNode for an unknown id."""
+        payload = self.node(entry_id).payload
+        tomb = self.hidden.get(entry_id)
+        if tomb is None:
+            return payload
+        return RedactionMarker(entry_id, tomb.payload.reason, tomb.payload.retained_hash,
+                               tomb.id)
 
     @property
     def head_hash(self) -> str | None:

@@ -3,8 +3,8 @@
 One `.pledger` file holds newline-delimited canonical entry documents; a
 companion `<name>.head` file carries the current head digest and is rewritten
 atomically on every append. Every open reads both through `_read`, and
-`verify_file` checks them as stored. A writable handle takes an advisory lock
-so there is exactly one writer per file; readers never lock.
+`verify_file` checks them as stored. The writer, `LedgerFile`, takes an
+advisory lock so there is exactly one writer per file; readers never lock.
 
 Redaction never rewrites history: a Tombstone entry restricts access to its
 target's payload while the original line, and therefore the chain, stays
@@ -16,7 +16,7 @@ from __future__ import annotations
 import copy
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING
 
 try:
     import fcntl
@@ -43,7 +43,6 @@ from .model import (
     TombstonePayload,
     now_stamp,
     parse_entry,
-    record,
     serialize_entry,
     validate_structure,
 )
@@ -57,6 +56,11 @@ HEAD_SUFFIX = ".head"
 
 def head_path(ledger_path: str | Path) -> Path:
     return Path(str(ledger_path) + HEAD_SUFFIX)
+
+
+def _head_line(digest: str) -> bytes:
+    """What `.head` holds when the last line's hash is `digest`."""
+    return f"{digest}\n".encode("utf-8")
 
 
 def _read(path: str | Path) -> tuple[list[bytes], list[EntryEnvelope], bytes | None, int | None]:
@@ -94,22 +98,25 @@ def _read(path: str | Path) -> tuple[list[bytes], list[EntryEnvelope], bytes | N
 
 def _names_a_line(head: bytes, entries: list[EntryEnvelope]) -> bool:
     """Whether `.head` holds a line's hash and a newline, or is empty (no line)."""
-    return not head or any(head == f"{entry.integrity.hash}\n".encode("utf-8")
+    return not head or any(head == _head_line(entry.integrity.hash)
                            for entry in reversed(entries) if entry.integrity)
 
 
 def _linked(entries: list[EntryEnvelope], head: bytes | None) -> list[EntryEnvelope]:
     """Check that parsed lines link and that `.head` names one of them.
 
-    Raises CorruptLine for the first line whose `prevHash` is missing or not
-    the previous line's hash (`prevHashMismatch`) or whose id an earlier line
+    Raises CorruptLine for the first line with no integrity block
+    (`hashMismatch`, as `verify_chain` names it), whose `prevHash` is not the
+    previous line's hash (`prevHashMismatch`) or whose id an earlier line
     holds (`duplicateId`); then, when `.head` names none of the lines, so
     committed lines are lost, at the line after the last (`headMismatch`).
     """
     prev_hash, seen = None, set()
     for line_number, entry in enumerate(entries, 1):
         link = entry.integrity
-        if link is None or link.prev_hash != prev_hash:
+        if link is None:
+            raise CorruptLine(line_number, "hashMismatch")
+        if link.prev_hash != prev_hash:
             raise CorruptLine(line_number, "prevHashMismatch")
         if entry.id in seen:
             raise CorruptLine(line_number, "duplicateId")
@@ -151,53 +158,40 @@ def verify_file(path: str | Path) -> tuple[ChainVerdict, list[EntryEnvelope]]:
         if serialize_entry(entries[index]).encode("utf-8") != lines[index]:
             return ChainVerdict(False, index, "nonCanonicalLine", count), entries
     if verdict.valid and head is not None:
-        expected = f"{entries[-1].integrity.hash}\n".encode("utf-8") if entries else b""
+        expected = _head_line(entries[-1].integrity.hash) if entries else b""
         if head != expected:
             verdict = ChainVerdict(False, count, "headMismatch", count)
     return verdict, entries
 
 
-@record
-class RedactionMarker:
-    """What a reader sees in place of a tombstoned payload."""
-    target_id: str
-    reason: str
-    retained_hash: str
-    tombstone_id: str
-
-
 class LedgerFile:
-    """A participation ledger backed by one append-only file."""
+    """The one writer of a ledger file, holding its lock from open to close.
 
-    def __init__(self, path: str | Path, writable: bool = True):
+    The open cuts an unfinished append; `snapshot` is the committed prefix,
+    kept current by each append. Readers take `read_entries`, `verify_file`
+    and `Snapshot` instead.
+    """
+
+    def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.writable = writable
-        self._fh = None
-        if writable:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.touch(exist_ok=True)
-            self._fh = open(self.path, "a+b")
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.path.touch(exist_ok=True)
+        self._fh = open(self.path, "a+b")
+        try:
             if fcntl is not None:
                 try:
                     fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
                 except OSError as exc:
-                    self._fh.close()
-                    self._fh = None
                     raise StorageFailure(
                         f"another writer holds the lock on {self.path}") from exc
-        elif not self.path.exists():
-            raise StorageFailure(f"no ledger at {self.path}")
-        try:
             _, entries, head, cut = _read(self.path)
             self.snapshot = Snapshot(_linked(entries, head))  # kept current by append
-            if cut is not None and self._fh is not None:
+            if cut is not None:
                 self._fh.truncate(cut)  # the unfinished append `_read` left out
                 os.fsync(self._fh.fileno())
         except BaseException:
             self.close()  # an open that fails must not keep the writer lock
             raise
-
-    # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
         if self._fh is not None:
@@ -210,20 +204,8 @@ class LedgerFile:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- reads ---------------------------------------------------------------
-
     def __len__(self) -> int:
         return len(self.snapshot.entries)
-
-    def __iter__(self) -> Iterator[EntryEnvelope]:
-        return iter(self.snapshot.entries)
-
-    @property
-    def entries(self) -> list[EntryEnvelope]:
-        return list(self.snapshot.entries)
-
-    def has(self, entry_id: str) -> bool:
-        return entry_id in self.snapshot.by_id
 
     def get(self, entry_id: str) -> EntryEnvelope:
         try:
@@ -231,36 +213,9 @@ class LedgerFile:
         except KeyError:
             raise UnknownTarget(f"no entry {entry_id!r} in {self.path.name}") from None
 
-    def index_of(self, entry_id: str) -> int:
-        self.get(entry_id)
-        return self.snapshot.position[entry_id]
-
-    def verify(self) -> ChainVerdict:
-        """The file's verdict, as `verify_file` gives it."""
-        return verify_file(self.path)[0]
-
-    def tombstones(self) -> dict[str, EntryEnvelope]:
-        """Map from target id to the tombstone entry restricting it."""
-        return dict(self.snapshot.hidden)
-
-    def payload_view(self, entry_id: str) -> Any:
-        """Access-layer read: the payload, or a RedactionMarker if tombstoned."""
-        entry = self.get(entry_id)
-        tomb = self.snapshot.hidden.get(entry_id)
-        if tomb is not None:
-            return RedactionMarker(
-                target_id=entry_id,
-                reason=tomb.payload.reason,
-                retained_hash=tomb.payload.retained_hash,
-                tombstone_id=tomb.id,
-            )
-        return entry.payload
-
-    # -- writes --------------------------------------------------------------
-
-    def _require_writable(self) -> None:
-        if not self.writable or self._fh is None:
-            raise StorageFailure(f"{self.path} opened read-only")
+    def _require_open(self) -> None:
+        if self._fh is None:
+            raise StorageFailure(f"{self.path} is closed")
 
     def append(self, entry: EntryEnvelope, signer: Signer | None = None) -> EntryEnvelope:
         """Validate, seal against the current head, and durably append.
@@ -270,7 +225,7 @@ class LedgerFile:
         """
         from .integrity import CLOCK_SKEW, seal
 
-        self._require_writable()
+        self._require_open()
         if entry.id in self.snapshot.by_id:
             raise DuplicateId(f"entry id {entry.id!r} already in ledger")
         report = validate_structure(entry)
@@ -315,8 +270,8 @@ class LedgerFile:
         target = head_path(self.path)
         tmp = target.with_name(target.name + ".tmp")
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(digest + "\n")
+            with open(tmp, "wb") as fh:
+                fh.write(_head_line(digest))
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, target)
@@ -328,7 +283,7 @@ class LedgerFile:
                tombstone_id: str | None = None, created_at: str | None = None,
                signer: Signer | None = None) -> EntryEnvelope:
         """Append a Tombstone restricting access to `target_id`'s payload."""
-        self._require_writable()
+        self._require_open()
         target = self.get(target_id)
         if authorization.role not in ROLES_ALLOWED_TO_REDACT:
             raise UnauthorizedRole(
@@ -362,7 +317,7 @@ class LedgerFile:
         withdrawn, id `<base>:rev<k>`) and a Tombstone on the original.
         Returns (superseding entry, tombstone entry).
         """
-        self._require_writable()
+        self._require_open()
         original = self.get(contribution_id)
         if original.entry_type is not EntryType.CONTRIBUTION:
             raise WrongEntryType(f"{contribution_id} is not a Contribution")

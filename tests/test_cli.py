@@ -202,7 +202,7 @@ def _drop_line_4_integrity(lines: list[str]) -> list[str]:
 BROKEN_CHAINS = {
     "repeated-id": (_repeat_line_3_at_the_head, 15, "duplicateId", 16, "16: duplicateId"),
     "swapped-lines": (_swap_lines_6_and_7, 5, "prevHashMismatch", 15, "6: prevHashMismatch"),
-    "no-integrity": (_drop_line_4_integrity, 3, "hashMismatch", 15, "4: prevHashMismatch"),
+    "no-integrity": (_drop_line_4_integrity, 3, "hashMismatch", 15, "4: hashMismatch"),
 }
 
 
@@ -232,6 +232,18 @@ def test_verify_reports_a_repeated_id_and_swapped_lines(lifecycle, writable, cap
     _assert_verify_reports(capsys, writable, index, kind, count)
     shutil.copy(store.head_path(lifecycle[0]), store.head_path(writable))
     _assert_verify_reports(capsys, writable, index, kind, count)
+
+
+@pytest.mark.parametrize("broken", BROKEN_CHAINS.keys())
+def test_readers_refuse_a_broken_chain_where_verify_reports_it(writable, broken):
+    # One name for one fault: a reader refuses the line after verify's first
+    # broken index, for the reason verify gives.
+    _break_chain(writable, BROKEN_CHAINS[broken][0])
+    verdict, _entries = store.verify_file(writable)
+    with pytest.raises(CorruptLine) as info:
+        read_entries(writable)
+    assert (info.value.line_number, info.value.reason) == (
+        verdict.first_broken_index + 1, verdict.failure_kind)
 
 
 def _drop_last_three(lines: list[str]) -> list[str]:
@@ -277,10 +289,10 @@ def test_verify_detects_tampering_that_keeps_the_decoded_chain(
     _assert_verify_reports(capsys, writable, index, kind, count)
     if kind == "headMismatch":  # committed lines are lost: the open refuses the file
         with pytest.raises(CorruptLine) as info:
-            LedgerFile(writable, writable=False)
+            read_entries(writable)
         assert str(info.value) == f"corrupt ledger line {index + 1}: headMismatch"
         return
-    verdict = LedgerFile(writable, writable=False).verify()
+    verdict, _entries = store.verify_file(writable)
     assert (verdict.valid, verdict.first_broken_index, verdict.failure_kind,
             verdict.entry_count) == (False, index, kind, count)
 

@@ -286,7 +286,7 @@ def test_transition_voucher_and_a_raw_append_refuse_alike(tmp_path, walk, attemp
         issue_voucher(ledger, voucher_payload(), voucher_id="pl:voucher:gen:001")
         for step in walk:
             transition_voucher(ledger, "pl:voucher:gen:001", step)
-        latest = ledger.entries[-1]
+        latest = ledger.snapshot.entries[-1]
         revision = EntryEnvelope(
             id=ledger.snapshot.next_revision_id("pl:voucher:gen:001"),
             entry_type=EntryType.VOUCHER,
@@ -535,7 +535,7 @@ def test_gate_check_is_pure(tmp_path):
         activated_voucher(ledger, "pause")
     before = path.read_bytes()
     entries = read_entries(path)
-    with LedgerFile(path, writable=False) as ledger:
+    with LedgerFile(path) as ledger:
         first = gate_check(ledger, "image-generation", GEN_ARTIFACT,
                            "v1", "workshop", stamp(600))
         second = gate_check(ledger, "image-generation", GEN_ARTIFACT,
@@ -898,7 +898,7 @@ def test_accrue_credits_appends_and_reports(tmp_path):
         assert minted[0].created_at == stamp(800)
         assert report.credits == minted
         assert report.total_units() == Decimal("10")
-        assert minted[0].id in {e.id for e in ledger.entries}
+        assert minted[0].id in ledger.snapshot.by_id
 
         doc = report.to_doc()
         assert doc["window"] == {"start": WINDOW[0], "end": WINDOW[1]}

@@ -34,7 +34,7 @@ from pledger.harness import (
 )
 from pledger import model
 from pledger.model import ActorRef, MeasurementProcedure
-from pledger.store import LedgerFile
+from pledger.store import LedgerFile, verify_file
 
 EVALUATOR = ActorRef(role="evaluator", pseudonym="E1")
 
@@ -451,7 +451,7 @@ def test_triage_incident_appends_motivated_test(tmp_path):
         assert test.id == "pl:test:seating-comfort:001"
         assert incident.id in test.payload.motivated_by
         assert test.links.motivates == [incident.id]
-        assert led.verify().valid
+        assert verify_file(led.path)[0].valid
 
         again = triage_incident(led, incident.id, copy.deepcopy(draft),
                                 created_at=stamp(651))

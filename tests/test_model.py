@@ -42,7 +42,7 @@ from pledger.governance import (
     SuppressedEvent,
     _Event,
 )
-from pledger.graph import LinkageReport, TraceResult
+from pledger.graph import LinkageReport, RedactionMarker, TraceResult
 from pledger.harness import RegressionEvent, SuiteReport
 from pledger.integrity import ChainVerdict, SignatureReport, SignatureVerdict
 from pledger.model import (
@@ -85,7 +85,7 @@ from pledger.query import (
     SavedQuery,
     _Token,
 )
-from pledger.store import RedactionMarker, read_entries
+from pledger.store import read_entries
 
 
 def test_sample_document_round_trips_exactly():

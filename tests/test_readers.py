@@ -9,6 +9,7 @@ every entry) shows up here.
 
 from __future__ import annotations
 
+import pytest
 from conftest import (
     make_artifact,
     make_change,
@@ -20,10 +21,11 @@ from conftest import (
     stamp,
 )
 
+from pledger.errors import UnknownNode
 from pledger.evidence import audit_corpus, build_export, check_export_conformance, \
     flag_consent_violations
 from pledger.governance import CreditPolicy, compute_accrual, credit_report, gate_check
-from pledger.graph import build_graph, linkage_completeness
+from pledger.graph import RedactionMarker, Snapshot, build_graph, linkage_completeness
 from pledger.harness import detect_regressions, run_suite, verify_replay
 from pledger.model import (
     ActorRef,
@@ -177,8 +179,34 @@ def test_the_evidence_graph_and_query_readers():
     assert changes.rows == EXPECTED_CHANGE_ROWS
 
 
+def test_the_payload_view():
+    entries = awkward_entries()
+    snapshot = Snapshot(entries)
+    markers = [snapshot.payload_view(marker.target_id) for marker in EXPECTED_MARKERS]
+    assert markers == EXPECTED_MARKERS
+    hidden = {marker.target_id for marker in EXPECTED_MARKERS}
+    assert all(snapshot.payload_view(e.id) is e.payload for e in entries if e.id not in hidden)
+    # A later tombstone on the same target leaves the first one's marker.
+    again = replace(make_tombstone("pl:contrib:gen:0003", minute=990), id="pl:tomb:again")
+    again.payload.reason = "legalHold"
+    snapshot.add(again)
+    assert snapshot.payload_view("pl:contrib:gen:0003") == EXPECTED_MARKERS[0]
+    with pytest.raises(UnknownNode):
+        snapshot.payload_view("pl:contrib:gen:0404")
+
+
 # ---------------------------------------------------------------------------
 # the pinned answers
+
+EXPECTED_MARKERS = [
+    RedactionMarker(target, "safetyRedaction", ZERO_REF, tomb)
+    for target, tomb in [("pl:contrib:gen:0003", "pl:tomb:contrib:gen:0003"),
+                         ("pl:run:gen:005", "pl:tomb:run:gen:005"),
+                         ("pl:credit:gen:002", "pl:tomb:credit:gen:002"),
+                         ("pl:test:gen:001", "pl:tomb:test:gen:001"),
+                         ("pl:voucher:gen:001:rev2", "pl:tomb:voucher:gen:001:rev2"),
+                         ("pl:artifact:gen:sys:v2", "pl:tomb:artifact:gen:sys:v2")]
+]
 
 EXPECTED_GATE = (
     {"allowed": False,

@@ -16,6 +16,7 @@ from pledger.errors import (
     ValidationFailed,
     WrongEntryType,
 )
+from pledger.graph import RedactionMarker
 from pledger.integrity import hmac_signer, seal, verify_chain
 from pledger.model import (
     ActorRef,
@@ -27,7 +28,6 @@ from pledger.model import (
 )
 from pledger.store import (
     LedgerFile,
-    RedactionMarker,
     head_path,
     read_entries,
     verify_file,
@@ -77,15 +77,15 @@ def test_reopen_preserves_entries_and_head(ledger_path):
         for i in range(1, 4):
             led.append(make_contribution(i))
         head = led.snapshot.head_hash
-        ids = [e.id for e in led]
+        ids = [e.id for e in led.snapshot.entries]
     with LedgerFile(ledger_path) as led:
-        assert [e.id for e in led] == ids
+        assert [e.id for e in led.snapshot.entries] == ids
         assert led.snapshot.head_hash == head
-        assert led.verify().valid
+        assert verify_file(ledger_path)[0].valid
         led.append(make_contribution(4))
-        assert led.verify().valid
+        assert verify_file(ledger_path)[0].valid
         assert led.get("pl:contrib:gen:0002").created_at == stamp(2)
-        assert led.index_of("pl:contrib:gen:0004") == 3
+        assert led.snapshot.position["pl:contrib:gen:0004"] == 3
         with pytest.raises(UnknownTarget):
             led.get("pl:contrib:gen:9999")
 
@@ -133,11 +133,11 @@ def test_failed_head_update_rolls_the_append_back(ledger_path, monkeypatch):
         assert head_path(ledger_path).read_bytes() == head_before
         assert not head_path(ledger_path).with_name("gen.pledger.head.tmp").exists()
         assert len(led) == 1 and led.snapshot.head_hash == hash_before
-        assert not led.has("pl:contrib:gen:0002")
+        assert "pl:contrib:gen:0002" not in led.snapshot.by_id
 
         sealed = led.append(make_contribution(2))
         assert sealed.integrity.prev_hash == hash_before
-        assert led.verify().valid
+        assert verify_file(ledger_path)[0].valid
         assert head_path(ledger_path).read_text("utf-8") == sealed.integrity.hash + "\n"
     assert [e.id for e in read_entries(ledger_path)] == ["pl:contrib:gen:0001",
                                                          "pl:contrib:gen:0002"]
@@ -180,9 +180,9 @@ def test_torn_tail_is_detected_and_repaired(ledger_path):
     with LedgerFile(ledger_path) as led:  # the writer's open cuts them
         assert len(led) == 2
         assert ledger_path.read_bytes() == intact[:torn.rfind(b"\n") + 1]
-        assert led.verify().valid
+        assert verify_file(ledger_path)[0].valid
         led.append(make_contribution(3))
-        assert led.verify().valid
+        assert verify_file(ledger_path)[0].valid
     assert ledger_path.read_bytes() == intact
 
 
@@ -237,7 +237,7 @@ def test_a_line_that_does_not_link_is_corrupt(ledger_path):
     unsealed = serialize_entry(make_contribution(4))
     resealed = serialize_entry(seal(make_contribution(2), led.snapshot.head_hash))
     cases = [
-        ([*lines, unsealed], 4, "prevHashMismatch", (3, "hashMismatch")),
+        ([*lines, unsealed], 4, "hashMismatch", (3, "hashMismatch")),
         ([lines[0], lines[2], lines[1]], 2, "prevHashMismatch", (1, "prevHashMismatch")),
         ([*lines, resealed], 4, "duplicateId", (3, "duplicateId")),
     ]
@@ -272,7 +272,7 @@ def test_voucher_lineage_legality_enforced_at_append(ledger_path):
                 "satisfied", lineage="pl:voucher:gen:pause:002", minute=505))
         led.append(make_voucher(
             "issued", lineage="pl:voucher:gen:pause:002", minute=506))
-        assert led.verify().valid
+        assert verify_file(ledger_path)[0].valid
 
 
 def test_issued_cannot_skip_to_terminal_states(ledger_path):
@@ -286,22 +286,22 @@ def test_issued_cannot_skip_to_terminal_states(ledger_path):
 def test_redaction_flow_and_payload_view(ledger_path):
     with LedgerFile(ledger_path) as led:
         original = led.append(make_contribution(1))
-        assert led.payload_view(original.id).summary == original.payload.summary
+        assert led.snapshot.payload_view(original.id).summary == original.payload.summary
 
         tomb = led.redact(original.id, "safetyRedaction", AUDITOR,
                           created_at=stamp(10))
         assert tomb.id == "pl:tomb:contrib:gen:0001"
         assert tomb.payload.retained_hash == original.integrity.hash
 
-        view = led.payload_view(original.id)
+        view = led.snapshot.payload_view(original.id)
         assert isinstance(view, RedactionMarker)
         assert view.reason == "safetyRedaction"
         assert view.retained_hash == original.integrity.hash
         assert view.tombstone_id == tomb.id
-        assert led.tombstones() == {original.id: tomb}
+        assert led.snapshot.hidden == {original.id: tomb}
         # The sealed history itself is untouched.
         assert led.get(original.id).payload.summary == original.payload.summary
-        assert led.verify().valid
+        assert verify_file(ledger_path)[0].valid
 
 
 def test_redaction_rejections(ledger_path):
@@ -331,9 +331,9 @@ def test_withdraw_consent_supersedes_without_editing_history(ledger_path):
         assert tomb.payload.reason == "consentWithdrawn"
         # Stored original is untouched; only the access layer masks it.
         assert led.get(original.id).consent.status == "granted"
-        assert isinstance(led.payload_view(original.id), RedactionMarker)
-        assert led.payload_view(superseding.id).summary == original.payload.summary
-        assert led.verify().valid
+        assert isinstance(led.snapshot.payload_view(original.id), RedactionMarker)
+        assert led.snapshot.payload_view(superseding.id).summary == original.payload.summary
+        assert verify_file(ledger_path)[0].valid
 
         with pytest.raises(WrongEntryType):
             led.withdraw_consent(tomb.id, STEWARD)
@@ -344,29 +344,13 @@ def test_lock_excludes_second_writer(ledger_path):
     try:
         with pytest.raises(StorageFailure):
             LedgerFile(ledger_path)
-        reader = LedgerFile(ledger_path, writable=False)
-        assert len(reader) == 0
-        reader.close()
+        assert read_entries(ledger_path) == []  # readers never lock
     finally:
         first.close()
+    with pytest.raises(StorageFailure):  # a closed writer refuses to append
+        first.append(make_contribution(1))
     second = LedgerFile(ledger_path)
     second.close()
-
-
-def test_read_only_mode(ledger_path, tmp_path):
-    with LedgerFile(ledger_path) as led:
-        led.append(make_contribution(1))
-    reader = LedgerFile(ledger_path, writable=False)
-    try:
-        assert len(reader) == 1
-        with pytest.raises(StorageFailure):
-            reader.append(make_contribution(2))
-        with pytest.raises(StorageFailure):
-            reader.redact("pl:contrib:gen:0001", "safetyRedaction", AUDITOR)
-    finally:
-        reader.close()
-    with pytest.raises(StorageFailure):
-        LedgerFile(tmp_path / "absent.pledger", writable=False)
 
 
 def test_append_does_not_mutate_caller_entry(ledger_path):
