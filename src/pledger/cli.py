@@ -4,13 +4,15 @@ Exit codes are a stable contract: 0 success/allow/valid, 1 harness fail,
 2 inconclusive, 3 gate deny, 4 verification failure, 5 validation or
 conformance failure, 64 usage error; the process entry (`__main__.run`) adds
 120 when standard output is closed early. Read commands work on snapshots; only
-the append family (append, harness run, voucher issue, credit accrue,
-redact) takes the writer lock.
+the append family (append, harness run, voucher issue, voucher transition,
+credit accrue, redact) takes the writer lock. A missing ledger path is a usage
+error for every command but the three that may start a ledger: append,
+voucher issue and credit accrue.
 
 Only the ledger core is imported here; each command imports the governance,
 evidence, harness or query module it calls, so it pays only for those.
 `integrity` is imported only by the commands that seal or verify, and `csv`
-only by `--format csv`.
+only by `--format csv`. The parser holds only the invoked command.
 """
 
 from __future__ import annotations
@@ -199,7 +201,7 @@ def _cmd_harness_run(args: argparse.Namespace) -> int:
     if not bundle.is_dir():
         raise _UsageError(f"results bundle is not a directory: {bundle}")
     evaluator = ActorRef(role=args.evaluator_role, pseudonym=args.evaluator)
-    with store.LedgerFile(_require_ledger(args)) as ledger:
+    with store.LedgerFile(_existing_ledger(args)) as ledger:
         results: dict[str, dict] = {}
         for entry in ledger.snapshot.by_type[EntryType.TEST]:
             candidate = bundle / f"{_slug(entry.id)}.result"
@@ -257,7 +259,7 @@ def _cmd_voucher_transition(args: argparse.Namespace) -> int:
     from . import governance
 
     links = LinkSet(evidence=list(args.evidence)) if args.evidence else None
-    with store.LedgerFile(_require_ledger(args)) as ledger:
+    with store.LedgerFile(_existing_ledger(args)) as ledger:
         entry = governance.transition_voucher(
             ledger, args.voucher, args.to, links=links, expiry=args.expiry,
             created_at=args.created_at, signer=_signer_from(args))
@@ -369,7 +371,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _cmd_redact(args: argparse.Namespace) -> int:
     authorization = ActorRef(role=args.role, pseudonym=args.pseudonym,
                              steward_org=args.steward_org)
-    with store.LedgerFile(_require_ledger(args)) as ledger:
+    with store.LedgerFile(_existing_ledger(args)) as ledger:
         tomb = ledger.redact(args.target, args.reason, authorization,
                              tombstone_id=args.id, created_at=args.created_at,
                              signer=_signer_from(args))
@@ -381,7 +383,17 @@ def _cmd_redact(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser wiring
 
-def build_parser() -> _Parser:
+def build_parser(argv: list[str] | None = None) -> _Parser:
+    """The argument parser for `argv`. When its first token names a command,
+    the tree holds that command alone, with all of its own subcommands: no
+    other part of the tree takes part in parsing it. Otherwise (no `argv`,
+    `-h`, an unknown name) it holds every command, so the top-level help and
+    usage errors list them all."""
+    first = argv[0] if argv else None
+
+    def wanted(command: str) -> bool:
+        return first is None or first == command
+
     common = _Parser(add_help=False)
     common.add_argument("--ledger", default=os.environ.get("PLEDGER_LEDGER"),
                         help="ledger file path (default: $PLEDGER_LEDGER)")
@@ -395,119 +407,132 @@ def build_parser() -> _Parser:
                      description="Tamper-evident participation ledger tooling.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("append", parents=[common, signing],
-                        help="validate, seal, and append one entry document")
-    p.add_argument("entry", help="entry document path, or - for stdin")
-    p.set_defaults(func=_cmd_append)
+    if wanted("append"):
+        p = subs.add_parser("append", parents=[common, signing],
+                            help="validate, seal, and append one entry document")
+        p.add_argument("entry", help="entry document path, or - for stdin")
+        p.set_defaults(func=_cmd_append)
 
-    p = subs.add_parser("verify", parents=[common, signing],
-                        help="verify the hash chain (and signatures with a key)")
-    p.set_defaults(func=_cmd_verify)
+    if wanted("verify"):
+        p = subs.add_parser("verify", parents=[common, signing],
+                            help="verify the hash chain (and signatures with a key)")
+        p.set_defaults(func=_cmd_verify)
 
-    p = subs.add_parser("query", parents=[common], help="run a graph pattern query")
-    p.add_argument("query", nargs="?", help="query text")
-    p.add_argument("--file", help="read the query from a .plq file")
-    p.add_argument("--saved", help="run a named saved query")
-    p.add_argument("--param", action="append", metavar="NAME=VALUE",
-                   help="saved-query parameter")
-    p.add_argument("--explain", action="store_true",
-                   help="write the bind order and candidate-set sizes to stderr")
-    p.set_defaults(func=_cmd_query)
+    if wanted("query"):
+        p = subs.add_parser("query", parents=[common], help="run a graph pattern query")
+        p.add_argument("query", nargs="?", help="query text")
+        p.add_argument("--file", help="read the query from a .plq file")
+        p.add_argument("--saved", help="run a named saved query")
+        p.add_argument("--param", action="append", metavar="NAME=VALUE",
+                       help="saved-query parameter")
+        p.add_argument("--explain", action="store_true",
+                       help="write the bind order and candidate-set sizes to stderr")
+        p.set_defaults(func=_cmd_query)
 
-    harness_group = subs.add_parser("harness", help="evaluation harness").add_subparsers(
-        dest="harness_command", required=True)
-    p = harness_group.add_parser("run", parents=[common, signing],
-                                 help="run every live test from a results bundle")
-    p.add_argument("--results", required=True,
-                   help="directory of <test-id-slug>.result documents")
-    p.add_argument("--artifact", required=True, help="artifact id under evaluation")
-    p.add_argument("--version", required=True, help="declared artifact version")
-    p.add_argument("--checkpoint", required=True, help="evaluation checkpoint")
-    p.add_argument("--evaluator", default="harness", help="evaluator pseudonym")
-    p.add_argument("--evaluator-role", default="evaluator", help="evaluator role")
-    p.add_argument("--created-at", help="timestamp override for the run entries")
-    p.set_defaults(func=_cmd_harness_run)
+    if wanted("harness"):
+        harness_group = subs.add_parser("harness", help="evaluation harness").add_subparsers(
+            dest="harness_command", required=True)
+        p = harness_group.add_parser("run", parents=[common, signing],
+                                     help="run every live test from a results bundle")
+        p.add_argument("--results", required=True,
+                       help="directory of <test-id-slug>.result documents")
+        p.add_argument("--artifact", required=True, help="artifact id under evaluation")
+        p.add_argument("--version", required=True, help="declared artifact version")
+        p.add_argument("--checkpoint", required=True, help="evaluation checkpoint")
+        p.add_argument("--evaluator", default="harness", help="evaluator pseudonym")
+        p.add_argument("--evaluator-role", default="evaluator", help="evaluator role")
+        p.add_argument("--created-at", help="timestamp override for the run entries")
+        p.set_defaults(func=_cmd_harness_run)
 
-    gate_group = subs.add_parser("gate", help="release gating").add_subparsers(
-        dest="gate_command", required=True)
-    p = gate_group.add_parser("check", parents=[common],
-                              help="evaluate vouchers for a capability release")
-    p.add_argument("--capability", required=True)
-    p.add_argument("--boundary", required=True)
-    p.add_argument("--version", required=True)
-    p.add_argument("--artifact", help="artifact id (defaults to the only lineage)")
-    p.add_argument("--now", help="evaluation time (default: current time)")
-    p.set_defaults(func=_cmd_gate_check)
+    if wanted("gate"):
+        gate_group = subs.add_parser("gate", help="release gating").add_subparsers(
+            dest="gate_command", required=True)
+        p = gate_group.add_parser("check", parents=[common],
+                                  help="evaluate vouchers for a capability release")
+        p.add_argument("--capability", required=True)
+        p.add_argument("--boundary", required=True)
+        p.add_argument("--version", required=True)
+        p.add_argument("--artifact", help="artifact id (defaults to the only lineage)")
+        p.add_argument("--now", help="evaluation time (default: current time)")
+        p.set_defaults(func=_cmd_gate_check)
 
-    voucher_group = subs.add_parser("voucher", help="capability vouchers").add_subparsers(
-        dest="voucher_command", required=True)
-    p = voucher_group.add_parser("issue", parents=[common, signing],
-                                 help="append a steward voucher from a payload document")
-    p.add_argument("--payload", required=True, help="voucher payload document path")
-    p.add_argument("--id", help="voucher entry id (default: derived)")
-    p.add_argument("--evidence", action="append", default=[],
-                   help="evidence link target (repeatable)")
-    p.add_argument("--created-at")
-    p.set_defaults(func=_cmd_voucher_issue)
-    p = voucher_group.add_parser("transition", parents=[common, signing],
-                                 help="move a voucher lineage to a new status")
-    p.add_argument("--voucher", required=True, help="voucher lineage id")
-    p.add_argument("--to", required=True, help="new status")
-    p.add_argument("--evidence", action="append", default=[])
-    p.add_argument("--expiry")
-    p.add_argument("--created-at")
-    p.set_defaults(func=_cmd_voucher_transition)
+    if wanted("voucher"):
+        voucher_group = subs.add_parser("voucher", help="capability vouchers").add_subparsers(
+            dest="voucher_command", required=True)
+        p = voucher_group.add_parser("issue", parents=[common, signing],
+                                     help="append a steward voucher from a payload document")
+        p.add_argument("--payload", required=True, help="voucher payload document path")
+        p.add_argument("--id", help="voucher entry id (default: derived)")
+        p.add_argument("--evidence", action="append", default=[],
+                       help="evidence link target (repeatable)")
+        p.add_argument("--created-at")
+        p.set_defaults(func=_cmd_voucher_issue)
+        p = voucher_group.add_parser("transition", parents=[common, signing],
+                                     help="move a voucher lineage to a new status")
+        p.add_argument("--voucher", required=True, help="voucher lineage id")
+        p.add_argument("--to", required=True, help="new status")
+        p.add_argument("--evidence", action="append", default=[])
+        p.add_argument("--expiry")
+        p.add_argument("--created-at")
+        p.set_defaults(func=_cmd_voucher_transition)
 
-    credit_group = subs.add_parser("credit", help="participation credit").add_subparsers(
-        dest="credit_command", required=True)
-    p = credit_group.add_parser("accrue", parents=[common, signing],
-                                help="mint credits for qualifying events in a window")
-    p.add_argument("--policy", required=True, help="credit policy document path")
-    p.add_argument("--window-start", required=True)
-    p.add_argument("--window-end", required=True)
-    p.add_argument("--created-at")
-    p.set_defaults(func=_cmd_credit_accrue)
-    p = credit_group.add_parser("report", parents=[common],
-                                help="statement of credits for one beneficiary")
-    p.add_argument("--beneficiary", required=True)
-    p.add_argument("--window-start", required=True)
-    p.add_argument("--window-end", required=True)
-    p.set_defaults(func=_cmd_credit_report)
+    if wanted("credit"):
+        credit_group = subs.add_parser("credit", help="participation credit").add_subparsers(
+            dest="credit_command", required=True)
+        p = credit_group.add_parser("accrue", parents=[common, signing],
+                                    help="mint credits for qualifying events in a window")
+        p.add_argument("--policy", required=True, help="credit policy document path")
+        p.add_argument("--window-start", required=True)
+        p.add_argument("--window-end", required=True)
+        p.add_argument("--created-at")
+        p.set_defaults(func=_cmd_credit_accrue)
+        p = credit_group.add_parser("report", parents=[common],
+                                    help="statement of credits for one beneficiary")
+        p.add_argument("--beneficiary", required=True)
+        p.add_argument("--window-start", required=True)
+        p.add_argument("--window-end", required=True)
+        p.set_defaults(func=_cmd_credit_report)
 
-    audit_group = subs.add_parser("audit", help="evidence and linkage audits").add_subparsers(
-        dest="audit_command", required=True)
-    p = audit_group.add_parser("evidence", parents=[common],
-                               help="evidence coverage matrix")
-    p.add_argument("--cases", help="per-case coding document (document mode)")
-    p.set_defaults(func=_cmd_audit_evidence)
-    p = audit_group.add_parser("linkage", parents=[common],
-                               help="contribution-change-test linkage completeness")
-    p.set_defaults(func=_cmd_audit_linkage)
-    p = audit_group.add_parser("conformance", parents=[common],
-                               help="check a release export against the four clauses")
-    p.add_argument("--export", required=True, help="release export document path")
-    p.set_defaults(func=_cmd_audit_conformance)
-    p = audit_group.add_parser("consent", parents=[common],
-                               help="flag changes that violate consent terms")
-    p.set_defaults(func=_cmd_audit_consent)
+    if wanted("audit"):
+        audit_group = subs.add_parser("audit", help="evidence and linkage audits").add_subparsers(
+            dest="audit_command", required=True)
+        p = audit_group.add_parser("evidence", parents=[common],
+                                   help="evidence coverage matrix")
+        p.add_argument("--cases", help="per-case coding document (document mode)")
+        p.set_defaults(func=_cmd_audit_evidence)
+        p = audit_group.add_parser("linkage", parents=[common],
+                                   help="contribution-change-test linkage completeness")
+        p.set_defaults(func=_cmd_audit_linkage)
+        p = audit_group.add_parser("conformance", parents=[common],
+                                   help="check a release export against the four clauses")
+        p.add_argument("--export", required=True, help="release export document path")
+        p.set_defaults(func=_cmd_audit_conformance)
+        p = audit_group.add_parser("consent", parents=[common],
+                                   help="flag changes that violate consent terms")
+        p.set_defaults(func=_cmd_audit_consent)
 
-    p = subs.add_parser("export", parents=[common],
-                        help="self-contained release export")
-    p.add_argument("--release", required=True, metavar="ARTIFACT@VERSION")
-    p.add_argument("--now", help="gate evaluation time for active vouchers")
-    p.add_argument("--out", help="write to a file instead of stdout")
-    p.set_defaults(func=_cmd_export)
+    if wanted("export"):
+        p = subs.add_parser("export", parents=[common],
+                            help="self-contained release export")
+        p.add_argument("--release", required=True, metavar="ARTIFACT@VERSION")
+        p.add_argument("--now", help="gate evaluation time for active vouchers")
+        p.add_argument("--out", help="write to a file instead of stdout")
+        p.set_defaults(func=_cmd_export)
 
-    p = subs.add_parser("redact", parents=[common, signing],
-                        help="tombstone an entry's payload")
-    p.add_argument("--target", required=True, help="entry id to redact")
-    p.add_argument("--reason", required=True)
-    p.add_argument("--role", required=True, help="authorizing role")
-    p.add_argument("--pseudonym")
-    p.add_argument("--steward-org")
-    p.add_argument("--id", help="tombstone entry id (default: derived)")
-    p.add_argument("--created-at")
-    p.set_defaults(func=_cmd_redact)
+    if wanted("redact"):
+        p = subs.add_parser("redact", parents=[common, signing],
+                            help="tombstone an entry's payload")
+        p.add_argument("--target", required=True, help="entry id to redact")
+        p.add_argument("--reason", required=True)
+        p.add_argument("--role", required=True, help="authorizing role")
+        p.add_argument("--pseudonym")
+        p.add_argument("--steward-org")
+        p.add_argument("--id", help="tombstone entry id (default: derived)")
+        p.add_argument("--created-at")
+        p.set_defaults(func=_cmd_redact)
+
+    if first is not None and first not in subs.choices:
+        return build_parser()  # not a command name: the whole tree
     return parser
 
 
@@ -515,9 +540,9 @@ _VERIFY_FAILURES = (CorruptLine, StorageFailure)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64

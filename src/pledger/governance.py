@@ -18,7 +18,6 @@ and a gate check or credit report never loads that module.
 
 from __future__ import annotations
 
-import copy
 from decimal import ROUND_HALF_EVEN, Decimal
 from typing import Any
 
@@ -120,6 +119,8 @@ def transition_voucher(ledger: Any, voucher_id: str, new_status: str, *,
     checks; it and the revision counter follow every revision, tombstoned
     ones included. Illegal lifecycle moves raise IllegalTransition.
     """
+    import copy
+
     snapshot = Snapshot.of(ledger)
     live = _live_revisions(snapshot, voucher_id)
     if not live:

@@ -10,7 +10,6 @@ so every stored decision can be recomputed bit for bit.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Any, Iterable
 
 from .errors import (
@@ -81,6 +80,8 @@ def decide(measurement: MeasurementProcedure, raw_results: Any) -> str:
                         f"scores must be numbers in [0, {measurement.scale_max}]")
         if len(scores) < measurement.min_raters:
             return "inconclusive"
+        from fractions import Fraction
+
         flat = [v for row in scores for v in row]
         mean = Fraction(sum(Fraction(v) for v in flat), len(flat))
         return "pass" if mean >= Fraction(measurement.pass_mean) else "fail"

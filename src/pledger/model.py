@@ -217,59 +217,49 @@ def _not_object(value: Any, where: str) -> NoReturn:
 # Every record class is built by `record` from its annotated rows, in
 # declaration order: a row's value is its default, and a class (`list`,
 # `dict`, `LinkSet`) as the default means a fresh instance of it per record.
-# `record` compiles `__init__` from the rows and gives the class equality and
+# `record` generates `__init__` from the rows and gives the class equality and
 # a repr that read the fields through one attribute getter, and no hash.
 # `replace` copies a record through its `__init__`.
 #
 # Each block of an entry is a record whose wire fields are declared with
 # `wire()`, so the class body is its one field table: every row names the
 # wire key, the attribute, the nested codec and (through the default) the
-# omit rule. `@codec(where)` compiles the table into one straight-line
-# `from_doc` and one `to_doc`, in the same source as `__init__`. Keys a table
-# does not name are kept in the block's `extensions` map, so they survive a
-# round trip and stay inside the hashed content.
+# omit rule. `@codec(where)` generates from the table one straight-line
+# `from_doc`, one `to_doc` and one `check`. Keys a table does not name are
+# kept in the block's `extensions` map, so they survive a round trip and stay
+# inside the hashed content.
+#
+# Generated source is compiled by `_on_first_call` when the method is first
+# called, so a command pays only for the methods it runs. `from_doc` is the
+# exception: it is compiled with its class, because a table's decoder binds
+# its nested blocks' `from_doc` when it is compiled.
 
 # A row without a default; in `from_doc`, a key that is absent.
 MISSING = object()
 
 
-def _build(cls: type, slots: bool, uncompared: tuple = ()) -> tuple[type, list, dict]:
-    """Remake `cls` as a record class (slotted with `slots`), and return it
-    with the source lines of its `__init__` and the names that source reads.
-    Fields named in `uncompared` are left out of equality."""
-    attrs = tuple(cls.__annotations__)
-    names, params, body = {"MISSING": MISSING}, [], []
-    for i, attr in enumerate(attrs):
-        default = vars(cls).get(attr, MISSING)
-        names[f"d{i}"] = default = default.default if isinstance(default, Wire) else default
-        if isinstance(default, type):  # a fresh instance per record
-            new = "[]" if default is list else "{}" if default is dict else f"d{i}()"
-            params.append(f"{attr}=MISSING")
-            body.append(f"    self.{attr} = {new} if {attr} is MISSING else {attr}")
-        else:
-            params.append(attr if default is MISSING else f"{attr}=d{i}")
-            body.append(f"    self.{attr} = {attr}")
-    namespace = {k: v for k, v in vars(cls).items()
-                 if k not in attrs and k not in ("__dict__", "__weakref__")}
-    if slots:
-        namespace["__slots__"] = attrs
-    qualname, cls = cls.__qualname__, type(cls.__name__, cls.__bases__, namespace)
-    cls.__qualname__ = qualname
-    # The getters end with `__class__`, so even a one-field record gets a tuple.
-    values = attrgetter(*attrs, "__class__")
-    compared = attrgetter(*(a for a in attrs if a not in uncompared), "__class__")
+def _define(name: str, label: str, lines: list[str], names: dict) -> Any:
+    """Compile the source `lines`, which read `names`, under the file name
+    `label`, and return the function `name` it defines."""
+    exec(compile("\n".join(lines) + "\n", label, "exec"), names)
+    return names[name]
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return compared(self) == compared(other)
-        return NotImplemented
 
-    def __repr__(self):
-        pairs = ", ".join(f"{attr}={value!r}" for attr, value in zip(attrs, values(self)))
-        return f"{self.__class__.__qualname__}({pairs})"
+def _on_first_call(cls: type, name: str, label: str, source: Any) -> None:
+    """Make `cls.<name>` a stand-in for a generated method: its first call
+    compiles the method from `source()`, its lines and the names they read,
+    puts it in the stand-in's place and calls it. `label` is the file name
+    the compiled method carries; the stand-in carries it too, as `label`."""
+    qualname = f"{cls.__qualname__}.{name}"
 
-    cls.__eq__, cls.__repr__, cls.__hash__, cls.__match_args__ = __eq__, __repr__, None, attrs
-    return cls, [f"def __init__(self, {', '.join(params)}):", *body], names
+    def stand_in(self, *args, **kwargs):
+        method = _define(name, label, *source())
+        method.__qualname__ = qualname
+        setattr(cls, name, method)
+        return method(self, *args, **kwargs)
+
+    stand_in.__qualname__, stand_in.label = qualname, label
+    setattr(cls, name, stand_in)
 
 
 def record(cls: type | None = None, /, *, slots: bool = False, uncompared: tuple = ()):
@@ -277,10 +267,43 @@ def record(cls: type | None = None, /, *, slots: bool = False, uncompared: tuple
     above). With `slots`, instances have no `__dict__`; fields named in
     `uncompared` are left out of equality."""
     def build(cls: type) -> type:
-        cls, init, names = _build(cls, slots, uncompared)
-        exec(compile("\n".join(init) + "\n", f"<record {cls.__name__}>", "exec"), names)
-        cls.__init__ = names["__init__"]
-        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        attrs = tuple(cls.__annotations__)
+        defaults = [vars(cls).get(attr, MISSING) for attr in attrs]
+        defaults = [d.default if isinstance(d, Wire) else d for d in defaults]
+        namespace = {k: v for k, v in vars(cls).items()
+                     if k not in attrs and k not in ("__dict__", "__weakref__")}
+        if slots:
+            namespace["__slots__"] = attrs
+        qualname, cls = cls.__qualname__, type(cls.__name__, cls.__bases__, namespace)
+        cls.__qualname__ = qualname
+        # The getters end with `__class__`, so even a one-field record gets a tuple.
+        values = attrgetter(*attrs, "__class__")
+        compared = attrgetter(*(a for a in attrs if a not in uncompared), "__class__")
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return compared(self) == compared(other)
+            return NotImplemented
+
+        def __repr__(self):
+            pairs = ", ".join(f"{attr}={value!r}" for attr, value in zip(attrs, values(self)))
+            return f"{self.__class__.__qualname__}({pairs})"
+
+        def init_source() -> tuple[list[str], dict]:
+            names, params, body = {"MISSING": MISSING}, [], []
+            for i, (attr, default) in enumerate(zip(attrs, defaults)):
+                names[f"d{i}"] = default
+                if isinstance(default, type):  # a fresh instance per record
+                    new = "[]" if default is list else "{}" if default is dict else f"d{i}()"
+                    params.append(f"{attr}=MISSING")
+                    body.append(f"    self.{attr} = {new} if {attr} is MISSING else {attr}")
+                else:
+                    params.append(attr if default is MISSING else f"{attr}=d{i}")
+                    body.append(f"    self.{attr} = {attr}")
+            return [f"def __init__(self, {', '.join(params)}):", *body], names
+
+        cls.__eq__, cls.__repr__, cls.__hash__, cls.__match_args__ = __eq__, __repr__, None, attrs
+        _on_first_call(cls, "__init__", f"<record {cls.__name__}>", init_source)
         return cls
     return build if cls is None else build(cls)
 
@@ -399,49 +422,21 @@ _ENCODE = {"raw": "{}", "object": "{}", "copy": "_copied({})", "strings": "list(
            "block": "{}.to_doc()", "blocks": "[x.to_doc() for x in {}]"}
 
 
-def _compile(cls: type, where: str, checks: bool = False, init: tuple = ((), {})) -> dict:
-    """Compile one field table into `from_doc` and `to_doc` functions, in one
-    source with the `__init__` lines and names of `init`; or, with `checks`,
-    into the `check(self, where, report)` that validation calls.
+def _decoder(cls: type, where: str) -> tuple[list[str], dict]:
+    """The source of a table's `from_doc` and the names it reads.
 
     `from_doc` fills the slots of a bare instance directly: these blocks have
     no `__post_init__`, and skipping `__init__` saves a third of their cost.
-    `check` applies each row's check in table order (a row omitted when None
-    only when set), calls `check` on the nested blocks the table walks, then the
-    block's `cross_check`, if it has one.
     """
     names = {"new": object.__new__, "cls": cls, "MISSING": MISSING, "_NO_BLOCK": _NO_BLOCK,
              "_strings": _strings, "_not_object": _not_object, "_rest": _rest,
-             "_copied": _copied, "MalformedDocument": MalformedDocument,
+             "MalformedDocument": MalformedDocument,
              "KNOWN": frozenset(row.name for row in cls.FIELDS)}
-    if checks:
-        chk = ["def check(self, where, report):", "    add = report.add"]
-        for i, row in enumerate(cls.CHECKS):
-            names[f"t{i}"], names[f"m{i}"] = row.test, row.message
-            here, item = f"where + {'.' + row.name!r}", f"f'{{where}}.{row.name}[{{i}}]'"
-            loop = f"    for i, v in enumerate(self.{row.attr}):"
-            if row.kind == "block":
-                chk.append(f"    self.{row.attr}.check({here}, report)")
-            elif row.kind == "blocks":
-                chk += [loop, f"        v.check({item}, report)"]
-            elif row.kind == "strings":
-                chk += [loop, f"        if not t{i}(v):",
-                        f"            add({item}, {row.rule!r}, m{i}.format(v))"]
-            else:
-                skip = "v is not None and " if row.omit == OMIT_NONE else ""
-                chk += [f"    v = self.{row.attr}", f"    if {skip}not t{i}(v):",
-                        f"        add({here}, {row.rule!r}, m{i}.format(v))"]
-        if "cross_check" in cls.__dict__:
-            chk.append("    self.cross_check(where, report)")
-        exec(compile("\n".join(chk) + "\n", f"<checks {cls.__name__}>", "exec"), names)
-        return names
     dec = [f"def from_doc(doc, where={where!r}):",
            "    if not isinstance(doc, dict):",
            "        _not_object(doc, where)",
            "    get = doc.get",
            "    o = new(cls)"]
-    enc = ["def to_doc(self):", "    d = {"]
-    literal = True
     for i, row in enumerate(cls.FIELDS):
         key, here, slot, kind = repr(row.name), f"{where}.{row.name}", f"o.{row.attr}", row.kind
         if kind in ("block", "blocks"):
@@ -468,8 +463,18 @@ def _compile(cls: type, where: str, checks: bool = False, init: tuple = ((), {})
                         f"        {slot} = [dec{i}(x, {here + '[]'!r}) for x in v]"]
             else:
                 dec.append(f"        {slot} = dec{i}(v, {here!r})")
+    if "extensions" in cls.__match_args__:
+        dec.append("    o.extensions = {} if KNOWN.issuperset(doc) else _rest(doc, KNOWN)")
+    dec.append("    return o")
+    return dec, names
 
-        value = _ENCODE[kind]
+
+def _encoder(cls: type) -> tuple[list[str], dict]:
+    """The source of a table's `to_doc` and the names it reads."""
+    enc = ["def to_doc(self):", "    d = {"]
+    literal = True
+    for row in cls.FIELDS:
+        key, value = repr(row.name), _ENCODE[row.kind]
         if row.omit == ALWAYS and literal:  # leading always-written keys
             enc.append(f"        {key}: {value.format('self.' + row.attr)},")
             continue
@@ -480,51 +485,69 @@ def _compile(cls: type, where: str, checks: bool = False, init: tuple = ((), {})
             enc.append(f"    d[{key}] = {value.format('self.' + row.attr)}")
         else:
             test = "v is not None" if row.omit == OMIT_NONE else "v"
-            if kind == "copy":  # as Wire.encode: a non-list is never omitted
+            if row.kind == "copy":  # as Wire.encode: a non-list is never omitted
                 test += " or not isinstance(v, list)"
             enc += [f"    v = self.{row.attr}", f"    if {test}:",
                     f"        d[{key}] = {value.format('v')}"]
     if literal:
         enc.append("    }")
     if "extensions" in cls.__match_args__:
-        dec.append("    o.extensions = {} if KNOWN.issuperset(doc) else _rest(doc, KNOWN)")
         enc += ["    if self.extensions:", "        d.update(self.extensions)"]
-    dec.append("    return o")
     enc.append("    return d")
-    lines, defaults = init
-    names.update(defaults)
-    exec(compile("\n".join([*lines, *dec, *enc]) + "\n", f"<codec {cls.__name__}>", "exec"), names)
-    return names
+    return enc, {"_copied": _copied}
 
 
-def _check_first(self, where: str, report: ValidationReport) -> None:
-    """A block's `check` until its first call compiles the real one."""
-    cls = self.__class__
-    cls.check = _compile(cls, "", checks=True)["check"]
-    cls.check(self, where, report)
+def _checker(cls: type) -> tuple[list[str], dict]:
+    """The source of a table's `check(self, where, report)`, which validation
+    calls, and the names it reads.
+
+    `check` applies each row's check in table order (a row omitted when None
+    only when set), calls `check` on the nested blocks the table walks, then the
+    block's `cross_check`, if it has one.
+    """
+    names: dict = {}
+    chk = ["def check(self, where, report):", "    add = report.add"]
+    for i, row in enumerate(cls.CHECKS):
+        names[f"t{i}"], names[f"m{i}"] = row.test, row.message
+        here, item = f"where + {'.' + row.name!r}", f"f'{{where}}.{row.name}[{{i}}]'"
+        loop = f"    for i, v in enumerate(self.{row.attr}):"
+        if row.kind == "block":
+            chk.append(f"    self.{row.attr}.check({here}, report)")
+        elif row.kind == "blocks":
+            chk += [loop, f"        v.check({item}, report)"]
+        elif row.kind == "strings":
+            chk += [loop, f"        if not t{i}(v):",
+                    f"            add({item}, {row.rule!r}, m{i}.format(v))"]
+        else:
+            skip = "v is not None and " if row.omit == OMIT_NONE else ""
+            chk += [f"    v = self.{row.attr}", f"    if {skip}not t{i}(v):",
+                    f"        add({here}, {row.rule!r}, m{i}.format(v))"]
+    if "cross_check" in cls.__dict__:
+        chk.append("    self.cross_check(where, report)")
+    return chk, names
 
 
 def codec(where: str):
-    """Class decorator: make a slotted record class and compile its field table.
+    """Class decorator: make a slotted record class and generate the methods
+    of its field table.
 
     `where` names the block in error messages, e.g. "run" or "test.measurement".
     """
     def build(cls: type) -> type:
         rows = [(attr, row) for attr, row in vars(cls).items() if isinstance(row, Wire)]
-        cls, init, names = _build(cls, slots=True)
+        cls = record(cls, slots=True)
         prefix = where.rpartition(".")[2].removesuffix("[]")
         for attr, row in rows:
             row.attr, row.rule = attr, row.rule or f"{prefix}.{row.name}"
         cls.FIELDS = tuple(row for _attr, row in rows)
         # Validation checks the rows with a check and the nested blocks whose
-        # own table checks something; `check` is compiled on its first call.
+        # own table checks something.
         cls.CHECKS = tuple(row for row in cls.FIELDS if row.test or row.kind in ("block", "blocks")
                            and any(inner.test for inner in row.block.FIELDS))
-        cls.check = _check_first
-        namespace = _compile(cls, where, init=(init, names))
-        cls.__init__, cls.to_doc = namespace["__init__"], namespace["to_doc"]
-        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
-        cls.from_doc = staticmethod(namespace["from_doc"])
+        label = f"<codec {cls.__name__}>"
+        cls.from_doc = staticmethod(_define("from_doc", label, *_decoder(cls, where)))
+        _on_first_call(cls, "to_doc", label, lambda: _encoder(cls))
+        _on_first_call(cls, "check", f"<checks {cls.__name__}>", lambda: _checker(cls))
         return cls
     return build
 

@@ -13,7 +13,6 @@ intact.
 
 from __future__ import annotations
 
-import copy
 import os
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -175,8 +174,7 @@ class LedgerFile:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.touch(exist_ok=True)
-        self._fh = open(self.path, "a+b")
+        self._fh = open(self.path, "a+b")  # creates a missing file, leaves one as it is
         try:
             if fcntl is not None:
                 try:
@@ -317,6 +315,8 @@ class LedgerFile:
         withdrawn, id `<base>:rev<k>`) and a Tombstone on the original.
         Returns (superseding entry, tombstone entry).
         """
+        import copy
+
         self._require_open()
         original = self.get(contribution_id)
         if original.entry_type is not EntryType.CONTRIBUTION:

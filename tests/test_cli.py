@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import gc
 import hashlib
 import io
 import json
+import os
 import shutil
 
 import pytest
@@ -14,7 +16,7 @@ from conftest import make_artifact, make_test
 
 from pledger import store
 from pledger.canonical import canonical_json
-from pledger.cli import main
+from pledger.cli import _UsageError, build_parser, main
 from pledger.errors import CorruptLine
 from pledger.evidence import build_export
 from pledger.fixtures import (
@@ -431,6 +433,54 @@ def test_an_unfinished_append_is_left_out_then_cut(lifecycle, writable, capsys):
         == (0, "chain valid, 15 entries\n", "")
 
 
+def test_a_refused_writer_open_leaves_the_file_untouched(lifecycle, writable, capsys):
+    # The last line dropped with the `.head` that names it kept: the open is
+    # refused, and neither the bytes nor the modification time change.
+    shutil.copy(store.head_path(lifecycle[0]), store.head_path(writable))
+    writable.write_bytes(_drop_the_last_line(writable.read_bytes()))
+    before = writable.read_bytes()
+    stamp = 1_577_836_800_000_000_000  # 2020-01-01T00:00:00Z
+    os.utime(writable, ns=(stamp, stamp))
+    code, _out, _err = run_cli(capsys, *LEDGER_WRITERS["redact"], "--ledger", str(writable))
+    assert code == 4
+    assert writable.stat().st_mtime_ns == stamp
+    assert writable.read_bytes() == before
+
+
+# The writers that need entries already in the ledger, with the arguments they
+# need besides --ledger; `{dir}` is a directory that exists.
+EXISTING_LEDGER_WRITERS = {
+    "redact": LEDGER_WRITERS["redact"],
+    "voucher-transition": ["voucher", "transition", "--voucher", VOUCHER_ID, "--to", "active"],
+    "harness-run": ["harness", "run", "--results", "{dir}", "--artifact", ARTIFACT_ID,
+                    "--version", "v3", "--checkpoint", "scheduledAudit"],
+}
+
+
+@pytest.mark.parametrize("argv", EXISTING_LEDGER_WRITERS.values(),
+                         ids=EXISTING_LEDGER_WRITERS.keys())
+def test_writers_that_need_entries_refuse_a_missing_ledger(tmp_path, capsys, argv):
+    # Answered as a reader answers it, and nothing is created.
+    (tmp_path / "results").mkdir()
+    missing = tmp_path / "nodir" / "new.pledger"
+    argv = [arg.format(dir=tmp_path / "results") for arg in argv]
+    assert run_cli(capsys, *argv, "--ledger", str(missing)) \
+        == (64, "", f"usage error: no ledger at {missing}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["results"]
+
+
+def test_credit_accrue_may_start_a_ledger(tmp_path, capsys):
+    # As append and voucher issue may: it creates the ledger and its directory.
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps(POLICY_DOC), "utf-8")
+    new = tmp_path / "nodir" / "new.pledger"
+    code, out, err = run_cli(capsys, "credit", "accrue", "--ledger", str(new),
+                             "--policy", str(policy), "--window-start", "2025-05-01T00:00:00Z",
+                             "--window-end", "2025-07-31T00:00:00Z")
+    assert (code, out, err) == (0, "total units: 0\n", "")
+    assert new.read_bytes() == b""
+
+
 def test_ledger_env_default_and_override(lifecycle, monkeypatch, capsys):
     path, _ids, _entries = lifecycle
     monkeypatch.setenv("PLEDGER_LEDGER", str(path))
@@ -448,6 +498,53 @@ def test_help_and_unknown_command(capsys):
     code, _out, err = run_cli(capsys, "frobnicate")
     assert code == 64
     assert "usage error" in err
+
+
+def _command_paths(parser: argparse.ArgumentParser, path: tuple = ()):
+    """(command path, parser) for the parser and every subcommand under it."""
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _command_paths(sub, (*path, name))
+
+
+FULL_TREE = dict(_command_paths(build_parser()))
+
+
+def test_the_full_tree_holds_every_command():
+    assert len(FULL_TREE) == 21  # the top level, 5 groups, 15 leaves
+    assert [path[0] for path in FULL_TREE if len(path) == 1] == [
+        "append", "verify", "query", "harness", "gate", "voucher", "credit", "audit",
+        "export", "redact"]
+
+
+@pytest.mark.parametrize("path", FULL_TREE, ids=lambda path: " ".join(path) or "top")
+def test_each_command_path_gets_the_help_of_the_full_tree(capsys, path):
+    # The parser built for one command holds only that command, and its help
+    # is the full tree's.
+    expected = FULL_TREE[path].format_help()
+    built = dict(_command_paths(build_parser([*path, "-h"])))
+    assert built[path].format_help() == expected
+    if path:
+        assert [p for p in built if len(p) == 1] == [path[:1]]
+    assert run_cli(capsys, *path, "-h") == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h", "verify"], [], ["frobnicate"], ["verif"], ["--format", "doc", "verify"],
+    ["gate"], ["gate", "frobnicate"], ["gate", "check"], ["verify", "extra"],
+    ["query", "--format", "xml"], ["redact", "--target"],
+], ids=" ".join)
+def test_help_and_usage_errors_match_the_full_tree(capsys, argv):
+    try:
+        build_parser().parse_args(argv)
+    except _UsageError as exc:
+        expected = (64, "", f"usage error: {exc}\n")
+    except SystemExit as exc:
+        expected = (exc.code, capsys.readouterr().out, "")
+    assert expected[0] in (0, 64)
+    assert run_cli(capsys, *argv) == expected
 
 
 # ---------------------------------------------------------------------------

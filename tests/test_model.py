@@ -761,14 +761,18 @@ record_cases = pytest.mark.parametrize("cls,args,text", RECORDS,
 
 
 def _built_record_classes() -> set[type]:
-    """Every class in a `pledger.*` module whose `__init__` `record` or `codec` compiled."""
+    """Every class in a `pledger.*` module whose `__init__` `record` generated:
+    compiled from `<record ...>` source, or the stand-in that compiles it on
+    its first call, which carries that file name as its `label`."""
     built = set()
     for info in pkgutil.iter_modules(pledger.__path__):
         module = importlib.import_module(f"pledger.{info.name}")
         for value in vars(module).values():
-            code = getattr(getattr(value, "__init__", None), "__code__", None)
+            init = getattr(value, "__init__", None)
+            code = getattr(init, "__code__", None)
+            label = getattr(init, "label", None) or code and code.co_filename
             if isinstance(value, type) and value.__module__ == module.__name__ \
-                    and code is not None and code.co_filename.startswith(("<record ", "<codec ")):
+                    and isinstance(label, str) and label.startswith("<record "):
                 built.add(value)
     return built
 

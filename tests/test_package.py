@@ -6,6 +6,7 @@ from __future__ import annotations
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from pledger.fixtures import (
     ARTIFACT_ID,
     BOUNDARY,
     CAPABILITY,
+    POLICY_DOC,
     STEWARD_ORG,
     WINDOW,
     sample_contribution_doc,
@@ -85,10 +87,11 @@ GATE_CHECK = ["gate", "check", "--capability", CAPABILITY, "--boundary", BOUNDAR
 RECORD_MACHINERY = {"dataclasses", "inspect"}
 
 # (argv before the ledger path, modules it loads, modules it must not load on
-# top of what a bare interpreter loads)
+# top of what a bare interpreter loads); `{dir}` is the directory that holds
+# entry.json and policy.json.
 IMPORT_CASES = {
     "gate check": (GATE_CHECK, {"pledger.governance"},
-                   {"pledger.integrity", "pledger.harness", "hashlib", "hmac", "csv"}),
+                   {"pledger.integrity", "pledger.harness", "hashlib", "hmac", "csv", "copy"}),
     "credit report": (["credit", "report", "--beneficiary", STEWARD_ORG,
                        "--window-start", WINDOW[0], "--window-end", WINDOW[1]],
                       {"pledger.governance"},
@@ -96,14 +99,17 @@ IMPORT_CASES = {
     "query doc": (["query", "MATCH (t:Test) RETURN t.id;", "--format", "doc"],
                   {"pledger.query"},
                   {"pledger.governance", "pledger.harness", "pledger.integrity", "hashlib",
-                   "fractions", "decimal", "csv"}),
+                   "fractions", "decimal", "csv", "copy"}),
     "audit linkage": (["audit", "linkage"], {"fractions"}, {"pledger.integrity", "hashlib"}),
     "export": (["export", "--release", f"{ARTIFACT_ID}@v3", "--now", "2025-06-27T00:00:00Z"],
                {"pledger.evidence"}, {"pledger.integrity", "hashlib"}),
     "verify": (["verify"], {"pledger.integrity", "hashlib"}, {"hmac", "base64"}),
     "verify keyed": (["verify", "--hmac-key", "k1=secret"],
                      {"pledger.integrity", "hashlib", "hmac", "base64"}, set()),
-    "append": (["append", "entry.json"], {"pledger.integrity", "hashlib"}, {"csv"}),
+    "append": (["append", "{dir}/entry.json"], {"pledger.integrity", "hashlib"}, {"csv"}),
+    "credit accrue": (["credit", "accrue", "--policy", "{dir}/policy.json",
+                       "--window-start", WINDOW[0], "--window-end", WINDOW[1]],
+                      {"pledger.governance", "pledger.harness"}, {"fractions", "csv"}),
 }
 
 
@@ -117,16 +123,47 @@ def bare_modules() -> set[str]:
 @pytest.mark.parametrize("case", sorted(IMPORT_CASES))
 def test_each_command_loads_only_what_it_runs(lifecycle, tmp_path, bare_modules, case):
     argv, loads, loads_none_of = IMPORT_CASES[case]
-    ledger = str(lifecycle[0])
-    if argv[0] == "append":
-        ledger = str(tmp_path / "new.pledger")
-        argv = ["append", str(tmp_path / argv[1])]
-        (tmp_path / "entry.json").write_text(json.dumps(sample_contribution_doc()), "utf-8")
-    proc = run_python("-X", "importtime", "-m", "pledger", *argv, "--ledger", ledger)
+    (tmp_path / "entry.json").write_text(json.dumps(sample_contribution_doc()), "utf-8")
+    (tmp_path / "policy.json").write_text(json.dumps(POLICY_DOC), "utf-8")
+    ledger = tmp_path / "work.pledger"  # a copy, as some cases write
+    if argv[0] != "append":
+        shutil.copy(lifecycle[0], ledger)
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    proc = run_python("-X", "importtime", "-m", "pledger", *argv, "--ledger", str(ledger))
     assert proc.returncode == 0, proc.stderr[-2000:]
     modules = imported_modules(proc.stderr)
     assert loads <= modules
     assert not (modules - bare_modules) & (loads_none_of | RECORD_MACHINERY)
+
+
+# Run in a child: one command, then the codec classes of every loaded
+# `pledger.*` module (those with a field table) whose `to_doc` has compiled.
+TO_DOC_PROBE = """
+import sys
+from pledger import cli
+code = cli.main(sys.argv[1:])
+compiled = sorted(f"{cls.__module__}.{cls.__name__}"
+                  for name, module in list(sys.modules.items()) if name.startswith("pledger.")
+                  for cls in vars(module).values()
+                  if isinstance(cls, type) and cls.__module__ == name and getattr(cls, "FIELDS", ())
+                  and cls.to_doc.__code__.co_filename.startswith("<codec "))
+print(f"exit {code}, to_doc compiled for {compiled}", file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("fmt", ["text", "doc"])
+def test_a_gate_check_compiles_no_to_doc(lifecycle, fmt):
+    proc = run_python("-c", TO_DOC_PROBE, *GATE_CHECK, "--ledger", str(lifecycle[0]),
+                      "--format", fmt)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stderr.splitlines()[-1] == "exit 0, to_doc compiled for []"
+
+
+def test_the_to_doc_probe_sees_what_an_export_compiles(lifecycle):
+    proc = run_python("-c", TO_DOC_PROBE, "export", "--release", f"{ARTIFACT_ID}@v3",
+                      "--now", "2025-06-27T00:00:00Z", "--ledger", str(lifecycle[0]))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "'pledger.model.ActorRef'" in proc.stderr.splitlines()[-1]
 
 
 def test_no_module_of_the_package_loads_the_record_machinery(bare_modules):
