@@ -89,7 +89,8 @@ def _parse_hmac(value: str | None) -> tuple[str, bytes] | None:
 
 
 def _signer_from(args: argparse.Namespace):
-    keyed = _parse_hmac(getattr(args, "hmac_key", None))
+    """The signer of a writer command's appends, built before its ledger opens."""
+    keyed = _parse_hmac(args.hmac_key)
     if keyed is None:
         return None
     from .integrity import hmac_signer
@@ -142,8 +143,8 @@ def _emit(args: argparse.Namespace, text: str | None, doc: Any, table: Any = Non
 
 def _cmd_append(args: argparse.Namespace) -> int:
     entry = parse_entry(_read_doc(args.entry))
-    with store.LedgerFile(_require_ledger(args)) as ledger:
-        sealed = ledger.append(entry, signer=_signer_from(args))
+    with store.LedgerFile(_require_ledger(args), _signer_from(args)) as ledger:
+        sealed = ledger.append(entry)
     _emit(args, f"appended {sealed.id} ({sealed.integrity.hash})",
           {"id": sealed.id, "hash": sealed.integrity.hash})
     return 0
@@ -201,7 +202,7 @@ def _cmd_harness_run(args: argparse.Namespace) -> int:
     if not bundle.is_dir():
         raise _UsageError(f"results bundle is not a directory: {bundle}")
     evaluator = ActorRef(role=args.evaluator_role, pseudonym=args.evaluator)
-    with store.LedgerFile(_existing_ledger(args)) as ledger:
+    with store.LedgerFile(_existing_ledger(args), _signer_from(args)) as ledger:
         results: dict[str, dict] = {}
         for entry in ledger.snapshot.by_type[EntryType.TEST]:
             candidate = bundle / f"{_slug(entry.id)}.result"
@@ -209,7 +210,7 @@ def _cmd_harness_run(args: argparse.Namespace) -> int:
                 results[entry.id] = _read_doc(str(candidate))
         report = harness.run_suite(
             ledger, args.checkpoint, args.artifact, args.version, results,
-            evaluator, created_at=args.created_at, signer=_signer_from(args))
+            evaluator, created_at=args.created_at)
     lines = [f"{test_id}: {decision}" for test_id, decision in sorted(report.decisions.items())]
     lines.append(f"verdict: {report.verdict}")
     _emit(args, "\n".join(lines), report.to_doc())
@@ -246,10 +247,9 @@ def _cmd_voucher_issue(args: argparse.Namespace) -> int:
 
     payload = VoucherPayload.from_doc(_read_doc(args.payload))
     links = LinkSet(evidence=list(args.evidence)) if args.evidence else None
-    with store.LedgerFile(_require_ledger(args)) as ledger:
+    with store.LedgerFile(_require_ledger(args), _signer_from(args)) as ledger:
         entry = governance.issue_voucher(
-            ledger, payload, voucher_id=args.id, links=links,
-            created_at=args.created_at, signer=_signer_from(args))
+            ledger, payload, voucher_id=args.id, links=links, created_at=args.created_at)
     _emit(args, f"voucher {entry.id} {entry.payload.status}",
           {"id": entry.id, "status": entry.payload.status})
     return 0
@@ -259,10 +259,10 @@ def _cmd_voucher_transition(args: argparse.Namespace) -> int:
     from . import governance
 
     links = LinkSet(evidence=list(args.evidence)) if args.evidence else None
-    with store.LedgerFile(_existing_ledger(args)) as ledger:
+    with store.LedgerFile(_existing_ledger(args), _signer_from(args)) as ledger:
         entry = governance.transition_voucher(
             ledger, args.voucher, args.to, links=links, expiry=args.expiry,
-            created_at=args.created_at, signer=_signer_from(args))
+            created_at=args.created_at)
     _emit(args, f"voucher {entry.id} {entry.payload.status}",
           {"id": entry.id, "status": entry.payload.status})
     return 0
@@ -273,10 +273,9 @@ def _cmd_credit_accrue(args: argparse.Namespace) -> int:
 
     policy = governance.CreditPolicy.from_doc(_read_doc(args.policy))
     window = (args.window_start, args.window_end)
-    with store.LedgerFile(_require_ledger(args)) as ledger:
+    with store.LedgerFile(_require_ledger(args), _signer_from(args)) as ledger:
         minted, report = governance.accrue_credits(
-            ledger, policy, window, created_at=args.created_at,
-            signer=_signer_from(args))
+            ledger, policy, window, created_at=args.created_at)
     lines = [f"minted {c.id}: {render_value(c.payload.units)} "
              f"-> {c.payload.beneficiary}" for c in minted]
     lines += [f"suppressed {s.kind} {s.trigger_id}: {s.reason}" for s in report.suppressed]
@@ -371,10 +370,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _cmd_redact(args: argparse.Namespace) -> int:
     authorization = ActorRef(role=args.role, pseudonym=args.pseudonym,
                              steward_org=args.steward_org)
-    with store.LedgerFile(_existing_ledger(args)) as ledger:
+    with store.LedgerFile(_existing_ledger(args), _signer_from(args)) as ledger:
         tomb = ledger.redact(args.target, args.reason, authorization,
-                             tombstone_id=args.id, created_at=args.created_at,
-                             signer=_signer_from(args))
+                             tombstone_id=args.id, created_at=args.created_at)
     _emit(args, f"redacted {args.target} with {tomb.id}",
           {"targetId": args.target, "tombstoneId": tomb.id})
     return 0

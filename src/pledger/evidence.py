@@ -21,7 +21,7 @@ from .errors import MalformedDocument, MalformedExport, WrongEntryType
 from .governance import gate_check, voucher_lineages
 from .graph import Snapshot, build_graph, change_linkage
 from .model import (_STRING, OPEN_VOUCHER_STATUSES, EntryEnvelope, EntryType, _is_number, codec,
-                    decode_checked, record, validate_structure, wire)
+                    decode_checked, parse_timestamp, record, validate_structure, wire)
 
 if TYPE_CHECKING:  # imported by EvidenceMatrix.table, so `--format doc` never loads it
     from .query import ResultTable
@@ -349,6 +349,8 @@ def build_export(source: Any, artifact_id: str, version: str, *,
     gate_check outcome against this release evaluated at `now` (default: the
     last included entry's createdAt). Targets that name no entry join nothing.
     """
+    if now is not None:
+        parse_timestamp(now)  # a malformed `now` is refused before anything is built
     snapshot = Snapshot.of(source)
     seed = _declared(snapshot, artifact_id, version)
     if seed is None:

@@ -18,6 +18,7 @@ and a gate check or credit report never loads that module.
 
 from __future__ import annotations
 
+from datetime import datetime
 from decimal import ROUND_HALF_EVEN, Decimal
 from typing import Any
 
@@ -49,9 +50,13 @@ from .model import (
 DEFAULT_ALLOW = "noApplicableVoucher-defaultAllow"
 
 
-def _in_window(stamp: str, window: tuple[str, str]) -> bool:
-    t = parse_timestamp(stamp)
-    return parse_timestamp(window[0]) <= t <= parse_timestamp(window[1])
+def _bounds(window: tuple[str, str]) -> tuple[datetime, datetime]:
+    """A window's two bounds, parsed once; InvalidTimestamp for a malformed one."""
+    return parse_timestamp(window[0]), parse_timestamp(window[1])
+
+
+def _in_window(stamp: str, bounds: tuple[datetime, datetime]) -> bool:
+    return bounds[0] <= parse_timestamp(stamp) <= bounds[1]
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +79,7 @@ def voucher_lineages(snapshot: Snapshot) -> dict[str, list[EntryEnvelope]]:
 
 
 def issue_voucher(ledger: Any, payload: Any, *, voucher_id: str | None = None,
-                  links: LinkSet | None = None, created_at: str | None = None,
-                  signer: Any = None) -> EntryEnvelope:
+                  links: LinkSet | None = None, created_at: str | None = None) -> EntryEnvelope:
     """Append a new voucher lineage in status issued.
 
     The steward must hold the communitySteward role and every condition's
@@ -103,13 +107,12 @@ def issue_voucher(ledger: Any, payload: Any, *, voucher_id: str | None = None,
         payload=payload,
         links=links or LinkSet(),
     )
-    return ledger.append(entry, signer=signer)
+    return ledger.append(entry)
 
 
 def transition_voucher(ledger: Any, voucher_id: str, new_status: str, *,
                        links: LinkSet | None = None, expiry: str | None = None,
-                       created_at: str | None = None,
-                       signer: Any = None) -> EntryEnvelope:
+                       created_at: str | None = None) -> EntryEnvelope:
     """Append the next revision of a voucher lineage with a new status.
 
     `voucher_id` may be the issuance id or any revision id. The payload is
@@ -138,7 +141,7 @@ def transition_voucher(ledger: Any, voucher_id: str, new_status: str, *,
         payload=payload,
         links=links or LinkSet(),
     )
-    return ledger.append(entry, signer=signer)
+    return ledger.append(entry)
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +367,14 @@ def _releases_exercised(snapshot: Snapshot, test_id: str) -> int:
                 for r in snapshot.unhidden(snapshot.test_runs.get(test_id, ()))})
 
 
-def _candidate_events(snapshot: Snapshot, window: tuple[str, str]) -> list[_Event]:
+def _candidate_events(snapshot: Snapshot, bounds: tuple[datetime, datetime]) -> list[_Event]:
     from .harness import detect_regressions
 
     events: list[_Event] = []
 
     for regression in detect_regressions(snapshot):
         failing = snapshot.by_id[regression.failing_run_id]
-        if not _in_window(failing.created_at, window):
+        if not _in_window(failing.created_at, bounds):
             continue
         test = snapshot.live(regression.test_id, EntryType.TEST)
         motivated = test.payload.motivated_by if test else []
@@ -380,7 +383,7 @@ def _candidate_events(snapshot: Snapshot, window: tuple[str, str]) -> list[_Even
                              beneficiaries=_beneficiaries_of(snapshot, motivated)))
 
     for change in snapshot.live_of(EntryType.CHANGE):
-        if not change.links.remediates or not _in_window(change.created_at, window):
+        if not change.links.remediates or not _in_window(change.created_at, bounds):
             continue
         cited = [snapshot.live(cid, EntryType.CONTRIBUTION)
                  for cid in change.links.influenced_by]
@@ -391,7 +394,7 @@ def _candidate_events(snapshot: Snapshot, window: tuple[str, str]) -> list[_Even
                                  beneficiaries=_beneficiaries_of(snapshot, incidents)))
 
     for run in snapshot.live_of(EntryType.EVALUATION_RUN):
-        if run.payload.checkpoint != "scheduledAudit" or not _in_window(run.created_at, window):
+        if run.payload.checkpoint != "scheduledAudit" or not _in_window(run.created_at, bounds):
             continue
         test = snapshot.live(run.payload.test_id, EntryType.TEST)
         if test is not None and test.payload.motivated_by:
@@ -417,10 +420,11 @@ def compute_accrual(entries: Any, policy: CreditPolicy,
     report's credits list is filled by the caller that actually appends.
     """
     policy.validate()
+    bounds = _bounds(window)
     snapshot = Snapshot.of(entries)
     policy_ref = policy.ref()
     report = AccrualReport(window=window, policy_ref=policy_ref)
-    events = _candidate_events(snapshot, window)
+    events = _candidate_events(snapshot, bounds)
     report.considered = len(events)
 
     already: set[tuple[str, str]] = set()
@@ -428,7 +432,7 @@ def compute_accrual(entries: Any, policy: CreditPolicy,
     for entry in snapshot.live_of(EntryType.CREDIT):
         for target in entry.links.credits_for:
             already.add((target, entry.payload.beneficiary))
-        if _in_window(entry.created_at, window):
+        if _in_window(entry.created_at, bounds):
             beneficiary = entry.payload.beneficiary
             credited[beneficiary] = credited.get(beneficiary, Decimal(0)) \
                 + Decimal(str(entry.payload.units))
@@ -489,8 +493,7 @@ def compute_accrual(entries: Any, policy: CreditPolicy,
 
 def accrue_credits(ledger: Any, policy: CreditPolicy | dict,
                    window: tuple[str, str], *, actor: ActorRef | None = None,
-                   created_at: str | None = None,
-                   signer: Any = None) -> tuple[list[EntryEnvelope], AccrualReport]:
+                   created_at: str | None = None) -> tuple[list[EntryEnvelope], AccrualReport]:
     """Append one Credit entry per qualifying event share in the window.
 
     Credits are stamped at the window end by default so reruns are
@@ -521,7 +524,7 @@ def accrue_credits(ledger: Any, policy: CreditPolicy | dict,
             payload=payload,
             links=LinkSet(credits_for=[plan["anchorId"]]),
         )
-        minted.append(ledger.append(entry, signer=signer))
+        minted.append(ledger.append(entry))
     report.credits = minted
     return minted, report
 
@@ -551,10 +554,11 @@ def credit_report(source: Any, beneficiary: str,
                   window: tuple[str, str]) -> CreditStatement:
     """Aggregate a beneficiary's Credit entries inside a window. Every line
     cites the triggering run or change id."""
+    bounds = _bounds(window)
     snapshot = Snapshot.of(source)
     statement = CreditStatement(beneficiary=beneficiary, window=window)
     for entry in snapshot.live_of(EntryType.CREDIT):
-        if entry.payload.beneficiary != beneficiary or not _in_window(entry.created_at, window):
+        if entry.payload.beneficiary != beneficiary or not _in_window(entry.created_at, bounds):
             continue
         trigger = entry.payload.triggering_event
         statement.lines.append({

@@ -24,7 +24,6 @@ edges never pay for it.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable
 
 from .errors import DuplicateId, IllegalTransition, UnknownNode, WrongEntryType
@@ -307,13 +306,6 @@ class Snapshot:
             found.update(behind.get((node_id, inverse), ()))
         return found
 
-    def edge_list_text(self) -> str:
-        """Tab-separated `from kind to`, one edge per line, declaration order."""
-        return "".join(f"{s}\t{k}\t{t}\n" for s, k, t in self.edges)
-
-    def write_edge_list(self, path: str | Path) -> None:
-        Path(path).write_text(self.edge_list_text(), encoding="utf-8")
-
 
 def build_graph(source: Any) -> Snapshot:
     """`Snapshot.of(source)` with its adjacency built now; a Snapshot, or a
@@ -473,20 +465,16 @@ def change_linkage(graph: Snapshot) -> list[tuple[EntryEnvelope, bool, bool]]:
     return linkage
 
 
-def linkage_completeness(graph: Snapshot,
-                         include_evidence: bool = False) -> LinkageReport:
+def linkage_completeness(graph: Snapshot) -> LinkageReport:
     """How much of the ledger's change surface is traceable.
 
     Each Change counts as linked to participation and as tested by the rules
-    of `change_linkage`. The ratio is fully linked changes over total
-    changes, exactly 1 when there are no changes. Evidence links do not count
-    toward the ratio unless `include_evidence` is set.
+    of `change_linkage`; evidence links do not count. The ratio is fully
+    linked changes over total changes, exactly 1 when there are no changes.
     """
     from fractions import Fraction
 
-    linkage = [(c or (include_evidence and _resolves_to(
-                    graph.by_id, change.links.evidence, EntryType.CONTRIBUTION)), t)
-               for change, c, t in change_linkage(graph)]
+    linkage = [(c, t) for _, c, t in change_linkage(graph)]
     with_contribution = sum(c for c, _ in linkage)
     with_test = sum(t for _, t in linkage)
     fully = sum(c and t for c, t in linkage)

@@ -139,7 +139,7 @@ def _coerce_actor(actor: Any) -> ActorRef:
 
 def _append_run(ledger: Any, test: EntryEnvelope, artifact_entry: EntryEnvelope,
                 raw_results: dict, evaluator: ActorRef, checkpoint: str,
-                decision: str, created_at: str, signer: Any) -> EntryEnvelope:
+                decision: str, created_at: str) -> EntryEnvelope:
     payload = EvaluationRunPayload(
         test_id=test.id,
         artifact_id=artifact_entry.payload.artifact_id,
@@ -162,12 +162,12 @@ def _append_run(ledger: Any, test: EntryEnvelope, artifact_entry: EntryEnvelope,
         payload=payload,
         links=LinkSet(uses_test=[test.id], evaluates=[artifact_entry.id]),
     )
-    return ledger.append(entry, signer=signer)
+    return ledger.append(entry)
 
 
 def run_test(ledger: Any, test_id: str, artifact_id: str, version: str,
              raw_results: dict, evaluator: Any, checkpoint: str, *,
-             created_at: str | None = None, signer: Any = None) -> EntryEnvelope:
+             created_at: str | None = None) -> EntryEnvelope:
     """Record one evaluation of a test against a declared artifact version.
 
     The appended run carries usesTest and evaluates links and a decision
@@ -181,7 +181,7 @@ def run_test(ledger: Any, test_id: str, artifact_id: str, version: str,
     decision = decide(test.payload.measurement, raw_results)
     return _append_run(ledger, test, artifact_entry, raw_results,
                        _coerce_actor(evaluator), checkpoint, decision,
-                       created_at or now_stamp(), signer)
+                       created_at or now_stamp())
 
 
 @record
@@ -208,7 +208,7 @@ class SuiteReport:
 
 def run_suite(ledger: Any, checkpoint: str, artifact_id: str, version: str,
               results: dict[str, dict], evaluator: Any, *,
-              created_at: str | None = None, signer: Any = None) -> SuiteReport:
+              created_at: str | None = None) -> SuiteReport:
     """Run every live test in the ledger against one artifact version.
 
     `results` maps test ids to raw results documents. A live test with no
@@ -230,7 +230,7 @@ def run_suite(ledger: Any, checkpoint: str, artifact_id: str, version: str,
             report.missing.append(test.id)
         decision = decide(test.payload.measurement, raw)
         run = _append_run(ledger, test, artifact_entry, raw, actor, checkpoint,
-                          decision, stamp, signer)
+                          decision, stamp)
         report.runs.append(run)
         report.decisions[test.id] = decision
     report.verdict = fold_suite(report.decisions.values())
@@ -325,8 +325,7 @@ def verify_replay(source: Any) -> list[tuple[str, str, str]]:
 
 def triage_incident(ledger: Any, incident_contribution_id: str, draft: Any, *,
                     test_id: str | None = None, actor: Any = None,
-                    created_at: str | None = None,
-                    signer: Any = None) -> EntryEnvelope:
+                    created_at: str | None = None) -> EntryEnvelope:
     """Turn an incident-report contribution into an appended Test entry.
 
     The new test carries motivatedBy=[incident] in its payload and declares a
@@ -360,4 +359,4 @@ def triage_incident(ledger: Any, incident_contribution_id: str, draft: Any, *,
         payload=payload,
         links=LinkSet(motivates=[incident.id]),
     )
-    return ledger.append(entry, signer=signer)
+    return ledger.append(entry)

@@ -125,26 +125,18 @@ def _tokenize(text: str) -> list[_Token]:
 @record
 class NodePattern:
     var: str
-    label_text: str | None = None  # as written, for printing
-    label: str | None = None       # resolved canonical label
+    label: str | None = None  # resolved canonical label
 
 
 @record
 class EdgePattern:
-    relation_text: str
     relation: str
-    left: str   # '-' or '<-'
-    right: str  # '->' or '-'
+    direction: str  # forward, backward, both or undirected
 
-    @property
-    def direction(self) -> str:
-        if self.left == "-" and self.right == "->":
-            return "forward"
-        if self.left == "<-" and self.right == "-":
-            return "backward"
-        if self.left == "<-" and self.right == "->":
-            return "both"
-        return "undirected"
+
+# An edge's direction by its (left, right) arrow ends.
+_DIRECTIONS = {("-", "->"): "forward", ("<-", "-"): "backward",
+               ("<-", "->"): "both", ("-", "-"): "undirected"}
 
 
 @record
@@ -240,7 +232,7 @@ class _Parser:
             label = _LABELS.get(label_text.casefold())
             if label is None:
                 raise UnknownLabel(f"no node label {label_text!r}")
-        return NodePattern(var=var, label_text=label_text, label=label)
+        return NodePattern(var=var, label=label)
 
     def edge(self) -> EdgePattern:
         left = self.peek().kind
@@ -256,8 +248,7 @@ class _Parser:
         relation = _RELATIONS.get(_normalize_name(relation_text))
         if relation is None:
             raise UnknownRelation(f"no relation {relation_text!r}")
-        return EdgePattern(relation_text=relation_text, relation=relation,
-                           left=left, right=tail.kind)
+        return EdgePattern(relation=relation, direction=_DIRECTIONS[left, tail.kind])
 
     def dotted(self) -> tuple[str, str]:
         var = self.take("IDENT", "a variable name").text
@@ -288,26 +279,6 @@ class _Parser:
 def parse_query(text: str) -> QueryAst:
     """Parse query text to an AST; every parse error carries a position."""
     return _Parser(text).parse()
-
-
-def print_query(ast: QueryAst) -> str:
-    """Render an AST back to query text; parse(print(ast)) evaluates the same."""
-    lines: list[str] = []
-    for pattern in ast.matches:
-        parts: list[str] = []
-        for i, node in enumerate(pattern.nodes):
-            label = f":{node.label_text}" if node.label_text else ""
-            parts.append(f"({node.var}{label})")
-            if i < len(pattern.edges):
-                edge = pattern.edges[i]
-                parts.append(f"{edge.left}[:{edge.relation_text}]{edge.right}")
-        lines.append("MATCH " + "".join(parts))
-    if ast.predicates:
-        rendered = " AND ".join(
-            f'{p.var}.{p.field} = "{escape_literal(p.value)}"' for p in ast.predicates)
-        lines.append("WHERE " + rendered)
-    lines.append("RETURN " + ", ".join(p.column for p in ast.projections) + ";")
-    return "\n".join(lines)
 
 
 def escape_literal(value: str) -> str:

@@ -167,12 +167,14 @@ class LedgerFile:
     """The one writer of a ledger file, holding its lock from open to close.
 
     The open cuts an unfinished append; `snapshot` is the committed prefix,
-    kept current by each append. Readers take `read_entries`, `verify_file`
-    and `Snapshot` instead.
+    kept current by each append. `signer`, when given, signs every entry this
+    writer appends. Readers take `read_entries`, `verify_file` and `Snapshot`
+    instead.
     """
 
-    def __init__(self, path: str | Path):
+    def __init__(self, path: str | Path, signer: Signer | None = None):
         self.path = Path(path)
+        self.signer = signer
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self.path, "a+b")  # creates a missing file, leaves one as it is
         try:
@@ -215,8 +217,9 @@ class LedgerFile:
         if self._fh is None:
             raise StorageFailure(f"{self.path} is closed")
 
-    def append(self, entry: EntryEnvelope, signer: Signer | None = None) -> EntryEnvelope:
-        """Validate, seal against the current head, and durably append.
+    def append(self, entry: EntryEnvelope) -> EntryEnvelope:
+        """Validate, seal against the current head (signed by `signer`), and
+        durably append.
 
         On any failure the file is byte-identical to its state before the
         call. Returns the sealed entry.
@@ -242,7 +245,7 @@ class LedgerFile:
         # appends that came through the governance helpers.
         if entry.entry_type is EntryType.VOUCHER:
             self.snapshot.check_voucher(entry.id, entry.payload)
-        sealed = seal(entry, prev_hash=self.snapshot.head_hash, signer=signer)
+        sealed = seal(entry, prev_hash=self.snapshot.head_hash, signer=self.signer)
         line = (serialize_entry(sealed) + "\n").encode("utf-8")
         size_before = self.path.stat().st_size
         # The entry counts as appended only once both the line and the head
@@ -278,8 +281,7 @@ class LedgerFile:
             raise
 
     def redact(self, target_id: str, reason: str, authorization: ActorRef,
-               tombstone_id: str | None = None, created_at: str | None = None,
-               signer: Signer | None = None) -> EntryEnvelope:
+               tombstone_id: str | None = None, created_at: str | None = None) -> EntryEnvelope:
         """Append a Tombstone restricting access to `target_id`'s payload."""
         self._require_open()
         target = self.get(target_id)
@@ -304,11 +306,10 @@ class LedgerFile:
             actor=authorization,
             payload=payload,
         )
-        return self.append(entry, signer=signer)
+        return self.append(entry)
 
     def withdraw_consent(self, contribution_id: str, authorization: ActorRef,
-                         created_at: str | None = None,
-                         signer: Signer | None = None) -> tuple[EntryEnvelope, EntryEnvelope]:
+                         created_at: str | None = None) -> tuple[EntryEnvelope, EntryEnvelope]:
         """Record a consent withdrawal without editing history.
 
         Appends a superseding Contribution (same content, consent status
@@ -328,8 +329,6 @@ class LedgerFile:
         superseding.integrity = None
         assert superseding.consent is not None
         superseding.consent.status = "withdrawn"
-        sealed_superseding = self.append(superseding, signer=signer)
-        tombstone = self.redact(
-            contribution_id, "consentWithdrawn", authorization,
-            created_at=when, signer=signer)
+        sealed_superseding = self.append(superseding)
+        tombstone = self.redact(contribution_id, "consentWithdrawn", authorization, created_at=when)
         return sealed_superseding, tombstone

@@ -30,7 +30,8 @@ from pledger.fixtures import (
     VOUCHER_ID,
     sample_contribution_doc,
 )
-from pledger.integrity import seal
+from pledger.harness import run_suite
+from pledger.integrity import hmac_signer, seal
 from pledger.model import (
     ActorRef,
     EntryEnvelope,
@@ -479,6 +480,60 @@ def test_credit_accrue_may_start_a_ledger(tmp_path, capsys):
                              "--window-end", "2025-07-31T00:00:00Z")
     assert (code, out, err) == (0, "total units: 0\n", "")
     assert new.read_bytes() == b""
+
+
+# Every writer command, with the arguments it needs besides --ledger; `{dir}`,
+# `{entry}`, `{voucher}` and `{policy}` name inputs that each command accepts.
+WRITERS = {
+    **EXISTING_LEDGER_WRITERS,
+    "append": ["append", "{entry}"],
+    "voucher-issue": ["voucher", "issue", "--payload", "{voucher}"],
+    "credit-accrue": ["credit", "accrue", "--policy", "{policy}",
+                      "--window-start", "2025-05-01T00:00:00Z",
+                      "--window-end", "2025-07-31T00:00:00Z"],
+}
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_a_malformed_hmac_key_is_refused_before_the_open(writable, tmp_path, capsys, name):
+    # The signer is built before the writer opens: a missing ledger is not
+    # started, and an existing one keeps its bytes, its modification time and
+    # even an unfinished append, which an open would cut.
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    docs = {
+        "entry": {**sample_contribution_doc(), "id": "pl:contrib:new:001"},
+        "voucher": {"capability": CAPABILITY, "boundary": BOUNDARY, "action": "pause",
+                    "status": "issued",
+                    "steward": {"role": "communitySteward", "stewardOrg": STEWARD_ORG}},
+        "policy": POLICY_DOC,
+    }
+    paths = {doc: inputs / f"{doc}.json" for doc in docs}
+    for doc, content in docs.items():
+        paths[doc].write_text(json.dumps(content), "utf-8")
+    argv = [arg.format(dir=inputs, **paths) for arg in WRITERS[name]] + ["--hmac-key", "bad"]
+    refusal = "usage error: --hmac-key takes REF=SECRET\n"
+
+    missing = tmp_path / "nodir" / "new.pledger"
+    # The path check still comes first.
+    expected = f"usage error: no ledger at {missing}\n" \
+        if name in EXISTING_LEDGER_WRITERS else refusal
+    assert run_cli(capsys, *argv, "--ledger", str(missing)) == (64, "", expected)
+    assert not missing.parent.exists()
+
+    lines = writable.read_bytes().splitlines(keepends=True)
+    writable.write_bytes(b"".join(lines[:-1]) + lines[-1][:-10])
+    head = store.head_path(writable)
+    head.write_text(json.loads(lines[-2])["integrity"]["hash"] + "\n", "utf-8")
+    stamp = 1_577_836_800_000_000_000  # 2020-01-01T00:00:00Z
+    for path in (writable, head):
+        os.utime(path, ns=(stamp, stamp))
+    before = [(path.read_bytes(), path.stat().st_mtime_ns) for path in (writable, head)]
+    assert run_cli(capsys, *argv, "--ledger", str(writable)) == (64, "", refusal)
+    assert [(path.read_bytes(), path.stat().st_mtime_ns) for path in (writable, head)] \
+        == before
+    assert sorted(p.name for p in tmp_path.iterdir()) \
+        == ["inputs", "work.pledger", "work.pledger.head"]
 
 
 def test_ledger_env_default_and_override(lifecycle, monkeypatch, capsys):
@@ -938,6 +993,17 @@ def test_credit_accrue_judges_the_cap_as_a_nonnegative_number(writable, tmp_path
 # audits
 
 
+@pytest.mark.parametrize("beneficiary", ["nobody", STEWARD_ORG])
+def test_credit_report_refuses_a_malformed_window_on_any_data(lifecycle, capsys, beneficiary):
+    # The bounds are parsed before any credit is read, so the refusal does not
+    # depend on whether the beneficiary has credits to compare.
+    code, out, err = run_cli(capsys, "credit", "report", "--ledger", str(lifecycle[0]),
+                             "--beneficiary", beneficiary, "--window-start", "garbage",
+                             "--window-end", "2025-12-31T00:00:00Z")
+    assert (code, out, err) == (
+        5, "", "error: not an ISO-8601 UTC second timestamp: 'garbage'\n")
+
+
 def test_audit_evidence_ledger_mode(lifecycle, capsys):
     path, _ids, _entries = lifecycle
     code, out, _err = run_cli(capsys, "audit", "evidence", "--ledger", str(path))
@@ -1058,6 +1124,17 @@ def test_export_streams_the_same_bytes_to_file_and_stdout(lifecycle, tmp_path, c
     assert out == expected
 
 
+def test_export_refuses_a_malformed_now_and_writes_nothing(lifecycle, tmp_path, capsys):
+    # As gate check refuses it, even when no open voucher would read the time.
+    out_path = tmp_path / "release.json"
+    code, out, err = run_cli(capsys, "export", "--ledger", str(lifecycle[0]),
+                             "--release", f"{ARTIFACT_ID}@v3", "--now", "garbage",
+                             "--out", str(out_path))
+    assert (code, out, err) == (
+        5, "", "error: not an ISO-8601 UTC second timestamp: 'garbage'\n")
+    assert not out_path.exists()
+
+
 def test_conformance_failure_exits_5(mid_lifecycle, tmp_path, capsys):
     path, _ids, entries = mid_lifecycle
     out_path = tmp_path / "release.json"
@@ -1146,6 +1223,24 @@ def test_hmac_sign_and_verify(tmp_path, capsys):
     code, _out, err = run_cli(capsys, "verify", "--ledger", str(ledger),
                               "--hmac-key", "no-separator")
     assert code == 64
+
+
+def test_a_signed_writer_signs_every_entry_one_call_appends(writable, capsys):
+    # The writer holds the signer: a suite run appends one run per live test,
+    # a consent withdrawal a superseding entry and a tombstone, all signed.
+    steward = ActorRef(role="communitySteward", steward_org=STEWARD_ORG)
+    with LedgerFile(writable, hmac_signer("k1", b"sekrit", steward)) as ledger:
+        report = run_suite(ledger, "scheduledAudit", ARTIFACT_ID, "v3", {},
+                           ActorRef(role="evaluator", pseudonym="harness"),
+                           created_at="2025-07-01T00:00:00Z")
+        withdrawn = ledger.withdraw_consent(CONTRIBUTION_ID, steward,
+                                            created_at="2025-07-02T00:00:00Z")
+    signed = len(report.runs) + len(withdrawn)
+    code, out, err = run_cli(capsys, "verify", "--ledger", str(writable),
+                             "--hmac-key", "k1=sekrit")
+    assert (code, out, err) == (
+        0, f"chain valid, {15 + signed} entries\n"
+           f"signatures: {signed} valid, 0 invalid, 0 unverifiable, 15 absent\n", "")
 
 
 @pytest.mark.parametrize("number", ["NaN", "1e400", "-Infinity"])

@@ -22,6 +22,7 @@ from conftest import (
 from pledger.errors import (
     IllegalTransition,
     InvalidPolicy,
+    InvalidTimestamp,
     UnauthorizedRole,
     UnknownTest,
 )
@@ -807,6 +808,16 @@ def test_prior_window_credits_count_toward_cap():
         payload=prior.payload, links=prior.links)
     plans, _report = compute_accrual(entries + [outside], make_policy(), WINDOW)
     assert len(plans) == 1
+
+
+@pytest.mark.parametrize("window", [("garbage", WINDOW[1]), (WINDOW[0], "garbage")])
+def test_a_malformed_window_bound_is_refused_on_an_empty_ledger(window):
+    # Each bound is parsed once, before any entry is compared with it.
+    policy = CreditPolicy.from_doc(POLICY_DOC)
+    with pytest.raises(InvalidTimestamp):
+        compute_accrual([], policy, window)
+    with pytest.raises(InvalidTimestamp):
+        credit_report([], STEWARD_ORG, window)
 
 
 def test_window_bounds_are_inclusive_on_the_anchor():

@@ -733,11 +733,10 @@ RECORDS = [
      "CreditStatement(beneficiary='org', window=('2025-01-01', '2026-01-01'), lines=[],"
      " total_units=Decimal('0'), policy_refs=[])"),
     (_Token, ("IDENT", "t", 6), "_Token(kind='IDENT', text='t', position=6)"),
-    (NodePattern, ("t",), "NodePattern(var='t', label_text=None, label=None)"),
-    (EdgePattern, ("USES_TEST", "usesTest", "-", "->"),
-     "EdgePattern(relation_text='USES_TEST', relation='usesTest', left='-', right='->')"),
+    (NodePattern, ("t",), "NodePattern(var='t', label=None)"),
+    (EdgePattern, ("usesTest", "forward"), "EdgePattern(relation='usesTest', direction='forward')"),
     (PathPattern, ([NodePattern("t")], []),
-     "PathPattern(nodes=[NodePattern(var='t', label_text=None, label=None)], edges=[])"),
+     "PathPattern(nodes=[NodePattern(var='t', label=None)], edges=[])"),
     (Predicate, ("r", "decision", "fail"), "Predicate(var='r', field='decision', value='fail')"),
     (Projection, ("t", "id"), "Projection(var='t', field='id')"),
     (QueryAst, (), "QueryAst(matches=[], predicates=[], projections=[])"),

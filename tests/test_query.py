@@ -38,7 +38,6 @@ from pledger.query import (
     evaluate,
     evaluate_field,
     parse_query,
-    print_query,
     run_query,
     run_saved_query,
 )
@@ -79,11 +78,6 @@ def test_attribution_query_parses_to_expected_shape():
     ]
     assert [p.column for p in ast.projections] == [
         "c.id", "t.id", "r.artifact_version", "r.timestamp", "d.id"]
-
-
-def test_print_parse_round_trip():
-    ast = parse_query(ATTRIBUTION_QUERY)
-    assert parse_query(print_query(ast)) == ast
 
 
 def test_label_and_relation_names_are_case_insensitive():
@@ -148,7 +142,6 @@ def test_string_escapes_round_trip():
     text = f'MATCH (c) WHERE c.summary = "{escape_literal(value)}" RETURN c.id;'
     ast = parse_query(text)
     assert ast.predicates[0].value == value
-    assert parse_query(print_query(ast)) == ast
 
 
 def test_semicolon_is_optional():

@@ -145,8 +145,8 @@ def test_failed_head_update_rolls_the_append_back(ledger_path, monkeypatch):
 
 def test_append_applies_signer(ledger_path):
     signer = hmac_signer("k1", b"secret", ActorRef(role="maintainer", pseudonym="M1"))
-    with LedgerFile(ledger_path) as led:
-        sealed = led.append(make_contribution(1), signer=signer)
+    with LedgerFile(ledger_path, signer=signer) as led:
+        sealed = led.append(make_contribution(1))
     assert sealed.integrity.signature is not None
     assert sealed.integrity.signature.key_ref == "k1"
 
