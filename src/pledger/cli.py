@@ -7,7 +7,8 @@ conformance failure, 64 usage error; the process entry (`__main__.run`) adds
 the append family (append, harness run, voucher issue, voucher transition,
 credit accrue, redact) takes the writer lock. A missing ledger path is a usage
 error for every command but the three that may start a ledger: append,
-voucher issue and credit accrue.
+voucher issue and credit accrue, which check what needs no ledger before
+they open one.
 
 Only the ledger core is imported here; each command imports the governance,
 evidence, harness or query module it calls, so it pays only for those.
@@ -31,17 +32,23 @@ from .errors import (
     CorruptLine,
     LedgerError,
     StorageFailure,
+    ValidationFailed,
 )
 from .graph import Snapshot, build_graph, linkage_completeness
 from .model import (
     ARTIFACT_KINDS,
     ActorRef,
+    EntryEnvelope,
     EntryType,
     LinkSet,
+    ValidationReport,
     VoucherPayload,
     _slug,
+    is_timestamp,
     now_stamp,
     parse_entry,
+    parse_timestamp,
+    validate_structure,
 )
 
 
@@ -99,6 +106,15 @@ def _signer_from(args: argparse.Namespace):
     return hmac_signer(ref, secret, ActorRef(role="maintainer", pseudonym="cli"))
 
 
+def _checked(entry: EntryEnvelope) -> EntryEnvelope:
+    """`entry`, or ValidationFailed for what `validate_structure` reports: a
+    writer command runs the checks that read no ledger before it opens one."""
+    report = validate_structure(entry)
+    if not report.ok():
+        raise ValidationFailed(report)
+    return entry
+
+
 def _flat(doc: Any, prefix: str = "") -> list[tuple[str, str]]:
     if isinstance(doc, dict):
         rows: list[tuple[str, str]] = []
@@ -142,7 +158,7 @@ def _emit(args: argparse.Namespace, text: str | None, doc: Any, table: Any = Non
 # subcommands
 
 def _cmd_append(args: argparse.Namespace) -> int:
-    entry = parse_entry(_read_doc(args.entry))
+    entry = _checked(parse_entry(_read_doc(args.entry)))
     with store.LedgerFile(_require_ledger(args), _signer_from(args)) as ledger:
         sealed = ledger.append(entry)
     _emit(args, f"appended {sealed.id} ({sealed.integrity.hash})",
@@ -247,6 +263,7 @@ def _cmd_voucher_issue(args: argparse.Namespace) -> int:
 
     payload = VoucherPayload.from_doc(_read_doc(args.payload))
     links = LinkSet(evidence=list(args.evidence)) if args.evidence else None
+    _checked(governance.voucher_entry(payload, args.id, links=links, created_at=args.created_at))
     with store.LedgerFile(_require_ledger(args), _signer_from(args)) as ledger:
         entry = governance.issue_voucher(
             ledger, payload, voucher_id=args.id, links=links, created_at=args.created_at)
@@ -273,6 +290,15 @@ def _cmd_credit_accrue(args: argparse.Namespace) -> int:
 
     policy = governance.CreditPolicy.from_doc(_read_doc(args.policy))
     window = (args.window_start, args.window_end)
+    # Checked before the writer opens a ledger: the window, then the stamp
+    # that each credit's append checks, refused in that append's words.
+    for bound in window:
+        parse_timestamp(bound)
+    if args.created_at is not None and not is_timestamp(args.created_at):
+        report = ValidationReport()
+        report.add("createdAt", "createdAt.format",
+                   f"not an ISO-8601 UTC timestamp: {args.created_at!r}")
+        raise ValidationFailed(report)
     with store.LedgerFile(_require_ledger(args), _signer_from(args)) as ledger:
         minted, report = governance.accrue_credits(
             ledger, policy, window, created_at=args.created_at)

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import hashlib
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
+from .evidence import COLUMNS
 from .governance import CreditPolicy, accrue_credits, issue_voucher, transition_voucher
 from .harness import run_test
 from .model import (
@@ -24,9 +25,6 @@ from .model import (
     ArtifactPayload,
     ChangedArtifact,
     ChangePayload,
-    CompensationBlock,
-    ConsentBlock,
-    ContributionPayload,
     EntryEnvelope,
     EntryType,
     LinkSet,
@@ -96,41 +94,17 @@ POLICY_DOC = {
 # artifact v2, failing run, voucher, activation.
 STAGE_PAUSED = 10
 
-# Table of published per-case evidence codings used by the audit walkthrough.
+# Table of published per-case evidence codings used by the audit walkthrough,
+# each case's levels in the order of evidence.COLUMNS.
 CASE_CODINGS: list[dict[str, Any]] = [
-    {"case": "AIAI / Mid-Space / LIVS", "codings": {
-        "recruitmentPathway": "Reported",
-        "rolesAndIntermediaries": "Partial",
-        "consentPrivacyScope": "Partial",
-        "compensationTerms": "NotSpecified",
-        "explicitInfluenceLinks": "Partial",
-    }},
-    {"case": "EVADIA+", "codings": {
-        "recruitmentPathway": "Partial",
-        "rolesAndIntermediaries": "Partial",
-        "consentPrivacyScope": "Partial",
-        "compensationTerms": "NotSpecified",
-        "explicitInfluenceLinks": "NotSpecified",
-    }},
-    {"case": "AI-EDI-Space / Street Review", "codings": {
-        "recruitmentPathway": "Reported",
-        "rolesAndIntermediaries": "Partial",
-        "consentPrivacyScope": "Partial",
-        "compensationTerms": "NotSpecified",
-        "explicitInfluenceLinks": "Partial",
-    }},
-    {"case": "WeDesign+", "codings": {
-        "recruitmentPathway": "Reported",
-        "rolesAndIntermediaries": "Partial",
-        "consentPrivacyScope": "Partial",
-        "compensationTerms": "Reported",
-        "explicitInfluenceLinks": "Partial",
-    }},
+    {"case": case, "codings": dict(zip(COLUMNS, levels))} for case, *levels in (
+        ("AIAI / Mid-Space / LIVS", "Reported", "Partial", "Partial", "NotSpecified", "Partial"),
+        ("EVADIA+", "Partial", "Partial", "Partial", "NotSpecified", "NotSpecified"),
+        ("AI-EDI-Space / Street Review",
+         "Reported", "Partial", "Partial", "NotSpecified", "Partial"),
+        ("WeDesign+", "Reported", "Partial", "Partial", "Reported", "Partial"),
+    )
 ]
-
-
-def _content_ref(label: str) -> str:
-    return "artifact:model:sha256:" + hashlib.sha256(label.encode("utf-8")).hexdigest()
 
 
 def build_lifecycle(path: str | Path, stop_after: int | None = None) -> dict[str, str]:
@@ -140,26 +114,50 @@ def build_lifecycle(path: str | Path, stop_after: int | None = None) -> dict[str
     pause voucher goes active, mid-remediation).
     """
     ids: dict[str, str] = {}
-    steps: list[Any] = []
+    with LedgerFile(path) as ledger:
+        stages = _lifecycle_stages(ledger)
+        # A stage appends only when it is asked for, so the cap is checked first.
+        while stop_after is None or len(ledger) < stop_after:
+            stage = next(stages, None)
+            if stage is None:
+                break
+            ids[stage[0]] = stage[1]
+    return ids
 
-    contribution = EntryEnvelope(
-        id=CONTRIBUTION_ID,
-        entry_type=EntryType.CONTRIBUTION,
-        created_at="2025-05-10T14:30:00Z",
-        actor=ActorRef(role="resident", pseudonym="P12", steward_org=STEWARD_ORG),
-        payload=ContributionPayload(
-            kind="prompt",
-            summary=SAMPLE_SUMMARY,
-            artifact_ref=SAMPLE_ARTIFACT_REF,
-            intended_use="evaluation-only",
-        ),
-        consent=ConsentBlock(status="granted", scope="research+design", retention="3y"),
-        compensation=CompensationBlock(model="honorarium", amount=50, currency="CAD"),
-        links=LinkSet(influences=[TEST_ID], evidence=["pl:evidence:workshoplog:001"]),
-    )
-    steps.append(("contribution", contribution))
 
-    change_initial = EntryEnvelope(
+def _lifecycle_stages(ledger: LedgerFile) -> Iterator[tuple[str, str]]:
+    """Append the lifecycle's stages in order, yielding each stage's name
+    and the id it appended."""
+    evaluator = ActorRef(role="evaluator", pseudonym="E1")
+
+    def artifact(version: str, created_at: str) -> str:
+        return ledger.append(EntryEnvelope(
+            id=f"{ARTIFACT_ID}:{version}",
+            entry_type=EntryType.ARTIFACT,
+            created_at=created_at,
+            actor=ActorRef(role="maintainer", pseudonym="M1"),
+            payload=ArtifactPayload(
+                artifact_id=ARTIFACT_ID,
+                artifact_kind="model",
+                version=version,
+                content_ref="artifact:model:sha256:"
+                + hashlib.sha256(f"imagegen-{version}".encode("utf-8")).hexdigest(),
+            ),
+            links=LinkSet(deployed_as=[DEPLOYMENT_ID]),
+        )).id
+
+    def run(version: str, scores: list, checkpoint: str, created_at: str) -> str:
+        return run_test(ledger, TEST_ID, ARTIFACT_ID, version, {"scores": scores},
+                        evaluator, checkpoint, created_at=created_at).id
+
+    # The sample contribution, made by a steward-represented resident for
+    # evaluation only.
+    contribution = sample_contribution()
+    contribution.actor.steward_org = STEWARD_ORG
+    contribution.payload.intended_use = "evaluation-only"
+    yield "contribution", ledger.append(contribution).id
+
+    yield "change_initial", ledger.append(EntryEnvelope(
         id="pl:change:consult:accessibility:001",
         entry_type=EntryType.CHANGE,
         created_at="2025-05-12T09:00:00Z",
@@ -170,10 +168,9 @@ def build_lifecycle(path: str | Path, stop_after: int | None = None) -> dict[str
             changed_artifacts=[ChangedArtifact(artifact_id=ARTIFACT_ID, version_after="v1")],
         ),
         links=LinkSet(influenced_by=[CONTRIBUTION_ID], uses_test=[TEST_ID]),
-    )
-    steps.append(("change_initial", change_initial))
+    )).id
 
-    test = EntryEnvelope(
+    yield "test", ledger.append(EntryEnvelope(
         id=TEST_ID,
         entry_type=EntryType.TEST,
         created_at="2025-05-12T10:00:00Z",
@@ -193,33 +190,13 @@ def build_lifecycle(path: str | Path, stop_after: int | None = None) -> dict[str
             motivated_by=[CONTRIBUTION_ID],
         ),
         links=LinkSet(motivates=[CONTRIBUTION_ID]),
-    )
-    steps.append(("test", test))
+    )).id
 
-    def artifact_entry(version: str, created_at: str) -> EntryEnvelope:
-        return EntryEnvelope(
-            id=f"{ARTIFACT_ID}:{version}",
-            entry_type=EntryType.ARTIFACT,
-            created_at=created_at,
-            actor=ActorRef(role="maintainer", pseudonym="M1"),
-            payload=ArtifactPayload(
-                artifact_id=ARTIFACT_ID,
-                artifact_kind="model",
-                version=version,
-                content_ref=_content_ref(f"imagegen-{version}"),
-            ),
-            links=LinkSet(deployed_as=[DEPLOYMENT_ID]),
-        )
+    yield "artifact_v1", artifact("v1", "2025-05-15T08:00:00Z")
+    yield "run_v1", run("v1", [[5, 4], [4, 4], [4, 5]], "preDeploymentGate",
+                        "2025-05-15T09:30:00Z")
 
-    steps.append(("artifact_v1", artifact_entry("v1", "2025-05-15T08:00:00Z")))
-    steps.append(("run_v1", ("run", {
-        "version": "v1",
-        "raw_results": {"scores": [[5, 4], [4, 4], [4, 5]]},
-        "checkpoint": "preDeploymentGate",
-        "created_at": "2025-05-15T09:30:00Z",
-    })))
-
-    deployment = EntryEnvelope(
+    yield "deployment", ledger.append(EntryEnvelope(
         id=DEPLOYMENT_ID,
         entry_type=EntryType.ARTIFACT,
         created_at="2025-05-16T08:00:00Z",
@@ -231,22 +208,28 @@ def build_lifecycle(path: str | Path, stop_after: int | None = None) -> dict[str
             content_ref="https://consult.example/deployments/2025-05-16",
             boundary=BOUNDARY,
         ),
-    )
-    steps.append(("deployment", deployment))
+    )).id
 
-    steps.append(("artifact_v2", artifact_entry("v2", "2025-06-18T08:00:00Z")))
-    steps.append(("run_v2", ("run", {
-        "version": "v2",
-        "raw_results": {"scores": [[3, 2], [2, 3], [3, 3]]},
-        "checkpoint": "scheduledAudit",
-        "created_at": "2025-06-20T10:00:00Z",
-    })))
-    steps.append(("voucher", ("issue", {})))
-    steps.append(("voucher_active", ("transition", {
-        "new_status": "active", "created_at": "2025-06-20T12:30:00Z",
-    })))
+    yield "artifact_v2", artifact("v2", "2025-06-18T08:00:00Z")
+    run_v2 = run("v2", [[3, 2], [2, 3], [3, 3]], "scheduledAudit", "2025-06-20T10:00:00Z")
+    yield "run_v2", run_v2
+    yield "voucher", issue_voucher(
+        ledger,
+        VoucherPayload(
+            capability=CAPABILITY,
+            boundary=BOUNDARY,
+            action="pause",
+            steward=ActorRef(role="communitySteward", steward_org=STEWARD_ORG),
+            status="issued",
+        ),
+        voucher_id=VOUCHER_ID,
+        links=LinkSet(evidence=[run_v2]),
+        created_at="2025-06-20T12:00:00Z",
+    ).id
+    yield "voucher_active", transition_voucher(
+        ledger, VOUCHER_ID, "active", created_at="2025-06-20T12:30:00Z").id
 
-    change_remediation = EntryEnvelope(
+    yield "change_remediation", ledger.append(EntryEnvelope(
         id="pl:change:consult:remediation:001",
         entry_type=EntryType.CHANGE,
         created_at="2025-06-22T09:00:00Z",
@@ -259,64 +242,17 @@ def build_lifecycle(path: str | Path, stop_after: int | None = None) -> dict[str
         ),
         links=LinkSet(influenced_by=[CONTRIBUTION_ID], uses_test=[TEST_ID],
                       remediates=["pl:run:accessibility:v2:001"]),
-    )
-    steps.append(("change_remediation", change_remediation))
+    )).id
 
-    steps.append(("artifact_v3", artifact_entry("v3", "2025-06-25T08:00:00Z")))
-    steps.append(("run_v3", ("run", {
-        "version": "v3",
-        "raw_results": {"scores": [[5, 4], [4, 5], [5, 5]]},
-        "checkpoint": "postIncident",
-        "created_at": "2025-06-26T09:00:00Z",
-    })))
-    steps.append(("voucher_satisfied", ("transition", {
-        "new_status": "satisfied", "created_at": "2025-06-26T10:00:00Z",
-        "evidence": ["pl:run:accessibility:v3:001"],
-    })))
-    steps.append(("credit", ("accrue", {})))
+    yield "artifact_v3", artifact("v3", "2025-06-25T08:00:00Z")
+    yield "run_v3", run("v3", [[5, 4], [4, 5], [5, 5]], "postIncident", "2025-06-26T09:00:00Z")
 
-    evaluator = ActorRef(role="evaluator", pseudonym="E1")
-    with LedgerFile(path) as ledger:
-        for name, step in steps:
-            if stop_after is not None and len(ledger) >= stop_after:
-                break
-            if isinstance(step, EntryEnvelope):
-                ids[name] = ledger.append(step).id
-            elif step[0] == "run":
-                spec = step[1]
-                run = run_test(
-                    ledger, TEST_ID, ARTIFACT_ID, spec["version"],
-                    spec["raw_results"], evaluator, spec["checkpoint"],
-                    created_at=spec["created_at"],
-                )
-                ids[name] = run.id
-            elif step[0] == "issue":
-                voucher = issue_voucher(
-                    ledger,
-                    VoucherPayload(
-                        capability=CAPABILITY,
-                        boundary=BOUNDARY,
-                        action="pause",
-                        steward=ActorRef(role="communitySteward", steward_org=STEWARD_ORG),
-                        status="issued",
-                    ),
-                    voucher_id=VOUCHER_ID,
-                    links=LinkSet(evidence=[ids["run_v2"]]),
-                    created_at="2025-06-20T12:00:00Z",
-                )
-                ids[name] = voucher.id
-            elif step[0] == "transition":
-                spec = step[1]
-                links = LinkSet(evidence=spec["evidence"]) if "evidence" in spec else None
-                moved = transition_voucher(
-                    ledger, VOUCHER_ID, spec["new_status"],
-                    links=links, created_at=spec["created_at"],
-                )
-                ids[name] = moved.id
-            elif step[0] == "accrue":
-                policy = CreditPolicy.from_doc(POLICY_DOC)
-                minted, _report = accrue_credits(ledger, policy, WINDOW)
-                for index, credit in enumerate(minted):
-                    key = "credit" if index == 0 else f"credit_{index}"
-                    ids[key] = credit.id
-    return ids
+    yield "voucher_satisfied", transition_voucher(
+        ledger, VOUCHER_ID, "satisfied",
+        links=LinkSet(evidence=["pl:run:accessibility:v3:001"]),
+        created_at="2025-06-26T10:00:00Z",
+    ).id
+
+    minted, _report = accrue_credits(ledger, CreditPolicy.from_doc(POLICY_DOC), WINDOW)
+    for index, credit in enumerate(minted):
+        yield "credit" if index == 0 else f"credit_{index}", credit.id

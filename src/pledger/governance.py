@@ -78,20 +78,33 @@ def voucher_lineages(snapshot: Snapshot) -> dict[str, list[EntryEnvelope]]:
     return lineages
 
 
-def issue_voucher(ledger: Any, payload: Any, *, voucher_id: str | None = None,
+def voucher_entry(payload: VoucherPayload, voucher_id: str | None = None, *,
                   links: LinkSet | None = None, created_at: str | None = None) -> EntryEnvelope:
-    """Append a new voucher lineage in status issued.
-
-    The steward must hold the communitySteward role and every condition's
-    required test must already be in the ledger. The status must be issued:
-    the append runs `Snapshot.check_voucher`, the one lifecycle rule.
-    Later statuses arrive through transition_voucher.
-    """
-    if not isinstance(payload, VoucherPayload):
-        payload = VoucherPayload.from_doc(payload)
+    """The entry that issues a voucher lineage; UnauthorizedRole unless the
+    steward holds the communitySteward role. Without `voucher_id` it takes
+    its capability's first derived id, which has the form of every later one."""
     if payload.steward.role != "communitySteward":
         raise UnauthorizedRole(
             f"vouchers are issued by communitySteward, not {payload.steward.role!r}")
+    return EntryEnvelope(
+        id=f"pl:voucher:{_slug(payload.capability)}:001" if voucher_id is None else voucher_id,
+        entry_type=EntryType.VOUCHER,
+        created_at=created_at or now_stamp(),
+        actor=payload.steward,
+        payload=payload,
+        links=links or LinkSet(),
+    )
+
+
+def issue_voucher(ledger: Any, payload: VoucherPayload, *, voucher_id: str | None = None,
+                  links: LinkSet | None = None, created_at: str | None = None) -> EntryEnvelope:
+    """Append a new voucher lineage in status issued.
+
+    The entry is `voucher_entry`'s, and every condition's required test must
+    already be in the ledger. The status must be issued: the append runs
+    `Snapshot.check_voucher`, the one lifecycle rule. Later statuses arrive
+    through transition_voucher.
+    """
     snapshot = Snapshot.of(ledger)
     for condition in payload.conditions:
         if snapshot.live(condition.required_test_id, EntryType.TEST) is None:
@@ -99,15 +112,7 @@ def issue_voucher(ledger: Any, payload: Any, *, voucher_id: str | None = None,
                 f"voucher condition requires unknown test {condition.required_test_id!r}")
     if voucher_id is None:
         voucher_id = snapshot.next_id(f"pl:voucher:{_slug(payload.capability)}:")
-    entry = EntryEnvelope(
-        id=voucher_id,
-        entry_type=EntryType.VOUCHER,
-        created_at=created_at or now_stamp(),
-        actor=payload.steward,
-        payload=payload,
-        links=links or LinkSet(),
-    )
-    return ledger.append(entry)
+    return ledger.append(voucher_entry(payload, voucher_id, links=links, created_at=created_at))
 
 
 def transition_voucher(ledger: Any, voucher_id: str, new_status: str, *,
@@ -491,19 +496,18 @@ def compute_accrual(entries: Any, policy: CreditPolicy,
     return plans, report
 
 
-def accrue_credits(ledger: Any, policy: CreditPolicy | dict,
-                   window: tuple[str, str], *, actor: ActorRef | None = None,
+def accrue_credits(ledger: Any, policy: CreditPolicy, window: tuple[str, str], *,
                    created_at: str | None = None) -> tuple[list[EntryEnvelope], AccrualReport]:
-    """Append one Credit entry per qualifying event share in the window.
+    """Append one Credit entry per credit that `compute_accrual` plans.
 
-    Credits are stamped at the window end by default so reruns are
+    Each entry is recorded by the maintainer pseudonym `credit-accrual` and
+    stamped `created_at`, by default the window end, so reruns are
     deterministic; idempotence comes from creditsFor links, so accruing the
-    same window twice appends nothing new.
+    same window twice appends nothing new. Returns the minted entries and
+    the report, whose credits list they fill.
     """
-    if not isinstance(policy, CreditPolicy):
-        policy = CreditPolicy.from_doc(policy)
     plans, report = compute_accrual(Snapshot.of(ledger), policy, window)
-    recorder = actor or ActorRef(role="maintainer", pseudonym="credit-accrual")
+    recorder = ActorRef(role="maintainer", pseudonym="credit-accrual")
     stamp = created_at or window[1]
     minted: list[EntryEnvelope] = []
     for plan in plans:

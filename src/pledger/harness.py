@@ -131,20 +131,15 @@ def _find_artifact_version(snapshot: Snapshot, artifact_id: str,
     return entry
 
 
-def _coerce_actor(actor: Any) -> ActorRef:
-    if isinstance(actor, ActorRef):
-        return actor
-    return ActorRef.from_doc(actor, "evaluator")
-
-
 def _append_run(ledger: Any, test: EntryEnvelope, artifact_entry: EntryEnvelope,
                 raw_results: dict, evaluator: ActorRef, checkpoint: str,
-                decision: str, created_at: str) -> EntryEnvelope:
+                created_at: str) -> EntryEnvelope:
+    """Append the run of `test` on `artifact_entry`, decided by `decide`."""
     payload = EvaluationRunPayload(
         test_id=test.id,
         artifact_id=artifact_entry.payload.artifact_id,
         version=artifact_entry.payload.version,
-        decision=decision,
+        decision=decide(test.payload.measurement, raw_results),
         checkpoint=checkpoint,
         evaluator=evaluator,
         raw_results=raw_results,
@@ -166,7 +161,7 @@ def _append_run(ledger: Any, test: EntryEnvelope, artifact_entry: EntryEnvelope,
 
 
 def run_test(ledger: Any, test_id: str, artifact_id: str, version: str,
-             raw_results: dict, evaluator: Any, checkpoint: str, *,
+             raw_results: dict, evaluator: ActorRef, checkpoint: str, *,
              created_at: str | None = None) -> EntryEnvelope:
     """Record one evaluation of a test against a declared artifact version.
 
@@ -178,10 +173,8 @@ def run_test(ledger: Any, test_id: str, artifact_id: str, version: str,
     snapshot = Snapshot.of(ledger)
     test = _find_test(snapshot, test_id)
     artifact_entry = _find_artifact_version(snapshot, artifact_id, version)
-    decision = decide(test.payload.measurement, raw_results)
-    return _append_run(ledger, test, artifact_entry, raw_results,
-                       _coerce_actor(evaluator), checkpoint, decision,
-                       created_at or now_stamp())
+    return _append_run(ledger, test, artifact_entry, raw_results, evaluator,
+                       checkpoint, created_at or now_stamp())
 
 
 @record
@@ -207,7 +200,7 @@ class SuiteReport:
 
 
 def run_suite(ledger: Any, checkpoint: str, artifact_id: str, version: str,
-              results: dict[str, dict], evaluator: Any, *,
+              results: dict[str, dict], evaluator: ActorRef, *,
               created_at: str | None = None) -> SuiteReport:
     """Run every live test in the ledger against one artifact version.
 
@@ -217,7 +210,6 @@ def run_suite(ledger: Any, checkpoint: str, artifact_id: str, version: str,
     """
     snapshot = Snapshot.of(ledger)
     artifact_entry = _find_artifact_version(snapshot, artifact_id, version)
-    actor = _coerce_actor(evaluator)
     stamp = created_at or now_stamp()
     report = SuiteReport(artifact_id=artifact_id, version=version,
                          checkpoint=checkpoint, verdict="allPass")
@@ -228,11 +220,9 @@ def run_suite(ledger: Any, checkpoint: str, artifact_id: str, version: str,
         if raw is None:
             raw = dict(MISSING_RESULTS)
             report.missing.append(test.id)
-        decision = decide(test.payload.measurement, raw)
-        run = _append_run(ledger, test, artifact_entry, raw, actor, checkpoint,
-                          decision, stamp)
+        run = _append_run(ledger, test, artifact_entry, raw, evaluator, checkpoint, stamp)
         report.runs.append(run)
-        report.decisions[test.id] = decision
+        report.decisions[test.id] = run.payload.decision
     report.verdict = fold_suite(report.decisions.values())
     return report
 
@@ -323,15 +313,17 @@ def verify_replay(source: Any) -> list[tuple[str, str, str]]:
 # ---------------------------------------------------------------------------
 # incident triage
 
-def triage_incident(ledger: Any, incident_contribution_id: str, draft: Any, *,
-                    test_id: str | None = None, actor: Any = None,
+def triage_incident(ledger: Any, incident_contribution_id: str, draft: TestPayload, *,
+                    test_id: str | None = None, actor: ActorRef | None = None,
                     created_at: str | None = None) -> EntryEnvelope:
     """Turn an incident-report contribution into an appended Test entry.
 
-    The new test carries motivatedBy=[incident] in its payload and declares a
-    motivates link back to the incident, which the graph stores as the edge
-    incident -> test. The draft supplies the test fields (a TestPayload or a
-    payload document); its motivatedBy list is extended with the incident id.
+    The new test's payload is `draft` itself, with the incident id added to
+    its motivatedBy list, and the entry declares a motivates link back to the
+    incident, which the graph stores as the edge incident -> test. The id
+    defaults to the next `pl:test:<topic>:` number and the actor to the
+    maintainer pseudonym `triage`. Raises UnknownContribution unless the
+    incident is a live contribution, WrongKind unless it is an incidentReport.
     """
     snapshot = Snapshot.of(ledger)
     incident = snapshot.live(incident_contribution_id, EntryType.CONTRIBUTION)
@@ -343,20 +335,17 @@ def triage_incident(ledger: Any, incident_contribution_id: str, draft: Any, *,
             f"cannot triage a {incident.payload.kind!r} contribution; "
             f"expected incidentReport")
 
-    payload = draft if isinstance(draft, TestPayload) else TestPayload.from_doc(draft)
-    if incident.id not in payload.motivated_by:
-        payload.motivated_by.append(incident.id)
+    if incident.id not in draft.motivated_by:
+        draft.motivated_by.append(incident.id)
 
     if test_id is None:
-        test_id = snapshot.next_id(f"pl:test:{_slug(payload.topic)}:")
-    if actor is None:
-        actor = ActorRef(role="maintainer", pseudonym="triage")
+        test_id = snapshot.next_id(f"pl:test:{_slug(draft.topic)}:")
     entry = EntryEnvelope(
         id=test_id,
         entry_type=EntryType.TEST,
         created_at=created_at or now_stamp(),
-        actor=_coerce_actor(actor),
-        payload=payload,
+        actor=actor or ActorRef(role="maintainer", pseudonym="triage"),
+        payload=draft,
         links=LinkSet(motivates=[incident.id]),
     )
     return ledger.append(entry)

@@ -17,6 +17,7 @@ from contextlib import contextmanager
 from decimal import Decimal
 from pathlib import Path
 
+import pytest
 from conftest import (
     brute_force_rows,
     make_artifact,
@@ -140,6 +141,22 @@ def test_c1_lifecycle_replay(tmp_path):
         assert replans == []
 
         assert time.monotonic() - started < 1.0
+
+
+LIFECYCLE_PIN = json.loads(
+    (Path(__file__).parent / "data" / "lifecycle_pin.json").read_text("utf-8"))
+
+
+@pytest.mark.parametrize("stage", ["full", "STAGE_PAUSED"])
+def test_lifecycle_bytes_are_pinned(stage, tmp_path):
+    """The worked example's file digest, `.head` and returned ids, in order,
+    for the full ledger and the one that stops once the pause is active."""
+    path = tmp_path / "lifecycle.pledger"
+    ids = build_lifecycle(path, stop_after=STAGE_PAUSED if stage == "STAGE_PAUSED" else None)
+    pin = LIFECYCLE_PIN[stage]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == pin["sha256"]
+    assert (tmp_path / "lifecycle.pledger.head").read_text("utf-8") == pin["head"]
+    assert list(ids.items()) == list(pin["ids"].items())
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from pledger.fixtures import (
     STEWARD_ORG,
     TEST_ID,
     VOUCHER_ID,
+    WINDOW,
     sample_contribution_doc,
 )
 from pledger.harness import run_suite
@@ -534,6 +535,99 @@ def test_a_malformed_hmac_key_is_refused_before_the_open(writable, tmp_path, cap
         == before
     assert sorted(p.name for p in tmp_path.iterdir()) \
         == ["inputs", "work.pledger", "work.pledger.head"]
+
+
+_STRUCTURE = "error: structural validation failed: "
+_STAMP = "not an ISO-8601 UTC second timestamp: 'garbage'"
+_ACCRUE = ["credit", "accrue", "--policy", "{policy}"]
+_WINDOW = ["--window-start", WINDOW[0], "--window-end", WINDOW[1]]
+
+# A writer that may start a ledger, given one input fault that it can find
+# without reading a ledger, with the refusal it answers; `{...}` name inputs.
+PRE_OPEN_REFUSALS = {
+    "append-role": (["append", "{entry}"],
+                    _STRUCTURE + "actor.role [actor.role] unknown role 'nobody'"),
+    "voucher-created-at": (
+        ["voucher", "issue", "--payload", "{voucher}", "--created-at", "garbage"],
+        _STRUCTURE + "createdAt [createdAt.format] not an ISO-8601 UTC timestamp: 'garbage'"),
+    "voucher-steward": (["voucher", "issue", "--payload", "{resident_voucher}"],
+                        "error: vouchers are issued by communitySteward, not 'resident'"),
+    "voucher-action": (["voucher", "issue", "--payload", "{bogus_voucher}"],
+                       _STRUCTURE + "voucher.action [voucher.action] unknown action 'bogus'"),
+    "accrue-window-start": (
+        [*_ACCRUE, "--window-start", "garbage", "--window-end", WINDOW[1]], "error: " + _STAMP),
+    "accrue-window-end": (
+        [*_ACCRUE, "--window-start", WINDOW[0], "--window-end", "garbage"], "error: " + _STAMP),
+    "accrue-created-at": (
+        [*_ACCRUE, *_WINDOW, "--created-at", "garbage"],
+        _STRUCTURE + "createdAt [createdAt.format] not an ISO-8601 UTC timestamp: 'garbage'"),
+}
+
+
+@pytest.mark.parametrize("name", PRE_OPEN_REFUSALS)
+def test_a_writer_checks_its_own_inputs_before_the_open(writable_mid, tmp_path, capsys, name):
+    # Exit 5 with the refusal the append itself would give, yet a missing
+    # ledger is not started, and an existing one keeps its bytes, its
+    # modification time and an unfinished append, which an open would cut.
+    # The existing ledger stops at STAGE_PAUSED, so an accrual there would
+    # mint a credit and reach the append's own check of --created-at.
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    voucher = {"capability": CAPABILITY, "boundary": BOUNDARY, "action": "pause",
+               "status": "issued",
+               "steward": {"role": "communitySteward", "stewardOrg": STEWARD_ORG}}
+    docs = {
+        "entry": {**sample_contribution_doc(), "id": "pl:contrib:new:001",
+                  "actor": {"role": "nobody", "pseudonym": "P1"}},
+        "voucher": voucher,
+        "resident_voucher": {**voucher, "steward": {"role": "resident", "pseudonym": "R1"}},
+        "bogus_voucher": {**voucher, "action": "bogus"},
+        "policy": POLICY_DOC,
+    }
+    paths = {doc: inputs / f"{doc}.json" for doc in docs}
+    for doc, content in docs.items():
+        paths[doc].write_text(json.dumps(content), "utf-8")
+    template, refusal = PRE_OPEN_REFUSALS[name]
+    argv = [arg.format(**paths) for arg in template]
+
+    missing = tmp_path / "nodir" / "new.pledger"
+    assert run_cli(capsys, *argv, "--ledger", str(missing)) == (5, "", refusal + "\n")
+    assert not missing.parent.exists()
+
+    lines = writable_mid.read_bytes().splitlines(keepends=True)
+    writable_mid.write_bytes(b"".join(lines[:-1]) + lines[-1][:-10])
+    head = store.head_path(writable_mid)
+    head.write_text(json.loads(lines[-2])["integrity"]["hash"] + "\n", "utf-8")
+    stamp = 1_577_836_800_000_000_000  # 2020-01-01T00:00:00Z
+    for path in (writable_mid, head):
+        os.utime(path, ns=(stamp, stamp))
+    before = [(path.read_bytes(), path.stat().st_mtime_ns) for path in (writable_mid, head)]
+    assert run_cli(capsys, *argv, "--ledger", str(writable_mid)) == (5, "", refusal + "\n")
+    assert [(path.read_bytes(), path.stat().st_mtime_ns) for path in (writable_mid, head)] \
+        == before
+
+
+def test_a_held_lock_or_a_failed_write_exits_4_and_leaves_the_file(
+        writable, tmp_path, capsys, monkeypatch):
+    # Both are a StorageFailure, which exits 4 as a verification failure does.
+    entry = tmp_path / "entry.json"
+    entry.write_text(json.dumps({**sample_contribution_doc(), "id": "pl:contrib:new:001",
+                                 "createdAt": "2025-07-01T00:00:00Z"}), "utf-8")
+    argv = ["append", str(entry), "--ledger", str(writable)]
+    before = (writable.read_bytes(), sorted(p.name for p in tmp_path.iterdir()))
+    with LedgerFile(writable):
+        assert run_cli(capsys, *argv) == (
+            4, "", f"verification failure: another writer holds the lock on {writable}\n")
+    assert (writable.read_bytes(), sorted(p.name for p in tmp_path.iterdir())) == before
+
+    def no_disk(fd):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "fsync", no_disk)
+    assert run_cli(capsys, *argv) == (
+        4, "", f"verification failure: append to {writable} failed: "
+               "[Errno 28] No space left on device\n")
+    assert (writable.read_bytes(), sorted(p.name for p in tmp_path.iterdir())) == before
 
 
 def test_ledger_env_default_and_override(lifecycle, monkeypatch, capsys):

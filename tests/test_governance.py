@@ -152,7 +152,8 @@ def test_issue_voucher_accepts_raw_documents(tmp_path):
         "status": "issued",
     }
     with LedgerFile(tmp_path / "v.pledger") as ledger:
-        entry = issue_voucher(ledger, doc, voucher_id="pl:voucher:gen:001")
+        entry = issue_voucher(ledger, VoucherPayload.from_doc(doc),
+                              voucher_id="pl:voucher:gen:001")
         assert entry.payload.action == "authorize"
         assert entry.payload.steward.steward_org == "pl:org:gen-steward"
 
@@ -649,7 +650,7 @@ def test_accrue_rerun_is_idempotent(lifecycle, tmp_path):
     shutil.copy(source, path)
     with LedgerFile(path) as ledger:
         before = len(ledger)
-        minted, report = accrue_credits(ledger, POLICY_DOC, WINDOW)
+        minted, report = accrue_credits(ledger, CreditPolicy.from_doc(POLICY_DOC), WINDOW)
         assert minted == []
         assert len(ledger) == before
     assert report.total_units() == Decimal(0)
@@ -662,7 +663,7 @@ def test_mid_lifecycle_accrues_same_credit(mid_lifecycle, tmp_path):
     path = tmp_path / "copy.pledger"
     shutil.copy(source, path)
     with LedgerFile(path) as ledger:
-        minted, report = accrue_credits(ledger, POLICY_DOC, WINDOW)
+        minted, report = accrue_credits(ledger, CreditPolicy.from_doc(POLICY_DOC), WINDOW)
         assert [m.id for m in minted] == [LIFECYCLE_CREDIT_ID]
         assert minted[0].payload.units == 10.0
         assert report.considered == 2
@@ -901,11 +902,9 @@ def test_accrue_credits_appends_and_reports(tmp_path):
     with LedgerFile(tmp_path / "v.pledger") as ledger:
         for entry in regression_history():
             ledger.append(entry)
-        recorder = ActorRef(role="auditor", pseudonym="AUD1")
         minted, report = accrue_credits(ledger, make_policy(), WINDOW,
-                                        actor=recorder, created_at=stamp(800))
+                                        created_at=stamp(800))
         assert len(minted) == 1
-        assert minted[0].actor == recorder
         assert minted[0].created_at == stamp(800)
         assert report.credits == minted
         assert report.total_units() == Decimal("10")

@@ -458,17 +458,6 @@ def test_triage_incident_appends_motivated_test(tmp_path):
         assert again.id == "pl:test:seating-comfort:002"
 
 
-def test_triage_incident_accepts_payload_documents(tmp_path):
-    with LedgerFile(tmp_path / "triage.pledger") as led:
-        incident = led.append(make_contribution(1, kind="incidentReport"))
-        test = triage_incident(led, incident.id, {
-            "topic": "shade",
-            "expectedBehavior": "Seating areas include shade.",
-            "measurement": {"runnerKind": "externalRecordOnly"},
-        }, created_at=stamp(650))
-        assert test.payload.motivated_by == [incident.id]
-
-
 def test_triage_incident_rejections(tmp_path):
     with LedgerFile(tmp_path / "triage.pledger") as led:
         prompt = led.append(make_contribution(1))
