@@ -28,7 +28,8 @@ _MODULE_NAMES = {
         ValidationFailed WrongEntryType WrongKind""",
     "evidence": """
         CoverageLevel EvidenceMatrix audit_contribution audit_corpus
-        build_export check_export_conformance flag_consent_violations""",
+        build_export case_matrix check_export_conformance
+        flag_consent_violations""",
     "governance": """
         CreditPolicy GateDecision accrue_credits credit_report gate_check
         issue_voucher transition_voucher""",

@@ -82,8 +82,8 @@ def _existing_ledger(args: argparse.Namespace) -> str:
     return path
 
 
-def _entries(args: argparse.Namespace) -> list:
-    return store.read_entries(_existing_ledger(args))
+def _snapshot(args: argparse.Namespace) -> Snapshot:
+    return Snapshot(store.read_entries(_existing_ledger(args)))
 
 
 def _parse_hmac(value: str | None) -> tuple[str, bytes] | None:
@@ -187,7 +187,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     from . import query as query_mod
 
-    graph = build_graph(_entries(args))
+    graph = build_graph(_snapshot(args))
     if args.saved:
         if args.query or args.file:
             raise _UsageError("give exactly one of QUERY, --file, or --saved")
@@ -249,7 +249,7 @@ def _default_artifact(snapshot: Snapshot) -> str:
 def _cmd_gate_check(args: argparse.Namespace) -> int:
     from . import governance
 
-    snapshot = Snapshot(_entries(args))
+    snapshot = _snapshot(args)
     artifact_id = args.artifact or _default_artifact(snapshot)
     decision = governance.gate_check(
         snapshot, args.capability, artifact_id, args.version, args.boundary,
@@ -314,7 +314,7 @@ def _cmd_credit_report(args: argparse.Namespace) -> int:
     from . import governance
 
     statement = governance.credit_report(
-        Snapshot(_entries(args)), args.beneficiary, (args.window_start, args.window_end))
+        _snapshot(args), args.beneficiary, (args.window_start, args.window_end))
     lines = [f"{line['creditId']}: {render_value(line['units'])} "
              f"({line['eventKind']} on {line['triggerId']})" for line in statement.lines]
     lines.append(f"total units: {render_value(statement.total_units)}")
@@ -326,15 +326,15 @@ def _cmd_audit_evidence(args: argparse.Namespace) -> int:
     from . import evidence as evidence_mod
 
     if args.cases:
-        matrix = evidence_mod.audit_corpus(_read_doc(args.cases), mode="document")
+        matrix = evidence_mod.case_matrix(_read_doc(args.cases))
     else:
-        matrix = evidence_mod.audit_corpus(Snapshot(_entries(args)), mode="ledger")
+        matrix = evidence_mod.audit_corpus(_snapshot(args))
     _emit(args, None, matrix.to_doc(), table=matrix)
     return 0
 
 
 def _cmd_audit_linkage(args: argparse.Namespace) -> int:
-    report = linkage_completeness(build_graph(_entries(args)))
+    report = linkage_completeness(build_graph(_snapshot(args)))
     doc = report.to_doc()
     text = "\n".join([
         f"changes: {report.total_changes}",
@@ -365,7 +365,7 @@ def _cmd_audit_conformance(args: argparse.Namespace) -> int:
 def _cmd_audit_consent(args: argparse.Namespace) -> int:
     from . import evidence as evidence_mod
 
-    violations = evidence_mod.flag_consent_violations(Snapshot(_entries(args)))
+    violations = evidence_mod.flag_consent_violations(_snapshot(args))
     if violations:
         text = "\n".join(f"{v['changeId']} <- {v['contributionId']}: {v['violation']}"
                          for v in violations)
@@ -381,8 +381,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     artifact_id, sep, version = args.release.rpartition("@")
     if not sep or not artifact_id or not version:
         raise _UsageError("--release takes <artifactId>@<version>")
-    export = evidence_mod.build_export(
-        Snapshot(_entries(args)), artifact_id, version, now=args.now)
+    export = evidence_mod.build_export(_snapshot(args), artifact_id, version, now=args.now)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             _write_doc(fh, export)

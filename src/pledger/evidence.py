@@ -1,9 +1,9 @@
 """Evidence coverage audits, release exports, and conformance checks.
 
 Coverage coding follows a fixed three-valued rule table per evidence column;
-ambiguity codes conservatively as NotSpecified. The audit runs in two modes:
-document mode formats human-supplied codings verbatim, ledger mode derives
-each cell as the best level any contribution in the group achieves.
+ambiguity codes conservatively as NotSpecified. The ledger audit derives each
+cell as the best level any contribution in the group achieves; a case file's
+human-supplied codings are formatted verbatim into the same matrix.
 
 Release exports are self-contained documents: the entries reachable from a
 release artifact (following links both ways, payload references, lineage
@@ -218,30 +218,29 @@ def _group_key(entry_id: str) -> str:
     return segments[2] if len(segments) > 2 else entry_id
 
 
-def audit_corpus(data: Any, mode: str = "document") -> EvidenceMatrix:
-    """Assemble an evidence coverage matrix.
-
-    Document mode takes a list of {case, codings} documents and formats the
-    supplied codings verbatim (absent columns code NotSpecified). Ledger mode
-    takes an entry source, groups contributions by the segment after the id
-    kind, and scores each cell as the best level any group member achieves.
-    """
+def case_matrix(cases: Any) -> EvidenceMatrix:
+    """The matrix of a case file: a list of {case, codings} documents, each
+    case's supplied codings formatted verbatim (absent columns code
+    NotSpecified)."""
+    if not isinstance(cases, list) or not all(
+            isinstance(case, dict) and isinstance(case.get("case", ""), str)
+            and isinstance(case.get("codings", {}), dict) for case in cases):
+        raise MalformedDocument("cases must be a list of objects, each with a string"
+                                " case and a codings object")
     matrix = EvidenceMatrix()
-    if mode == "document":
-        if not isinstance(data, list) or not all(
-                isinstance(case, dict) and isinstance(case.get("case", ""), str)
-                and isinstance(case.get("codings", {}), dict) for case in data):
-            raise MalformedDocument("cases must be a list of objects, each with a string"
-                                    " case and a codings object")
-        for case in data:
-            codings = case.get("codings", {})
-            levels = {c: CoverageLevel.parse(codings.get(c)) for c in COLUMNS}
-            matrix.rows.append((case.get("case", ""), levels))
-        return matrix
-    if mode != "ledger":
-        raise ValueError(f"unknown audit mode {mode!r}")
+    for case in cases:
+        codings = case.get("codings", {})
+        levels = {c: CoverageLevel.parse(codings.get(c)) for c in COLUMNS}
+        matrix.rows.append((case.get("case", ""), levels))
+    return matrix
 
-    snapshot = build_graph(data)
+
+def audit_corpus(snapshot: Snapshot) -> EvidenceMatrix:
+    """The evidence coverage matrix of a ledger: contributions grouped by the
+    segment after the id kind, each cell the best level any group member
+    achieves."""
+    build_graph(snapshot)  # every contribution's influence cell reads edges
+    matrix = EvidenceMatrix()
     groups: dict[str, list[dict[str, CoverageLevel]]] = {}
     order: list[str] = []
     for entry in snapshot.live_of(EntryType.CONTRIBUTION):
@@ -260,7 +259,7 @@ def audit_corpus(data: Any, mode: str = "document") -> EvidenceMatrix:
 # ---------------------------------------------------------------------------
 # consent violations
 
-def flag_consent_violations(source: Any) -> list[dict[str, str]]:
+def flag_consent_violations(snapshot: Snapshot) -> list[dict[str, str]]:
     """Changes that draw on contributions they were not entitled to.
 
     Two rules: a Change sealed after a contribution's consent was withdrawn
@@ -270,7 +269,6 @@ def flag_consent_violations(source: Any) -> list[dict[str, str]]:
     the rule respects entry order. The lineage read includes tombstoned
     revisions, since a withdrawal tombstones the original.
     """
-    snapshot = Snapshot.of(source)
     violations: list[dict[str, str]] = []
     for change in snapshot.live_of(EntryType.CHANGE):
         change_index = snapshot.position[change.id]
@@ -338,7 +336,7 @@ def _payload_references(entry: EntryEnvelope, snapshot: Snapshot) -> list[str]:
     return refs
 
 
-def build_export(source: Any, artifact_id: str, version: str, *,
+def build_export(snapshot: Snapshot, artifact_id: str, version: str, *,
                  now: str | None = None) -> dict:
     """Self-contained release export for one artifact version.
 
@@ -351,7 +349,6 @@ def build_export(source: Any, artifact_id: str, version: str, *,
     """
     if now is not None:
         parse_timestamp(now)  # a malformed `now` is refused before anything is built
-    snapshot = Snapshot.of(source)
     seed = _declared(snapshot, artifact_id, version)
     if seed is None:
         raise MalformedExport(f"no declared version {version!r} of {artifact_id!r}")
@@ -482,7 +479,7 @@ def check_export_conformance(export: Any) -> ConformanceReport:
     """
     export = decode_checked(ReleaseExport.from_doc, export, MalformedExport, "export")
     artifact_id = export.release["artifactId"]
-    snapshot = build_graph(export.entries)
+    snapshot = Snapshot(export.entries)  # no clause reads an edge
     # Each clause's details; a clause passes when it has none.
     a: list[str] = []
     for entry in snapshot.live_of(EntryType.CONTRIBUTION):

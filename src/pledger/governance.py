@@ -46,6 +46,7 @@ from .model import (
     record,
     wire,
 )
+from .store import LedgerFile
 
 DEFAULT_ALLOW = "noApplicableVoucher-defaultAllow"
 
@@ -96,7 +97,7 @@ def voucher_entry(payload: VoucherPayload, voucher_id: str | None = None, *,
     )
 
 
-def issue_voucher(ledger: Any, payload: VoucherPayload, *, voucher_id: str | None = None,
+def issue_voucher(ledger: LedgerFile, payload: VoucherPayload, *, voucher_id: str | None = None,
                   links: LinkSet | None = None, created_at: str | None = None) -> EntryEnvelope:
     """Append a new voucher lineage in status issued.
 
@@ -105,7 +106,7 @@ def issue_voucher(ledger: Any, payload: VoucherPayload, *, voucher_id: str | Non
     `Snapshot.check_voucher`, the one lifecycle rule. Later statuses arrive
     through transition_voucher.
     """
-    snapshot = Snapshot.of(ledger)
+    snapshot = ledger.snapshot
     for condition in payload.conditions:
         if snapshot.live(condition.required_test_id, EntryType.TEST) is None:
             raise UnknownTest(
@@ -115,7 +116,7 @@ def issue_voucher(ledger: Any, payload: VoucherPayload, *, voucher_id: str | Non
     return ledger.append(voucher_entry(payload, voucher_id, links=links, created_at=created_at))
 
 
-def transition_voucher(ledger: Any, voucher_id: str, new_status: str, *,
+def transition_voucher(ledger: LedgerFile, voucher_id: str, new_status: str, *,
                        links: LinkSet | None = None, expiry: str | None = None,
                        created_at: str | None = None) -> EntryEnvelope:
     """Append the next revision of a voucher lineage with a new status.
@@ -129,7 +130,7 @@ def transition_voucher(ledger: Any, voucher_id: str, new_status: str, *,
     """
     import copy
 
-    snapshot = Snapshot.of(ledger)
+    snapshot = ledger.snapshot
     live = _live_revisions(snapshot, voucher_id)
     if not live:
         raise IllegalTransition(
@@ -194,7 +195,7 @@ def _latest_run_decision(snapshot: Snapshot, test_id: str, artifact_id: str,
     return decision
 
 
-def gate_check(source: Any, capability: str, artifact_id: str, version: str,
+def gate_check(snapshot: Snapshot, capability: str, artifact_id: str, version: str,
                boundary: str, now: str) -> GateDecision:
     """Decide whether a capability may activate inside a boundary.
 
@@ -206,7 +207,6 @@ def gate_check(source: Any, capability: str, artifact_id: str, version: str,
     expiry are skipped and reported separately. When nothing applies the gate
     allows by default and says so.
     """
-    snapshot = Snapshot.of(source)
     decision = GateDecision(allowed=True, evaluated_at=now)
     now_dt = parse_timestamp(now)
     applicable = 0
@@ -415,7 +415,7 @@ def _credit_id(kind: str, anchor_id: str, beneficiary: str) -> str:
     return f"pl:credit:{kind.lower()}:{_slug(anchor_id)}:{_slug(beneficiary)}"
 
 
-def compute_accrual(entries: Any, policy: CreditPolicy,
+def compute_accrual(snapshot: Snapshot, policy: CreditPolicy,
                     window: tuple[str, str]) -> tuple[list[dict], AccrualReport]:
     """Pure accrual core: decide which credits a window earns.
 
@@ -426,7 +426,6 @@ def compute_accrual(entries: Any, policy: CreditPolicy,
     """
     policy.validate()
     bounds = _bounds(window)
-    snapshot = Snapshot.of(entries)
     policy_ref = policy.ref()
     report = AccrualReport(window=window, policy_ref=policy_ref)
     events = _candidate_events(snapshot, bounds)
@@ -496,7 +495,7 @@ def compute_accrual(entries: Any, policy: CreditPolicy,
     return plans, report
 
 
-def accrue_credits(ledger: Any, policy: CreditPolicy, window: tuple[str, str], *,
+def accrue_credits(ledger: LedgerFile, policy: CreditPolicy, window: tuple[str, str], *,
                    created_at: str | None = None) -> tuple[list[EntryEnvelope], AccrualReport]:
     """Append one Credit entry per credit that `compute_accrual` plans.
 
@@ -506,7 +505,7 @@ def accrue_credits(ledger: Any, policy: CreditPolicy, window: tuple[str, str], *
     same window twice appends nothing new. Returns the minted entries and
     the report, whose credits list they fill.
     """
-    plans, report = compute_accrual(Snapshot.of(ledger), policy, window)
+    plans, report = compute_accrual(ledger.snapshot, policy, window)
     recorder = ActorRef(role="maintainer", pseudonym="credit-accrual")
     stamp = created_at or window[1]
     minted: list[EntryEnvelope] = []
@@ -554,12 +553,11 @@ class CreditStatement:
         }
 
 
-def credit_report(source: Any, beneficiary: str,
+def credit_report(snapshot: Snapshot, beneficiary: str,
                   window: tuple[str, str]) -> CreditStatement:
     """Aggregate a beneficiary's Credit entries inside a window. Every line
     cites the triggering run or change id."""
     bounds = _bounds(window)
-    snapshot = Snapshot.of(source)
     statement = CreditStatement(beneficiary=beneficiary, window=window)
     for entry in snapshot.live_of(EntryType.CREDIT):
         if entry.payload.beneficiary != beneficiary or not _in_window(entry.created_at, bounds):

@@ -111,17 +111,6 @@ class Snapshot:
         for entry in entries:
             self.add(entry)
 
-    @classmethod
-    def of(cls, source: Any) -> "Snapshot":
-        """A Snapshot as is, the one a ledger file holds, or one built from a
-        plain iterable of entries."""
-        if isinstance(source, Snapshot):
-            return source
-        live = getattr(source, "snapshot", None)
-        if live is not None:
-            return live
-        return cls(source)
-
     def add(self, entry: EntryEnvelope) -> None:
         entry_id = entry.id
         if entry_id in self.position:
@@ -307,10 +296,8 @@ class Snapshot:
         return found
 
 
-def build_graph(source: Any) -> Snapshot:
-    """`Snapshot.of(source)` with its adjacency built now; a Snapshot, or a
-    ledger file's live one, is reused rather than rebuilt."""
-    snapshot = Snapshot.of(source)
+def build_graph(snapshot: Snapshot) -> Snapshot:
+    """`snapshot` itself, with the adjacency of its declared links built now."""
     snapshot._sync()
     return snapshot
 

@@ -34,6 +34,7 @@ from .model import (
     now_stamp,
     record,
 )
+from .store import LedgerFile
 
 # rawResults marker for a run that never produced data; decides inconclusive.
 MISSING_RESULTS = {"reason": "missingResults"}
@@ -131,7 +132,7 @@ def _find_artifact_version(snapshot: Snapshot, artifact_id: str,
     return entry
 
 
-def _append_run(ledger: Any, test: EntryEnvelope, artifact_entry: EntryEnvelope,
+def _append_run(ledger: LedgerFile, test: EntryEnvelope, artifact_entry: EntryEnvelope,
                 raw_results: dict, evaluator: ActorRef, checkpoint: str,
                 created_at: str) -> EntryEnvelope:
     """Append the run of `test` on `artifact_entry`, decided by `decide`."""
@@ -149,7 +150,7 @@ def _append_run(ledger: Any, test: EntryEnvelope, artifact_entry: EntryEnvelope,
             else None),
     )
     entry = EntryEnvelope(
-        id=Snapshot.of(ledger).next_id(
+        id=ledger.snapshot.next_id(
             f"pl:run:{_slug(test.id.split(':')[2])}:{_slug(payload.version)}:"),
         entry_type=EntryType.EVALUATION_RUN,
         created_at=created_at,
@@ -160,7 +161,7 @@ def _append_run(ledger: Any, test: EntryEnvelope, artifact_entry: EntryEnvelope,
     return ledger.append(entry)
 
 
-def run_test(ledger: Any, test_id: str, artifact_id: str, version: str,
+def run_test(ledger: LedgerFile, test_id: str, artifact_id: str, version: str,
              raw_results: dict, evaluator: ActorRef, checkpoint: str, *,
              created_at: str | None = None) -> EntryEnvelope:
     """Record one evaluation of a test against a declared artifact version.
@@ -170,7 +171,7 @@ def run_test(ledger: Any, test_id: str, artifact_id: str, version: str,
     either side is missing, ShapeMismatch when the raw results do not fit the
     test's runner kind.
     """
-    snapshot = Snapshot.of(ledger)
+    snapshot = ledger.snapshot
     test = _find_test(snapshot, test_id)
     artifact_entry = _find_artifact_version(snapshot, artifact_id, version)
     return _append_run(ledger, test, artifact_entry, raw_results, evaluator,
@@ -199,7 +200,7 @@ class SuiteReport:
         }
 
 
-def run_suite(ledger: Any, checkpoint: str, artifact_id: str, version: str,
+def run_suite(ledger: LedgerFile, checkpoint: str, artifact_id: str, version: str,
               results: dict[str, dict], evaluator: ActorRef, *,
               created_at: str | None = None) -> SuiteReport:
     """Run every live test in the ledger against one artifact version.
@@ -208,7 +209,7 @@ def run_suite(ledger: Any, checkpoint: str, artifact_id: str, version: str,
     entry in the bundle still gets a run, recorded inconclusive with the
     MISSING_RESULTS marker. The suite verdict is the fold over decisions.
     """
-    snapshot = Snapshot.of(ledger)
+    snapshot = ledger.snapshot
     artifact_entry = _find_artifact_version(snapshot, artifact_id, version)
     stamp = created_at or now_stamp()
     report = SuiteReport(artifact_id=artifact_id, version=version,
@@ -250,7 +251,7 @@ class RegressionEvent:
         }
 
 
-def detect_regressions(source: Any) -> list[RegressionEvent]:
+def detect_regressions(snapshot: Snapshot) -> list[RegressionEvent]:
     """Pass-to-fail transitions between consecutive evaluated versions.
 
     For each (test, artifact) pair, runs are ordered by the declaration order
@@ -260,7 +261,6 @@ def detect_regressions(source: Any) -> list[RegressionEvent]:
     skipped, as are redacted runs. Events come back in failing-run ledger
     order.
     """
-    snapshot = Snapshot.of(source)
     # A version ranks by the ledger position of its first live declaration.
     version_order = {key: snapshot.position[declared.id] for key in snapshot.versions
                      if (declared := snapshot.declaration(*key)) is not None}
@@ -290,12 +290,11 @@ def detect_regressions(source: Any) -> list[RegressionEvent]:
     return events
 
 
-def verify_replay(source: Any) -> list[tuple[str, str, str]]:
+def verify_replay(snapshot: Snapshot) -> list[tuple[str, str, str]]:
     """Recompute every stored run decision from its test's measurement and
     the stored raw results. Returns (runId, stored, recomputed) mismatches;
     empty means the ledger replays exactly. Runs whose test is missing or
     redacted cannot be replayed and are skipped."""
-    snapshot = Snapshot.of(source)
     mismatches: list[tuple[str, str, str]] = []
     for entry in snapshot.live_of(EntryType.EVALUATION_RUN):
         test = snapshot.live(entry.payload.test_id, EntryType.TEST)
@@ -313,7 +312,7 @@ def verify_replay(source: Any) -> list[tuple[str, str, str]]:
 # ---------------------------------------------------------------------------
 # incident triage
 
-def triage_incident(ledger: Any, incident_contribution_id: str, draft: TestPayload, *,
+def triage_incident(ledger: LedgerFile, incident_contribution_id: str, draft: TestPayload, *,
                     test_id: str | None = None, actor: ActorRef | None = None,
                     created_at: str | None = None) -> EntryEnvelope:
     """Turn an incident-report contribution into an appended Test entry.
@@ -325,7 +324,7 @@ def triage_incident(ledger: Any, incident_contribution_id: str, draft: TestPaylo
     maintainer pseudonym `triage`. Raises UnknownContribution unless the
     incident is a live contribution, WrongKind unless it is an incidentReport.
     """
-    snapshot = Snapshot.of(ledger)
+    snapshot = ledger.snapshot
     incident = snapshot.live(incident_contribution_id, EntryType.CONTRIBUTION)
     if incident is None:
         raise UnknownContribution(

@@ -95,9 +95,11 @@ def verify_chain(entries: Sequence[EntryEnvelope]) -> ChainVerdict:
     """Recompute every hash and check linkage, id uniqueness, and time order.
 
     Scans from the head and reports the first broken index with its failure
-    kind. Entries must be sealed; an unsealed entry, or one holding a number
-    with no canonical form (NaN, ±inf), shows up as a hash mismatch at its
-    index. Timestamps may step backwards by at most the clock-skew allowance.
+    kind. Entries must be sealed; an unsealed entry, one holding a number
+    with no canonical form (NaN, ±inf), or one with a top-level `prev` (which
+    the pre-image's own `prev` would hide from the hash) shows up as a hash
+    mismatch at its index. Timestamps may step backwards by at most the
+    clock-skew allowance.
     """
     seen_ids: set[str] = set()
     prev_hash: str | None = None
@@ -105,8 +107,8 @@ def verify_chain(entries: Sequence[EntryEnvelope]) -> ChainVerdict:
     for index, entry in enumerate(entries):
         integrity = entry.integrity
         try:
-            intact = integrity is not None and integrity.hash == compute_hash(
-                canonicalize(entry, integrity.prev_hash))
+            intact = integrity is not None and "prev" not in entry.extensions \
+                and integrity.hash == compute_hash(canonicalize(entry, integrity.prev_hash))
         except NonCanonicalizableNumber:
             intact = False
         if not intact:

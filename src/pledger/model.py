@@ -1135,6 +1135,9 @@ def validate_structure(entry: EntryEnvelope) -> ValidationReport:
     if not is_timestamp(entry.created_at):
         report.add("createdAt", "createdAt.format",
                    f"not an ISO-8601 UTC timestamp: {entry.created_at!r}")
+    if "prev" in entry.extensions:
+        report.add("prev", "prev.reserved",
+                   "top-level prev is reserved for the hash pre-image")
     for block, where in ((entry.actor, "actor"), (entry.consent, "consent"),
                          (entry.compensation, "compensation"), (entry.links, "links")):
         if block is not None:

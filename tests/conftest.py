@@ -356,10 +356,10 @@ def random_query(rng: random.Random, entries: list[EntryEnvelope]) -> str:
             parts.append(node())
         lines.append("MATCH " + "".join(parts))
 
-    from pledger.graph import build_graph
+    from pledger.graph import Snapshot, build_graph
     from pledger.query import escape_literal, evaluate_field
 
-    graph = build_graph(entries)
+    graph = build_graph(Snapshot(entries))
     predicates = []
     for _ in range(rng.randrange(3)):
         var = rng.choice(variables)
@@ -432,10 +432,10 @@ def brute_force_rows(ast, entries) -> list[tuple[str, ...]]:
     variables to entry ids is checked clause by clause. Field access reuses
     the public rendering path so the comparison targets the matching logic.
     """
-    from pledger.graph import build_graph
+    from pledger.graph import Snapshot, build_graph
     from pledger.query import evaluate_field
 
-    graph = build_graph(entries)
+    graph = build_graph(Snapshot(entries))
     by_id = {e.id: e for e in entries}
     labels: dict[str, list[str]] = {}
     for match in ast.matches:

@@ -34,8 +34,8 @@ from pledger.canonical import canonical_bytes, canonical_json, compute_hash
 from pledger.evidence import (
     CONFORMANCE_CLAUSES,
     CoverageLevel,
-    audit_corpus,
     build_export,
+    case_matrix,
     check_export_conformance,
 )
 from pledger.fixtures import (
@@ -59,7 +59,7 @@ from pledger.governance import (
     compute_accrual,
     gate_check,
 )
-from pledger.graph import build_graph
+from pledger.graph import Snapshot, build_graph
 from pledger.harness import detect_regressions
 from pledger.integrity import verify_chain
 from pledger.model import (
@@ -115,17 +115,17 @@ def test_c1_lifecycle_replay(tmp_path):
         mid = read_entries(mid_path)
         full = read_entries(full_path)
 
-        paused = gate_check(mid, CAPABILITY, ARTIFACT_ID, "v2", BOUNDARY,
+        paused = gate_check(Snapshot(mid), CAPABILITY, ARTIFACT_ID, "v2", BOUNDARY,
                             "2025-06-21T00:00:00Z")
         assert not paused.allowed
         assert [(r.reason_kind, r.voucher_id) for r in paused.reasons] \
             == [("pausedByVoucher", f"{VOUCHER_ID}:rev1")]
 
-        remediated = gate_check(full, CAPABILITY, ARTIFACT_ID, "v3", BOUNDARY,
+        remediated = gate_check(Snapshot(full), CAPABILITY, ARTIFACT_ID, "v3", BOUNDARY,
                                 "2025-06-27T00:00:00Z")
         assert remediated.allowed
 
-        events = detect_regressions(full)
+        events = detect_regressions(Snapshot(full))
         assert [(e.test_id, e.artifact_id, e.from_version, e.to_version)
                 for e in events] == [(TEST_ID, ARTIFACT_ID, "v1", "v2")]
 
@@ -134,10 +134,10 @@ def test_c1_lifecycle_replay(tmp_path):
         assert Decimal(str(credits[0].payload.units)) == Decimal("10.00")
 
         policy = CreditPolicy.from_doc(POLICY_DOC)
-        plans, _report = compute_accrual(mid, policy, WINDOW)
+        plans, _report = compute_accrual(Snapshot(mid), policy, WINDOW)
         assert [(p["id"], p["units"]) for p in plans] \
             == [(credits[0].id, Decimal("10.00"))]
-        replans, _report = compute_accrual(full, policy, WINDOW)
+        replans, _report = compute_accrual(Snapshot(full), policy, WINDOW)
         assert replans == []
 
         assert time.monotonic() - started < 1.0
@@ -166,7 +166,7 @@ def test_lifecycle_bytes_are_pinned(stage, tmp_path):
 def test_c2_attribution_query(lifecycle):
     with criterion("criterion 2 (attribution query)"):
         _path, _ids, entries = lifecycle
-        table = run_query(ATTRIBUTION_QUERY, build_graph(entries))
+        table = run_query(ATTRIBUTION_QUERY, build_graph(Snapshot(entries)))
         assert table.columns == ["c.id", "t.id", "r.artifact_version",
                                  "r.timestamp", "d.id"]
         assert table.rows == [(
@@ -178,7 +178,7 @@ def test_c2_attribution_query(lifecycle):
             rng = random.Random(41_000 + seed)
             graph_entries = random_graph_entries(rng)
             ast = parse_query(random_query(rng, graph_entries))
-            got = evaluate(ast, build_graph(graph_entries)).rows
+            got = evaluate(ast, build_graph(Snapshot(graph_entries))).rows
             if got != brute_force_rows(ast, graph_entries):
                 mismatches += 1
         assert mismatches == 0
@@ -294,7 +294,7 @@ _EXPECTED_CELLS = {
 
 def test_c4_corpus_matrix():
     with criterion("criterion 4 (corpus coverage matrix)"):
-        matrix = audit_corpus(CASE_CODINGS, mode="document")
+        matrix = case_matrix(CASE_CODINGS)
         assert [case for case, _row in matrix.rows] == list(_EXPECTED_CELLS)
         checked = 0
         for case, columns in _EXPECTED_CELLS.items():
@@ -403,7 +403,7 @@ def test_c6_credit_anti_gaming():
         for seed in range(1000):
             rng = random.Random(60_000 + seed)
             entries = _redundant_test_history(rng)
-            plans, report = compute_accrual(entries, policy, window)
+            plans, report = compute_accrual(Snapshot(entries), policy, window)
 
             assert all(p["beneficiary"] != REDUNDANT_ORG for p in plans)
 
@@ -416,7 +416,7 @@ def test_c6_credit_anti_gaming():
             total_minted += len(plans)
             if seed % 25 == 0:
                 replans, _ = compute_accrual(
-                    entries + _as_credit_entries(plans), policy, window)
+                    Snapshot(entries + _as_credit_entries(plans)), policy, window)
                 assert replans == []
 
         # the generator must actually exercise minting for the property
@@ -453,9 +453,9 @@ def test_c7_export_conformance(lifecycle, mid_lifecycle):
         _path2, _ids2, mid = mid_lifecycle
 
         assert check_export_conformance(
-            build_export(full, ARTIFACT_ID, "v2")).ok()
+            build_export(Snapshot(full), ARTIFACT_ID, "v2")).ok()
 
-        base = build_export(mid, ARTIFACT_ID, "v2")
+        base = build_export(Snapshot(mid), ARTIFACT_ID, "v2")
         report = check_export_conformance(base)
         assert report.ok()
         assert tuple(report.clause_results) == CONFORMANCE_CLAUSES
@@ -539,7 +539,7 @@ def test_c8_gate_monotonicity():
             capability = rng.choice(_GATE_CAPS)
             boundary = rng.choice(_GATE_BOUNDS)
             version = rng.choice(("v1", "v2"))
-            base = gate_check(entries, capability, artifact, version,
+            base = gate_check(Snapshot(entries), capability, artifact, version,
                               boundary, now)
 
             # adding a pause voucher never flips a denial to an allow
@@ -550,7 +550,7 @@ def test_c8_gate_monotonicity():
                 extra.append(_voucher_entry(
                     f"{extra_base}:rev1", 701, extra[0].payload.capability,
                     extra[0].payload.boundary, "pause", "active"))
-            stricter = gate_check(entries + extra, capability, artifact,
+            stricter = gate_check(Snapshot(entries + extra), capability, artifact,
                                   version, boundary, now)
             if not base.allowed and stricter.allowed:
                 violations += 1
@@ -562,7 +562,7 @@ def test_c8_gate_monotonicity():
                 retired = _voucher_entry(
                     f"{base_id}:rev{last_rev + 1}", 702, cap, bound, action,
                     rng.choice(("satisfied", "revoked")), conditions, expiry)
-                looser = gate_check(entries + [retired], capability, artifact,
+                looser = gate_check(Snapshot(entries + [retired]), capability, artifact,
                                     version, boundary, now)
                 if base.allowed and not looser.allowed:
                     violations += 1

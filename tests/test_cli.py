@@ -31,6 +31,7 @@ from pledger.fixtures import (
     WINDOW,
     sample_contribution_doc,
 )
+from pledger.graph import Snapshot
 from pledger.harness import run_suite
 from pledger.integrity import hmac_signer, seal
 from pledger.model import (
@@ -717,6 +718,18 @@ def test_append_then_duplicate(tmp_path, capsys):
     assert len(read_entries(ledger)) == 1
 
 
+def test_append_refuses_a_top_level_prev(tmp_path, capsys):
+    # The pre-image's own `prev` would overwrite it, leaving it outside the hash.
+    doc = dict(sample_contribution_doc(), prev="original note")
+    doc_path = tmp_path / "entry.json"
+    doc_path.write_text(json.dumps(doc), "utf-8")
+    ledger = tmp_path / "nodir" / "new.pledger"
+    code, _out, err = run_cli(capsys, "append", str(doc_path), "--ledger", str(ledger))
+    assert code == 5
+    assert "prev [prev.reserved] top-level prev is reserved for the hash pre-image" in err
+    assert not (tmp_path / "nodir").exists()
+
+
 def test_append_reads_stdin(tmp_path, monkeypatch, capsys):
     ledger = tmp_path / "new.pledger"
     doc = sample_contribution_doc()
@@ -1204,7 +1217,7 @@ def test_export_and_conformance(lifecycle, writable_mid, tmp_path, capsys):
 def test_export_streams_the_same_bytes_to_file_and_stdout(lifecycle, tmp_path, capsys):
     path, _ids, entries = lifecycle
     now = "2025-06-27T00:00:00Z"
-    expected = json.dumps(build_export(entries, ARTIFACT_ID, "v3", now=now),
+    expected = json.dumps(build_export(Snapshot(entries), ARTIFACT_ID, "v3", now=now),
                           indent=2, sort_keys=True) + "\n"
     release = ["export", "--ledger", str(path), "--release", f"{ARTIFACT_ID}@v3",
                "--now", now]

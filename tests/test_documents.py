@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from pledger.errors import LedgerError
-from pledger.evidence import audit_corpus, check_export_conformance
+from pledger.evidence import case_matrix, check_export_conformance
 from pledger.governance import CreditPolicy
 
 CORPUS = json.loads((Path(__file__).parent / "data" / "document_errors.json").read_text("utf-8"))
@@ -48,7 +48,7 @@ def test_export_corpus(case):
 
 @pytest.mark.parametrize("case", CORPUS["cases"], ids=ids("cases"))
 def test_case_file_corpus(case):
-    got = outcome(lambda: audit_corpus(case["doc"], mode="document"))
+    got = outcome(lambda: case_matrix(case["doc"]))
     assert got == [case["error"], case["message"]]
 
 

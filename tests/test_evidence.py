@@ -24,6 +24,7 @@ from pledger.evidence import (
     audit_contribution,
     audit_corpus,
     build_export,
+    case_matrix,
     check_export_conformance,
     flag_consent_violations,
 )
@@ -98,7 +99,7 @@ def test_coverage_level_parse(raw, expected):
 
 def test_lifecycle_contribution_codings(lifecycle):
     _path, _ids, entries = lifecycle
-    graph = build_graph(entries)
+    graph = build_graph(Snapshot(entries))
     contribution = next(e for e in entries if e.id == CONTRIBUTION_ID)
     assert audit_contribution(contribution, graph) == LIFECYCLE_ROW
 
@@ -175,7 +176,7 @@ def test_influence_coding_resolves_through_the_graph():
     dangling = make_contribution(3)
     dangling.links.influences.append("pl:test:gen:404")
     silent = make_contribution(4)
-    graph = build_graph([linked, hop, dangling, silent, make_test(0)])
+    graph = build_graph(Snapshot([linked, hop, dangling, silent, make_test(0)]))
 
     assert audit_contribution(linked, graph)["explicitInfluenceLinks"] \
         is CoverageLevel.REPORTED
@@ -203,7 +204,7 @@ def test_influence_coding_without_a_graph():
 
 
 def test_document_mode_formats_codings_verbatim():
-    matrix = audit_corpus(CASE_CODINGS)
+    matrix = case_matrix(CASE_CODINGS)
     assert matrix.columns == COLUMNS
     assert [name for name, _ in matrix.rows] == [c["case"] for c in CASE_CODINGS]
     for case in CASE_CODINGS:
@@ -219,7 +220,7 @@ def test_document_mode_formats_codings_verbatim():
 
 
 def test_document_mode_defaults_missing_columns():
-    matrix = audit_corpus([{"case": "thin", "codings": {
+    matrix = case_matrix([{"case": "thin", "codings": {
         "recruitmentPathway": "Reported"}}])
     row = matrix.rows[0][1]
     assert row["recruitmentPathway"] is CoverageLevel.REPORTED
@@ -227,14 +228,9 @@ def test_document_mode_defaults_missing_columns():
                for c in COLUMNS if c != "recruitmentPathway")
 
 
-def test_unknown_audit_mode_is_rejected():
-    with pytest.raises(ValueError, match="sideways"):
-        audit_corpus([], mode="sideways")
-
-
 def test_ledger_mode_groups_by_id_segment(lifecycle):
     _path, _ids, entries = lifecycle
-    matrix = audit_corpus(entries, mode="ledger")
+    matrix = audit_corpus(Snapshot(entries))
     assert [name for name, _ in matrix.rows] == ["wedesign"]
     assert matrix.rows[0][1] == LIFECYCLE_ROW
 
@@ -246,7 +242,7 @@ def test_ledger_mode_takes_the_best_level_per_column():
         i=2, steward_org="pl:org:x",
         consent=ConsentBlock(status="granted", scope="research",
                              retention="2y", reuse_constraints=[]))
-    matrix = audit_corpus([recruited, consented], mode="ledger")
+    matrix = audit_corpus(Snapshot([recruited, consented]))
     assert [name for name, _ in matrix.rows] == ["gen"]
     assert matrix.rows[0][1] == {
         "recruitmentPathway": CoverageLevel.REPORTED,
@@ -256,15 +252,14 @@ def test_ledger_mode_takes_the_best_level_per_column():
         "explicitInfluenceLinks": CoverageLevel.NOT_SPECIFIED,
     }
 
-    redacted = audit_corpus(
-        [recruited, consented, make_tombstone(recruited.id)], mode="ledger")
+    redacted = audit_corpus(Snapshot([recruited, consented, make_tombstone(recruited.id)]))
     assert redacted.rows[0][1]["recruitmentPathway"] is CoverageLevel.NOT_SPECIFIED
 
 
 def test_ledger_mode_keeps_first_seen_group_order():
     second = replace(make_contribution(2), id="pl:contrib:aaa:0002")
     first = replace(make_contribution(1), id="pl:contrib:zzz:0001")
-    matrix = audit_corpus([first, second], mode="ledger")
+    matrix = audit_corpus(Snapshot([first, second]))
     assert [name for name, _ in matrix.rows] == ["zzz", "aaa"]
 
 
@@ -294,8 +289,8 @@ def test_ledger_mode_matches_columnwise_maximum_oracle():
                 entry.links.influences.append(
                     rng.choice(("pl:test:gen:000", "pl:missing:x:1")))
             entries.append(entry)
-        graph = build_graph(entries)
-        matrix = audit_corpus(graph, mode="ledger")
+        graph = build_graph(Snapshot(entries))
+        matrix = audit_corpus(graph)
         expected: dict[str, dict[str, CoverageLevel]] = {}
         for entry in entries[1:]:
             row = expected.setdefault(
@@ -308,8 +303,8 @@ def test_ledger_mode_matches_columnwise_maximum_oracle():
 
 
 def test_matrix_renders():
-    matrix = audit_corpus([{"case": "WeDesign+",
-                            "codings": {c: "Reported" for c in COLUMNS}}])
+    matrix = case_matrix([{"case": "WeDesign+",
+                           "codings": {c: "Reported" for c in COLUMNS}}])
     assert matrix.render_text() == (
         "case       recruitmentPathway  rolesAndIntermediaries  "
         "consentPrivacyScope  compensationTerms  explicitInfluenceLinks\n"
@@ -340,7 +335,7 @@ def test_withdrawn_consent_flags_only_later_changes():
     )
     before = make_change(0, influenced_by=[original.id])
     after = make_change(1, influenced_by=[original.id])
-    violations = flag_consent_violations([original, before, withdrawn, after])
+    violations = flag_consent_violations(Snapshot([original, before, withdrawn, after]))
     assert violations == [{
         "changeId": after.id,
         "contributionId": original.id,
@@ -348,7 +343,7 @@ def test_withdrawn_consent_flags_only_later_changes():
     }]
 
     via_revision = make_change(2, influenced_by=[withdrawn.id])
-    violations = flag_consent_violations([original, withdrawn, via_revision])
+    violations = flag_consent_violations(Snapshot([original, withdrawn, via_revision]))
     assert [v["violation"] for v in violations] == ["withdrawnConsent"]
 
 
@@ -360,7 +355,7 @@ def test_evaluation_only_contributions_block_training_changes():
     adapted.payload.change_kind = "adapter"
     benign = make_change(2, influenced_by=[guarded.id])
 
-    violations = flag_consent_violations([guarded, harvest, adapted, benign])
+    violations = flag_consent_violations(Snapshot([guarded, harvest, adapted, benign]))
     assert violations == [
         {"changeId": harvest.id, "contributionId": guarded.id,
          "violation": "intendedUseViolation"},
@@ -371,7 +366,7 @@ def test_evaluation_only_contributions_block_training_changes():
     unrestricted = make_contribution(2)
     open_change = make_change(3, influenced_by=[unrestricted.id])
     open_change.payload.change_kind = "dataset"
-    assert flag_consent_violations([unrestricted, open_change]) == []
+    assert flag_consent_violations(Snapshot([unrestricted, open_change])) == []
 
 
 def test_both_violation_rules_can_fire_together():
@@ -379,7 +374,7 @@ def test_both_violation_rules_can_fire_together():
     guarded.consent = ConsentBlock(status="withdrawn")
     change = make_change(0, influenced_by=[guarded.id])
     change.payload.change_kind = "dataset"
-    violations = flag_consent_violations([guarded, change])
+    violations = flag_consent_violations(Snapshot([guarded, change]))
     assert sorted(v["violation"] for v in violations) == [
         "intendedUseViolation", "withdrawnConsent"]
 
@@ -389,7 +384,7 @@ def test_consent_violations_skip_redacted_changes():
     guarded.consent = ConsentBlock(status="withdrawn")
     change = make_change(0, influenced_by=[guarded.id])
     entries = [guarded, change, make_tombstone(change.id)]
-    assert flag_consent_violations(entries) == []
+    assert flag_consent_violations(Snapshot(entries)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +393,7 @@ def test_consent_violations_skip_redacted_changes():
 
 def test_lifecycle_export_is_a_full_closure(lifecycle):
     _path, _ids, entries = lifecycle
-    export = build_export(entries, ARTIFACT_ID, "v2")
+    export = build_export(Snapshot(entries), ARTIFACT_ID, "v2")
     assert export["release"] == {"artifactId": ARTIFACT_ID, "version": "v2"}
     assert [doc["id"] for doc in export["entries"]] == [e.id for e in entries]
     assert export["headDigest"] == entries[-1].integrity.hash
@@ -407,7 +402,7 @@ def test_lifecycle_export_is_a_full_closure(lifecycle):
 
 def test_mid_lifecycle_export_discloses_the_pause(mid_lifecycle):
     _path, ids, entries = mid_lifecycle
-    export = build_export(entries, ARTIFACT_ID, "v2")
+    export = build_export(Snapshot(entries), ARTIFACT_ID, "v2")
     assert len(export["activeVouchers"]) == 1
     record = export["activeVouchers"][0]
     assert record["voucherId"] == VOUCHER_ID
@@ -426,11 +421,11 @@ def test_export_excludes_unreachable_entries():
     stray = make_artifact(1, artifact_id="pl:artifact:gen:island", version="v1")
     entries = [contrib, test, run, artifact, stray]
 
-    export = build_export(entries, "pl:artifact:gen:sys", "v1")
+    export = build_export(Snapshot(entries), "pl:artifact:gen:sys", "v1")
     included = [doc["id"] for doc in export["entries"]]
     assert included == [contrib.id, test.id, run.id, artifact.id]
 
-    isolated = build_export(entries, "pl:artifact:gen:island", "v1")
+    isolated = build_export(Snapshot(entries), "pl:artifact:gen:island", "v1")
     assert [doc["id"] for doc in isolated["entries"]] == [stray.id]
     assert isolated["headDigest"] == ""
 
@@ -443,7 +438,7 @@ def test_export_pulls_lineages_and_tombstones():
     artifact = make_artifact(0, version="v1")
     tomb = make_tombstone(contrib.id)
     entries = [contrib, revision, test, run, artifact, tomb]
-    export = build_export(entries, "pl:artifact:gen:sys", "v1")
+    export = build_export(Snapshot(entries), "pl:artifact:gen:sys", "v1")
     assert {doc["id"] for doc in export["entries"]} == {e.id for e in entries}
 
 
@@ -487,7 +482,7 @@ def test_export_closure_matches_a_naive_walk_on_random_ledgers():
         if not artifacts:
             continue
         release = rng.choice(artifacts).payload
-        export = build_export(entries, release.artifact_id, release.version)
+        export = build_export(Snapshot(entries), release.artifact_id, release.version)
         assert [doc["id"] for doc in export["entries"]] == \
             _naive_closure(entries, release.artifact_id, release.version), seed
         exported += len(export["entries"]) > 1
@@ -496,7 +491,7 @@ def test_export_closure_matches_a_naive_walk_on_random_ledgers():
 
 def test_export_now_override_and_chain_head(mid_lifecycle):
     _path, _ids, entries = mid_lifecycle
-    export = build_export(entries, ARTIFACT_ID, "v2", now="2025-07-04T00:00:00Z")
+    export = build_export(Snapshot(entries), ARTIFACT_ID, "v2", now="2025-07-04T00:00:00Z")
     assert export["headDigest"] == entries[-1].integrity.hash == Snapshot(entries).head_hash
     assert export["activeVouchers"][0]["gate"]["evaluatedAt"] == \
         "2025-07-04T00:00:00Z"
@@ -505,7 +500,7 @@ def test_export_now_override_and_chain_head(mid_lifecycle):
 def test_export_requires_a_declared_version(lifecycle):
     _path, _ids, entries = lifecycle
     with pytest.raises(MalformedExport, match="v9"):
-        build_export(entries, ARTIFACT_ID, "v9")
+        build_export(Snapshot(entries), ARTIFACT_ID, "v9")
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +519,7 @@ def test_clause_names_are_stable():
 def test_lifecycle_exports_conform(lifecycle, mid_lifecycle):
     for _path, _ids, entries in (lifecycle, mid_lifecycle):
         report = check_export_conformance(
-            build_export(entries, ARTIFACT_ID, "v2"))
+            build_export(Snapshot(entries), ARTIFACT_ID, "v2"))
         assert report.ok()
         assert report.overall == "conformant"
         assert set(report.clause_results) == set(CONFORMANCE_CLAUSES)
@@ -543,7 +538,7 @@ def test_each_defect_flips_exactly_one_clause(mid_lifecycle):
     _path, _ids, entries = mid_lifecycle
 
     def fresh() -> dict:
-        return build_export(entries, ARTIFACT_ID, "v2")
+        return build_export(Snapshot(entries), ARTIFACT_ID, "v2")
 
     mutations = {
         "a-evidenceFields": lambda e: contribution_doc_of(e).pop("compensation"),
@@ -568,7 +563,7 @@ def test_each_defect_flips_exactly_one_clause(mid_lifecycle):
 
 def test_disclosure_without_gate_outcome_fails_d(mid_lifecycle):
     _path, _ids, entries = mid_lifecycle
-    export = build_export(entries, ARTIFACT_ID, "v2")
+    export = build_export(Snapshot(entries), ARTIFACT_ID, "v2")
     export["activeVouchers"][0].pop("gate")
     report = check_export_conformance(export)
     assert not report.clause_results["d-activeVouchers"].passed
@@ -578,7 +573,7 @@ def test_disclosure_without_gate_outcome_fails_d(mid_lifecycle):
 
 def test_documentation_use_is_exempt_from_clause_a(mid_lifecycle):
     _path, _ids, entries = mid_lifecycle
-    export = build_export(entries, ARTIFACT_ID, "v2")
+    export = build_export(Snapshot(entries), ARTIFACT_ID, "v2")
     doc = contribution_doc_of(export)
     doc.pop("compensation")
     doc["contribution"]["intendedUse"] = "documentation"
@@ -604,7 +599,7 @@ def test_malformed_exports_are_rejected(export):
 
 def test_conformance_and_ledger_audit_build_one_index(monkeypatch, mid_lifecycle):
     _path, _ids, entries = mid_lifecycle
-    export = build_export(entries, ARTIFACT_ID, "v2")
+    export = build_export(Snapshot(entries), ARTIFACT_ID, "v2")
     added: list[str] = []
     graphs: list = []
     add, build = Snapshot.add, evidence_mod.build_graph
@@ -622,11 +617,11 @@ def test_conformance_and_ledger_audit_build_one_index(monkeypatch, mid_lifecycle
 
     check_export_conformance(export)
     assert added == [doc["id"] for doc in export["entries"]]
-    assert len(graphs) == 1 and len(graphs[0].entries) == len(added)
+    assert graphs == []  # no clause reads an edge
 
     added.clear()
     snapshot = Snapshot(entries)
     assert len(added) == len(entries)
-    audit_corpus(snapshot, mode="ledger")
+    audit_corpus(snapshot)
     assert len(added) == len(entries)
-    assert graphs[-1] is snapshot
+    assert len(graphs) == 1 and graphs[0] is snapshot

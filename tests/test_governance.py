@@ -235,7 +235,7 @@ def test_transition_after_the_latest_revision_is_tombstoned(tmp_path):
         assert satisfied.id == "pl:voucher:gen:001:rev2"
         assert satisfied.payload.status == "satisfied"
         assert satisfied.payload.expiry is None  # not copied from the redacted rev1
-    assert gate_check(read_entries(tmp_path / "v.pledger"), "image-generation",
+    assert gate_check(Snapshot(read_entries(tmp_path / "v.pledger")), "image-generation",
                       GEN_ARTIFACT, "v1", "workshop", stamp(800)).allowed
 
 
@@ -381,7 +381,7 @@ def activated_voucher(ledger, action: str = "pause", *, conditions=(),
 
 
 def test_gate_defaults_to_allow_without_vouchers():
-    decision = gate_check([make_test(0)], "image-generation", GEN_ARTIFACT,
+    decision = gate_check(Snapshot([make_test(0)]), "image-generation", GEN_ARTIFACT,
                           "v1", "workshop", stamp(100))
     assert decision.allowed is True
     assert decision.evaluated_at == stamp(100)
@@ -398,7 +398,7 @@ def test_gate_defaults_to_allow_without_vouchers():
 
 def test_gate_pause_denies_while_voucher_active(mid_lifecycle):
     _path, ids, entries = mid_lifecycle
-    decision = gate_check(entries, CAPABILITY, ARTIFACT_ID, "v2", BOUNDARY,
+    decision = gate_check(Snapshot(entries), CAPABILITY, ARTIFACT_ID, "v2", BOUNDARY,
                           "2025-06-21T00:00:00Z")
     assert decision.allowed is False
     assert [(r.voucher_id, r.reason_kind) for r in decision.reasons] == [
@@ -409,7 +409,7 @@ def test_gate_pause_denies_while_voucher_active(mid_lifecycle):
 
 def test_gate_allows_again_after_satisfaction(lifecycle):
     _path, _ids, entries = lifecycle
-    decision = gate_check(entries, CAPABILITY, ARTIFACT_ID, "v3", BOUNDARY,
+    decision = gate_check(Snapshot(entries), CAPABILITY, ARTIFACT_ID, "v3", BOUNDARY,
                           "2025-06-27T00:00:00Z")
     assert decision.allowed is True
     assert [r.reason_kind for r in decision.reasons] == [DEFAULT_ALLOW]
@@ -418,7 +418,7 @@ def test_gate_allows_again_after_satisfaction(lifecycle):
 def test_gate_ignores_vouchers_still_issued(tmp_path):
     with LedgerFile(tmp_path / "v.pledger") as ledger:
         issue_voucher(ledger, voucher_payload())
-        decision = gate_check(ledger, "image-generation", GEN_ARTIFACT,
+        decision = gate_check(ledger.snapshot, "image-generation", GEN_ARTIFACT,
                               "v1", "workshop", stamp(100))
     assert decision.allowed is True
     assert [r.reason_kind for r in decision.reasons] == [DEFAULT_ALLOW]
@@ -431,7 +431,7 @@ def test_gate_condition_follows_latest_run(tmp_path):
         activated_voucher(ledger, "condition", conditions=conditions)
 
         def outcome():
-            return gate_check(ledger, "image-generation", GEN_ARTIFACT,
+            return gate_check(ledger.snapshot, "image-generation", GEN_ARTIFACT,
                               "v1", "workshop", stamp(600))
 
         missing = outcome()
@@ -464,13 +464,13 @@ def test_gate_condition_pins_version(tmp_path):
         activated_voucher(ledger, "condition", conditions=pinned)
         ledger.append(make_run(0, test_id="pl:test:gen:000", version="v1",
                                decision="pass"))
-        decision = gate_check(ledger, "image-generation", GEN_ARTIFACT,
+        decision = gate_check(ledger.snapshot, "image-generation", GEN_ARTIFACT,
                               "v7", "workshop", stamp(600))
         assert decision.allowed is True
 
         unpinned = [VoucherCondition(required_test_id="pl:test:gen:000")]
         activated_voucher(ledger, "condition", conditions=unpinned)
-        decision = gate_check(ledger, "image-generation", GEN_ARTIFACT,
+        decision = gate_check(ledger.snapshot, "image-generation", GEN_ARTIFACT,
                               "v7", "workshop", stamp(600))
         assert decision.allowed is False
         assert [r.reason_kind for r in decision.reasons] == ["conditionUnmet"]
@@ -479,13 +479,13 @@ def test_gate_condition_pins_version(tmp_path):
 def test_gate_skips_expired_vouchers(tmp_path):
     with LedgerFile(tmp_path / "v.pledger") as ledger:
         rev = activated_voucher(ledger, "pause", expiry=stamp(1000))
-        expired = gate_check(ledger, "image-generation", GEN_ARTIFACT,
+        expired = gate_check(ledger.snapshot, "image-generation", GEN_ARTIFACT,
                              "v1", "workshop", stamp(2000))
         assert expired.allowed is True
         assert expired.expired_vouchers == [rev]
         assert [r.reason_kind for r in expired.reasons] == [DEFAULT_ALLOW]
 
-        at_boundary = gate_check(ledger, "image-generation", GEN_ARTIFACT,
+        at_boundary = gate_check(ledger.snapshot, "image-generation", GEN_ARTIFACT,
                                  "v1", "workshop", stamp(1000))
         assert at_boundary.allowed is False
         assert at_boundary.expired_vouchers == []
@@ -494,11 +494,11 @@ def test_gate_skips_expired_vouchers(tmp_path):
 def test_gate_matches_capability_and_boundary(tmp_path):
     with LedgerFile(tmp_path / "v.pledger") as ledger:
         activated_voucher(ledger, "pause")
-        wrong_boundary = gate_check(ledger, "image-generation", GEN_ARTIFACT,
+        wrong_boundary = gate_check(ledger.snapshot, "image-generation", GEN_ARTIFACT,
                                     "v1", "plaza", stamp(600))
-        wrong_capability = gate_check(ledger, "summarization", GEN_ARTIFACT,
+        wrong_capability = gate_check(ledger.snapshot, "summarization", GEN_ARTIFACT,
                                       "v1", "workshop", stamp(600))
-        matching = gate_check(ledger, "image-generation", GEN_ARTIFACT,
+        matching = gate_check(ledger.snapshot, "image-generation", GEN_ARTIFACT,
                               "v1", "workshop", stamp(600))
     assert wrong_boundary.allowed is True
     assert wrong_capability.allowed is True
@@ -509,7 +509,7 @@ def test_gate_matches_capability_and_boundary(tmp_path):
 def test_gate_authorize_applies_without_blocking(tmp_path):
     with LedgerFile(tmp_path / "v.pledger") as ledger:
         activated_voucher(ledger, "authorize")
-        decision = gate_check(ledger, "image-generation", GEN_ARTIFACT,
+        decision = gate_check(ledger.snapshot, "image-generation", GEN_ARTIFACT,
                               "v1", "workshop", stamp(600))
     assert decision.allowed is True
     assert decision.reasons == []
@@ -523,7 +523,7 @@ def test_gate_accumulates_reasons_across_vouchers(tmp_path):
         activated_voucher(
             ledger, "condition",
             conditions=[VoucherCondition(required_test_id="pl:test:gen:000")])
-        decision = gate_check(ledger, "image-generation", GEN_ARTIFACT,
+        decision = gate_check(ledger.snapshot, "image-generation", GEN_ARTIFACT,
                               "v1", "workshop", stamp(600))
     assert decision.allowed is False
     assert sorted(r.reason_kind for r in decision.reasons) == [
@@ -538,11 +538,11 @@ def test_gate_check_is_pure(tmp_path):
     before = path.read_bytes()
     entries = read_entries(path)
     with LedgerFile(path) as ledger:
-        first = gate_check(ledger, "image-generation", GEN_ARTIFACT,
+        first = gate_check(ledger.snapshot, "image-generation", GEN_ARTIFACT,
                            "v1", "workshop", stamp(600))
-        second = gate_check(ledger, "image-generation", GEN_ARTIFACT,
+        second = gate_check(ledger.snapshot, "image-generation", GEN_ARTIFACT,
                             "v1", "workshop", stamp(600))
-    from_list = gate_check(entries, "image-generation", GEN_ARTIFACT,
+    from_list = gate_check(Snapshot(entries), "image-generation", GEN_ARTIFACT,
                            "v1", "workshop", stamp(600))
     assert first.to_doc() == second.to_doc() == from_list.to_doc()
     assert path.read_bytes() == before
@@ -632,7 +632,7 @@ def test_lifecycle_mints_one_regression_credit(lifecycle):
 
 def test_lifecycle_accrual_event_census(lifecycle):
     _path, ids, entries = lifecycle
-    plans, report = compute_accrual(entries, CreditPolicy.from_doc(POLICY_DOC),
+    plans, report = compute_accrual(Snapshot(entries), CreditPolicy.from_doc(POLICY_DOC),
                                     WINDOW)
     assert plans == []
     assert report.considered == 2
@@ -681,26 +681,26 @@ def test_quality_gate_requires_suite_flip():
                                 decision="fail", checkpoint="postIncident")]
     policy = make_policy()
 
-    plans, report = compute_accrual(entries, policy, WINDOW)
+    plans, report = compute_accrual(Snapshot(entries), policy, WINDOW)
     assert [p["kind"] for p in plans] == ["regressionDetected"]
 
-    plans, report = compute_accrual(noisy, policy, WINDOW)
+    plans, report = compute_accrual(Snapshot(noisy), policy, WINDOW)
     assert plans == []
     assert [s.reason for s in report.suppressed] == ["qualityGate"]
 
     relaxed = make_policy(qualityGate=False)
-    plans, _report = compute_accrual(noisy, relaxed, WINDOW)
+    plans, _report = compute_accrual(Snapshot(noisy), relaxed, WINDOW)
     assert [p["beneficiary"] for p in plans] == ["pl:org:o1"]
 
 
 def test_persistence_gate_counts_exercised_releases():
     policy = make_policy(persistenceGateReleases=3)
 
-    plans, report = compute_accrual(regression_history(), policy, WINDOW)
+    plans, report = compute_accrual(Snapshot(regression_history()), policy, WINDOW)
     assert plans == []
     assert [s.reason for s in report.suppressed] == ["persistenceGate"]
 
-    plans, report = compute_accrual(regression_history(with_v3_run=True),
+    plans, report = compute_accrual(Snapshot(regression_history(with_v3_run=True)),
                                     policy, WINDOW)
     assert [p["kind"] for p in plans] == ["regressionDetected"]
     assert report.suppressed == []
@@ -708,12 +708,12 @@ def test_persistence_gate_counts_exercised_releases():
 
 def test_zero_unit_events_are_suppressed():
     entries = regression_history()
-    plans, report = compute_accrual(entries, make_policy(
+    plans, report = compute_accrual(Snapshot(entries), make_policy(
         unitsPerEvent={"regressionDetected": 0}), WINDOW)
     assert plans == []
     assert [s.reason for s in report.suppressed] == ["zeroUnits"]
 
-    rounded, report = compute_accrual(entries, make_policy(
+    rounded, report = compute_accrual(Snapshot(entries), make_policy(
         unitsPerEvent={"regressionDetected": 0.004}), WINDOW)
     assert rounded == []
     assert [s.reason for s in report.suppressed] == ["zeroUnits"]
@@ -721,23 +721,23 @@ def test_zero_unit_events_are_suppressed():
 
 def test_missing_beneficiaries_are_suppressed():
     unmotivated = regression_history(motivated=False)
-    plans, report = compute_accrual(unmotivated, make_policy(), WINDOW)
+    plans, report = compute_accrual(Snapshot(unmotivated), make_policy(), WINDOW)
     assert plans == []
     assert [s.reason for s in report.suppressed] == ["noBeneficiary"]
 
     entries = regression_history()
     dangling = [e for e in entries if e.entry_type is not EntryType.CONTRIBUTION]
-    plans, report = compute_accrual(dangling, make_policy(), WINDOW)
+    plans, report = compute_accrual(Snapshot(dangling), make_policy(), WINDOW)
     assert [s.reason for s in report.suppressed] == ["noBeneficiary"]
 
     redacted = entries + [make_tombstone("pl:contrib:gen:0001")]
-    plans, report = compute_accrual(redacted, make_policy(), WINDOW)
+    plans, report = compute_accrual(Snapshot(redacted), make_policy(), WINDOW)
     assert [s.reason for s in report.suppressed] == ["noBeneficiary"]
 
 
 def test_beneficiary_falls_back_to_pseudonym():
     entries = regression_history(orgs=(None,))
-    plans, _report = compute_accrual(entries, make_policy(), WINDOW)
+    plans, _report = compute_accrual(Snapshot(entries), make_policy(), WINDOW)
     assert [p["beneficiary"] for p in plans] == ["P1"]
     assert plans[0]["id"] == "pl:credit:regressiondetected:pl-run-gen-001:p1"
 
@@ -745,23 +745,23 @@ def test_beneficiary_falls_back_to_pseudonym():
 def test_shares_split_with_bankers_rounding():
     entries = regression_history(orgs=("pl:org:o1", "pl:org:o2"))
 
-    plans, _ = compute_accrual(entries, make_policy(
+    plans, _ = compute_accrual(Snapshot(entries), make_policy(
         unitsPerEvent={"regressionDetected": 0.05}), WINDOW)
     assert [(p["beneficiary"], p["units"]) for p in plans] == [
         ("pl:org:o1", Decimal("0.02")), ("pl:org:o2", Decimal("0.02"))]
 
-    plans, _ = compute_accrual(entries, make_policy(
+    plans, _ = compute_accrual(Snapshot(entries), make_policy(
         unitsPerEvent={"regressionDetected": 0.15}), WINDOW)
     assert [p["units"] for p in plans] == [Decimal("0.08"), Decimal("0.08")]
 
     three = regression_history(orgs=("pl:org:o1", "pl:org:o2", "pl:org:o3"))
-    plans, _ = compute_accrual(three, make_policy(), WINDOW)
+    plans, _ = compute_accrual(Snapshot(three), make_policy(), WINDOW)
     assert [p["units"] for p in plans] == [Decimal("3.33")] * 3
 
 
 def test_slug_collisions_never_double_mint():
     entries = regression_history(orgs=("pl:org:O1", "pl:org:o1"))
-    plans, report = compute_accrual(entries, make_policy(), WINDOW)
+    plans, report = compute_accrual(Snapshot(entries), make_policy(), WINDOW)
     assert [p["beneficiary"] for p in plans] == ["pl:org:O1"]
     assert [(s.reason, s.beneficiary) for s in report.suppressed] == [
         ("alreadyCredited", "pl:org:o1")]
@@ -769,7 +769,7 @@ def test_slug_collisions_never_double_mint():
 
 def test_cap_suppresses_whole_events():
     entries = regression_history(n_tests=20)
-    plans, report = compute_accrual(entries, make_policy(), WINDOW)
+    plans, report = compute_accrual(Snapshot(entries), make_policy(), WINDOW)
     assert len(plans) == 10
     assert sum(p["units"] for p in plans) == Decimal("100")
     capped = [s for s in report.suppressed if s.reason == "capReached"]
@@ -798,7 +798,7 @@ def test_prior_window_credits_count_toward_cap():
         ),
         links=LinkSet(credits_for=["pl:run:gen:900"]),
     )
-    plans, report = compute_accrual(entries + [prior], make_policy(), WINDOW)
+    plans, report = compute_accrual(Snapshot(entries + [prior]), make_policy(), WINDOW)
     assert plans == []
     assert [(s.reason, s.beneficiary) for s in report.suppressed] == [
         ("capReached", "pl:org:o1")]
@@ -807,7 +807,7 @@ def test_prior_window_credits_count_toward_cap():
         id=prior.id, entry_type=EntryType.CREDIT,
         created_at="2025-04-01T00:00:00Z", actor=prior.actor,
         payload=prior.payload, links=prior.links)
-    plans, _report = compute_accrual(entries + [outside], make_policy(), WINDOW)
+    plans, _report = compute_accrual(Snapshot(entries + [outside]), make_policy(), WINDOW)
     assert len(plans) == 1
 
 
@@ -816,9 +816,9 @@ def test_a_malformed_window_bound_is_refused_on_an_empty_ledger(window):
     # Each bound is parsed once, before any entry is compared with it.
     policy = CreditPolicy.from_doc(POLICY_DOC)
     with pytest.raises(InvalidTimestamp):
-        compute_accrual([], policy, window)
+        compute_accrual(Snapshot(), policy, window)
     with pytest.raises(InvalidTimestamp):
-        credit_report([], STEWARD_ORG, window)
+        credit_report(Snapshot(), STEWARD_ORG, window)
 
 
 def test_window_bounds_are_inclusive_on_the_anchor():
@@ -827,11 +827,11 @@ def test_window_bounds_are_inclusive_on_the_anchor():
                    if e.entry_type is EntryType.EVALUATION_RUN
                    and e.payload.decision == "fail")
     closing = (WINDOW[0], failing.created_at)
-    plans, _ = compute_accrual(entries, make_policy(), closing)
+    plans, _ = compute_accrual(Snapshot(entries), make_policy(), closing)
     assert len(plans) == 1
 
     early = (WINDOW[0], stamp(400))
-    plans, report = compute_accrual(entries, make_policy(), early)
+    plans, report = compute_accrual(Snapshot(entries), make_policy(), early)
     assert plans == []
     assert report.considered == 0
     assert report.suppressed == []
@@ -849,7 +849,7 @@ def test_remediation_completed_credits_incident_reporters(tmp_path):
     fix.links.remediates.append("pl:run:gen:000")
     policy = make_policy(unitsPerEvent={"remediationCompleted": 4})
 
-    plans, report = compute_accrual([incident, bystander, fix], policy, WINDOW)
+    plans, report = compute_accrual(Snapshot([incident, bystander, fix]), policy, WINDOW)
     assert [(p["kind"], p["beneficiary"], p["units"], p["anchorId"])
             for p in plans] == [
         ("remediationCompleted", "pl:org:o1", Decimal("4.00"), fix.id)]
@@ -857,7 +857,7 @@ def test_remediation_completed_credits_incident_reporters(tmp_path):
 
     unlinked = make_change(1, influenced_by=[bystander.id])
     unlinked.links.remediates.append("pl:run:gen:000")
-    plans, report = compute_accrual([incident, bystander, unlinked], policy, WINDOW)
+    plans, report = compute_accrual(Snapshot([incident, bystander, unlinked]), policy, WINDOW)
     assert plans == []
     assert report.considered == 0
 
@@ -877,19 +877,19 @@ def test_scheduled_run_dependency_passes_only_quality_gate_off():
                      checkpoint="scheduledAudit")
     policy = make_policy(unitsPerEvent={"scheduledRunDependency": 2})
 
-    plans, report = compute_accrual([contrib, test, audit], policy, WINDOW)
+    plans, report = compute_accrual(Snapshot([contrib, test, audit]), policy, WINDOW)
     assert plans == []
     assert [s.reason for s in report.suppressed] == ["qualityGate"]
 
     relaxed = make_policy(unitsPerEvent={"scheduledRunDependency": 2},
                           qualityGate=False)
-    plans, _ = compute_accrual([contrib, test, audit], relaxed, WINDOW)
+    plans, _ = compute_accrual(Snapshot([contrib, test, audit]), relaxed, WINDOW)
     assert [(p["kind"], p["units"]) for p in plans] == [
         ("scheduledRunDependency", Decimal("2.00"))]
 
     off_schedule = make_run(1, test_id=test.id, decision="pass",
                             checkpoint="postIncident")
-    plans, report = compute_accrual([contrib, test, off_schedule], relaxed, WINDOW)
+    plans, report = compute_accrual(Snapshot([contrib, test, off_schedule]), relaxed, WINDOW)
     assert plans == []
     assert report.considered == 0
 
@@ -929,7 +929,7 @@ def test_accrue_credits_default_recorder(tmp_path):
 
 def test_credit_report_statement(lifecycle):
     _path, ids, entries = lifecycle
-    statement = credit_report(entries, STEWARD_ORG, WINDOW)
+    statement = credit_report(Snapshot(entries), STEWARD_ORG, WINDOW)
     policy_ref = CreditPolicy.from_doc(POLICY_DOC).ref()
     assert statement.lines == [{
         "creditId": LIFECYCLE_CREDIT_ID,
@@ -944,8 +944,8 @@ def test_credit_report_statement(lifecycle):
     assert doc["beneficiary"] == STEWARD_ORG
     assert doc["totalUnits"] == 10.0
 
-    assert credit_report(entries, "pl:org:someone-else", WINDOW).lines == []
-    early = credit_report(entries, STEWARD_ORG,
+    assert credit_report(Snapshot(entries), "pl:org:someone-else", WINDOW).lines == []
+    early = credit_report(Snapshot(entries), STEWARD_ORG,
                           ("2025-05-01T00:00:00Z", "2025-06-29T00:00:00Z"))
     assert early.lines == []
     assert early.total_units == Decimal(0)
@@ -985,7 +985,7 @@ def test_accrual_invariants_hold_on_random_histories():
             persistenceGateReleases=rng.choice((0, 2)),
             qualityGate=rng.random() < 0.5,
         )
-        plans, report = compute_accrual(entries, policy, WINDOW)
+        plans, report = compute_accrual(Snapshot(entries), policy, WINDOW)
 
         ids = [p["id"] for p in plans]
         assert len(ids) == len(set(ids))
@@ -1011,5 +1011,5 @@ def test_accrual_invariants_hold_on_random_histories():
                     policy_ref=plan["policyRef"]),
                 links=LinkSet(credits_for=[plan["anchorId"]]),
             ) for plan in plans]
-        replans, _ = compute_accrual(entries + minted, policy, WINDOW)
+        replans, _ = compute_accrual(Snapshot(entries + minted), policy, WINDOW)
         assert replans == []

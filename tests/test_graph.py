@@ -65,7 +65,7 @@ LINK_KINDS = ("influences", "influencedBy", "motivates", "usesTest",
 
 def test_fixture_edge_orientation(lifecycle):
     _, ids, entries = lifecycle
-    graph = build_graph(entries)
+    graph = build_graph(Snapshot(entries))
 
     # motivates is declared on the Test but points contribution -> test.
     assert (CONTRIBUTION_ID, TEST_ID) in graph.edge_pairs("motivates")
@@ -101,7 +101,7 @@ def test_fixture_edge_orientation(lifecycle):
 
 def test_fixture_edges_match_raw_link_scan(lifecycle):
     _, _, entries = lifecycle
-    graph = build_graph(entries)
+    graph = build_graph(Snapshot(entries))
     for kind in LINK_KINDS:
         assert graph.edge_pairs(kind) == oracle_edges(entries, kind), kind
 
@@ -117,8 +117,8 @@ def test_random_edges_match_raw_link_scan():
         repeated = list(entries)
         repeated.insert(rng.randrange(entries.index(first) + 1, len(entries) + 1), repeat)
         with pytest.raises(DuplicateId, match=re.escape(repr(first.id))):
-            build_graph(repeated)
-        graph = build_graph(entries)
+            build_graph(Snapshot(repeated))
+        graph = build_graph(Snapshot(entries))
         assert graph.edges == [(t, k, e.id) if k == "motivates" else (e.id, k, t)
                                for e in entries for k, t in e.links.iter_links()]
         for kind in LINK_KINDS:
@@ -142,7 +142,7 @@ def test_random_edges_match_raw_link_scan():
 
 def test_deployment_detection(lifecycle):
     _, _, entries = lifecycle
-    graph = build_graph(entries)
+    graph = build_graph(Snapshot(entries))
     assert graph.deployment_ids() == [DEPLOYMENT_ID]
     assert graph.is_deployment(DEPLOYMENT_ID)
     assert not graph.is_deployment(f"{ARTIFACT_ID}:v1")
@@ -177,13 +177,13 @@ def test_redacted_deployment_still_counts_when_deployed_to():
         ),
         links=LinkSet(deployed_as=[deployment.id]),
     )
-    graph = build_graph([deployment, source, make_tombstone(deployment.id)])
+    graph = build_graph(Snapshot([deployment, source, make_tombstone(deployment.id)]))
     assert deployment.id in graph.hidden
     assert evaluate_field(graph, deployment.id, "boundary") is None
     assert graph.is_deployment(deployment.id)
 
     # Without an incoming deployedAs edge the hidden payload proves nothing.
-    lonely = build_graph([deployment, make_tombstone(deployment.id)])
+    lonely = build_graph(Snapshot([deployment, make_tombstone(deployment.id)]))
     assert not lonely.is_deployment(deployment.id)
 
 
@@ -191,7 +191,7 @@ def test_influence_views_are_symmetric():
     a = make_contribution(1, links=LinkSet(influences=["pl:contrib:gen:0002"]))
     b = make_contribution(2)
     c = make_contribution(3, links=LinkSet(influenced_by=["pl:contrib:gen:0001"]))
-    graph = build_graph([a, b, c])
+    graph = build_graph(Snapshot([a, b, c]))
     assert graph.neighbours(a.id, "influences") == {b.id, c.id}
     assert graph.neighbours(b.id, "influencedBy") == {a.id}
     assert graph.neighbours(c.id, "influencedBy") == {a.id}
@@ -203,12 +203,11 @@ def test_graph_is_the_snapshot(lifecycle, tmp_path):
     copy_path = tmp_path / "copy.pledger"
     copy_path.write_bytes(path.read_bytes())
     with LedgerFile(copy_path) as ledger:
-        graph = build_graph(ledger)
+        graph = build_graph(ledger.snapshot)
         assert graph is ledger.snapshot
     snapshot = Snapshot(entries)
     assert build_graph(snapshot) is snapshot
-    fresh = build_graph(entries)
-    assert isinstance(fresh, Snapshot) and Snapshot.of(fresh) is fresh
+    fresh = build_graph(Snapshot(entries))
     assert build_graph(fresh) is fresh
     assert fresh.edges == graph.edges
 
@@ -249,12 +248,12 @@ def test_graph_over_a_ledger_file_reads_later_appends(tmp_path):
     change = make_change(1, influenced_by=[contrib.id], uses_test=[test.id])
     with LedgerFile(tmp_path / "gen.pledger") as ledger:
         ledger.append(contrib)
-        graph = build_graph(ledger)
+        graph = build_graph(ledger.snapshot)
         assert graph.dangling == [(contrib.id, test.id)]
         assert linkage_completeness(graph).total_changes == 0
         ledger.append(test)
         ledger.append(change)
-        fresh = build_graph(list(ledger.snapshot.entries))
+        fresh = build_graph(Snapshot(list(ledger.snapshot.entries)))
         assert set(graph.by_id) == set(fresh.by_id) == {contrib.id, test.id, change.id}
         assert graph.edges == fresh.edges
         assert graph.dangling == fresh.dangling == []
@@ -265,7 +264,7 @@ def test_graph_over_a_ledger_file_reads_later_appends(tmp_path):
 
 
 def test_unknown_node_raises():
-    graph = build_graph([make_contribution(1)])
+    graph = build_graph(Snapshot([make_contribution(1)]))
     with pytest.raises(UnknownNode):
         graph.node("pl:contrib:gen:9999")
     assert graph.out("pl:contrib:gen:9999", "influences") == []
@@ -275,7 +274,7 @@ def test_unknown_node_raises():
 
 def test_trace_influence_fixture_paths(lifecycle):
     _, ids, entries = lifecycle
-    graph = build_graph(entries)
+    graph = build_graph(Snapshot(entries))
     result = trace_influence(graph, CONTRIBUTION_ID)
     assert not result.truncated
     assert result.paths == [
@@ -316,7 +315,7 @@ def _oracle_trace(entries: list[EntryEnvelope], start: str) -> list[list[str]]:
 
 def test_trace_influence_matches_exhaustive_enumeration(lifecycle):
     _, _, entries = lifecycle
-    result = trace_influence(build_graph(entries), CONTRIBUTION_ID)
+    result = trace_influence(build_graph(Snapshot(entries)), CONTRIBUTION_ID)
     assert result.paths == _oracle_trace(entries, CONTRIBUTION_ID)
 
 
@@ -324,7 +323,7 @@ def test_trace_influence_matches_exhaustive_enumeration_on_random_graphs():
     traced = 0
     for seed in range(400):
         entries = random_graph_entries(random.Random(seed))
-        graph = build_graph(entries)
+        graph = build_graph(Snapshot(entries))
         for entry in entries:
             if entry.entry_type is EntryType.CONTRIBUTION:
                 result = trace_influence(graph, entry.id)
@@ -358,7 +357,7 @@ def test_trace_influence_truncation():
     )
     entries.append(deployment)
 
-    graph = build_graph(entries)
+    graph = build_graph(Snapshot(entries))
     full = trace_influence(graph, "pl:contrib:gen:0001")
     assert full.paths == [[e.id for e in entries]]
     assert not full.truncated
@@ -397,7 +396,7 @@ def _ladder(rungs: int, width: int = 2, deployed: bool = True) -> list[EntryEnve
 
 
 def test_trace_influence_caps_the_number_of_paths():
-    graph = build_graph(_ladder(5))
+    graph = build_graph(Snapshot(_ladder(5)))
     full = trace_influence(graph, "pl:contrib:gen:0001")
     assert len(full.paths) == 2 ** 5 and not full.truncated
     assert trace_influence(graph, "pl:contrib:gen:0001", max_paths=32) == full
@@ -407,7 +406,7 @@ def test_trace_influence_caps_the_number_of_paths():
     assert capped.paths == full.paths[:10]
 
     # 2**30 paths, far past the length bound too: the cap ends the search.
-    huge = build_graph(_ladder(30))
+    huge = build_graph(Snapshot(_ladder(30)))
     result = trace_influence(huge, "pl:contrib:gen:0001", max_length=100, max_paths=50)
     assert result.truncated and len(result.paths) == 50
     assert all(len(path) == 2 * 30 + 2 for path in result.paths)
@@ -425,7 +424,7 @@ def test_trace_influence_never_expands_dead_ends(monkeypatch):
     # Seven 4-way rungs and no deployment: 4**7 prefixes, none of them live.
     entries = _ladder(7, width=4, deployed=False)
     assert len(entries) == 36
-    result = trace_influence(build_graph(entries), "pl:contrib:gen:0001")
+    result = trace_influence(build_graph(Snapshot(entries)), "pl:contrib:gen:0001")
     assert result == TraceResult() and expanded == ["pl:contrib:gen:0001"]
 
     # The same ladder beside a one-step path to a deployment.
@@ -433,7 +432,7 @@ def test_trace_influence_never_expands_dead_ends(monkeypatch):
     deployment = make_artifact(0, artifact_id="pl:artifact:gen:dep",
                                artifact_kind="extension:deployment", boundary="workshop")
     entries[0].links.influences.append(deployment.id)
-    result = trace_influence(build_graph(entries + [deployment]), "pl:contrib:gen:0001")
+    result = trace_influence(build_graph(Snapshot(entries + [deployment])), "pl:contrib:gen:0001")
     assert result.paths == [["pl:contrib:gen:0001", deployment.id]]
     assert not result.truncated and expanded == ["pl:contrib:gen:0001"]
 
@@ -441,7 +440,7 @@ def test_trace_influence_never_expands_dead_ends(monkeypatch):
 def test_trace_influence_survives_cycles():
     a = make_contribution(1, links=LinkSet(influences=["pl:contrib:gen:0002"]))
     b = make_contribution(2, links=LinkSet(influences=["pl:contrib:gen:0001"]))
-    graph = build_graph([a, b])
+    graph = build_graph(Snapshot([a, b]))
     result = trace_influence(graph, a.id)
     assert result.paths == []
     assert not result.truncated
@@ -449,7 +448,7 @@ def test_trace_influence_survives_cycles():
 
 def test_trace_influence_rejects_non_contributions(lifecycle):
     _, _, entries = lifecycle
-    graph = build_graph(entries)
+    graph = build_graph(Snapshot(entries))
     with pytest.raises(WrongEntryType):
         trace_influence(graph, TEST_ID)
     with pytest.raises(UnknownNode):
@@ -460,7 +459,7 @@ def test_trace_influence_rejects_non_contributions(lifecycle):
 
 def test_linkage_fixture_is_fully_traceable(lifecycle):
     _, _, entries = lifecycle
-    report = linkage_completeness(build_graph(entries))
+    report = linkage_completeness(build_graph(Snapshot(entries)))
     assert report.total_changes == 2
     assert report.changes_with_contribution == 2
     assert report.changes_with_test == 2
@@ -476,7 +475,7 @@ def test_linkage_fixture_is_fully_traceable(lifecycle):
 
 
 def test_linkage_empty_ledger_ratio_is_one():
-    report = linkage_completeness(build_graph([make_contribution(1)]))
+    report = linkage_completeness(build_graph(Snapshot([make_contribution(1)])))
     assert report.total_changes == 0
     assert report.completeness_ratio == Fraction(1)
 
@@ -486,14 +485,14 @@ def test_linkage_change_reached_through_run():
     test = make_test(1)
     change = make_change(1, influenced_by=[contrib.id], versions=("v4",))
     run = make_run(1, test_id=test.id, version="v4")
-    report = linkage_completeness(build_graph([contrib, test, change, run]))
+    report = linkage_completeness(build_graph(Snapshot([contrib, test, change, run])))
     assert report.changes_with_test == 1
     assert report.changes_fully_linked == 1
     assert report.completeness_ratio == Fraction(1)
 
     # The same run on a different version proves nothing about the change.
     other = make_run(2, test_id=test.id, version="v9")
-    report = linkage_completeness(build_graph([contrib, test, change, other]))
+    report = linkage_completeness(build_graph(Snapshot([contrib, test, change, other])))
     assert report.changes_with_test == 0
     assert report.completeness_ratio == Fraction(0)
 
@@ -503,10 +502,10 @@ def test_linkage_redacted_pieces_stop_counting():
     test = make_test(1)
     change = make_change(1, influenced_by=[contrib.id], uses_test=[test.id])
     base = [contrib, test, change]
-    assert linkage_completeness(build_graph(base)).completeness_ratio == Fraction(1)
+    assert linkage_completeness(build_graph(Snapshot(base))).completeness_ratio == Fraction(1)
 
     redacted_change = base + [make_tombstone(change.id)]
-    report = linkage_completeness(build_graph(redacted_change))
+    report = linkage_completeness(build_graph(Snapshot(redacted_change)))
     assert report.changes_with_contribution == 1
     assert report.changes_with_test == 0
     assert report.completeness_ratio == Fraction(0)
@@ -514,7 +513,7 @@ def test_linkage_redacted_pieces_stop_counting():
     run = make_run(1, test_id=test.id, version="v1")
     with_run = [contrib, test, make_change(2, influenced_by=[contrib.id]), run,
                 make_tombstone(run.id)]
-    report = linkage_completeness(build_graph(with_run))
+    report = linkage_completeness(build_graph(Snapshot(with_run)))
     assert report.changes_with_test == 0
 
 
@@ -523,7 +522,7 @@ def test_linkage_evidence_links_only_count_when_asked():
     test = make_test(1)
     change = make_change(1, uses_test=[test.id])
     change.links.evidence.append(contrib.id)
-    graph = build_graph([contrib, test, change])
+    graph = build_graph(Snapshot([contrib, test, change]))
     assert linkage_completeness(graph).changes_with_contribution == 0
 
 
@@ -578,7 +577,7 @@ def test_linkage_matches_naive_recount_on_random_graphs():
         expect_test = sum(t for _, t in expected.values())
         expect_full = sum(c and t for c, t in expected.values())
 
-        report = linkage_completeness(build_graph(entries))
+        report = linkage_completeness(build_graph(Snapshot(entries)))
         assert report.total_changes == len(expected)
         assert report.changes_with_contribution == expect_contribution
         assert report.changes_with_test == expect_test
@@ -590,7 +589,7 @@ def test_conformance_flags_exactly_the_live_changes_linkage_does_not_count():
     flagged_any = False
     for seed in range(30):
         entries, expected, hidden = _random_linkage_ledger(seed, tombstones=True)
-        graph = build_graph(entries)
+        graph = build_graph(Snapshot(entries))
         assert {change.id: (c, t) for change, c, t in change_linkage(graph)} == expected
         report = linkage_completeness(graph)
         assert report.changes_fully_linked == sum(c and t for c, t in expected.values())
@@ -611,7 +610,7 @@ def test_edge_list_export():
     a = make_contribution(1, links=LinkSet(influences=["pl:test:gen:001"]))
     test = make_test(1)
     test.links.motivates.append(a.id)
-    graph = build_graph([a, test])
+    graph = build_graph(Snapshot([a, test]))
     assert graph.edges == [
         (a.id, "influences", test.id),
         (a.id, "motivates", test.id),
@@ -716,8 +715,7 @@ def test_snapshot_indexes_match_naive_scans():
             top = max(lineage_base(e.id)[1] for e in entries
                       if lineage_base(e.id)[0] == base)
             assert snapshot.next_revision_id(entry.id) == f"{base}:rev{top + 1}"
-        assert Snapshot.of(snapshot) is snapshot
-        assert _view(Snapshot.of(build_graph(entries))) == _view(snapshot)
+        assert _view(build_graph(Snapshot(entries))) == _view(snapshot)
 
 
 def test_snapshot_grown_by_appends_matches_a_fresh_read(tmp_path):
@@ -727,6 +725,5 @@ def test_snapshot_grown_by_appends_matches_a_fresh_read(tmp_path):
             for entry in _revised_ledger(random.Random(seed)):
                 ledger.append(entry)
             grown = ledger.snapshot
-            assert Snapshot.of(ledger) is grown
         fresh = read_entries(path)
         assert _view(grown) == _view(Snapshot(fresh)) == _naive_view(fresh)

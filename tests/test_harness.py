@@ -33,6 +33,7 @@ from pledger.harness import (
     verify_replay,
 )
 from pledger import model
+from pledger.graph import Snapshot
 from pledger.model import ActorRef, MeasurementProcedure
 from pledger.store import LedgerFile, verify_file
 
@@ -299,7 +300,7 @@ def test_run_suite_needs_declared_version(bench):
 
 def test_verify_replay_on_intact_ledger(lifecycle):
     _, _, entries = lifecycle
-    assert verify_replay(entries) == []
+    assert verify_replay(Snapshot(entries)) == []
 
 
 def test_verify_replay_catches_tampered_decisions(lifecycle):
@@ -307,7 +308,7 @@ def test_verify_replay_catches_tampered_decisions(lifecycle):
     tampered = copy.deepcopy(entries)
     victim = next(e for e in tampered if e.id == ids["run_v2"])
     victim.payload.decision = "pass"
-    mismatches = verify_replay(tampered)
+    mismatches = verify_replay(Snapshot(tampered))
     assert mismatches == [(ids["run_v2"], "pass", "fail")]
 
 
@@ -315,18 +316,18 @@ def test_verify_replay_skips_runs_without_a_live_test(lifecycle):
     _, ids, entries = lifecycle
     entries = copy.deepcopy(entries)
     entries.append(make_tombstone("pl:test:accessibility:001"))
-    assert verify_replay(entries) == []
+    assert verify_replay(Snapshot(entries)) == []
 
 
 def test_verify_replay_empty_ledger():
-    assert verify_replay([]) == []
+    assert verify_replay(Snapshot()) == []
 
 
 # -- regressions -------------------------------------------------------------------------
 
 def test_detect_regressions_on_lifecycle(lifecycle):
     _, ids, entries = lifecycle
-    events = detect_regressions(entries)
+    events = detect_regressions(Snapshot(entries))
     assert len(events) == 1
     event = events[0]
     assert event.test_id == "pl:test:accessibility:001"
@@ -346,12 +347,12 @@ def test_regressions_follow_declaration_order_not_spelling():
         make_run(1, test_id="pl:test:gen:000", version="v10", decision="pass"),
         make_run(2, test_id="pl:test:gen:000", version="v2", decision="fail"),
     ]
-    events = detect_regressions(entries)
+    events = detect_regressions(Snapshot(entries))
     assert [(e.from_version, e.to_version) for e in events] == [("v10", "v2")]
 
     # Reversed declaration order reads the same runs as fail-then-pass.
     swapped = [entries[0], entries[2], entries[1], entries[3], entries[4]]
-    assert detect_regressions(swapped) == []
+    assert detect_regressions(Snapshot(swapped)) == []
 
 
 def test_regressions_skip_undeclared_versions_and_redacted_runs():
@@ -361,15 +362,15 @@ def test_regressions_skip_undeclared_versions_and_redacted_runs():
         make_run(1, test_id="pl:test:gen:000", version="v1", decision="pass"),
         make_run(2, test_id="pl:test:gen:000", version="v99", decision="fail"),
     ]
-    assert detect_regressions(entries) == []
+    assert detect_regressions(Snapshot(entries)) == []
 
     declared = entries[:2] + [
         make_artifact(2, version="v2"),
         entries[2],
         make_run(3, test_id="pl:test:gen:000", version="v2", decision="fail"),
     ]
-    assert len(detect_regressions(declared)) == 1
-    assert detect_regressions(declared + [make_tombstone("pl:run:gen:003")]) == []
+    assert len(detect_regressions(Snapshot(declared))) == 1
+    assert detect_regressions(Snapshot(declared + [make_tombstone("pl:run:gen:003")])) == []
 
 
 def test_regressions_same_version_rerun_is_not_a_regression():
@@ -379,7 +380,7 @@ def test_regressions_same_version_rerun_is_not_a_regression():
         make_run(1, test_id="pl:test:gen:000", version="v1", decision="pass"),
         make_run(2, test_id="pl:test:gen:000", version="v1", decision="fail"),
     ]
-    assert detect_regressions(entries) == []
+    assert detect_regressions(Snapshot(entries)) == []
 
 
 def test_regressions_match_quadratic_oracle_and_interleaving():
@@ -413,7 +414,7 @@ def test_regressions_match_quadratic_oracle_and_interleaving():
                         and rb > ra):
                     expected.append((jb, a.id, b.id))
         expected.sort()
-        got = detect_regressions(entries)
+        got = detect_regressions(Snapshot(entries))
         assert [(e.prior_passing_run_id, e.failing_run_id) for e in got] == \
             [(a, b) for _, a, b in expected]
 
@@ -429,7 +430,7 @@ def test_regressions_match_quadratic_oracle_and_interleaving():
             merged.append(queue.pop(0))
             if not queue:
                 queues.remove(queue)
-        reshuffled = detect_regressions(entries[:2 + len(versions)] + merged)
+        reshuffled = detect_regressions(Snapshot(entries[:2 + len(versions)] + merged))
         assert {(e.prior_passing_run_id, e.failing_run_id) for e in reshuffled} == \
             {(a, b) for _, a, b in expected}
 

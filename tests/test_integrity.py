@@ -79,6 +79,17 @@ def test_content_mutation_is_hash_mismatch():
         assert verdict.failure_kind == "hashMismatch"
 
 
+def test_a_top_level_prev_is_hash_mismatch():
+    # Sealing overwrites a stored `prev` with the predecessor's hash, so its
+    # value is outside the hash and a rewrite of it would verify.
+    entries = chain(3)
+    stored = replace(make_contribution(3), extensions={"prev": "original note"})
+    entries.append(seal(stored, entries[-1].integrity.hash))
+    verdict = verify_chain(entries)
+    assert (verdict.valid, verdict.first_broken_index, verdict.failure_kind) == (
+        False, 3, "hashMismatch")
+
+
 def test_deletion_is_prev_hash_mismatch():
     entries = chain(12)
     verdict = verify_chain(entries[:4] + entries[5:])

@@ -29,7 +29,7 @@ from pledger.errors import (
     UnknownRelation,
 )
 from pledger.fixtures import CONTRIBUTION_ID, DEPLOYMENT_ID, TEST_ID
-from pledger.graph import build_graph
+from pledger.graph import Snapshot, build_graph
 from pledger.model import PAYLOAD_CLASS, LinkSet
 from pledger.query import (
     SAVED_QUERIES,
@@ -154,7 +154,7 @@ def test_semicolon_is_optional():
 
 def test_attribution_query_on_lifecycle(lifecycle):
     _, ids, entries = lifecycle
-    table = run_query(ATTRIBUTION_QUERY, build_graph(entries))
+    table = run_query(ATTRIBUTION_QUERY, build_graph(Snapshot(entries)))
     assert table.columns == ["c.id", "t.id", "r.artifact_version", "r.timestamp", "d.id"]
     assert table.rows == [(
         CONTRIBUTION_ID, TEST_ID, "v2", "2025-06-20T10:00:00Z", DEPLOYMENT_ID)]
@@ -163,7 +163,7 @@ def test_attribution_query_on_lifecycle(lifecycle):
 def test_direction_semantics():
     a = make_contribution(1, links=LinkSet(influences=["pl:test:gen:001"]))
     t = make_test(1)
-    graph = build_graph([a, t])
+    graph = build_graph(Snapshot([a, t]))
 
     fwd = run_query('MATCH (x:Contribution)-[:influences]->(y:Test) RETURN y.id;', graph)
     assert fwd.rows == [(t.id,)]
@@ -179,14 +179,14 @@ def test_direction_semantics():
     # A mutual pair satisfies <-[:x]-> in both assignments.
     b = make_contribution(2, links=LinkSet(influences=["pl:contrib:gen:0001"]))
     a2 = make_contribution(1, links=LinkSet(influences=["pl:contrib:gen:0002"]))
-    mutual = build_graph([a2, b])
+    mutual = build_graph(Snapshot([a2, b]))
     both = run_query('MATCH (x)<-[:influences]->(y) RETURN x.id, y.id;', mutual)
     assert both.rows == [(a2.id, b.id), (b.id, a2.id)]
 
 
 def test_field_alias_and_timestamp_fallback(lifecycle):
     _, ids, entries = lifecycle
-    graph = build_graph(entries)
+    graph = build_graph(Snapshot(entries))
     assert evaluate_field(graph, ids["run_v2"], "artifact_version") == "v2"
     assert evaluate_field(graph, ids["run_v2"], "version") == "v2"
     assert evaluate_field(graph, ids["run_v2"], "timestamp") == "2025-06-20T10:00:00Z"
@@ -200,7 +200,7 @@ def test_field_alias_and_timestamp_fallback(lifecycle):
 
 def test_missing_fields_project_empty_and_never_match():
     c = make_contribution(1)
-    graph = build_graph([c])
+    graph = build_graph(Snapshot([c]))
     table = run_query('MATCH (x:Contribution) RETURN x.id, x.boundary;', graph)
     assert table.rows == [(c.id, "")]
     none_match = run_query(
@@ -210,7 +210,7 @@ def test_missing_fields_project_empty_and_never_match():
 
 def test_rows_come_back_sorted():
     entries = [make_contribution(i) for i in (3, 1, 2)]
-    graph = build_graph(entries)
+    graph = build_graph(Snapshot(entries))
     table = run_query('MATCH (x:Contribution) RETURN x.id;', graph)
     assert table.rows == sorted(table.rows)
     assert [r[0] for r in table.rows] == [
@@ -220,7 +220,7 @@ def test_rows_come_back_sorted():
 def test_rendering_text_and_csv():
     entries = [make_contribution(1)]
     entries[0].payload.summary = 'has, comma and "quote"'
-    graph = build_graph(entries)
+    graph = build_graph(Snapshot(entries))
     table = run_query('MATCH (x:Contribution) RETURN x.id, x.kind, x.summary;', graph)
 
     text = table.render_text()
@@ -237,7 +237,7 @@ def test_rendering_text_and_csv():
 def test_homomorphism_semantics_allow_shared_bindings():
     # Two variables may bind the same node; nothing forces injectivity.
     c = make_contribution(1)
-    graph = build_graph([c])
+    graph = build_graph(Snapshot([c]))
     table = run_query('MATCH (x:Contribution) MATCH (y:Contribution) '
                       'RETURN x.id, y.id;', graph)
     assert table.rows == [(c.id, c.id)]
@@ -248,7 +248,7 @@ def test_evaluation_matches_brute_force_on_random_graphs():
     for seed in range(40):
         rng = random.Random(7000 + seed)
         entries = random_graph_entries(rng)
-        graph = build_graph(entries)
+        graph = build_graph(Snapshot(entries))
         text = random_query(rng, entries)
         ast = parse_query(text)
         got = evaluate(ast, graph).rows
@@ -317,7 +317,7 @@ def _wide_query(rng: random.Random, entries: list) -> str:
     labels and predicates mostly describe the witness, so that long patterns
     still match; repeats may relabel a variable or close a self-loop.
     """
-    graph = build_graph(entries)
+    graph = build_graph(Snapshot(entries))
     nodes = list(graph.by_id)
     witness: dict[str, str] = {}
 
@@ -397,7 +397,7 @@ def _shapes(ast, entries) -> set[str]:
         component[root(left)] = root(right)
     ids = {e.id for e in entries}
     links = [(e.id, kind, target) for e in entries for kind, target in e.links.iter_links()]
-    graph = build_graph(entries)
+    graph = build_graph(Snapshot(entries))
     found = set()
     if len(edges) == 3:
         found.add("three edges")
@@ -424,7 +424,7 @@ def test_evaluation_matches_brute_force_on_wide_random_shapes():
         rng = random.Random(9100 + seed)
         entries = _wide_graph_entries(rng)
         ast = parse_query(_wide_query(rng, entries))
-        got = evaluate(ast, build_graph(entries)).rows
+        got = evaluate(ast, build_graph(Snapshot(entries))).rows
         if got != brute_force_rows(ast, entries):
             mismatches.append(seed)
         nonempty += bool(got)
@@ -439,7 +439,7 @@ def test_evaluation_matches_brute_force_on_wide_random_shapes():
 
 def test_saved_query_matches_inline_text(lifecycle):
     _, _, entries = lifecycle
-    graph = build_graph(entries)
+    graph = build_graph(Snapshot(entries))
     inline = run_query(ATTRIBUTION_QUERY, graph)
     saved = run_saved_query("regression-attribution", graph, {
         "topic": "accessibility", "boundary": "consultation_workflow"})
@@ -450,7 +450,7 @@ def test_saved_query_matches_inline_text(lifecycle):
 
 def test_saved_query_parameter_validation(lifecycle):
     _, _, entries = lifecycle
-    graph = build_graph(entries)
+    graph = build_graph(Snapshot(entries))
     with pytest.raises(UnknownQueryName):
         run_saved_query("no-such-query", graph, {})
     with pytest.raises(QueryParameterError) as info:
@@ -464,7 +464,7 @@ def test_saved_query_parameter_validation(lifecycle):
 
 def test_saved_query_escapes_parameters(lifecycle):
     _, _, entries = lifecycle
-    graph = build_graph(entries)
+    graph = build_graph(Snapshot(entries))
     tricky = run_saved_query("regression-attribution", graph, {
         "topic": 'x" RETURN c.id; --', "boundary": "line\nbreak"})
     assert tricky.rows == []
@@ -521,7 +521,7 @@ def test_field_view_matches_the_whole_payload_view_on_random_ledgers():
     rng = random.Random(77)
     hidden_seen = 0
     for _ in range(30):
-        graph = build_graph(_random_field_ledger(rng))
+        graph = build_graph(Snapshot(_random_field_ledger(rng)))
         for node_id in graph.by_id:
             hidden_seen += node_id in graph.hidden
             for name in names:

@@ -136,19 +136,20 @@ def awkward_entries() -> list[EntryEnvelope]:
 
 def test_the_governance_readers():
     entries = awkward_entries()
-    pause = gate_check(entries, "image-generation", SYS, "v3", "workshop", stamp(1000))
+    pause = gate_check(Snapshot(entries), "image-generation", SYS, "v3", "workshop", stamp(1000))
     assert pause.to_doc() == EXPECTED_GATE
-    assert credit_report(entries, "pl:org:a", WINDOW).to_doc() == EXPECTED_CREDIT_A
-    assert credit_report(entries, "pl:org:d", WINDOW).to_doc() == EXPECTED_CREDIT_D
-    plans, report = compute_accrual(entries, CreditPolicy.from_doc(POLICY), WINDOW)
+    assert credit_report(Snapshot(entries), "pl:org:a", WINDOW).to_doc() == EXPECTED_CREDIT_A
+    assert credit_report(Snapshot(entries), "pl:org:d", WINDOW).to_doc() == EXPECTED_CREDIT_D
+    plans, report = compute_accrual(Snapshot(entries), CreditPolicy.from_doc(POLICY), WINDOW)
     assert [{**plan, "units": str(plan["units"])} for plan in plans] == EXPECTED_PLANS
     assert report.to_doc() == EXPECTED_ACCRUAL
 
 
 def test_the_harness_readers(tmp_path):
     entries = awkward_entries()
-    assert [event.to_doc() for event in detect_regressions(entries)] == EXPECTED_REGRESSIONS
-    assert verify_replay(entries) == EXPECTED_REPLAY
+    events = detect_regressions(Snapshot(entries))
+    assert [event.to_doc() for event in events] == EXPECTED_REGRESSIONS
+    assert verify_replay(Snapshot(entries)) == EXPECTED_REPLAY
     path = tmp_path / "awkward.pledger"
     path.write_text("".join(serialize_entry(e) + "\n" for e in sealed_chain(entries)),
                     "utf-8")
@@ -163,19 +164,19 @@ def test_the_harness_readers(tmp_path):
 
 def test_the_evidence_graph_and_query_readers():
     entries = awkward_entries()
-    assert flag_consent_violations(entries) == EXPECTED_CONSENT
-    assert audit_corpus(entries, "ledger").to_doc() == EXPECTED_AUDIT
-    assert linkage_completeness(build_graph(entries)).to_doc() == EXPECTED_LINKAGE
-    export = build_export(entries, SYS, "v3", now=stamp(1000))
+    assert flag_consent_violations(Snapshot(entries)) == EXPECTED_CONSENT
+    assert audit_corpus(Snapshot(entries)).to_doc() == EXPECTED_AUDIT
+    assert linkage_completeness(build_graph(Snapshot(entries))).to_doc() == EXPECTED_LINKAGE
+    export = build_export(Snapshot(entries), SYS, "v3", now=stamp(1000))
     assert [doc["id"] for doc in export["entries"]] == EXPECTED_EXPORT_IDS
     assert export["activeVouchers"] == EXPECTED_EXPORT_VOUCHERS
     assert check_export_conformance(export).to_doc() == EXPECTED_CONFORMANCE
     table = evaluate(parse_query(
         "MATCH (r:EvaluationRun)-[:USES_TEST]->(t:Test) "
-        "RETURN r.id, r.decision, t.id, t.topic;"), build_graph(entries))
+        "RETURN r.id, r.decision, t.id, t.topic;"), build_graph(Snapshot(entries)))
     assert table.rows == EXPECTED_QUERY_ROWS
     changes = evaluate(parse_query("MATCH (c:Change) RETURN c.id, c.type, c.rationale;"),
-                       build_graph(entries))
+                       build_graph(Snapshot(entries)))
     assert changes.rows == EXPECTED_CHANGE_ROWS
 
 
