@@ -38,8 +38,7 @@ _MODULE_NAMES = {
         decide detect_regressions fold_suite run_suite run_test
         triage_incident verify_replay""",
     "integrity": """
-        ChainVerdict hmac_signer hmac_verifier seal verify_chain
-        verify_signatures""",
+        ChainVerdict hmac_signer seal verify_chain verify_signatures""",
     "model": """
         ActorRef EntryEnvelope EntryType LinkSet ValidationReport parse_entry
         serialize_entry validate_structure""",

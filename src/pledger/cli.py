@@ -167,7 +167,7 @@ def _cmd_append(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .integrity import HMAC_SCHEME, hmac_verifier, verify_signatures
+    from .integrity import verify_signatures
 
     verdict, entries = store.verify_file(_existing_ledger(args))
     lines = [verdict.describe()]
@@ -175,7 +175,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ok = verdict.valid
     keyed = _parse_hmac(args.hmac_key)
     if keyed is not None:
-        report = verify_signatures(entries, {HMAC_SCHEME: hmac_verifier({keyed[0]: keyed[1]})})
+        report = verify_signatures(entries, {keyed[0]: keyed[1]})
         counts = report.counts()
         lines.append("signatures: " + ", ".join(f"{v} {k}" for k, v in counts.items()))
         doc["signatures"] = counts

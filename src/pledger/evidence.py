@@ -123,9 +123,9 @@ def _reaches_change_or_test(graph: Snapshot, start: str) -> bool:
     while frontier:
         node_id = frontier.pop()
         nexts = (*graph.neighbours(node_id, "influences"),
-                 *graph.out(node_id, "motivates"),
-                 *graph.into(node_id, "usesTest"),
-                 *graph.out(node_id, "evaluates"))
+                 *graph.neighbours(node_id, "motivates"),
+                 *graph.neighbours(node_id, "usesTest", outgoing=False),
+                 *graph.neighbours(node_id, "evaluates"))
         for succ in nexts:
             if succ in seen or succ not in graph.by_id:
                 continue

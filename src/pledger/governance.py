@@ -44,6 +44,7 @@ from .model import (
     now_stamp,
     parse_timestamp,
     record,
+    replace,
     wire,
 )
 from .store import LedgerFile
@@ -416,13 +417,14 @@ def _credit_id(kind: str, anchor_id: str, beneficiary: str) -> str:
 
 
 def compute_accrual(snapshot: Snapshot, policy: CreditPolicy,
-                    window: tuple[str, str]) -> tuple[list[dict], AccrualReport]:
+                    window: tuple[str, str]) -> tuple[list[EntryEnvelope], AccrualReport]:
     """Pure accrual core: decide which credits a window earns.
 
-    Returns (credit payload plans, report). Each plan is a dict with `id`,
-    `kind`, `anchorId`, `beneficiary`, `units` (a Decimal) and `policyRef`;
-    `accrue_credits` stamps the `createdAt` when it mints the entries. The
-    report's credits list is filled by the caller that actually appends.
+    Returns (credits, report). The credits are the unsealed Credit entries
+    that `accrue_credits` appends, in that order: each is recorded by the
+    maintainer pseudonym `credit-accrual`, stamped with the window end and
+    linked by creditsFor to the run or change that earns it. The report's
+    credits list is filled by the caller that actually appends.
     """
     policy.validate()
     bounds = _bounds(window)
@@ -441,7 +443,8 @@ def compute_accrual(snapshot: Snapshot, policy: CreditPolicy,
             credited[beneficiary] = credited.get(beneficiary, Decimal(0)) \
                 + Decimal(str(entry.payload.units))
 
-    plans: list[dict] = []
+    recorder = ActorRef(role="maintainer", pseudonym="credit-accrual")
+    credits: list[EntryEnvelope] = []
     planned_ids: set[str] = set()
     for event in events:
         kind, anchor_id = event.kind, event.anchor.id
@@ -484,50 +487,34 @@ def compute_accrual(snapshot: Snapshot, policy: CreditPolicy,
                 continue
             credited[beneficiary] = total + share
             planned_ids.add(credit_id)
-            plans.append({
-                "id": credit_id,
-                "kind": kind,
-                "anchorId": anchor_id,
-                "beneficiary": beneficiary,
-                "units": share,
-                "policyRef": policy_ref,
-            })
-    return plans, report
+            trigger = (TriggeringEvent(kind=kind, change_id=anchor_id)
+                       if kind == "remediationCompleted"
+                       else TriggeringEvent(kind=kind, evaluation_run_id=anchor_id))
+            credits.append(EntryEnvelope(
+                id=credit_id,
+                entry_type=EntryType.CREDIT,
+                created_at=window[1],
+                actor=recorder,
+                payload=CreditPayload(beneficiary=beneficiary, triggering_event=trigger,
+                                      units=float(share), policy_ref=policy_ref),
+                links=LinkSet(credits_for=[anchor_id]),
+            ))
+    return credits, report
 
 
 def accrue_credits(ledger: LedgerFile, policy: CreditPolicy, window: tuple[str, str], *,
                    created_at: str | None = None) -> tuple[list[EntryEnvelope], AccrualReport]:
-    """Append one Credit entry per credit that `compute_accrual` plans.
+    """Append the Credit entries that `compute_accrual` plans, in order.
 
-    Each entry is recorded by the maintainer pseudonym `credit-accrual` and
-    stamped `created_at`, by default the window end, so reruns are
-    deterministic; idempotence comes from creditsFor links, so accruing the
-    same window twice appends nothing new. Returns the minted entries and
+    Each is stamped `created_at` when given, else the window end, so reruns
+    are deterministic; idempotence comes from creditsFor links, so accruing
+    the same window twice appends nothing new. Returns the minted entries and
     the report, whose credits list they fill.
     """
-    plans, report = compute_accrual(ledger.snapshot, policy, window)
-    recorder = ActorRef(role="maintainer", pseudonym="credit-accrual")
-    stamp = created_at or window[1]
-    minted: list[EntryEnvelope] = []
-    for plan in plans:
-        trigger_kwargs = (
-            {"change_id": plan["anchorId"]} if plan["kind"] == "remediationCompleted"
-            else {"evaluation_run_id": plan["anchorId"]})
-        payload = CreditPayload(
-            beneficiary=plan["beneficiary"],
-            triggering_event=TriggeringEvent(kind=plan["kind"], **trigger_kwargs),
-            units=float(plan["units"]),
-            policy_ref=plan["policyRef"],
-        )
-        entry = EntryEnvelope(
-            id=plan["id"],
-            entry_type=EntryType.CREDIT,
-            created_at=stamp,
-            actor=recorder,
-            payload=payload,
-            links=LinkSet(credits_for=[plan["anchorId"]]),
-        )
-        minted.append(ledger.append(entry))
+    credits, report = compute_accrual(ledger.snapshot, policy, window)
+    if created_at:
+        credits = [replace(credit, created_at=created_at) for credit in credits]
+    minted = [ledger.append(credit) for credit in credits]
     report.credits = minted
     return minted, report
 

@@ -10,7 +10,8 @@ contribution -> test. This keeps append-only writing compatible with edges
 that point at later entries.
 
 The reverse-direction convenience view between influencedBy and influences is
-derived at query time and never materialized.
+derived by `Snapshot.neighbours`, through which every edge read goes, and is
+never materialized.
 
 Tombstoned entries stay in the graph with their type and edges; only the
 payload view is hidden.
@@ -255,38 +256,23 @@ class Snapshot:
         except KeyError:
             raise UnknownNode(f"no node {node_id!r} in graph") from None
 
-    def out(self, node_id: str, kind: str) -> list[str]:
-        self._sync()
-        return self._out.get((node_id, kind), [])
-
-    def into(self, node_id: str, kind: str) -> list[str]:
-        self._sync()
-        return self._in.get((node_id, kind), [])
-
     def is_deployment(self, node_id: str) -> bool:
         entry = self.by_id.get(node_id)
         if entry is None or entry.entry_type is not _ARTIFACT:
             return False
         if node_id in self.hidden:
             # A redacted artifact that something deploys to still counts.
-            return bool(self.into(node_id, "deployedAs"))
+            return bool(self.neighbours(node_id, "deployedAs", outgoing=False))
         return entry.payload.artifact_kind == DEPLOYMENT_KIND
 
     def deployment_ids(self) -> list[str]:
         return [e.id for e in self.by_type[_ARTIFACT] if self.is_deployment(e.id)]
 
-    def edge_pairs(self, kind: str) -> set[tuple[str, str]]:
-        """Directed (source, target) pairs of `kind`, dangling ends included;
-        the influencedBy/influences pair each include the other's reverse."""
-        pairs = {(s, t) for s, k, t in self.edges if k == kind}
-        inverse = _INVERSE_KINDS.get(kind)
-        if inverse is not None:
-            pairs |= {(t, s) for s, k, t in self.edges if k == inverse}
-        return pairs
-
     def neighbours(self, node_id: str, kind: str, outgoing: bool = True) -> set[str]:
-        """Successors (or, with outgoing=False, predecessors) of a node among
-        `edge_pairs(kind)`, deduplicated, read from the adjacency index."""
+        """Successors (or, with outgoing=False, predecessors) of a node along
+        the `kind` edges, dangling ends included, deduplicated, read from the
+        adjacency index. influences and influencedBy each include the other's
+        edges reversed."""
         self._sync()
         ahead, behind = (self._out, self._in) if outgoing else (self._in, self._out)
         found = set(ahead.get((node_id, kind), ()))
@@ -312,17 +298,17 @@ class TraceResult:
 
 
 # The steps a trace takes, as (edge kind, whether it follows the stored
-# direction): influences (with the derived view), motivates, usesTest
-# reversed, evaluates, deployedAs.
-_TRACE_STEPS = (("influences", True), ("influencedBy", False), ("motivates", True),
-                ("usesTest", False), ("evaluates", True), ("deployedAs", True))
+# direction): influences (with the derived view of influencedBy), motivates,
+# usesTest reversed, evaluates, deployedAs.
+_TRACE_STEPS = (("influences", True), ("motivates", True), ("usesTest", False),
+                ("evaluates", True), ("deployedAs", True))
 
 
 def _trace_steps(graph: Snapshot, node_id: str) -> list[str]:
     """Graph nodes one trace step after `node_id`, sorted."""
     steps: set[str] = set()
     for kind, along in _TRACE_STEPS:
-        steps.update(graph.out(node_id, kind) if along else graph.into(node_id, kind))
+        steps |= graph.neighbours(node_id, kind, along)
     return sorted(s for s in steps if s in graph.by_id)
 
 
@@ -334,7 +320,7 @@ def _reaching_deployments(graph: Snapshot) -> set[str]:
     while frontier:
         node_id = frontier.pop()
         for kind, along in _TRACE_STEPS:
-            for prior in graph.into(node_id, kind) if along else graph.out(node_id, kind):
+            for prior in graph.neighbours(node_id, kind, not along):
                 if prior in graph.by_id and prior not in reached:
                     reached.add(prior)
                     frontier.append(prior)
@@ -465,7 +451,8 @@ def linkage_completeness(graph: Snapshot) -> LinkageReport:
     with_contribution = sum(c for c, _ in linkage)
     with_test = sum(t for _, t in linkage)
     fully = sum(c and t for c, t in linkage)
-    tests_with_run = sum(1 for t in graph.by_type[_TEST] if graph.into(t.id, "usesTest"))
+    tests_with_run = sum(1 for t in graph.by_type[_TEST]
+                         if graph.neighbours(t.id, "usesTest", outgoing=False))
     total = len(linkage)
     ratio = Fraction(1) if total == 0 else Fraction(fully, total)
     return LinkageReport(

@@ -8,10 +8,11 @@ predecessor into the pre-image is what makes deletion and reordering visible,
 not just in-place edits.
 
 Signing is pluggable. A signer is any callable taking the pre-image bytes and
-returning a SignatureRecord; verifiers are looked up by scheme name in a
-registry. One deterministic keyed scheme (HMAC-SHA256) ships for tests and
-small deployments; there is no key management here. Its modules (`hmac`,
-`base64`) are imported when a signer or verifier is made.
+returning a SignatureRecord. One deterministic keyed scheme (HMAC-SHA256)
+ships for tests and small deployments, and it is the one scheme that
+`verify_signatures` checks, against a map of keyRef to key bytes; there is no
+key management here. Its modules (`hmac`, `base64`) are imported when a
+signer is made or signatures are checked.
 """
 
 from __future__ import annotations
@@ -20,14 +21,19 @@ from datetime import timedelta
 from typing import Callable, Iterable, Sequence
 
 from .canonical import canonical_bytes, compute_hash
-from .errors import AlreadySealed, NonCanonicalizableNumber, SigningFailure
+from .errors import (
+    AlreadySealed,
+    LedgerError,
+    MalformedDocument,
+    NonCanonicalizableNumber,
+    SigningFailure,
+)
 from .model import ActorRef, EntryEnvelope, IntegrityBlock, SignatureRecord, record, replace
 
 # Tolerated backwards clock drift between adjacent entries.
 CLOCK_SKEW = timedelta(hours=24)
 
 Signer = Callable[[bytes], SignatureRecord]
-SchemeVerifier = Callable[[bytes, SignatureRecord], bool]
 
 
 def canonicalize(entry: EntryEnvelope, prev_hash: str | None = None) -> bytes:
@@ -35,9 +41,14 @@ def canonicalize(entry: EntryEnvelope, prev_hash: str | None = None) -> bytes:
 
     The integrity block never feeds its own hash; any integrity block already
     on the entry is excluded. `prev` is always present in the pre-image, as
-    the empty string when there is no predecessor.
+    the empty string when there is no predecessor. An entry with a top-level
+    `prev` of its own, which the pre-image's would hide from the hash, has no
+    pre-image: MalformedDocument.
     """
     doc = entry.to_doc(include_integrity=False)
+    if "prev" in doc:
+        raise MalformedDocument(f"entry {entry.id}: top-level prev is reserved "
+                                "for the hash pre-image")
     doc["prev"] = prev_hash or ""
     return canonical_bytes(doc)
 
@@ -46,9 +57,9 @@ def seal(entry: EntryEnvelope, prev_hash: str | None = None,
          signer: Signer | None = None) -> EntryEnvelope:
     """Return a sealed copy of the entry; the input is not modified.
 
-    Raises AlreadySealed when an integrity block is present, and
-    SigningFailure (with no sealed entry produced) when the signer hook
-    raises.
+    Raises AlreadySealed when an integrity block is present, the errors of
+    `canonicalize` when the entry has no pre-image, and SigningFailure (with
+    no sealed entry produced) when the signer hook raises.
     """
     if entry.is_sealed():
         raise AlreadySealed(f"entry {entry.id} already carries an integrity block")
@@ -66,11 +77,6 @@ def seal(entry: EntryEnvelope, prev_hash: str | None = None,
 
 # ---------------------------------------------------------------------------
 # chain verification
-
-# The last two are the stored file's (`store.verify_file`), not the chain's.
-FAILURE_KINDS = ("hashMismatch", "prevHashMismatch", "duplicateId", "orderViolation",
-                 "nonCanonicalLine", "headMismatch")
-
 
 @record
 class ChainVerdict:
@@ -95,11 +101,10 @@ def verify_chain(entries: Sequence[EntryEnvelope]) -> ChainVerdict:
     """Recompute every hash and check linkage, id uniqueness, and time order.
 
     Scans from the head and reports the first broken index with its failure
-    kind. Entries must be sealed; an unsealed entry, one holding a number
-    with no canonical form (NaN, ±inf), or one with a top-level `prev` (which
-    the pre-image's own `prev` would hide from the hash) shows up as a hash
-    mismatch at its index. Timestamps may step backwards by at most the
-    clock-skew allowance.
+    kind. Entries must be sealed; an unsealed entry, or one with no pre-image
+    (a number with no canonical form, such as NaN or ±inf, or a top-level
+    `prev`), shows up as a hash mismatch at its index. Timestamps may step
+    backwards by at most the clock-skew allowance.
     """
     seen_ids: set[str] = set()
     prev_hash: str | None = None
@@ -107,9 +112,9 @@ def verify_chain(entries: Sequence[EntryEnvelope]) -> ChainVerdict:
     for index, entry in enumerate(entries):
         integrity = entry.integrity
         try:
-            intact = integrity is not None and "prev" not in entry.extensions \
+            intact = integrity is not None \
                 and integrity.hash == compute_hash(canonicalize(entry, integrity.prev_hash))
-        except NonCanonicalizableNumber:
+        except (NonCanonicalizableNumber, MalformedDocument):
             intact = False
         if not intact:
             return ChainVerdict(False, index, "hashMismatch", len(entries))
@@ -153,14 +158,28 @@ class SignatureReport:
         return all(v.status != "invalid" for v in self.verdicts)
 
 
+HMAC_SCHEME = "hmac-sha256"
+
+
+def _mac(key: bytes, pre_image: bytes) -> bytes:
+    import hashlib
+    import hmac
+
+    return hmac.new(key, pre_image, hashlib.sha256).digest()
+
+
 def verify_signatures(entries: Iterable[EntryEnvelope],
-                      registry: dict[str, SchemeVerifier]) -> SignatureReport:
-    """Check each entry's signature against the scheme registry.
+                      keys: dict[str, bytes]) -> SignatureReport:
+    """Check each entry's HMAC-SHA256 signature; `keys` maps keyRef to key bytes.
 
     Assumes the chain already verified; hashes are not recomputed here beyond
-    rebuilding each pre-image. Unknown schemes are unverifiable, not invalid;
-    an entry with no pre-image (a number with no canonical form) is invalid.
+    rebuilding each pre-image. A signature of another scheme is unverifiable,
+    not invalid. One whose keyRef has no key, whose MAC differs, or whose
+    entry has no pre-image is invalid.
     """
+    import base64
+    import hmac
+
     report = SignatureReport()
     for entry in entries:
         integrity = entry.integrity
@@ -168,60 +187,31 @@ def verify_signatures(entries: Iterable[EntryEnvelope],
             report.verdicts.append(SignatureVerdict(entry.id, "absent"))
             continue
         sig = integrity.signature
-        verifier = registry.get(sig.scheme)
-        if verifier is None:
+        if sig.scheme != HMAC_SCHEME:
             report.verdicts.append(SignatureVerdict(entry.id, "unverifiable", sig.scheme))
             continue
         try:
-            pre_image = canonicalize(entry, integrity.prev_hash)
-        except NonCanonicalizableNumber:
-            report.verdicts.append(SignatureVerdict(entry.id, "invalid", sig.scheme))
-            continue
-        try:
-            ok = verifier(pre_image, sig)
-        except Exception:
+            key = keys.get(sig.key_ref)
+            ok = key is not None and hmac.compare_digest(
+                _mac(key, canonicalize(entry, integrity.prev_hash)),
+                base64.b64decode(sig.signature_bytes, validate=True))
+        except (LedgerError, TypeError, ValueError):
             ok = False
         report.verdicts.append(
             SignatureVerdict(entry.id, "valid" if ok else "invalid", sig.scheme))
     return report
 
 
-HMAC_SCHEME = "hmac-sha256"
-
-
 def hmac_signer(key_ref: str, key: bytes, signer_role: ActorRef) -> Signer:
     """Deterministic keyed signer for tests and single-operator ledgers."""
     import base64
-    import hashlib
-    import hmac
 
     def sign(pre_image: bytes) -> SignatureRecord:
-        mac = hmac.new(key, pre_image, hashlib.sha256).digest()
         return SignatureRecord(
             scheme=HMAC_SCHEME,
             signer_role=signer_role,
             key_ref=key_ref,
-            signature_bytes=base64.b64encode(mac).decode("ascii"),
+            signature_bytes=base64.b64encode(_mac(key, pre_image)).decode("ascii"),
         )
 
     return sign
-
-
-def hmac_verifier(keys: dict[str, bytes]) -> SchemeVerifier:
-    """Verifier for the HMAC scheme; `keys` maps keyRef to key bytes."""
-    import base64
-    import hashlib
-    import hmac
-
-    def verify(pre_image: bytes, sig: SignatureRecord) -> bool:
-        key = keys.get(sig.key_ref)
-        if key is None:
-            return False
-        mac = hmac.new(key, pre_image, hashlib.sha256).digest()
-        try:
-            given = base64.b64decode(sig.signature_bytes, validate=True)
-        except Exception:
-            return False
-        return hmac.compare_digest(mac, given)
-
-    return verify

@@ -49,7 +49,6 @@ from .model import (
 if TYPE_CHECKING:  # `integrity` is imported by the methods that seal or verify
     from .integrity import ChainVerdict, Signer
 
-LEDGER_SUFFIX = ".pledger"
 HEAD_SUFFIX = ".head"
 
 

@@ -53,21 +53,14 @@ from pledger.fixtures import (
     build_lifecycle,
     sample_contribution_doc,
 )
-from pledger.governance import (
-    CreditPolicy,
-    TriggeringEvent,
-    compute_accrual,
-    gate_check,
-)
+from pledger.governance import CreditPolicy, compute_accrual, gate_check
 from pledger.graph import Snapshot, build_graph
 from pledger.harness import detect_regressions
 from pledger.integrity import verify_chain
 from pledger.model import (
     ActorRef,
-    CreditPayload,
     EntryEnvelope,
     EntryType,
-    LinkSet,
     VoucherCondition,
     VoucherPayload,
     parse_entry,
@@ -135,7 +128,7 @@ def test_c1_lifecycle_replay(tmp_path):
 
         policy = CreditPolicy.from_doc(POLICY_DOC)
         plans, _report = compute_accrual(Snapshot(mid), policy, WINDOW)
-        assert [(p["id"], p["units"]) for p in plans] \
+        assert [(p.id, Decimal(str(p.payload.units))) for p in plans] \
             == [(credits[0].id, Decimal("10.00"))]
         replans, _report = compute_accrual(Snapshot(full), policy, WINDOW)
         assert replans == []
@@ -379,22 +372,6 @@ def _redundant_test_history(rng: random.Random) -> list[EntryEnvelope]:
     return entries
 
 
-def _as_credit_entries(plans: list[dict]) -> list[EntryEnvelope]:
-    return [
-        EntryEnvelope(
-            id=plan["id"], entry_type=EntryType.CREDIT,
-            created_at=WINDOW[1],
-            actor=ActorRef(role="maintainer", pseudonym="credit-accrual"),
-            payload=CreditPayload(
-                beneficiary=plan["beneficiary"],
-                triggering_event=TriggeringEvent(
-                    kind=plan["kind"], evaluation_run_id=plan["anchorId"]),
-                units=float(plan["units"]),
-                policy_ref=plan["policyRef"]),
-            links=LinkSet(credits_for=[plan["anchorId"]]),
-        ) for plan in plans]
-
-
 def test_c6_credit_anti_gaming():
     with criterion("criterion 6 (credit anti-gaming)"):
         policy = CreditPolicy.from_doc(_ANTI_GAMING_POLICY)
@@ -405,18 +382,18 @@ def test_c6_credit_anti_gaming():
             entries = _redundant_test_history(rng)
             plans, report = compute_accrual(Snapshot(entries), policy, window)
 
-            assert all(p["beneficiary"] != REDUNDANT_ORG for p in plans)
+            assert all(p.payload.beneficiary != REDUNDANT_ORG for p in plans)
 
             totals: dict[str, Decimal] = {}
             for plan in plans:
-                totals[plan["beneficiary"]] = (
-                    totals.get(plan["beneficiary"], Decimal(0)) + plan["units"])
+                beneficiary = plan.payload.beneficiary
+                totals[beneficiary] = (totals.get(beneficiary, Decimal(0))
+                                       + Decimal(str(plan.payload.units)))
             assert all(total <= policy.cap for total in totals.values())
 
             total_minted += len(plans)
             if seed % 25 == 0:
-                replans, _ = compute_accrual(
-                    Snapshot(entries + _as_credit_entries(plans)), policy, window)
+                replans, _ = compute_accrual(Snapshot(entries + plans), policy, window)
                 assert replans == []
 
         # the generator must actually exercise minting for the property

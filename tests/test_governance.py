@@ -58,6 +58,7 @@ from pledger.model import (
     replace,
 )
 from pledger.graph import Snapshot
+from pledger.integrity import seal
 from pledger.store import LedgerFile, read_entries
 
 STEWARD = ActorRef(role="communitySteward", steward_org="pl:org:gen-steward")
@@ -87,6 +88,10 @@ def make_policy(**overrides) -> CreditPolicy:
     doc = {k: (dict(v) if isinstance(v, dict) else v) for k, v in POLICY_DOC.items()}
     doc.update(overrides)
     return CreditPolicy.from_doc(doc)
+
+
+def units(credit: EntryEnvelope) -> Decimal:
+    return Decimal(str(credit.payload.units))
 
 
 def regression_history(*, orgs=("pl:org:o1",), n_tests: int = 1,
@@ -682,7 +687,7 @@ def test_quality_gate_requires_suite_flip():
     policy = make_policy()
 
     plans, report = compute_accrual(Snapshot(entries), policy, WINDOW)
-    assert [p["kind"] for p in plans] == ["regressionDetected"]
+    assert [p.payload.triggering_event.kind for p in plans] == ["regressionDetected"]
 
     plans, report = compute_accrual(Snapshot(noisy), policy, WINDOW)
     assert plans == []
@@ -690,7 +695,7 @@ def test_quality_gate_requires_suite_flip():
 
     relaxed = make_policy(qualityGate=False)
     plans, _report = compute_accrual(Snapshot(noisy), relaxed, WINDOW)
-    assert [p["beneficiary"] for p in plans] == ["pl:org:o1"]
+    assert [p.payload.beneficiary for p in plans] == ["pl:org:o1"]
 
 
 def test_persistence_gate_counts_exercised_releases():
@@ -702,7 +707,7 @@ def test_persistence_gate_counts_exercised_releases():
 
     plans, report = compute_accrual(Snapshot(regression_history(with_v3_run=True)),
                                     policy, WINDOW)
-    assert [p["kind"] for p in plans] == ["regressionDetected"]
+    assert [p.payload.triggering_event.kind for p in plans] == ["regressionDetected"]
     assert report.suppressed == []
 
 
@@ -738,8 +743,8 @@ def test_missing_beneficiaries_are_suppressed():
 def test_beneficiary_falls_back_to_pseudonym():
     entries = regression_history(orgs=(None,))
     plans, _report = compute_accrual(Snapshot(entries), make_policy(), WINDOW)
-    assert [p["beneficiary"] for p in plans] == ["P1"]
-    assert plans[0]["id"] == "pl:credit:regressiondetected:pl-run-gen-001:p1"
+    assert [p.payload.beneficiary for p in plans] == ["P1"]
+    assert plans[0].id == "pl:credit:regressiondetected:pl-run-gen-001:p1"
 
 
 def test_shares_split_with_bankers_rounding():
@@ -747,22 +752,22 @@ def test_shares_split_with_bankers_rounding():
 
     plans, _ = compute_accrual(Snapshot(entries), make_policy(
         unitsPerEvent={"regressionDetected": 0.05}), WINDOW)
-    assert [(p["beneficiary"], p["units"]) for p in plans] == [
+    assert [(p.payload.beneficiary, units(p)) for p in plans] == [
         ("pl:org:o1", Decimal("0.02")), ("pl:org:o2", Decimal("0.02"))]
 
     plans, _ = compute_accrual(Snapshot(entries), make_policy(
         unitsPerEvent={"regressionDetected": 0.15}), WINDOW)
-    assert [p["units"] for p in plans] == [Decimal("0.08"), Decimal("0.08")]
+    assert [units(p) for p in plans] == [Decimal("0.08"), Decimal("0.08")]
 
     three = regression_history(orgs=("pl:org:o1", "pl:org:o2", "pl:org:o3"))
     plans, _ = compute_accrual(Snapshot(three), make_policy(), WINDOW)
-    assert [p["units"] for p in plans] == [Decimal("3.33")] * 3
+    assert [units(p) for p in plans] == [Decimal("3.33")] * 3
 
 
 def test_slug_collisions_never_double_mint():
     entries = regression_history(orgs=("pl:org:O1", "pl:org:o1"))
     plans, report = compute_accrual(Snapshot(entries), make_policy(), WINDOW)
-    assert [p["beneficiary"] for p in plans] == ["pl:org:O1"]
+    assert [p.payload.beneficiary for p in plans] == ["pl:org:O1"]
     assert [(s.reason, s.beneficiary) for s in report.suppressed] == [
         ("alreadyCredited", "pl:org:o1")]
 
@@ -771,7 +776,7 @@ def test_cap_suppresses_whole_events():
     entries = regression_history(n_tests=20)
     plans, report = compute_accrual(Snapshot(entries), make_policy(), WINDOW)
     assert len(plans) == 10
-    assert sum(p["units"] for p in plans) == Decimal("100")
+    assert sum(map(units, plans)) == Decimal("100")
     capped = [s for s in report.suppressed if s.reason == "capReached"]
     assert len(capped) == 10
     assert {s.beneficiary for s in capped} == {"pl:org:o1"}
@@ -779,7 +784,7 @@ def test_cap_suppresses_whole_events():
     failing_runs = [e.id for e in entries
                     if e.entry_type is EntryType.EVALUATION_RUN
                     and e.payload.decision == "fail"]
-    assert [p["anchorId"] for p in plans] == failing_runs[:10]
+    assert [p.payload.triggering_event.trigger_id() for p in plans] == failing_runs[:10]
 
 
 def test_prior_window_credits_count_toward_cap():
@@ -850,8 +855,8 @@ def test_remediation_completed_credits_incident_reporters(tmp_path):
     policy = make_policy(unitsPerEvent={"remediationCompleted": 4})
 
     plans, report = compute_accrual(Snapshot([incident, bystander, fix]), policy, WINDOW)
-    assert [(p["kind"], p["beneficiary"], p["units"], p["anchorId"])
-            for p in plans] == [
+    assert [(p.payload.triggering_event.kind, p.payload.beneficiary, units(p),
+             p.payload.triggering_event.trigger_id()) for p in plans] == [
         ("remediationCompleted", "pl:org:o1", Decimal("4.00"), fix.id)]
     assert report.considered == 1
 
@@ -884,7 +889,7 @@ def test_scheduled_run_dependency_passes_only_quality_gate_off():
     relaxed = make_policy(unitsPerEvent={"scheduledRunDependency": 2},
                           qualityGate=False)
     plans, _ = compute_accrual(Snapshot([contrib, test, audit]), relaxed, WINDOW)
-    assert [(p["kind"], p["units"]) for p in plans] == [
+    assert [(p.payload.triggering_event.kind, units(p)) for p in plans] == [
         ("scheduledRunDependency", Decimal("2.00"))]
 
     off_schedule = make_run(1, test_id=test.id, decision="pass",
@@ -915,6 +920,24 @@ def test_accrue_credits_appends_and_reports(tmp_path):
         assert doc["creditIds"] == [minted[0].id]
         assert doc["totalUnits"] == 10.0
         assert doc["suppressed"] == []
+
+
+@pytest.mark.parametrize("created_at", [None, stamp(800)])
+def test_accrue_credits_appends_exactly_the_planned_entries(tmp_path, created_at):
+    policy = make_policy(unitsPerEvent={"regressionDetected": 5})
+    with LedgerFile(tmp_path / "v.pledger") as ledger:
+        for entry in regression_history(orgs=("pl:org:o1", "pl:org:o2"), n_tests=3):
+            ledger.append(entry)
+        planned, _report = compute_accrual(ledger.snapshot, policy, WINDOW)
+        prev = ledger.snapshot.head_hash
+        minted, _report = accrue_credits(ledger, policy, WINDOW, created_at=created_at)
+        assert ledger.snapshot.entries[-len(minted):] == minted
+    assert len(planned) == 6
+    for plan, credit in zip(planned, minted, strict=True):
+        if created_at is not None:
+            plan = replace(plan, created_at=created_at)
+        assert credit == seal(plan, prev)
+        prev = credit.integrity.hash
 
 
 def test_accrue_credits_default_recorder(tmp_path):
@@ -987,29 +1010,16 @@ def test_accrual_invariants_hold_on_random_histories():
         )
         plans, report = compute_accrual(Snapshot(entries), policy, WINDOW)
 
-        ids = [p["id"] for p in plans]
+        ids = [p.id for p in plans]
         assert len(ids) == len(set(ids))
-        assert all(p["id"].startswith("pl:credit:") for p in plans)
+        assert all(p.id.startswith("pl:credit:") for p in plans)
         totals: dict[str, Decimal] = {}
         for plan in plans:
-            totals[plan["beneficiary"]] = (
-                totals.get(plan["beneficiary"], Decimal(0)) + plan["units"])
+            totals[plan.payload.beneficiary] = (
+                totals.get(plan.payload.beneficiary, Decimal(0)) + units(plan))
         assert all(total <= policy.cap for total in totals.values())
         if report.considered == 0:
             assert plans == [] and report.suppressed == []
 
-        minted = [
-            EntryEnvelope(
-                id=plan["id"], entry_type=EntryType.CREDIT,
-                created_at=WINDOW[1],
-                actor=ActorRef(role="maintainer", pseudonym="credit-accrual"),
-                payload=CreditPayload(
-                    beneficiary=plan["beneficiary"],
-                    triggering_event=TriggeringEvent(
-                        kind=plan["kind"], evaluation_run_id=plan["anchorId"]),
-                    units=float(plan["units"]),
-                    policy_ref=plan["policyRef"]),
-                links=LinkSet(credits_for=[plan["anchorId"]]),
-            ) for plan in plans]
-        replans, _ = compute_accrual(Snapshot(entries + minted), policy, WINDOW)
+        replans, _ = compute_accrual(Snapshot(entries + plans), policy, WINDOW)
         assert replans == []

@@ -63,47 +63,57 @@ LINK_KINDS = ("influences", "influencedBy", "motivates", "usesTest",
 
 # -- fixture graph shape -------------------------------------------------------
 
+def _pairs(graph: Snapshot, kind: str) -> set[tuple[str, str]]:
+    """The (source, target) pairs of `kind` as `neighbours` reads them, from
+    each end of every edge; both directions must give the same pairs."""
+    ends = {end for source, _, target in graph.edges for end in (source, target)}
+    ahead = {(s, t) for s in ends for t in graph.neighbours(s, kind)}
+    behind = {(s, t) for t in ends for s in graph.neighbours(t, kind, outgoing=False)}
+    assert ahead == behind, kind
+    return ahead
+
+
 def test_fixture_edge_orientation(lifecycle):
     _, ids, entries = lifecycle
     graph = build_graph(Snapshot(entries))
 
     # motivates is declared on the Test but points contribution -> test.
-    assert (CONTRIBUTION_ID, TEST_ID) in graph.edge_pairs("motivates")
-    assert graph.out(CONTRIBUTION_ID, "motivates") == [TEST_ID]
-    assert graph.out(TEST_ID, "motivates") == []
+    assert (CONTRIBUTION_ID, TEST_ID) in _pairs(graph, "motivates")
+    assert graph.neighbours(CONTRIBUTION_ID, "motivates") == {TEST_ID}
+    assert graph.neighbours(TEST_ID, "motivates") == set()
 
-    uses = graph.edge_pairs("usesTest")
+    uses = _pairs(graph, "usesTest")
     assert (ids["change_initial"], TEST_ID) in uses
     assert (ids["change_remediation"], TEST_ID) in uses
     for run in ("run_v1", "run_v2", "run_v3"):
         assert (ids[run], TEST_ID) in uses
 
-    assert graph.edge_pairs("evaluates") == {
+    assert _pairs(graph, "evaluates") == {
         (ids["run_v1"], f"{ARTIFACT_ID}:v1"),
         (ids["run_v2"], f"{ARTIFACT_ID}:v2"),
         (ids["run_v3"], f"{ARTIFACT_ID}:v3"),
     }
-    assert graph.edge_pairs("deployedAs") == {
+    assert _pairs(graph, "deployedAs") == {
         (f"{ARTIFACT_ID}:v1", DEPLOYMENT_ID),
         (f"{ARTIFACT_ID}:v2", DEPLOYMENT_ID),
         (f"{ARTIFACT_ID}:v3", DEPLOYMENT_ID),
     }
-    assert graph.edge_pairs("remediates") == {
+    assert _pairs(graph, "remediates") == {
         (ids["change_remediation"], ids["run_v2"])}
 
     # influences includes the reverse reading of declared influencedBy.
-    influences = graph.edge_pairs("influences")
+    influences = _pairs(graph, "influences")
     assert (CONTRIBUTION_ID, TEST_ID) in influences
     assert (CONTRIBUTION_ID, ids["change_initial"]) in influences
     assert (CONTRIBUTION_ID, ids["change_remediation"]) in influences
-    assert (TEST_ID, CONTRIBUTION_ID) in graph.edge_pairs("influencedBy")
+    assert (TEST_ID, CONTRIBUTION_ID) in _pairs(graph, "influencedBy")
 
 
 def test_fixture_edges_match_raw_link_scan(lifecycle):
     _, _, entries = lifecycle
     graph = build_graph(Snapshot(entries))
     for kind in LINK_KINDS:
-        assert graph.edge_pairs(kind) == oracle_edges(entries, kind), kind
+        assert _pairs(graph, kind) == oracle_edges(entries, kind), kind
 
 
 def test_random_edges_match_raw_link_scan():
@@ -122,7 +132,7 @@ def test_random_edges_match_raw_link_scan():
         assert graph.edges == [(t, k, e.id) if k == "motivates" else (e.id, k, t)
                                for e in entries for k, t in e.links.iter_links()]
         for kind in LINK_KINDS:
-            assert graph.edge_pairs(kind) == oracle_edges(entries, kind), (seed, kind)
+            assert _pairs(graph, kind) == oracle_edges(entries, kind), (seed, kind)
         for entry in entries:
             assert graph.is_deployment(entry.id) == oracle_is_deployment(entry)
         # A plain Snapshot, never passed to build_graph, builds the same
@@ -130,7 +140,6 @@ def test_random_edges_match_raw_link_scan():
         reads = [
             lambda s: s.edges,
             lambda s: s.dangling,
-            lambda s: {k: s.edge_pairs(k) for k in LINK_KINDS},
             lambda s: {(e.id, k, out): s.neighbours(e.id, k, out) for e in entries
                        for k in LINK_KINDS for out in (True, False)},
             lambda s: [s.is_deployment(e.id) for e in entries],
@@ -258,7 +267,7 @@ def test_graph_over_a_ledger_file_reads_later_appends(tmp_path):
         assert graph.edges == fresh.edges
         assert graph.dangling == fresh.dangling == []
         assert graph.neighbours(contrib.id, "influences") == {test.id, change.id}
-        assert graph.into(test.id, "usesTest") == [change.id]
+        assert graph.neighbours(test.id, "usesTest", outgoing=False) == {change.id}
         assert linkage_completeness(graph) == linkage_completeness(fresh)
         assert linkage_completeness(graph).changes_fully_linked == 1
 
@@ -267,7 +276,7 @@ def test_unknown_node_raises():
     graph = build_graph(Snapshot([make_contribution(1)]))
     with pytest.raises(UnknownNode):
         graph.node("pl:contrib:gen:9999")
-    assert graph.out("pl:contrib:gen:9999", "influences") == []
+    assert graph.neighbours("pl:contrib:gen:9999", "influences") == set()
 
 
 # -- influence tracing ----------------------------------------------------------
@@ -311,6 +320,24 @@ def _oracle_trace(entries: list[EntryEnvelope], start: str) -> list[list[str]]:
 
     walk(start, [start])
     return sorted(expected)
+
+
+def test_trace_steps_are_the_six_step_union_on_random_graphs():
+    # influences forward, influencedBy backward, motivates forward, usesTest
+    # backward, evaluates and deployedAs forward, each read from the raw links.
+    steps = (("influences", True), ("influencedBy", False), ("motivates", True),
+             ("usesTest", False), ("evaluates", True), ("deployedAs", True))
+    for seed in range(100):
+        entries = random_graph_entries(random.Random(seed))
+        graph = build_graph(Snapshot(entries))
+        per_kind = {kind: oracle_edges(entries, kind) for kind, _ in steps}
+        for entry in entries:
+            union = set()
+            for kind, along in steps:
+                union |= {t if along else s for s, t in per_kind[kind]
+                          if (s if along else t) == entry.id}
+            expected = sorted(union & set(graph.by_id))
+            assert graph_mod._trace_steps(graph, entry.id) == expected, (seed, entry.id)
 
 
 def test_trace_influence_matches_exhaustive_enumeration(lifecycle):

@@ -8,9 +8,10 @@ import pytest
 
 from conftest import make_contribution, sealed_chain
 from pledger import seal, verify_chain, verify_signatures
-from pledger.errors import AlreadySealed, SigningFailure
-from pledger.integrity import HMAC_SCHEME, canonicalize, hmac_signer, hmac_verifier
-from pledger.model import ActorRef, replace
+from pledger.errors import AlreadySealed, MalformedDocument, SigningFailure
+from pledger.fixtures import sample_contribution_doc
+from pledger.integrity import HMAC_SCHEME, canonicalize, hmac_signer
+from pledger.model import ActorRef, parse_entry, replace
 
 
 def chain(n: int) -> list:
@@ -80,14 +81,24 @@ def test_content_mutation_is_hash_mismatch():
 
 
 def test_a_top_level_prev_is_hash_mismatch():
-    # Sealing overwrites a stored `prev` with the predecessor's hash, so its
-    # value is outside the hash and a rewrite of it would verify.
+    # The pre-image's own `prev` would hide a stored one from the hash, so an
+    # entry holding one has no pre-image: it is sealed here without the key,
+    # which is added after.
     entries = chain(3)
-    stored = replace(make_contribution(3), extensions={"prev": "original note"})
-    entries.append(seal(stored, entries[-1].integrity.hash))
+    sealed = seal(make_contribution(3), entries[-1].integrity.hash)
+    entries.append(replace(sealed, extensions={"prev": "original note"}))
     verdict = verify_chain(entries)
     assert (verdict.valid, verdict.first_broken_index, verdict.failure_kind) == (
         False, 3, "hashMismatch")
+
+
+def test_seal_refuses_a_top_level_prev():
+    with pytest.raises(MalformedDocument, match="top-level prev"):
+        seal(parse_entry(dict(sample_contribution_doc(), prev="note")))
+    signed = seal(make_contribution(0), signer=hmac_signer("k1", b"secret", ActorRef(
+        role="maintainer", pseudonym="ops")))
+    stored = replace(signed, extensions={"prev": "note"})
+    assert verify_signatures([stored], {"k1": b"secret"}).counts()["invalid"] == 1
 
 
 def test_deletion_is_prev_hash_mismatch():
@@ -153,19 +164,27 @@ def test_signature_round_trip_and_failure_modes():
         prev = sealed.integrity.hash
     assert verify_chain(signed).valid
 
-    good = verify_signatures(signed, {HMAC_SCHEME: hmac_verifier({"k1": b"secret"})})
+    good = verify_signatures(signed, {"k1": b"secret"})
     assert good.all_good()
     assert good.counts() == {"valid": 5, "invalid": 0, "unverifiable": 0, "absent": 0}
 
-    wrong_key = verify_signatures(signed, {HMAC_SCHEME: hmac_verifier({"k1": b"other"})})
+    wrong_key = verify_signatures(signed, {"k1": b"other"})
     assert not wrong_key.all_good()
     assert wrong_key.counts()["invalid"] == 5
 
-    unknown_scheme = verify_signatures(signed, {})
-    assert unknown_scheme.counts()["unverifiable"] == 5
-    assert unknown_scheme.all_good()  # unverifiable is not proof of tamper
+    no_key = verify_signatures(signed, {"k2": b"secret"})
+    assert no_key.counts()["invalid"] == 5
 
-    unsigned = verify_signatures(entries, {HMAC_SCHEME: hmac_verifier({"k1": b"secret"})})
+    # A stored scheme is any JSON value; one that is not the string
+    # "hmac-sha256", a list included, names another scheme.
+    for scheme in ("ed25519", [HMAC_SCHEME]):
+        other_scheme = [replace(e, integrity=replace(e.integrity, signature=replace(
+            e.integrity.signature, scheme=scheme))) for e in signed]
+        unknown_scheme = verify_signatures(other_scheme, {"k1": b"secret"})
+        assert unknown_scheme.counts()["unverifiable"] == 5
+        assert unknown_scheme.all_good()  # unverifiable is not proof of tamper
+
+    unsigned = verify_signatures(entries, {"k1": b"secret"})
     assert unsigned.counts()["absent"] == 5
 
 

@@ -141,7 +141,7 @@ def test_the_governance_readers():
     assert credit_report(Snapshot(entries), "pl:org:a", WINDOW).to_doc() == EXPECTED_CREDIT_A
     assert credit_report(Snapshot(entries), "pl:org:d", WINDOW).to_doc() == EXPECTED_CREDIT_D
     plans, report = compute_accrual(Snapshot(entries), CreditPolicy.from_doc(POLICY), WINDOW)
-    assert [{**plan, "units": str(plan["units"])} for plan in plans] == EXPECTED_PLANS
+    assert [plan.to_doc() for plan in plans] == EXPECTED_PLANS
     assert report.to_doc() == EXPECTED_ACCRUAL
 
 
@@ -235,11 +235,17 @@ EXPECTED_CREDIT_D = (
 )
 EXPECTED_PLANS = (
     [{"id": "pl:credit:remediationcompleted:pl-change-gen-001:pl-org-a",
-      "kind": "remediationCompleted",
-      "anchorId": "pl:change:gen:001",
-      "beneficiary": "pl:org:a",
-      "units": "6.00",
-      "policyRef": "sha256:0d6c737abd91c8d18cc6c45d1aaea608d7e1ba8e970ce3d73f56f8d80eebd315"}]
+      "type": "Credit",
+      "createdAt": "2025-05-02T21:20:00Z",
+      "actor": {"role": "maintainer", "pseudonym": "credit-accrual"},
+      "credit": {
+          "beneficiary": "pl:org:a",
+          "triggeringEvent": {"kind": "remediationCompleted",
+                              "changeId": "pl:change:gen:001"},
+          "units": 6.0,
+          "policyRef":
+              "sha256:0d6c737abd91c8d18cc6c45d1aaea608d7e1ba8e970ce3d73f56f8d80eebd315"},
+      "links": {"creditsFor": ["pl:change:gen:001"]}}]
 )
 EXPECTED_ACCRUAL = (
     {"window": {"start": "2025-05-01T12:00:00Z", "end": "2025-05-02T21:20:00Z"},
