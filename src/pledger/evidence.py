@@ -136,22 +136,17 @@ def _reaches_change_or_test(graph: Snapshot, start: str) -> bool:
     return False
 
 
-def _code_influence(entry: EntryEnvelope, graph: Snapshot | None) -> CoverageLevel:
-    if graph is not None and entry.id in graph.by_id:
-        if _reaches_change_or_test(graph, entry.id):
-            return CoverageLevel.REPORTED
-        if entry.links.influences:
-            return CoverageLevel.PARTIAL
-        return CoverageLevel.NOT_SPECIFIED
-    # No graph: declared influence can be seen but not resolved.
-    if entry.links.influences or entry.links.influenced_by:
+def _code_influence(entry: EntryEnvelope, graph: Snapshot) -> CoverageLevel:
+    if _reaches_change_or_test(graph, entry.id):
+        return CoverageLevel.REPORTED
+    if entry.links.influences:
         return CoverageLevel.PARTIAL
     return CoverageLevel.NOT_SPECIFIED
 
 
-def audit_contribution(entry: EntryEnvelope,
-                       graph: Snapshot | None = None) -> dict[str, CoverageLevel]:
-    """Code one contribution's evidence coverage, column by column.
+def audit_contribution(entry: EntryEnvelope, graph: Snapshot) -> dict[str, CoverageLevel]:
+    """Code one contribution's evidence coverage, column by column, in
+    `graph`, the snapshot that holds it.
 
     The rule table: recruitmentPathway is Reported when the pathway text is
     present; rolesAndIntermediaries is Reported when the role comes with

@@ -133,14 +133,14 @@ def _find_artifact_version(snapshot: Snapshot, artifact_id: str,
 
 
 def _append_run(ledger: LedgerFile, test: EntryEnvelope, artifact_entry: EntryEnvelope,
-                raw_results: dict, evaluator: ActorRef, checkpoint: str,
+                raw_results: dict, decision: str, evaluator: ActorRef, checkpoint: str,
                 created_at: str) -> EntryEnvelope:
-    """Append the run of `test` on `artifact_entry`, decided by `decide`."""
+    """Append the run of `test` on `artifact_entry`, recording `decision`."""
     payload = EvaluationRunPayload(
         test_id=test.id,
         artifact_id=artifact_entry.payload.artifact_id,
         version=artifact_entry.payload.version,
-        decision=decide(test.payload.measurement, raw_results),
+        decision=decision,
         checkpoint=checkpoint,
         evaluator=evaluator,
         raw_results=raw_results,
@@ -174,7 +174,8 @@ def run_test(ledger: LedgerFile, test_id: str, artifact_id: str, version: str,
     snapshot = ledger.snapshot
     test = _find_test(snapshot, test_id)
     artifact_entry = _find_artifact_version(snapshot, artifact_id, version)
-    return _append_run(ledger, test, artifact_entry, raw_results, evaluator,
+    return _append_run(ledger, test, artifact_entry, raw_results,
+                       decide(test.payload.measurement, raw_results), evaluator,
                        checkpoint, created_at or now_stamp())
 
 
@@ -208,22 +209,25 @@ def run_suite(ledger: LedgerFile, checkpoint: str, artifact_id: str, version: st
     `results` maps test ids to raw results documents. A live test with no
     entry in the bundle still gets a run, recorded inconclusive with the
     MISSING_RESULTS marker. The suite verdict is the fold over decisions.
+    Every test is decided before the first append, so results that one test
+    refuses (ShapeMismatch) leave the ledger as it was.
     """
     snapshot = ledger.snapshot
     artifact_entry = _find_artifact_version(snapshot, artifact_id, version)
     stamp = created_at or now_stamp()
     report = SuiteReport(artifact_id=artifact_id, version=version,
                          checkpoint=checkpoint, verdict="allPass")
-    # Taken before the first append: the loop grows a live snapshot.
-    tests = snapshot.live_of(EntryType.TEST)
-    for test in tests:
+    decided = []
+    for test in snapshot.live_of(EntryType.TEST):
         raw = results.get(test.id)
         if raw is None:
             raw = dict(MISSING_RESULTS)
             report.missing.append(test.id)
-        run = _append_run(ledger, test, artifact_entry, raw, evaluator, checkpoint, stamp)
-        report.runs.append(run)
-        report.decisions[test.id] = run.payload.decision
+        decided.append((test, raw, decide(test.payload.measurement, raw)))
+    for test, raw, decision in decided:
+        report.runs.append(_append_run(ledger, test, artifact_entry, raw, decision,
+                                       evaluator, checkpoint, stamp))
+        report.decisions[test.id] = decision
     report.verdict = fold_suite(report.decisions.values())
     return report
 

@@ -219,6 +219,7 @@ def _not_object(value: Any, where: str) -> NoReturn:
 # `dict`, `LinkSet`) as the default means a fresh instance of it per record.
 # `record` generates `__init__` from the rows and gives the class equality and
 # a repr that read the fields through one attribute getter, and no hash.
+# Every record has slots, so an attribute no row declares is refused.
 # `replace` copies a record through its `__init__`.
 #
 # Each block of an entry is a record whose wire fields are declared with
@@ -262,9 +263,9 @@ def _on_first_call(cls: type, name: str, label: str, source: Any) -> None:
     setattr(cls, name, stand_in)
 
 
-def record(cls: type | None = None, /, *, slots: bool = False, uncompared: tuple = ()):
+def record(cls: type | None = None, /, *, uncompared: tuple = ()):
     """Class decorator: build a record class from its annotated rows (see
-    above). With `slots`, instances have no `__dict__`; fields named in
+    above). Instances have slots and no `__dict__`; fields named in
     `uncompared` are left out of equality."""
     def build(cls: type) -> type:
         attrs = tuple(cls.__annotations__)
@@ -272,8 +273,7 @@ def record(cls: type | None = None, /, *, slots: bool = False, uncompared: tuple
         defaults = [d.default if isinstance(d, Wire) else d for d in defaults]
         namespace = {k: v for k, v in vars(cls).items()
                      if k not in attrs and k not in ("__dict__", "__weakref__")}
-        if slots:
-            namespace["__slots__"] = attrs
+        namespace["__slots__"] = attrs
         qualname, cls = cls.__qualname__, type(cls.__name__, cls.__bases__, namespace)
         cls.__qualname__ = qualname
         # The getters end with `__class__`, so even a one-field record gets a tuple.
@@ -535,7 +535,7 @@ def codec(where: str):
     """
     def build(cls: type) -> type:
         rows = [(attr, row) for attr, row in vars(cls).items() if isinstance(row, Wire)]
-        cls = record(cls, slots=True)
+        cls = record(cls)
         prefix = where.rpartition(".")[2].removesuffix("[]")
         for attr, row in rows:
             row.attr, row.rule = attr, row.rule or f"{prefix}.{row.name}"
@@ -765,7 +765,8 @@ class ChangePayload:
 
 @codec("artifact")
 class ArtifactPayload:
-    """One version of an artifact; a deployment when its kind says so."""
+    """One version of an artifact; `Snapshot.is_deployment` says whether it
+    is a deployment."""
 
     artifact_id: str = wire("artifactId", check=_LEDGER_ID)
     artifact_kind: str = wire("artifactKind", check=_vocab(ARTIFACT_KINDS, "artifact kind"))
@@ -773,9 +774,6 @@ class ArtifactPayload:
     content_ref: str = wire("contentRef", check=_CONTENT_REF)
     boundary: str | None = wire("boundary", None, check=_STRING)
     extensions: dict = dict
-
-    def is_deployment(self) -> bool:
-        return self.artifact_kind == DEPLOYMENT_KIND
 
 
 @codec("test.measurement")
@@ -951,7 +949,7 @@ PAYLOAD_CLASS = {t: cls for t, (_, _, cls) in ENTRY_TYPES.items()}
 # ---------------------------------------------------------------------------
 # envelope
 
-@record(slots=True)
+@record
 class EntryEnvelope:
     id: str
     entry_type: EntryType

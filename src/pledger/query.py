@@ -363,8 +363,9 @@ def _field_value(graph: Snapshot, node_id: str, fieldname: str) -> Any:
 def evaluate_field(graph: Snapshot, node_id: str, fieldname: str) -> str | None:
     """One node's field in its query-result string form, None when absent.
 
-    This is exactly what predicates compare against and what projections
-    print (projections render None as the empty string).
+    `evaluate` reads fields only through this: a predicate keeps a node when
+    it equals the predicate's value, and a projection prints it, None as the
+    empty string.
     """
     value = _field_value(graph, node_id, fieldname)
     return None if value is None else render_value(value)
@@ -442,8 +443,7 @@ def evaluate(ast: QueryAst, graph: Snapshot) -> ResultTable:
         found = set.intersection(*wanted) if wanted else set(graph.by_id)
         for pred in predicates.get(var, ()):
             found = {node_id for node_id in found
-                     if (value := _field_value(graph, node_id, pred.field)) is not None
-                     and render_value(value) == pred.value}
+                     if evaluate_field(graph, node_id, pred.field) == pred.value}
         return found
 
     candidates = {var: candidates_of(var) for var in labels}
@@ -467,9 +467,8 @@ def evaluate(ast: QueryAst, graph: Snapshot) -> ResultTable:
 
     def extend(step: int) -> None:
         if step == len(order):
-            rows.append(tuple(
-                render_value(_field_value(graph, env[p.var], p.field))
-                for p in ast.projections))
+            rows.append(tuple(evaluate_field(graph, env[p.var], p.field) or ""
+                              for p in ast.projections))
             return
         var = order[step]
         pool = candidates[var]

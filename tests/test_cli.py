@@ -911,6 +911,29 @@ def test_harness_run_missing_results(bench, capsys):
     assert "verdict: anyInconclusive" in out
 
 
+def test_harness_run_refused_by_a_later_test_appends_nothing(writable, tmp_path, capsys):
+    # Every test is decided before the first run is appended: results that the
+    # second test refuses exit 5 and leave the ledger and its head as they were.
+    second = next(doc for doc in map(json.loads, writable.read_text("utf-8").splitlines())
+                  if doc["id"] == TEST_ID)
+    del second["integrity"]
+    second.update(id="pl:test:accessibility:002", createdAt="2025-07-01T00:00:00Z")
+    (tmp_path / "t2.json").write_text(json.dumps(second), "utf-8")
+    assert run_cli(capsys, "append", "--ledger", str(writable), str(tmp_path / "t2.json"))[0] == 0
+    results = tmp_path / "results"
+    results.mkdir()
+    (results / "pl-test-accessibility-001.result").write_text(
+        '{"scores": [[5, 4], [4, 5], [5, 5]]}', "utf-8")
+    (results / "pl-test-accessibility-002.result").write_text('{"scores": "none"}', "utf-8")
+    before = writable.read_bytes(), store.head_path(writable).read_bytes()
+    code, out, err = run_cli(
+        capsys, "harness", "run", "--ledger", str(writable), "--results", str(results),
+        "--artifact", ARTIFACT_ID, "--version", "v3", "--checkpoint", "scheduledAudit",
+        "--created-at", "2025-07-01T00:00:00Z")
+    assert (code, out, err) == (5, "", "error: rubric rawResults need a nonempty scores list\n")
+    assert (writable.read_bytes(), store.head_path(writable).read_bytes()) == before
+
+
 def test_harness_requires_bundle_directory(bench, tmp_path, capsys):
     path, _bundle = bench
     code, _out, err = run_cli(capsys, *harness_args(path, str(tmp_path / "nope")))

@@ -66,6 +66,11 @@ def contribution_with(**tweaks):
     return entry
 
 
+def coded(entry):
+    """The entry's codings in a snapshot of that entry alone."""
+    return audit_contribution(entry, Snapshot([entry]))
+
+
 # ---------------------------------------------------------------------------
 # coverage levels
 
@@ -105,16 +110,16 @@ def test_lifecycle_contribution_codings(lifecycle):
 
     test = next(e for e in entries if e.entry_type is EntryType.TEST)
     with pytest.raises(WrongEntryType, match=test.id):
-        audit_contribution(test)
+        coded(test)
 
 
 def test_recruitment_coding():
     reported = contribution_with(recruitment_pathway="library workshop series")
     blank = contribution_with(recruitment_pathway="   ")
     absent = contribution_with()
-    assert audit_contribution(reported)["recruitmentPathway"] is CoverageLevel.REPORTED
-    assert audit_contribution(blank)["recruitmentPathway"] is CoverageLevel.NOT_SPECIFIED
-    assert audit_contribution(absent)["recruitmentPathway"] is CoverageLevel.NOT_SPECIFIED
+    assert coded(reported)["recruitmentPathway"] is CoverageLevel.REPORTED
+    assert coded(blank)["recruitmentPathway"] is CoverageLevel.NOT_SPECIFIED
+    assert coded(absent)["recruitmentPathway"] is CoverageLevel.NOT_SPECIFIED
 
 
 def test_roles_coding():
@@ -123,10 +128,10 @@ def test_roles_coding():
     facilitated = contribution_with(
         actor=ActorRef(role="facilitator", pseudonym="F1"))
     unroled = contribution_with(actor=ActorRef(role="", pseudonym="P1"))
-    assert audit_contribution(bare)["rolesAndIntermediaries"] is CoverageLevel.PARTIAL
-    assert audit_contribution(stewarded)["rolesAndIntermediaries"] is CoverageLevel.REPORTED
-    assert audit_contribution(facilitated)["rolesAndIntermediaries"] is CoverageLevel.REPORTED
-    assert audit_contribution(unroled)["rolesAndIntermediaries"] is CoverageLevel.NOT_SPECIFIED
+    assert coded(bare)["rolesAndIntermediaries"] is CoverageLevel.PARTIAL
+    assert coded(stewarded)["rolesAndIntermediaries"] is CoverageLevel.REPORTED
+    assert coded(facilitated)["rolesAndIntermediaries"] is CoverageLevel.REPORTED
+    assert coded(unroled)["rolesAndIntermediaries"] is CoverageLevel.NOT_SPECIFIED
 
 
 def test_consent_coding():
@@ -140,11 +145,11 @@ def test_consent_coding():
     empty_constraints = contribution_with(
         consent=ConsentBlock(status="granted", scope="research", retention="2y",
                              reuse_constraints=[]))
-    assert audit_contribution(absent)["consentPrivacyScope"] is CoverageLevel.NOT_SPECIFIED
-    assert audit_contribution(bare)["consentPrivacyScope"] is CoverageLevel.PARTIAL
-    assert audit_contribution(partial)["consentPrivacyScope"] is CoverageLevel.PARTIAL
-    assert audit_contribution(complete)["consentPrivacyScope"] is CoverageLevel.REPORTED
-    assert audit_contribution(empty_constraints)["consentPrivacyScope"] is CoverageLevel.REPORTED
+    assert coded(absent)["consentPrivacyScope"] is CoverageLevel.NOT_SPECIFIED
+    assert coded(bare)["consentPrivacyScope"] is CoverageLevel.PARTIAL
+    assert coded(partial)["consentPrivacyScope"] is CoverageLevel.PARTIAL
+    assert coded(complete)["consentPrivacyScope"] is CoverageLevel.REPORTED
+    assert coded(empty_constraints)["consentPrivacyScope"] is CoverageLevel.REPORTED
 
 
 @pytest.mark.parametrize("compensation,expected", [
@@ -165,7 +170,7 @@ def test_consent_coding():
 ])
 def test_compensation_coding(compensation, expected):
     entry = contribution_with(compensation=compensation)
-    assert audit_contribution(entry)["compensationTerms"] is expected
+    assert coded(entry)["compensationTerms"] is expected
 
 
 def test_influence_coding_resolves_through_the_graph():
@@ -176,7 +181,9 @@ def test_influence_coding_resolves_through_the_graph():
     dangling = make_contribution(3)
     dangling.links.influences.append("pl:test:gen:404")
     silent = make_contribution(4)
-    graph = build_graph(Snapshot([linked, hop, dangling, silent, make_test(0)]))
+    passive = make_contribution(5)
+    passive.links.influenced_by.append(linked.id)
+    graph = build_graph(Snapshot([linked, hop, dangling, silent, passive, make_test(0)]))
 
     assert audit_contribution(linked, graph)["explicitInfluenceLinks"] \
         is CoverageLevel.REPORTED
@@ -186,17 +193,9 @@ def test_influence_coding_resolves_through_the_graph():
         is CoverageLevel.PARTIAL
     assert audit_contribution(silent, graph)["explicitInfluenceLinks"] \
         is CoverageLevel.NOT_SPECIFIED
-
-
-def test_influence_coding_without_a_graph():
-    declared = make_contribution(1)
-    declared.links.influences.append("pl:test:gen:000")
-    passive = make_contribution(2)
-    passive.links.influenced_by.append("pl:contrib:gen:0001")
-    silent = make_contribution(3)
-    assert audit_contribution(declared)["explicitInfluenceLinks"] is CoverageLevel.PARTIAL
-    assert audit_contribution(passive)["explicitInfluenceLinks"] is CoverageLevel.PARTIAL
-    assert audit_contribution(silent)["explicitInfluenceLinks"] is CoverageLevel.NOT_SPECIFIED
+    # influencedBy alone names what shaped the contribution, not what it shaped
+    assert audit_contribution(passive, graph)["explicitInfluenceLinks"] \
+        is CoverageLevel.NOT_SPECIFIED
 
 
 # ---------------------------------------------------------------------------

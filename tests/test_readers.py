@@ -21,11 +21,10 @@ from conftest import (
     stamp,
 )
 
-from pledger.errors import UnknownNode
 from pledger.evidence import audit_corpus, build_export, check_export_conformance, \
     flag_consent_violations
 from pledger.governance import CreditPolicy, compute_accrual, credit_report, gate_check
-from pledger.graph import RedactionMarker, Snapshot, build_graph, linkage_completeness
+from pledger.graph import Snapshot, build_graph, linkage_completeness
 from pledger.harness import detect_regressions, run_suite, verify_replay
 from pledger.model import (
     ActorRef,
@@ -181,33 +180,37 @@ def test_the_evidence_graph_and_query_readers():
 
 
 def test_the_payload_view():
-    entries = awkward_entries()
-    snapshot = Snapshot(entries)
-    markers = [snapshot.payload_view(marker.target_id) for marker in EXPECTED_MARKERS]
-    assert markers == EXPECTED_MARKERS
-    hidden = {marker.target_id for marker in EXPECTED_MARKERS}
-    assert all(snapshot.payload_view(e.id) is e.payload for e in entries if e.id not in hidden)
-    # A later tombstone on the same target leaves the first one's marker.
+    # A reader sees a tombstoned payload only through `hidden`: each target
+    # names the first Tombstone covering it, and the live views omit it.
+    snapshot = Snapshot(awkward_entries())
+    covers = {target: (tomb.id, tomb.payload.reason, tomb.payload.retained_hash)
+              for target, tomb in snapshot.hidden.items()}
+    assert covers == EXPECTED_COVERS
+    for target in EXPECTED_COVERS:
+        entry_type = snapshot.by_id[target].entry_type
+        assert snapshot.live(target, entry_type) is None
+        assert target not in {e.id for e in snapshot.live_of(entry_type)}
+    # A later tombstone on the same target leaves the first one in place.
     again = replace(make_tombstone("pl:contrib:gen:0003", minute=990), id="pl:tomb:again")
     again.payload.reason = "legalHold"
     snapshot.add(again)
-    assert snapshot.payload_view("pl:contrib:gen:0003") == EXPECTED_MARKERS[0]
-    with pytest.raises(UnknownNode):
-        snapshot.payload_view("pl:contrib:gen:0404")
+    assert snapshot.hidden["pl:contrib:gen:0003"].id == "pl:tomb:contrib:gen:0003"
+    assert snapshot.hidden["pl:contrib:gen:0003"].payload.reason == "safetyRedaction"
 
 
 # ---------------------------------------------------------------------------
 # the pinned answers
 
-EXPECTED_MARKERS = [
-    RedactionMarker(target, "safetyRedaction", ZERO_REF, tomb)
+# tombstoned target -> (the first Tombstone naming it, its reason, its retainedHash)
+EXPECTED_COVERS = {
+    target: (tomb, "safetyRedaction", ZERO_REF)
     for target, tomb in [("pl:contrib:gen:0003", "pl:tomb:contrib:gen:0003"),
                          ("pl:run:gen:005", "pl:tomb:run:gen:005"),
                          ("pl:credit:gen:002", "pl:tomb:credit:gen:002"),
                          ("pl:test:gen:001", "pl:tomb:test:gen:001"),
                          ("pl:voucher:gen:001:rev2", "pl:tomb:voucher:gen:001:rev2"),
                          ("pl:artifact:gen:sys:v2", "pl:tomb:artifact:gen:sys:v2")]
-]
+}
 
 EXPECTED_GATE = (
     {"allowed": False,

@@ -16,7 +16,6 @@ from pledger.errors import (
     ValidationFailed,
     WrongEntryType,
 )
-from pledger.graph import RedactionMarker
 from pledger.integrity import hmac_signer, seal, verify_chain
 from pledger.model import (
     ActorRef,
@@ -286,19 +285,17 @@ def test_issued_cannot_skip_to_terminal_states(ledger_path):
 def test_redaction_flow_and_payload_view(ledger_path):
     with LedgerFile(ledger_path) as led:
         original = led.append(make_contribution(1))
-        assert led.snapshot.payload_view(original.id).summary == original.payload.summary
+        assert led.snapshot.live(original.id, EntryType.CONTRIBUTION) is original
 
         tomb = led.redact(original.id, "safetyRedaction", AUDITOR,
                           created_at=stamp(10))
         assert tomb.id == "pl:tomb:contrib:gen:0001"
-        assert tomb.payload.retained_hash == original.integrity.hash
-
-        view = led.snapshot.payload_view(original.id)
-        assert isinstance(view, RedactionMarker)
-        assert view.reason == "safetyRedaction"
-        assert view.retained_hash == original.integrity.hash
-        assert view.tombstone_id == tomb.id
+        # Readers see the redaction through `hidden` alone.
         assert led.snapshot.hidden == {original.id: tomb}
+        assert tomb.payload.reason == "safetyRedaction"
+        assert tomb.payload.retained_hash == original.integrity.hash
+        assert led.snapshot.live(original.id, EntryType.CONTRIBUTION) is None
+        assert led.snapshot.live_of(EntryType.CONTRIBUTION) == []
         # The sealed history itself is untouched.
         assert led.get(original.id).payload.summary == original.payload.summary
         assert verify_file(ledger_path)[0].valid
@@ -331,8 +328,8 @@ def test_withdraw_consent_supersedes_without_editing_history(ledger_path):
         assert tomb.payload.reason == "consentWithdrawn"
         # Stored original is untouched; only the access layer masks it.
         assert led.get(original.id).consent.status == "granted"
-        assert isinstance(led.snapshot.payload_view(original.id), RedactionMarker)
-        assert led.snapshot.payload_view(superseding.id).summary == original.payload.summary
+        assert led.snapshot.hidden[original.id] is tomb
+        assert led.snapshot.live(superseding.id, EntryType.CONTRIBUTION) is superseding
         assert verify_file(ledger_path)[0].valid
 
         with pytest.raises(WrongEntryType):
