@@ -220,7 +220,7 @@ def _cmd_harness_run(args: argparse.Namespace) -> int:
     evaluator = ActorRef(role=args.evaluator_role, pseudonym=args.evaluator)
     with store.LedgerFile(_existing_ledger(args), _signer_from(args)) as ledger:
         results: dict[str, dict] = {}
-        for entry in ledger.snapshot.by_type[EntryType.TEST]:
+        for entry in ledger.snapshot.live_of(EntryType.TEST):
             candidate = bundle / f"{_slug(entry.id)}.result"
             if candidate.exists():
                 results[entry.id] = _read_doc(str(candidate))

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Any
 
 from .errors import MalformedDocument, MalformedExport, WrongEntryType
 from .governance import gate_check, voucher_lineages
-from .graph import Snapshot, build_graph, change_linkage
+from .graph import INFLUENCE_STEPS, Snapshot, build_graph, change_linkage
 from .model import (_STRING, OPEN_VOUCHER_STATUSES, EntryEnvelope, EntryType, _is_number, codec,
                     decode_checked, parse_timestamp, record, validate_structure, wire)
 
@@ -122,17 +122,14 @@ def _reaches_change_or_test(graph: Snapshot, start: str) -> bool:
     frontier = [start]
     while frontier:
         node_id = frontier.pop()
-        nexts = (*graph.neighbours(node_id, "influences"),
-                 *graph.neighbours(node_id, "motivates"),
-                 *graph.neighbours(node_id, "usesTest", outgoing=False),
-                 *graph.neighbours(node_id, "evaluates"))
-        for succ in nexts:
-            if succ in seen or succ not in graph.by_id:
-                continue
-            if graph.by_id[succ].entry_type in (EntryType.CHANGE, EntryType.TEST):
-                return True
-            seen.add(succ)
-            frontier.append(succ)
+        for kind, along in INFLUENCE_STEPS:
+            for succ in graph.neighbours(node_id, kind, along):
+                if succ in seen or succ not in graph.by_id:
+                    continue
+                if graph.by_id[succ].entry_type in (EntryType.CHANGE, EntryType.TEST):
+                    return True
+                seen.add(succ)
+                frontier.append(succ)
     return False
 
 
@@ -237,15 +234,9 @@ def audit_corpus(snapshot: Snapshot) -> EvidenceMatrix:
     build_graph(snapshot)  # every contribution's influence cell reads edges
     matrix = EvidenceMatrix()
     groups: dict[str, list[dict[str, CoverageLevel]]] = {}
-    order: list[str] = []
     for entry in snapshot.live_of(EntryType.CONTRIBUTION):
-        key = _group_key(entry.id)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(audit_contribution(entry, snapshot))
-    for key in order:
-        vectors = groups[key]
+        groups.setdefault(_group_key(entry.id), []).append(audit_contribution(entry, snapshot))
+    for key, vectors in groups.items():
         levels = {c: _best([v[c] for v in vectors]) for c in COLUMNS}
         matrix.rows.append((key, levels))
     return matrix

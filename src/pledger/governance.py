@@ -64,19 +64,12 @@ def _in_window(stamp: str, bounds: tuple[datetime, datetime]) -> bool:
 # ---------------------------------------------------------------------------
 # voucher lifecycle
 
-def _live_revisions(snapshot: Snapshot, entry_id: str) -> list[EntryEnvelope]:
-    return [e for e in snapshot.unhidden(snapshot.lineage(entry_id))
-            if e.entry_type is EntryType.VOUCHER]
-
-
 def voucher_lineages(snapshot: Snapshot) -> dict[str, list[EntryEnvelope]]:
     """Each voucher lineage's revisions that are not tombstoned, keyed by
     lineage base, in order of each lineage's first such revision."""
     lineages: dict[str, list[EntryEnvelope]] = {}
     for entry in snapshot.live_of(EntryType.VOUCHER):
-        base = snapshot.base_of(entry.id)
-        if base not in lineages:
-            lineages[base] = _live_revisions(snapshot, entry.id)
+        lineages.setdefault(snapshot.base_of(entry.id), []).append(entry)
     return lineages
 
 
@@ -132,7 +125,7 @@ def transition_voucher(ledger: LedgerFile, voucher_id: str, new_status: str, *,
     import copy
 
     snapshot = ledger.snapshot
-    live = _live_revisions(snapshot, voucher_id)
+    live = voucher_lineages(snapshot).get(snapshot.base_of(voucher_id))
     if not live:
         raise IllegalTransition(
             f"no voucher lineage {snapshot.base_of(voucher_id)!r} in ledger")

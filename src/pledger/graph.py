@@ -2,12 +2,12 @@
 
 Nodes are entries; the edge multiset is exactly the union of all declared
 LinkSets, nothing inferred and nothing deduplicated. Almost every link kind
-materializes as an edge from the declaring entry to its target. `motivates`
-is the one exception: it is declared by the motivated entry (a Test names the
-contributions that motivated it, which may long predate it) and materializes
-as an edge from the target to the declarer, so the stored direction is always
-contribution -> test. This keeps append-only writing compatible with edges
-that point at later entries.
+is an edge from the declaring entry to its target. `motivates` is the one
+exception: it is declared by the motivated entry (a Test names the
+contributions that motivated it, which may long predate it) and is an edge
+from the target to the declarer, so its direction is always contribution ->
+test. This keeps append-only writing compatible with edges that point at
+later entries.
 
 The reverse-direction convenience view between influencedBy and influences is
 derived by `Snapshot.neighbours`, through which every edge read goes, and is
@@ -18,9 +18,11 @@ names them, and every reader leaves their payloads out.
 
 `Snapshot` is the one-pass index of a ledger prefix that every read path
 takes its entries, lineages, run lookups and new ids from. It is also the
-graph: its nodes are `by_id`, and the adjacency of the declared links is
-built lazily, on the first read of an edge, so the commands that never read
-edges never pay for it.
+graph: its nodes are `by_id`, and its edges are the LinkSets the entries
+declare. A step along a declaration reads the declaring entry's own LinkSet;
+the one stored edge index is the reverse, each (target, kind) with the ids
+that declare it, built lazily on the first step against a declaration, so
+the commands that never take one never pay for it.
 """
 
 from __future__ import annotations
@@ -42,12 +44,10 @@ from .model import (
 if TYPE_CHECKING:  # imported by linkage_completeness, the only function that makes one
     from fractions import Fraction
 
-# Edge kinds whose stored direction is target -> declarer.
+# Edge kinds whose direction is target -> declarer.
 _REVERSED_DECLARATION_KINDS = frozenset({"motivates"})
 
-# (kind, LinkSet attribute, whether the edge runs target -> declarer)
-_LINK_ATTRS = tuple((kind, attr, kind in _REVERSED_DECLARATION_KINDS)
-                    for kind, attr in LINK_ATTRS)
+_ATTR_OF_KIND = dict(LINK_ATTRS)  # link kind -> LinkSet attribute
 
 # The derived view: each of these kinds also reads the other's edges reversed.
 _INVERSE_KINDS = {"influences": "influencedBy", "influencedBy": "influences"}
@@ -75,9 +75,10 @@ class Snapshot:
 
     The snapshot is also the influence graph. Nodes are `by_id` and
     redaction is `hidden`; each declared link is one `(source, kind,
-    target)` edge in `edges`, in declaration order. The adjacency is built
-    by `_sync`, not by `add`, on the first read of `edges`, `dangling` or
-    the adjacency, and extended on later reads by the entries added since,
+    target)` edge in `edges`, in declaration order, read from the entries'
+    LinkSets. The one edge index, `(target, kind)` to the ids declaring
+    that link, is built by `_sync`, not by `add`, on the first step against
+    a declaration, and extended on later ones by the entries added since,
     so nodes and edges always agree.
     """
 
@@ -97,10 +98,9 @@ class Snapshot:
         self.test_runs: dict[str, list[EntryEnvelope]] = {}
         self.suite_runs: dict[tuple[str, str, str], list[EntryEnvelope]] = {}
         self.versions: dict[tuple[str, str], list[EntryEnvelope]] = {}
-        self._edges: list[tuple[str, str, str]] = []
-        self._out: dict[tuple[str, str], list[str]] = {}
-        self._in: dict[tuple[str, str], list[str]] = {}
-        self._linked = 0  # how many entries the adjacency covers
+        # (target, kind) -> the ids declaring that link, in ledger order
+        self._declarers: dict[tuple[str, str], list[str]] = {}
+        self._linked = 0  # how many entries `_declarers` covers
         for entry in entries:
             self.add(entry)
 
@@ -201,36 +201,35 @@ class Snapshot:
             seq += 1
         return f"{prefix}{seq:03d}"
 
-    # -- influence graph: the adjacency of the declared links ------------------
+    # -- influence graph: the declared links and their reverse index ----------
 
     def _sync(self) -> None:
-        """Add the edges of the entries not yet read."""
+        """Index the links of the entries not yet indexed by their targets."""
         entries = self.entries
         if self._linked == len(entries):
             return
-        edges, out, into = self._edges, self._out, self._in
+        declarers = self._declarers
         for entry in entries[self._linked:]:
             declarer, links = entry.id, entry.links
-            for kind, attr, reverse in _LINK_ATTRS:
+            for kind, attr in LINK_ATTRS:
                 for target in getattr(links, attr):
-                    source, sink = (target, declarer) if reverse else (declarer, target)
-                    edges.append((source, kind, sink))
-                    out.setdefault((source, kind), []).append(sink)
-                    into.setdefault((sink, kind), []).append(source)
+                    declarers.setdefault((target, kind), []).append(declarer)
         self._linked = len(entries)
 
     @property
     def edges(self) -> list[tuple[str, str, str]]:
-        self._sync()
-        return self._edges
+        return [(target, kind, entry.id) if kind in _REVERSED_DECLARATION_KINDS
+                else (entry.id, kind, target)
+                for entry in self.entries for kind, target in entry.links.iter_links()]
 
     @property
     def dangling(self) -> list[tuple[str, str]]:
         """(declarer, target) for each link whose reference-shaped target
         names no entry, in declaration order."""
-        links = ((t, s) if k in _REVERSED_DECLARATION_KINDS else (s, t)
-                 for s, k, t in self.edges)
-        return [(d, t) for d, t in links if t not in self.by_id and is_reference_id(t)]
+        nodes = self.by_id
+        return [(entry.id, target) for entry in self.entries for _, attr in LINK_ATTRS
+                for target in getattr(entry.links, attr)
+                if target not in nodes and is_reference_id(target)]
 
     def node(self, node_id: str) -> EntryEnvelope:
         try:
@@ -250,22 +249,31 @@ class Snapshot:
     def deployment_ids(self) -> list[str]:
         return [e.id for e in self.by_type[_ARTIFACT] if self.is_deployment(e.id)]
 
+    def _step(self, node_id: str, kind: str, along: bool) -> Iterable[str]:
+        """The ends of `node_id`'s `kind` links: those it declares (`along`)
+        from its own LinkSet, or those declaring it from the reverse index."""
+        if not along:
+            self._sync()
+            return self._declarers.get((node_id, kind), ())
+        entry = self.by_id.get(node_id)
+        attr = _ATTR_OF_KIND.get(kind)
+        return () if entry is None or attr is None else getattr(entry.links, attr)
+
     def neighbours(self, node_id: str, kind: str, outgoing: bool = True) -> set[str]:
         """Successors (or, with outgoing=False, predecessors) of a node along
-        the `kind` edges, dangling ends included, deduplicated, read from the
-        adjacency index. influences and influencedBy each include the other's
-        edges reversed."""
-        self._sync()
-        ahead, behind = (self._out, self._in) if outgoing else (self._in, self._out)
-        found = set(ahead.get((node_id, kind), ()))
+        the `kind` edges, dangling ends included, deduplicated. influences
+        and influencedBy each include the other's edges reversed."""
+        along = outgoing != (kind in _REVERSED_DECLARATION_KINDS)
+        found = set(self._step(node_id, kind, along))
         inverse = _INVERSE_KINDS.get(kind)
         if inverse is not None:
-            found.update(behind.get((node_id, inverse), ()))
+            found.update(self._step(node_id, inverse, not along))
         return found
 
 
 def build_graph(snapshot: Snapshot) -> Snapshot:
-    """`snapshot` itself, with the adjacency of its declared links built now."""
+    """`snapshot` itself, with the reverse index of its declared links built
+    now."""
     snapshot._sync()
     return snapshot
 
@@ -279,11 +287,12 @@ class TraceResult:
     truncated: bool = False
 
 
-# The steps a trace takes, as (edge kind, whether it follows the stored
+# The steps of influence, as (edge kind, whether it follows the edge's
 # direction): influences (with the derived view of influencedBy), motivates,
-# usesTest reversed, evaluates, deployedAs.
-_TRACE_STEPS = (("influences", True), ("motivates", True), ("usesTest", False),
-                ("evaluates", True), ("deployedAs", True))
+# usesTest reversed, evaluates. A trace also takes deployedAs.
+INFLUENCE_STEPS = (("influences", True), ("motivates", True), ("usesTest", False),
+                   ("evaluates", True))
+_TRACE_STEPS = (*INFLUENCE_STEPS, ("deployedAs", True))
 
 
 def _trace_steps(graph: Snapshot, node_id: str) -> list[str]:

@@ -12,7 +12,7 @@ import os
 import shutil
 
 import pytest
-from conftest import make_artifact, make_test
+from conftest import make_artifact, make_change, make_contribution, make_test
 
 from pledger import store
 from pledger.canonical import canonical_json
@@ -36,6 +36,7 @@ from pledger.harness import run_suite
 from pledger.integrity import hmac_signer, seal
 from pledger.model import (
     ActorRef,
+    ConsentBlock,
     EntryEnvelope,
     EntryType,
     MeasurementProcedure,
@@ -95,6 +96,14 @@ def test_verify_doc_format(lifecycle, capsys):
         "firstBrokenIndex": None,
         "failureKind": None,
     }}
+
+
+def test_verify_csv_format_leaves_the_unset_fields_empty(lifecycle, capsys):
+    path, _ids, _entries = lifecycle
+    code, out, _err = run_cli(capsys, "verify", "--ledger", str(path), "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["key,value", "chain.valid,true", "chain.entryCount,15",
+                                "chain.firstBrokenIndex,", "chain.failureKind,"]
 
 
 def test_verify_detects_tampering(writable, capsys):
@@ -934,6 +943,27 @@ def test_harness_run_refused_by_a_later_test_appends_nothing(writable, tmp_path,
     assert (writable.read_bytes(), store.head_path(writable).read_bytes()) == before
 
 
+def test_harness_run_reads_no_result_of_a_redacted_test(writable, tmp_path, capsys):
+    # The suite runs only live tests, so a redacted test's result file, even
+    # one that is not JSON, is never read.
+    privacy = replace(make_test(0), id="pl:test:privacy:001", created_at="2025-07-01T00:00:00Z")
+    (tmp_path / "t.json").write_text(serialize_entry(privacy), "utf-8")
+    assert run_cli(capsys, "append", "--ledger", str(writable), str(tmp_path / "t.json"))[0] == 0
+    assert run_cli(capsys, "redact", "--ledger", str(writable), "--target", privacy.id,
+                   "--reason", "safetyRedaction", "--role", "auditor", "--pseudonym", "A1",
+                   "--created-at", "2025-07-01T00:00:01Z")[0] == 0
+    results = tmp_path / "results"
+    results.mkdir()
+    (results / "pl-test-accessibility-001.result").write_text(
+        '{"scores": [[5, 5], [5, 5], [5, 5]]}', "utf-8")
+    (results / "pl-test-privacy-001.result").write_text("not json", "utf-8")
+    code, out, err = run_cli(
+        capsys, "harness", "run", "--ledger", str(writable), "--results", str(results),
+        "--artifact", ARTIFACT_ID, "--version", "v3", "--checkpoint", "scheduledAudit",
+        "--created-at", "2025-07-02T00:00:00Z")
+    assert (code, out, err) == (0, f"{TEST_ID}: pass\nverdict: allPass\n", "")
+
+
 def test_harness_requires_bundle_directory(bench, tmp_path, capsys):
     path, _bundle = bench
     code, _out, err = run_cli(capsys, *harness_args(path, str(tmp_path / "nope")))
@@ -1210,6 +1240,21 @@ def test_audit_consent(lifecycle, tmp_path, capsys):
     assert out.strip() == "no consent violations"
 
 
+def test_audit_consent_text_names_each_violation(tmp_path, capsys):
+    guarded = make_contribution(1, intended_use="evaluation-only")
+    guarded.consent = ConsentBlock(status="withdrawn")
+    change = make_change(0, influenced_by=[guarded.id])
+    change.payload.change_kind = "dataset"
+    path = tmp_path / "consent.pledger"
+    with LedgerFile(path) as ledger:
+        ledger.append(guarded)
+        ledger.append(change)
+    code, out, _err = run_cli(capsys, "audit", "consent", "--ledger", str(path))
+    assert code == 0
+    assert out.splitlines() == [f"{change.id} <- {guarded.id}: withdrawnConsent",
+                                f"{change.id} <- {guarded.id}: intendedUseViolation"]
+
+
 def test_export_and_conformance(lifecycle, writable_mid, tmp_path, capsys):
     path, _ids, _entries = lifecycle
     out_path = tmp_path / "release.json"
@@ -1279,6 +1324,21 @@ def test_conformance_failure_exits_5(mid_lifecycle, tmp_path, capsys):
     assert code == 5
     assert "d-activeVouchers: fail" in out
     assert "overall: materialNonConformance" in out
+
+
+def test_conformance_of_an_export_with_no_test_exits_5(lifecycle, tmp_path, capsys):
+    path, _ids, _entries = lifecycle
+    out_path = tmp_path / "release.json"
+    run_cli(capsys, "export", "--ledger", str(path),
+            "--release", f"{ARTIFACT_ID}@v3", "--out", str(out_path))
+    export = json.loads(out_path.read_text("utf-8"))
+    export["entries"] = [doc for doc in export["entries"] if doc["type"] != "Test"]
+    out_path.write_text(json.dumps(export), "utf-8")
+
+    code, out, _err = run_cli(capsys, "audit", "conformance", "--export", str(out_path))
+    assert code == 5
+    assert "c-testsAndRuns: fail" in out.splitlines()
+    assert "  c-testsAndRuns: export contains no tests" in out.splitlines()
 
 
 @pytest.mark.parametrize("item,message", [

@@ -312,6 +312,14 @@ def test_verify_replay_catches_tampered_decisions(lifecycle):
     assert mismatches == [(ids["run_v2"], "pass", "fail")]
 
 
+def test_verify_replay_reports_results_that_no_longer_fit_the_test(lifecycle):
+    _, ids, entries = lifecycle
+    tampered = copy.deepcopy(entries)
+    victim = next(e for e in tampered if e.id == ids["run_v2"])
+    victim.payload.raw_results = {"value": 0.5}
+    assert verify_replay(Snapshot(tampered)) == [(ids["run_v2"], "fail", "<shape mismatch>")]
+
+
 def test_verify_replay_skips_runs_without_a_live_test(lifecycle):
     _, ids, entries = lifecycle
     entries = copy.deepcopy(entries)

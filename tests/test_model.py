@@ -289,6 +289,14 @@ def test_reference_helpers():
     assert not is_artifact_ref("blob-1")
 
 
+@pytest.mark.parametrize("text,slug", [
+    ("a-!b", "a-b"),  # a hyphen next to a replaced run folds into one
+    ("!!", "x"),
+])
+def test_slug_folds_hyphen_runs_and_is_never_empty(text, slug):
+    assert model._slug(text) == slug
+
+
 # ---------------------------------------------------------------------------
 # decoder and timestamp strictness
 
