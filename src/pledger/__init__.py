@@ -35,8 +35,8 @@ _MODULE_NAMES = {
         issue_voucher transition_voucher""",
     "graph": "Snapshot build_graph linkage_completeness trace_influence",
     "harness": """
-        decide detect_regressions fold_suite run_suite run_test
-        triage_incident verify_replay""",
+        decide detect_regressions fold_suite run_suite triage_incident
+        verify_replay""",
     "integrity": """
         ChainVerdict hmac_signer seal verify_chain verify_signatures""",
     "model": """

@@ -19,7 +19,7 @@ from typing import Any, Iterator
 
 from .evidence import COLUMNS
 from .governance import CreditPolicy, accrue_credits, issue_voucher, transition_voucher
-from .harness import run_test
+from .harness import run_suite
 from .model import (
     ActorRef,
     ArtifactPayload,
@@ -146,9 +146,10 @@ def _lifecycle_stages(ledger: LedgerFile) -> Iterator[tuple[str, str]]:
             links=LinkSet(deployed_as=[DEPLOYMENT_ID]),
         )).id
 
+    # The ledger holds one live test at every stage, so each suite records one run.
     def run(version: str, scores: list, checkpoint: str, created_at: str) -> str:
-        return run_test(ledger, TEST_ID, ARTIFACT_ID, version, {"scores": scores},
-                        evaluator, checkpoint, created_at=created_at).id
+        return run_suite(ledger, checkpoint, ARTIFACT_ID, version, {TEST_ID: {"scores": scores}},
+                         evaluator, created_at=created_at).runs[0].id
 
     # The sample contribution, made by a steward-represented resident for
     # evaluation only.

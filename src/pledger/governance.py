@@ -75,9 +75,10 @@ def voucher_lineages(snapshot: Snapshot) -> dict[str, list[EntryEnvelope]]:
 
 def voucher_entry(payload: VoucherPayload, voucher_id: str | None = None, *,
                   links: LinkSet | None = None, created_at: str | None = None) -> EntryEnvelope:
-    """The entry that issues a voucher lineage; UnauthorizedRole unless the
-    steward holds the communitySteward role. Without `voucher_id` it takes
-    its capability's first derived id, which has the form of every later one."""
+    """The entry that issues or revises a voucher lineage; UnauthorizedRole
+    unless the steward holds the communitySteward role. Without `voucher_id`
+    it takes its capability's first derived id, which has the form of every
+    later one."""
     if payload.steward.role != "communitySteward":
         raise UnauthorizedRole(
             f"vouchers are issued by communitySteward, not {payload.steward.role!r}")
@@ -115,33 +116,24 @@ def transition_voucher(ledger: LedgerFile, voucher_id: str, new_status: str, *,
                        created_at: str | None = None) -> EntryEnvelope:
     """Append the next revision of a voucher lineage with a new status.
 
-    `voucher_id` may be the issuance id or any revision id. The payload is
-    copied from the latest revision that is not tombstoned, so redacted
-    content is never republished. Legality is the append's own check,
+    `voucher_id` may be the issuance id or any revision id. The entry is
+    `voucher_entry`'s, its payload the latest revision that is not
+    tombstoned, with the new status (and `expiry`, when given) replaced, so
+    redacted content is never republished. Legality is the append's own check,
     `Snapshot.check_voucher`, run after its id, structure and timestamp
     checks; it and the revision counter follow every revision, tombstoned
     ones included. Illegal lifecycle moves raise IllegalTransition.
     """
-    import copy
-
     snapshot = ledger.snapshot
     live = voucher_lineages(snapshot).get(snapshot.base_of(voucher_id))
     if not live:
         raise IllegalTransition(
             f"no voucher lineage {snapshot.base_of(voucher_id)!r} in ledger")
-    payload = copy.deepcopy(live[-1].payload)
-    payload.status = new_status
-    if expiry is not None:
-        payload.expiry = expiry
-    entry = EntryEnvelope(
-        id=snapshot.next_revision_id(voucher_id),
-        entry_type=EntryType.VOUCHER,
-        created_at=created_at or now_stamp(),
-        actor=payload.steward,
-        payload=payload,
-        links=links or LinkSet(),
-    )
-    return ledger.append(entry)
+    latest = live[-1].payload
+    payload = replace(latest, status=new_status,
+                      expiry=latest.expiry if expiry is None else expiry)
+    return ledger.append(voucher_entry(payload, snapshot.next_revision_id(voucher_id),
+                                       links=links, created_at=created_at))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from .errors import (
     ShapeMismatch,
     UnknownArtifactVersion,
     UnknownContribution,
-    UnknownTest,
     WrongKind,
 )
 from .graph import Snapshot
@@ -33,6 +32,7 @@ from .model import (
     _slug,
     now_stamp,
     record,
+    replace,
 )
 from .store import LedgerFile
 
@@ -115,70 +115,6 @@ def fold_suite(decisions: Iterable[str]) -> str:
 # ---------------------------------------------------------------------------
 # recording runs
 
-def _find_test(snapshot: Snapshot, test_id: str) -> EntryEnvelope:
-    entry = snapshot.by_id.get(test_id)
-    if entry is None or entry.entry_type is not EntryType.TEST:
-        raise UnknownTest(f"no test {test_id!r} in ledger")
-    if snapshot.live(test_id, EntryType.TEST) is None:
-        raise UnknownTest(f"test {test_id} has been redacted")
-    return entry
-
-
-def _find_artifact_version(snapshot: Snapshot, artifact_id: str,
-                           version: str) -> EntryEnvelope:
-    entry = snapshot.declaration(artifact_id, version)
-    if entry is None:
-        raise UnknownArtifactVersion(f"no declared version {version!r} of {artifact_id!r}")
-    return entry
-
-
-def _append_run(ledger: LedgerFile, test: EntryEnvelope, artifact_entry: EntryEnvelope,
-                raw_results: dict, decision: str, evaluator: ActorRef, checkpoint: str,
-                created_at: str) -> EntryEnvelope:
-    """Append the run of `test` on `artifact_entry`, recording `decision`."""
-    payload = EvaluationRunPayload(
-        test_id=test.id,
-        artifact_id=artifact_entry.payload.artifact_id,
-        version=artifact_entry.payload.version,
-        decision=decision,
-        checkpoint=checkpoint,
-        evaluator=evaluator,
-        raw_results=raw_results,
-        timestamp=created_at,
-        unattested_by_harness=(
-            True if test.payload.measurement.runner_kind == "externalRecordOnly"
-            else None),
-    )
-    entry = EntryEnvelope(
-        id=ledger.snapshot.next_id(
-            f"pl:run:{_slug(test.id.split(':')[2])}:{_slug(payload.version)}:"),
-        entry_type=EntryType.EVALUATION_RUN,
-        created_at=created_at,
-        actor=evaluator,
-        payload=payload,
-        links=LinkSet(uses_test=[test.id], evaluates=[artifact_entry.id]),
-    )
-    return ledger.append(entry)
-
-
-def run_test(ledger: LedgerFile, test_id: str, artifact_id: str, version: str,
-             raw_results: dict, evaluator: ActorRef, checkpoint: str, *,
-             created_at: str | None = None) -> EntryEnvelope:
-    """Record one evaluation of a test against a declared artifact version.
-
-    The appended run carries usesTest and evaluates links and a decision
-    computed by `decide`. Raises UnknownTest / UnknownArtifactVersion when
-    either side is missing, ShapeMismatch when the raw results do not fit the
-    test's runner kind.
-    """
-    snapshot = ledger.snapshot
-    test = _find_test(snapshot, test_id)
-    artifact_entry = _find_artifact_version(snapshot, artifact_id, version)
-    return _append_run(ledger, test, artifact_entry, raw_results,
-                       decide(test.payload.measurement, raw_results), evaluator,
-                       checkpoint, created_at or now_stamp())
-
-
 @record
 class SuiteReport:
     artifact_id: str
@@ -208,12 +144,17 @@ def run_suite(ledger: LedgerFile, checkpoint: str, artifact_id: str, version: st
 
     `results` maps test ids to raw results documents. A live test with no
     entry in the bundle still gets a run, recorded inconclusive with the
-    MISSING_RESULTS marker. The suite verdict is the fold over decisions.
-    Every test is decided before the first append, so results that one test
-    refuses (ShapeMismatch) leave the ledger as it was.
+    MISSING_RESULTS marker. Each run carries usesTest and evaluates links,
+    the decision `decide` computes, and unattestedByHarness for an
+    externalRecordOnly test. The suite verdict is the fold over decisions.
+    Raises UnknownArtifactVersion unless the version is declared. Every test
+    is decided before the first append, so results that one test refuses
+    (ShapeMismatch) leave the ledger as it was.
     """
     snapshot = ledger.snapshot
-    artifact_entry = _find_artifact_version(snapshot, artifact_id, version)
+    artifact_entry = snapshot.declaration(artifact_id, version)
+    if artifact_entry is None:
+        raise UnknownArtifactVersion(f"no declared version {version!r} of {artifact_id!r}")
     stamp = created_at or now_stamp()
     report = SuiteReport(artifact_id=artifact_id, version=version,
                          checkpoint=checkpoint, verdict="allPass")
@@ -225,8 +166,19 @@ def run_suite(ledger: LedgerFile, checkpoint: str, artifact_id: str, version: st
             report.missing.append(test.id)
         decided.append((test, raw, decide(test.payload.measurement, raw)))
     for test, raw, decision in decided:
-        report.runs.append(_append_run(ledger, test, artifact_entry, raw, decision,
-                                       evaluator, checkpoint, stamp))
+        external = test.payload.measurement.runner_kind == "externalRecordOnly"
+        report.runs.append(ledger.append(EntryEnvelope(
+            id=snapshot.next_id(f"pl:run:{_slug(test.id.split(':')[2])}:{_slug(version)}:"),
+            entry_type=EntryType.EVALUATION_RUN,
+            created_at=stamp,
+            actor=evaluator,
+            payload=EvaluationRunPayload(
+                test_id=test.id, artifact_id=artifact_id, version=version,
+                decision=decision, checkpoint=checkpoint, evaluator=evaluator,
+                raw_results=raw, timestamp=stamp,
+                unattested_by_harness=True if external else None),
+            links=LinkSet(uses_test=[test.id], evaluates=[artifact_entry.id]),
+        )))
         report.decisions[test.id] = decision
     report.verdict = fold_suite(report.decisions.values())
     return report
@@ -321,12 +273,13 @@ def triage_incident(ledger: LedgerFile, incident_contribution_id: str, draft: Te
                     created_at: str | None = None) -> EntryEnvelope:
     """Turn an incident-report contribution into an appended Test entry.
 
-    The new test's payload is `draft` itself, with the incident id added to
-    its motivatedBy list, and the entry declares a motivates link back to the
-    incident, which the graph stores as the edge incident -> test. The id
-    defaults to the next `pl:test:<topic>:` number and the actor to the
-    maintainer pseudonym `triage`. Raises UnknownContribution unless the
-    incident is a live contribution, WrongKind unless it is an incidentReport.
+    The new test's payload is `draft` with the incident id added to its
+    motivatedBy list, built by `replace` so `draft` itself is never changed,
+    and the entry declares a motivates link back to the incident, which the
+    graph stores as the edge incident -> test. The id defaults to the next
+    `pl:test:<topic>:` number and the actor to the maintainer pseudonym
+    `triage`. Raises UnknownContribution unless the incident is a live
+    contribution, WrongKind unless it is an incidentReport.
     """
     snapshot = ledger.snapshot
     incident = snapshot.live(incident_contribution_id, EntryType.CONTRIBUTION)
@@ -338,9 +291,8 @@ def triage_incident(ledger: LedgerFile, incident_contribution_id: str, draft: Te
             f"cannot triage a {incident.payload.kind!r} contribution; "
             f"expected incidentReport")
 
-    if incident.id not in draft.motivated_by:
-        draft.motivated_by.append(incident.id)
-
+    payload = (draft if incident.id in draft.motivated_by
+               else replace(draft, motivated_by=[*draft.motivated_by, incident.id]))
     if test_id is None:
         test_id = snapshot.next_id(f"pl:test:{_slug(draft.topic)}:")
     entry = EntryEnvelope(
@@ -348,7 +300,7 @@ def triage_incident(ledger: LedgerFile, incident_contribution_id: str, draft: Te
         entry_type=EntryType.TEST,
         created_at=created_at or now_stamp(),
         actor=actor or ActorRef(role="maintainer", pseudonym="triage"),
-        payload=draft,
+        payload=payload,
         links=LinkSet(motivates=[incident.id]),
     )
     return ledger.append(entry)

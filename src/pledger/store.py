@@ -42,6 +42,7 @@ from .model import (
     TombstonePayload,
     now_stamp,
     parse_entry,
+    replace,
     serialize_entry,
     validate_structure,
 )
@@ -226,11 +227,7 @@ class LedgerFile:
         from .integrity import CLOCK_SKEW, seal
 
         self._require_open()
-        if entry.id in self.snapshot.by_id:
-            raise DuplicateId(f"entry id {entry.id!r} already in ledger")
-        report = validate_structure(entry)
-        if not report.ok():
-            raise ValidationFailed(report)
+        self._check_entry(entry)
         # an append may backdate at most the verifier's skew allowance,
         # or the file would stop verifying as a chain
         if self.snapshot.entries:
@@ -266,6 +263,15 @@ class LedgerFile:
         self.snapshot.add(sealed)
         return sealed
 
+    def _check_entry(self, entry: EntryEnvelope) -> None:
+        """Raise what `append` refuses from `entry` and the ids held alone:
+        DuplicateId for a held id, ValidationFailed for a structure fault."""
+        if entry.id in self.snapshot.by_id:
+            raise DuplicateId(f"entry id {entry.id!r} already in ledger")
+        report = validate_structure(entry)
+        if not report.ok():
+            raise ValidationFailed(report)
+
     def _write_head(self, digest: str) -> None:
         target = head_path(self.path)
         tmp = target.with_name(target.name + ".tmp")
@@ -283,6 +289,13 @@ class LedgerFile:
                tombstone_id: str | None = None, created_at: str | None = None) -> EntryEnvelope:
         """Append a Tombstone restricting access to `target_id`'s payload."""
         self._require_open()
+        return self.append(self._tombstone(target_id, reason, authorization,
+                                           tombstone_id, created_at or now_stamp()))
+
+    def _tombstone(self, target_id: str, reason: str, authorization: ActorRef,
+                   tombstone_id: str | None, created_at: str) -> EntryEnvelope:
+        """The Tombstone entry on `target_id`; UnknownTarget, UnauthorizedRole
+        and WrongEntryType as `redact` raises them."""
         target = self.get(target_id)
         if authorization.role not in ROLES_ALLOWED_TO_REDACT:
             raise UnauthorizedRole(
@@ -290,22 +303,19 @@ class LedgerFile:
                 "needs communitySteward or auditor")
         if target.entry_type is EntryType.TOMBSTONE:
             raise WrongEntryType("tombstones cannot be tombstoned")
-        if tombstone_id is None:
-            tombstone_id = "pl:tomb:" + ":".join(target_id.split(":")[1:])
-        payload = TombstonePayload(
-            target_id=target_id,
-            reason=reason,
-            authorization=authorization,
-            retained_hash=target.integrity.hash,
-        )
-        entry = EntryEnvelope(
-            id=tombstone_id,
+        return EntryEnvelope(
+            id="pl:tomb:" + ":".join(target_id.split(":")[1:]) if tombstone_id is None
+            else tombstone_id,
             entry_type=EntryType.TOMBSTONE,
-            created_at=created_at or now_stamp(),
+            created_at=created_at,
             actor=authorization,
-            payload=payload,
+            payload=TombstonePayload(
+                target_id=target_id,
+                reason=reason,
+                authorization=authorization,
+                retained_hash=target.integrity.hash,
+            ),
         )
-        return self.append(entry)
 
     def withdraw_consent(self, contribution_id: str, authorization: ActorRef,
                          created_at: str | None = None) -> tuple[EntryEnvelope, EntryEnvelope]:
@@ -313,21 +323,19 @@ class LedgerFile:
 
         Appends a superseding Contribution (same content, consent status
         withdrawn, id `<base>:rev<k>`) and a Tombstone on the original.
-        Returns (superseding entry, tombstone entry).
+        Returns (superseding entry, tombstone entry). The Tombstone is built
+        and checked first, so what its append refuses from the inputs alone
+        (the role, its structure, a held tombstone id) appends nothing.
         """
-        import copy
-
         self._require_open()
         original = self.get(contribution_id)
         if original.entry_type is not EntryType.CONTRIBUTION:
             raise WrongEntryType(f"{contribution_id} is not a Contribution")
         when = created_at or now_stamp()
-        superseding = copy.deepcopy(original)
-        superseding.id = self.snapshot.next_revision_id(contribution_id)
-        superseding.created_at = when
-        superseding.integrity = None
-        assert superseding.consent is not None
-        superseding.consent.status = "withdrawn"
-        sealed_superseding = self.append(superseding)
-        tombstone = self.redact(contribution_id, "consentWithdrawn", authorization, created_at=when)
-        return sealed_superseding, tombstone
+        tombstone = self._tombstone(contribution_id, "consentWithdrawn", authorization,
+                                    None, when)
+        self._check_entry(tombstone)
+        superseding = self.append(replace(
+            original, id=self.snapshot.next_revision_id(contribution_id), created_at=when,
+            integrity=None, consent=replace(original.consent, status="withdrawn")))
+        return superseding, self.append(tombstone)

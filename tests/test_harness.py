@@ -16,10 +16,10 @@ from conftest import (
     stamp,
 )
 from pledger.errors import (
+    DuplicateId,
     ShapeMismatch,
     UnknownArtifactVersion,
     UnknownContribution,
-    UnknownTest,
     WrongKind,
 )
 from pledger.harness import (
@@ -28,7 +28,6 @@ from pledger.harness import (
     detect_regressions,
     fold_suite,
     run_suite,
-    run_test,
     triage_incident,
     verify_replay,
 )
@@ -173,7 +172,7 @@ def test_fold_suite_matches_naive_rule():
         assert fold_suite(decisions) == expected
 
 
-# -- run_test ------------------------------------------------------------------------
+# -- run_suite -------------------------------------------------------------------------
 
 @pytest.fixture
 def bench(tmp_path):
@@ -186,63 +185,39 @@ def bench(tmp_path):
     led.close()
 
 
-def test_run_test_records_decision_and_links(bench):
+def test_run_suite_records_each_run_as_decided(bench):
     led, test, v1, _ = bench
-    run = run_test(led, test.id, "pl:artifact:gen:sys", "v1",
-                   {"value": 0.1}, EVALUATOR, "preDeploymentGate",
-                   created_at=stamp(600))
+    first = run_suite(led, "preDeploymentGate", "pl:artifact:gen:sys", "v1",
+                      {test.id: {"value": 0.1}}, EVALUATOR, created_at=stamp(600))
+    run, = first.runs
     assert run.id == "pl:run:gen:v1:001"
     assert run.payload.decision == "pass"
     assert run.payload.artifact_id == "pl:artifact:gen:sys"
     assert run.payload.version == "v1"
     assert run.payload.timestamp == stamp(600)
-    assert run.payload.unattested_by_harness is None
     assert run.links.uses_test == [test.id]
     assert run.links.evaluates == [v1.id]
     assert led.get(run.id).payload.raw_results == {"value": 0.1}
 
-    second = run_test(led, test.id, "pl:artifact:gen:sys", "v1",
-                      {"value": 0.5}, EVALUATOR, "scheduledAudit",
-                      created_at=stamp(601))
-    assert second.id == "pl:run:gen:v1:002"
-    assert second.payload.decision == "fail"
+    # a second suite on the same version takes the next number
+    second = run_suite(led, "scheduledAudit", "pl:artifact:gen:sys", "v1",
+                       {test.id: {"value": 0.5}}, EVALUATOR, created_at=stamp(601))
+    assert [r.id for r in second.runs] == ["pl:run:gen:v1:002"]
+    assert second.runs[0].payload.decision == "fail"
 
 
-def test_run_test_flags_external_attestations(bench):
-    led, _, _, _ = bench
+def test_run_suite_flags_only_external_attestations(bench):
+    led, test, _, _ = bench
     external = led.append(make_test(5, measurement=EXTERNAL))
-    run = run_test(led, external.id, "pl:artifact:gen:sys", "v1",
-                   {"attestation": {"decision": "pass"}}, EVALUATOR,
-                   "scheduledAudit", created_at=stamp(610))
-    assert run.payload.unattested_by_harness is True
-    assert run.payload.decision == "pass"
+    report = run_suite(led, "scheduledAudit", "pl:artifact:gen:sys", "v1",
+                       {test.id: {"value": 0.1},
+                        external.id: {"attestation": {"decision": "pass"}}},
+                       EVALUATOR, created_at=stamp(610))
+    assert report.decisions == {test.id: "pass", external.id: "pass"}
+    stored = {r.payload.test_id: led.get(r.id).to_doc()["run"] for r in report.runs}
+    assert stored[external.id]["unattestedByHarness"] is True
+    assert "unattestedByHarness" not in stored[test.id]
 
-
-def test_run_test_requires_declared_pieces(bench):
-    led, test, _, _ = bench
-    with pytest.raises(UnknownTest):
-        run_test(led, "pl:test:gen:999", "pl:artifact:gen:sys", "v1",
-                 {"value": 1}, EVALUATOR, "scheduledAudit")
-    with pytest.raises(UnknownArtifactVersion):
-        run_test(led, test.id, "pl:artifact:gen:sys", "v9",
-                 {"value": 1}, EVALUATOR, "scheduledAudit")
-    with pytest.raises(UnknownArtifactVersion):
-        run_test(led, test.id, "pl:artifact:gen:other", "v1",
-                 {"value": 1}, EVALUATOR, "scheduledAudit")
-    with pytest.raises(ShapeMismatch):
-        run_test(led, test.id, "pl:artifact:gen:sys", "v1",
-                 {"wrong": 1}, EVALUATOR, "scheduledAudit")
-
-
-def test_run_test_refuses_redacted_test(bench):
-    led, test, _, _ = bench
-    led.append(make_tombstone(test.id))
-    with pytest.raises(UnknownTest):
-        run_test(led, test.id, "pl:artifact:gen:sys", "v1",
-                 {"value": 1}, EVALUATOR, "scheduledAudit")
-
-
-# -- run_suite -------------------------------------------------------------------------
 
 def test_run_suite_covers_every_live_test(bench):
     led, threshold_test, _, _ = bench
@@ -465,6 +440,24 @@ def test_triage_incident_appends_motivated_test(tmp_path):
         again = triage_incident(led, incident.id, copy.deepcopy(draft),
                                 created_at=stamp(651))
         assert again.id == "pl:test:seating-comfort:002"
+
+
+def test_triage_incident_leaves_the_draft_as_it_was(tmp_path):
+    with LedgerFile(tmp_path / "triage.pledger") as led:
+        incident = led.append(make_contribution(1, kind="incidentReport"))
+        draft = model.TestPayload(
+            topic="shade", expected_behavior="Canopies shade the benches.",
+            measurement=MeasurementProcedure(runner_kind="externalRecordOnly"))
+        before = copy.deepcopy(draft)
+        test = triage_incident(led, incident.id, draft, created_at=stamp(650))
+        assert test.payload.motivated_by == [incident.id]
+        assert draft == before
+
+        # a refused append, here a taken id, leaves it as it was too
+        with pytest.raises(DuplicateId):
+            triage_incident(led, incident.id, draft, test_id=test.id,
+                            created_at=stamp(651))
+        assert draft == before and draft.motivated_by == []
 
 
 def test_triage_incident_rejections(tmp_path):

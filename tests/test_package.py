@@ -21,6 +21,7 @@ from pledger.fixtures import (
     CAPABILITY,
     POLICY_DOC,
     STEWARD_ORG,
+    VOUCHER_ID,
     WINDOW,
     sample_contribution_doc,
 )
@@ -110,7 +111,14 @@ IMPORT_CASES = {
     "credit accrue": (["credit", "accrue", "--policy", "{dir}/policy.json",
                        "--window-start", WINDOW[0], "--window-end", WINDOW[1]],
                       {"pledger.governance", "pledger.harness"}, {"fractions", "csv"}),
+    "voucher transition": (["voucher", "transition", "--voucher", VOUCHER_ID, "--to", "revoked",
+                            "--created-at", "2025-06-21T00:00:00Z"],
+                           {"pledger.governance", "pledger.integrity"},
+                           {"copy", "pledger.harness", "csv"}),
 }
+
+# Cases that run on the ledger stopped once the pause voucher is active.
+ON_PAUSED = {"voucher transition"}
 
 
 @pytest.fixture(scope="module")
@@ -121,13 +129,14 @@ def bare_modules() -> set[str]:
 
 
 @pytest.mark.parametrize("case", sorted(IMPORT_CASES))
-def test_each_command_loads_only_what_it_runs(lifecycle, tmp_path, bare_modules, case):
+def test_each_command_loads_only_what_it_runs(lifecycle, mid_lifecycle, tmp_path, bare_modules,
+                                             case):
     argv, loads, loads_none_of = IMPORT_CASES[case]
     (tmp_path / "entry.json").write_text(json.dumps(sample_contribution_doc()), "utf-8")
     (tmp_path / "policy.json").write_text(json.dumps(POLICY_DOC), "utf-8")
     ledger = tmp_path / "work.pledger"  # a copy, as some cases write
     if argv[0] != "append":
-        shutil.copy(lifecycle[0], ledger)
+        shutil.copy((mid_lifecycle if case in ON_PAUSED else lifecycle)[0], ledger)
     argv = [arg.format(dir=tmp_path) for arg in argv]
     proc = run_python("-X", "importtime", "-m", "pledger", *argv, "--ledger", str(ledger))
     assert proc.returncode == 0, proc.stderr[-2000:]

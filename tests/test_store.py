@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import make_contribution, stamp
+from pledger.fixtures import CONTRIBUTION_ID, build_lifecycle
 from pledger.errors import (
     CorruptLine,
     DuplicateId,
@@ -334,6 +335,39 @@ def test_withdraw_consent_supersedes_without_editing_history(ledger_path):
 
         with pytest.raises(WrongEntryType):
             led.withdraw_consent(tomb.id, STEWARD)
+
+
+WITHDRAWN_AT = "2025-07-01T00:00:00Z"
+
+
+def refused_withdrawal(path, authorization: ActorRef, error: type) -> None:
+    """Withdraw consent to the lifecycle's contribution, expecting `error`
+    and that the file and its `.head` keep their bytes."""
+    before = path.read_bytes(), head_path(path).read_bytes()
+    with LedgerFile(path) as led:
+        with pytest.raises(error):
+            led.withdraw_consent(CONTRIBUTION_ID, authorization, created_at=WITHDRAWN_AT)
+    assert (path.read_bytes(), head_path(path).read_bytes()) == before
+
+
+def test_withdraw_consent_refuses_a_role_that_cannot_redact_before_any_append(tmp_path):
+    build_lifecycle(tmp_path / "l.pledger")
+    refused_withdrawal(tmp_path / "l.pledger", ActorRef(role="maintainer", pseudonym="M1"),
+                       UnauthorizedRole)
+
+
+def test_withdraw_consent_refuses_a_tombstone_that_fails_validation_before_any_append(tmp_path):
+    build_lifecycle(tmp_path / "l.pledger")
+    refused_withdrawal(tmp_path / "l.pledger", ActorRef(role="auditor"), ValidationFailed)
+
+
+def test_withdraw_consent_refuses_a_held_tombstone_id_before_any_append(tmp_path):
+    path = tmp_path / "l.pledger"
+    build_lifecycle(path)
+    with LedgerFile(path) as led:
+        led.redact(CONTRIBUTION_ID, "safetyRedaction", ActorRef(role="auditor", pseudonym="A1"),
+                   created_at=WITHDRAWN_AT)
+    refused_withdrawal(path, STEWARD, DuplicateId)
 
 
 def test_lock_excludes_second_writer(ledger_path):
