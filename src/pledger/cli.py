@@ -7,8 +7,7 @@ conformance failure, 64 usage error; the process entry (`__main__.run`) adds
 the append family (append, harness run, voucher issue, voucher transition,
 credit accrue, redact) takes the writer lock. A missing ledger path is a usage
 error for every command but the three that may start a ledger: append,
-voucher issue and credit accrue, which check what needs no ledger before
-they open one.
+voucher issue and credit accrue.
 
 Only the ledger core is imported here; each command imports the governance,
 evidence, harness or query module it calls, so it pays only for those.
@@ -28,27 +27,17 @@ from typing import Any
 
 from . import store
 from .canonical import render_value
-from .errors import (
-    CorruptLine,
-    LedgerError,
-    StorageFailure,
-    ValidationFailed,
-)
+from .errors import CorruptLine, LedgerError, StorageFailure
 from .graph import Snapshot, build_graph, linkage_completeness
 from .model import (
     ARTIFACT_KINDS,
     ActorRef,
-    EntryEnvelope,
     EntryType,
     LinkSet,
-    ValidationReport,
     VoucherPayload,
     _slug,
-    is_timestamp,
     now_stamp,
     parse_entry,
-    parse_timestamp,
-    validate_structure,
 )
 
 
@@ -106,15 +95,6 @@ def _signer_from(args: argparse.Namespace):
     return hmac_signer(ref, secret, ActorRef(role="maintainer", pseudonym="cli"))
 
 
-def _checked(entry: EntryEnvelope) -> EntryEnvelope:
-    """`entry`, or ValidationFailed for what `validate_structure` reports: a
-    writer command runs the checks that read no ledger before it opens one."""
-    report = validate_structure(entry)
-    if not report.ok():
-        raise ValidationFailed(report)
-    return entry
-
-
 def _flat(doc: Any, prefix: str = "") -> list[tuple[str, str]]:
     if isinstance(doc, dict):
         rows: list[tuple[str, str]] = []
@@ -158,7 +138,7 @@ def _emit(args: argparse.Namespace, text: str | None, doc: Any, table: Any = Non
 # subcommands
 
 def _cmd_append(args: argparse.Namespace) -> int:
-    entry = _checked(parse_entry(_read_doc(args.entry)))
+    entry = parse_entry(_read_doc(args.entry))
     with store.LedgerFile(_require_ledger(args), _signer_from(args)) as ledger:
         sealed = ledger.append(entry)
     _emit(args, f"appended {sealed.id} ({sealed.integrity.hash})",
@@ -263,7 +243,6 @@ def _cmd_voucher_issue(args: argparse.Namespace) -> int:
 
     payload = VoucherPayload.from_doc(_read_doc(args.payload))
     links = LinkSet(evidence=list(args.evidence)) if args.evidence else None
-    _checked(governance.voucher_entry(payload, args.id, links=links, created_at=args.created_at))
     with store.LedgerFile(_require_ledger(args), _signer_from(args)) as ledger:
         entry = governance.issue_voucher(
             ledger, payload, voucher_id=args.id, links=links, created_at=args.created_at)
@@ -289,19 +268,9 @@ def _cmd_credit_accrue(args: argparse.Namespace) -> int:
     from . import governance
 
     policy = governance.CreditPolicy.from_doc(_read_doc(args.policy))
-    window = (args.window_start, args.window_end)
-    # Checked before the writer opens a ledger: the window, then the stamp
-    # that each credit's append checks, refused in that append's words.
-    for bound in window:
-        parse_timestamp(bound)
-    if args.created_at is not None and not is_timestamp(args.created_at):
-        report = ValidationReport()
-        report.add("createdAt", "createdAt.format",
-                   f"not an ISO-8601 UTC timestamp: {args.created_at!r}")
-        raise ValidationFailed(report)
     with store.LedgerFile(_require_ledger(args), _signer_from(args)) as ledger:
         minted, report = governance.accrue_credits(
-            ledger, policy, window, created_at=args.created_at)
+            ledger, policy, (args.window_start, args.window_end), created_at=args.created_at)
     lines = [f"minted {c.id}: {render_value(c.payload.units)} "
              f"-> {c.payload.beneficiary}" for c in minted]
     lines += [f"suppressed {s.kind} {s.trigger_id}: {s.reason}" for s in report.suppressed]

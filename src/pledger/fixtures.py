@@ -111,7 +111,9 @@ def build_lifecycle(path: str | Path, stop_after: int | None = None) -> dict[str
     """Write the lifecycle ledger to `path` and return the ids by stage name.
 
     `stop_after` caps the entry count (STAGE_PAUSED stops right after the
-    pause voucher goes active, mid-remediation).
+    pause voucher goes active, mid-remediation). As for every writer, the
+    file and its directory are made by the first append, so `stop_after=0`
+    on a new path creates nothing.
     """
     ids: dict[str, str] = {}
     with LedgerFile(path) as ledger:

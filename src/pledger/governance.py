@@ -73,17 +73,15 @@ def voucher_lineages(snapshot: Snapshot) -> dict[str, list[EntryEnvelope]]:
     return lineages
 
 
-def voucher_entry(payload: VoucherPayload, voucher_id: str | None = None, *,
+def voucher_entry(payload: VoucherPayload, voucher_id: str, *,
                   links: LinkSet | None = None, created_at: str | None = None) -> EntryEnvelope:
     """The entry that issues or revises a voucher lineage; UnauthorizedRole
-    unless the steward holds the communitySteward role. Without `voucher_id`
-    it takes its capability's first derived id, which has the form of every
-    later one."""
+    unless the steward holds the communitySteward role."""
     if payload.steward.role != "communitySteward":
         raise UnauthorizedRole(
             f"vouchers are issued by communitySteward, not {payload.steward.role!r}")
     return EntryEnvelope(
-        id=f"pl:voucher:{_slug(payload.capability)}:001" if voucher_id is None else voucher_id,
+        id=voucher_id,
         entry_type=EntryType.VOUCHER,
         created_at=created_at or now_stamp(),
         actor=payload.steward,
@@ -120,7 +118,7 @@ def transition_voucher(ledger: LedgerFile, voucher_id: str, new_status: str, *,
     `voucher_entry`'s, its payload the latest revision that is not
     tombstoned, with the new status (and `expiry`, when given) replaced, so
     redacted content is never republished. Legality is the append's own check,
-    `Snapshot.check_voucher`, run after its id, structure and timestamp
+    `Snapshot.check_voucher`, run after its structure, id and timestamp
     checks; it and the revision counter follow every revision, tombstoned
     ones included. Illegal lifecycle moves raise IllegalTransition.
     """
@@ -493,11 +491,13 @@ def accrue_credits(ledger: LedgerFile, policy: CreditPolicy, window: tuple[str, 
 
     Each is stamped `created_at` when given, else the window end, so reruns
     are deterministic; idempotence comes from creditsFor links, so accruing
-    the same window twice appends nothing new. Returns the minted entries and
-    the report, whose credits list they fill.
+    the same window twice appends nothing new. A malformed `created_at` is
+    refused (InvalidTimestamp) even when nothing would be minted. Returns the
+    minted entries and the report, whose credits list they fill.
     """
     credits, report = compute_accrual(ledger.snapshot, policy, window)
-    if created_at:
+    if created_at is not None:
+        parse_timestamp(created_at)
         credits = [replace(credit, created_at=created_at) for credit in credits]
     minted = [ledger.append(credit) for credit in credits]
     report.credits = minted

@@ -5,6 +5,7 @@ companion `<name>.head` file carries the current head digest and is rewritten
 atomically on every append. Every open reads both through `_read`, and
 `verify_file` checks them as stored. The writer, `LedgerFile`, takes an
 advisory lock so there is exactly one writer per file; readers never lock.
+A writer changes no byte on disk before its first append.
 
 Redaction never rewrites history: a Tombstone entry restricts access to its
 target's payload while the original line, and therefore the chain, stays
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, BinaryIO
 
 try:
     import fcntl
@@ -40,6 +41,8 @@ from .model import (
     EntryEnvelope,
     EntryType,
     TombstonePayload,
+    ValidationReport,
+    Violation,
     now_stamp,
     parse_entry,
     replace,
@@ -163,37 +166,52 @@ def verify_file(path: str | Path) -> tuple[ChainVerdict, list[EntryEnvelope]]:
     return verdict, entries
 
 
-class LedgerFile:
-    """The one writer of a ledger file, holding its lock from open to close.
+def _open_locked(path: Path, flags: int = 0) -> BinaryIO:
+    """`path` opened to append and locked; FileNotFoundError for a missing
+    file unless `flags` creates it, StorageFailure when another writer holds it."""
+    fh = open(path, "a+b",
+              opener=lambda name, mode: os.open(name, mode & ~os.O_CREAT | flags, 0o666))
+    if fcntl is not None:
+        try:
+            fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except OSError as exc:
+            fh.close()
+            raise StorageFailure(f"another writer holds the lock on {path}") from exc
+    return fh
 
-    The open cuts an unfinished append; `snapshot` is the committed prefix,
-    kept current by each append. `signer`, when given, signs every entry this
-    writer appends. Readers take `read_entries`, `verify_file` and `Snapshot`
-    instead.
+
+class LedgerFile:
+    """The one writer of a ledger file, holding its lock until it closes.
+
+    The open locks and reads an existing file and changes nothing on disk;
+    the first append cuts an unfinished append, or makes and locks a new ledger.
+    `snapshot` is the committed prefix, kept current by each append.
+    `signer`, when given, signs every entry this writer appends. Readers
+    take `read_entries`, `verify_file` and `Snapshot` instead.
     """
 
     def __init__(self, path: str | Path, signer: Signer | None = None):
         self.path = Path(path)
         self.signer = signer
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "a+b")  # creates a missing file, leaves one as it is
+        self._fh: BinaryIO | None = None  # None until a new ledger's first append
+        self._cut: int | None = None  # where the first append cuts an unfinished append
+        self._closed = False
         try:
-            if fcntl is not None:
-                try:
-                    fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-                except OSError as exc:
-                    raise StorageFailure(
-                        f"another writer holds the lock on {self.path}") from exc
-            _, entries, head, cut = _read(self.path)
+            try:
+                self._fh = _open_locked(self.path)
+            except FileNotFoundError:  # a new ledger, unless `.head` names a lost line
+                entries, head = [], None
+                if head_path(self.path).exists():
+                    head = head_path(self.path).read_bytes()
+            else:
+                _, entries, head, self._cut = _read(self.path)
             self.snapshot = Snapshot(_linked(entries, head))  # kept current by append
-            if cut is not None:
-                self._fh.truncate(cut)  # the unfinished append `_read` left out
-                os.fsync(self._fh.fileno())
         except BaseException:
             self.close()  # an open that fails must not keep the writer lock
             raise
 
     def close(self) -> None:
+        self._closed = True
         if self._fh is not None:
             self._fh.close()
             self._fh = None
@@ -213,20 +231,18 @@ class LedgerFile:
         except KeyError:
             raise UnknownTarget(f"no entry {entry_id!r} in {self.path.name}") from None
 
-    def _require_open(self) -> None:
-        if self._fh is None:
-            raise StorageFailure(f"{self.path} is closed")
-
     def append(self, entry: EntryEnvelope) -> EntryEnvelope:
         """Validate, seal against the current head (signed by `signer`), and
         durably append.
 
-        On any failure the file is byte-identical to its state before the
+        Every check runs before the disk changes, so a refused entry changes
+        nothing; on a failed write the lines and `.head` are as before the
         call. Returns the sealed entry.
         """
         from .integrity import CLOCK_SKEW, seal
 
-        self._require_open()
+        if self._closed:
+            raise StorageFailure(f"{self.path} is closed")
         self._check_entry(entry)
         # an append may backdate at most the verifier's skew allowance,
         # or the file would stop verifying as a chain
@@ -243,6 +259,16 @@ class LedgerFile:
             self.snapshot.check_voucher(entry.id, entry.payload)
         sealed = seal(entry, prev_hash=self.snapshot.head_hash, signer=self.signer)
         line = (serialize_entry(sealed) + "\n").encode("utf-8")
+        if self._fh is None:  # a new ledger, made only now, after every check
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            try:
+                self._fh = _open_locked(self.path, os.O_CREAT | os.O_EXCL)
+            except FileExistsError as exc:  # this snapshot is not that file's
+                raise StorageFailure(f"{self.path} appeared after this writer opened it") from exc
+        elif self._cut is not None:  # the unfinished append `_read` left out
+            self._fh.truncate(self._cut)
+            os.fsync(self._fh.fileno())
+            self._cut = None
         size_before = self.path.stat().st_size
         # The entry counts as appended only once both the line and the head
         # are durable; until then a failure rolls the file back and leaves
@@ -265,12 +291,12 @@ class LedgerFile:
 
     def _check_entry(self, entry: EntryEnvelope) -> None:
         """Raise what `append` refuses from `entry` and the ids held alone:
-        DuplicateId for a held id, ValidationFailed for a structure fault."""
-        if entry.id in self.snapshot.by_id:
-            raise DuplicateId(f"entry id {entry.id!r} already in ledger")
+        ValidationFailed for a structure fault, DuplicateId for a held id."""
         report = validate_structure(entry)
         if not report.ok():
             raise ValidationFailed(report)
+        if entry.id in self.snapshot.by_id:
+            raise DuplicateId(f"entry id {entry.id!r} already in ledger")
 
     def _write_head(self, digest: str) -> None:
         target = head_path(self.path)
@@ -288,7 +314,6 @@ class LedgerFile:
     def redact(self, target_id: str, reason: str, authorization: ActorRef,
                tombstone_id: str | None = None, created_at: str | None = None) -> EntryEnvelope:
         """Append a Tombstone restricting access to `target_id`'s payload."""
-        self._require_open()
         return self.append(self._tombstone(target_id, reason, authorization,
                                            tombstone_id, created_at or now_stamp()))
 
@@ -327,10 +352,13 @@ class LedgerFile:
         and checked first, so what its append refuses from the inputs alone
         (the role, its structure, a held tombstone id) appends nothing.
         """
-        self._require_open()
         original = self.get(contribution_id)
         if original.entry_type is not EntryType.CONTRIBUTION:
             raise WrongEntryType(f"{contribution_id} is not a Contribution")
+        if original.consent is None:  # a hand-edited line: no append writes one
+            raise ValidationFailed(ValidationReport([Violation(
+                "consent", "contribution.consent-required",
+                f"{contribution_id} carries no consent block to withdraw")]))
         when = created_at or now_stamp()
         tombstone = self._tombstone(contribution_id, "consentWithdrawn", authorization,
                                     None, when)

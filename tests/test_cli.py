@@ -482,7 +482,8 @@ def test_writers_that_need_entries_refuse_a_missing_ledger(tmp_path, capsys, arg
 
 
 def test_credit_accrue_may_start_a_ledger(tmp_path, capsys):
-    # As append and voucher issue may: it creates the ledger and its directory.
+    # As append and voucher issue may, yet only by appending: an accrual that
+    # mints nothing creates neither the ledger nor its directory.
     policy = tmp_path / "policy.json"
     policy.write_text(json.dumps(POLICY_DOC), "utf-8")
     new = tmp_path / "nodir" / "new.pledger"
@@ -490,7 +491,7 @@ def test_credit_accrue_may_start_a_ledger(tmp_path, capsys):
                              "--policy", str(policy), "--window-start", "2025-05-01T00:00:00Z",
                              "--window-end", "2025-07-31T00:00:00Z")
     assert (code, out, err) == (0, "total units: 0\n", "")
-    assert new.read_bytes() == b""
+    assert not new.parent.exists()
 
 
 # Every writer command, with the arguments it needs besides --ledger; `{dir}`,
@@ -509,7 +510,7 @@ WRITERS = {
 def test_a_malformed_hmac_key_is_refused_before_the_open(writable, tmp_path, capsys, name):
     # The signer is built before the writer opens: a missing ledger is not
     # started, and an existing one keeps its bytes, its modification time and
-    # even an unfinished append, which an open would cut.
+    # even an unfinished append, which a first append would cut.
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     docs = {
@@ -553,7 +554,8 @@ _ACCRUE = ["credit", "accrue", "--policy", "{policy}"]
 _WINDOW = ["--window-start", WINDOW[0], "--window-end", WINDOW[1]]
 
 # A writer that may start a ledger, given one input fault that it can find
-# without reading a ledger, with the refusal it answers; `{...}` name inputs.
+# without reading a ledger, with the refusal its append (or, for the window,
+# its accrual) answers; `{...}` name inputs.
 PRE_OPEN_REFUSALS = {
     "append-role": (["append", "{entry}"],
                     _STRUCTURE + "actor.role [actor.role] unknown role 'nobody'"),
@@ -568,19 +570,17 @@ PRE_OPEN_REFUSALS = {
         [*_ACCRUE, "--window-start", "garbage", "--window-end", WINDOW[1]], "error: " + _STAMP),
     "accrue-window-end": (
         [*_ACCRUE, "--window-start", WINDOW[0], "--window-end", "garbage"], "error: " + _STAMP),
-    "accrue-created-at": (
-        [*_ACCRUE, *_WINDOW, "--created-at", "garbage"],
-        _STRUCTURE + "createdAt [createdAt.format] not an ISO-8601 UTC timestamp: 'garbage'"),
+    "accrue-created-at": ([*_ACCRUE, *_WINDOW, "--created-at", "garbage"], "error: " + _STAMP),
 }
 
 
 @pytest.mark.parametrize("name", PRE_OPEN_REFUSALS)
 def test_a_writer_checks_its_own_inputs_before_the_open(writable_mid, tmp_path, capsys, name):
-    # Exit 5 with the refusal the append itself would give, yet a missing
+    # Exit 5, and the refused writer touches nothing on disk: a missing
     # ledger is not started, and an existing one keeps its bytes, its
-    # modification time and an unfinished append, which an open would cut.
+    # modification time and an unfinished append, which a first append cuts.
     # The existing ledger stops at STAGE_PAUSED, so an accrual there would
-    # mint a credit and reach the append's own check of --created-at.
+    # mint a credit.
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     voucher = {"capability": CAPABILITY, "boundary": BOUNDARY, "action": "pause",
@@ -615,6 +615,44 @@ def test_a_writer_checks_its_own_inputs_before_the_open(writable_mid, tmp_path, 
     assert run_cli(capsys, *argv, "--ledger", str(writable_mid)) == (5, "", refusal + "\n")
     assert [(path.read_bytes(), path.stat().st_mtime_ns) for path in (writable_mid, head)] \
         == before
+
+
+# Voucher payload changes that a refusal reading the ledger answers: an
+# unknown test, and a first revision that is not issued (the append's
+# lifecycle check); with the refusal each answers on a new ledger.
+LEDGER_REFUSED_VOUCHERS = {
+    "unknown-test": ({"action": "condition",
+                      "conditions": [{"requiredTestId": "pl:test:nowhere:001"}]},
+                     "voucher condition requires unknown test 'pl:test:nowhere:001'"),
+    "active": ({"status": "active"}, f"voucher lineage pl:voucher:{CAPABILITY}:001 "
+                                     "must start as issued, got 'active'"),
+}
+
+
+@pytest.mark.parametrize("name", LEDGER_REFUSED_VOUCHERS)
+def test_voucher_issue_refused_by_the_ledger_leaves_no_file(tmp_path, capsys, name):
+    change, refusal = LEDGER_REFUSED_VOUCHERS[name]
+    payload = {"capability": CAPABILITY, "boundary": BOUNDARY, "action": "pause",
+               "status": "issued",
+               "steward": {"role": "communitySteward", "stewardOrg": STEWARD_ORG}, **change}
+    doc = tmp_path / "voucher.json"
+    doc.write_text(json.dumps(payload), "utf-8")
+    new = tmp_path / "u" / "new.pledger"
+    assert run_cli(capsys, "voucher", "issue", "--payload", str(doc), "--ledger", str(new)) \
+        == (5, "", f"error: {refusal}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["voucher.json"]
+
+
+def test_a_missing_ledger_with_a_head_is_refused_and_not_started(tmp_path, capsys):
+    # The `.head` names a line, so the whole ledger is lost: the writer does
+    # not start a fresh chain over it.
+    entry = tmp_path / "entry.json"
+    entry.write_text(json.dumps(sample_contribution_doc()), "utf-8")
+    lost = tmp_path / "lost.pledger"
+    store.head_path(lost).write_text("ab" * 32 + "\n", "utf-8")
+    assert run_cli(capsys, "append", str(entry), "--ledger", str(lost)) \
+        == (4, "", "verification failure: corrupt ledger line 1: headMismatch\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["entry.json", "lost.pledger.head"]
 
 
 def test_a_held_lock_or_a_failed_write_exits_4_and_leaves_the_file(

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
 
 from conftest import make_contribution, stamp
@@ -177,13 +180,31 @@ def test_torn_tail_is_detected_and_repaired(ledger_path):
     assert (info.value.line_number, info.value.reason) == (3, "no newline")
     assert ledger_path.read_bytes() == torn  # readers leave the bytes out
 
-    with LedgerFile(ledger_path) as led:  # the writer's open cuts them
+    with LedgerFile(ledger_path) as led:  # the writer's first append cuts them
         assert len(led) == 2
-        assert ledger_path.read_bytes() == intact[:torn.rfind(b"\n") + 1]
-        assert verify_file(ledger_path)[0].valid
+        assert ledger_path.read_bytes() == torn
         led.append(make_contribution(3))
         assert verify_file(ledger_path)[0].valid
     assert ledger_path.read_bytes() == intact
+
+
+def test_a_refused_append_keeps_an_unfinished_append_that_the_next_one_cuts(ledger_path):
+    with LedgerFile(ledger_path) as led:
+        first = led.append(make_contribution(1))
+    committed = ledger_path.read_bytes()
+    head = head_path(ledger_path).read_bytes()
+    ledger_path.write_bytes(committed + b'{"id":"pl:contrib:gen:0002"')
+    torn = ledger_path.read_bytes()
+    with LedgerFile(ledger_path) as led:
+        with pytest.raises(DuplicateId):
+            led.append(make_contribution(1))
+        with pytest.raises(ValidationFailed):
+            led.append(replace(make_contribution(2), created_at="garbage"))
+        assert (ledger_path.read_bytes(), head_path(ledger_path).read_bytes()) == (torn, head)
+        sealed = led.append(make_contribution(2))
+    assert sealed.integrity.prev_hash == first.integrity.hash
+    assert ledger_path.read_bytes() == committed + serialize_entry(sealed).encode() + b"\n"
+    assert verify_file(ledger_path)[0].valid
 
 
 def test_a_failed_open_releases_the_writer_lock(lifecycle, ledger_path):
@@ -340,12 +361,14 @@ def test_withdraw_consent_supersedes_without_editing_history(ledger_path):
 WITHDRAWN_AT = "2025-07-01T00:00:00Z"
 
 
-def refused_withdrawal(path, authorization: ActorRef, error: type) -> None:
+def refused_withdrawal(path, authorization: ActorRef, error: type,
+                       match: str | None = None) -> None:
     """Withdraw consent to the lifecycle's contribution, expecting `error`
-    and that the file and its `.head` keep their bytes."""
+    (its message matching `match`, when given) and that the file and its
+    `.head` keep their bytes."""
     before = path.read_bytes(), head_path(path).read_bytes()
     with LedgerFile(path) as led:
-        with pytest.raises(error):
+        with pytest.raises(error, match=match):
             led.withdraw_consent(CONTRIBUTION_ID, authorization, created_at=WITHDRAWN_AT)
     assert (path.read_bytes(), head_path(path).read_bytes()) == before
 
@@ -370,18 +393,61 @@ def test_withdraw_consent_refuses_a_held_tombstone_id_before_any_append(tmp_path
     refused_withdrawal(path, STEWARD, DuplicateId)
 
 
+def test_withdraw_consent_refuses_a_contribution_with_no_consent_block(tmp_path):
+    # A hand-edited line: readers link lines without validating them.
+    path = tmp_path / "l.pledger"
+    build_lifecycle(path, stop_after=1)
+    doc = json.loads(path.read_bytes())
+    del doc["consent"]
+    path.write_text(json.dumps(doc) + "\n", "utf-8")
+    refused_withdrawal(path, ActorRef(role="auditor", pseudonym="A1"), ValidationFailed,
+                       match=re.escape(f"{CONTRIBUTION_ID} carries no consent block"))
+
+
 def test_lock_excludes_second_writer(ledger_path):
+    with LedgerFile(ledger_path) as led:
+        led.append(make_contribution(1))
     first = LedgerFile(ledger_path)
     try:
         with pytest.raises(StorageFailure):
             LedgerFile(ledger_path)
-        assert read_entries(ledger_path) == []  # readers never lock
+        assert len(read_entries(ledger_path)) == 1  # readers never lock
     finally:
         first.close()
     with pytest.raises(StorageFailure):  # a closed writer refuses to append
-        first.append(make_contribution(1))
+        first.append(make_contribution(2))
     second = LedgerFile(ledger_path)
     second.close()
+
+
+def test_the_first_append_to_a_new_path_excludes_a_second_writer(tmp_path):
+    # Neither open locks or creates anything; the first append creates the
+    # file exclusively and takes the lock, so the other writer's snapshot is
+    # not the file's and its append is refused.
+    path = tmp_path / "nodir" / "new.pledger"
+    first, second = LedgerFile(path), LedgerFile(path)
+    try:
+        assert not path.parent.exists()
+        sealed = first.append(make_contribution(1))
+        with pytest.raises(StorageFailure, match="appeared after this writer opened it"):
+            second.append(make_contribution(2))
+        with pytest.raises(StorageFailure, match="another writer holds the lock"):
+            LedgerFile(path)
+    finally:
+        first.close()
+        second.close()
+    assert path.read_bytes() == serialize_entry(sealed).encode() + b"\n"
+    assert head_path(path).read_text("utf-8") == sealed.integrity.hash + "\n"
+
+
+def test_a_writer_that_appends_nothing_creates_nothing(tmp_path):
+    path = tmp_path / "nodir" / "new.pledger"
+    with LedgerFile(path) as led:
+        assert len(led) == 0
+        with pytest.raises(ValidationFailed):
+            led.append(replace(make_contribution(1), created_at="garbage"))
+    assert build_lifecycle(path, stop_after=0) == {}
+    assert not path.parent.exists()
 
 
 def test_append_does_not_mutate_caller_entry(ledger_path):
