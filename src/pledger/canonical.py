@@ -157,6 +157,15 @@ def _render(value: Any, out: list[str]) -> None:
 # encoder's own cycle check would be redundant.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False,
                             allow_nan=False, check_circular=False)
+# The encoder's C renderer, made once: `JSONEncoder.encode` makes a new one
+# on every call, which costs more than rendering a small block. Without the
+# C accelerator the chunks come from the encoder itself.
+if json.encoder.c_make_encoder is None:
+    _chunks = lambda doc, _level: _ENCODER.iterencode(doc, _one_shot=True)  # noqa: E731
+else:
+    _chunks = json.encoder.c_make_encoder(
+        None, _ENCODER.default, json.encoder.encode_basestring, None,
+        _ENCODER.key_separator, _ENCODER.item_separator, True, False, False)
 
 _PLAIN_SCALARS = frozenset({str, int, bool, type(None)})
 
@@ -189,7 +198,7 @@ def _is_plain(value: Any) -> bool:
 def canonical_json(doc: Any) -> str:
     """Canonical text for a JSON-shaped value."""
     if _is_plain(doc):
-        return _ENCODER.encode(doc)
+        return "".join(_chunks(doc, 0))
     out: list[str] = []
     _render(doc, out)
     return "".join(out)

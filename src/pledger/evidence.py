@@ -123,7 +123,7 @@ def _reaches_change_or_test(graph: Snapshot, start: str) -> bool:
     while frontier:
         node_id = frontier.pop()
         for kind, along in INFLUENCE_STEPS:
-            for succ in graph.neighbours(node_id, kind, along):
+            for succ in graph.adjacent(node_id, kind, along):
                 if succ in seen or succ not in graph.by_id:
                     continue
                 if graph.by_id[succ].entry_type in (EntryType.CHANGE, EntryType.TEST):

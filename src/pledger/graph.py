@@ -10,8 +10,8 @@ test. This keeps append-only writing compatible with edges that point at
 later entries.
 
 The reverse-direction convenience view between influencedBy and influences is
-derived by `Snapshot.neighbours`, through which every edge read goes, and is
-never materialized.
+derived by `Snapshot.adjacent`, through which every edge read goes (and
+`Snapshot.neighbours`, its set), and is never materialized.
 
 Tombstoned entries stay in the graph with their type and edges; `hidden`
 names them, and every reader leaves their payloads out.
@@ -21,8 +21,8 @@ takes its entries, lineages, run lookups and new ids from. It is also the
 graph: its nodes are `by_id`, and its edges are the LinkSets the entries
 declare. A step along a declaration reads the declaring entry's own LinkSet;
 the one stored edge index is the reverse, each (target, kind) with the ids
-that declare it, built lazily on the first step against a declaration, so
-the commands that never take one never pay for it.
+that declare it, built lazily on the first step against a declaration (or
+read of `dangling`), so the commands that never take one never pay for it.
 """
 
 from __future__ import annotations
@@ -79,7 +79,8 @@ class Snapshot:
     LinkSets. The one edge index, `(target, kind)` to the ids declaring
     that link, is built by `_sync`, not by `add`, on the first step against
     a declaration, and extended on later ones by the entries added since,
-    so nodes and edges always agree.
+    so nodes and edges always agree. The same pass notes each link whose
+    target names no entry yet, which `dangling` reads.
     """
 
     def __init__(self, entries: Iterable[EntryEnvelope] = ()):
@@ -100,6 +101,9 @@ class Snapshot:
         self.versions: dict[tuple[str, str], list[EntryEnvelope]] = {}
         # (target, kind) -> the ids declaring that link, in ledger order
         self._declarers: dict[tuple[str, str], list[str]] = {}
+        # (declarer, target) for each reference-shaped target that named no
+        # entry when `_sync` indexed its link, in declaration order
+        self._unresolved: list[tuple[str, str]] = []
         self._linked = 0  # how many entries `_declarers` covers
         for entry in entries:
             self.add(entry)
@@ -204,16 +208,19 @@ class Snapshot:
     # -- influence graph: the declared links and their reverse index ----------
 
     def _sync(self) -> None:
-        """Index the links of the entries not yet indexed by their targets."""
+        """Index the links of the entries not yet indexed by their targets,
+        and note those whose reference-shaped target names no entry."""
         entries = self.entries
         if self._linked == len(entries):
             return
-        declarers = self._declarers
+        declarers, nodes, unresolved = self._declarers, self.by_id, self._unresolved
         for entry in entries[self._linked:]:
             declarer, links = entry.id, entry.links
             for kind, attr in LINK_ATTRS:
                 for target in getattr(links, attr):
                     declarers.setdefault((target, kind), []).append(declarer)
+                    if target not in nodes and is_reference_id(target):
+                        unresolved.append((declarer, target))
         self._linked = len(entries)
 
     @property
@@ -225,11 +232,11 @@ class Snapshot:
     @property
     def dangling(self) -> list[tuple[str, str]]:
         """(declarer, target) for each link whose reference-shaped target
-        names no entry, in declaration order."""
+        names no entry, in declaration order: the links `_sync` noted, less
+        those whose target an entry added since names."""
+        self._sync()
         nodes = self.by_id
-        return [(entry.id, target) for entry in self.entries for _, attr in LINK_ATTRS
-                for target in getattr(entry.links, attr)
-                if target not in nodes and is_reference_id(target)]
+        return [link for link in self._unresolved if link[1] not in nodes]
 
     def node(self, node_id: str) -> EntryEnvelope:
         try:
@@ -243,7 +250,7 @@ class Snapshot:
             return False
         if node_id in self.hidden:
             # A redacted artifact that something deploys to still counts.
-            return bool(self.neighbours(node_id, "deployedAs", outgoing=False))
+            return bool(self.adjacent(node_id, "deployedAs", outgoing=False))
         return entry.payload.artifact_kind == DEPLOYMENT_KIND
 
     def deployment_ids(self) -> list[str]:
@@ -259,16 +266,26 @@ class Snapshot:
         attr = _ATTR_OF_KIND.get(kind)
         return () if entry is None or attr is None else getattr(entry.links, attr)
 
-    def neighbours(self, node_id: str, kind: str, outgoing: bool = True) -> set[str]:
+    def adjacent(self, node_id: str, kind: str, outgoing: bool = True) -> Iterable[str]:
         """Successors (or, with outgoing=False, predecessors) of a node along
-        the `kind` edges, dangling ends included, deduplicated. influences
-        and influencedBy each include the other's edges reversed."""
+        the `kind` edges, dangling ends included, for a caller that only
+        iterates: an end may repeat, and what comes back is the stored list
+        itself, not a copy, so it must not be changed. influences and
+        influencedBy each include the other's edges reversed; only they, when
+        both directions hold ends, make a new set."""
         along = outgoing != (kind in _REVERSED_DECLARATION_KINDS)
-        found = set(self._step(node_id, kind, along))
+        ends = self._step(node_id, kind, along)
         inverse = _INVERSE_KINDS.get(kind)
-        if inverse is not None:
-            found.update(self._step(node_id, inverse, not along))
-        return found
+        if inverse is None:
+            return ends
+        reversed_ends = self._step(node_id, inverse, not along)
+        if not ends:
+            return reversed_ends
+        return {*ends, *reversed_ends} if reversed_ends else ends
+
+    def neighbours(self, node_id: str, kind: str, outgoing: bool = True) -> set[str]:
+        """The ends `adjacent` gives, deduplicated into a new set."""
+        return set(self.adjacent(node_id, kind, outgoing))
 
 
 def build_graph(snapshot: Snapshot) -> Snapshot:
@@ -299,7 +316,7 @@ def _trace_steps(graph: Snapshot, node_id: str) -> list[str]:
     """Graph nodes one trace step after `node_id`, sorted."""
     steps: set[str] = set()
     for kind, along in _TRACE_STEPS:
-        steps |= graph.neighbours(node_id, kind, along)
+        steps.update(graph.adjacent(node_id, kind, along))
     return sorted(s for s in steps if s in graph.by_id)
 
 
@@ -311,7 +328,7 @@ def _reaching_deployments(graph: Snapshot) -> set[str]:
     while frontier:
         node_id = frontier.pop()
         for kind, along in _TRACE_STEPS:
-            for prior in graph.neighbours(node_id, kind, not along):
+            for prior in graph.adjacent(node_id, kind, not along):
                 if prior in graph.by_id and prior not in reached:
                     reached.add(prior)
                     frontier.append(prior)
@@ -443,7 +460,7 @@ def linkage_completeness(graph: Snapshot) -> LinkageReport:
     with_test = sum(t for _, t in linkage)
     fully = sum(c and t for c, t in linkage)
     tests_with_run = sum(1 for t in graph.by_type[_TEST]
-                         if graph.neighbours(t.id, "usesTest", outgoing=False))
+                         if graph.adjacent(t.id, "usesTest", outgoing=False))
     total = len(linkage)
     ratio = Fraction(1) if total == 0 else Fraction(fully, total)
     return LinkageReport(

@@ -5,7 +5,9 @@ entry's hash: the pre-image is the entry document without its integrity
 block, with a synthetic top-level field `prev` carrying the previous hash
 (empty string at the chain head) inserted before key sorting. Binding the
 predecessor into the pre-image is what makes deletion and reordering visible,
-not just in-place edits.
+not just in-place edits. A stored line's pre-image is also read from the
+line's own bytes (`_line_pre_image`), so a file verifies without rendering
+its entries again.
 
 Signing is pluggable. A signer is any callable taking the pre-image bytes and
 returning a SignatureRecord. One deterministic keyed scheme (HMAC-SHA256)
@@ -28,7 +30,15 @@ from .errors import (
     NonCanonicalizableNumber,
     SigningFailure,
 )
-from .model import ActorRef, EntryEnvelope, IntegrityBlock, SignatureRecord, record, replace
+from .model import (
+    PAYLOAD_KEY,
+    ActorRef,
+    EntryEnvelope,
+    IntegrityBlock,
+    SignatureRecord,
+    record,
+    replace,
+)
 
 # Tolerated backwards clock drift between adjacent entries.
 CLOCK_SKEW = timedelta(hours=24)
@@ -97,7 +107,47 @@ class ChainVerdict:
                 "failureKind": self.failure_kind}
 
 
-def verify_chain(entries: Sequence[EntryEnvelope]) -> ChainVerdict:
+def _line_pre_image(line: bytes, entry: EntryEnvelope) -> bytes | None:
+    """The hash pre-image of `entry` read from `line`, its stored bytes, or
+    None when the bytes around the line's `integrity` member are not laid out
+    as `append` writes them.
+
+    The top-level `integrity` member is cut only at its sorted place: its text
+    must be the canonical rendering of the entry's IntegrityBlock, followed by
+    the members that sort between `integrity` and `prev` (`links` and any
+    such extensions, rendered from the entry) and then by the first key after
+    `prev`. `"prev":<prevHash>` is spliced in after those members; every other
+    byte is hashed as stored. An entry with a top-level `prev` of its own has
+    no pre-image here either.
+    """
+    integrity, payload_key = entry.integrity, PAYLOAD_KEY[entry.entry_type]
+    after = payload_key if "prev" < payload_key < "type" else "type"  # first key after prev
+    between = {}
+    links = entry.links.to_doc()
+    if links:
+        between["links"] = links
+    for key, value in entry.extensions.items():
+        if key == "prev":
+            return None
+        if "integrity" < key < "prev":
+            between[key] = value
+        elif "prev" < key < after:
+            after = key
+    try:
+        members = canonical_bytes(between)[1:-1]
+        middle = b"," + members if members else b""
+        cut = b',"integrity":' + canonical_bytes(integrity.to_doc()) + middle
+        at = line.find(cut + b"," + canonical_bytes(after) + b":")
+        prev = b',"prev":' + canonical_bytes(integrity.prev_hash or "")
+    except NonCanonicalizableNumber:
+        return None
+    if at < 0:
+        return None
+    return b"".join((line[:at], middle, prev, line[at + len(cut):]))
+
+
+def verify_chain(entries: Sequence[EntryEnvelope],
+                 lines: Sequence[bytes] | None = None) -> ChainVerdict:
     """Recompute every hash and check linkage, id uniqueness, and time order.
 
     Scans from the head and reports the first broken index with its failure
@@ -105,19 +155,30 @@ def verify_chain(entries: Sequence[EntryEnvelope]) -> ChainVerdict:
     (a number with no canonical form, such as NaN or ±inf, or a top-level
     `prev`), shows up as a hash mismatch at its index. Timestamps may step
     backwards by at most the clock-skew allowance.
+
+    `lines`, when given, are the stored lines the entries were parsed from.
+    Each hash is then checked over its line's own bytes (`_line_pre_image`),
+    and only a line that fails that check is rendered: when the rendering's
+    pre-image hashes right the line is a `nonCanonicalLine`, else a hash
+    mismatch. At one index a failure of the chain's own kinds comes first.
     """
     seen_ids: set[str] = set()
     prev_hash: str | None = None
     prev_created = None
     for index, entry in enumerate(entries):
         integrity = entry.integrity
-        try:
-            intact = integrity is not None \
-                and integrity.hash == compute_hash(canonicalize(entry, integrity.prev_hash))
-        except (NonCanonicalizableNumber, MalformedDocument):
-            intact = False
-        if not intact:
+        if integrity is None:
             return ChainVerdict(False, index, "hashMismatch", len(entries))
+        pre_image = None if lines is None else _line_pre_image(lines[index], entry)
+        canonical = pre_image is not None and integrity.hash == compute_hash(pre_image)
+        if not canonical:
+            try:
+                intact = integrity.hash == compute_hash(canonicalize(entry, integrity.prev_hash))
+            except (NonCanonicalizableNumber, MalformedDocument):
+                intact = False
+            if not intact:
+                return ChainVerdict(False, index, "hashMismatch", len(entries))
+            canonical = lines is None
         if integrity.prev_hash != prev_hash:
             return ChainVerdict(False, index, "prevHashMismatch", len(entries))
         if entry.id in seen_ids:
@@ -128,6 +189,8 @@ def verify_chain(entries: Sequence[EntryEnvelope]) -> ChainVerdict:
             return ChainVerdict(False, index, "orderViolation", len(entries))
         if prev_created is not None and created < prev_created - CLOCK_SKEW:
             return ChainVerdict(False, index, "orderViolation", len(entries))
+        if not canonical:
+            return ChainVerdict(False, index, "nonCanonicalLine", len(entries))
         seen_ids.add(entry.id)
         prev_hash = integrity.hash
         prev_created = created

@@ -138,13 +138,13 @@ def read_entries(path: str | Path) -> list[EntryEnvelope]:
 def verify_file(path: str | Path) -> tuple[ChainVerdict, list[EntryEnvelope]]:
     """Check a ledger file as stored; return the verdict and the parsed entries.
 
-    The entries must form a chain (`verify_chain`), each line must be its
-    entry's canonical rendering, byte for byte (`nonCanonicalLine`), and the
+    The entries must form a chain, each hash checked over its stored line's
+    bytes, and each line must be laid out as `append` writes it
+    (`nonCanonicalLine`): both are `verify_chain`'s, given the lines. The
     `.head` file, when there is one, must hold the last line's hash and a
-    newline (`headMismatch`, at index = entry count). The earliest failing
-    index is reported; on a tie the chain's own failure kind wins. Raises
-    CorruptLine, as `_read` does, for a line that does not parse, and for
-    any bytes after the last newline, an unfinished append included.
+    newline (`headMismatch`, at index = entry count). Raises CorruptLine, as
+    `_read` does, for a line that does not parse, and for any bytes after the
+    last newline, an unfinished append included.
     """
     from .integrity import ChainVerdict, verify_chain
 
@@ -152,13 +152,7 @@ def verify_file(path: str | Path) -> tuple[ChainVerdict, list[EntryEnvelope]]:
     count = len(entries)
     if cut is not None:
         raise CorruptLine(count + 1, "no newline")
-    verdict = verify_chain(entries)
-    # Below the chain's first failure every entry has a canonical form, so
-    # rendering it cannot raise.
-    checked = count if verdict.valid else verdict.first_broken_index
-    for index in range(checked):
-        if serialize_entry(entries[index]).encode("utf-8") != lines[index]:
-            return ChainVerdict(False, index, "nonCanonicalLine", count), entries
+    verdict = verify_chain(entries, lines)
     if verdict.valid and head is not None:
         expected = _head_line(entries[-1].integrity.hash) if entries else b""
         if head != expected:
@@ -206,8 +200,10 @@ class LedgerFile:
             else:
                 _, entries, head, self._cut = _read(self.path)
             self.snapshot = Snapshot(_linked(entries, head))  # kept current by append
-        except BaseException:
+        except BaseException as exc:
             self.close()  # an open that fails must not keep the writer lock
+            if isinstance(exc, OSError) and not isinstance(exc, FileNotFoundError):
+                raise StorageFailure(f"cannot open {self.path}: {exc}") from exc
             raise
 
     def close(self) -> None:
@@ -260,11 +256,16 @@ class LedgerFile:
         sealed = seal(entry, prev_hash=self.snapshot.head_hash, signer=self.signer)
         line = (serialize_entry(sealed) + "\n").encode("utf-8")
         if self._fh is None:  # a new ledger, made only now, after every check
-            self.path.parent.mkdir(parents=True, exist_ok=True)
+            try:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise StorageFailure(f"cannot make {self.path.parent}: {exc}") from exc
             try:
                 self._fh = _open_locked(self.path, os.O_CREAT | os.O_EXCL)
             except FileExistsError as exc:  # this snapshot is not that file's
                 raise StorageFailure(f"{self.path} appeared after this writer opened it") from exc
+            except OSError as exc:
+                raise StorageFailure(f"cannot create {self.path}: {exc}") from exc
         elif self._cut is not None:  # the unfinished append `_read` left out
             self._fh.truncate(self._cut)
             os.fsync(self._fh.fileno())

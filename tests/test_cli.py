@@ -393,6 +393,43 @@ def test_every_ledger_writer_refuses_a_broken_chain(writable, tmp_path, capsys, 
     assert writable.read_bytes() == before
 
 
+def _tree(root) -> dict[str, bytes | None]:
+    """Every path under `root` with a file's bytes (None for anything else)."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() and not p.is_symlink()
+            else None for p in sorted(root.rglob("*"))}
+
+
+# Ledger paths a writer cannot open or create, with the refusal's opening
+# words: a path through a regular file, a directory, and a path whose parent
+# is a dangling symbolic link (the first append's mkdir fails). `redact`
+# needs a ledger that exists, so only a directory gets past its usage check.
+UNWRITABLE_PATHS = {
+    "append-through-a-file": ("append", "afile/new.pledger", "cannot open"),
+    "append-to-a-directory": ("append", "adir.pledger", "cannot open"),
+    "append-under-a-dangling-link": ("append", "dangling/new.pledger", "cannot make"),
+    "redact-a-directory": ("redact", "adir.pledger", "cannot open"),
+}
+
+
+@pytest.mark.parametrize("case", UNWRITABLE_PATHS.keys())
+def test_a_writer_that_cannot_open_its_ledger_exits_4_and_changes_nothing(
+        tmp_path, capsys, case):
+    # An OSError at the open or at the first append's create is a storage
+    # failure (exit 4), not a traceback.
+    writer, ledger, refusal = UNWRITABLE_PATHS[case]
+    (tmp_path / "afile").write_bytes(b"a regular file\n")
+    (tmp_path / "adir.pledger").mkdir()
+    (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
+    entry = tmp_path / "entry.json"
+    entry.write_text(json.dumps(sample_contribution_doc()), "utf-8")
+    before = _tree(tmp_path)
+    argv = [arg.format(entry=entry) for arg in LEDGER_WRITERS[writer]]
+    code, out, err = run_cli(capsys, *argv, "--ledger", str(tmp_path / ledger))
+    assert (code, out) == (4, "")
+    assert err.startswith(f"verification failure: {refusal} "), err
+    assert _tree(tmp_path) == before
+
+
 def _drop_the_last_line(data: bytes) -> bytes:
     return data[:data.rstrip(b"\n").rfind(b"\n") + 1]
 

@@ -131,6 +131,9 @@ def test_random_edges_match_raw_link_scan():
         graph = build_graph(Snapshot(entries))
         assert graph.edges == [(t, k, e.id) if k == "motivates" else (e.id, k, t)
                                for e in entries for k, t in e.links.iter_links()]
+        ids = {e.id for e in entries}
+        assert graph.dangling == [(e.id, t) for e in entries for _k, t in e.links.iter_links()
+                                  if t not in ids and t.startswith("pl:")]
         for kind in LINK_KINDS:
             assert _pairs(graph, kind) == oracle_edges(entries, kind), (seed, kind)
         for entry in entries:

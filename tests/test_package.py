@@ -168,6 +168,48 @@ def test_a_gate_check_compiles_no_to_doc(lifecycle, fmt):
     assert proc.stderr.splitlines()[-1] == "exit 0, to_doc compiled for []"
 
 
+# The to_doc probe, with every call of `canonicalize` and `serialize_entry`
+# during the command counted.
+RENDER_PROBE = """
+import sys
+from pledger import integrity, model, store
+calls = []
+
+def counted(name, function):
+    def call(*args, **kwargs):
+        calls.append(name)
+        return function(*args, **kwargs)
+    return call
+
+integrity.canonicalize = counted("canonicalize", integrity.canonicalize)
+model.serialize_entry = store.serialize_entry = counted("serialize_entry", model.serialize_entry)
+""" + TO_DOC_PROBE + """
+print(f"rendered {calls}", file=sys.stderr)
+"""
+
+
+def test_verify_renders_no_entry_of_an_intact_ledger(lifecycle):
+    # Each hash is checked over the stored line: only the integrity block
+    # and the links, which sit at the cut and the splice, are rendered.
+    proc = run_python("-c", RENDER_PROBE, "verify", "--ledger", str(lifecycle[0]))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stderr.splitlines()[-2:] == [
+        "exit 0, to_doc compiled for ['pledger.model.IntegrityBlock', 'pledger.model.LinkSet']",
+        "rendered []"]
+
+
+def test_the_render_probe_sees_a_non_canonical_line(lifecycle, tmp_path):
+    # Line 5 re-spaced: the one line whose bytes fail is rendered, once.
+    lines = lifecycle[0].read_text("utf-8").splitlines()
+    lines[4] = json.dumps(json.loads(lines[4]))
+    respaced = tmp_path / "respaced.pledger"
+    respaced.write_text("".join(line + "\n" for line in lines), "utf-8")
+    proc = run_python("-c", RENDER_PROBE, "verify", "--ledger", str(respaced))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stderr.splitlines()[-2].startswith("exit 4, ")
+    assert proc.stderr.splitlines()[-1] == "rendered ['canonicalize']"
+
+
 def test_the_to_doc_probe_sees_what_an_export_compiles(lifecycle):
     proc = run_python("-c", TO_DOC_PROBE, "export", "--release", f"{ARTIFACT_ID}@v3",
                       "--now", "2025-06-27T00:00:00Z", "--ledger", str(lifecycle[0]))
