@@ -147,21 +147,17 @@ def _cmd_append(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .integrity import verify_signatures
-
-    verdict, entries = store.verify_file(_existing_ledger(args))
+    path = _existing_ledger(args)
+    keyed = _parse_hmac(args.hmac_key)
+    verdict, _entries, report = store.verify_file(path, None if keyed is None else dict([keyed]))
     lines = [verdict.describe()]
     doc = {"chain": verdict.to_doc()}
-    ok = verdict.valid
-    keyed = _parse_hmac(args.hmac_key)
-    if keyed is not None:
-        report = verify_signatures(entries, {keyed[0]: keyed[1]})
+    if report is not None:
         counts = report.counts()
         lines.append("signatures: " + ", ".join(f"{v} {k}" for k, v in counts.items()))
         doc["signatures"] = counts
-        ok = ok and report.all_good()
     _emit(args, "\n".join(lines), doc)
-    return 0 if ok else 4
+    return 0 if verdict.valid and (report is None or report.all_good()) else 4
 
 
 def _cmd_query(args: argparse.Namespace) -> int:

@@ -5,9 +5,9 @@ entry's hash: the pre-image is the entry document without its integrity
 block, with a synthetic top-level field `prev` carrying the previous hash
 (empty string at the chain head) inserted before key sorting. Binding the
 predecessor into the pre-image is what makes deletion and reordering visible,
-not just in-place edits. A stored line's pre-image is also read from the
-line's own bytes (`_line_pre_image`), so a file verifies without rendering
-its entries again.
+not just in-place edits. `seal` renders the pre-image; the checks read it
+from each stored line's own bytes (`_line_pre_image`), so a file verifies
+without rendering its entries and a line's hash and MAC bind the same bytes.
 
 Signing is pluggable. A signer is any callable taking the pre-image bytes and
 returning a SignatureRecord. One deterministic keyed scheme (HMAC-SHA256)
@@ -20,7 +20,7 @@ signer is made or signatures are checked.
 from __future__ import annotations
 
 from datetime import timedelta
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .canonical import canonical_bytes, compute_hash
 from .errors import (
@@ -146,21 +146,19 @@ def _line_pre_image(line: bytes, entry: EntryEnvelope) -> bytes | None:
     return b"".join((line[:at], middle, prev, line[at + len(cut):]))
 
 
-def verify_chain(entries: Sequence[EntryEnvelope],
-                 lines: Sequence[bytes] | None = None) -> ChainVerdict:
-    """Recompute every hash and check linkage, id uniqueness, and time order.
+def verify_chain(entries: Sequence[EntryEnvelope], lines: Sequence[bytes]) -> ChainVerdict:
+    """Check every hash, the linkage, id uniqueness, and time order.
 
-    Scans from the head and reports the first broken index with its failure
-    kind. Entries must be sealed; an unsealed entry, or one with no pre-image
-    (a number with no canonical form, such as NaN or ±inf, or a top-level
-    `prev`), shows up as a hash mismatch at its index. Timestamps may step
-    backwards by at most the clock-skew allowance.
-
-    `lines`, when given, are the stored lines the entries were parsed from.
-    Each hash is then checked over its line's own bytes (`_line_pre_image`),
-    and only a line that fails that check is rendered: when the rendering's
-    pre-image hashes right the line is a `nonCanonicalLine`, else a hash
-    mismatch. At one index a failure of the chain's own kinds comes first.
+    `lines` are the stored lines the entries were parsed from. Scans from
+    the head and reports the first broken index with its failure kind. Each
+    hash is checked over its line's own bytes (`_line_pre_image`); an
+    unsealed entry, or one with no pre-image (a number with no canonical
+    form, such as NaN or ±inf, or a top-level `prev`), shows up as a hash
+    mismatch at its index. Only a line whose bytes fail is rendered
+    (`canonicalize`): when the rendering's pre-image hashes right the line is
+    a `nonCanonicalLine`, else a hash mismatch. At one index a failure of the
+    chain's own kinds comes first. Timestamps may step backwards by at most
+    the clock-skew allowance.
     """
     seen_ids: set[str] = set()
     prev_hash: str | None = None
@@ -169,7 +167,7 @@ def verify_chain(entries: Sequence[EntryEnvelope],
         integrity = entry.integrity
         if integrity is None:
             return ChainVerdict(False, index, "hashMismatch", len(entries))
-        pre_image = None if lines is None else _line_pre_image(lines[index], entry)
+        pre_image = _line_pre_image(lines[index], entry)
         canonical = pre_image is not None and integrity.hash == compute_hash(pre_image)
         if not canonical:
             try:
@@ -178,7 +176,6 @@ def verify_chain(entries: Sequence[EntryEnvelope],
                 intact = False
             if not intact:
                 return ChainVerdict(False, index, "hashMismatch", len(entries))
-            canonical = lines is None
         if integrity.prev_hash != prev_hash:
             return ChainVerdict(False, index, "prevHashMismatch", len(entries))
         if entry.id in seen_ids:
@@ -231,20 +228,20 @@ def _mac(key: bytes, pre_image: bytes) -> bytes:
     return hmac.new(key, pre_image, hashlib.sha256).digest()
 
 
-def verify_signatures(entries: Iterable[EntryEnvelope],
+def verify_signatures(entries: Sequence[EntryEnvelope], lines: Sequence[bytes],
                       keys: dict[str, bytes]) -> SignatureReport:
-    """Check each entry's HMAC-SHA256 signature; `keys` maps keyRef to key bytes.
+    """Check each entry's HMAC-SHA256 signature over its stored line's
+    pre-image, the bytes `verify_chain` hashes; `keys` maps keyRef to key bytes.
 
-    Assumes the chain already verified; hashes are not recomputed here beyond
-    rebuilding each pre-image. A signature of another scheme is unverifiable,
-    not invalid. One whose keyRef has no key, whose MAC differs, or whose
-    entry has no pre-image is invalid.
+    Every line is checked, past a break in the chain too. A signature of
+    another scheme is unverifiable, not invalid. One whose keyRef has no key,
+    whose MAC differs, or whose line has no pre-image is invalid.
     """
     import base64
     import hmac
 
     report = SignatureReport()
-    for entry in entries:
+    for entry, line in zip(entries, lines):
         integrity = entry.integrity
         if integrity is None or integrity.signature is None:
             report.verdicts.append(SignatureVerdict(entry.id, "absent"))
@@ -255,9 +252,9 @@ def verify_signatures(entries: Iterable[EntryEnvelope],
             continue
         try:
             key = keys.get(sig.key_ref)
-            ok = key is not None and hmac.compare_digest(
-                _mac(key, canonicalize(entry, integrity.prev_hash)),
-                base64.b64decode(sig.signature_bytes, validate=True))
+            pre_image = None if key is None else _line_pre_image(line, entry)
+            ok = pre_image is not None and hmac.compare_digest(
+                _mac(key, pre_image), base64.b64decode(sig.signature_bytes, validate=True))
         except (LedgerError, TypeError, ValueError):
             ok = False
         report.verdicts.append(

@@ -3,9 +3,9 @@
 One `.pledger` file holds newline-delimited canonical entry documents; a
 companion `<name>.head` file carries the current head digest and is rewritten
 atomically on every append. Every open reads both through `_read`, and
-`verify_file` checks them as stored. The writer, `LedgerFile`, takes an
-advisory lock so there is exactly one writer per file; readers never lock.
-A writer changes no byte on disk before its first append.
+`verify_file` checks them as stored, signatures included. The writer,
+`LedgerFile`, takes an advisory lock so there is exactly one writer per file;
+readers never lock. A writer changes no byte on disk before its first append.
 
 Redaction never rewrites history: a Tombstone entry restricts access to its
 target's payload while the original line, and therefore the chain, stays
@@ -51,7 +51,7 @@ from .model import (
 )
 
 if TYPE_CHECKING:  # `integrity` is imported by the methods that seal or verify
-    from .integrity import ChainVerdict, Signer
+    from .integrity import ChainVerdict, SignatureReport, Signer
 
 HEAD_SUFFIX = ".head"
 
@@ -74,15 +74,18 @@ def _read(path: str | Path) -> tuple[list[bytes], list[EntryEnvelope], bytes | N
     names a line before them, or when there is neither `.head` nor a line.
     Raises CorruptLine with a 1-based line number for the first line that is
     blank, not UTF-8, or not a complete entry document, and for other bytes
-    after the last newline (`no newline`).
+    after the last newline (`no newline`); StorageFailure when the ledger or
+    its `.head` exists but cannot be read (a directory, say).
     """
     # Read before the lines, as an append writes it after its line: a racing
     # append can make the head lag the lines read, never name a line not read.
     try:
-        head = head_path(path).read_bytes()
+        head = head_path(path).read_bytes() if head_path(path).exists() else None
+        data = Path(path).read_bytes()
     except FileNotFoundError:
-        head = None
-    data = Path(path).read_bytes()
+        raise
+    except OSError as exc:
+        raise StorageFailure(f"cannot read {path}: {exc}") from exc
     lines = data.split(b"\n")
     tail = lines.pop()  # the bytes after the last newline are never a line
     entries: list[EntryEnvelope] = []
@@ -135,18 +138,20 @@ def read_entries(path: str | Path) -> list[EntryEnvelope]:
     return _linked(entries, head)
 
 
-def verify_file(path: str | Path) -> tuple[ChainVerdict, list[EntryEnvelope]]:
-    """Check a ledger file as stored; return the verdict and the parsed entries.
+def verify_file(path: str | Path, keys: dict[str, bytes] | None = None
+                ) -> tuple[ChainVerdict, list[EntryEnvelope], SignatureReport | None]:
+    """Check a ledger file as stored: all of `pledger verify`. Returns the
+    chain's verdict, the parsed entries and, given `keys` (keyRef to key
+    bytes), the signatures' report.
 
-    The entries must form a chain, each hash checked over its stored line's
-    bytes, and each line must be laid out as `append` writes it
-    (`nonCanonicalLine`): both are `verify_chain`'s, given the lines. The
-    `.head` file, when there is one, must hold the last line's hash and a
-    newline (`headMismatch`, at index = entry count). Raises CorruptLine, as
-    `_read` does, for a line that does not parse, and for any bytes after the
-    last newline, an unfinished append included.
+    Each hash and signature is checked over its stored line's bytes, which
+    must be laid out as `append` writes them (`nonCanonicalLine`), on every
+    line for signatures (`verify_chain`, `verify_signatures`). `.head`, when
+    there is one, must hold the last line's hash and a newline
+    (`headMismatch`, at index = entry count). Raises what `_read` raises, and
+    CorruptLine for any bytes after the last newline (an unfinished append).
     """
-    from .integrity import ChainVerdict, verify_chain
+    from .integrity import ChainVerdict, verify_chain, verify_signatures
 
     lines, entries, head, cut = _read(path)
     count = len(entries)
@@ -157,7 +162,7 @@ def verify_file(path: str | Path) -> tuple[ChainVerdict, list[EntryEnvelope]]:
         expected = _head_line(entries[-1].integrity.hash) if entries else b""
         if head != expected:
             verdict = ChainVerdict(False, count, "headMismatch", count)
-    return verdict, entries
+    return verdict, entries, None if keys is None else verify_signatures(entries, lines, keys)
 
 
 def _open_locked(path: Path, flags: int = 0) -> BinaryIO:

@@ -36,6 +36,7 @@ from pledger.model import (
     VoucherCondition,
     VoucherPayload,
     format_timestamp,
+    serialize_entry,
 )
 from pledger.store import read_entries
 
@@ -379,6 +380,12 @@ def random_query(rng: random.Random, entries: list[EntryEnvelope]) -> str:
         for _ in range(rng.randint(1, 3)))
     lines.append("RETURN " + projections + ";")
     return "\n".join(lines)
+
+
+def stored_lines(entries: list[EntryEnvelope]) -> list[bytes]:
+    """The lines `append` writes for `entries` (without their newlines), as
+    `verify_chain` and `verify_signatures` take them."""
+    return [serialize_entry(entry).encode("utf-8") for entry in entries]
 
 
 def sealed_chain(entries: list[EntryEnvelope]) -> list[EntryEnvelope]:

@@ -28,6 +28,7 @@ from conftest import (
     random_query,
     sealed_chain,
     stamp,
+    stored_lines,
 )
 
 from pledger.canonical import canonical_bytes, canonical_json, compute_hash
@@ -231,7 +232,8 @@ def _mutate_once(rng: random.Random, entry: EntryEnvelope) -> EntryEnvelope | No
 def test_c3_tamper_detection():
     with criterion("criterion 3 (tamper detection)"):
         chain = _hundred_entry_chain()
-        assert verify_chain(chain).valid
+        lines = stored_lines(chain)
+        assert verify_chain(chain, lines).valid
 
         started = time.monotonic()
         rng = random.Random(1789)
@@ -241,13 +243,14 @@ def test_c3_tamper_detection():
             mutant = _mutate_once(rng, chain[index])
             if mutant is None:
                 continue
-            verdict = verify_chain(chain[:index] + [mutant] + chain[index + 1:])
+            verdict = verify_chain(chain[:index] + [mutant] + chain[index + 1:],
+                                   lines[:index] + stored_lines([mutant]) + lines[index + 1:])
             assert not verdict.valid
             assert verdict.first_broken_index == index
             detected += 1
         assert time.monotonic() - started < 10.0
 
-        assert verify_chain(chain).valid
+        assert verify_chain(chain, lines).valid
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from conftest import make_artifact, make_change, make_contribution, make_test
 from pledger import store
 from pledger.canonical import canonical_json
 from pledger.cli import _UsageError, build_parser, main
-from pledger.errors import CorruptLine
+from pledger.errors import CorruptLine, StorageFailure
 from pledger.evidence import build_export
 from pledger.fixtures import (
     ARTIFACT_ID,
@@ -253,7 +253,7 @@ def test_readers_refuse_a_broken_chain_where_verify_reports_it(writable, broken)
     # One name for one fault: a reader refuses the line after verify's first
     # broken index, for the reason verify gives.
     _break_chain(writable, BROKEN_CHAINS[broken][0])
-    verdict, _entries = store.verify_file(writable)
+    verdict = store.verify_file(writable)[0]
     with pytest.raises(CorruptLine) as info:
         read_entries(writable)
     assert (info.value.line_number, info.value.reason) == (
@@ -306,7 +306,7 @@ def test_verify_detects_tampering_that_keeps_the_decoded_chain(
             read_entries(writable)
         assert str(info.value) == f"corrupt ledger line {index + 1}: headMismatch"
         return
-    verdict, _entries = store.verify_file(writable)
+    verdict = store.verify_file(writable)[0]
     assert (verdict.valid, verdict.first_broken_index, verdict.failure_kind,
             verdict.entry_count) == (False, index, kind, count)
 
@@ -366,6 +366,25 @@ def test_every_ledger_reader_answers_read_errors_alike(lifecycle, writable, tmp_
         else:
             assert (code, out, err) == (
                 4, "", f"verification failure: corrupt ledger line {refusal}\n")
+
+
+@pytest.mark.parametrize("argv", LEDGER_READERS.values(), ids=LEDGER_READERS.keys())
+def test_every_ledger_reader_exits_4_on_a_ledger_it_cannot_read(writable, tmp_path, capsys,
+                                                                argv):
+    # A ledger path, or its `.head`, that exists but is a directory is a
+    # storage failure (exit 4), not a traceback; nothing on disk changes.
+    (tmp_path / "adir.pledger").mkdir()
+    store.head_path(writable).mkdir()
+    before = _tree(tmp_path)
+    for ledger in (tmp_path / "adir.pledger", writable):
+        code, out, err = run_cli(capsys, *argv, "--ledger", str(ledger))
+        assert (code, out) == (4, "")
+        assert err.startswith(f"verification failure: cannot read {ledger}: "), err
+        assert "Is a directory" in err
+    assert _tree(tmp_path) == before
+    for read in (read_entries, store.verify_file):
+        with pytest.raises(StorageFailure, match="cannot read"):
+            read(tmp_path / "adir.pledger")
 
 
 # Every command that appends, with the arguments it needs besides --ledger.

@@ -73,7 +73,7 @@ def _outcome(path, old: bytes, new: bytes) -> tuple:
             led.redact(CONTRIBUTION_ID, "legalHold", AUDITOR, created_at=LATER)
         data = path.read_bytes()
         kept = data[:data.rstrip(b"\n").rfind(b"\n") + 1]
-        verdict, entries = verify_file(path)
+        verdict, entries, _report = verify_file(path)
         chain = {old: "old", new: "new"}.get(kept, "third chain")
         return seen, verdict.describe(), entries[-1].entry_type is EntryType.TOMBSTONE, chain
 

@@ -472,7 +472,7 @@ def test_random_envelope_ledger_lines_are_fixpoints(tmp_path):
         with store.LedgerFile(path) as ledger:
             for envelope in envelopes:
                 ledger.append(envelope)
-        verdict, stored = store.verify_file(path)
+        verdict, stored, _report = store.verify_file(path)
         assert (verdict.valid, verdict.entry_count) == (True, 120)
         assert [e.to_doc() for e in stored] == [e.to_doc() for e in entries]
 

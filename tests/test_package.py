@@ -198,6 +198,24 @@ def test_verify_renders_no_entry_of_an_intact_ledger(lifecycle):
         "rendered []"]
 
 
+def test_verify_with_a_key_renders_no_entry_of_an_intact_signed_ledger(lifecycle, tmp_path):
+    # Each MAC is checked over the pre-image its hash was checked over, read
+    # from the stored line: checking the signatures renders nothing either.
+    from test_verify_bytes import _signed_copy
+
+    signed = tmp_path / "signed.pledger"
+    _signed_copy(lifecycle[0], signed)
+    proc = run_python("-c", RENDER_PROBE, "verify", "--ledger", str(signed),
+                      "--hmac-key", "k1=sekrit")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == ("chain valid, 15 entries\n"
+                           "signatures: 15 valid, 0 invalid, 0 unverifiable, 0 absent\n")
+    assert proc.stderr.splitlines()[-2:] == [
+        "exit 0, to_doc compiled for ['pledger.model.ActorRef', 'pledger.model.IntegrityBlock',"
+        " 'pledger.model.LinkSet', 'pledger.model.SignatureRecord']",
+        "rendered []"]
+
+
 def test_the_render_probe_sees_a_non_canonical_line(lifecycle, tmp_path):
     # Line 5 re-spaced: the one line whose bytes fail is rendered, once.
     lines = lifecycle[0].read_text("utf-8").splitlines()

@@ -20,7 +20,7 @@ from pledger.errors import (
     ValidationFailed,
     WrongEntryType,
 )
-from pledger.integrity import hmac_signer, seal, verify_chain
+from pledger.integrity import hmac_signer, seal
 from pledger.model import (
     ActorRef,
     EntryEnvelope,
@@ -268,7 +268,7 @@ def test_a_line_that_does_not_link_is_corrupt(ledger_path):
             LedgerFile(ledger_path)
         assert (info.value.line_number, info.value.reason) == (line_number, kind)
         assert str(info.value) == f"corrupt ledger line {line_number}: {kind}"
-        verdict, entries = verify_file(ledger_path)
+        verdict, entries, _report = verify_file(ledger_path)
         assert (verdict.first_broken_index, verdict.failure_kind) == chain
         assert [serialize_entry(e) for e in entries] == damaged
     ledger_path.write_text("X" + "\n".join(lines)[1:] + "\n", "utf-8")
@@ -473,4 +473,4 @@ def test_append_rejects_backdating_beyond_skew(ledger_path):
         assert ledger_path.stat().st_size == size_before
 
     # the point of the rejection: append-only files always verify
-    assert verify_chain(read_entries(ledger_path)).valid
+    assert verify_file(ledger_path)[0].valid

@@ -7,12 +7,15 @@ first line of every entry type and at the ends. `store.verify_file` and
 `oracle_verify_file` must give the same (valid, index, kind, count), with
 the file's own `.head` and without one. Only a forger who reseals
 non-canonical bytes over those bytes gets a different verdict, pinned in a
-test of its own.
+test of its own. Signatures, at the end, are checked over the same bytes as
+the hashes.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import hmac
 import json
 import re
 import sys
@@ -22,6 +25,7 @@ import pytest
 
 from oracle_verify import oracle_verify_file
 from pledger import integrity
+from pledger.cli import main
 from pledger.canonical import canonical_json
 from pledger.errors import CorruptLine
 from pledger.integrity import canonicalize, hmac_signer, seal
@@ -353,3 +357,79 @@ def test_a_top_level_prev_has_no_pre_image_even_over_its_own_bytes(lifecycle, tm
     _write(path, [*lines[:-1], own + canonical_json({**doc, "integrity": block})[1:]])
     assert _assert_agrees(path, (block["hash"] + "\n").encode("utf-8"), monkeypatch) \
         == [(False, 14, "hashMismatch", 15)] * 2
+
+
+# ---------------------------------------------------------------------------
+# signatures: each MAC is checked over the pre-image its hash is checked over
+
+KEYS = {"k1": b"sekrit"}  # the key `_signed_copy` signs with
+
+
+def _statuses(path: Path) -> list[str]:
+    return [v.status for v in verify_file(path, KEYS)[2].verdicts]
+
+
+def test_a_signature_remade_over_resealed_non_canonical_bytes_is_valid(ledgers, tmp_path):
+    # A key holder who reseals a non-canonical line over exactly its bytes
+    # and signs those bytes gets a valid chain and a valid signature: hash
+    # and MAC bind the same bytes. A MAC checked over a fresh rendering, as
+    # before, reads invalid here (the rendering is not those bytes).
+    lines = ledgers["signed"].read_text("utf-8").splitlines()
+
+    def edit(text: str) -> str:
+        return "{ " + text[1:]
+
+    def mac(pre_image: bytes) -> str:
+        return base64.b64encode(hmac.new(KEYS["k1"], pre_image, hashlib.sha256).digest()).decode()
+
+    entry = parse_entry(lines[4])
+    rendered = canonicalize(entry, entry.integrity.prev_hash)
+    signed = mac(edit(rendered.decode("utf-8")).encode("utf-8"))
+    assert mac(rendered) == entry.integrity.signature.signature_bytes != signed
+    forged = _resealed_over_its_bytes(lines, 4, edit)  # later lines resealed unsigned
+    forged[4] = forged[4].replace(entry.integrity.signature.signature_bytes, signed)
+    path = tmp_path / "forged.pledger"
+    _write(path, forged)
+    head_path(path).write_text(json.loads(forged[-1])["integrity"]["hash"] + "\n")
+    assert _verdict(lambda p: verify_file(p)[0], path) == (True, None, None, 15)
+    assert _statuses(path) == ["valid"] * 5 + ["absent"] * 10
+
+
+@pytest.mark.parametrize("tamper", ["respaced", "signature-reordered"])
+def test_a_signed_line_with_no_byte_pre_image_keeps_its_chain_verdict_and_reads_invalid(
+        ledgers, tmp_path, monkeypatch, tamper):
+    # Deliberate: re-spaced or with its signature's members reordered, the
+    # line has no pre-image read from its bytes. The chain verdict is the
+    # oracle's (`nonCanonicalLine`), and its signature, which a rendering
+    # would still match, is invalid; every other line's stays valid.
+    source = ledgers["signed"]
+    lines = source.read_text("utf-8").splitlines()
+    for index in _indices(lines):
+        path = tmp_path / f"{tamper}-{index}.pledger"
+        _write(path, [*lines[:index], LINE_TAMPERS[tamper](lines[index]), *lines[index + 1:]])
+        assert _assert_agrees(path, head_path(source).read_bytes(), monkeypatch)[0] \
+            == (False, index, "nonCanonicalLine", 15)
+        statuses = _statuses(path)
+        assert statuses[index] == "invalid"
+        assert statuses[:index] + statuses[index + 1:] == ["valid"] * 14
+
+
+def test_every_signature_is_counted_past_a_break_in_the_chain(ledgers, tmp_path, capsys):
+    # A dropped line breaks the links (every remaining line signed as
+    # stored); an edited line breaks its hash and its MAC. Either way
+    # `verify --hmac-key` checks each line after the break too.
+    lines = ledgers["signed"].read_text("utf-8").splitlines()
+    edited = lines[3].replace('"createdAt":"2025-', '"createdAt":"2024-', 1)
+    assert edited != lines[3]
+    path = tmp_path / "broken.pledger"
+    for stored, chain, signatures in (
+            ([*lines[:6], *lines[7:]], (6, "prevHashMismatch", 14), (14, 0)),
+            ([*lines[:3], edited, *lines[4:]], (3, "hashMismatch", 15), (14, 1))):
+        _write(path, stored)
+        code = main(["verify", "--ledger", str(path), "--hmac-key", "k1=sekrit", "--format", "doc"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 4
+        assert report["chain"] == {"valid": False, "firstBrokenIndex": chain[0],
+                                   "failureKind": chain[1], "entryCount": chain[2]}
+        assert report["signatures"] == {"valid": signatures[0], "invalid": signatures[1],
+                                        "unverifiable": 0, "absent": 0}
