@@ -19,7 +19,7 @@ signer is made or signatures are checked.
 
 from __future__ import annotations
 
-from datetime import timedelta
+from functools import cache
 from typing import Callable, Sequence
 
 from .canonical import canonical_bytes, compute_hash
@@ -27,7 +27,6 @@ from .errors import (
     AlreadySealed,
     LedgerError,
     MalformedDocument,
-    NonCanonicalizableNumber,
     SigningFailure,
 )
 from .model import (
@@ -39,9 +38,7 @@ from .model import (
     record,
     replace,
 )
-
-# Tolerated backwards clock drift between adjacent entries.
-CLOCK_SKEW = timedelta(hours=24)
+from .store import chain_break
 
 Signer = Callable[[bytes], SignatureRecord]
 
@@ -133,65 +130,51 @@ def _line_pre_image(line: bytes, entry: EntryEnvelope) -> bytes | None:
             between[key] = value
         elif "prev" < key < after:
             after = key
-    try:
-        members = canonical_bytes(between)[1:-1]
-        middle = b"," + members if members else b""
-        cut = b',"integrity":' + canonical_bytes(integrity.to_doc()) + middle
-        at = line.find(cut + b"," + canonical_bytes(after) + b":")
-        prev = b',"prev":' + canonical_bytes(integrity.prev_hash or "")
-    except NonCanonicalizableNumber:
-        return None
+    members = canonical_bytes(between)[1:-1]
+    middle = b"," + members if members else b""
+    cut = b',"integrity":' + canonical_bytes(integrity.to_doc()) + middle
+    at = line.find(cut + b"," + canonical_bytes(after) + b":")
+    prev = b',"prev":' + canonical_bytes(integrity.prev_hash or "")
     if at < 0:
         return None
     return b"".join((line[:at], middle, prev, line[at + len(cut):]))
 
 
 def verify_chain(entries: Sequence[EntryEnvelope], lines: Sequence[bytes]) -> ChainVerdict:
-    """Check every hash, the linkage, id uniqueness, and time order.
+    """The first broken index and its failure kind under the chain's rules
+    (`store.chain_break`) and the line rule: each hash is the sha256 of the
+    pre-image read from the stored line its entry was parsed from
+    (`_line_pre_image`). Only a line whose bytes fail is rendered
+    (`canonicalize`): a `nonCanonicalLine` when that rendering's pre-image
+    hashes right, else a `hashMismatch`, as for a top-level `prev`. At one
+    index a hash mismatch comes first, then the chain's own kinds, then a
+    `nonCanonicalLine`."""
+    return _chain_verdict(entries, lambda index: _line_pre_image(lines[index], entries[index]))
 
-    `lines` are the stored lines the entries were parsed from. Scans from
-    the head and reports the first broken index with its failure kind. Each
-    hash is checked over its line's own bytes (`_line_pre_image`); an
-    unsealed entry, or one with no pre-image (a number with no canonical
-    form, such as NaN or ±inf, or a top-level `prev`), shows up as a hash
-    mismatch at its index. Only a line whose bytes fail is rendered
-    (`canonicalize`): when the rendering's pre-image hashes right the line is
-    a `nonCanonicalLine`, else a hash mismatch. At one index a failure of the
-    chain's own kinds comes first. Timestamps may step backwards by at most
-    the clock-skew allowance.
-    """
-    seen_ids: set[str] = set()
-    prev_hash: str | None = None
-    prev_created = None
-    for index, entry in enumerate(entries):
-        integrity = entry.integrity
-        if integrity is None:
-            return ChainVerdict(False, index, "hashMismatch", len(entries))
-        pre_image = _line_pre_image(lines[index], entry)
-        canonical = pre_image is not None and integrity.hash == compute_hash(pre_image)
-        if not canonical:
-            try:
-                intact = integrity.hash == compute_hash(canonicalize(entry, integrity.prev_hash))
-            except (NonCanonicalizableNumber, MalformedDocument):
-                intact = False
-            if not intact:
-                return ChainVerdict(False, index, "hashMismatch", len(entries))
-        if integrity.prev_hash != prev_hash:
-            return ChainVerdict(False, index, "prevHashMismatch", len(entries))
-        if entry.id in seen_ids:
-            return ChainVerdict(False, index, "duplicateId", len(entries))
+
+def _chain_verdict(entries: Sequence[EntryEnvelope],
+                   pre_image: Callable[[int], bytes | None]) -> ChainVerdict:
+    """`verify_chain`'s verdict, each sealed line's pre-image read as `pre_image(index)`."""
+    count = len(entries)
+    at, chain_kind = chain_break(entries) or (count, None)
+    for index in range(min(at + 1, count)):
+        entry = entries[index]
+        if entry.integrity is None:  # the chain's own hashMismatch, at `at`
+            break
+        stored = pre_image(index)
+        if stored is not None and entry.integrity.hash == compute_hash(stored):
+            continue
         try:
-            created = entry.created_at_datetime()
-        except Exception:
-            return ChainVerdict(False, index, "orderViolation", len(entries))
-        if prev_created is not None and created < prev_created - CLOCK_SKEW:
-            return ChainVerdict(False, index, "orderViolation", len(entries))
-        if not canonical:
-            return ChainVerdict(False, index, "nonCanonicalLine", len(entries))
-        seen_ids.add(entry.id)
-        prev_hash = integrity.hash
-        prev_created = created
-    return ChainVerdict(True, None, None, len(entries))
+            intact = entry.integrity.hash == compute_hash(
+                canonicalize(entry, entry.integrity.prev_hash))
+        except MalformedDocument:  # a top-level `prev`
+            intact = False
+        if index < at or not intact:
+            return ChainVerdict(False, index, "nonCanonicalLine" if intact else "hashMismatch",
+                                count)
+    if chain_kind is None:
+        return ChainVerdict(True, None, None, count)
+    return ChainVerdict(False, at, chain_kind, count)
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +220,27 @@ def verify_signatures(entries: Sequence[EntryEnvelope], lines: Sequence[bytes],
     another scheme is unverifiable, not invalid. One whose keyRef has no key,
     whose MAC differs, or whose line has no pre-image is invalid.
     """
+    return _signature_report(
+        entries, lambda index: _line_pre_image(lines[index], entries[index]), keys)
+
+
+def verify_keyed(entries: Sequence[EntryEnvelope], lines: Sequence[bytes],
+                 keys: dict[str, bytes]) -> tuple[ChainVerdict, SignatureReport]:
+    """`verify_chain` and `verify_signatures` on the same lines, each line's
+    pre-image read from its bytes once for both its hash and its MAC."""
+    pre_image = cache(lambda index: _line_pre_image(lines[index], entries[index]))
+    return _chain_verdict(entries, pre_image), _signature_report(entries, pre_image, keys)
+
+
+def _signature_report(entries: Sequence[EntryEnvelope],
+                      pre_image: Callable[[int], bytes | None],
+                      keys: dict[str, bytes]) -> SignatureReport:
+    """`verify_signatures`' report, each signed line's pre-image read as `pre_image(index)`."""
     import base64
     import hmac
 
     report = SignatureReport()
-    for entry, line in zip(entries, lines):
+    for index, entry in enumerate(entries):
         integrity = entry.integrity
         if integrity is None or integrity.signature is None:
             report.verdicts.append(SignatureVerdict(entry.id, "absent"))
@@ -252,9 +251,9 @@ def verify_signatures(entries: Sequence[EntryEnvelope], lines: Sequence[bytes],
             continue
         try:
             key = keys.get(sig.key_ref)
-            pre_image = None if key is None else _line_pre_image(line, entry)
-            ok = pre_image is not None and hmac.compare_digest(
-                _mac(key, pre_image), base64.b64decode(sig.signature_bytes, validate=True))
+            stored = None if key is None else pre_image(index)
+            ok = stored is not None and hmac.compare_digest(
+                _mac(key, stored), base64.b64decode(sig.signature_bytes, validate=True))
         except (LedgerError, TypeError, ValueError):
             ok = False
         report.verdicts.append(

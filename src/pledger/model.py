@@ -1017,17 +1017,28 @@ def _payload_mismatch(doc: dict, entry_type: EntryType) -> NoReturn:
     raise PayloadMismatch(f"multiple payload fields present: {present}")
 
 
+def _finite(text: str) -> float:
+    """A JSON number as RFC 8259 reads one: never NaN, ±Infinity or an overflow."""
+    if math.isfinite(value := float(text)):
+        return value
+    raise MalformedDocument(f"not valid JSON: {text} is not a finite number")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_finite, parse_float=_finite)
+
+
 def parse_entry(source: str | bytes | dict) -> EntryEnvelope:
     """Parse one entry document.
 
-    Accepts JSON text or an already-decoded object. Raises MalformedDocument,
-    UnknownEntryType, PayloadMismatch, InvalidTimestamp, or InvalidId. Value
-    rules (vocabularies, ranges, role requirements) are left to
-    validate_structure so the caller can collect them all at once.
+    Accepts JSON text (UTF-8 when bytes) or an already-decoded object. Raises
+    MalformedDocument (also for a number with no finite value), UnknownEntryType,
+    PayloadMismatch, InvalidTimestamp, or InvalidId. Value rules (vocabularies,
+    ranges, role requirements) are left to validate_structure so the caller
+    can collect them all at once.
     """
     if isinstance(source, (str, bytes)):
         try:
-            doc = json.loads(source)
+            doc = _DECODER.decode(source if isinstance(source, str) else source.decode("utf-8"))
         except json.JSONDecodeError as exc:
             raise MalformedDocument(f"not valid JSON: {exc}") from exc
     else:

@@ -2,10 +2,11 @@
 
 One `.pledger` file holds newline-delimited canonical entry documents; a
 companion `<name>.head` file carries the current head digest and is rewritten
-atomically on every append. Every open reads both through `_read`, and
-`verify_file` checks them as stored, signatures included. The writer,
-`LedgerFile`, takes an advisory lock so there is exactly one writer per file;
-readers never lock. A writer changes no byte on disk before its first append.
+atomically on every append. Every open reads both through `_read` and holds
+them to the chain's rules (`chain_break`); `verify_file` checks the bytes
+too. The writer, `LedgerFile`, takes an advisory lock so there is exactly
+one writer per file; readers never lock. A writer changes no byte on disk
+before its first append.
 
 Redaction never rewrites history: a Tombstone entry restricts access to its
 target's payload while the original line, and therefore the chain, stays
@@ -15,8 +16,9 @@ intact.
 from __future__ import annotations
 
 import os
+from datetime import timedelta
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO
+from typing import TYPE_CHECKING, BinaryIO, Sequence
 
 try:
     import fcntl
@@ -45,6 +47,7 @@ from .model import (
     Violation,
     now_stamp,
     parse_entry,
+    parse_timestamp,
     replace,
     serialize_entry,
     validate_structure,
@@ -54,6 +57,8 @@ if TYPE_CHECKING:  # `integrity` is imported by the methods that seal or verify
     from .integrity import ChainVerdict, SignatureReport, Signer
 
 HEAD_SUFFIX = ".head"
+
+CLOCK_SKEW = timedelta(hours=24)  # tolerated backwards drift between adjacent entries
 
 
 def head_path(ledger_path: str | Path) -> Path:
@@ -107,62 +112,76 @@ def _names_a_line(head: bytes, entries: list[EntryEnvelope]) -> bool:
                            for entry in reversed(entries) if entry.integrity)
 
 
-def _linked(entries: list[EntryEnvelope], head: bytes | None) -> list[EntryEnvelope]:
-    """Check that parsed lines link and that `.head` names one of them.
-
-    Raises CorruptLine for the first line with no integrity block
-    (`hashMismatch`, as `verify_chain` names it), whose `prevHash` is not the
-    previous line's hash (`prevHashMismatch`) or whose id an earlier line
-    holds (`duplicateId`); then, when `.head` names none of the lines, so
-    committed lines are lost, at the line after the last (`headMismatch`).
-    """
-    prev_hash, seen = None, set()
-    for line_number, entry in enumerate(entries, 1):
+def chain_break(entries: Sequence[EntryEnvelope]) -> tuple[int, str] | None:
+    """The index and failure kind of the first entry that breaks the chain's
+    rules, else None. Every open and `verify_chain` hold a ledger to them, at
+    each entry in turn: an integrity block (`hashMismatch`), a `prevHash`
+    that is the previous entry's hash (`prevHashMismatch`), an id no earlier
+    entry holds (`duplicateId`), and a `createdAt` timestamp at most
+    CLOCK_SKEW behind the previous entry's (`orderViolation`)."""
+    seen: set[str] = set()
+    prev_hash, prev_created = None, ""
+    for index, entry in enumerate(entries):
         link = entry.integrity
         if link is None:
-            raise CorruptLine(line_number, "hashMismatch")
+            return index, "hashMismatch"
         if link.prev_hash != prev_hash:
-            raise CorruptLine(line_number, "prevHashMismatch")
+            return index, "prevHashMismatch"
         if entry.id in seen:
-            raise CorruptLine(line_number, "duplicateId")
+            return index, "duplicateId"
+        if _backdated(entry.created_at, prev_created):
+            return index, "orderViolation"
         seen.add(entry.id)
-        prev_hash = link.hash
+        prev_hash, prev_created = link.hash, entry.created_at
+    return None
+
+
+def _backdated(created: str, prev: str) -> bool:
+    """Whether timestamp `created` is more than CLOCK_SKEW behind `prev`,
+    a timestamp or "" (none); fixed-width, so text order is time order."""
+    return created < prev and parse_timestamp(created) < parse_timestamp(prev) - CLOCK_SKEW
+
+
+def _committed(entries: list[EntryEnvelope], head: bytes | None) -> list[EntryEnvelope]:
+    """`entries` if they keep the chain's rules and `.head` names one of them;
+    else CorruptLine at the first broken line, for the reason `chain_break`
+    gives, or at the line after the last (`headMismatch`: lines are lost)."""
+    broken = chain_break(entries)
+    if broken is not None:
+        raise CorruptLine(broken[0] + 1, broken[1])
     if head is not None and not _names_a_line(head, entries):
         raise CorruptLine(len(entries) + 1, "headMismatch")
     return entries
 
 
 def read_entries(path: str | Path) -> list[EntryEnvelope]:
-    """The committed entries of a ledger file, as `_read` and `_linked` give them."""
+    """The committed entries of a ledger file, as `_read` and `_committed` give them."""
     _, entries, head, _ = _read(path)
-    return _linked(entries, head)
+    return _committed(entries, head)
 
 
 def verify_file(path: str | Path, keys: dict[str, bytes] | None = None
                 ) -> tuple[ChainVerdict, list[EntryEnvelope], SignatureReport | None]:
     """Check a ledger file as stored: all of `pledger verify`. Returns the
-    chain's verdict, the parsed entries and, given `keys` (keyRef to key
-    bytes), the signatures' report.
-
-    Each hash and signature is checked over its stored line's bytes, which
-    must be laid out as `append` writes them (`nonCanonicalLine`), on every
-    line for signatures (`verify_chain`, `verify_signatures`). `.head`, when
-    there is one, must hold the last line's hash and a newline
-    (`headMismatch`, at index = entry count). Raises what `_read` raises, and
-    CorruptLine for any bytes after the last newline (an unfinished append).
+    chain's verdict (`verify_chain`, or `verify_keyed` given `keys`, keyRef
+    to key bytes), the parsed entries and, given `keys`, the signatures'
+    report. `.head`, when there is one, must hold the last line's hash and a
+    newline (`headMismatch`, at index = entry count). Raises what `_read`
+    raises, and CorruptLine for any bytes after the last newline.
     """
-    from .integrity import ChainVerdict, verify_chain, verify_signatures
+    from .integrity import ChainVerdict, verify_chain, verify_keyed
 
     lines, entries, head, cut = _read(path)
     count = len(entries)
     if cut is not None:
         raise CorruptLine(count + 1, "no newline")
-    verdict = verify_chain(entries, lines)
+    verdict, report = ((verify_chain(entries, lines), None) if keys is None
+                       else verify_keyed(entries, lines, keys))
     if verdict.valid and head is not None:
         expected = _head_line(entries[-1].integrity.hash) if entries else b""
         if head != expected:
             verdict = ChainVerdict(False, count, "headMismatch", count)
-    return verdict, entries, None if keys is None else verify_signatures(entries, lines, keys)
+    return verdict, entries, report
 
 
 def _open_locked(path: Path, flags: int = 0) -> BinaryIO:
@@ -204,7 +223,7 @@ class LedgerFile:
                     head = head_path(self.path).read_bytes()
             else:
                 _, entries, head, self._cut = _read(self.path)
-            self.snapshot = Snapshot(_linked(entries, head))  # kept current by append
+            self.snapshot = Snapshot(_committed(entries, head))  # kept current by append
         except BaseException as exc:
             self.close()  # an open that fails must not keep the writer lock
             if isinstance(exc, OSError) and not isinstance(exc, FileNotFoundError):
@@ -240,20 +259,16 @@ class LedgerFile:
         nothing; on a failed write the lines and `.head` are as before the
         call. Returns the sealed entry.
         """
-        from .integrity import CLOCK_SKEW, seal
+        from .integrity import seal
 
         if self._closed:
             raise StorageFailure(f"{self.path} is closed")
         self._check_entry(entry)
-        # an append may backdate at most the verifier's skew allowance,
-        # or the file would stop verifying as a chain
-        if self.snapshot.entries:
-            head_entry = self.snapshot.entries[-1]
-            if (entry.created_at_datetime()
-                    < head_entry.created_at_datetime() - CLOCK_SKEW):
-                raise InvalidTimestamp(
-                    f"createdAt {entry.created_at} falls more than the skew "
-                    f"allowance behind the chain head ({head_entry.created_at})")
+        # the chain's time rule, or every open would refuse the file
+        head_at = self.snapshot.entries[-1].created_at if self.snapshot.entries else ""
+        if _backdated(entry.created_at, head_at):
+            raise InvalidTimestamp(f"createdAt {entry.created_at} falls more than the skew "
+                                   f"allowance behind the chain head ({head_at})")
         # Lifecycle legality holds for every entry sequence, not only for
         # appends that came through the governance helpers.
         if entry.entry_type is EntryType.VOUCHER:

@@ -14,9 +14,9 @@ from pathlib import Path
 
 from pledger.canonical import compute_hash
 from pledger.errors import CorruptLine, MalformedDocument, NonCanonicalizableNumber
-from pledger.integrity import CLOCK_SKEW, ChainVerdict, canonicalize
+from pledger.integrity import ChainVerdict, canonicalize
 from pledger.model import serialize_entry
-from pledger.store import _head_line, _read
+from pledger.store import CLOCK_SKEW, _head_line, _read
 
 
 def oracle_chain(entries) -> ChainVerdict:

@@ -10,6 +10,7 @@ import io
 import json
 import os
 import shutil
+from datetime import timedelta
 
 import pytest
 from conftest import make_artifact, make_change, make_contribution, make_test
@@ -42,6 +43,7 @@ from pledger.model import (
     MeasurementProcedure,
     VoucherCondition,
     VoucherPayload,
+    format_timestamp,
     parse_entry,
     replace,
     serialize_entry,
@@ -211,12 +213,27 @@ def _drop_line_4_integrity(lines: list[str]) -> list[str]:
     return [*lines[:3], canonical_json(doc), *lines[4:]]
 
 
+def _backdate_line_6(lines: list[str]) -> list[str]:
+    # line 6 resealed 25 hours behind line 5, and every line after it
+    # resealed onto it: each hash and link holds, the time order does not
+    entries = [parse_entry(line) for line in lines]
+    when = entries[4].created_at_datetime() - timedelta(hours=25)
+    out, prev = lines[:5], entries[4].integrity.hash
+    for index, entry in enumerate(entries[5:], 5):
+        changes = {"created_at": format_timestamp(when)} if index == 5 else {}
+        sealed = seal(replace(entry, integrity=None, **changes), prev_hash=prev)
+        out.append(serialize_entry(sealed))
+        prev = sealed.integrity.hash
+    return out
+
+
 # Each broken chain: how to make it from the lifecycle ledger, verify's report,
 # and the line every other command refuses, with its reason.
 BROKEN_CHAINS = {
     "repeated-id": (_repeat_line_3_at_the_head, 15, "duplicateId", 16, "16: duplicateId"),
     "swapped-lines": (_swap_lines_6_and_7, 5, "prevHashMismatch", 15, "6: prevHashMismatch"),
     "no-integrity": (_drop_line_4_integrity, 3, "hashMismatch", 15, "4: hashMismatch"),
+    "backdated": (_backdate_line_6, 5, "orderViolation", 15, "6: orderViolation"),
 }
 
 
@@ -1528,9 +1545,10 @@ def test_a_signed_writer_signs_every_entry_one_call_appends(writable, capsys):
 
 
 @pytest.mark.parametrize("number", ["NaN", "1e400", "-Infinity"])
-def test_verify_reports_a_number_with_no_canonical_form_as_a_mismatch(tmp_path, capsys, number):
-    # A stored number with no canonical form leaves the line without a hash
-    # pre-image: the chain breaks there and its signature is invalid (exit 4).
+def test_verify_refuses_a_number_with_no_canonical_form_as_a_corrupt_line(
+        tmp_path, capsys, number):
+    # A stored number with no canonical form is not JSON (RFC 8259): the
+    # line does not parse, so verify, keyed or not, refuses the file there.
     ledger = tmp_path / "signed.pledger"
     doc_path = tmp_path / "entry.json"
     doc_path.write_text(json.dumps(sample_contribution_doc()), "utf-8")
@@ -1541,15 +1559,47 @@ def test_verify_reports_a_number_with_no_canonical_form_as_a_mismatch(tmp_path, 
     ledger.write_text(stored.replace('"amount":50', f'"amount":{number}'), "utf-8")
 
     for keys in ([], ["--hmac-key", "k1=sekrit"]):
-        code, out, _err = run_cli(capsys, "verify", "--ledger", str(ledger), "--format", "doc",
-                                  *keys)
-        assert code == 4
-        report = json.loads(out)
-        assert report["chain"] == {"valid": False, "entryCount": 1,
-                                   "firstBrokenIndex": 0, "failureKind": "hashMismatch"}
-        if keys:
-            assert report["signatures"] == {"valid": 0, "invalid": 1,
-                                            "unverifiable": 0, "absent": 0}
+        code, out, err = run_cli(capsys, "verify", "--ledger", str(ledger), "--format", "doc",
+                                 *keys)
+        assert (code, out) == (4, "")
+        assert err.startswith("verification failure: corrupt ledger line 1: not valid JSON: ")
+
+
+def _resealed_over_its_bytes(line: str) -> str:
+    """Chain-head `line`, whose last key is `type`, with its hash recomputed
+    over its own bytes: the `integrity` member cut, `"prev":""` spliced in
+    before `type`."""
+    integrity = json.loads(line)["integrity"]
+    cut = ',"integrity":' + canonical_json(integrity)
+    assert cut in line
+    rest, sep, last = line.replace(cut, "").rpartition(',"type":')
+    pre_image = (rest + ',"prev":""' + sep + last).encode("utf-8")
+    return line.replace(integrity["hash"], "sha256:" + hashlib.sha256(pre_image).hexdigest())
+
+
+@pytest.mark.parametrize("number", ["NaN", "1e400", "-Infinity"])
+def test_every_command_refuses_a_number_with_no_canonical_form_resealed_over_its_bytes(
+        lifecycle, tmp_path, capsys, number):
+    # Lifecycle line 1 with its amount replaced and its hash recomputed over
+    # those bytes, as a one-line ledger: every hash holds (as it does for a
+    # finite amount), and still each command exits 4 at line 1, and export
+    # writes no file.
+    line = lifecycle[0].read_text("utf-8").splitlines()[0]
+    assert line.count('"amount":50') == 1
+    ledger = tmp_path / "one.pledger"
+    ledger.write_text(_resealed_over_its_bytes(line.replace('"amount":50', '"amount":51'))
+                      + "\n", "utf-8")
+    assert run_cli(capsys, "verify", "--ledger", str(ledger)) == (
+        0, "chain valid, 1 entries\n", "")
+    resealed = _resealed_over_its_bytes(line.replace('"amount":50', f'"amount":{number}'))
+    ledger.write_text(resealed + "\n", "utf-8")
+    out_path = tmp_path / "r.json"
+    for argv in (["verify"], LEDGER_READERS["gate-check"],
+                 ["export", "--release", f"{ARTIFACT_ID}@v1", "--out", str(out_path)]):
+        code, out, err = run_cli(capsys, *argv, "--ledger", str(ledger))
+        assert (code, out) == (4, ""), argv
+        assert err.startswith("verification failure: corrupt ledger line 1: not valid JSON: ")
+    assert not out_path.exists()
 
 
 # ---------------------------------------------------------------------------

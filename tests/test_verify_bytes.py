@@ -433,3 +433,16 @@ def test_every_signature_is_counted_past_a_break_in_the_chain(ledgers, tmp_path,
                                    "failureKind": chain[1], "entryCount": chain[2]}
         assert report["signatures"] == {"valid": signatures[0], "invalid": signatures[1],
                                         "unverifiable": 0, "absent": 0}
+
+
+def test_a_keyed_verify_reads_each_lines_pre_image_once(ledgers, monkeypatch, capsys):
+    # Each signed line's hash and MAC are checked over one reading of its
+    # bytes: 15 pre-images for the 15 signed lines, not one for each check.
+    read = []
+    line_pre_image = integrity._line_pre_image
+    monkeypatch.setattr(integrity, "_line_pre_image",
+                        lambda line, entry: read.append(entry.id) or line_pre_image(line, entry))
+    assert main(["verify", "--ledger", str(ledgers["signed"]), "--hmac-key", "k1=sekrit"]) == 0
+    assert capsys.readouterr().out == (
+        "chain valid, 15 entries\nsignatures: 15 valid, 0 invalid, 0 unverifiable, 0 absent\n")
+    assert len(read) == len(set(read)) == 15
