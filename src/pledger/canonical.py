@@ -29,23 +29,10 @@ from .errors import MalformedDocument, NonCanonicalizableNumber
 if TYPE_CHECKING:
     from decimal import Decimal
 
-# Minimal escaping: backslash, double quote, and the C0 control range. The
-# two-character shorthands are used where JSON defines them.
-_ESCAPES: dict[int, str] = {
-    ord("\\"): "\\\\",
-    ord('"'): '\\"',
-    ord("\b"): "\\b",
-    ord("\t"): "\\t",
-    ord("\n"): "\\n",
-    ord("\f"): "\\f",
-    ord("\r"): "\\r",
-}
-for _cp in range(0x20):
-    _ESCAPES.setdefault(_cp, f"\\u{_cp:04x}")
-
-
-def _render_string(value: str) -> str:
-    return '"' + value.translate(_ESCAPES) + '"'
+# Minimal escaping: backslash, double quote and the C0 control range, with
+# JSON's two-character shorthands where it defines them. The C path below
+# (`_chunks`) escapes with the same function.
+_quote = json.encoder.encode_basestring
 
 
 def _sha256(data: bytes):
@@ -123,7 +110,7 @@ def _render(value: Any, out: list[str]) -> None:
     elif value is False:
         out.append("false")
     elif isinstance(value, str):
-        out.append(_render_string(value))
+        out.append(_quote(value))
     elif isinstance(value, (int, float)):
         out.append(format_number(value))
     elif isinstance(value, dict):
@@ -135,7 +122,7 @@ def _render(value: Any, out: list[str]) -> None:
             if not first:
                 out.append(",")
             first = False
-            out.append(_render_string(key))
+            out.append(_quote(key))
             out.append(":")
             _render(value[key], out)
         out.append("}")
@@ -164,7 +151,7 @@ if json.encoder.c_make_encoder is None:
     _chunks = lambda doc, _level: _ENCODER.iterencode(doc, _one_shot=True)  # noqa: E731
 else:
     _chunks = json.encoder.c_make_encoder(
-        None, _ENCODER.default, json.encoder.encode_basestring, None,
+        None, _ENCODER.default, _quote, None,
         _ENCODER.key_separator, _ENCODER.item_separator, True, False, False)
 
 _PLAIN_SCALARS = frozenset({str, int, bool, type(None)})

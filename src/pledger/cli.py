@@ -51,7 +51,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_doc(path: str) -> Any:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text("utf-8")
+    # A user-named file other than the ledger that cannot be opened, read or
+    # decoded is a usage error, as a missing one is; so in query and export.
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -177,7 +182,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
     else:
         if bool(args.query) == bool(args.file):
             raise _UsageError("give exactly one of QUERY, --file, or --saved")
-        text = args.query if args.query else Path(args.file).read_text("utf-8")
+        try:
+            text = args.query if args.query else Path(args.file).read_text("utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise _UsageError(f"cannot read {args.file}: {exc}") from exc
         table = query_mod.run_query(text, graph)
     if args.explain:
         for step, line in enumerate(table.plan, 1):
@@ -348,7 +356,11 @@ def _cmd_export(args: argparse.Namespace) -> int:
         raise _UsageError("--release takes <artifactId>@<version>")
     export = evidence_mod.build_export(_snapshot(args), artifact_id, version, now=args.now)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.out}: {exc}") from exc
+        with fh:
             _write_doc(fh, export)
         _emit(args, f"wrote export to {args.out} "
                     f"({len(export['entries'])} entries)", export)

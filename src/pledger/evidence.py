@@ -176,12 +176,6 @@ class EvidenceMatrix:
     def columns(self) -> tuple[str, ...]:
         return COLUMNS
 
-    def cell(self, case: str, column: str) -> CoverageLevel:
-        for name, levels in self.rows:
-            if name == case:
-                return levels[column]
-        raise KeyError(case)
-
     def to_doc(self) -> dict:
         return {
             "columns": list(COLUMNS),

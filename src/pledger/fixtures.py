@@ -62,10 +62,6 @@ def sample_contribution_doc() -> dict:
     }
 
 
-def sample_contribution() -> EntryEnvelope:
-    return parse_entry(sample_contribution_doc())
-
-
 # Lifecycle fixture constants. Tests and the command-line walkthrough share
 # these so expectations stay in one place.
 ARTIFACT_ID = "pl:artifact:consult:imagegen"
@@ -155,7 +151,7 @@ def _lifecycle_stages(ledger: LedgerFile) -> Iterator[tuple[str, str]]:
 
     # The sample contribution, made by a steward-represented resident for
     # evaluation only.
-    contribution = sample_contribution()
+    contribution = parse_entry(sample_contribution_doc())
     contribution.actor.steward_org = STEWARD_ORG
     contribution.payload.intended_use = "evaluation-only"
     yield "contribution", ledger.append(contribution).id

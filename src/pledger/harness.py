@@ -196,16 +196,6 @@ class RegressionEvent:
     prior_passing_run_id: str
     failing_run_id: str
 
-    def to_doc(self) -> dict:
-        return {
-            "testId": self.test_id,
-            "artifactId": self.artifact_id,
-            "fromVersion": self.from_version,
-            "toVersion": self.to_version,
-            "priorPassingRunId": self.prior_passing_run_id,
-            "failingRunId": self.failing_run_id,
-        }
-
 
 def detect_regressions(snapshot: Snapshot) -> list[RegressionEvent]:
     """Pass-to-fail transitions between consecutive evaluated versions.

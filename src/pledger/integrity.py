@@ -52,7 +52,8 @@ def canonicalize(entry: EntryEnvelope, prev_hash: str | None = None) -> bytes:
     `prev` of its own, which the pre-image's would hide from the hash, has no
     pre-image: MalformedDocument.
     """
-    doc = entry.to_doc(include_integrity=False)
+    doc = entry.to_doc()
+    doc.pop("integrity", None)
     if "prev" in doc:
         raise MalformedDocument(f"entry {entry.id}: top-level prev is reserved "
                                 "for the hash pre-image")
@@ -68,7 +69,7 @@ def seal(entry: EntryEnvelope, prev_hash: str | None = None,
     `canonicalize` when the entry has no pre-image, and SigningFailure (with
     no sealed entry produced) when the signer hook raises.
     """
-    if entry.is_sealed():
+    if entry.integrity is not None:
         raise AlreadySealed(f"entry {entry.id} already carries an integrity block")
     pre_image = canonicalize(entry, prev_hash)
     signature = None

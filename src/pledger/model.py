@@ -963,9 +963,6 @@ class EntryEnvelope:
     integrity: IntegrityBlock | None = None
     extensions: dict = dict
 
-    def is_sealed(self) -> bool:
-        return self.integrity is not None
-
     def created_at_datetime(self) -> datetime:
         return parse_timestamp(self.created_at)
 
@@ -974,7 +971,7 @@ class EntryEnvelope:
     FIELDS = ()
     from_doc = staticmethod(lambda doc, where="entry": parse_entry(doc))
 
-    def to_doc(self, include_integrity: bool = True) -> dict:
+    def to_doc(self) -> dict:
         doc: dict = {} if self.context is None else {"@context": self.context}
         doc["id"] = self.id
         doc["type"] = self.entry_type.value
@@ -989,7 +986,7 @@ class EntryEnvelope:
         if links_doc:
             doc["links"] = links_doc
         doc.update(self.extensions)
-        if include_integrity and self.integrity is not None:
+        if self.integrity is not None:
             doc["integrity"] = self.integrity.to_doc()
         return doc
 
@@ -1117,9 +1114,6 @@ class ValidationReport:
 
     def add(self, path: str, rule: str, message: str) -> None:
         self.violations.append(Violation(path, rule, message))
-
-    def rules(self) -> set[str]:
-        return {v.rule for v in self.violations}
 
     def summary(self) -> str:
         if not self.violations:

@@ -95,7 +95,7 @@ def _read(path: str | Path) -> tuple[list[bytes], list[EntryEnvelope], bytes | N
     tail = lines.pop()  # the bytes after the last newline are never a line
     entries: list[EntryEnvelope] = []
     for line_number, raw in enumerate(lines, 1):
-        if not raw.strip():
+        if not raw or raw.isspace():
             raise CorruptLine(line_number, "blank line")
         try:
             entries.append(parse_entry(raw.decode("utf-8")))

@@ -15,10 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from pledger import canonical_bytes, canonical_json, compute_hash, format_number
+from pledger import canonical_bytes, canonical_json, compute_hash, format_number, parse_entry
 from pledger.canonical import _ENCODER, _is_plain, _render
 from pledger.errors import MalformedDocument, NonCanonicalizableNumber
-from pledger.fixtures import sample_contribution
+from pledger.fixtures import sample_contribution_doc
 from pledger.indented import write_indented
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "sample_golden.json").read_text())
@@ -34,8 +34,8 @@ def test_hash_test_vectors():
 
 
 def test_sample_entry_matches_golden_bytes():
-    entry = sample_contribution()
-    assert canonical_bytes(entry.to_doc(include_integrity=False)) \
+    entry = parse_entry(sample_contribution_doc())
+    assert canonical_bytes(entry.to_doc()) \
         == GOLDEN["canonical"].encode("utf-8")
 
 
@@ -86,6 +86,17 @@ def test_minimal_escaping():
     assert '\\"' in text and "\\\\" in text and "\\n" in text
     assert "café ☕" in text  # non-ASCII stays literal
     assert json.loads(text) == doc
+
+
+def test_reference_path_escapes_every_code_point_as_the_stdlib_does():
+    # 1e-05 has an exponent in `repr`, so every document takes `_render`.
+    dumps = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps(s, ensure_ascii=False)
+    for c in range(0x110000):
+        expected = '{"s":' + dumps(chr(c)) + ',"x":0.00001}'
+        assert canonical_json({"s": chr(c), "x": 1e-05}) == expected, hex(c)
+    for c in range(0xD800, 0xE000):
+        with pytest.raises(UnicodeEncodeError):
+            canonical_bytes({"s": chr(c), "x": 1e-05})
 
 
 def test_stdlib_parser_round_trip_random_documents():
@@ -177,7 +188,7 @@ def test_fast_path_matches_reference_renderer_on_random_documents():
 
 
 def test_fast_path_admits_what_ledger_entries_hold():
-    assert _is_plain(sample_contribution().to_doc())
+    assert _is_plain(parse_entry(sample_contribution_doc()).to_doc())
     assert _is_plain({"t": (1, "x", None, [True, 0.25])})
 
 
@@ -310,7 +321,7 @@ def test_indented_rendering_matches_json_on_random_documents():
 
 def test_indented_rendering_of_entries_and_odd_values():
     docs = [
-        {"entries": [sample_contribution().to_doc()], "count": 1},
+        {"entries": [parse_entry(sample_contribution_doc()).to_doc()], "count": 1},
         {}, [], "top", 3, None, [{}, [], [[]], {"a": {}}],
         {"mixed": [1, 2.0, "3", None, True, {"x": [False]}]},
         {1: "int keys", 2: {"nested": (1, 2)}},
@@ -329,7 +340,7 @@ def test_indented_rendering_raises_like_json_on_unrenderable_values():
 
 
 def test_indented_rendering_writes_in_batches():
-    doc = {"entries": [sample_contribution().to_doc() for _ in range(400)]}
+    doc = {"entries": [parse_entry(sample_contribution_doc()).to_doc() for _ in range(400)]}
     writes: list[str] = []
 
     class Recorder:

@@ -466,6 +466,54 @@ def test_a_writer_that_cannot_open_its_ledger_exits_4_and_changes_nothing(
     assert _tree(tmp_path) == before
 
 
+# Every user-named file other than the ledger, in the command that reads or
+# writes it, with the arguments it needs besides --ledger. `{bad}` stands for
+# the file; `harness run` reads it as the one result of its bundle.
+USER_FILES = {
+    "append": (["append", "{bad}"], "read"),
+    "voucher-issue": (["voucher", "issue", "--payload", "{bad}"], "read"),
+    "credit-accrue": (["credit", "accrue", "--policy", "{bad}",
+                       "--window-start", WINDOW[0], "--window-end", WINDOW[1]], "read"),
+    "harness-run": (["harness", "run", "--results", "{bundle}", "--artifact", ARTIFACT_ID,
+                     "--version", "v3", "--checkpoint", "scheduledAudit"], "read"),
+    "audit-evidence": (["audit", "evidence", "--cases", "{bad}"], "read"),
+    "audit-conformance": (["audit", "conformance", "--export", "{bad}"], "read"),
+    "query": (["query", "--file", "{bad}"], "read"),
+    "export": (["export", "--release", f"{ARTIFACT_ID}@v3", "--out", "{bad}"], "write"),
+}
+# A directory fails every command; bytes that are not UTF-8 fail each reader,
+# as a file or, where a document may come from stdin, as `-`.
+BAD_USER_FILES = [(name, "a-directory") for name in USER_FILES] + [
+    (name, "not-utf-8") for name, (_argv, verb) in USER_FILES.items() if verb == "read"] + [
+    (name, "stdin-not-utf-8") for name in ("append", "voucher-issue", "credit-accrue",
+                                           "audit-evidence", "audit-conformance")]
+
+
+@pytest.mark.parametrize("name,bad", BAD_USER_FILES,
+                         ids=[f"{name}-{bad}" for name, bad in BAD_USER_FILES])
+def test_a_user_named_file_that_cannot_be_read_or_written_is_a_usage_error(
+        writable, tmp_path, monkeypatch, capsys, name, bad):
+    argv, verb = USER_FILES[name]
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    path = bundle / "pl-test-accessibility-001.result"
+    if bad == "a-directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"scores": [0.9], "note": "\xff"}')
+    if bad == "stdin-not-utf-8":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(path.read_bytes()),
+                                                          encoding="utf-8"))
+        path = "-"
+    before = _tree(tmp_path)
+    argv = [arg.format(bad=path, bundle=bundle) for arg in argv]
+    code, out, err = run_cli(capsys, *argv, "--ledger", str(writable))
+    assert (code, out) == (64, "")
+    assert err.startswith(f"usage error: cannot {verb} {path}: "), err
+    assert len(err.splitlines()) == 1
+    assert _tree(tmp_path) == before
+
+
 def _drop_the_last_line(data: bytes) -> bytes:
     return data[:data.rstrip(b"\n").rfind(b"\n") + 1]
 

@@ -319,7 +319,6 @@ def test_detect_regressions_on_lifecycle(lifecycle):
     assert event.to_version == "v2"
     assert event.prior_passing_run_id == ids["run_v1"]
     assert event.failing_run_id == ids["run_v2"]
-    assert event.to_doc()["fromVersion"] == "v1"
 
 
 def test_regressions_follow_declaration_order_not_spelling():

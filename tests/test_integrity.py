@@ -21,7 +21,7 @@ def chain(n: int) -> list:
 def test_seal_digest_matches_stdlib_recomputation():
     entry = make_contribution(0)
     sealed = seal(entry)
-    doc = entry.to_doc(include_integrity=False)
+    doc = entry.to_doc()
     doc["prev"] = ""
     reference = "sha256:" + hashlib.sha256(json.dumps(
         doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False

@@ -25,7 +25,7 @@ from pledger.evidence import audit_corpus, build_export, check_export_conformanc
     flag_consent_violations
 from pledger.governance import CreditPolicy, compute_accrual, credit_report, gate_check
 from pledger.graph import Snapshot, build_graph, linkage_completeness
-from pledger.harness import detect_regressions, run_suite, verify_replay
+from pledger.harness import RegressionEvent, detect_regressions, run_suite, verify_replay
 from pledger.model import (
     ActorRef,
     CreditPayload,
@@ -147,7 +147,7 @@ def test_the_governance_readers():
 def test_the_harness_readers(tmp_path):
     entries = awkward_entries()
     events = detect_regressions(Snapshot(entries))
-    assert [event.to_doc() for event in events] == EXPECTED_REGRESSIONS
+    assert events == EXPECTED_REGRESSIONS
     assert verify_replay(Snapshot(entries)) == EXPECTED_REPLAY
     path = tmp_path / "awkward.pledger"
     path.write_text("".join(serialize_entry(e) + "\n" for e in sealed_chain(entries)),
@@ -278,12 +278,12 @@ EXPECTED_ACCRUAL = (
                      "reason": "qualityGate"}]}
 )
 EXPECTED_REGRESSIONS = (
-    [{"testId": "pl:test:gen:000",
-      "artifactId": "pl:artifact:gen:sys",
-      "fromVersion": "v1",
-      "toVersion": "v2",
-      "priorPassingRunId": "pl:run:gen:001",
-      "failingRunId": "pl:run:gen:002"}]
+    [RegressionEvent(test_id="pl:test:gen:000",
+                     artifact_id="pl:artifact:gen:sys",
+                     from_version="v1",
+                     to_version="v2",
+                     prior_passing_run_id="pl:run:gen:001",
+                     failing_run_id="pl:run:gen:002")]
 )
 EXPECTED_REPLAY = (
     [("pl:run:gen:007", "pass", "fail")]
