@@ -50,13 +50,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read_doc(path: str) -> Any:
+def _read_text(path: str) -> str:
     # A user-named file other than the ledger that cannot be opened, read or
-    # decoded is a usage error, as a missing one is; so in query and export.
+    # decoded is a usage error, as a missing one is, and as one `export` cannot
+    # write is. `-` is stdin.
     try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text("utf-8")
+        return sys.stdin.read() if path == "-" else Path(path).read_text("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_doc(path: str) -> Any:
+    text = _read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -182,10 +187,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     else:
         if bool(args.query) == bool(args.file):
             raise _UsageError("give exactly one of QUERY, --file, or --saved")
-        try:
-            text = args.query if args.query else Path(args.file).read_text("utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise _UsageError(f"cannot read {args.file}: {exc}") from exc
+        text = args.query if args.query else _read_text(args.file)
         table = query_mod.run_query(text, graph)
     if args.explain:
         for step, line in enumerate(table.plan, 1):
@@ -421,7 +423,7 @@ def build_parser(argv: list[str] | None = None) -> _Parser:
     if wanted("query"):
         p = subs.add_parser("query", parents=[common], help="run a graph pattern query")
         p.add_argument("query", nargs="?", help="query text")
-        p.add_argument("--file", help="read the query from a .plq file")
+        p.add_argument("--file", help="read the query from a .plq file, or - for stdin")
         p.add_argument("--saved", help="run a named saved query")
         p.add_argument("--param", action="append", metavar="NAME=VALUE",
                        help="saved-query parameter")

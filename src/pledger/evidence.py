@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Any
 
 from .errors import MalformedDocument, MalformedExport, WrongEntryType
 from .governance import gate_check, voucher_lineages
-from .graph import INFLUENCE_STEPS, Snapshot, build_graph, change_linkage
+from .graph import INFLUENCE_STEPS, Snapshot, build_graph, change_linkage, reach
 from .model import (_STRING, OPEN_VOUCHER_STATUSES, EntryEnvelope, EntryType, _is_number, codec,
                     decode_checked, parse_timestamp, record, validate_structure, wire)
 
@@ -117,24 +117,10 @@ def _code_compensation(entry: EntryEnvelope) -> CoverageLevel:
     return CoverageLevel.REPORTED
 
 
-def _reaches_change_or_test(graph: Snapshot, start: str) -> bool:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        node_id = frontier.pop()
-        for kind, along in INFLUENCE_STEPS:
-            for succ in graph.adjacent(node_id, kind, along):
-                if succ in seen or succ not in graph.by_id:
-                    continue
-                if graph.by_id[succ].entry_type in (EntryType.CHANGE, EntryType.TEST):
-                    return True
-                seen.add(succ)
-                frontier.append(succ)
-    return False
-
-
 def _code_influence(entry: EntryEnvelope, graph: Snapshot) -> CoverageLevel:
-    if _reaches_change_or_test(graph, entry.id):
+    nodes = graph.by_id
+    if any(nodes[node_id].entry_type in (EntryType.CHANGE, EntryType.TEST)
+           for node_id in reach(graph, [entry.id], INFLUENCE_STEPS)):
         return CoverageLevel.REPORTED
     if entry.links.influences:
         return CoverageLevel.PARTIAL

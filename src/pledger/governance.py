@@ -454,7 +454,11 @@ def compute_accrual(snapshot: Snapshot, policy: CreditPolicy,
             report.suppressed.append(SuppressedEvent(kind, anchor_id, "zeroUnits"))
             continue
         for beneficiary in event.beneficiaries:
-            if (anchor_id, beneficiary) in already:
+            credit_id = _credit_id(kind, anchor_id, beneficiary)
+            # Credited before, or its id planned above or held by the ledger
+            # (tombstoned or not).
+            if (anchor_id, beneficiary) in already or credit_id in planned_ids \
+                    or credit_id in snapshot.position:
                 report.suppressed.append(SuppressedEvent(
                     kind, anchor_id, "alreadyCredited", beneficiary))
                 continue
@@ -462,11 +466,6 @@ def compute_accrual(snapshot: Snapshot, policy: CreditPolicy,
             if total + share > policy.cap:
                 report.suppressed.append(SuppressedEvent(
                     kind, anchor_id, "capReached", beneficiary))
-                continue
-            credit_id = _credit_id(kind, anchor_id, beneficiary)
-            if credit_id in planned_ids:
-                report.suppressed.append(SuppressedEvent(
-                    kind, anchor_id, "alreadyCredited", beneficiary))
                 continue
             credited[beneficiary] = total + share
             planned_ids.add(credit_id)

@@ -27,7 +27,7 @@ read of `dangling`), so the commands that never take one never pay for it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from .errors import DuplicateId, IllegalTransition, UnknownNode, WrongEntryType
 from .model import (
@@ -320,19 +320,22 @@ def _trace_steps(graph: Snapshot, node_id: str) -> list[str]:
     return sorted(s for s in steps if s in graph.by_id)
 
 
-def _reaching_deployments(graph: Snapshot) -> set[str]:
-    """Nodes from which some sequence of trace steps reaches a deployment:
-    one search from the deployments, taking each step backwards."""
-    reached = set(graph.deployment_ids())
-    frontier = list(reached)
+def reach(graph: Snapshot, starts: Iterable[str],
+          steps: Sequence[tuple[str, bool]]) -> Iterator[str]:
+    """Each node of `graph` that some sequence of `steps` leads to from one of
+    `starts`, once and in discovery order; the starts themselves never come
+    back. A step is an edge kind and whether it follows the edge's direction."""
+    nodes = graph.by_id
+    frontier = list(starts)
+    seen = set(frontier)
     while frontier:
         node_id = frontier.pop()
-        for kind, along in _TRACE_STEPS:
-            for prior in graph.adjacent(node_id, kind, not along):
-                if prior in graph.by_id and prior not in reached:
-                    reached.add(prior)
-                    frontier.append(prior)
-    return reached
+        for kind, along in steps:
+            for end in graph.adjacent(node_id, kind, along):
+                if end not in seen and end in nodes:
+                    seen.add(end)
+                    frontier.append(end)
+                    yield end
 
 
 class _PathCap(Exception):
@@ -355,7 +358,9 @@ def trace_influence(graph: Snapshot, contribution_id: str,
     if start.entry_type is not EntryType.CONTRIBUTION:
         raise WrongEntryType(f"{contribution_id} is not a Contribution")
     result = TraceResult()
-    live = _reaching_deployments(graph)
+    deployments = graph.deployment_ids()
+    # The nodes that can reach a deployment: the trace steps taken backwards.
+    live = {*deployments, *reach(graph, deployments, [(k, not a) for k, a in _TRACE_STEPS])}
 
     def dfs(node_id: str, path: list[str]) -> None:
         if graph.is_deployment(node_id):

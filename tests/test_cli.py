@@ -13,7 +13,7 @@ import shutil
 from datetime import timedelta
 
 import pytest
-from conftest import make_artifact, make_change, make_contribution, make_test
+from conftest import make_artifact, make_change, make_contribution, make_run, make_test
 
 from pledger import store
 from pledger.canonical import canonical_json
@@ -486,7 +486,7 @@ USER_FILES = {
 BAD_USER_FILES = [(name, "a-directory") for name in USER_FILES] + [
     (name, "not-utf-8") for name, (_argv, verb) in USER_FILES.items() if verb == "read"] + [
     (name, "stdin-not-utf-8") for name in ("append", "voucher-issue", "credit-accrue",
-                                           "audit-evidence", "audit-conformance")]
+                                           "audit-evidence", "audit-conformance", "query")]
 
 
 @pytest.mark.parametrize("name,bad", BAD_USER_FILES,
@@ -959,6 +959,14 @@ def test_query_from_file_and_formats(lifecycle, tmp_path, capsys):
                                "rows": [[TEST_ID, "accessibility"]]}
 
 
+def test_query_reads_its_file_from_stdin(lifecycle, monkeypatch, capsys):
+    path, _ids, _entries = lifecycle
+    monkeypatch.setattr("sys.stdin", io.StringIO("MATCH (t:Test) RETURN t.id, t.topic;"))
+    code, out, err = run_cli(capsys, "query", "--file", "-", "--ledger", str(path),
+                             "--format", "csv")
+    assert (code, out, err) == (0, f"t.id,t.topic\n{TEST_ID},accessibility\n", "")
+
+
 def test_query_saved(lifecycle, capsys):
     path, ids, _entries = lifecycle
     code, out, _err = run_cli(
@@ -1272,6 +1280,58 @@ def test_credit_accrue_and_report(writable_mid, tmp_path, capsys):
     assert f"{CREDIT_ID}: 10 (regressionDetected on " \
            "pl:run:accessibility:v2:001)" in out
     assert "total units: 10" in out
+
+
+def _accrue_twice_appends_once(ledger, tmp_path, capsys) -> str:
+    """Accrue the lifecycle window on `ledger`, then rerun it: the rerun exits
+    0 and appends nothing. Returns the first run's output."""
+    policy_path = tmp_path / "policy.json"
+    policy_path.write_text(json.dumps(POLICY_DOC), "utf-8")
+    argv = ["credit", "accrue", "--ledger", str(ledger), "--policy", str(policy_path),
+            "--window-start", WINDOW[0], "--window-end", WINDOW[1]]
+    code, first, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    before = ledger.read_bytes()
+    code, again, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "total units: 0" in again
+    assert ledger.read_bytes() == before
+    return first
+
+
+def test_credit_accrue_rerun_mints_nothing_over_a_redacted_credit(writable, tmp_path, capsys):
+    # The credit's id stays held after its redaction, so a rerun must not
+    # mint it again.
+    code, _out, _err = run_cli(
+        capsys, "redact", "--ledger", str(writable), "--target", CREDIT_ID,
+        "--reason", "legalHold", "--role", "auditor", "--pseudonym", "A1")
+    assert code == 0
+    first = _accrue_twice_appends_once(writable, tmp_path, capsys)
+    assert first == ("suppressed regressionDetected pl:run:accessibility:v2:001: alreadyCredited\n"
+                     "suppressed scheduledRunDependency pl:run:accessibility:v2:001: zeroUnits\n"
+                     "total units: 0\n")
+
+
+def test_credit_accrue_rerun_mints_nothing_on_a_slug_collision(tmp_path, capsys):
+    # P1 and p1 both motivate a test that regresses; their credits share an id,
+    # so only P1's is minted, on the first run and on every rerun.
+    ledger = tmp_path / "slug.pledger"
+    upper = make_contribution(1)
+    lower = replace(make_contribution(2), actor=ActorRef(role="resident", pseudonym="p1"))
+    runs = [make_run(j, test_id="pl:test:gen:000", version=version,
+                     artifact_id="pl:artifact:gen:a0", decision=decision,
+                     checkpoint="postIncident")
+            for j, (version, decision) in enumerate((("v1", "pass"), ("v2", "fail")))]
+    with LedgerFile(ledger) as writer:
+        for entry in (upper, lower, make_test(0, motivated_by=[upper.id, lower.id]),
+                      make_artifact(0, artifact_id="pl:artifact:gen:a0", version="v1", minute=300),
+                      make_artifact(1, artifact_id="pl:artifact:gen:a0", version="v2", minute=300),
+                      *runs):
+            writer.append(entry)
+    first = _accrue_twice_appends_once(ledger, tmp_path, capsys)
+    assert first == ("minted pl:credit:regressiondetected:pl-run-gen-001:p1: 5 -> P1\n"
+                     "suppressed regressionDetected pl:run:gen:001: alreadyCredited\n"
+                     "total units: 5\n")
 
 
 def test_credit_accrue_rejects_bad_policy(writable_mid, tmp_path, capsys):

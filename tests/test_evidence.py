@@ -12,6 +12,7 @@ from conftest import (
     make_run,
     make_test,
     make_tombstone,
+    oracle_edges,
     random_graph_entries,
     stamp,
 )
@@ -35,7 +36,7 @@ from pledger.fixtures import (
     VOUCHER_ID,
 )
 from pledger import evidence as evidence_mod
-from pledger.graph import Snapshot, build_graph
+from pledger.graph import INFLUENCE_STEPS, Snapshot, build_graph
 from pledger.model import (
     ActorRef,
     CompensationBlock,
@@ -171,6 +172,48 @@ def test_consent_coding():
 def test_compensation_coding(compensation, expected):
     entry = contribution_with(compensation=compensation)
     assert coded(entry)["compensationTerms"] is expected
+
+
+def _naive_influence(entries, contribution) -> CoverageLevel:
+    """The influence cell by a plain search over the raw links: Reported when
+    some sequence of influence steps leads from the contribution to a Change
+    or Test entry, else Partial when it declares an influence."""
+    types = {e.id: e.entry_type for e in entries}
+    successors: dict[str, set[str]] = {}
+    for kind, along in INFLUENCE_STEPS:
+        for source, target in oracle_edges(entries, kind):
+            start, end = (source, target) if along else (target, source)
+            successors.setdefault(start, set()).add(end)
+    seen, frontier = {contribution.id}, [contribution.id]
+    while frontier:
+        for succ in successors.get(frontier.pop(), ()):
+            if succ in seen or succ not in types:
+                continue
+            if types[succ] in (EntryType.CHANGE, EntryType.TEST):
+                return CoverageLevel.REPORTED
+            seen.add(succ)
+            frontier.append(succ)
+    if contribution.links.influences:
+        return CoverageLevel.PARTIAL
+    return CoverageLevel.NOT_SPECIFIED
+
+
+def test_influence_coding_matches_a_naive_search_on_random_graphs():
+    coded = dict.fromkeys(CoverageLevel, 0)
+    for seed in range(300):
+        rng = random.Random(seed)
+        entries = random_graph_entries(rng)
+        rng.choice(entries).links.influences.append("pl:test:gen:9999")  # dangling
+        rng.choice(entries).links.uses_test.append("pl:run:gen:9999")  # dangling
+        for target in rng.sample(entries, rng.randint(0, 2)):
+            entries.append(make_tombstone(target.id, minute=900 + len(entries)))
+        graph = build_graph(Snapshot(entries))
+        for entry in entries:
+            if entry.entry_type is EntryType.CONTRIBUTION:
+                level = audit_contribution(entry, graph)["explicitInfluenceLinks"]
+                assert level is _naive_influence(entries, entry), (seed, entry.id)
+                coded[level] += 1
+    assert min(coded.values()) >= 20, coded
 
 
 def test_influence_coding_resolves_through_the_graph():

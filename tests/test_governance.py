@@ -816,6 +816,31 @@ def test_prior_window_credits_count_toward_cap():
     assert len(plans) == 1
 
 
+def test_a_held_credit_id_is_already_credited_before_the_cap_is_read():
+    # The ledger holds the id the failing run's credit would take, under a
+    # credit that also fills the cap: the id decides, so the reason is
+    # alreadyCredited, not capReached.
+    entries = regression_history()
+    held = EntryEnvelope(
+        id="pl:credit:regressiondetected:pl-run-gen-001:pl-org-o1",
+        entry_type=EntryType.CREDIT,
+        created_at=stamp(50),
+        actor=ActorRef(role="maintainer", pseudonym="credit-accrual"),
+        payload=CreditPayload(
+            beneficiary="pl:org:o1",
+            triggering_event=TriggeringEvent(
+                kind="regressionDetected", evaluation_run_id="pl:run:gen:900"),
+            units=100,
+            policy_ref="sha256:" + "0" * 64,
+        ),
+        links=LinkSet(credits_for=["pl:run:gen:900"]),
+    )
+    plans, report = compute_accrual(Snapshot(entries + [held]), make_policy(), WINDOW)
+    assert plans == []
+    assert [(s.reason, s.trigger_id, s.beneficiary) for s in report.suppressed] == [
+        ("alreadyCredited", "pl:run:gen:001", "pl:org:o1")]
+
+
 @pytest.mark.parametrize("window", [("garbage", WINDOW[1]), (WINDOW[0], "garbage")])
 def test_a_malformed_window_bound_is_refused_on_an_empty_ledger(window):
     # Each bound is parsed once, before any entry is compared with it.

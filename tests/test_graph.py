@@ -343,6 +343,32 @@ def test_trace_steps_are_the_six_step_union_on_random_graphs():
             assert graph_mod._trace_steps(graph, entry.id) == expected, (seed, entry.id)
 
 
+def test_reach_yields_each_reachable_node_once_on_random_graphs():
+    # The closure over raw links from the starts, less the starts, for the
+    # trace steps and for the same steps flipped; dangling ends are never
+    # yielded.
+    for seed in range(200):
+        rng = random.Random(seed)
+        entries = random_graph_entries(rng)
+        rng.choice(entries).links.influences.append("pl:test:gen:9999")
+        graph = build_graph(Snapshot(entries))
+        starts = [e.id for e in rng.sample(entries, rng.randint(1, 3))]
+        for flip in (False, True):
+            steps = [(kind, along != flip) for kind, along in graph_mod._TRACE_STEPS]
+            arcs = {(s, t) if along else (t, s)
+                    for kind, along in steps for s, t in oracle_edges(entries, kind)}
+            closure, frontier = set(starts), list(starts)
+            while frontier:
+                node_id = frontier.pop()
+                for s, t in arcs:
+                    if s == node_id and t not in closure and t in graph.by_id:
+                        closure.add(t)
+                        frontier.append(t)
+            reached = list(graph_mod.reach(graph, starts, steps))
+            assert len(reached) == len(set(reached)), (seed, flip)
+            assert set(reached) == closure - set(starts), (seed, flip)
+
+
 def test_trace_influence_matches_exhaustive_enumeration(lifecycle):
     _, _, entries = lifecycle
     result = trace_influence(build_graph(Snapshot(entries)), CONTRIBUTION_ID)
