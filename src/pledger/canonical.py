@@ -192,7 +192,14 @@ def canonical_json(doc: Any) -> str:
 
 
 def canonical_bytes(doc: Any) -> bytes:
-    return canonical_json(doc).encode("utf-8")
+    """Canonical UTF-8 bytes for a JSON-shaped value. A string holding a lone
+    surrogate has no UTF-8 form (RFC 8259 §8.2): MalformedDocument."""
+    text = canonical_json(doc)
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise MalformedDocument(
+            f"cannot canonicalize lone surrogate {exc.object[exc.start:exc.end]!r}") from exc
 
 
 def compute_hash(data: bytes) -> str:

@@ -66,6 +66,8 @@ def _read_doc(path: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise _UsageError(f"not a JSON document: {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise _UsageError(f"not a JSON document: {path}: nested too deep to decode") from exc
 
 
 def _require_ledger(args: argparse.Namespace) -> str:

@@ -22,7 +22,7 @@ from datetime import datetime
 from decimal import ROUND_HALF_EVEN, Decimal
 from typing import Any
 
-from .canonical import canonical_json, compute_hash
+from .canonical import canonical_bytes, compute_hash
 from .errors import IllegalTransition, InvalidPolicy, UnauthorizedRole, UnknownTest
 from .graph import Snapshot
 from .model import (
@@ -257,7 +257,7 @@ class CreditPolicy:
         decode_checked(None, self, InvalidPolicy)
 
     def ref(self) -> str:
-        return compute_hash(canonical_json(self.to_doc()).encode("utf-8"))
+        return compute_hash(canonical_bytes(self.to_doc()))
 
     def units_for(self, kind: str) -> Decimal:
         return Decimal(str(self.units_per_event.get(kind, 0)))

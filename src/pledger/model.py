@@ -318,9 +318,6 @@ def replace(obj: Any, /, **changes: Any) -> Any:
 # only when it is not empty.
 ALWAYS, OMIT_NONE, OMIT_EMPTY = "always", "omit-none", "omit-empty"
 
-# What `Wire.encode` returns for a field that `to_doc` leaves out.
-OMITTED = object()
-
 # An absent required block decodes as if it were this empty object.
 _NO_BLOCK: dict = {}
 
@@ -380,19 +377,6 @@ class Wire:
             self.absent = "_NO_BLOCK" if self.kind == "block" else "None"
         else:
             self.absent = repr(default)
-
-    def encode(self, block: Any) -> Any:
-        """The value `to_doc` writes for this field of `block`, or OMITTED."""
-        value = getattr(block, self.attr)
-        if self.kind == "copy" and not isinstance(value, list):
-            return value
-        if value is None and self.omit == OMIT_NONE or not value and self.omit == OMIT_EMPTY:
-            return OMITTED
-        if self.kind in ("copy", "strings"):
-            return list(value)
-        if self.kind == "blocks":
-            return [item.to_doc() for item in value]
-        return value.to_doc() if self.kind == "block" else value
 
 
 def _is_strings(value: Any) -> bool:
@@ -485,7 +469,7 @@ def _encoder(cls: type) -> tuple[list[str], dict]:
             enc.append(f"    d[{key}] = {value.format('self.' + row.attr)}")
         else:
             test = "v is not None" if row.omit == OMIT_NONE else "v"
-            if row.kind == "copy":  # as Wire.encode: a non-list is never omitted
+            if row.kind == "copy":  # a non-list is never omitted
                 test += " or not isinstance(v, list)"
             enc += [f"    v = self.{row.attr}", f"    if {test}:",
                     f"        d[{key}] = {value.format('v')}"]
@@ -1028,16 +1012,19 @@ def parse_entry(source: str | bytes | dict) -> EntryEnvelope:
     """Parse one entry document.
 
     Accepts JSON text (UTF-8 when bytes) or an already-decoded object. Raises
-    MalformedDocument (also for a number with no finite value), UnknownEntryType,
-    PayloadMismatch, InvalidTimestamp, or InvalidId. Value rules (vocabularies,
-    ranges, role requirements) are left to validate_structure so the caller
-    can collect them all at once.
+    MalformedDocument (also for a number with no finite value, and for text
+    nested too deep to decode), UnknownEntryType, PayloadMismatch,
+    InvalidTimestamp, or InvalidId. Value rules (vocabularies, ranges, role
+    requirements) are left to validate_structure so the caller can collect
+    them all at once.
     """
     if isinstance(source, (str, bytes)):
         try:
             doc = _DECODER.decode(source if isinstance(source, str) else source.decode("utf-8"))
         except json.JSONDecodeError as exc:
             raise MalformedDocument(f"not valid JSON: {exc}") from exc
+        except RecursionError as exc:  # RFC 8259 §9 lets a parser limit nesting
+            raise MalformedDocument("not valid JSON: nested too deep to decode") from exc
     else:
         doc = source
     if not isinstance(doc, dict):

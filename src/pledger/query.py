@@ -35,7 +35,7 @@ from .errors import (
     UnknownRelation,
 )
 from .graph import Snapshot
-from .model import LINK_KINDS, OMITTED, EntryType, Wire, record
+from .model import LINK_KINDS, EntryType, record
 
 # Node labels: the eight entry types plus the Deployment view over artifacts.
 _LABELS = {t.value.casefold(): t.value for t in EntryType}
@@ -318,23 +318,27 @@ class ResultTable:
         return buffer.getvalue()
 
 
+# What `_payload_field` returns for a field that `to_doc` leaves out.
+OMITTED = object()
+
+
 @functools.cache
-def _table_of(cls: type) -> dict[str, Wire]:
-    """A payload class's field table, keyed by normalised wire name."""
-    return {_normalize_name(row.name): row for row in cls.FIELDS}
+def _table_of(cls: type) -> dict[str, str]:
+    """A payload class's wire names, keyed by normalised wire name."""
+    return {_normalize_name(row.name): row.name for row in cls.FIELDS}
 
 
 def _payload_field(graph: Snapshot, node_id: str, norm: str) -> Any:
-    """A payload field by normalised name, read through its row of the field
-    table as `to_doc` writes it; a field that `to_doc` omits falls through to
-    the payload's extension keys, the first with that normalised name winning.
-    OMITTED when neither has it, and for every field of a tombstoned node."""
+    """A payload field by normalised name, as `to_doc` writes it; a field that
+    `to_doc` omits falls through to the payload's extension keys, the first
+    with that normalised name winning. OMITTED when neither has it, and for
+    every field of a tombstoned node."""
     if node_id in graph.hidden:
         return OMITTED
     payload = graph.by_id[node_id].payload
-    row = _table_of(type(payload)).get(norm)
-    if row is not None:
-        value = row.encode(payload)
+    name = _table_of(type(payload)).get(norm)
+    if name is not None:
+        value = payload.to_doc().get(name, OMITTED)
         if value is not OMITTED:
             return value
     for key, value in payload.extensions.items():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import csv
 import gc
 import hashlib
@@ -10,10 +9,17 @@ import io
 import json
 import os
 import shutil
-from datetime import timedelta
 
 import pytest
 from conftest import make_artifact, make_change, make_contribution, make_run, make_test
+from corpus import (
+    BROKEN_CHAINS,
+    DEEP,
+    KEPT_CHAINS,
+    command_paths,
+    resealed_over_its_bytes,
+    tree,
+)
 
 from pledger import store
 from pledger.canonical import canonical_json
@@ -30,6 +36,7 @@ from pledger.fixtures import (
     TEST_ID,
     VOUCHER_ID,
     WINDOW,
+    build_lifecycle,
     sample_contribution_doc,
 )
 from pledger.graph import Snapshot
@@ -43,7 +50,6 @@ from pledger.model import (
     MeasurementProcedure,
     VoucherCondition,
     VoucherPayload,
-    format_timestamp,
     parse_entry,
     replace,
     serialize_entry,
@@ -196,47 +202,6 @@ def test_verify_reports_torn_tail(writable, capsys):
     assert "verification failure" in err
 
 
-def _repeat_line_3_at_the_head(lines: list[str]) -> list[str]:
-    # entry 3 re-sealed onto the head: every link holds, one id repeats
-    entry = replace(parse_entry(lines[2]), integrity=None)
-    head = json.loads(lines[-1])["integrity"]["hash"]
-    return [*lines, serialize_entry(seal(entry, prev_hash=head))]
-
-
-def _swap_lines_6_and_7(lines: list[str]) -> list[str]:
-    return [*lines[:5], lines[6], lines[5], *lines[7:]]
-
-
-def _drop_line_4_integrity(lines: list[str]) -> list[str]:
-    doc = json.loads(lines[3])
-    del doc["integrity"]
-    return [*lines[:3], canonical_json(doc), *lines[4:]]
-
-
-def _backdate_line_6(lines: list[str]) -> list[str]:
-    # line 6 resealed 25 hours behind line 5, and every line after it
-    # resealed onto it: each hash and link holds, the time order does not
-    entries = [parse_entry(line) for line in lines]
-    when = entries[4].created_at_datetime() - timedelta(hours=25)
-    out, prev = lines[:5], entries[4].integrity.hash
-    for index, entry in enumerate(entries[5:], 5):
-        changes = {"created_at": format_timestamp(when)} if index == 5 else {}
-        sealed = seal(replace(entry, integrity=None, **changes), prev_hash=prev)
-        out.append(serialize_entry(sealed))
-        prev = sealed.integrity.hash
-    return out
-
-
-# Each broken chain: how to make it from the lifecycle ledger, verify's report,
-# and the line every other command refuses, with its reason.
-BROKEN_CHAINS = {
-    "repeated-id": (_repeat_line_3_at_the_head, 15, "duplicateId", 16, "16: duplicateId"),
-    "swapped-lines": (_swap_lines_6_and_7, 5, "prevHashMismatch", 15, "6: prevHashMismatch"),
-    "no-integrity": (_drop_line_4_integrity, 3, "hashMismatch", 15, "4: hashMismatch"),
-    "backdated": (_backdate_line_6, 5, "orderViolation", 15, "6: orderViolation"),
-}
-
-
 def _break_chain(path, tamper) -> None:
     lines = path.read_text("utf-8").splitlines()
     path.write_text("\n".join(tamper(lines)) + "\n", "utf-8")
@@ -275,38 +240,6 @@ def test_readers_refuse_a_broken_chain_where_verify_reports_it(writable, broken)
         read_entries(writable)
     assert (info.value.line_number, info.value.reason) == (
         verdict.first_broken_index + 1, verdict.failure_kind)
-
-
-def _drop_last_three(lines: list[str]) -> list[str]:
-    return lines[:-3]
-
-
-def _respace_line_5(lines: list[str]) -> list[str]:
-    return [*lines[:4], json.dumps(json.loads(lines[4])), *lines[5:]]
-
-
-def _prefix_line_5_with_an_id(lines: list[str]) -> list[str]:
-    return [*lines[:4], '{"id":"pl:contribution:forged:001",' + lines[4][1:], *lines[5:]]
-
-
-def _note_in_line_4_integrity(lines: list[str]) -> list[str]:
-    doc = json.loads(lines[3])
-    doc["integrity"]["note"] = "rewritten"
-    return [*lines[:3], canonical_json(doc), *lines[4:]]
-
-
-def _empty_the_file(lines: list[str]) -> list[str]:
-    return []
-
-
-# Tampering that leaves the decoded chain intact, and verify's report on it.
-KEPT_CHAINS = {
-    "drop-last-three": (_drop_last_three, 12, "headMismatch", 12),
-    "respace-line-5": (_respace_line_5, 4, "nonCanonicalLine", 15),
-    "id-prefix-line-5": (_prefix_line_5_with_an_id, 4, "nonCanonicalLine", 15),
-    "note-in-line-4-integrity": (_note_in_line_4_integrity, 3, "nonCanonicalLine", 15),
-    "emptied": (_empty_the_file, 0, "headMismatch", 0),
-}
 
 
 @pytest.mark.parametrize("tamper,index,kind,count", KEPT_CHAINS.values(),
@@ -392,13 +325,13 @@ def test_every_ledger_reader_exits_4_on_a_ledger_it_cannot_read(writable, tmp_pa
     # storage failure (exit 4), not a traceback; nothing on disk changes.
     (tmp_path / "adir.pledger").mkdir()
     store.head_path(writable).mkdir()
-    before = _tree(tmp_path)
+    before = tree(tmp_path)
     for ledger in (tmp_path / "adir.pledger", writable):
         code, out, err = run_cli(capsys, *argv, "--ledger", str(ledger))
         assert (code, out) == (4, "")
         assert err.startswith(f"verification failure: cannot read {ledger}: "), err
         assert "Is a directory" in err
-    assert _tree(tmp_path) == before
+    assert tree(tmp_path) == before
     for read in (read_entries, store.verify_file):
         with pytest.raises(StorageFailure, match="cannot read"):
             read(tmp_path / "adir.pledger")
@@ -429,12 +362,6 @@ def test_every_ledger_writer_refuses_a_broken_chain(writable, tmp_path, capsys, 
     assert writable.read_bytes() == before
 
 
-def _tree(root) -> dict[str, bytes | None]:
-    """Every path under `root` with a file's bytes (None for anything else)."""
-    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() and not p.is_symlink()
-            else None for p in sorted(root.rglob("*"))}
-
-
 # Ledger paths a writer cannot open or create, with the refusal's opening
 # words: a path through a regular file, a directory, and a path whose parent
 # is a dangling symbolic link (the first append's mkdir fails). `redact`
@@ -458,12 +385,12 @@ def test_a_writer_that_cannot_open_its_ledger_exits_4_and_changes_nothing(
     (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
     entry = tmp_path / "entry.json"
     entry.write_text(json.dumps(sample_contribution_doc()), "utf-8")
-    before = _tree(tmp_path)
+    before = tree(tmp_path)
     argv = [arg.format(entry=entry) for arg in LEDGER_WRITERS[writer]]
     code, out, err = run_cli(capsys, *argv, "--ledger", str(tmp_path / ledger))
     assert (code, out) == (4, "")
     assert err.startswith(f"verification failure: {refusal} "), err
-    assert _tree(tmp_path) == before
+    assert tree(tmp_path) == before
 
 
 # Every user-named file other than the ledger, in the command that reads or
@@ -505,13 +432,13 @@ def test_a_user_named_file_that_cannot_be_read_or_written_is_a_usage_error(
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(path.read_bytes()),
                                                           encoding="utf-8"))
         path = "-"
-    before = _tree(tmp_path)
+    before = tree(tmp_path)
     argv = [arg.format(bad=path, bundle=bundle) for arg in argv]
     code, out, err = run_cli(capsys, *argv, "--ledger", str(writable))
     assert (code, out) == (64, "")
     assert err.startswith(f"usage error: cannot {verb} {path}: "), err
     assert len(err.splitlines()) == 1
-    assert _tree(tmp_path) == before
+    assert tree(tmp_path) == before
 
 
 def _drop_the_last_line(data: bytes) -> bytes:
@@ -818,16 +745,7 @@ def test_help_and_unknown_command(capsys):
     assert "usage error" in err
 
 
-def _command_paths(parser: argparse.ArgumentParser, path: tuple = ()):
-    """(command path, parser) for the parser and every subcommand under it."""
-    yield path, parser
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for name, sub in action.choices.items():
-                yield from _command_paths(sub, (*path, name))
-
-
-FULL_TREE = dict(_command_paths(build_parser()))
+FULL_TREE = dict(command_paths(build_parser()))
 
 
 def test_the_full_tree_holds_every_command():
@@ -842,7 +760,7 @@ def test_each_command_path_gets_the_help_of_the_full_tree(capsys, path):
     # The parser built for one command holds only that command, and its help
     # is the full tree's.
     expected = FULL_TREE[path].format_help()
-    built = dict(_command_paths(build_parser([*path, "-h"])))
+    built = dict(command_paths(build_parser([*path, "-h"])))
     assert built[path].format_help() == expected
     if path:
         assert [p for p in built if len(p) == 1] == [path[:1]]
@@ -896,6 +814,16 @@ def test_append_refuses_a_top_level_prev(tmp_path, capsys):
     assert code == 5
     assert "prev [prev.reserved] top-level prev is reserved for the hash pre-image" in err
     assert not (tmp_path / "nodir").exists()
+
+
+def test_verify_reports_a_top_level_prev_added_after_sealing(tmp_path, capsys):
+    # The entry was sealed without the key: no pre-image holds it.
+    ledger = tmp_path / "one.pledger"
+    sealed = seal(parse_entry(sample_contribution_doc()))
+    ledger.write_text(serialize_entry(replace(sealed, extensions={"prev": "note"})) + "\n",
+                      "utf-8")
+    assert run_cli(capsys, "verify", "--ledger", str(ledger)) == (
+        4, "chain broken at index 0: hashMismatch (1 entries checked)\n", "")
 
 
 def test_append_reads_stdin(tmp_path, monkeypatch, capsys):
@@ -1024,6 +952,41 @@ def test_query_argument_exclusivity(lifecycle, tmp_path, capsys):
         code, _out, err = run_cli(capsys, *argv)
         assert code == 64, argv
         assert "usage error" in err
+
+
+def test_a_redacted_contribution_keeps_its_trace_and_loses_its_payload(writable, capsys):
+    # A query still matches the node and reads its id and createdAt, its
+    # payload fields read empty, and the evidence audit, which codes live
+    # contributions only, prints just its header.
+    assert run_cli(capsys, *LEDGER_WRITERS["redact"], "--ledger", str(writable))[0] == 0
+    assert run_cli(capsys, "query", "--ledger", str(writable), "--format", "csv",
+                   "MATCH (c:Contribution) RETURN c.id, c.kind, c.createdAt;") == (
+        0, f"c.id,c.kind,c.createdAt\n{CONTRIBUTION_ID},,2025-05-10T14:30:00Z\n", "")
+    assert run_cli(capsys, "audit", "evidence", "--ledger", str(writable), "--format", "csv") \
+        == (0, "case,recruitmentPathway,rolesAndIntermediaries,consentPrivacyScope,"
+               "compensationTerms,explicitInfluenceLinks\n", "")
+
+
+def test_queries_and_the_linkage_audit_read_every_edge_both_ways(lifecycle, capsys):
+    # The runs and changes that use the test read against their declarations,
+    # the changes that declare influencedBy read as influences of the
+    # contribution, and the audit counts the one tested test and the one
+    # dangling evidence link.
+    ledger = str(lifecycle[0])
+    code, out, _err = run_cli(capsys, "query", "--ledger", ledger, "--format", "csv",
+                              "MATCH (t:Test)<-[:USES_TEST]-(x) RETURN t.id, x.id;")
+    assert (code, out.splitlines()) == (0, ["t.id,x.id", *(f"{TEST_ID},{x}" for x in (
+        "pl:change:consult:accessibility:001", "pl:change:consult:remediation:001",
+        "pl:run:accessibility:v1:001", "pl:run:accessibility:v2:001",
+        "pl:run:accessibility:v3:001"))])
+    code, out, _err = run_cli(capsys, "query", "--ledger", ledger, "--format", "csv",
+                              "MATCH (c:Contribution)-[:INFLUENCES]-(x) RETURN c.id, x.id;")
+    assert (code, out.splitlines()) == (0, ["c.id,x.id", *(f"{CONTRIBUTION_ID},{x}" for x in (
+        "pl:change:consult:accessibility:001", "pl:change:consult:remediation:001", TEST_ID))])
+    code, out, _err = run_cli(capsys, "audit", "linkage", "--ledger", ledger, "--format", "doc")
+    doc = json.loads(out)
+    assert (code, doc["testsWithRun"], doc["dangling"]) == (
+        0, 1, [{"entryId": CONTRIBUTION_ID, "target": "pl:evidence:workshoplog:001"}])
 
 
 def test_query_syntax_error_exits_5(lifecycle, capsys):
@@ -1215,6 +1178,36 @@ def test_voucher_issue_and_transition(tmp_path, capsys):
     assert out.strip() == "voucher pl:voucher:gen:001:rev1 active"
 
 
+def test_every_writer_in_turn_leaves_a_valid_chain_and_its_head(writable, tmp_path, capsys):
+    # A harness run, a voucher issued and activated (so the gate denies), a
+    # credit accrual and a redaction, then the chain and the head file.
+    voucher, policy = tmp_path / "voucher.json", tmp_path / "policy.json"
+    voucher.write_text(json.dumps({
+        "capability": CAPABILITY, "boundary": BOUNDARY, "action": "pause", "status": "issued",
+        "steward": {"role": "communitySteward", "stewardOrg": STEWARD_ORG}}), "utf-8")
+    policy.write_text(json.dumps(POLICY_DOC), "utf-8")
+    ledger = ["--ledger", str(writable)]
+    results = _results(tmp_path, pl_test_accessibility_001=SCORES)
+    code, out, _err = run_cli(capsys, *HARNESS_V3, *ledger, "--results", results,
+                              "--created-at", "2025-07-01T00:00:00Z")
+    assert (code, out.splitlines()[-1]) == (0, "verdict: allPass")
+    for expected, argv in [
+        (0, ["voucher", "issue", "--payload", str(voucher),
+             "--created-at", "2025-07-02T00:00:00Z"]),
+        (0, ["voucher", "transition", "--voucher", "pl:voucher:image-generation:001",
+             "--to", "active", "--created-at", "2025-07-03T00:00:00Z"]),
+        (3, ["gate", "check", "--capability", CAPABILITY, "--boundary", BOUNDARY,
+             "--version", "v3", "--now", "2025-07-04T00:00:00Z"]),
+        (0, ["credit", "accrue", "--policy", str(policy), "--window-start", WINDOW[0],
+             "--window-end", "2025-07-31T00:00:00Z"]),
+        (0, [*LEDGER_WRITERS["redact"], "--created-at", "2025-07-05T00:00:00Z"]),
+    ]:
+        assert run_cli(capsys, *argv, *ledger)[0] == expected, argv
+    assert run_cli(capsys, "verify", *ledger) == (0, "chain valid, 19 entries\n", "")
+    last = json.loads(writable.read_text("utf-8").splitlines()[-1])
+    assert store.head_path(writable).read_text("utf-8") == last["integrity"]["hash"] + "\n"
+
+
 def test_voucher_issue_refuses_a_revision_that_changes_the_capability(writable, tmp_path,
                                                                       capsys):
     doc = {"capability": "image-generation", "boundary": "consultation_workflow",
@@ -1297,6 +1290,17 @@ def _accrue_twice_appends_once(ledger, tmp_path, capsys) -> str:
     assert "total units: 0" in again
     assert ledger.read_bytes() == before
     return first
+
+
+def test_accruing_the_ledger_stopped_before_its_credit_writes_the_full_lifecycle(
+        lifecycle, tmp_path, capsys):
+    ledger = tmp_path / "a.pledger"
+    build_lifecycle(ledger, stop_after=14)
+    first = _accrue_twice_appends_once(ledger, tmp_path, capsys)
+    assert [line for line in first.splitlines() if line.startswith("minted ")] == [
+        f"minted {CREDIT_ID}: 10 -> {STEWARD_ORG}"]
+    assert ledger.read_bytes() == lifecycle[0].read_bytes()
+    assert store.head_path(ledger).read_bytes() == store.head_path(lifecycle[0]).read_bytes()
 
 
 def test_credit_accrue_rerun_mints_nothing_over_a_redacted_credit(writable, tmp_path, capsys):
@@ -1622,16 +1626,47 @@ def test_hmac_sign_and_verify(tmp_path, capsys):
     code, out, _err = run_cli(capsys, "verify", "--ledger", str(ledger),
                               "--hmac-key", "k1=sekrit")
     assert code == 0
-    assert "1 valid" in out
+    assert out.splitlines() == [
+        "chain valid, 1 entries", "signatures: 1 valid, 0 invalid, 0 unverifiable, 0 absent"]
 
     code, out, _err = run_cli(capsys, "verify", "--ledger", str(ledger),
                               "--hmac-key", "k1=wrong")
     assert code == 4
-    assert "1 invalid" in out
+    assert out.splitlines() == [
+        "chain valid, 1 entries", "signatures: 0 valid, 1 invalid, 0 unverifiable, 0 absent"]
 
     code, _out, err = run_cli(capsys, "verify", "--ledger", str(ledger),
                               "--hmac-key", "no-separator")
     assert code == 64
+
+
+def _results(tmp_path, **results: str) -> str:
+    """A results bundle holding one `<slug>.result` file per keyword."""
+    bundle = tmp_path / "results"
+    bundle.mkdir()
+    for slug, text in results.items():
+        (bundle / f"{slug.replace('_', '-')}.result").write_text(text, "utf-8")
+    return str(bundle)
+
+
+HARNESS_V3 = ["harness", "run", "--artifact", ARTIFACT_ID, "--version", "v3",
+              "--checkpoint", "scheduledAudit"]
+SCORES = '{"scores": [[5, 4], [4, 5], [5, 5]]}'
+
+
+def test_a_signed_harness_run_is_valid_under_its_key_only(writable, tmp_path, capsys):
+    # The one run is signed: invalid under a wrong secret, or under a keyRef
+    # that signed nothing.
+    results = _results(tmp_path, pl_test_accessibility_001=SCORES)
+    assert run_cli(capsys, *HARNESS_V3, "--ledger", str(writable), "--results", results,
+                   "--created-at", "2025-07-01T00:00:00Z",
+                   "--hmac-key", "steward-key=SECRET")[0] == 0
+    for key, code, counts in [("steward-key=SECRET", 0, "1 valid, 0 invalid"),
+                              ("steward-key=WRONG", 4, "0 valid, 1 invalid"),
+                              ("other-key=SECRET", 4, "0 valid, 1 invalid")]:
+        assert run_cli(capsys, "verify", "--ledger", str(writable), "--hmac-key", key) == (
+            code, f"chain valid, 16 entries\nsignatures: {counts}, 0 unverifiable, 15 absent\n",
+            "")
 
 
 def test_a_signed_writer_signs_every_entry_one_call_appends(writable, capsys):
@@ -1673,18 +1708,6 @@ def test_verify_refuses_a_number_with_no_canonical_form_as_a_corrupt_line(
         assert err.startswith("verification failure: corrupt ledger line 1: not valid JSON: ")
 
 
-def _resealed_over_its_bytes(line: str) -> str:
-    """Chain-head `line`, whose last key is `type`, with its hash recomputed
-    over its own bytes: the `integrity` member cut, `"prev":""` spliced in
-    before `type`."""
-    integrity = json.loads(line)["integrity"]
-    cut = ',"integrity":' + canonical_json(integrity)
-    assert cut in line
-    rest, sep, last = line.replace(cut, "").rpartition(',"type":')
-    pre_image = (rest + ',"prev":""' + sep + last).encode("utf-8")
-    return line.replace(integrity["hash"], "sha256:" + hashlib.sha256(pre_image).hexdigest())
-
-
 @pytest.mark.parametrize("number", ["NaN", "1e400", "-Infinity"])
 def test_every_command_refuses_a_number_with_no_canonical_form_resealed_over_its_bytes(
         lifecycle, tmp_path, capsys, number):
@@ -1695,11 +1718,11 @@ def test_every_command_refuses_a_number_with_no_canonical_form_resealed_over_its
     line = lifecycle[0].read_text("utf-8").splitlines()[0]
     assert line.count('"amount":50') == 1
     ledger = tmp_path / "one.pledger"
-    ledger.write_text(_resealed_over_its_bytes(line.replace('"amount":50', '"amount":51'))
+    ledger.write_text(resealed_over_its_bytes(line.replace('"amount":50', '"amount":51'))
                       + "\n", "utf-8")
     assert run_cli(capsys, "verify", "--ledger", str(ledger)) == (
         0, "chain valid, 1 entries\n", "")
-    resealed = _resealed_over_its_bytes(line.replace('"amount":50', f'"amount":{number}'))
+    resealed = resealed_over_its_bytes(line.replace('"amount":50', f'"amount":{number}'))
     ledger.write_text(resealed + "\n", "utf-8")
     out_path = tmp_path / "r.json"
     for argv in (["verify"], LEDGER_READERS["gate-check"],
@@ -1708,6 +1731,55 @@ def test_every_command_refuses_a_number_with_no_canonical_form_resealed_over_its
         assert (code, out) == (4, ""), argv
         assert err.startswith("verification failure: corrupt ledger line 1: not valid JSON: ")
     assert not out_path.exists()
+
+
+def test_a_line_nested_too_deep_is_a_corrupt_line_and_such_a_document_a_usage_error(
+        writable, tmp_path, capsys):
+    # RFC 8259 lets a parser limit nesting: past the decoder's limit a stored
+    # line does not parse (exit 4 at that line) and an input document is not
+    # one (exit 64), never a RecursionError.
+    with writable.open("a", encoding="utf-8") as fh:
+        fh.write(DEEP + "\n")
+    refusal = "verification failure: corrupt ledger line 16: not valid JSON: nested too deep"
+    for argv in (["verify"], LEDGER_READERS["gate-check"]):
+        assert run_cli(capsys, *argv, "--ledger", str(writable)) == (
+            4, "", f"{refusal} to decode\n")
+    document, ledger = tmp_path / "deep.json", tmp_path / "nodir" / "new.pledger"
+    document.write_text(DEEP, "utf-8")
+    assert run_cli(capsys, "append", str(document), "--ledger", str(ledger)) == (
+        64, "", f"usage error: not a JSON document: {document}: nested too deep to decode\n")
+    assert not ledger.parent.exists()
+
+
+def test_a_lone_surrogate_in_an_input_document_is_refused_before_any_append(
+        writable, tmp_path, capsys):
+    # A string holding one has no UTF-8 form, so the entry or policy has no
+    # canonical rendering to hash: exit 5, as for NaN, and nothing written.
+    doc = sample_contribution_doc()
+    doc["contribution"]["summary"] = "\ud800x"
+    entry, policy = tmp_path / "entry.json", tmp_path / "policy.json"
+    entry.write_text(json.dumps(doc), "utf-8")
+    policy.write_text(json.dumps({**POLICY_DOC, "note": "\ud800x"}), "utf-8")
+    refusal = "error: cannot canonicalize lone surrogate '\\ud800'\n"
+    ledger = tmp_path / "nodir" / "new.pledger"
+    assert run_cli(capsys, "append", str(entry), "--ledger", str(ledger)) == (5, "", refusal)
+    assert not ledger.parent.exists()
+    before = writable.read_bytes()
+    assert run_cli(capsys, "credit", "accrue", "--ledger", str(writable), "--policy",
+                   str(policy), "--window-start", WINDOW[0], "--window-end", WINDOW[1]) == (
+        5, "", refusal)
+    assert writable.read_bytes() == before
+
+
+def test_a_stored_line_holding_a_lone_surrogate_is_still_read(lifecycle, tmp_path, capsys):
+    # Whether a stored line may hold one is the line rule's question, not
+    # the input's: verify hashes the bytes and keeps its verdict.
+    line = lifecycle[0].read_text("utf-8").splitlines()[0].replace(
+        "waterfront", "water\\ud800front")
+    ledger = tmp_path / "one.pledger"
+    ledger.write_text(resealed_over_its_bytes(line) + "\n", "utf-8")
+    assert run_cli(capsys, "verify", "--ledger", str(ledger)) == (
+        0, "chain valid, 1 entries\n", "")
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,13 @@ def test_parse_rejects_non_documents():
         parse_entry(json.dumps([1, 2]))
 
 
+def test_parse_refuses_text_nested_too_deep_to_decode():
+    # RFC 8259 §9 lets a parser limit nesting; past the decoder's limit the
+    # text is refused as any other, not with a RecursionError.
+    with pytest.raises(MalformedDocument, match="^not valid JSON: nested too deep to decode$"):
+        parse_entry('{"x":' + "[" * 100_000 + "]" * 100_000 + "}")
+
+
 def test_entry_ids():
     check_entry_id("pl:contrib:wedesign:prompt:001", EntryType.CONTRIBUTION)
     with pytest.raises(InvalidId):
@@ -437,13 +444,11 @@ def test_decoded_link_lists_are_copies():
 @pytest.mark.parametrize("value", ["ab", 5, {"k": 1}, 0, "", None])
 def test_malformed_scope_constraints_encode_as_decoded(value):
     # Validation, not the codec, rejects a value that is not a list of tags:
-    # both encoders write back what was decoded, so a stored line's hash is
+    # the encoder writes back what was decoded, so a stored line's hash is
     # recomputed over the value it holds.
     doc = {"requiredTestId": "pl:test:x:001", "scopeConstraints": value, "humanInLoop": False}
     condition = VoucherCondition.from_doc(doc)
     assert condition.to_doc() == doc
-    row = next(row for row in VoucherCondition.FIELDS if row.name == "scopeConstraints")
-    assert row.encode(condition) == value
     assert VoucherCondition.from_doc({**doc, "scopeConstraints": []}).to_doc() == {
         "requiredTestId": "pl:test:x:001", "humanInLoop": False}
 
