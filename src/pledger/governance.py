@@ -141,9 +141,13 @@ def transition_voucher(ledger: LedgerFile, voucher_id: str, new_status: str, *,
 class GateReason:
     voucher_id: str | None
     reason_kind: str
+    test_id: str | None = None  # a condition's required test
 
     def to_doc(self) -> dict:
-        return {"voucherId": self.voucher_id, "reasonKind": self.reason_kind}
+        doc = {"voucherId": self.voucher_id, "reasonKind": self.reason_kind}
+        if self.test_id is not None:
+            doc["testId"] = self.test_id
+        return doc
 
 
 @record
@@ -164,7 +168,8 @@ class GateDecision:
     def describe(self) -> str:
         verdict = "allowed" if self.allowed else "denied"
         why = ", ".join(
-            f"{r.reason_kind}({r.voucher_id})" if r.voucher_id else r.reason_kind
+            f"{r.reason_kind}({r.voucher_id}: {r.test_id})" if r.test_id
+            else f"{r.reason_kind}({r.voucher_id})" if r.voucher_id else r.reason_kind
             for r in self.reasons)
         return f"{verdict}: {why}" if why else verdict
 
@@ -215,7 +220,8 @@ def gate_check(snapshot: Snapshot, capability: str, artifact_id: str, version: s
                     continue
                 decision.allowed = False
                 kind = "inconclusiveTest" if run == "inconclusive" else "conditionUnmet"
-                decision.reasons.append(GateReason(latest.id, kind))
+                decision.reasons.append(GateReason(latest.id, kind,
+                                                   condition.required_test_id))
         # action=authorize applies without blocking
     if applicable == 0:
         decision.reasons.append(GateReason(None, DEFAULT_ALLOW))

@@ -10,8 +10,8 @@ test. This keeps append-only writing compatible with edges that point at
 later entries.
 
 The reverse-direction convenience view between influencedBy and influences is
-derived by `Snapshot.adjacent`, through which every edge read goes (and
-`Snapshot.neighbours`, its set), and is never materialized.
+derived by `Snapshot.adjacent`, through which every edge read goes, and is
+never materialized.
 
 Tombstoned entries stay in the graph with their type and edges; `hidden`
 names them, and every reader leaves their payloads out.
@@ -282,10 +282,6 @@ class Snapshot:
         if not ends:
             return reversed_ends
         return {*ends, *reversed_ends} if reversed_ends else ends
-
-    def neighbours(self, node_id: str, kind: str, outgoing: bool = True) -> set[str]:
-        """The ends `adjacent` gives, deduplicated into a new set."""
-        return set(self.adjacent(node_id, kind, outgoing))
 
 
 def build_graph(snapshot: Snapshot) -> Snapshot:

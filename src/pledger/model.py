@@ -263,49 +263,45 @@ def _on_first_call(cls: type, name: str, label: str, source: Any) -> None:
     setattr(cls, name, stand_in)
 
 
-def record(cls: type | None = None, /, *, uncompared: tuple = ()):
+def record(cls: type) -> type:
     """Class decorator: build a record class from its annotated rows (see
-    above). Instances have slots and no `__dict__`; fields named in
-    `uncompared` are left out of equality."""
-    def build(cls: type) -> type:
-        attrs = tuple(cls.__annotations__)
-        defaults = [vars(cls).get(attr, MISSING) for attr in attrs]
-        defaults = [d.default if isinstance(d, Wire) else d for d in defaults]
-        namespace = {k: v for k, v in vars(cls).items()
-                     if k not in attrs and k not in ("__dict__", "__weakref__")}
-        namespace["__slots__"] = attrs
-        qualname, cls = cls.__qualname__, type(cls.__name__, cls.__bases__, namespace)
-        cls.__qualname__ = qualname
-        # The getters end with `__class__`, so even a one-field record gets a tuple.
-        values = attrgetter(*attrs, "__class__")
-        compared = attrgetter(*(a for a in attrs if a not in uncompared), "__class__")
+    above). Instances have slots and no `__dict__`."""
+    attrs = tuple(cls.__annotations__)
+    defaults = [vars(cls).get(attr, MISSING) for attr in attrs]
+    defaults = [d.default if isinstance(d, Wire) else d for d in defaults]
+    namespace = {k: v for k, v in vars(cls).items()
+                 if k not in attrs and k not in ("__dict__", "__weakref__")}
+    namespace["__slots__"] = attrs
+    qualname, cls = cls.__qualname__, type(cls.__name__, cls.__bases__, namespace)
+    cls.__qualname__ = qualname
+    # The getter ends with `__class__`, so even a one-field record gets a tuple.
+    values = attrgetter(*attrs, "__class__")
 
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                return compared(self) == compared(other)
-            return NotImplemented
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
 
-        def __repr__(self):
-            pairs = ", ".join(f"{attr}={value!r}" for attr, value in zip(attrs, values(self)))
-            return f"{self.__class__.__qualname__}({pairs})"
+    def __repr__(self):
+        pairs = ", ".join(f"{attr}={value!r}" for attr, value in zip(attrs, values(self)))
+        return f"{self.__class__.__qualname__}({pairs})"
 
-        def init_source() -> tuple[list[str], dict]:
-            names, params, body = {"MISSING": MISSING}, [], []
-            for i, (attr, default) in enumerate(zip(attrs, defaults)):
-                names[f"d{i}"] = default
-                if isinstance(default, type):  # a fresh instance per record
-                    new = "[]" if default is list else "{}" if default is dict else f"d{i}()"
-                    params.append(f"{attr}=MISSING")
-                    body.append(f"    self.{attr} = {new} if {attr} is MISSING else {attr}")
-                else:
-                    params.append(attr if default is MISSING else f"{attr}=d{i}")
-                    body.append(f"    self.{attr} = {attr}")
-            return [f"def __init__(self, {', '.join(params)}):", *body], names
+    def init_source() -> tuple[list[str], dict]:
+        names, params, body = {"MISSING": MISSING}, [], []
+        for i, (attr, default) in enumerate(zip(attrs, defaults)):
+            names[f"d{i}"] = default
+            if isinstance(default, type):  # a fresh instance per record
+                new = "[]" if default is list else "{}" if default is dict else f"d{i}()"
+                params.append(f"{attr}=MISSING")
+                body.append(f"    self.{attr} = {new} if {attr} is MISSING else {attr}")
+            else:
+                params.append(attr if default is MISSING else f"{attr}=d{i}")
+                body.append(f"    self.{attr} = {attr}")
+        return [f"def __init__(self, {', '.join(params)}):", *body], names
 
-        cls.__eq__, cls.__repr__, cls.__hash__, cls.__match_args__ = __eq__, __repr__, None, attrs
-        _on_first_call(cls, "__init__", f"<record {cls.__name__}>", init_source)
-        return cls
-    return build if cls is None else build(cls)
+    cls.__eq__, cls.__repr__, cls.__hash__, cls.__match_args__ = __eq__, __repr__, None, attrs
+    _on_first_call(cls, "__init__", f"<record {cls.__name__}>", init_source)
+    return cls
 
 
 def replace(obj: Any, /, **changes: Any) -> Any:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Any
 
 from .canonical import render_value
 from .errors import (
@@ -290,7 +289,7 @@ def escape_literal(value: str) -> str:
 # ---------------------------------------------------------------------------
 # evaluation
 
-@record(uncompared=("plan",))
+@record
 class ResultTable:
     columns: list[str]
     rows: list[tuple[str, ...]] = list
@@ -318,60 +317,32 @@ class ResultTable:
         return buffer.getvalue()
 
 
-# What `_payload_field` returns for a field that `to_doc` leaves out.
-OMITTED = object()
+def evaluate_field(graph: Snapshot, node_id: str, fieldname: str) -> str | None:
+    """One node's field in its query-result string form, None when absent.
 
-
-@functools.cache
-def _table_of(cls: type) -> dict[str, str]:
-    """A payload class's wire names, keyed by normalised wire name."""
-    return {_normalize_name(row.name): row.name for row in cls.FIELDS}
-
-
-def _payload_field(graph: Snapshot, node_id: str, norm: str) -> Any:
-    """A payload field by normalised name, as `to_doc` writes it; a field that
-    `to_doc` omits falls through to the payload's extension keys, the first
-    with that normalised name winning. OMITTED when neither has it, and for
-    every field of a tombstoned node."""
-    if node_id in graph.hidden:
-        return OMITTED
-    payload = graph.by_id[node_id].payload
-    name = _table_of(type(payload)).get(norm)
-    if name is not None:
-        value = payload.to_doc().get(name, OMITTED)
-        if value is not OMITTED:
-            return value
-    for key, value in payload.extensions.items():
-        if _normalize_name(key) == norm:
-            return value
-    return OMITTED
-
-
-def _field_value(graph: Snapshot, node_id: str, fieldname: str) -> Any:
-    """One node's field with the documented flattening rules, None when absent."""
+    `id`, `type` and `createdAt` are the envelope's. Any other name is the
+    first key of the payload document (`to_doc`: its table fields, then its
+    extension keys) with the same normalised name, none for a tombstoned
+    node; failing that, `timestamp` is `createdAt`. `evaluate` reads fields
+    only through this: a predicate keeps a node when it equals the
+    predicate's value, and a projection prints it, None as the empty string.
+    """
     entry = graph.by_id[node_id]
     norm = _normalize_name(fieldname)
     norm = _FIELD_ALIASES.get(norm, norm)
     if norm == "id":
-        return node_id
-    if norm == "type":
-        return entry.entry_type.value
-    if norm == "createdat":
-        return entry.created_at
-    value = _payload_field(graph, node_id, norm)
-    if value is OMITTED:
-        return entry.created_at if norm == "timestamp" else None
-    return value
-
-
-def evaluate_field(graph: Snapshot, node_id: str, fieldname: str) -> str | None:
-    """One node's field in its query-result string form, None when absent.
-
-    `evaluate` reads fields only through this: a predicate keeps a node when
-    it equals the predicate's value, and a projection prints it, None as the
-    empty string.
-    """
-    value = _field_value(graph, node_id, fieldname)
+        value = node_id
+    elif norm == "type":
+        value = entry.entry_type.value
+    elif norm == "createdat":
+        value = entry.created_at
+    else:
+        doc = {} if node_id in graph.hidden else entry.payload.to_doc()
+        for key, value in doc.items():
+            if _normalize_name(key) == norm:
+                break
+        else:
+            value = entry.created_at if norm == "timestamp" else None
     return None if value is None else render_value(value)
 
 
@@ -400,13 +371,13 @@ def _pattern_edges(ast: QueryAst) -> list[_Edge]:
 
 def _around(graph: Snapshot, node_id: str, relation: str, direction: str) -> set[str]:
     """Every node x such that `(node_id)-[:relation]-(x)` holds in `direction`."""
-    if direction == "forward":
-        return graph.neighbours(node_id, relation)
     if direction == "backward":
-        return graph.neighbours(node_id, relation, outgoing=False)
-    succ = graph.neighbours(node_id, relation)
-    pred = graph.neighbours(node_id, relation, outgoing=False)
-    return succ & pred if direction == "both" else succ | pred
+        return set(graph.adjacent(node_id, relation, outgoing=False))
+    succ = set(graph.adjacent(node_id, relation))
+    if direction == "forward":
+        return succ
+    pred = graph.adjacent(node_id, relation, outgoing=False)
+    return succ.intersection(pred) if direction == "both" else succ.union(pred)
 
 
 def _bind_order(candidates: dict[str, set[str]], edges: list[_Edge]) -> list[str]:
@@ -429,7 +400,7 @@ def evaluate(ast: QueryAst, graph: Snapshot) -> ResultTable:
 
     Each variable draws from a candidate set (label index narrowed by its
     predicates and self-loops); variables bind in a greedy order, and one
-    with bound neighbours draws only from their adjacency under every edge
+    joined to bound variables draws only from their adjacency under every edge
     that joins them. The table's `plan` says so, one line per variable in
     bind order: candidate-set size and the bound variables it expands from.
     """

@@ -195,6 +195,12 @@ INPUTS = {
     "entry.json": sample_contribution_doc(),
     "entry-new.json": {**sample_contribution_doc(), "id": "pl:contrib:new:001"},
     "entry-prev.json": {**sample_contribution_doc(), "prev": "original note"},
+    # extension keys: a plain one, one that normalises to a wire name `to_doc`
+    # omits and one to a wire name it writes, and two that normalise alike
+    "entry-fields.json": {**sample_contribution_doc(), "id": "pl:contrib:wedesign:fields:001",
+                          "createdAt": "2025-07-04T00:00:00Z", "contribution": {
+        **sample_contribution_doc()["contribution"], "note": "plain", "Intended_Use": "ext",
+        "Artifact_Ref": "shadowed", "extScore": "7", "ext_score": 8}},
     "deep.json": DEEP,
     "surrogate.json": {**sample_contribution_doc(), "contribution": {
         **sample_contribution_doc()["contribution"], "summary": "\ud800x"}},
@@ -267,6 +273,13 @@ READERS = ["verify", GATE, "audit linkage", "audit consent", "audit evidence",
            "query 'MATCH (c:Contribution)-[:INFLUENCES]-(x) RETURN c.id, x.id;'",
            f"query --explain {SAVED} --param boundary=consultation_workflow",
            "query --file - < q.plq", f"{EXPORT} {NOW} --out r.json"]
+# Field reads: a tombstoned node's, extension keys', an alias's, a fallback's.
+FIELD_QUERIES = [
+    "query 'MATCH (c:Contribution) RETURN c.id, c.kind, c.note, c.intended_use, "
+    "c.artifact_ref, c.ext_score, c.EXTSCORE;'",
+    "query 'MATCH (c:Contribution) WHERE c.extscore = \"7\" RETURN c.id, c.Note;'",
+    "query 'MATCH (r:EvaluationRun) RETURN r.id, r.artifact_version, r.timestamp;'",
+    "query 'MATCH (t:Test) RETURN t.id, t.timestamp, t.createdAt;'"]
 GEN_GATE = ("gate check --capability {} --boundary boundary-{} --version v{} "
             "--now 2026-01-01T00:00:00Z")
 GEN_WINDOW = "--window-start 2025-01-01T00:00:00Z --window-end 2026-06-30T00:00:00Z"
@@ -339,6 +352,10 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
         "lifecycle.pledger", PROMPT,
         "query --format csv 'MATCH (c:Contribution) RETURN c.id, c.kind, c.createdAt;'",
         "audit evidence --format csv", "verify")),
+    "query-fields": (["lifecycle.pledger", "entry-fields.json"], [
+        *_on("lifecycle.pledger", "append entry-fields.json", PROMPT),
+        *(command for fmt in ("text", "csv", "doc")
+          for command in _on(f"lifecycle.pledger --format {fmt}", *FIELD_QUERIES))]),
     "redacted-test-results": (["lifecycle.pledger", "test-privacy.json", "results-skip"], _on(
         "lifecycle.pledger", "append test-privacy.json",
         f"{REDACT} --target pl:test:privacy:001 --created-at 2025-07-01T00:00:01Z",

@@ -1782,6 +1782,20 @@ def test_a_stored_line_holding_a_lone_surrogate_is_still_read(lifecycle, tmp_pat
         0, "chain valid, 1 entries\n", "")
 
 
+def test_a_lone_surrogate_in_a_stored_lines_links_reads_as_a_hash_mismatch(
+        lifecycle, tmp_path, capsys):
+    # verify renders the links to find the line's pre-image; with no
+    # canonical form there is none, so the line is bad (exit 4), edited or
+    # resealed over its bytes alike.
+    line = lifecycle[0].read_text("utf-8").splitlines()[0].replace(
+        "workshoplog", "work\\ud800shoplog")
+    ledger = tmp_path / "one.pledger"
+    for stored in (line, resealed_over_its_bytes(line)):
+        ledger.write_text(stored + "\n", "utf-8")
+        assert run_cli(capsys, "verify", "--ledger", str(ledger)) == (
+            4, "chain broken at index 0: hashMismatch (1 entries checked)\n", "")
+
+
 # ---------------------------------------------------------------------------
 # process-wide state
 

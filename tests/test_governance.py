@@ -461,6 +461,24 @@ def test_gate_condition_follows_latest_run(tmp_path):
         assert [r.reason_kind for r in final.reasons] == ["inconclusiveTest"]
 
 
+def test_gate_names_the_required_test_of_each_unmet_condition(tmp_path):
+    with LedgerFile(tmp_path / "v.pledger") as ledger:
+        ledger.append(make_test(0))
+        ledger.append(make_test(1))
+        ledger.append(make_run(0, test_id="pl:test:gen:001", decision="inconclusive"))
+        conditions = [VoucherCondition(required_test_id=f"pl:test:gen:00{i}") for i in (0, 1)]
+        voucher = activated_voucher(ledger, "condition", conditions=conditions)
+        decision = gate_check(ledger.snapshot, "image-generation", GEN_ARTIFACT,
+                              "v1", "workshop", stamp(600))
+    unmet, inconclusive = decision.reasons
+    assert unmet != inconclusive
+    assert decision.to_doc()["reasons"] == [
+        {"voucherId": voucher, "reasonKind": "conditionUnmet", "testId": "pl:test:gen:000"},
+        {"voucherId": voucher, "reasonKind": "inconclusiveTest", "testId": "pl:test:gen:001"}]
+    assert decision.describe() == (f"denied: conditionUnmet({voucher}: pl:test:gen:000), "
+                                   f"inconclusiveTest({voucher}: pl:test:gen:001)")
+
+
 def test_gate_condition_pins_version(tmp_path):
     with LedgerFile(tmp_path / "v.pledger") as ledger:
         ledger.append(make_test(0))

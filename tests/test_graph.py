@@ -64,11 +64,11 @@ LINK_KINDS = ("influences", "influencedBy", "motivates", "usesTest",
 # -- fixture graph shape -------------------------------------------------------
 
 def _pairs(graph: Snapshot, kind: str) -> set[tuple[str, str]]:
-    """The (source, target) pairs of `kind` as `neighbours` reads them, from
+    """The (source, target) pairs of `kind` as `adjacent` reads them, from
     each end of every edge; both directions must give the same pairs."""
     ends = {end for source, _, target in graph.edges for end in (source, target)}
-    ahead = {(s, t) for s in ends for t in graph.neighbours(s, kind)}
-    behind = {(s, t) for t in ends for s in graph.neighbours(t, kind, outgoing=False)}
+    ahead = {(s, t) for s in ends for t in graph.adjacent(s, kind)}
+    behind = {(s, t) for t in ends for s in graph.adjacent(t, kind, outgoing=False)}
     assert ahead == behind, kind
     return ahead
 
@@ -79,8 +79,8 @@ def test_fixture_edge_orientation(lifecycle):
 
     # motivates is declared on the Test but points contribution -> test.
     assert (CONTRIBUTION_ID, TEST_ID) in _pairs(graph, "motivates")
-    assert graph.neighbours(CONTRIBUTION_ID, "motivates") == {TEST_ID}
-    assert graph.neighbours(TEST_ID, "motivates") == set()
+    assert set(graph.adjacent(CONTRIBUTION_ID, "motivates")) == {TEST_ID}
+    assert set(graph.adjacent(TEST_ID, "motivates")) == set()
 
     uses = _pairs(graph, "usesTest")
     assert (ids["change_initial"], TEST_ID) in uses
@@ -143,7 +143,7 @@ def test_random_edges_match_raw_link_scan():
         reads = [
             lambda s: s.edges,
             lambda s: s.dangling,
-            lambda s: {(e.id, k, out): s.neighbours(e.id, k, out) for e in entries
+            lambda s: {(e.id, k, out): set(s.adjacent(e.id, k, out)) for e in entries
                        for k in LINK_KINDS for out in (True, False)},
             lambda s: [s.is_deployment(e.id) for e in entries],
         ]
@@ -204,10 +204,10 @@ def test_influence_views_are_symmetric():
     b = make_contribution(2)
     c = make_contribution(3, links=LinkSet(influenced_by=["pl:contrib:gen:0001"]))
     graph = build_graph(Snapshot([a, b, c]))
-    assert graph.neighbours(a.id, "influences") == {b.id, c.id}
-    assert graph.neighbours(b.id, "influencedBy") == {a.id}
-    assert graph.neighbours(c.id, "influencedBy") == {a.id}
-    assert graph.neighbours(b.id, "influences") == set()
+    assert set(graph.adjacent(a.id, "influences")) == {b.id, c.id}
+    assert set(graph.adjacent(b.id, "influencedBy")) == {a.id}
+    assert set(graph.adjacent(c.id, "influencedBy")) == {a.id}
+    assert set(graph.adjacent(b.id, "influences")) == set()
 
 
 def test_graph_is_the_snapshot(lifecycle, tmp_path):
@@ -269,8 +269,8 @@ def test_graph_over_a_ledger_file_reads_later_appends(tmp_path):
         assert set(graph.by_id) == set(fresh.by_id) == {contrib.id, test.id, change.id}
         assert graph.edges == fresh.edges
         assert graph.dangling == fresh.dangling == []
-        assert graph.neighbours(contrib.id, "influences") == {test.id, change.id}
-        assert graph.neighbours(test.id, "usesTest", outgoing=False) == {change.id}
+        assert set(graph.adjacent(contrib.id, "influences")) == {test.id, change.id}
+        assert set(graph.adjacent(test.id, "usesTest", outgoing=False)) == {change.id}
         assert linkage_completeness(graph) == linkage_completeness(fresh)
         assert linkage_completeness(graph).changes_fully_linked == 1
 
@@ -279,7 +279,7 @@ def test_unknown_node_raises():
     graph = build_graph(Snapshot([make_contribution(1)]))
     with pytest.raises(UnknownNode):
         graph.node("pl:contrib:gen:9999")
-    assert graph.neighbours("pl:contrib:gen:9999", "influences") == set()
+    assert set(graph.adjacent("pl:contrib:gen:9999", "influences")) == set()
 
 
 # -- influence tracing ----------------------------------------------------------
