@@ -22,10 +22,10 @@ _MODULE_NAMES = {
         InvalidPolicy InvalidTimestamp LedgerError MalformedDocument
         MalformedExport NonCanonicalizableNumber PayloadMismatch
         QueryParameterError QuerySyntaxError ShapeMismatch SigningFailure
-        StorageFailure UnauthorizedRole UnboundVariable UnknownArtifactVersion
-        UnknownContribution UnknownEntryType UnknownLabel UnknownNode
-        UnknownQueryName UnknownRelation UnknownTarget UnknownTest
-        ValidationFailed WrongEntryType WrongKind""",
+        StorageFailure UnboundVariable UnknownArtifactVersion UnknownContribution
+        UnknownEntryType UnknownLabel UnknownNode UnknownQueryName
+        UnknownRelation UnknownTarget UnknownTest ValidationFailed
+        WrongEntryType WrongKind""",
     "evidence": """
         CoverageLevel EvidenceMatrix audit_contribution audit_corpus
         build_export case_matrix check_export_conformance

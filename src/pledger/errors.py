@@ -80,10 +80,6 @@ class UnknownTarget(LedgerError):
     """Referenced entry id does not exist in the ledger."""
 
 
-class UnauthorizedRole(LedgerError):
-    """The acting role is not allowed to perform this operation."""
-
-
 class WrongEntryType(LedgerError):
     """The referenced entry exists but has the wrong entry type."""
 

@@ -23,7 +23,7 @@ from decimal import ROUND_HALF_EVEN, Decimal
 from typing import Any
 
 from .canonical import canonical_bytes, compute_hash
-from .errors import IllegalTransition, InvalidPolicy, UnauthorizedRole, UnknownTest
+from .errors import IllegalTransition, InvalidPolicy, UnknownTest
 from .graph import Snapshot
 from .model import (
     ALWAYS,
@@ -75,11 +75,8 @@ def voucher_lineages(snapshot: Snapshot) -> dict[str, list[EntryEnvelope]]:
 
 def voucher_entry(payload: VoucherPayload, voucher_id: str, *,
                   links: LinkSet | None = None, created_at: str | None = None) -> EntryEnvelope:
-    """The entry that issues or revises a voucher lineage; UnauthorizedRole
-    unless the steward holds the communitySteward role."""
-    if payload.steward.role != "communitySteward":
-        raise UnauthorizedRole(
-            f"vouchers are issued by communitySteward, not {payload.steward.role!r}")
+    """The entry that issues or revises a voucher lineage, recorded by its
+    steward; the append judges it, the steward's role included."""
     return EntryEnvelope(
         id=voucher_id,
         entry_type=EntryType.VOUCHER,

@@ -115,9 +115,8 @@ def _line_pre_image(line: bytes, entry: EntryEnvelope) -> bytes | None:
     the members that sort between `integrity` and `prev` (`links` and any
     such extensions, rendered from the entry) and then by the first key after
     `prev`. `"prev":<prevHash>` is spliced in after those members; every other
-    byte is hashed as stored. An entry with a top-level `prev` of its own, or
-    a member to render that has no canonical form (a lone surrogate), has no
-    pre-image here either.
+    byte is hashed as stored. An entry with a top-level `prev` of its own has
+    no pre-image here either.
     """
     integrity, payload_key = entry.integrity, PAYLOAD_KEY[entry.entry_type]
     after = payload_key if "prev" < payload_key < "type" else "type"  # first key after prev
@@ -132,14 +131,11 @@ def _line_pre_image(line: bytes, entry: EntryEnvelope) -> bytes | None:
             between[key] = value
         elif "prev" < key < after:
             after = key
-    try:
-        members = canonical_bytes(between)[1:-1]
-        middle = b"," + members if members else b""
-        cut = b',"integrity":' + canonical_bytes(integrity.to_doc()) + middle
-        at = line.find(cut + b"," + canonical_bytes(after) + b":")
-        prev = b',"prev":' + canonical_bytes(integrity.prev_hash or "")
-    except MalformedDocument:
-        return None
+    members = canonical_bytes(between)[1:-1]
+    middle = b"," + members if members else b""
+    cut = b',"integrity":' + canonical_bytes(integrity.to_doc()) + middle
+    at = line.find(cut + b"," + canonical_bytes(after) + b":")
+    prev = b',"prev":' + canonical_bytes(integrity.prev_hash or "")
     if at < 0:
         return None
     return b"".join((line[:at], middle, prev, line[at + len(cut):]))

@@ -22,7 +22,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import Any, NoReturn
 
-from .canonical import canonical_json
+from .canonical import canonical_bytes, canonical_json
 from .errors import (
     InvalidId,
     InvalidTimestamp,
@@ -943,9 +943,6 @@ class EntryEnvelope:
     integrity: IntegrityBlock | None = None
     extensions: dict = dict
 
-    def created_at_datetime(self) -> datetime:
-        return parse_timestamp(self.created_at)
-
     # A block's protocol, so a table row can hold entries: `list[EntryEnvelope]`
     # decodes each through parse_entry and checks none (validate_structure does).
     FIELDS = ()
@@ -1008,15 +1005,19 @@ def parse_entry(source: str | bytes | dict) -> EntryEnvelope:
     """Parse one entry document.
 
     Accepts JSON text (UTF-8 when bytes) or an already-decoded object. Raises
-    MalformedDocument (also for a number with no finite value, and for text
-    nested too deep to decode), UnknownEntryType, PayloadMismatch,
+    MalformedDocument (also for text holding a number with no finite value
+    or a lone surrogate escape, neither of which has a canonical form, and
+    for text nested too deep to decode), UnknownEntryType, PayloadMismatch,
     InvalidTimestamp, or InvalidId. Value rules (vocabularies, ranges, role
     requirements) are left to validate_structure so the caller can collect
     them all at once.
     """
     if isinstance(source, (str, bytes)):
+        text = source if isinstance(source, str) else source.decode("utf-8")
         try:
-            doc = _DECODER.decode(source if isinstance(source, str) else source.decode("utf-8"))
+            doc = _DECODER.decode(text)
+            if "\\" in text:  # in UTF-8 text only an escape spells a lone surrogate
+                canonical_bytes(doc)
         except json.JSONDecodeError as exc:
             raise MalformedDocument(f"not valid JSON: {exc}") from exc
         except RecursionError as exc:  # RFC 8259 §9 lets a parser limit nesting

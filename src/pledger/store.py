@@ -31,20 +31,16 @@ from .errors import (
     InvalidTimestamp,
     LedgerError,
     StorageFailure,
-    UnauthorizedRole,
     UnknownTarget,
     ValidationFailed,
     WrongEntryType,
 )
 from .graph import Snapshot
 from .model import (
-    ROLES_ALLOWED_TO_REDACT,
     ActorRef,
     EntryEnvelope,
     EntryType,
     TombstonePayload,
-    ValidationReport,
-    Violation,
     now_stamp,
     parse_entry,
     parse_timestamp,
@@ -340,13 +336,10 @@ class LedgerFile:
 
     def _tombstone(self, target_id: str, reason: str, authorization: ActorRef,
                    tombstone_id: str | None, created_at: str) -> EntryEnvelope:
-        """The Tombstone entry on `target_id`; UnknownTarget, UnauthorizedRole
-        and WrongEntryType as `redact` raises them."""
+        """The Tombstone entry on `target_id`, recorded by `authorization`;
+        UnknownTarget and WrongEntryType as `redact` raises them. The append
+        judges the rest, the authorizing role included."""
         target = self.get(target_id)
-        if authorization.role not in ROLES_ALLOWED_TO_REDACT:
-            raise UnauthorizedRole(
-                f"role {authorization.role!r} cannot redact; "
-                "needs communitySteward or auditor")
         if target.entry_type is EntryType.TOMBSTONE:
             raise WrongEntryType("tombstones cannot be tombstoned")
         return EntryEnvelope(
@@ -371,20 +364,19 @@ class LedgerFile:
         withdrawn, id `<base>:rev<k>`) and a Tombstone on the original.
         Returns (superseding entry, tombstone entry). The Tombstone is built
         and checked first, so what its append refuses from the inputs alone
-        (the role, its structure, a held tombstone id) appends nothing.
+        (the role, its structure, a held tombstone id) appends nothing; nor
+        does the superseding entry's refusal, such as the consent a
+        hand-edited original lacks (no append writes one).
         """
         original = self.get(contribution_id)
         if original.entry_type is not EntryType.CONTRIBUTION:
             raise WrongEntryType(f"{contribution_id} is not a Contribution")
-        if original.consent is None:  # a hand-edited line: no append writes one
-            raise ValidationFailed(ValidationReport([Violation(
-                "consent", "contribution.consent-required",
-                f"{contribution_id} carries no consent block to withdraw")]))
         when = created_at or now_stamp()
         tombstone = self._tombstone(contribution_id, "consentWithdrawn", authorization,
                                     None, when)
         self._check_entry(tombstone)
+        consent = original.consent and replace(original.consent, status="withdrawn")
         superseding = self.append(replace(
             original, id=self.snapshot.next_revision_id(contribution_id), created_at=when,
-            integrity=None, consent=replace(original.consent, status="withdrawn")))
+            integrity=None, consent=consent))
         return superseding, self.append(tombstone)

@@ -33,7 +33,8 @@ from pledger.canonical import canonical_json  # noqa: E402
 from pledger.fixtures import POLICY_DOC, STAGE_PAUSED, TEST_ID, build_lifecycle  # noqa: E402
 from pledger.fixtures import sample_contribution_doc  # noqa: E402
 from pledger.integrity import seal  # noqa: E402
-from pledger.model import format_timestamp, parse_entry, replace, serialize_entry  # noqa: E402
+from pledger.model import (  # noqa: E402
+    format_timestamp, parse_entry, parse_timestamp, replace, serialize_entry)
 
 # ---------------------------------------------------------------------------
 # tampered copies of the lifecycle ledger: each maps its lines to new lines
@@ -59,7 +60,7 @@ def _backdate_line_6(lines: list[str]) -> list[str]:
     # line 6 resealed 25 hours behind line 5, and every line after it
     # resealed onto it: each hash and link holds, the time order does not
     entries = [parse_entry(line) for line in lines]
-    when = entries[4].created_at_datetime() - timedelta(hours=25)
+    when = parse_timestamp(entries[4].created_at) - timedelta(hours=25)
     out, prev = lines[:5], entries[4].integrity.hash
     for index, entry in enumerate(entries[5:], 5):
         changes = {"created_at": format_timestamp(when)} if index == 5 else {}
@@ -208,6 +209,7 @@ INPUTS = {
     "not-utf-8.json": b'{"scores": [0.9], "note": "\xff"}',
     "policy.json": POLICY_DOC,
     "voucher-pause.json": PAUSE,
+    "voucher-resident.json": {**PAUSE, "steward": {"role": "resident", "pseudonym": "R1"}},
     "voucher-unknown-test.json": {**PAUSE, "action": "condition",
                                   "conditions": [{"requiredTestId": "pl:test:nowhere:001"}]},
     "cases.json": [{"case": "Toronto, ON", "codings": {"recruitmentPathway": "Reported"}},
@@ -260,6 +262,7 @@ WINDOW = "--window-start 2025-05-01T00:00:00Z --window-end 2025-06-30T00:00:00Z"
 HARNESS = ("harness run --artifact pl:artifact:consult:imagegen --version v3 "
            "--checkpoint scheduledAudit")
 REDACT = "redact --reason legalHold --role auditor --pseudonym A1"
+RESIDENT = "redact --reason legalHold --role resident --pseudonym R1"
 PROMPT = f"{REDACT} --target pl:contrib:wedesign:prompt:001 --created-at 2025-07-05T00:00:00Z"
 EXPORT = "export --release pl:artifact:consult:imagegen@v3"
 SAVED = "--saved regression-attribution --param topic=accessibility"
@@ -346,6 +349,12 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
         f"credit accrue --policy policy.json {WINDOW}",
         "credit report --beneficiary nobody --window-start garbage "
         "--window-end 2025-12-31T00:00:00Z")),
+    # Refused for the entry's own rules (a role), and a tombstone's target
+    # refused whatever the role: exit 5, no file changed.
+    "writer-refusals": (["lifecycle.pledger", "voucher-resident.json"], _on(
+        "lifecycle.pledger", PROMPT.replace(REDACT, RESIDENT), f"{ISSUE} voucher-resident.json",
+        PROMPT, f"{RESIDENT} --target pl:tomb:contrib:wedesign:prompt:001 "
+        "--created-at 2025-07-06T00:00:00Z")),
     "reserved-prev": (["entry-prev.json", "prev-note.pledger"], [
         "append --ledger nodir/new.pledger entry-prev.json", "verify --ledger prev-note.pledger"]),
     "redacted-contribution": (["lifecycle.pledger"], _on(

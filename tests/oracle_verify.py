@@ -15,7 +15,7 @@ from pathlib import Path
 from pledger.canonical import compute_hash
 from pledger.errors import CorruptLine, MalformedDocument, NonCanonicalizableNumber
 from pledger.integrity import ChainVerdict, canonicalize
-from pledger.model import serialize_entry
+from pledger.model import parse_timestamp, serialize_entry
 from pledger.store import CLOCK_SKEW, _head_line, _read
 
 
@@ -38,7 +38,7 @@ def oracle_chain(entries) -> ChainVerdict:
         if entry.id in seen_ids:
             return ChainVerdict(False, index, "duplicateId", len(entries))
         try:
-            created = entry.created_at_datetime()
+            created = parse_timestamp(entry.created_at)
         except Exception:
             return ChainVerdict(False, index, "orderViolation", len(entries))
         if prev_created is not None and created < prev_created - CLOCK_SKEW:

@@ -611,7 +611,8 @@ PRE_OPEN_REFUSALS = {
         ["voucher", "issue", "--payload", "{voucher}", "--created-at", "garbage"],
         _STRUCTURE + "createdAt [createdAt.format] not an ISO-8601 UTC timestamp: 'garbage'"),
     "voucher-steward": (["voucher", "issue", "--payload", "{resident_voucher}"],
-                        "error: vouchers are issued by communitySteward, not 'resident'"),
+                        _STRUCTURE + "voucher.steward.role [voucher.steward-role] "
+                        "vouchers are issued by communityStewards"),
     "voucher-action": (["voucher", "issue", "--payload", "{bogus_voucher}"],
                        _STRUCTURE + "voucher.action [voucher.action] unknown action 'bogus'"),
     "accrue-window-start": (
@@ -1771,29 +1772,39 @@ def test_a_lone_surrogate_in_an_input_document_is_refused_before_any_append(
     assert writable.read_bytes() == before
 
 
-def test_a_stored_line_holding_a_lone_surrogate_is_still_read(lifecycle, tmp_path, capsys):
-    # Whether a stored line may hold one is the line rule's question, not
-    # the input's: verify hashes the bytes and keeps its verdict.
-    line = lifecycle[0].read_text("utf-8").splitlines()[0].replace(
-        "waterfront", "water\\ud800front")
-    ledger = tmp_path / "one.pledger"
-    ledger.write_text(resealed_over_its_bytes(line) + "\n", "utf-8")
-    assert run_cli(capsys, "verify", "--ledger", str(ledger)) == (
-        0, "chain valid, 1 entries\n", "")
+LONE_SURROGATE = ("verification failure: corrupt ledger line 1: "
+                  "cannot canonicalize lone surrogate '\\ud800'\n")
 
 
-def test_a_lone_surrogate_in_a_stored_lines_links_reads_as_a_hash_mismatch(
-        lifecycle, tmp_path, capsys):
-    # verify renders the links to find the line's pre-image; with no
-    # canonical form there is none, so the line is bad (exit 4), edited or
-    # resealed over its bytes alike.
-    line = lifecycle[0].read_text("utf-8").splitlines()[0].replace(
-        "workshoplog", "work\\ud800shoplog")
+@pytest.mark.parametrize("old,new", [("waterfront", "water\\ud800front"),
+                                     ("workshoplog", "work\\ud800shoplog")],
+                         ids=["payload", "links"])
+def test_a_stored_line_holding_a_lone_surrogate_is_a_corrupt_line(
+        lifecycle, tmp_path, capsys, old, new):
+    # The line has no canonical form, so it is refused at parse, as NaN is:
+    # in the payload or in the links, edited or resealed over its bytes.
+    line = lifecycle[0].read_text("utf-8").splitlines()[0].replace(old, new)
     ledger = tmp_path / "one.pledger"
     for stored in (line, resealed_over_its_bytes(line)):
         ledger.write_text(stored + "\n", "utf-8")
-        assert run_cli(capsys, "verify", "--ledger", str(ledger)) == (
-            4, "chain broken at index 0: hashMismatch (1 entries checked)\n", "")
+        assert run_cli(capsys, "verify", "--ledger", str(ledger)) == (4, "", LONE_SURROGATE)
+
+
+def test_every_open_refuses_a_lone_surrogate_in_a_line_resealed_over_its_bytes(
+        writable, capsys):
+    # Line 1 resealed over its bytes, and line 2 linked to its new hash:
+    # readers, which hash no line, would otherwise decide on the file.
+    lines = writable.read_text("utf-8").splitlines(keepends=True)
+    old = json.loads(lines[0])["integrity"]["hash"]
+    first = resealed_over_its_bytes(lines[0].rstrip("\n").replace("waterfront",
+                                                                   "water\\ud800front"))
+    new = json.loads(first)["integrity"]["hash"]
+    writable.write_text(first + "\n" + "".join(lines[1:]).replace(old, new), "utf-8")
+    before = writable.read_bytes()
+    for argv in (LEDGER_READERS["gate-check"], LEDGER_READERS["query"],
+                 LEDGER_WRITERS["redact"]):
+        assert run_cli(capsys, *argv, "--ledger", str(writable)) == (4, "", LONE_SURROGATE)
+    assert writable.read_bytes() == before
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from pledger.errors import (
     IllegalTransition,
     InvalidPolicy,
     InvalidTimestamp,
-    UnauthorizedRole,
     UnknownTest,
+    ValidationFailed,
 )
 from pledger.fixtures import (
     ARTIFACT_ID,
@@ -166,7 +166,7 @@ def test_issue_voucher_accepts_raw_documents(tmp_path):
 def test_issue_voucher_requires_community_steward(tmp_path):
     payload = voucher_payload(steward=ActorRef(role="maintainer", pseudonym="M1"))
     with LedgerFile(tmp_path / "v.pledger") as ledger:
-        with pytest.raises(UnauthorizedRole, match="maintainer"):
+        with pytest.raises(ValidationFailed, match=r"\[voucher.steward-role\]"):
             issue_voucher(ledger, payload)
         assert len(ledger) == 0
 

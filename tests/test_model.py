@@ -173,6 +173,18 @@ def test_parse_refuses_text_nested_too_deep_to_decode():
         parse_entry('{"x":' + "[" * 100_000 + "]" * 100_000 + "}")
 
 
+def test_parse_refuses_text_holding_a_lone_surrogate_escape():
+    # It has no UTF-8 form, so no canonical one: refused as NaN is. A
+    # surrogate pair, or an escaped backslash before "ud800", is text.
+    text = json.dumps(sample_contribution_doc())
+    for summary, parsed in (("\\ud83d\\ude00", "\U0001f600"), ("\\\\ud800", "\\ud800")):
+        entry = parse_entry(text.replace('"summary": "', f'"summary": "{summary}', 1))
+        assert entry.payload.summary.startswith(parsed)
+    for lone in ("\\ud800", "\\udfff", "\\ud83d\\u0041"):
+        with pytest.raises(MalformedDocument, match="^cannot canonicalize lone surrogate"):
+            parse_entry(text.replace('"summary": "', f'"summary": "{lone}', 1).encode("utf-8"))
+
+
 def test_entry_ids():
     check_entry_id("pl:contrib:wedesign:prompt:001", EntryType.CONTRIBUTION)
     with pytest.raises(InvalidId):
