@@ -38,7 +38,7 @@ _MODULE_NAMES = {
         decide detect_regressions fold_suite run_suite triage_incident
         verify_replay""",
     "integrity": """
-        ChainVerdict hmac_signer seal verify_chain verify_signatures""",
+        ChainVerdict hmac_signer seal verify_chain""",
     "model": """
         ActorRef EntryEnvelope EntryType LinkSet ValidationReport parse_entry
         serialize_entry validate_structure""",

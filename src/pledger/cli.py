@@ -64,7 +64,7 @@ def _read_doc(path: str) -> Any:
     text = _read_text(path)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise _UsageError(f"not a JSON document: {path}: {exc}") from exc
     except RecursionError as exc:
         raise _UsageError(f"not a JSON document: {path}: nested too deep to decode") from exc

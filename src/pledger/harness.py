@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
+from .canonical import canonical_bytes
 from .errors import (
     ShapeMismatch,
     UnknownArtifactVersion,
@@ -148,8 +149,9 @@ def run_suite(ledger: LedgerFile, checkpoint: str, artifact_id: str, version: st
     the decision `decide` computes, and unattestedByHarness for an
     externalRecordOnly test. The suite verdict is the fold over decisions.
     Raises UnknownArtifactVersion unless the version is declared. Every test
-    is decided before the first append, so results that one test refuses
-    (ShapeMismatch) leave the ledger as it was.
+    is decided, and its results rendered, before the first append, so results
+    that one test refuses (ShapeMismatch) or that have no canonical form
+    (NonCanonicalizableNumber, MalformedDocument) leave the ledger as it was.
     """
     snapshot = ledger.snapshot
     artifact_entry = snapshot.declaration(artifact_id, version)
@@ -165,6 +167,8 @@ def run_suite(ledger: LedgerFile, checkpoint: str, artifact_id: str, version: st
             raw = dict(MISSING_RESULTS)
             report.missing.append(test.id)
         decided.append((test, raw, decide(test.payload.measurement, raw)))
+    for _test, raw, _decision in decided:
+        canonical_bytes(raw)
     for test, raw, decision in decided:
         external = test.payload.measurement.runner_kind == "externalRecordOnly"
         report.runs.append(ledger.append(EntryEnvelope(

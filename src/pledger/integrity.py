@@ -12,8 +12,8 @@ without rendering its entries and a line's hash and MAC bind the same bytes.
 Signing is pluggable. A signer is any callable taking the pre-image bytes and
 returning a SignatureRecord. One deterministic keyed scheme (HMAC-SHA256)
 ships for tests and small deployments, and it is the one scheme that
-`verify_signatures` checks, against a map of keyRef to key bytes; there is no
-key management here. Its modules (`hmac`, `base64`) are imported when a
+`verify_chain` checks, given a map of keyRef to key bytes; there is no key
+management here. Its modules (`hmac`, `base64`) are imported when a
 signer is made or signatures are checked.
 """
 
@@ -84,7 +84,7 @@ def seal(entry: EntryEnvelope, prev_hash: str | None = None,
 
 
 # ---------------------------------------------------------------------------
-# chain verification
+# verification
 
 @record
 class ChainVerdict:
@@ -103,6 +103,36 @@ class ChainVerdict:
         return {"valid": self.valid, "entryCount": self.entry_count,
                 "firstBrokenIndex": self.first_broken_index,
                 "failureKind": self.failure_kind}
+
+
+@record
+class SignatureVerdict:
+    entry_id: str
+    status: str  # valid | invalid | unverifiable | absent
+
+
+@record
+class SignatureReport:
+    verdicts: list[SignatureVerdict] = list
+
+    def counts(self) -> dict[str, int]:
+        out = {"valid": 0, "invalid": 0, "unverifiable": 0, "absent": 0}
+        for v in self.verdicts:
+            out[v.status] += 1
+        return out
+
+    def all_good(self) -> bool:
+        return all(v.status != "invalid" for v in self.verdicts)
+
+
+HMAC_SCHEME = "hmac-sha256"
+
+
+def _mac(key: bytes, pre_image: bytes) -> bytes:
+    import hashlib
+    import hmac
+
+    return hmac.new(key, pre_image, hashlib.sha256).digest()
 
 
 def _line_pre_image(line: bytes, entry: EntryEnvelope) -> bytes | None:
@@ -141,125 +171,72 @@ def _line_pre_image(line: bytes, entry: EntryEnvelope) -> bytes | None:
     return b"".join((line[:at], middle, prev, line[at + len(cut):]))
 
 
-def verify_chain(entries: Sequence[EntryEnvelope], lines: Sequence[bytes]) -> ChainVerdict:
-    """The first broken index and its failure kind under the chain's rules
-    (`store.chain_break`) and the line rule: each hash is the sha256 of the
-    pre-image read from the stored line its entry was parsed from
-    (`_line_pre_image`). Only a line whose bytes fail is rendered
-    (`canonicalize`): a `nonCanonicalLine` when that rendering's pre-image
-    hashes right, else a `hashMismatch`, as for a top-level `prev`. At one
-    index a hash mismatch comes first, then the chain's own kinds, then a
-    `nonCanonicalLine`."""
-    return _chain_verdict(entries, lambda index: _line_pre_image(lines[index], entries[index]))
+def verify_chain(entries: Sequence[EntryEnvelope], lines: Sequence[bytes],
+                 keys: dict[str, bytes] | None = None
+                 ) -> tuple[ChainVerdict, SignatureReport | None]:
+    """The chain's verdict and, given `keys` (keyRef to key bytes), the
+    signatures' report, both over the stored lines the entries were parsed
+    from. Each line's pre-image (`_line_pre_image`) is read at most once.
 
+    The verdict is the first broken index and its failure kind under the
+    chain's rules (`store.chain_break`) and the line rule: each hash is the
+    sha256 of its line's pre-image. Lines are read up to the first that
+    fails, and only a line whose bytes fail is rendered (`canonicalize`): a
+    `nonCanonicalLine` when that rendering's pre-image hashes right, else a
+    `hashMismatch`, as for a top-level `prev`. At one index a hash mismatch
+    comes first, then the chain's own kinds, then a `nonCanonicalLine`.
 
-def _chain_verdict(entries: Sequence[EntryEnvelope],
-                   pre_image: Callable[[int], bytes | None]) -> ChainVerdict:
-    """`verify_chain`'s verdict, each sealed line's pre-image read as `pre_image(index)`."""
+    The report checks every line's HMAC-SHA256 signature over the same
+    pre-image, past a break in the chain too. A signature of another scheme
+    is unverifiable, not invalid. One whose keyRef has no key, whose MAC
+    differs, or whose line has no pre-image is invalid.
+    """
+    read = lambda index: _line_pre_image(lines[index], entries[index])  # noqa: E731
+    if keys:  # the MACs reread the pre-images the hashes read
+        read = cache(read)
     count = len(entries)
-    at, chain_kind = chain_break(entries) or (count, None)
+    at, kind = chain_break(entries) or (count, None)
+    verdict = ChainVerdict(kind is None, None if kind is None else at, kind, count)
     for index in range(min(at + 1, count)):
-        entry = entries[index]
-        if entry.integrity is None:  # the chain's own hashMismatch, at `at`
+        integrity = entries[index].integrity
+        if integrity is None:  # the chain's own hashMismatch, at `at`
             break
-        stored = pre_image(index)
-        if stored is not None and entry.integrity.hash == compute_hash(stored):
+        stored = read(index)
+        if stored is not None and integrity.hash == compute_hash(stored):
             continue
         try:
-            intact = entry.integrity.hash == compute_hash(
-                canonicalize(entry, entry.integrity.prev_hash))
+            intact = integrity.hash == compute_hash(
+                canonicalize(entries[index], integrity.prev_hash))
         except MalformedDocument:  # a top-level `prev`
             intact = False
         if index < at or not intact:
-            return ChainVerdict(False, index, "nonCanonicalLine" if intact else "hashMismatch",
-                                count)
-    if chain_kind is None:
-        return ChainVerdict(True, None, None, count)
-    return ChainVerdict(False, at, chain_kind, count)
+            verdict = ChainVerdict(False, index, "nonCanonicalLine" if intact else "hashMismatch",
+                                   count)
+            break
+    if keys is None:
+        return verdict, None
 
-
-# ---------------------------------------------------------------------------
-# signatures
-
-@record
-class SignatureVerdict:
-    entry_id: str
-    status: str  # valid | invalid | unverifiable | absent
-    scheme: str | None = None
-
-
-@record
-class SignatureReport:
-    verdicts: list[SignatureVerdict] = list
-
-    def counts(self) -> dict[str, int]:
-        out = {"valid": 0, "invalid": 0, "unverifiable": 0, "absent": 0}
-        for v in self.verdicts:
-            out[v.status] += 1
-        return out
-
-    def all_good(self) -> bool:
-        return all(v.status != "invalid" for v in self.verdicts)
-
-
-HMAC_SCHEME = "hmac-sha256"
-
-
-def _mac(key: bytes, pre_image: bytes) -> bytes:
-    import hashlib
-    import hmac
-
-    return hmac.new(key, pre_image, hashlib.sha256).digest()
-
-
-def verify_signatures(entries: Sequence[EntryEnvelope], lines: Sequence[bytes],
-                      keys: dict[str, bytes]) -> SignatureReport:
-    """Check each entry's HMAC-SHA256 signature over its stored line's
-    pre-image, the bytes `verify_chain` hashes; `keys` maps keyRef to key bytes.
-
-    Every line is checked, past a break in the chain too. A signature of
-    another scheme is unverifiable, not invalid. One whose keyRef has no key,
-    whose MAC differs, or whose line has no pre-image is invalid.
-    """
-    return _signature_report(
-        entries, lambda index: _line_pre_image(lines[index], entries[index]), keys)
-
-
-def verify_keyed(entries: Sequence[EntryEnvelope], lines: Sequence[bytes],
-                 keys: dict[str, bytes]) -> tuple[ChainVerdict, SignatureReport]:
-    """`verify_chain` and `verify_signatures` on the same lines, each line's
-    pre-image read from its bytes once for both its hash and its MAC."""
-    pre_image = cache(lambda index: _line_pre_image(lines[index], entries[index]))
-    return _chain_verdict(entries, pre_image), _signature_report(entries, pre_image, keys)
-
-
-def _signature_report(entries: Sequence[EntryEnvelope],
-                      pre_image: Callable[[int], bytes | None],
-                      keys: dict[str, bytes]) -> SignatureReport:
-    """`verify_signatures`' report, each signed line's pre-image read as `pre_image(index)`."""
     import base64
     import hmac
 
     report = SignatureReport()
     for index, entry in enumerate(entries):
-        integrity = entry.integrity
-        if integrity is None or integrity.signature is None:
-            report.verdicts.append(SignatureVerdict(entry.id, "absent"))
-            continue
-        sig = integrity.signature
-        if sig.scheme != HMAC_SCHEME:
-            report.verdicts.append(SignatureVerdict(entry.id, "unverifiable", sig.scheme))
-            continue
-        try:
-            key = keys.get(sig.key_ref)
-            stored = None if key is None else pre_image(index)
-            ok = stored is not None and hmac.compare_digest(
-                _mac(key, stored), base64.b64decode(sig.signature_bytes, validate=True))
-        except (LedgerError, TypeError, ValueError):
-            ok = False
-        report.verdicts.append(
-            SignatureVerdict(entry.id, "valid" if ok else "invalid", sig.scheme))
-    return report
+        sig = entry.integrity and entry.integrity.signature
+        if sig is None:
+            status = "absent"
+        elif sig.scheme != HMAC_SCHEME:
+            status = "unverifiable"
+        else:
+            try:
+                key = keys.get(sig.key_ref)
+                stored = None if key is None else read(index)
+                ok = stored is not None and hmac.compare_digest(
+                    _mac(key, stored), base64.b64decode(sig.signature_bytes, validate=True))
+            except (LedgerError, TypeError, ValueError):
+                ok = False
+            status = "valid" if ok else "invalid"
+        report.verdicts.append(SignatureVerdict(entry.id, status))
+    return verdict, report
 
 
 def hmac_signer(key_ref: str, key: bytes, signer_role: ActorRef) -> Signer:

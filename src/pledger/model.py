@@ -681,8 +681,8 @@ LINK_KINDS: tuple[str, ...] = tuple(kind for kind, _ in LINK_ATTRS)
 
 @codec("integrity.signature")
 class SignatureRecord:
-    """A signature over an entry's hash, and who made it (judged by
-    verify_signatures: its table checks nothing, so validation skips it)."""
+    """A signature over an entry's hash, and who made it (judged by a keyed
+    verify_chain: its table checks nothing, so validation skips it)."""
 
     scheme: str = wire("scheme")
     signer_role: ActorRef = wire("signerRole", codec=ActorRef)
@@ -1007,10 +1007,10 @@ def parse_entry(source: str | bytes | dict) -> EntryEnvelope:
     Accepts JSON text (UTF-8 when bytes) or an already-decoded object. Raises
     MalformedDocument (also for text holding a number with no finite value
     or a lone surrogate escape, neither of which has a canonical form, and
-    for text nested too deep to decode), UnknownEntryType, PayloadMismatch,
-    InvalidTimestamp, or InvalidId. Value rules (vocabularies, ranges, role
-    requirements) are left to validate_structure so the caller can collect
-    them all at once.
+    for text nested too deep or holding an integer too long to decode),
+    UnknownEntryType, PayloadMismatch, InvalidTimestamp, or InvalidId. Value
+    rules (vocabularies, ranges, role requirements) are left to
+    validate_structure so the caller can collect them all at once.
     """
     if isinstance(source, (str, bytes)):
         text = source if isinstance(source, str) else source.decode("utf-8")
@@ -1018,7 +1018,7 @@ def parse_entry(source: str | bytes | dict) -> EntryEnvelope:
             doc = _DECODER.decode(text)
             if "\\" in text:  # in UTF-8 text only an escape spells a lone surrogate
                 canonical_bytes(doc)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
             raise MalformedDocument(f"not valid JSON: {exc}") from exc
         except RecursionError as exc:  # RFC 8259 §9 lets a parser limit nesting
             raise MalformedDocument("not valid JSON: nested too deep to decode") from exc

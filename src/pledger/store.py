@@ -159,20 +159,19 @@ def read_entries(path: str | Path) -> list[EntryEnvelope]:
 def verify_file(path: str | Path, keys: dict[str, bytes] | None = None
                 ) -> tuple[ChainVerdict, list[EntryEnvelope], SignatureReport | None]:
     """Check a ledger file as stored: all of `pledger verify`. Returns the
-    chain's verdict (`verify_chain`, or `verify_keyed` given `keys`, keyRef
-    to key bytes), the parsed entries and, given `keys`, the signatures'
-    report. `.head`, when there is one, must hold the last line's hash and a
-    newline (`headMismatch`, at index = entry count). Raises what `_read`
-    raises, and CorruptLine for any bytes after the last newline.
+    chain's verdict, the parsed entries and, given `keys` (keyRef to key
+    bytes), the signatures' report, as `verify_chain` gives them. `.head`,
+    when there is one, must hold the last line's hash and a newline
+    (`headMismatch`, at index = entry count). Raises what `_read` raises, and
+    CorruptLine for any bytes after the last newline.
     """
-    from .integrity import ChainVerdict, verify_chain, verify_keyed
+    from .integrity import ChainVerdict, verify_chain
 
     lines, entries, head, cut = _read(path)
     count = len(entries)
     if cut is not None:
         raise CorruptLine(count + 1, "no newline")
-    verdict, report = ((verify_chain(entries, lines), None) if keys is None
-                       else verify_keyed(entries, lines, keys))
+    verdict, report = verify_chain(entries, lines, keys)
     if verdict.valid and head is not None:
         expected = _head_line(entries[-1].integrity.hash) if entries else b""
         if head != expected:

@@ -384,7 +384,7 @@ def random_query(rng: random.Random, entries: list[EntryEnvelope]) -> str:
 
 def stored_lines(entries: list[EntryEnvelope]) -> list[bytes]:
     """The lines `append` writes for `entries` (without their newlines), as
-    `verify_chain` and `verify_signatures` take them."""
+    `verify_chain` takes them."""
     return [serialize_entry(entry).encode("utf-8") for entry in entries]
 
 

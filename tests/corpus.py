@@ -128,6 +128,7 @@ def command_paths(parser: argparse.ArgumentParser, path: tuple = ()):
 # file holds; `DIR/NAME` is a file of the directory (a results bundle) DIR
 
 DEEP = '{"x":' + "[" * 100_000 + "]" * 100_000 + "}"  # past any decoder's nesting limit
+LONG_INTEGER = "9" * 5000  # past the decoder's limit on digits (sys.get_int_max_str_digits)
 PAUSE = {"capability": "image-generation", "boundary": "consultation_workflow",
          "action": "pause", "status": "issued",
          "steward": {"role": "communitySteward", "stewardOrg": "pl:org:wedesign-steward"}}
@@ -187,6 +188,8 @@ INPUTS = {
     "torn.pledger": _ledger(lambda lines: "".join(f"{line}\n" for line in lines)[:-11], -2),
     "deep-line.pledger": _ledger(lambda lines: [*lines, DEEP], -1),
     "nan.pledger": _one_line('"amount":50', '"amount":NaN'),
+    "long-integer.pledger": _ledger(lambda lines: [
+        lines[0].replace('"amount":50', f'"amount":{LONG_INTEGER}'), *lines[1:]]),
     "surrogate-line.pledger": _one_line("waterfront", "water\\ud800front"),
     "surrogate-link.pledger": _one_line("workshoplog", "work\\ud800shoplog"),
     "prev-note.pledger": _ledger(lambda lines: [serialize_entry(replace(
@@ -203,6 +206,8 @@ INPUTS = {
         **sample_contribution_doc()["contribution"], "note": "plain", "Intended_Use": "ext",
         "Artifact_Ref": "shadowed", "extScore": "7", "ext_score": 8}},
     "deep.json": DEEP,
+    "long-integer.json": json.dumps(sample_contribution_doc()).replace(
+        '"amount": 50', f'"amount": {LONG_INTEGER}'),
     "surrogate.json": {**sample_contribution_doc(), "contribution": {
         **sample_contribution_doc()["contribution"], "summary": "\ud800x"}},
     "surrogate-policy.json": {**POLICY_DOC, "note": "\ud800x"},
@@ -223,6 +228,8 @@ INPUTS = {
     "results-skip/pl-test-privacy-001.result": "not json",
     "results-refused/pl-test-accessibility-001.result": SCORES,
     "results-refused/pl-test-accessibility-002.result": '{"scores": "none"}',
+    "results-nan/pl-test-accessibility-001.result": SCORES,
+    "results-nan/pl-test-privacy-001.result": '{"value": NaN}',
     "gen-audit.pledger": _gen("audit", 0.05),
     "gen-govern.pledger": _gen("govern", 0.2),
     "gen-release.pledger": _gen("release", 0.1),
@@ -383,6 +390,14 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
     "torn-tail": (["torn.pledger"], _on(
         "torn.pledger", "verify", GATE, PROMPT, "verify")),
     "nan-line": (["nan.pledger"], _on("nan.pledger", "verify", GATE, f"{EXPORT} --out r.json")),
+    "long-integer": (["long-integer.pledger", "long-integer.json"], [
+        *_on("long-integer.pledger", "verify", GATE),
+        "append --ledger nodir/new.pledger long-integer.json"]),
+    # A later test's result with no canonical form: the suite appends no run.
+    "harness-unrenderable-result": (["lifecycle.pledger", "test-privacy.json", "results-nan"],
+                                    _on("lifecycle.pledger", "append test-privacy.json",
+                                        f"{HARNESS} --results results-nan "
+                                        "--created-at 2025-07-02T00:00:00Z", "verify")),
     "deep-nesting": (["deep-line.pledger", "deep.json"], [
         *_on("deep-line.pledger", "verify", GATE),
         "append --ledger nodir/new.pledger deep.json"]),

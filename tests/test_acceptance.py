@@ -234,7 +234,7 @@ def test_c3_tamper_detection():
     with criterion("criterion 3 (tamper detection)"):
         chain = _hundred_entry_chain()
         lines = stored_lines(chain)
-        assert verify_chain(chain, lines).valid
+        assert verify_chain(chain, lines)[0].valid
 
         started = time.monotonic()
         rng = random.Random(1789)
@@ -244,14 +244,14 @@ def test_c3_tamper_detection():
             mutant = _mutate_once(rng, chain[index])
             if mutant is None:
                 continue
-            verdict = verify_chain(chain[:index] + [mutant] + chain[index + 1:],
-                                   lines[:index] + stored_lines([mutant]) + lines[index + 1:])
+            verdict, _ = verify_chain(chain[:index] + [mutant] + chain[index + 1:],
+                                      lines[:index] + stored_lines([mutant]) + lines[index + 1:])
             assert not verdict.valid
             assert verdict.first_broken_index == index
             detected += 1
         assert time.monotonic() - started < 10.0
 
-        assert verify_chain(chain, lines).valid
+        assert verify_chain(chain, lines)[0].valid
 
 
 # ---------------------------------------------------------------------------

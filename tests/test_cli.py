@@ -1074,6 +1074,33 @@ def test_harness_run_refused_by_a_later_test_appends_nothing(writable, tmp_path,
     assert (writable.read_bytes(), store.head_path(writable).read_bytes()) == before
 
 
+@pytest.mark.parametrize("result,refusal", [
+    ('{"value": NaN}', "cannot canonicalize nan"),
+    ('{"value": -Infinity}', "cannot canonicalize -inf"),
+    ('{"value": 0.1, "note": "\\ud800"}', "cannot canonicalize lone surrogate '\\ud800'"),
+], ids=["nan", "infinity", "lone-surrogate"])
+def test_harness_run_refused_for_a_later_result_with_no_canonical_form_appends_nothing(
+        writable, tmp_path, capsys, result, refusal):
+    # Every result is rendered before the first run is appended: a second,
+    # threshold test's result that has no canonical form exits 5 and leaves
+    # the ledger and its head as they were.
+    privacy = replace(make_test(0), id="pl:test:privacy:001", created_at="2025-07-01T00:00:00Z")
+    (tmp_path / "t.json").write_text(serialize_entry(privacy), "utf-8")
+    assert run_cli(capsys, "append", "--ledger", str(writable), str(tmp_path / "t.json"))[0] == 0
+    results = tmp_path / "results"
+    results.mkdir()
+    (results / "pl-test-accessibility-001.result").write_text(
+        '{"scores": [[5, 4], [4, 5], [5, 5]]}', "utf-8")
+    (results / "pl-test-privacy-001.result").write_text(result, "utf-8")
+    before = writable.read_bytes(), store.head_path(writable).read_bytes()
+    code, out, err = run_cli(
+        capsys, "harness", "run", "--ledger", str(writable), "--results", str(results),
+        "--artifact", ARTIFACT_ID, "--version", "v3", "--checkpoint", "scheduledAudit",
+        "--created-at", "2025-07-02T00:00:00Z")
+    assert (code, out, err) == (5, "", f"error: {refusal}\n")
+    assert (writable.read_bytes(), store.head_path(writable).read_bytes()) == before
+
+
 def test_harness_run_reads_no_result_of_a_redacted_test(writable, tmp_path, capsys):
     # The suite runs only live tests, so a redacted test's result file, even
     # one that is not JSON, is never read.
@@ -1750,6 +1777,29 @@ def test_a_line_nested_too_deep_is_a_corrupt_line_and_such_a_document_a_usage_er
     assert run_cli(capsys, "append", str(document), "--ledger", str(ledger)) == (
         64, "", f"usage error: not a JSON document: {document}: nested too deep to decode\n")
     assert not ledger.parent.exists()
+
+
+def test_an_integer_too_long_to_decode_is_a_corrupt_line_and_such_a_document_a_usage_error(
+        lifecycle, tmp_path, capsys):
+    # Past the decoder's limit on integer digits (sys.get_int_max_str_digits)
+    # a stored line does not parse (exit 4 at that line) and an input
+    # document is not one (exit 64), never a ValueError traceback.
+    digits = "9" * 5000
+    line = lifecycle[0].read_text("utf-8").splitlines()[0]
+    assert line.count('"amount":50') == 1
+    ledger = tmp_path / "one.pledger"
+    ledger.write_text(line.replace('"amount":50', f'"amount":{digits}') + "\n", "utf-8")
+    refusal = "verification failure: corrupt ledger line 1: not valid JSON: Exceeds the limit"
+    for argv in (["verify"], LEDGER_READERS["gate-check"]):
+        code, out, err = run_cli(capsys, *argv, "--ledger", str(ledger))
+        assert (code, out, err[:len(refusal)]) == (4, "", refusal), argv
+    document, new = tmp_path / "entry.json", tmp_path / "nodir" / "new.pledger"
+    document.write_text(json.dumps(sample_contribution_doc()).replace(
+        '"amount": 50', f'"amount": {digits}'), "utf-8")
+    refusal = f"usage error: not a JSON document: {document}: Exceeds the limit"
+    code, out, err = run_cli(capsys, "append", str(document), "--ledger", str(new))
+    assert (code, out, err[:len(refusal)]) == (64, "", refusal)
+    assert not new.parent.exists()
 
 
 def test_a_lone_surrogate_in_an_input_document_is_refused_before_any_append(

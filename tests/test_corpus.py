@@ -9,9 +9,9 @@ from corpus import CASES, ROOT, command_paths, differences, run
 from pledger.cli import build_parser
 
 # Small cases, so the runner cannot rot: both sides run this tree. Each
-# command starts an interpreter, so the slice stays at about two dozen.
+# command starts an interpreter, so the slice stays at about thirty.
 SLICE = ["help-and-usage", "reserved-prev", "torn-tail", "nan-line", "deep-nesting",
-         "lone-surrogate", "writer-refusals"]
+         "lone-surrogate", "writer-refusals", "long-integer", "harness-unrenderable-result"]
 
 
 def test_every_leaf_command_is_named_in_each_format_it_takes():

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import make_contribution, sealed_chain, stored_lines
-from pledger import seal, verify_chain, verify_signatures
+from pledger import seal, verify_chain
 from pledger.errors import AlreadySealed, MalformedDocument, SigningFailure
 from pledger.fixtures import sample_contribution_doc
 from pledger.integrity import HMAC_SCHEME, canonicalize, hmac_signer
@@ -56,11 +56,11 @@ def test_signing_failure_propagates():
 
 def test_valid_chain_verifies():
     entries = chain(30)
-    verdict = verify_chain(entries, stored_lines(entries))
+    verdict = verify_chain(entries, stored_lines(entries))[0]
     assert verdict.valid
     assert verdict.entry_count == 30
     assert verdict.describe() == "chain valid, 30 entries"
-    assert verify_chain([], []).valid
+    assert verify_chain([], [])[0].valid
 
 
 def mutate_summary(entries: list, index: int) -> list:
@@ -75,7 +75,7 @@ def test_content_mutation_is_hash_mismatch():
     entries = chain(12)
     for index in (0, 5, 11):
         mutant = mutate_summary(entries, index)
-        verdict = verify_chain(mutant, stored_lines(mutant))
+        verdict = verify_chain(mutant, stored_lines(mutant))[0]
         assert not verdict.valid
         assert verdict.first_broken_index == index
         assert verdict.failure_kind == "hashMismatch"
@@ -88,7 +88,7 @@ def test_a_top_level_prev_is_hash_mismatch():
     entries = chain(3)
     sealed = seal(make_contribution(3), entries[-1].integrity.hash)
     entries.append(replace(sealed, extensions={"prev": "original note"}))
-    verdict = verify_chain(entries, stored_lines(entries))
+    verdict = verify_chain(entries, stored_lines(entries))[0]
     assert (verdict.valid, verdict.first_broken_index, verdict.failure_kind) == (
         False, 3, "hashMismatch")
 
@@ -99,14 +99,14 @@ def test_seal_refuses_a_top_level_prev():
     signed = seal(make_contribution(0), signer=hmac_signer("k1", b"secret", ActorRef(
         role="maintainer", pseudonym="ops")))
     stored = replace(signed, extensions={"prev": "note"})
-    assert verify_signatures([stored], stored_lines([stored]),
-                             {"k1": b"secret"}).counts()["invalid"] == 1
+    assert verify_chain([stored], stored_lines([stored]),
+                        {"k1": b"secret"})[1].counts()["invalid"] == 1
 
 
 def test_deletion_is_prev_hash_mismatch():
     entries = chain(12)
     kept = entries[:4] + entries[5:]
-    verdict = verify_chain(kept, stored_lines(kept))
+    verdict = verify_chain(kept, stored_lines(kept))[0]
     assert not verdict.valid
     assert verdict.first_broken_index == 4
     assert verdict.failure_kind == "prevHashMismatch"
@@ -115,7 +115,7 @@ def test_deletion_is_prev_hash_mismatch():
 def test_swap_is_prev_hash_mismatch():
     entries = chain(12)
     entries[6], entries[7] = entries[7], entries[6]
-    verdict = verify_chain(entries, stored_lines(entries))
+    verdict = verify_chain(entries, stored_lines(entries))[0]
     assert not verdict.valid
     assert verdict.first_broken_index == 6
     assert verdict.failure_kind == "prevHashMismatch"
@@ -125,7 +125,7 @@ def test_duplicate_id_detected():
     base = [make_contribution(i) for i in range(6)]
     base[4] = replace(base[4], id=base[1].id)
     entries = sealed_chain(base)
-    verdict = verify_chain(entries, stored_lines(entries))
+    verdict = verify_chain(entries, stored_lines(entries))[0]
     assert not verdict.valid
     assert verdict.first_broken_index == 4
     assert verdict.failure_kind == "duplicateId"
@@ -135,14 +135,14 @@ def test_clock_skew_tolerated_within_a_day():
     base = [make_contribution(i) for i in range(4)]
     base[2] = replace(base[2], created_at="2025-05-01T02:00:00Z")
     entries = sealed_chain(base)
-    assert verify_chain(entries, stored_lines(entries)).valid  # 10h backwards
+    assert verify_chain(entries, stored_lines(entries))[0].valid  # 10h backwards
 
 
 def test_order_violation_beyond_skew():
     base = [make_contribution(i) for i in range(4)]
     base[2] = replace(base[2], created_at="2025-04-29T12:00:00Z")
     entries = sealed_chain(base)
-    verdict = verify_chain(entries, stored_lines(entries))
+    verdict = verify_chain(entries, stored_lines(entries))[0]
     assert not verdict.valid
     assert verdict.first_broken_index == 2
     assert verdict.failure_kind == "orderViolation"
@@ -154,7 +154,7 @@ def test_random_single_field_mutations_always_detected():
     for _ in range(60):
         index = rng.randrange(40)
         mutant = mutate_summary(entries, index)
-        verdict = verify_chain(mutant, stored_lines(mutant))
+        verdict = verify_chain(mutant, stored_lines(mutant))[0]
         assert (verdict.valid, verdict.first_broken_index, verdict.failure_kind) \
             == (False, index, "hashMismatch")
 
@@ -170,17 +170,17 @@ def test_signature_round_trip_and_failure_modes():
         signed.append(sealed)
         prev = sealed.integrity.hash
     lines = stored_lines(signed)
-    assert verify_chain(signed, lines).valid
+    assert verify_chain(signed, lines)[0].valid
 
-    good = verify_signatures(signed, lines, {"k1": b"secret"})
+    good = verify_chain(signed, lines, {"k1": b"secret"})[1]
     assert good.all_good()
     assert good.counts() == {"valid": 5, "invalid": 0, "unverifiable": 0, "absent": 0}
 
-    wrong_key = verify_signatures(signed, lines, {"k1": b"other"})
+    wrong_key = verify_chain(signed, lines, {"k1": b"other"})[1]
     assert not wrong_key.all_good()
     assert wrong_key.counts()["invalid"] == 5
 
-    no_key = verify_signatures(signed, lines, {"k2": b"secret"})
+    no_key = verify_chain(signed, lines, {"k2": b"secret"})[1]
     assert no_key.counts()["invalid"] == 5
 
     # A stored scheme is any JSON value; one that is not the string
@@ -188,12 +188,12 @@ def test_signature_round_trip_and_failure_modes():
     for scheme in ("ed25519", [HMAC_SCHEME]):
         other_scheme = [replace(e, integrity=replace(e.integrity, signature=replace(
             e.integrity.signature, scheme=scheme))) for e in signed]
-        unknown_scheme = verify_signatures(other_scheme, stored_lines(other_scheme),
-                                           {"k1": b"secret"})
+        unknown_scheme = verify_chain(other_scheme, stored_lines(other_scheme),
+                                      {"k1": b"secret"})[1]
         assert unknown_scheme.counts()["unverifiable"] == 5
         assert unknown_scheme.all_good()  # unverifiable is not proof of tamper
 
-    unsigned = verify_signatures(entries, stored_lines(entries), {"k1": b"secret"})
+    unsigned = verify_chain(entries, stored_lines(entries), {"k1": b"secret"})[1]
     assert unsigned.counts()["absent"] == 5
 
 

@@ -173,6 +173,14 @@ def test_parse_refuses_text_nested_too_deep_to_decode():
         parse_entry('{"x":' + "[" * 100_000 + "]" * 100_000 + "}")
 
 
+def test_parse_refuses_text_holding_an_integer_too_long_to_decode():
+    # Past the decoder's limit on integer digits (sys.get_int_max_str_digits)
+    # the text is refused as any other, not with a ValueError.
+    text = json.dumps(sample_contribution_doc()).replace('"amount": 50', '"amount": ' + "9" * 5000)
+    with pytest.raises(MalformedDocument, match="^not valid JSON: Exceeds the limit"):
+        parse_entry(text)
+
+
 def test_parse_refuses_text_holding_a_lone_surrogate_escape():
     # It has no UTF-8 form, so no canonical one: refused as NaN is. A
     # surrogate pair, or an escaped backslash before "ud800", is text.
@@ -742,7 +750,7 @@ RECORDS = [
     (ChainVerdict, (True,),
      "ChainVerdict(valid=True, first_broken_index=None, failure_kind=None, entry_count=0)"),
     (SignatureVerdict, ("pl:contrib:c", "absent"),
-     "SignatureVerdict(entry_id='pl:contrib:c', status='absent', scheme=None)"),
+     "SignatureVerdict(entry_id='pl:contrib:c', status='absent')"),
     (SignatureReport, (), "SignatureReport(verdicts=[])"),
     (GateReason, (None, "defaultAllow"),
      "GateReason(voucher_id=None, reason_kind='defaultAllow', test_id=None)"),

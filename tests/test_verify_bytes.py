@@ -446,3 +446,22 @@ def test_a_keyed_verify_reads_each_lines_pre_image_once(ledgers, monkeypatch, ca
     assert capsys.readouterr().out == (
         "chain valid, 15 entries\nsignatures: 15 valid, 0 invalid, 0 unverifiable, 0 absent\n")
     assert len(read) == len(set(read)) == 15
+
+
+def test_an_unkeyed_verify_reads_pre_images_up_to_the_first_failing_line(
+        ledgers, tmp_path, monkeypatch):
+    # Line 3's content edited under its old hash: the chain's verdict needs
+    # the pre-images of lines 1-3 only, so the 12 lines after are not read.
+    lines = ledgers["lifecycle"].read_text("utf-8").splitlines()
+    edited = lines[2].replace("Generated park scenes", "Generated city scenes", 1)
+    assert edited != lines[2]
+    path = tmp_path / "edited.pledger"
+    _write(path, [*lines[:2], edited, *lines[3:]])
+    read = []
+    line_pre_image = integrity._line_pre_image
+    monkeypatch.setattr(integrity, "_line_pre_image",
+                        lambda line, entry: read.append(entry.id) or line_pre_image(line, entry))
+    verdict, _entries, report = verify_file(path)
+    assert (verdict.valid, verdict.first_broken_index, verdict.failure_kind,
+            verdict.entry_count, report) == (False, 2, "hashMismatch", 15, None)
+    assert read == [json.loads(line)["id"] for line in lines[:3]]
