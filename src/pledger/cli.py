@@ -125,25 +125,20 @@ def _write_doc(fh, doc: Any) -> None:
 
 
 def _emit(args: argparse.Namespace, text: str | None, doc: Any, table: Any = None) -> None:
-    # A `table` renders the text and CSV forms itself, only when one is printed.
+    # A `table` renders its text form only when that is printed. Every CSV is
+    # written here, in csv's default dialect (RFC 4180, CRLF rows): a table's
+    # columns and rows, or else the key/value rows of the flattened document.
     fmt = getattr(args, "format", "text") or "text"
     if fmt == "text":
         print(text if table is None else table.render_text().rstrip("\n"))
     elif fmt == "doc":
         _write_doc(sys.stdout, doc)
     else:
-        if table is not None:
-            print(table.render_csv(), end="")
-        else:
-            import csv
-            import io
+        import csv
 
-            out = io.StringIO()
-            writer = csv.writer(out)
-            writer.writerow(["key", "value"])
-            for key, value in _flat(doc):
-                writer.writerow([key, value])
-            print(out.getvalue(), end="")
+        writer = csv.writer(sys.stdout)
+        writer.writerow(["key", "value"] if table is None else table.columns)
+        writer.writerows(_flat(doc) if table is None else table.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +301,8 @@ def _cmd_audit_evidence(args: argparse.Namespace) -> int:
         matrix = evidence_mod.case_matrix(_read_doc(args.cases))
     else:
         matrix = evidence_mod.audit_corpus(_snapshot(args))
-    _emit(args, None, matrix.to_doc(), table=matrix)
+    # The table, and the `query` module it comes from, only for text or CSV.
+    _emit(args, None, matrix.to_doc(), table=None if args.format == "doc" else matrix.table())
     return 0
 
 

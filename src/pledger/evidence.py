@@ -20,10 +20,10 @@ from typing import TYPE_CHECKING, Any
 from .errors import MalformedDocument, MalformedExport, WrongEntryType
 from .governance import gate_check, voucher_lineages
 from .graph import INFLUENCE_STEPS, Snapshot, build_graph, change_linkage, reach
-from .model import (_STRING, OPEN_VOUCHER_STATUSES, EntryEnvelope, EntryType, _is_number, codec,
-                    decode_checked, parse_timestamp, record, validate_structure, wire)
+from .model import (_STRING, ALWAYS, OPEN_VOUCHER_STATUSES, EntryEnvelope, EntryType, _is_number,
+                    codec, decode_checked, parse_timestamp, record, validate_structure, wire)
 
-if TYPE_CHECKING:  # imported by EvidenceMatrix.table, so `--format doc` never loads it
+if TYPE_CHECKING:  # imported by EvidenceMatrix.table, which only text and CSV output call
     from .query import ResultTable
 
 COLUMNS = (
@@ -172,17 +172,11 @@ class EvidenceMatrix:
         }
 
     def table(self) -> ResultTable:
-        """The matrix as a query result table, which renders its text and CSV."""
+        """The matrix as a query result table: a case per row."""
         from .query import ResultTable
 
         return ResultTable(["case", *COLUMNS], [
             (name, *(levels[c].value for c in COLUMNS)) for name, levels in self.rows])
-
-    def render_text(self) -> str:
-        return self.table().render_text()
-
-    def render_csv(self) -> str:
-        return self.table().render_csv()
 
 
 def _group_key(entry_id: str) -> str:
@@ -376,11 +370,8 @@ def build_export(snapshot: Snapshot, artifact_id: str, version: str, *,
 
 @record
 class ClauseResult:
-    passed: bool
-    details: list[str] = list
-
-    def to_doc(self) -> dict:
-        return {"pass": self.passed, "details": list(self.details)}
+    passed: bool = wire("pass")
+    details: list[str] = wire("details", list, codec=list[str], omit=ALWAYS)
 
 
 @record

@@ -136,31 +136,17 @@ def transition_voucher(ledger: LedgerFile, voucher_id: str, new_status: str, *,
 
 @record
 class GateReason:
-    voucher_id: str | None
-    reason_kind: str
-    test_id: str | None = None  # a condition's required test
-
-    def to_doc(self) -> dict:
-        doc = {"voucherId": self.voucher_id, "reasonKind": self.reason_kind}
-        if self.test_id is not None:
-            doc["testId"] = self.test_id
-        return doc
+    voucher_id: str | None = wire("voucherId")  # None for the default allow
+    reason_kind: str = wire("reasonKind")
+    test_id: str | None = wire("testId", None)  # a condition's required test
 
 
 @record
 class GateDecision:
-    allowed: bool
-    reasons: list[GateReason] = list
-    evaluated_at: str = ""
-    expired_vouchers: list[str] = list
-
-    def to_doc(self) -> dict:
-        return {
-            "allowed": self.allowed,
-            "reasons": [r.to_doc() for r in self.reasons],
-            "evaluatedAt": self.evaluated_at,
-            "expiredVouchers": list(self.expired_vouchers),
-        }
+    allowed: bool = wire("allowed")
+    reasons: list[GateReason] = wire("reasons", list, codec=list[GateReason], omit=ALWAYS)
+    evaluated_at: str = wire("evaluatedAt", "")
+    expired_vouchers: list[str] = wire("expiredVouchers", list, codec=list[str], omit=ALWAYS)
 
     def describe(self) -> str:
         verdict = "allowed" if self.allowed else "denied"
@@ -287,17 +273,10 @@ class _Event:
 
 @record
 class SuppressedEvent:
-    kind: str
-    trigger_id: str
-    reason: str
-    beneficiary: str | None = None
-
-    def to_doc(self) -> dict:
-        doc = {"eventKind": self.kind, "triggerId": self.trigger_id,
-               "reason": self.reason}
-        if self.beneficiary is not None:
-            doc["beneficiary"] = self.beneficiary
-        return doc
+    kind: str = wire("eventKind")
+    trigger_id: str = wire("triggerId")
+    reason: str = wire("reason")
+    beneficiary: str | None = wire("beneficiary", None)
 
 
 @record

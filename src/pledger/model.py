@@ -222,13 +222,15 @@ def _not_object(value: Any, where: str) -> NoReturn:
 # Every record has slots, so an attribute no row declares is refused.
 # `replace` copies a record through its `__init__`.
 #
-# Each block of an entry is a record whose wire fields are declared with
-# `wire()`, so the class body is its one field table: every row names the
-# wire key, the attribute, the nested codec and (through the default) the
-# omit rule. `@codec(where)` generates from the table one straight-line
-# `from_doc`, one `to_doc` and one `check`. Keys a table does not name are
-# kept in the block's `extensions` map, so they survive a round trip and stay
-# inside the hashed content.
+# A record whose fields are declared with `wire()` has its class body as its
+# one field table: every row names the wire key, the attribute, the nested
+# codec and (through the default) the omit rule. `record` gives such a class
+# the table as `FIELDS` and generates from it one straight-line `to_doc`; a
+# report record whose document is its fields needs nothing more. Each block of
+# an entry is declared with `@codec(where)`, which also generates from the
+# table one `from_doc` and one `check`. Keys a block's table does not name are
+# kept in its `extensions` map, so they survive a round trip and stay inside
+# the hashed content.
 #
 # Generated source is compiled by `_on_first_call` when the method is first
 # called, so a command pays only for the methods it runs. `from_doc` is the
@@ -265,8 +267,12 @@ def _on_first_call(cls: type, name: str, label: str, source: Any) -> None:
 
 def record(cls: type) -> type:
     """Class decorator: build a record class from its annotated rows (see
-    above). Instances have slots and no `__dict__`."""
+    above), with the `to_doc` of its `wire()` rows if it declares any.
+    Instances have slots and no `__dict__`."""
     attrs = tuple(cls.__annotations__)
+    rows = {attr: row for attr, row in vars(cls).items() if isinstance(row, Wire)}
+    for attr, row in rows.items():
+        row.attr = attr
     defaults = [vars(cls).get(attr, MISSING) for attr in attrs]
     defaults = [d.default if isinstance(d, Wire) else d for d in defaults]
     namespace = {k: v for k, v in vars(cls).items()
@@ -301,6 +307,9 @@ def record(cls: type) -> type:
 
     cls.__eq__, cls.__repr__, cls.__hash__, cls.__match_args__ = __eq__, __repr__, None, attrs
     _on_first_call(cls, "__init__", f"<record {cls.__name__}>", init_source)
+    if rows:
+        cls.FIELDS = tuple(rows.values())
+        _on_first_call(cls, "to_doc", f"<codec {cls.__name__}>", lambda: _encoder(cls))
     return cls
 
 
@@ -514,19 +523,16 @@ def codec(where: str):
     `where` names the block in error messages, e.g. "run" or "test.measurement".
     """
     def build(cls: type) -> type:
-        rows = [(attr, row) for attr, row in vars(cls).items() if isinstance(row, Wire)]
         cls = record(cls)
         prefix = where.rpartition(".")[2].removesuffix("[]")
-        for attr, row in rows:
-            row.attr, row.rule = attr, row.rule or f"{prefix}.{row.name}"
-        cls.FIELDS = tuple(row for _attr, row in rows)
+        for row in cls.FIELDS:
+            row.rule = row.rule or f"{prefix}.{row.name}"
         # Validation checks the rows with a check and the nested blocks whose
         # own table checks something.
         cls.CHECKS = tuple(row for row in cls.FIELDS if row.test or row.kind in ("block", "blocks")
                            and any(inner.test for inner in row.block.FIELDS))
-        label = f"<codec {cls.__name__}>"
-        cls.from_doc = staticmethod(_define("from_doc", label, *_decoder(cls, where)))
-        _on_first_call(cls, "to_doc", label, lambda: _encoder(cls))
+        cls.from_doc = staticmethod(_define("from_doc", f"<codec {cls.__name__}>",
+                                            *_decoder(cls, where)))
         _on_first_call(cls, "check", f"<checks {cls.__name__}>", lambda: _checker(cls))
         return cls
     return build
@@ -1000,6 +1006,10 @@ def _finite(text: str) -> float:
 
 _DECODER = json.JSONDecoder(parse_constant=_finite, parse_float=_finite)
 
+# In UTF-8 text only an escape of a surrogate half spells a lone surrogate, so
+# only a line holding one is rendered to confirm that its halves pair up.
+_SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
+
 
 def parse_entry(source: str | bytes | dict) -> EntryEnvelope:
     """Parse one entry document.
@@ -1016,7 +1026,7 @@ def parse_entry(source: str | bytes | dict) -> EntryEnvelope:
         text = source if isinstance(source, str) else source.decode("utf-8")
         try:
             doc = _DECODER.decode(text)
-            if "\\" in text:  # in UTF-8 text only an escape spells a lone surrogate
+            if "\\" in text and _SURROGATE_ESCAPE_RE.search(text):
                 canonical_bytes(doc)
         except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
             raise MalformedDocument(f"not valid JSON: {exc}") from exc

@@ -77,22 +77,14 @@ class _Token:
     position: int
 
 
-def _unescape(literal: str, position: int) -> str:
-    body = literal[1:-1]
-    out: list[str] = []
-    i = 0
-    shorthands = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
-    while i < len(body):
-        c = body[i]
-        if c == "\\":
-            i += 1
-            if i >= len(body):
-                raise QuerySyntaxError(position, "escape character", "end of string")
-            out.append(shorthands.get(body[i], body[i]))
-        else:
-            out.append(c)
-        i += 1
-    return "".join(out)
+# A backslash escapes the character after it; n, t and r are shorthands.
+# The string token puts a character after every backslash.
+_ESCAPE_RE = re.compile(r"\\(.)")
+_SHORTHANDS = {"n": "\n", "t": "\t", "r": "\r"}
+
+
+def _unescape(literal: str) -> str:
+    return _ESCAPE_RE.sub(lambda m: _SHORTHANDS.get(m[1], m[1]), literal[1:-1])
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -107,7 +99,7 @@ def _tokenize(text: str) -> list[_Token]:
             continue
         value = m.group()
         if m.lastgroup == "string":
-            tokens.append(_Token("STRING", _unescape(value, pos), pos))
+            tokens.append(_Token("STRING", _unescape(value), pos))
         elif m.lastgroup == "ident":
             kind = value if value in _KEYWORDS else "IDENT"
             tokens.append(_Token(kind, value, pos))
@@ -305,16 +297,6 @@ class ResultTable:
         out = [line(self.columns), line(["-" * w for w in widths])]
         out.extend(line(row) for row in self.rows)
         return "\n".join(out) + "\n"
-
-    def render_csv(self) -> str:
-        import csv
-        import io
-
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(self.columns)
-        writer.writerows(self.rows)
-        return buffer.getvalue()
 
 
 def evaluate_field(graph: Snapshot, node_id: str, fieldname: str) -> str | None:

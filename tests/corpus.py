@@ -32,9 +32,9 @@ if __name__ == "__main__":  # the inputs are built by this tree
 from pledger.canonical import canonical_json  # noqa: E402
 from pledger.fixtures import POLICY_DOC, STAGE_PAUSED, TEST_ID, build_lifecycle  # noqa: E402
 from pledger.fixtures import sample_contribution_doc  # noqa: E402
-from pledger.integrity import seal  # noqa: E402
+from pledger.integrity import hmac_signer, seal  # noqa: E402
 from pledger.model import (  # noqa: E402
-    format_timestamp, parse_entry, parse_timestamp, replace, serialize_entry)
+    ActorRef, format_timestamp, parse_entry, parse_timestamp, replace, serialize_entry)
 
 # ---------------------------------------------------------------------------
 # tampered copies of the lifecycle ledger: each maps its lines to new lines
@@ -168,6 +168,15 @@ def _test_doc(test_id: str, **measurement):
     return build
 
 
+def _bad_signature(inputs: Path, path: Path) -> None:
+    # The sample contribution signed under k1=SECRET, its signature then made
+    # not base64: the hash does not cover the signature, so the chain holds.
+    signer = hmac_signer("k1", b"SECRET", ActorRef(role="maintainer", pseudonym="cli"))
+    line = serialize_entry(seal(parse_entry(sample_contribution_doc()), signer=signer))
+    signature = json.loads(line)["integrity"]["signature"]["signatureBytes"]
+    path.write_text(line.replace(signature, "not*base64") + "\n", "utf-8")
+
+
 def _gen(name: str, scale: float):
     # A seeded benchmark ledger from perfbench/gen.py, small.
     def build(inputs: Path, path: Path) -> None:
@@ -192,6 +201,7 @@ INPUTS = {
         lines[0].replace('"amount":50', f'"amount":{LONG_INTEGER}'), *lines[1:]]),
     "surrogate-line.pledger": _one_line("waterfront", "water\\ud800front"),
     "surrogate-link.pledger": _one_line("workshoplog", "work\\ud800shoplog"),
+    "bad-signature.pledger": _bad_signature,
     "prev-note.pledger": _ledger(lambda lines: [serialize_entry(replace(
         seal(parse_entry(sample_contribution_doc())), extensions={"prev": "note"}))]),
     "adir": lambda inputs, path: path.mkdir(),
@@ -362,6 +372,12 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
         "lifecycle.pledger", PROMPT.replace(REDACT, RESIDENT), f"{ISSUE} voucher-resident.json",
         PROMPT, f"{RESIDENT} --target pl:tomb:contrib:wedesign:prompt:001 "
         "--created-at 2025-07-06T00:00:00Z")),
+    "signature-not-base64": (["bad-signature.pledger"], _on(
+        "bad-signature.pledger", "verify --hmac-key k1=SECRET",
+        "verify --hmac-key k1=SECRET --format doc", "verify")),
+    "redact-with-id": (["lifecycle.pledger"], _on(
+        "lifecycle.pledger", f"{PROMPT} --id pl:tomb:chosen:001",
+        "query 'MATCH (t:Tombstone) RETURN t.id, t.targetId;'", "verify")),
     "reserved-prev": (["entry-prev.json", "prev-note.pledger"], [
         "append --ledger nodir/new.pledger entry-prev.json", "verify --ledger prev-note.pledger"]),
     "redacted-contribution": (["lifecycle.pledger"], _on(

@@ -879,7 +879,7 @@ def test_query_from_file_and_formats(lifecycle, tmp_path, capsys):
     code, out, _err = run_cli(capsys, "query", "--file", str(query_file),
                               "--ledger", str(path), "--format", "csv")
     assert code == 0
-    assert out == f"t.id,t.topic\n{TEST_ID},accessibility\n"
+    assert out == f"t.id,t.topic\r\n{TEST_ID},accessibility\r\n"
 
     code, out, _err = run_cli(capsys, "query", "--file", str(query_file),
                               "--ledger", str(path), "--format", "doc")
@@ -893,7 +893,7 @@ def test_query_reads_its_file_from_stdin(lifecycle, monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("MATCH (t:Test) RETURN t.id, t.topic;"))
     code, out, err = run_cli(capsys, "query", "--file", "-", "--ledger", str(path),
                              "--format", "csv")
-    assert (code, out, err) == (0, f"t.id,t.topic\n{TEST_ID},accessibility\n", "")
+    assert (code, out, err) == (0, f"t.id,t.topic\r\n{TEST_ID},accessibility\r\n", "")
 
 
 def test_query_saved(lifecycle, capsys):
@@ -962,10 +962,10 @@ def test_a_redacted_contribution_keeps_its_trace_and_loses_its_payload(writable,
     assert run_cli(capsys, *LEDGER_WRITERS["redact"], "--ledger", str(writable))[0] == 0
     assert run_cli(capsys, "query", "--ledger", str(writable), "--format", "csv",
                    "MATCH (c:Contribution) RETURN c.id, c.kind, c.createdAt;") == (
-        0, f"c.id,c.kind,c.createdAt\n{CONTRIBUTION_ID},,2025-05-10T14:30:00Z\n", "")
+        0, f"c.id,c.kind,c.createdAt\r\n{CONTRIBUTION_ID},,2025-05-10T14:30:00Z\r\n", "")
     assert run_cli(capsys, "audit", "evidence", "--ledger", str(writable), "--format", "csv") \
         == (0, "case,recruitmentPathway,rolesAndIntermediaries,consentPrivacyScope,"
-               "compensationTerms,explicitInfluenceLinks\n", "")
+               "compensationTerms,explicitInfluenceLinks\r\n", "")
 
 
 def test_queries_and_the_linkage_audit_read_every_edge_both_ways(lifecycle, capsys):
@@ -996,6 +996,10 @@ def test_query_syntax_error_exits_5(lifecycle, capsys):
                               "--ledger", str(path))
     assert code == 5
     assert "error:" in err
+    # An edge pattern without its right end.
+    assert run_cli(capsys, "query", "MATCH (a)-[:influences](b) RETURN a.id;",
+                   "--ledger", str(path)) == (
+        5, "", "error: at offset 23: expected -> or -, found '('\n")
 
 
 # ---------------------------------------------------------------------------
@@ -1628,6 +1632,15 @@ def test_redact_cli(writable, capsys):
     assert "16 entries" in out
 
 
+def test_redact_writes_the_tombstone_id_it_is_given(writable, capsys):
+    tomb_id = "pl:tomb:chosen:001"
+    assert run_cli(capsys, *LEDGER_WRITERS["redact"], "--id", tomb_id,
+                   "--created-at", "2025-07-05T00:00:00Z", "--ledger", str(writable)) == (
+        0, f"redacted {CONTRIBUTION_ID} with {tomb_id}\n", "")
+    tomb = read_entries(writable)[-1]
+    assert (tomb.id, tomb.payload.target_id) == (tomb_id, CONTRIBUTION_ID)
+
+
 def test_redact_rejects_unauthorized_role(writable, capsys):
     code, _out, err = run_cli(
         capsys, "redact", "--ledger", str(writable),
@@ -1666,6 +1679,20 @@ def test_hmac_sign_and_verify(tmp_path, capsys):
     code, _out, err = run_cli(capsys, "verify", "--ledger", str(ledger),
                               "--hmac-key", "no-separator")
     assert code == 64
+
+
+def test_a_keyed_verify_reads_a_signature_that_is_not_base64_as_invalid(tmp_path, capsys):
+    # The signature sits outside the hash pre-image, so the chain still holds.
+    ledger = tmp_path / "signed.pledger"
+    doc_path = tmp_path / "entry.json"
+    doc_path.write_text(json.dumps(sample_contribution_doc()), "utf-8")
+    assert run_cli(capsys, "append", str(doc_path), "--ledger", str(ledger),
+                   "--hmac-key", "k1=sekrit")[0] == 0
+    signature = read_entries(ledger)[0].integrity.signature.signature_bytes
+    ledger.write_text(ledger.read_text("utf-8").replace(signature, "not*base64"), "utf-8")
+    assert run_cli(capsys, "verify", "--ledger", str(ledger), "--hmac-key", "k1=sekrit") == (
+        4, "chain valid, 1 entries\n"
+           "signatures: 0 valid, 1 invalid, 0 unverifiable, 0 absent\n", "")
 
 
 def _results(tmp_path, **results: str) -> str:

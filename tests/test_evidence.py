@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from conftest import (
     stamp,
 )
 
+from pledger.cli import _emit
 from pledger.errors import MalformedExport, WrongEntryType
 from pledger.evidence import (
     COLUMNS,
@@ -343,10 +345,10 @@ def test_ledger_mode_matches_columnwise_maximum_oracle():
         assert dict(matrix.rows) == expected
 
 
-def test_matrix_renders():
-    matrix = case_matrix([{"case": "WeDesign+",
-                           "codings": {c: "Reported" for c in COLUMNS}}])
-    assert matrix.render_text() == (
+def test_matrix_renders(capsys):
+    table = case_matrix([{"case": "WeDesign+",
+                          "codings": {c: "Reported" for c in COLUMNS}}]).table()
+    assert table.render_text() == (
         "case       recruitmentPathway  rolesAndIntermediaries  "
         "consentPrivacyScope  compensationTerms  explicitInfluenceLinks\n"
         "---------  ------------------  ----------------------  "
@@ -354,10 +356,11 @@ def test_matrix_renders():
         "WeDesign+  Reported            Reported                "
         "Reported             Reported           Reported\n"
     )
-    assert matrix.render_csv() == (
+    _emit(argparse.Namespace(format="csv"), None, None, table=table)
+    assert capsys.readouterr().out == (
         "case,recruitmentPathway,rolesAndIntermediaries,consentPrivacyScope,"
-        "compensationTerms,explicitInfluenceLinks\n"
-        "WeDesign+,Reported,Reported,Reported,Reported,Reported\n"
+        "compensationTerms,explicitInfluenceLinks\r\n"
+        "WeDesign+,Reported,Reported,Reported,Reported,Reported\r\n"
     )
 
 

@@ -193,6 +193,20 @@ def test_parse_refuses_text_holding_a_lone_surrogate_escape():
             parse_entry(text.replace('"summary": "', f'"summary": "{lone}', 1).encode("utf-8"))
 
 
+def test_parse_renders_only_text_holding_a_surrogate_escape(monkeypatch):
+    # Only an escape of a surrogate half can spell a lone one: an escaped
+    # quote, backslash or other character costs no rendering of the document.
+    rendered = []
+    render = model.canonical_bytes
+    monkeypatch.setattr(model, "canonical_bytes", lambda doc: rendered.append(doc) or render(doc))
+    text = json.dumps(sample_contribution_doc())
+    for summary in ('\\"quoted\\"', "back\\\\slash", "caf\\u00e9", "\\ud7ff"):
+        parse_entry(text.replace('"summary": "', f'"summary": "{summary}', 1))
+    assert rendered == []
+    parse_entry(text.replace('"summary": "', '"summary": "\\ud83d\\ude00', 1))
+    assert len(rendered) == 1
+
+
 def test_entry_ids():
     check_entry_id("pl:contrib:wedesign:prompt:001", EntryType.CONTRIBUTION)
     with pytest.raises(InvalidId):
@@ -250,6 +264,10 @@ def fresh(mutator):
     (lambda d: d["contribution"].update(summary=""), "contribution.summary"),
     (lambda d: d["contribution"].update(artifactRef="blob-7"), "contribution.artifactRef"),
     (lambda d: d["contribution"].update(intendedUse="resale"), "contribution.intendedUse"),
+    (lambda d: d["contribution"].update(representationalMetadata={"ageBand": "30-39"}),
+     "contribution.representational-scope"),
+    (lambda d: (d["contribution"].update(representationalMetadata={"ageBand": "30-39"}),
+                d["consent"].pop("scope")), "contribution.representational-scope"),
 ])
 def test_validation_rules_fire(mutator, rule):
     report = validate_structure(fresh(mutator))

@@ -165,10 +165,13 @@ print(f"exit {code}, to_doc compiled for {compiled}", file=sys.stderr)
 
 @pytest.mark.parametrize("fmt", ["text", "doc"])
 def test_a_gate_check_compiles_no_to_doc(lifecycle, fmt):
+    # Only the decision's own two records, never an entry block's.
     proc = run_python("-c", TO_DOC_PROBE, *GATE_CHECK, "--ledger", str(lifecycle[0]),
                       "--format", fmt)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stderr.splitlines()[-1] == "exit 0, to_doc compiled for []"
+    assert proc.stderr.splitlines()[-1] == (
+        "exit 0, to_doc compiled for "
+        "['pledger.governance.GateDecision', 'pledger.governance.GateReason']")
 
 
 # The to_doc probe, with every call of `canonicalize` and `serialize_entry`

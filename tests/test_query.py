@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from conftest import (
     random_query,
 )
 from pledger.canonical import render_value
+from pledger.cli import _emit
 from pledger.errors import (
     QueryParameterError,
     QuerySyntaxError,
@@ -216,7 +218,7 @@ def test_rows_come_back_sorted():
         "pl:contrib:gen:0001", "pl:contrib:gen:0002", "pl:contrib:gen:0003"]
 
 
-def test_rendering_text_and_csv():
+def test_rendering_text_and_csv(capsys):
     entries = [make_contribution(1)]
     entries[0].payload.summary = 'has, comma and "quote"'
     graph = build_graph(Snapshot(entries))
@@ -228,9 +230,11 @@ def test_rendering_text_and_csv():
     assert set(lines[1]) <= {"-", " "}
     assert "pl:contrib:gen:0001" in lines[2]
 
-    csv_text = table.render_csv()
-    assert csv_text.splitlines()[0] == "x.id,x.kind,x.summary"
-    assert '"has, comma and ""quote"""' in csv_text
+    # The command line's one CSV writer: RFC 4180 quoting and CRLF row ends.
+    _emit(argparse.Namespace(format="csv"), None, None, table=table)
+    csv_text = capsys.readouterr().out
+    assert csv_text.split("\r\n")[0] == "x.id,x.kind,x.summary"
+    assert ',"has, comma and ""quote"""\r\n' in csv_text
 
 
 def test_homomorphism_semantics_allow_shared_bindings():
